@@ -114,6 +114,8 @@ def cmd_fit(opts) -> int:
     estimator = opts["estimator"]
     estep = _ESTEP_FLAGS[opts["estep"]]
     threads = opts["threads"] or os.cpu_count() or 1
+    if opts["max_iters"] < 1:
+        raise UsageError("--max-iters must be at least 1")
     if estimator == "dynamics":
         data = _load_latent_dataset(arrays)
         if opts["d"] and opts["d"] != data.latent_dim:
@@ -169,7 +171,8 @@ def cmd_fit(opts) -> int:
     else:
         raise UsageError(f"unknown estimator {estimator!r}")
 
-    converged = len(trace) < opts["max_iters"]
+    # npca trains for a fixed number of epochs: no stopping rule to fire
+    converged = estimator != "npca" and dyn_mod.converged(trace, config.tol)
     checkpoint["estimator"] = np.float64(_ESTIMATOR_CODES[estimator])
     checkpoint["final_objective"] = np.float64(trace[-1])
     checkpoint["converged"] = np.float64(converged)
@@ -456,15 +459,16 @@ def main(argv=None) -> int:
     try:
         opts = _merge_options(args.command, args)
         return handlers[args.command](opts)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (TensorFormatError, OSError, json.JSONDecodeError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (NumericError, np.linalg.LinAlgError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except ValueError as exc:
+        # UsageError, and the library's own argument validation
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

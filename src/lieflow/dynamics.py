@@ -8,6 +8,11 @@ coefficients per pair; the M-step solves the Kronecker normal equations
 for the flattened generator block and refreshes the noise covariance.
 Each iteration may be followed by a PCA orthogonalization of the
 generator basis.
+
+The M-step reads only sums over pairs (:class:`TransitionStats`).  The
+image-model estimators form the same sums from expectations over their
+latents and share the M-step, the rest of the update
+(:func:`update_step`) and the stopping rule (:func:`converged`).
 """
 from __future__ import annotations
 
@@ -29,6 +34,8 @@ from .gaussian import (
     symmetrize,
 )
 from .liealg import GeneratorBasis
+
+GRAM_COND_LIMIT = 1e14
 
 
 @dataclass(frozen=True)
@@ -74,6 +81,8 @@ class PairDataset:
         zn = np.atleast_2d(np.asarray(self.z_next, dtype=float))
         if zi.shape != zn.shape or zi.ndim != 2 or zi.shape[0] < 1:
             raise ValueError("z_i and z_next must be matching (N, d) arrays with N >= 1")
+        if not (np.all(np.isfinite(zi)) and np.all(np.isfinite(zn))):
+            raise NumericError("latent pairs must be finite")
         object.__setattr__(self, "z_i", zi)
         object.__setattr__(self, "z_next", zn)
 
@@ -95,10 +104,29 @@ class PairDataset:
 
 @dataclass(frozen=True)
 class CoeffPosterior:
-    """Gaussian posterior of the combination coefficients for one pair."""
+    """Gaussian posteriors of the combination coefficients, one per pair:
+    means ``(N, J)`` and covariances ``(N, J, J)``."""
 
     mean: np.ndarray
     cov: np.ndarray
+
+    @property
+    def second(self) -> np.ndarray:
+        """``E[lambda lambda^T]`` per pair."""
+        return self.cov + np.einsum("nj,nk->njk", self.mean, self.mean)
+
+
+@dataclass(frozen=True)
+class TransitionStats:
+    """Sums over pairs of the expectations the dynamics M-step reads, with
+    ``dz = z_next - z_i``: ``E[dz dz^T]``, ``E[dz (z kron lam)^T]``,
+    ``E[z z^T kron lam lam^T]`` and ``E[lam lam^T]``."""
+
+    count: int
+    dz_dz: np.ndarray
+    dz_zlam: np.ndarray
+    zz_lamlam: np.ndarray
+    lamlam: np.ndarray
 
 
 @dataclass
@@ -115,26 +143,18 @@ class EmConfig:
 
 
 def e_step_lambda(model: DynamicsModel, z_i: np.ndarray,
-                  z_next: np.ndarray) -> CoeffPosterior:
+                  z_next: np.ndarray) -> Gaussian:
     """Exact coefficient posterior ``N(q, K)`` for one pair.
 
     This is the linear-Gaussian posterior with prior ``N(0, Lambda)``
-    and observation ``delta_z = A lambda + noise``; it is delegated to
-    the Gaussian core so the two stay consistent by construction.
+    and observation ``delta_z = A lambda + noise``, delegated to the
+    Gaussian core; it is the oracle for the batched :func:`e_step_all`.
     """
     zi = np.asarray(z_i, dtype=float)
-    zn = np.asarray(z_next, dtype=float)
     a = liealg.assemble_A(model.basis, zi)
     prior = Gaussian(np.zeros(model.coeff_count), model.coeff_prior_cov)
     lin = LinearGaussianMap(a, np.zeros(model.latent_dim), model.trans_cov)
-    post = posterior(prior, lin, zn - zi)
-    return CoeffPosterior(post.mean, post.cov)
-
-
-def _posterior_stack(posteriors) -> tuple[np.ndarray, np.ndarray]:
-    q = np.stack([p.mean for p in posteriors])
-    k = np.stack([p.cov for p in posteriors])
-    return q, k
+    return posterior(prior, lin, np.asarray(z_next, dtype=float) - zi)
 
 
 def _e_step_block(model: DynamicsModel, z_i: np.ndarray,
@@ -153,13 +173,24 @@ def _e_step_block(model: DynamicsModel, z_i: np.ndarray,
     oia = oia.reshape(d, -1, j).transpose(1, 0, 2)
     prec = lam_prec + np.einsum("ndj,ndk->njk", a, oia)
     cov = np.linalg.solve(prec, np.broadcast_to(np.eye(j), prec.shape))
-    cov = 0.5 * (cov + cov.transpose(0, 2, 1))
+    cov = symmetrize(cov)
     mean = np.einsum("njk,nk->nj", cov, np.einsum("ndj,nd->nj", oia, delta))
     return mean, cov
 
 
+def map_blocks(fn, count: int, threads: int) -> list:
+    """``fn(start, stop)`` over contiguous blocks of ``count`` pairs, one
+    block per thread (a single block unless every thread gets at least
+    two pairs), results in block order."""
+    if threads <= 1 or count < 2 * threads:
+        return [fn(0, count)]
+    bounds = np.linspace(0, count, threads + 1, dtype=int)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, bounds[:-1], bounds[1:]))
+
+
 def e_step_all(model: DynamicsModel, dataset: PairDataset,
-               threads: int = 1) -> list[CoeffPosterior]:
+               threads: int = 1) -> CoeffPosterior:
     """Coefficient posteriors for every pair.
 
     The per-pair computation is pure; with ``threads > 1`` the dataset is
@@ -168,95 +199,87 @@ def e_step_all(model: DynamicsModel, dataset: PairDataset,
     """
     if dataset.latent_dim != model.latent_dim:
         raise ValueError("dataset and model latent dimensions disagree")
-    if threads <= 1 or dataset.count < 2 * threads:
-        mean, cov = _e_step_block(model, dataset.z_i, dataset.delta)
-    else:
-        bounds = np.linspace(0, dataset.count, threads + 1, dtype=int)
-        blocks = [(dataset.z_i[a:b], dataset.delta[a:b])
-                  for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda blk: _e_step_block(model, *blk), blocks))
-        mean = np.concatenate([p[0] for p in parts])
-        cov = np.concatenate([p[1] for p in parts])
-    return [CoeffPosterior(m, c) for m, c in zip(mean, cov)]
+    parts = map_blocks(lambda a, b: _e_step_block(
+        model, dataset.z_i[a:b], dataset.delta[a:b]), dataset.count, threads)
+    return CoeffPosterior(*(np.concatenate(arrays) for arrays in zip(*parts)))
 
 
-def m_step_G(dataset: PairDataset, posteriors) -> GeneratorBasis:
-    """Maximum-likelihood generator update via the Kronecker normal
-    equations, solved as a linear system (never an explicit inverse)."""
-    q, k = _posterior_stack(posteriors)
-    if q.shape[0] != dataset.count:
+def transition_stats(dataset: PairDataset,
+                     post: CoeffPosterior) -> TransitionStats:
+    """Summed statistics of exact latents under coefficient posteriors,
+    formed without per-pair Kronecker blocks."""
+    if post.mean.shape[0] != dataset.count:
         raise ValueError("need exactly one posterior per pair")
-    second = k + np.einsum("nj,nk->njk", q, q)
-    d, j = dataset.latent_dim, q.shape[1]
-    num = np.einsum("nr,ne,nj->rej", dataset.delta, dataset.z_i, q).reshape(d, d * j)
-    den = np.einsum("ne,nf,njk->ejfk", dataset.z_i, dataset.z_i,
-                    second).reshape(d * j, d * j)
-    den = symmetrize(den)
-    try:
-        flat = np.linalg.solve(den, num.T).T
-    except np.linalg.LinAlgError as exc:
+    second = post.second
+    z, delta = dataset.z_i, dataset.delta
+    d, j = dataset.latent_dim, post.mean.shape[1]
+    return TransitionStats(
+        count=dataset.count,
+        dz_dz=np.einsum("na,nb->ab", delta, delta),
+        dz_zlam=np.einsum("nr,ne,nj->rej", delta, z, post.mean).reshape(d, d * j),
+        zz_lamlam=np.einsum("ne,nf,njk->ejfk", z, z, second).reshape(d * j, d * j),
+        lamlam=second.sum(axis=0))
+
+
+def m_step_G(stats: TransitionStats) -> GeneratorBasis:
+    """Maximum-likelihood generator update: the Kronecker normal equations
+    ``F sum E[z z^T kron lam lam^T] = sum E[dz (z kron lam)^T]`` for the
+    block-flattened generators ``F``, solved as a linear system (never an
+    explicit inverse) after one conditioning check of the Gram matrix."""
+    gram = symmetrize(stats.zz_lamlam)
+    eigs = np.linalg.eigvalsh(gram)
+    cond = eigs[-1] / eigs[0] if eigs[0] > 0 else np.inf
+    if cond > GRAM_COND_LIMIT:
         raise NumericError(
-            f"singular {d * j}x{d * j} Gram matrix in generator update "
-            f"(condition number {np.linalg.cond(den):.3e})") from exc
-    cond = np.linalg.cond(den)
-    if cond > 1e14:
-        raise NumericError(
-            f"singular {d * j}x{d * j} Gram matrix in generator update "
-            f"(condition number {cond:.3e})")
-    return liealg.block_unflatten(flat, d, j)
+            f"singular {gram.shape[0]}x{gram.shape[0]} Kronecker Gram matrix "
+            f"in generator update (condition number {cond:.3e})")
+    flat = np.linalg.solve(gram, stats.dz_zlam.T).T
+    d = stats.dz_dz.shape[0]
+    return liealg.block_unflatten(flat, d, gram.shape[0] // d)
 
 
-def m_step_Omega(dataset: PairDataset, posteriors,
-                 basis: GeneratorBasis) -> np.ndarray:
-    """Transition-noise update using the freshly updated generators.
-
-    Averages the expected residual outer product over the N pairs and
-    symmetrizes the result.
-    """
-    q, k = _posterior_stack(posteriors)
-    second = k + np.einsum("nj,nk->njk", q, q)
-    a = np.einsum("jab,nb->naj", basis.generators, dataset.z_i)
-    aq = np.einsum("naj,nj->na", a, q)
-    cross = np.einsum("na,nb->ab", aq, dataset.delta)
-    total = (np.einsum("na,nb->ab", dataset.delta, dataset.delta)
-             - cross - cross.T
-             + np.einsum("naj,njk,nbk->ab", a, second, a))
-    return symmetrize(total / dataset.count)
+def _residual_outer(stats: TransitionStats, basis: GeneratorBasis) -> np.ndarray:
+    """``sum_i E[r r^T]`` for the transition residual ``r = dz - F (z kron lam)``."""
+    flat = liealg.block_flatten(basis)
+    cross = flat @ stats.dz_zlam.T
+    return stats.dz_dz - cross - cross.T + flat @ stats.zz_lamlam @ flat.T
 
 
-def update_Lambda(posteriors) -> np.ndarray:
+def m_step_Omega(stats: TransitionStats, basis: GeneratorBasis) -> np.ndarray:
+    """Transition-noise update for the given (freshly updated) generators:
+    the expected residual outer product averaged over the pairs."""
+    return symmetrize(_residual_outer(stats, basis) / stats.count)
+
+
+def m_step_dynamics(stats: TransitionStats) -> tuple[GeneratorBasis, np.ndarray]:
+    """The dynamics M-step of all three estimators: generators, then the
+    transition noise under them."""
+    basis = m_step_G(stats)
+    return basis, m_step_Omega(stats, basis)
+
+
+def update_Lambda(stats: TransitionStats) -> np.ndarray:
     """Zero-mean Gaussian MLE of the coefficient prior covariance."""
-    q, k = _posterior_stack(posteriors)
-    second = k + np.einsum("nj,nk->njk", q, q)
-    return symmetrize(second.mean(axis=0))
+    return symmetrize(stats.lamlam / stats.count)
 
 
 def expected_complete_data_ll(model: DynamicsModel, dataset: PairDataset,
-                              posteriors) -> float:
+                              post: CoeffPosterior) -> float:
     """Expected complete-data log-likelihood under the given posteriors.
 
     ``sum_i E[log N(z_next | z_i + A lambda, Omega) + log N(lambda | 0, Lambda)]``
-    evaluated in closed form from the posterior moments.
+    evaluated in closed form from the summed statistics.
     """
-    q, k = _posterior_stack(posteriors)
-    second = k + np.einsum("nj,nk->njk", q, q)
-    n, d = dataset.count, dataset.latent_dim
-    j = model.coeff_count
+    stats = transition_stats(dataset, post)
     omega_chol = spd_cholesky(model.trans_cov)
     lam_chol = spd_cholesky(model.coeff_prior_cov)
-    log_det_omega = 2.0 * float(np.sum(np.log(np.diag(omega_chol))))
-    log_det_lam = 2.0 * float(np.sum(np.log(np.diag(lam_chol))))
-    a = np.einsum("jab,nb->naj", model.basis.generators, dataset.z_i)
-    oi_delta = spd_solve(omega_chol, dataset.delta.T).T
-    oia = spd_solve(omega_chol, a.transpose(1, 0, 2).reshape(d, -1))
-    oia = oia.reshape(d, -1, j).transpose(1, 0, 2)
-    quad = (np.einsum("nd,nd->", dataset.delta, oi_delta)
-            - 2.0 * np.einsum("nd,ndj,nj->", oi_delta, a, q)
-            + np.einsum("ndj,njk,ndk->", oia, second, a))
-    lam_quad = np.einsum("jk,njk->", spd_solve(lam_chol, np.eye(j)), second)
-    const = -0.5 * n * ((d + j) * np.log(2.0 * np.pi) + log_det_omega + log_det_lam)
-    return float(const - 0.5 * quad - 0.5 * lam_quad)
+    log_dets = 2.0 * float(np.sum(np.log(np.diag(omega_chol)))
+                           + np.sum(np.log(np.diag(lam_chol))))
+    quad = (np.trace(spd_solve(omega_chol, _residual_outer(stats, model.basis)))
+            + np.trace(spd_solve(lam_chol, stats.lamlam)))
+    dims = model.latent_dim + model.coeff_count
+    return float(-0.5 * (stats.count * (dims * np.log(2.0 * np.pi) + log_dets)
+                         + quad))
 
 
 def marginal_log_likelihood(model: DynamicsModel, dataset: PairDataset) -> float:
@@ -284,6 +307,41 @@ def _project_lambda(old_basis: GeneratorBasis, new_basis: GeneratorBasis,
     return projected + jitter * np.eye(new_basis.count)
 
 
+def update_step(model: DynamicsModel, stats: TransitionStats,
+                config) -> tuple[DynamicsModel, DynamicsModel]:
+    """The dynamics update each estimator runs after its E-step.
+
+    Generators and transition noise from the summed statistics, Omega
+    jitter, the optional coefficient-prior MLE plus jitter, then the
+    basis orthogonalization with the prior carried through the change of
+    basis.  ``config`` supplies ``jitter_scale``, ``estimate_lambda``,
+    ``orthogonalize`` and ``orth_threshold``.  Returns the fitted model,
+    at which the estimators record their objective, and the
+    orthogonalized model the next iteration starts from.
+    """
+    basis, omega = m_step_dynamics(stats)
+    omega = omega + max(default_jitter(omega, config.jitter_scale),
+                        1e-300) * np.eye(omega.shape[0])
+    lam_cov = model.coeff_prior_cov
+    if config.estimate_lambda:
+        lam_cov = update_Lambda(stats)
+        lam_cov = lam_cov + default_jitter(lam_cov, config.jitter_scale) \
+            * np.eye(lam_cov.shape[0])
+    fitted = DynamicsModel(basis, omega, lam_cov)
+    if not (config.orthogonalize and np.any(basis.generators)):
+        return fitted, fitted
+    new_basis = liealg.orthogonalize(basis, config.orth_threshold)
+    lam_after = (_project_lambda(basis, new_basis, fitted.coeff_prior_cov)
+                 if config.estimate_lambda else np.eye(new_basis.count))
+    return fitted, DynamicsModel(new_basis, fitted.trans_cov, lam_after)
+
+
+def converged(trace: list[float], tol: float) -> bool:
+    """The EM stopping rule: the last iteration changed the objective by
+    less than ``tol`` relative to the one before."""
+    return len(trace) >= 2 and abs(trace[-1] - trace[-2]) < tol * abs(trace[-2])
+
+
 def init_model(latent_dim: int, j_init: int, seed: int) -> DynamicsModel:
     """Seeded starting point: generator entries iid N(0, 1/d), identity
     noise and coefficient prior."""
@@ -293,37 +351,21 @@ def init_model(latent_dim: int, j_init: int, seed: int) -> DynamicsModel:
 
 
 def fit(dataset: PairDataset, config: EmConfig) -> tuple[DynamicsModel, list[float]]:
-    """EM loop: coefficient posteriors, closed-form G/Omega (optionally
-    Lambda) updates, then basis orthogonalization.
+    """EM loop: coefficient posteriors, then :func:`update_step`.
 
     The returned trace holds the marginal log-likelihood of the model
     right after each M-step, before orthogonalization (orthogonalization
-    may decrease it).  Stops when the relative trace change falls below
-    ``config.tol`` or after ``config.max_iters`` iterations;
-    non-convergence is reported through the trace, not an error.
+    may decrease it).  Stops when :func:`converged` fires or after
+    ``config.max_iters`` iterations; non-convergence is reported through
+    the trace, not an error.
     """
     model = init_model(dataset.latent_dim, config.j_init, config.seed)
     trace: list[float] = []
     for _ in range(config.max_iters):
-        posteriors = e_step_all(model, dataset, threads=config.threads)
-        basis = m_step_G(dataset, posteriors)
-        omega = m_step_Omega(dataset, posteriors, basis)
-        omega = omega + max(default_jitter(omega, config.jitter_scale),
-                            1e-300) * np.eye(dataset.latent_dim)
-        lam_cov = (update_Lambda(posteriors) if config.estimate_lambda
-                   else model.coeff_prior_cov)
-        if config.estimate_lambda:
-            lam_cov = lam_cov + default_jitter(lam_cov, config.jitter_scale) \
-                * np.eye(lam_cov.shape[0])
-        model = DynamicsModel(basis, omega, lam_cov)
-        trace.append(marginal_log_likelihood(model, dataset))
-        if config.orthogonalize and np.any(basis.generators):
-            new_basis = liealg.orthogonalize(basis, config.orth_threshold)
-            lam_after = (_project_lambda(basis, new_basis, lam_cov)
-                         if config.estimate_lambda else np.eye(new_basis.count))
-            model = DynamicsModel(new_basis, omega, lam_after)
-        if len(trace) >= 2:
-            prev, cur = trace[-2], trace[-1]
-            if abs(cur - prev) < config.tol * abs(prev):
-                break
+        post = e_step_all(model, dataset, threads=config.threads)
+        fitted, model = update_step(model, transition_stats(dataset, post),
+                                    config)
+        trace.append(marginal_log_likelihood(fitted, dataset))
+        if converged(trace, config.tol):
+            break
     return model, trace

@@ -24,7 +24,8 @@ class NumericError(ValueError):
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
+    """Symmetric part of a matrix, or of each matrix in a stack."""
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
 def default_jitter(cov: np.ndarray, scale: float = 1e-9) -> float:

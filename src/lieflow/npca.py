@@ -21,17 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import liealg, rng
-from .dynamics import DynamicsModel, init_model
-from .gaussian import (
-    NumericError,
-    default_jitter,
-    spd_cholesky,
-    spd_solve,
-    symmetrize,
+from . import rng
+from .dynamics import DynamicsModel, _e_step_block, init_model, update_step
+from .gaussian import NumericError, spd_cholesky, spd_solve
+from .ppca import (
+    LatentMoments,
+    _Blocks,
+    _moments_from_blocks,
+    init_loading,
+    m_step_mu,
 )
-from .liealg import GeneratorBasis
-from .ppca import LatentMoments, m_step_dynamics
 from .synth import ImagePairDataset
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -319,8 +318,6 @@ def plugin_coefficients(model: NpcaModel, z_i: np.ndarray, z_n: np.ndarray,
     sample driven by external noise."""
     if mode not in ("map_plugin", "sample"):
         raise ValueError(f"unknown coefficient mode {mode!r}")
-    from .dynamics import _e_step_block
-
     z_i = np.atleast_2d(z_i)
     z_n = np.atleast_2d(z_n)
     mean, cov = _e_step_block(model.dynamics, z_i, z_n - z_i)
@@ -359,42 +356,15 @@ def elbo_objective(model: NpcaModel, x_i: np.ndarray, x_next: np.ndarray,
 
 
 def encoded_moments(model: NpcaModel, dataset: ImagePairDataset
-                    ) -> list[LatentMoments]:
-    """Expectation bundles from the encoder Gaussians with the coefficient
+                    ) -> LatentMoments:
+    """Expectation bundle from the encoder Gaussians with the coefficient
     posterior taken at the encoded means (mean-field assembly)."""
-    from .dynamics import _e_step_block
-
     mean_i, var_i = encode(model, dataset.x_i)
     mean_n, var_n = encode(model, dataset.x_next)
-    d = model.latent_dim
-    j = model.dynamics.coeff_count
-    q, k_cov = _e_step_block(model.dynamics, mean_i, mean_n - mean_i)
-    out = []
-    for k in range(dataset.count):
-        cov_i = np.diag(var_i[k])
-        cov_n = np.diag(var_n[k])
-        ezz_i = cov_i + np.outer(mean_i[k], mean_i[k])
-        ezz_n = cov_n + np.outer(mean_n[k], mean_n[k])
-        second = k_cov[k] + np.outer(q[k], q[k])
-        dm = mean_n[k] - mean_i[k]
-        core = np.outer(mean_n[k], mean_i[k]) - ezz_i
-        out.append(LatentMoments(
-            ez_i=mean_i[k], ez_next=mean_n[k], ezz_i=ezz_i, ezz_next=ezz_n,
-            elam=q[k], elamlam=second,
-            e_dz_dz=ezz_n + ezz_i - np.outer(mean_n[k], mean_i[k])
-            - np.outer(mean_i[k], mean_n[k]),
-            e_dz_zkronlam=np.einsum("ra,j->raj", core, q[k]).reshape(d, d * j),
-            e_zz_kron_lamlam=np.kron(ezz_i, second),
-            e_lam_dz=np.outer(q[k], dm)))
-    return out
-
-
-def m_step_dynamics_vem(model: NpcaModel, dataset: ImagePairDataset
-                        ) -> tuple[GeneratorBasis, np.ndarray]:
-    """Closed-form generator/noise updates from the encoded moments."""
-    moments = encoded_moments(model, dataset)
-    return m_step_dynamics(moments, model.latent_dim,
-                           model.dynamics.coeff_count)
+    q, k = _e_step_block(model.dynamics, mean_i, mean_n - mean_i)
+    eye = np.eye(model.latent_dim)
+    return _moments_from_blocks(_Blocks(mean_i, var_i[:, :, None] * eye,
+                                        mean_n, var_n[:, :, None] * eye, q, k))
 
 
 @dataclass
@@ -402,7 +372,7 @@ class NpcaConfig:
     latent_dim: int = 2
     hidden_sizes: tuple[int, ...] = (16,)
     j_init: int = 1
-    step_size: float = 1e-2
+    step_size: float = 1e-3
     momentum: float = 0.0
     batch_size: int = 32
     epochs: int = 50
@@ -451,8 +421,6 @@ def linear_warm_start(dataset: ImagePairDataset, latent_dim: int,
     """Hidden-layer-free networks initialized from the principal-subspace
     solution of the pooled frames: the encoder emits the linear-Gaussian
     latent posterior and the decoder its reconstruction map."""
-    from .ppca import init_loading, m_step_mu
-
     mu = m_step_mu(dataset)
     w, _ = init_loading(dataset, latent_dim, mu)
     m = w.T @ w + obs_noise_var * np.eye(latent_dim)
@@ -496,8 +464,9 @@ def _apply_gradients(model: NpcaModel, bundle: GradientBundle, lr: float,
 def fit(dataset: ImagePairDataset, config: NpcaConfig,
         init: tuple[Encoder, Mlp] | None = None
         ) -> tuple[NpcaModel, list[float]]:
-    """Alternate minibatch gradient ascent on the networks with
-    closed-form dynamics updates and basis orthogonalization.
+    """Alternate minibatch gradient ascent on the networks with the
+    shared closed-form dynamics update
+    (:func:`lieflow.dynamics.update_step`) on the encoded moments.
 
     Noise (and the optional shuffle) is drawn from counter-based streams
     keyed by (seed, epoch, pair index), so the trace is bit-reproducible
@@ -549,23 +518,9 @@ def fit(dataset: ImagePairDataset, config: NpcaConfig,
         if not np.isfinite(trace[-1]):
             raise NumericError(f"objective diverged at epoch {epoch}")
         if config.update_dynamics:
-            basis, omega = m_step_dynamics_vem(model, dataset)
-            omega = omega + max(default_jitter(omega, config.jitter_scale),
-                                1e-300) * np.eye(d)
-            lam_cov = model.dynamics.coeff_prior_cov
-            if config.estimate_lambda:
-                moments = encoded_moments(model, dataset)
-                lam_cov = symmetrize(sum(m.elamlam for m in moments) / n)
-                lam_cov = lam_cov + default_jitter(
-                    lam_cov, config.jitter_scale) * np.eye(lam_cov.shape[0])
-            dyn = DynamicsModel(basis, omega, lam_cov)
-            if config.orthogonalize and np.any(basis.generators):
-                new_basis = liealg.orthogonalize(basis, config.orth_threshold)
-                lam_after = np.eye(new_basis.count)
-                if config.estimate_lambda:
-                    from .dynamics import _project_lambda
-                    lam_after = _project_lambda(basis, new_basis, lam_cov)
-                dyn = DynamicsModel(new_basis, omega, lam_after)
+            _, dyn = update_step(model.dynamics,
+                                 encoded_moments(model, dataset).transition_stats(),
+                                 config)
             model = NpcaModel(model.encoder, model.decoder,
                               model.obs_noise_var, dyn)
     return model, trace

@@ -21,17 +21,23 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from . import liealg, rng
-from .dynamics import DynamicsModel, init_model
+from .dynamics import (
+    DynamicsModel,
+    TransitionStats,
+    converged,
+    init_model,
+    m_step_dynamics,  # noqa: F401  (re-exported, see the M-steps below)
+    map_blocks,
+    update_step,
+)
 from .gaussian import (
     Gaussian,
     NumericError,
-    default_jitter,
     spd_cholesky,
     spd_inverse,
     spd_solve,
     symmetrize,
 )
-from .liealg import GeneratorBasis
 from .synth import ImagePairDataset
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -74,13 +80,19 @@ class PpcaModel:
         return self.loading.shape[1]
 
 
+def _outer_cov(mean: np.ndarray, second: np.ndarray) -> np.ndarray:
+    return symmetrize(second - np.einsum("na,nb->nab", mean, mean))
+
+
 @dataclass(frozen=True)
 class LatentMoments:
-    """Per-pair expectations under the joint posterior of (z_i, lambda, z_next).
+    """Expectations under the joint posterior of (z_i, lambda, z_next), one
+    row per pair along the leading axis.
 
     ``e_dz_zkronlam`` is ``E[dz (z kron lam)^T]`` with ``dz = z_next - z_i``
-    and ``e_zz_kron_lamlam`` is ``E[z z^T kron lam lam^T]``; both feed the
-    Kronecker normal equations of the dynamics M-step.
+    and ``e_zz_kron_lamlam`` is ``E[z z^T kron lam lam^T]``; summed over
+    the pairs (:meth:`transition_stats`) they feed the Kronecker normal
+    equations of the dynamics M-step.
     """
 
     ez_i: np.ndarray
@@ -92,28 +104,36 @@ class LatentMoments:
     e_dz_dz: np.ndarray
     e_dz_zkronlam: np.ndarray
     e_zz_kron_lamlam: np.ndarray
-    e_lam_dz: np.ndarray
 
     def __post_init__(self):
-        for ez, ezz, label in ((self.ez_i, self.ezz_i, "z_i"),
-                               (self.ez_next, self.ezz_next, "z_next"),
-                               (self.elam, self.elamlam, "lambda")):
-            cov = ezz - np.outer(ez, ez)
-            floor = -1e-8 * max(1.0, float(np.abs(ezz).max()))
-            if np.linalg.eigvalsh(symmetrize(cov)).min() < floor:
+        for cov, ezz, label in ((self.cov_z_i, self.ezz_i, "z_i"),
+                                (self.cov_z_next, self.ezz_next, "z_next"),
+                                (self.cov_lam, self.elamlam, "lambda")):
+            floor = -1e-8 * np.maximum(1.0, np.abs(ezz).max(axis=(1, 2)))
+            if np.any(np.linalg.eigvalsh(cov)[:, 0] < floor):
                 raise NumericError(f"{label} moment block is not positive semidefinite")
 
     @property
+    def count(self) -> int:
+        return self.ez_i.shape[0]
+
+    @property
     def cov_z_i(self) -> np.ndarray:
-        return symmetrize(self.ezz_i - np.outer(self.ez_i, self.ez_i))
+        return _outer_cov(self.ez_i, self.ezz_i)
 
     @property
     def cov_z_next(self) -> np.ndarray:
-        return symmetrize(self.ezz_next - np.outer(self.ez_next, self.ez_next))
+        return _outer_cov(self.ez_next, self.ezz_next)
 
     @property
     def cov_lam(self) -> np.ndarray:
-        return symmetrize(self.elamlam - np.outer(self.elam, self.elam))
+        return _outer_cov(self.elam, self.elamlam)
+
+    def transition_stats(self) -> TransitionStats:
+        return TransitionStats(self.count, self.e_dz_dz.sum(axis=0),
+                               self.e_dz_zkronlam.sum(axis=0),
+                               self.e_zz_kron_lamlam.sum(axis=0),
+                               self.elamlam.sum(axis=0))
 
 
 @dataclass
@@ -200,15 +220,14 @@ class _Blocks:
     k: np.ndarray
 
 
-def _moments_from_blocks(blocks: _Blocks) -> list[LatentMoments]:
-    """Assemble expectation bundles under the factorized posterior
+def _moments_from_blocks(blocks: _Blocks) -> LatentMoments:
+    """Assemble the expectation bundle under the factorized posterior
     ``q(z_i) q(lambda) q(z_next)``."""
     n, d = blocks.m_zi.shape
     j = blocks.q.shape[1]
     ezz_i = blocks.cov_zi + np.einsum("na,nb->nab", blocks.m_zi, blocks.m_zi)
     ezz_n = blocks.cov_zn + np.einsum("na,nb->nab", blocks.m_zn, blocks.m_zn)
     elamlam = blocks.k + np.einsum("nj,nk->njk", blocks.q, blocks.q)
-    dm = blocks.m_zn - blocks.m_zi
     e_dz_dz = (ezz_n + ezz_i
                - np.einsum("na,nb->nab", blocks.m_zn, blocks.m_zi)
                - np.einsum("na,nb->nab", blocks.m_zi, blocks.m_zn))
@@ -216,11 +235,31 @@ def _moments_from_blocks(blocks: _Blocks) -> list[LatentMoments]:
     core = (np.einsum("nr,na->nra", blocks.m_zn, blocks.m_zi) - ezz_i)
     e_dz_zkronlam = np.einsum("nra,nj->nraj", core, blocks.q).reshape(n, d, d * j)
     e_zz_kron = np.einsum("nab,njk->najbk", ezz_i, elamlam).reshape(n, d * j, d * j)
-    e_lam_dz = np.einsum("nj,nr->njr", blocks.q, dm)
-    return [LatentMoments(blocks.m_zi[i], blocks.m_zn[i], ezz_i[i], ezz_n[i],
-                          blocks.q[i], elamlam[i], e_dz_dz[i],
-                          e_dz_zkronlam[i], e_zz_kron[i], e_lam_dz[i])
-            for i in range(n)]
+    return LatentMoments(blocks.m_zi, blocks.m_zn, ezz_i, ezz_n, blocks.q,
+                         elamlam, e_dz_dz, e_dz_zkronlam, e_zz_kron)
+
+
+def _weighted_moments(p: np.ndarray, zi: np.ndarray, lam: np.ndarray,
+                      zn: np.ndarray, zn_cov=0.0) -> dict[str, np.ndarray]:
+    """Expectation bundle fields of one pair from weighted nodes or samples
+    ``(zi, lam, zn)``; ``zn_cov`` is the covariance of ``z_next`` left
+    around each ``zn`` when it was integrated out in closed form."""
+    d, j = zi.shape[1], lam.shape[1]
+    dz = zn - zi
+    zl = np.einsum("ma,mj->maj", zi, lam).reshape(-1, d * j)
+
+    def outer(a, b):
+        return np.einsum("m,ma,mb->ab", p, a, b)
+
+    return dict(ez_i=p @ zi, ez_next=p @ zn, ezz_i=outer(zi, zi),
+                ezz_next=zn_cov + outer(zn, zn), elam=p @ lam,
+                elamlam=outer(lam, lam), e_dz_dz=zn_cov + outer(dz, dz),
+                e_dz_zkronlam=outer(dz, zl), e_zz_kron_lamlam=outer(zl, zl))
+
+
+def _stack_moments(parts: list[dict[str, np.ndarray]]) -> LatentMoments:
+    return LatentMoments(**{name: np.stack([p[name] for p in parts])
+                            for name in parts[0]})
 
 
 def _frozen_coefficient_blocks(model: PpcaModel, xc_i: np.ndarray,
@@ -263,7 +302,12 @@ def _fixed_point_blocks(model: PpcaModel, xc_i: np.ndarray, xc_n: np.ndarray,
                         cfg: EStepConfig, freeze_coefficients: bool = False
                         ) -> _Blocks:
     """Cycle the three closed-form conditionals at the current block means
-    until self-consistent."""
+    until self-consistent.
+
+    Each pair stops on its own residual and the products are formed pair
+    by pair, so a pair's result does not depend on which other pairs share
+    the block (nor, therefore, on the thread count).
+    """
     if freeze_coefficients:
         return _frozen_coefficient_blocks(model, xc_i, xc_n)
     w = model.loading
@@ -283,6 +327,7 @@ def _fixed_point_blocks(model: PpcaModel, xc_i: np.ndarray, xc_n: np.ndarray,
     gamma_prec = omega_prec + (w.T @ w) / sig2
     gamma = symmetrize(spd_solve(spd_cholesky(gamma_prec), np.eye(d)))
     wt_xn = xc_n @ w / sig2
+    info_u = u_i @ ppca_prec
 
     blocks = _Blocks(
         m_zi=u_i.copy(),
@@ -292,42 +337,39 @@ def _fixed_point_blocks(model: PpcaModel, xc_i: np.ndarray, xc_n: np.ndarray,
         q=np.zeros((n, j)),
         k=np.broadcast_to(model.dynamics.coeff_prior_cov, (n, j, j)).copy(),
     )
-    eye_j = np.broadcast_to(np.eye(j), (n, j, j))
-    eye_d = np.eye(d)
+    eye_j, eye_d = np.eye(j), np.eye(d)
+    live = np.arange(n)
     for _ in range(cfg.fixed_point_iters):
-        prev = (blocks.m_zi.copy(), blocks.m_zn.copy(), blocks.q.copy(),
-                blocks.cov_zi.copy(), blocks.k.copy())
-        a = np.einsum("jab,nb->naj", gens, blocks.m_zi)
+        m_zi, m_zn = blocks.m_zi[live], blocks.m_zn[live]
+        a = np.einsum("jab,nb->naj", gens, m_zi)
         at_oi = np.einsum("naj,ab->njb", a, omega_prec)
         prec = lam_prec + np.einsum("njb,nbk->njk", at_oi, a)
-        blocks.k = np.linalg.solve(prec, eye_j)
-        blocks.k = 0.5 * (blocks.k + blocks.k.transpose(0, 2, 1))
-        info = np.einsum("njb,nb->nj", at_oi, blocks.m_zn - blocks.m_zi)
-        blocks.q = np.einsum("njk,nk->nj", blocks.k, info)
-        drift = blocks.m_zi + np.einsum("naj,nj->na", a, blocks.q)
-        blocks.m_zn = (wt_xn + drift @ omega_prec) @ gamma
-        blocks.cov_zn = np.broadcast_to(gamma, (n, d, d)).copy()
-        b = eye_d + np.einsum("nj,jab->nab", blocks.q, gens)
+        k = symmetrize(np.linalg.solve(prec, np.broadcast_to(eye_j, prec.shape)))
+        q = np.einsum("njk,nk->nj", k, np.einsum("njb,nb->nj", at_oi, m_zn - m_zi))
+        drift = m_zi + np.einsum("naj,nj->na", a, q)
+        new_zn = np.einsum("nb,bc->nc", wt_xn[live]
+                           + np.einsum("na,ab->nb", drift, omega_prec), gamma)
+        b = eye_d + np.einsum("nj,jab->nab", q, gens)
         bt_oi = np.einsum("nca,cd->nad", b, omega_prec)
         prec_zi = ppca_prec + np.einsum("nad,ndb->nab", bt_oi, b)
-        info_zi = u_i @ ppca_prec + np.einsum("nad,nd->na", bt_oi, blocks.m_zn)
-        blocks.cov_zi = np.linalg.solve(prec_zi, np.broadcast_to(eye_d, (n, d, d)))
-        blocks.cov_zi = 0.5 * (blocks.cov_zi + blocks.cov_zi.transpose(0, 2, 1))
-        blocks.m_zi = np.linalg.solve(prec_zi, info_zi[..., None])[..., 0]
-        residual = max(
-            np.abs(blocks.m_zi - prev[0]).max(),
-            np.abs(blocks.m_zn - prev[1]).max(),
-            np.abs(blocks.q - prev[2]).max(),
-            np.abs(blocks.cov_zi - prev[3]).max(),
-            np.abs(blocks.k - prev[4]).max(),
-        )
-        if residual < cfg.fixed_point_tol:
-            break
-    else:
-        raise NumericError(
-            f"fixed-point E-step did not converge within {cfg.fixed_point_iters} "
-            f"iterations (residual {residual:.3e})")
-    return blocks
+        info_zi = info_u[live] + np.einsum("nad,nd->na", bt_oi, new_zn)
+        cov_zi = symmetrize(np.linalg.solve(prec_zi,
+                                            np.broadcast_to(eye_d, prec_zi.shape)))
+        new_zi = np.linalg.solve(prec_zi, info_zi[..., None])[..., 0]
+        residual = np.max([np.abs(new - old).reshape(live.size, -1).max(axis=1)
+                           for new, old in ((new_zi, m_zi), (new_zn, m_zn),
+                                            (q, blocks.q[live]),
+                                            (cov_zi, blocks.cov_zi[live]),
+                                            (k, blocks.k[live]))], axis=0)
+        blocks.m_zi[live], blocks.m_zn[live], blocks.q[live] = new_zi, new_zn, q
+        blocks.cov_zi[live], blocks.k[live] = cov_zi, k
+        # a NaN residual keeps its pair iterating into the error below
+        live = live[~(residual < cfg.fixed_point_tol)]
+        if live.size == 0:
+            return blocks
+    raise NumericError(
+        f"fixed-point E-step did not converge within {cfg.fixed_point_iters} "
+        f"iterations (residual {residual.max():.3e})")
 
 
 def _linearized_joint_cov(model: PpcaModel, xc_i: np.ndarray,
@@ -359,7 +401,7 @@ def _linearized_joint_cov(model: PpcaModel, xc_i: np.ndarray,
 
 def _quadrature_moments_pair(model: PpcaModel, xc_i: np.ndarray,
                              xc_n: np.ndarray, cfg: EStepConfig
-                             ) -> tuple[LatentMoments, float]:
+                             ) -> tuple[dict[str, np.ndarray], float]:
     """Grid-exact moments for one pair, plus the log of
     ``p(x_next | x_i)`` (the normalizer of the integrand)."""
     from .oracles import GridSpec, grid_posterior
@@ -421,31 +463,15 @@ def _quadrature_moments_pair(model: PpcaModel, xc_i: np.ndarray,
         except BoxTooSmallError:
             if attempt == 2:
                 raise
-    zi = post.nodes[:, :d]
-    lam = post.nodes[:, d:d + j]
-    zn = post.nodes[:, d + j:]
-    dz = zn - zi
-    zl = np.einsum("ma,mj->maj", zi, lam).reshape(-1, d * j)
-    p = post.probs
-    moments = LatentMoments(
-        ez_i=p @ zi,
-        ez_next=p @ zn,
-        ezz_i=np.einsum("m,ma,mb->ab", p, zi, zi),
-        ezz_next=np.einsum("m,ma,mb->ab", p, zn, zn),
-        elam=p @ lam,
-        elamlam=np.einsum("m,mj,mk->jk", p, lam, lam),
-        e_dz_dz=np.einsum("m,ma,mb->ab", p, dz, dz),
-        e_dz_zkronlam=np.einsum("m,mr,mk->rk", p, dz, zl),
-        e_zz_kron_lamlam=np.einsum("m,mk,ml->kl", p, zl, zl),
-        e_lam_dz=np.einsum("m,mj,mr->jr", p, lam, dz),
-    )
-    return moments, post.log_norm
+    nodes = post.nodes
+    return (_weighted_moments(post.probs, nodes[:, :d], nodes[:, d:d + j],
+                              nodes[:, d + j:]), post.log_norm)
 
 
 def _monte_carlo_moments_pair(model: PpcaModel, xc_i: np.ndarray,
                               xc_n: np.ndarray, cfg: EStepConfig,
                               stream: tuple[int, ...] = ()
-                              ) -> tuple[LatentMoments, float]:
+                              ) -> tuple[dict[str, np.ndarray], float]:
     """Self-normalized sampling from ``q(z_i | x_i) p(lambda)`` with the
     next-frame latent integrated out in closed form per draw."""
     d, j = model.latent_dim, model.dynamics.coeff_count
@@ -479,38 +505,25 @@ def _monte_carlo_moments_pair(model: PpcaModel, xc_i: np.ndarray,
     omega_prec = spd_inverse(model.dynamics.trans_cov)
     gamma = symmetrize(spd_inverse(omega_prec + (w.T @ w) / sig2))
     m_zn = (xc_n @ w / sig2 + drift @ omega_prec) @ gamma
-    dz = m_zn - zi
-    zl = np.einsum("ma,mj->maj", zi, lam).reshape(s, d * j)
-    moments = LatentMoments(
-        ez_i=probs @ zi,
-        ez_next=probs @ m_zn,
-        ezz_i=np.einsum("m,ma,mb->ab", probs, zi, zi),
-        ezz_next=gamma + np.einsum("m,ma,mb->ab", probs, m_zn, m_zn),
-        elam=probs @ lam,
-        elamlam=np.einsum("m,mj,mk->jk", probs, lam, lam),
-        e_dz_dz=gamma + np.einsum("m,ma,mb->ab", probs, dz, dz),
-        e_dz_zkronlam=np.einsum("m,mr,mk->rk", probs, dz, zl),
-        e_zz_kron_lamlam=np.einsum("m,mk,ml->kl", probs, zl, zl),
-        e_lam_dz=np.einsum("m,mj,mr->jr", probs, lam, dz),
-    )
-    return moments, ess
+    return _weighted_moments(probs, zi, lam, m_zn, gamma), ess
 
 
 def e_step_joint(model: PpcaModel, x_i: np.ndarray, x_next: np.ndarray,
                  method: str = "fixed_point",
                  config: EStepConfig | None = None) -> LatentMoments:
-    """Expectation bundle for one image pair under the joint posterior."""
+    """Expectation bundle (a batch of one) for one image pair under the
+    joint posterior."""
     if method not in E_STEP_METHODS:
         raise ValueError(f"unknown E-step method {method!r}")
     cfg = config or EStepConfig()
     xc_i = np.asarray(x_i, dtype=float) - model.data_mean
     xc_n = np.asarray(x_next, dtype=float) - model.data_mean
     if method == "quadrature":
-        return _quadrature_moments_pair(model, xc_i, xc_n, cfg)[0]
+        return _stack_moments([_quadrature_moments_pair(model, xc_i, xc_n, cfg)[0]])
     if method == "monte_carlo":
-        return _monte_carlo_moments_pair(model, xc_i, xc_n, cfg)[0]
-    blocks = _fixed_point_blocks(model, xc_i[None], xc_n[None], cfg)
-    return _moments_from_blocks(blocks)[0]
+        return _stack_moments([_monte_carlo_moments_pair(model, xc_i, xc_n, cfg)[0]])
+    return _moments_from_blocks(_fixed_point_blocks(model, xc_i[None],
+                                                    xc_n[None], cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -522,15 +535,14 @@ def m_step_mu(dataset: ImagePairDataset) -> np.ndarray:
     return 0.5 * (dataset.x_i.mean(axis=0) + dataset.x_next.mean(axis=0))
 
 
-def m_step_W(dataset: ImagePairDataset, moments: list[LatentMoments],
+def m_step_W(dataset: ImagePairDataset, moments: LatentMoments,
              mu: np.ndarray) -> np.ndarray:
     """Loading update from both frames' cross moments, via a linear solve."""
-    if len(moments) != dataset.count:
+    if moments.count != dataset.count:
         raise ValueError("need exactly one moment bundle per pair")
-    ez_i = np.stack([m.ez_i for m in moments])
-    ez_n = np.stack([m.ez_next for m in moments])
-    num = (dataset.x_next - mu).T @ ez_n + (dataset.x_i - mu).T @ ez_i
-    gram = sum(m.ezz_i + m.ezz_next for m in moments)
+    num = (dataset.x_next - mu).T @ moments.ez_next \
+        + (dataset.x_i - mu).T @ moments.ez_i
+    gram = (moments.ezz_i + moments.ezz_next).sum(axis=0)
     try:
         return np.linalg.solve(symmetrize(gram), num.T).T
     except np.linalg.LinAlgError as exc:
@@ -539,41 +551,25 @@ def m_step_W(dataset: ImagePairDataset, moments: list[LatentMoments],
             f"(condition number {np.linalg.cond(gram):.3e})") from exc
 
 
-def m_step_sigma(dataset: ImagePairDataset, moments: list[LatentMoments],
+def m_step_sigma(dataset: ImagePairDataset, moments: LatentMoments,
                  w: np.ndarray, mu: np.ndarray) -> float:
     """Isotropic noise update: expected residual power over both frames of
     every pair, averaged over the ``2N D`` scalar observations and clamped
     at ``1e-12``."""
     xc_i = dataset.x_i - mu
     xc_n = dataset.x_next - mu
-    ez_i = np.stack([m.ez_i for m in moments])
-    ez_n = np.stack([m.ez_next for m in moments])
-    gram = w.T @ w
     total = (np.sum(xc_i * xc_i) + np.sum(xc_n * xc_n)
-             - 2.0 * (np.sum(xc_i * (ez_i @ w.T)) + np.sum(xc_n * (ez_n @ w.T)))
-             + float(np.einsum("ab,ab->", gram,
-                               sum(m.ezz_i + m.ezz_next for m in moments))))
+             - 2.0 * (np.sum(xc_i * (moments.ez_i @ w.T))
+                      + np.sum(xc_n * (moments.ez_next @ w.T)))
+             + float(np.einsum("ab,nab->", w.T @ w,
+                               moments.ezz_i + moments.ezz_next)))
     return max(total / (2.0 * dataset.count * dataset.image_dim), SIGMA_FLOOR)
 
 
-def m_step_dynamics(moments: list[LatentMoments], latent_dim: int,
-                    coeff_count: int) -> tuple[GeneratorBasis, np.ndarray]:
-    """Generator and transition-noise updates from summed cross moments;
-    the same normal equations as the fixed-representation estimator with
-    expectations over (z, lambda) substituted."""
-    n = len(moments)
-    s_dz = sum(m.e_dz_dz for m in moments)
-    s_cross = sum(m.e_dz_zkronlam for m in moments)
-    s_kron = symmetrize(sum(m.e_zz_kron_lamlam for m in moments))
-    try:
-        flat = np.linalg.solve(s_kron, s_cross.T).T
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(
-            f"singular Kronecker Gram matrix in dynamics update "
-            f"(condition number {np.linalg.cond(s_kron):.3e})") from exc
-    omega = (s_dz - flat @ s_cross.T - s_cross @ flat.T
-             + flat @ s_kron @ flat.T) / n
-    return liealg.block_unflatten(flat, latent_dim, coeff_count), symmetrize(omega)
+# The dynamics M-step is the shared ``m_step_dynamics`` of
+# :mod:`lieflow.dynamics` applied to ``LatentMoments.transition_stats()``:
+# the fixed-representation normal equations with expectations over
+# (z, lambda) substituted.
 
 
 # ---------------------------------------------------------------------------
@@ -592,18 +588,19 @@ def _first_frame_evidence(model: PpcaModel, xc_i: np.ndarray) -> float:
                          + np.sum(white * white)))
 
 
-def _entropy(cov: np.ndarray) -> float:
-    dim = cov.shape[0]
-    eigs = np.linalg.eigvalsh(symmetrize(cov))
-    eigs = np.maximum(eigs, 1e-300)
-    return 0.5 * float(dim * (1.0 + LOG_2PI) + np.sum(np.log(eigs)))
+def _entropy(cov: np.ndarray) -> np.ndarray:
+    """Gaussian entropies of a stack of symmetric covariances."""
+    eigs = np.maximum(np.linalg.eigvalsh(cov), 1e-300)
+    return 0.5 * (cov.shape[-1] * (1.0 + LOG_2PI) + np.log(eigs).sum(axis=-1))
 
 
 def expected_complete_data_ll(model: PpcaModel, xc_i: np.ndarray,
                               xc_n: np.ndarray, moments: LatentMoments,
-                              include_coeff_terms: bool = True) -> float:
+                              include_coeff_terms=True) -> np.ndarray:
     """Per-pair expected complete-data log-likelihood (two-frame
-    factorization) under the supplied expectation bundle."""
+    factorization) under the expectation bundle; the coefficient prior
+    term is dropped where ``include_coeff_terms`` (one flag, or one per
+    pair) is false."""
     w = model.loading
     d, j = model.latent_dim, model.dynamics.coeff_count
     big_d = model.data_dim
@@ -612,53 +609,47 @@ def expected_complete_data_ll(model: PpcaModel, xc_i: np.ndarray,
 
     def recon(xc, ez, ezz):
         return -0.5 * (big_d * np.log(2.0 * np.pi * sig2)
-                       + (xc @ xc - 2.0 * xc @ (w @ ez)
-                          + float(np.einsum("ab,ab->", gram, ezz))) / sig2)
+                       + (np.einsum("nd,nd->n", xc, xc)
+                          - 2.0 * np.einsum("nd,nd->n", xc, ez @ w.T)
+                          + np.einsum("ab,nab->n", gram, ezz)) / sig2)
 
     omega_chol = spd_cholesky(model.dynamics.trans_cov)
     omega_prec = spd_solve(omega_chol, np.eye(d))
     flat = liealg.block_flatten(model.dynamics.basis)
-    trans_quad = (np.einsum("ab,ab->", omega_prec, moments.e_dz_dz)
-                  - 2.0 * np.einsum("ab,bk,ak->", omega_prec, flat,
-                                    moments.e_dz_zkronlam)
-                  + np.einsum("ab,ak,bl,kl->", omega_prec, flat, flat,
+    prec_flat = omega_prec @ flat
+    trans_quad = (np.einsum("ab,nab->n", omega_prec, moments.e_dz_dz)
+                  - 2.0 * np.einsum("ak,nak->n", prec_flat, moments.e_dz_zkronlam)
+                  + np.einsum("kl,nkl->n", flat.T @ prec_flat,
                               moments.e_zz_kron_lamlam))
     trans = -0.5 * (d * LOG_2PI
                     + 2.0 * float(np.sum(np.log(np.diag(omega_chol))))
-                    + float(trans_quad))
-    lam_term = 0.0
-    if include_coeff_terms:
-        lam_chol = spd_cholesky(model.dynamics.coeff_prior_cov)
-        lam_prec = spd_solve(lam_chol, np.eye(j))
-        lam_term = -0.5 * (j * LOG_2PI
-                           + 2.0 * float(np.sum(np.log(np.diag(lam_chol))))
-                           + float(np.einsum("jk,jk->", lam_prec,
-                                             moments.elamlam)))
-    prior_zi = -0.5 * (d * LOG_2PI + float(np.trace(moments.ezz_i)))
+                    + trans_quad)
+    lam_chol = spd_cholesky(model.dynamics.coeff_prior_cov)
+    lam_prec = spd_solve(lam_chol, np.eye(j))
+    lam_term = -0.5 * (j * LOG_2PI
+                       + 2.0 * float(np.sum(np.log(np.diag(lam_chol))))
+                       + np.einsum("jk,njk->n", lam_prec, moments.elamlam))
+    prior_zi = -0.5 * (d * LOG_2PI + np.trace(moments.ezz_i, axis1=1, axis2=2))
     return (recon(xc_i, moments.ez_i, moments.ezz_i)
             + recon(xc_n, moments.ez_next, moments.ezz_next)
-            + trans + lam_term + prior_zi)
+            + trans + np.where(include_coeff_terms, lam_term, 0.0) + prior_zi)
 
 
 def mean_field_elbo(model: PpcaModel, dataset: ImagePairDataset,
-                    moments: list[LatentMoments]) -> float:
+                    moments: LatentMoments) -> float:
     """Evidence lower bound of the factorized posterior: expected
     complete-data log-likelihood plus the Gaussian block entropies.
 
     A degenerate coefficient block (all moments zero, as under frozen
     coefficients) contributes neither a prior term nor an entropy.
     """
-    xc_i = dataset.x_i - model.data_mean
-    xc_n = dataset.x_next - model.data_mean
-    total = 0.0
-    for i, m in enumerate(moments):
-        live_coeffs = bool(np.any(m.elamlam) or np.any(m.elam))
-        total += expected_complete_data_ll(model, xc_i[i], xc_n[i], m,
-                                           include_coeff_terms=live_coeffs)
-        total += _entropy(m.cov_z_i) + _entropy(m.cov_z_next)
-        if live_coeffs:
-            total += _entropy(m.cov_lam)
-    return float(total)
+    live = np.any(moments.elamlam, axis=(1, 2)) | np.any(moments.elam, axis=1)
+    per_pair = (expected_complete_data_ll(model, dataset.x_i - model.data_mean,
+                                          dataset.x_next - model.data_mean,
+                                          moments, include_coeff_terms=live)
+                + _entropy(moments.cov_z_i) + _entropy(moments.cov_z_next)
+                + np.where(live, _entropy(moments.cov_lam), 0.0))
+    return float(per_pair.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -670,6 +661,9 @@ def init_loading(dataset: ImagePairDataset, latent_dim: int,
     """Deterministic start: dominant right singular vectors of the pooled
     centered frames, scaled by the singular values; noise variance from
     the mean residual variance."""
+    if not 1 <= latent_dim <= dataset.image_dim:
+        raise ValueError(f"latent dimension {latent_dim} must lie in "
+                         f"[1, {dataset.image_dim}] (the data dimension)")
     stacked = np.vstack([dataset.x_i, dataset.x_next]) - mu
     n2 = stacked.shape[0]
     _, svals, vt = np.linalg.svd(stacked, full_matrices=False)
@@ -689,41 +683,33 @@ def init_loading(dataset: ImagePairDataset, latent_dim: int,
 def _e_step_dataset(model: PpcaModel, dataset: ImagePairDataset,
                     method: str, cfg: EStepConfig, threads: int,
                     freeze_coefficients: bool
-                    ) -> tuple[list[LatentMoments], float | None]:
+                    ) -> tuple[LatentMoments, float | None]:
     """All-pair moments plus, for the quadrature backend, the exact
     conditional evidence ``sum_i log p(x_next | x_i)``."""
     xc_i = dataset.x_i - model.data_mean
     xc_n = dataset.x_next - model.data_mean
+    n = dataset.count
     if method == "fixed_point":
-        if threads > 1 and dataset.count >= 2 * threads:
-            from concurrent.futures import ThreadPoolExecutor
-            bounds = np.linspace(0, dataset.count, threads + 1, dtype=int)
-            chunks = [(xc_i[a:b], xc_n[a:b]) for a, b in zip(bounds[:-1], bounds[1:])
-                      if b > a]
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                parts = list(pool.map(
-                    lambda c: _fixed_point_blocks(model, c[0], c[1], cfg,
-                                                  freeze_coefficients), chunks))
-            moments = [m for part in parts for m in _moments_from_blocks(part)]
-        else:
-            blocks = _fixed_point_blocks(model, xc_i, xc_n, cfg,
-                                         freeze_coefficients)
-            moments = _moments_from_blocks(blocks)
-        return moments, None
+        parts = map_blocks(lambda a, b: _fixed_point_blocks(
+            model, xc_i[a:b], xc_n[a:b], cfg, freeze_coefficients), n, threads)
+        return _moments_from_blocks(_Blocks(**{
+            name: np.concatenate([getattr(p, name) for p in parts])
+            for name in vars(parts[0])})), None
     if method == "quadrature":
         results = [_quadrature_moments_pair(model, xc_i[i], xc_n[i], cfg)
-                   for i in range(dataset.count)]
-        log_norm = float(sum(r[1] for r in results))
-        return [r[0] for r in results], log_norm
-    results = [_monte_carlo_moments_pair(model, xc_i[i], xc_n[i], cfg, (i,))
-               for i in range(dataset.count)]
-    return [r[0] for r in results], None
+                   for i in range(n)]
+        return (_stack_moments([r[0] for r in results]),
+                float(sum(r[1] for r in results)))
+    return _stack_moments([
+        _monte_carlo_moments_pair(model, xc_i[i], xc_n[i], cfg, (i,))[0]
+        for i in range(n)]), None
 
 
 def fit(dataset: ImagePairDataset, config: PpcaConfig
         ) -> tuple[PpcaModel, list[float]]:
-    """Joint EM: per-pair expectation bundles, then closed-form updates of
-    W, sigma^2 and the dynamics, then generator orthogonalization.
+    """Joint EM: the expectation bundle, then closed-form updates of W and
+    sigma^2 and the shared dynamics update
+    (:func:`lieflow.dynamics.update_step`).
 
     The traced objective is the model evidence of both frames: exact
     (via the quadrature normalizers) for the quadrature E-step, the
@@ -751,32 +737,13 @@ def fit(dataset: ImagePairDataset, config: PpcaConfig
                          + exact_evidence)
         w = m_step_W(dataset, moments, mu)
         sigma2 = m_step_sigma(dataset, moments, w, mu)
-        dyn = model.dynamics
+        dyn = next_dyn = model.dynamics
         if config.update_dynamics and not config.freeze_coefficients:
-            basis, omega = m_step_dynamics(moments, d, dyn.coeff_count)
-            omega = omega + max(default_jitter(omega, config.jitter_scale),
-                                1e-300) * np.eye(d)
-            lam_cov = dyn.coeff_prior_cov
-            if config.estimate_lambda:
-                lam_cov = symmetrize(
-                    sum(m.elamlam for m in moments) / dataset.count)
-                lam_cov = lam_cov + default_jitter(lam_cov, config.jitter_scale) \
-                    * np.eye(dyn.coeff_count)
-            dyn = DynamicsModel(basis, omega, lam_cov)
-        model = PpcaModel(w, mu, sigma2, dyn)
+            dyn, next_dyn = update_step(dyn, moments.transition_stats(), config)
         if exact_evidence is None:
-            trace.append(mean_field_elbo(model, dataset, moments))
-        if (config.update_dynamics and not config.freeze_coefficients
-                and config.orthogonalize and np.any(dyn.basis.generators)):
-            new_basis = liealg.orthogonalize(dyn.basis, config.orth_threshold)
-            lam_cov = np.eye(new_basis.count)
-            if config.estimate_lambda:
-                from .dynamics import _project_lambda
-                lam_cov = _project_lambda(dyn.basis, new_basis,
-                                          dyn.coeff_prior_cov)
-            dyn = DynamicsModel(new_basis, dyn.trans_cov, lam_cov)
-            model = PpcaModel(w, mu, sigma2, dyn)
-        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) \
-                < config.tol * abs(trace[-2]):
+            trace.append(mean_field_elbo(PpcaModel(w, mu, sigma2, dyn),
+                                         dataset, moments))
+        model = PpcaModel(w, mu, sigma2, next_dyn)
+        if converged(trace, config.tol):
             break
     return model, trace

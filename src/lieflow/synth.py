@@ -48,10 +48,11 @@ class SequenceSpec:
     def __post_init__(self):
         if self.group_kind not in KINDS:
             raise ValueError(f"unknown kind {self.group_kind!r}; choose from {KINDS}")
-        if self.lambda_scale < 0:
-            raise ValueError("lambda_scale must be nonnegative")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be nonnegative")
+        # written so that NaN fails too
+        if not 0.0 <= self.lambda_scale < np.inf:
+            raise ValueError("lambda_scale must be finite and nonnegative")
+        if not 0.0 <= self.noise_std < np.inf:
+            raise ValueError("noise_std must be finite and nonnegative")
         if self.pair_count < 1:
             raise ValueError("pair_count must be at least 1")
 
@@ -74,6 +75,8 @@ class ImagePairDataset:
         xn = np.atleast_2d(np.asarray(self.x_next, dtype=float))
         if xi.shape != xn.shape or xi.shape[0] < 1:
             raise ValueError("x_i and x_next must be matching (N, D) arrays with N >= 1")
+        if not (np.all(np.isfinite(xi)) and np.all(np.isfinite(xn))):
+            raise NumericError("image pairs must be finite")
         object.__setattr__(self, "x_i", xi)
         object.__setattr__(self, "x_next", xn)
 

@@ -282,7 +282,7 @@ def test_criterion_6_joint_estep_cross_validation():
 
         for field in ("ez_i", "ez_next", "elam", "ezz_i", "ezz_next",
                       "elamlam", "e_dz_dz", "e_dz_zkronlam",
-                      "e_zz_kron_lamlam", "e_lam_dz"):
+                      "e_zz_kron_lamlam"):
             gap = np.abs(getattr(fp, field) - getattr(quad, field)).max()
             assert gap < 1e-3, (field, gap)
 

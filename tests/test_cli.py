@@ -117,6 +117,44 @@ class TestFit:
         assert run(["fit", "--config", str(cfg), "--data", str(dataset),
                     "--out", str(tmp_path / "x.lf")]) == 2
 
+    def test_converged_flag_at_the_iteration_cap(self, tmp_path, capsys):
+        data = tmp_path / "rot.lf"
+        run(["generate", "--kind", "rotation2d", "--n", "200", "--seed", "7",
+             "--noise-std", "1e-3", "--out", str(data)])
+        ck = tmp_path / "model.lf"
+
+        def fit(max_iters):
+            capsys.readouterr()
+            assert run(["fit", "--estimator", "dynamics", "--data", str(data),
+                        "--max-iters", str(max_iters), "--out", str(ck)]) == 0
+            out = capsys.readouterr().out
+            return (out.split()[0], int(out.split("iters=")[1].split()[0]),
+                    float(read_tensors(ck)["converged"]))
+
+        flag, stop, _ = fit(500)
+        assert flag == "converged=true" and stop < 500
+        # the stopping rule fires on the last allowed iteration
+        assert fit(stop) == ("converged=true", stop, 1.0)
+        assert fit(stop - 1) == ("converged=false", stop - 1, 0.0)
+
+    @pytest.mark.parametrize("estimator", ["dynamics", "ppca"])
+    def test_checkpoint_bytes_do_not_depend_on_threads(self, tmp_path,
+                                                        estimator):
+        data = tmp_path / "data.lf"
+        image = ["--mode", "image", "--height", "3", "--width", "3"]
+        assert run(["generate", "--kind", "rotation2d", "--n", "120",
+                    "--seed", "5", "--noise-std", "0.02",
+                    *(image if estimator == "ppca" else []),
+                    "--out", str(data)]) == 0
+        artifacts = set()
+        for threads in (1, 2, 3):
+            ck, trace = tmp_path / f"ck{threads}.lf", tmp_path / f"t{threads}.csv"
+            assert run(["fit", "--estimator", estimator, "--data", str(data),
+                        "--max-iters", "10", "--threads", str(threads),
+                        "--out", str(ck), "--trace-out", str(trace)]) == 0
+            artifacts.add((ck.read_bytes(), trace.read_bytes()))
+        assert len(artifacts) == 1
+
 
 class TestImageEstimators:
     @pytest.fixture()
@@ -311,3 +349,50 @@ def test_numeric_abort_gives_exit_4(tmp_path, capsys):
                     "--step-size", "1e3", "--out", str(tmp_path / "x.lf")])
     assert code == 4
     assert "numeric error" in capsys.readouterr().err
+
+
+def _image_data(tmp_path):
+    out = tmp_path / "img.lf"
+    assert run(["generate", "--mode", "image", "--height", "1", "--width", "4",
+                "--n", "20", "--out", str(out)]) == 0
+    return out
+
+
+def _non_finite_data(tmp_path, names):
+    out = tmp_path / "nan.lf"
+    bad = np.ones((3, 4))
+    bad[1, 2] = np.nan
+    write_tensors(out, {names[0]: np.ones((3, 4)), names[1]: bad})
+    return out
+
+
+BAD_INPUTS = {
+    "no_pairs": (lambda tmp: ["generate", "--n", "0"], 2),
+    "rotation_in_3d": (
+        lambda tmp: ["generate", "--kind", "rotation2d", "--d", "3"], 2),
+    "nan_noise": (lambda tmp: ["generate", "--noise-std", "nan"], 2),
+    "infinite_lambda_scale": (
+        lambda tmp: ["generate", "--lambda-scale", "inf"], 2),
+    "no_iterations": (
+        lambda tmp: ["fit", "--estimator", "ppca",
+                     "--data", str(_image_data(tmp)), "--max-iters", "0"], 2),
+    "latent_dim_above_data_dim": (
+        lambda tmp: ["fit", "--estimator", "ppca", "--d", "9",
+                     "--data", str(_image_data(tmp))], 2),
+    "non_finite_latent_pairs": (
+        lambda tmp: ["fit", "--estimator", "dynamics",
+                     "--data", str(_non_finite_data(tmp, ("z_i", "z_next")))], 4),
+    "non_finite_image_pairs": (
+        lambda tmp: ["fit", "--estimator", "ppca",
+                     "--data", str(_non_finite_data(tmp, ("x_i", "x_next")))], 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_with_documented_code(tmp_path, capsys, case):
+    make_args, code = BAD_INPUTS[case]
+    args = make_args(tmp_path) + ["--out", str(tmp_path / "out.lf")]
+    capsys.readouterr()
+    assert run(args) == code
+    label = {2: "usage error", 4: "numeric error"}[code]
+    assert capsys.readouterr().err.startswith(label)

@@ -15,9 +15,16 @@ from lieflow.dynamics import (
     m_step_G,
     m_step_Omega,
     marginal_log_likelihood,
+    transition_stats,
     update_Lambda,
 )
-from lieflow.gaussian import Gaussian, LinearGaussianMap, posterior, spd_cholesky
+from lieflow.gaussian import (
+    Gaussian,
+    LinearGaussianMap,
+    NumericError,
+    posterior,
+    spd_cholesky,
+)
 from lieflow.liealg import GeneratorBasis, assemble_A
 from lieflow.oracles import GridSpec, quadrature_moments
 from lieflow.synth import SequenceSpec, generate_latent_pairs, subspace_angle
@@ -88,32 +95,31 @@ class TestEStepLambda:
             group_kind="latent_random", latent_dim=3, generator_count=2,
             pair_count=17, seed=5, noise_std=0.01))
         batched = e_step_all(model, data)
-        for (zi, zn), post in zip(data.pairs(), batched):
+        for k, (zi, zn) in enumerate(data.pairs()):
             single = e_step_lambda(model, zi, zn)
-            assert np.allclose(single.mean, post.mean, atol=1e-12)
-            assert np.allclose(single.cov, post.cov, atol=1e-12)
+            assert np.allclose(single.mean, batched.mean[k], atol=1e-12)
+            assert np.allclose(single.cov, batched.cov[k], atol=1e-12)
 
     def test_threaded_matches_serial(self):
         model = random_model(4, 2, 1)
         data, _ = generate_latent_pairs(SequenceSpec(pair_count=37, seed=6))
         serial = e_step_all(model, data, threads=1)
         threaded = e_step_all(model, data, threads=4)
-        for a, b in zip(serial, threaded):
-            assert np.array_equal(a.mean, b.mean)
-            assert np.array_equal(a.cov, b.cov)
+        assert np.array_equal(serial.mean, threaded.mean)
+        assert np.array_equal(serial.cov, threaded.cov)
 
 
 class TestMStepG:
     def test_scalar_reduction(self):
         data = PairDataset([[2.0]], [[6.0]])  # z=2, delta=4
-        post = [CoeffPosterior(np.array([1.0]), np.array([[0.0]]))]
-        basis = m_step_G(data, post)
+        post = CoeffPosterior(np.array([[1.0]]), np.array([[[0.0]]]))
+        basis = m_step_G(transition_stats(data, post))
         assert basis.generators[0, 0, 0] == pytest.approx(2.0)
 
     def test_zero_mean_coefficients_zero_numerator(self):
         data, _ = generate_latent_pairs(SequenceSpec(pair_count=9, seed=7))
-        post = [CoeffPosterior(np.zeros(1), np.eye(1)) for _ in range(9)]
-        basis = m_step_G(data, post)
+        post = CoeffPosterior(np.zeros((9, 1)), np.ones((9, 1, 1)))
+        basis = m_step_G(transition_stats(data, post))
         assert np.allclose(basis.generators, 0.0, atol=1e-12)
 
     def test_recovers_generators_from_exact_posteriors(self):
@@ -122,10 +128,17 @@ class TestMStepG:
                             noise_std=0.0, pair_count=50, seed=8,
                             first_order=True)
         data, truth = generate_latent_pairs(spec)
-        post = [CoeffPosterior(lam, np.zeros((2, 2))) for lam in truth.lambdas]
-        basis = m_step_G(data, post)
+        post = CoeffPosterior(truth.lambdas, np.zeros((50, 2, 2)))
+        basis = m_step_G(transition_stats(data, post))
         err = np.linalg.norm(basis.generators - truth.basis.generators)
         assert err < 1e-8
+
+    def test_singular_gram_is_numeric_error(self):
+        z = np.zeros((4, 2))
+        data = PairDataset(z, z + 1.0)
+        post = CoeffPosterior(np.ones((4, 1)), np.zeros((4, 1, 1)))
+        with pytest.raises(NumericError, match="condition number"):
+            m_step_G(transition_stats(data, post))
 
 
 class TestMStepOmega:
@@ -135,8 +148,8 @@ class TestMStepOmega:
                             noise_std=0.0, pair_count=40, seed=9,
                             first_order=True)
         data, truth = generate_latent_pairs(spec)
-        post = [CoeffPosterior(lam, np.zeros((2, 2))) for lam in truth.lambdas]
-        omega = m_step_Omega(data, post, truth.basis)
+        post = CoeffPosterior(truth.lambdas, np.zeros((40, 2, 2)))
+        omega = m_step_Omega(transition_stats(data, post), truth.basis)
         assert np.abs(omega).max() < 1e-15
 
     def test_prior_posteriors_zero_delta(self):
@@ -144,9 +157,10 @@ class TestMStepOmega:
             group_kind="latent_random", latent_dim=2, generator_count=2,
             lambda_scale=1e-9, noise_std=0.0, pair_count=11, seed=10))
         data = PairDataset(data.z_i, data.z_i)  # force delta = 0
-        post = [CoeffPosterior(np.zeros(2), np.eye(2)) for _ in range(11)]
+        post = CoeffPosterior(np.zeros((11, 2)),
+                              np.broadcast_to(np.eye(2), (11, 2, 2)))
         basis = GeneratorBasis(rng.normal_matrix(10, (3,), (2, 2, 2)))
-        omega = m_step_Omega(data, post, basis)
+        omega = m_step_Omega(transition_stats(data, post), basis)
         expected = np.zeros((2, 2))
         for z in data.z_i:
             a = assemble_A(basis, z)
@@ -162,26 +176,32 @@ class TestMStepOmega:
         model = DynamicsModel(truth.basis, omega_true * np.eye(2),
                               spec.lambda_scale ** 2 * np.eye(1))
         post = e_step_all(model, data)
-        omega = m_step_Omega(data, post, truth.basis)
+        omega = m_step_Omega(transition_stats(data, post), truth.basis)
         rel = np.linalg.norm(omega - omega_true * np.eye(2)) / omega_true
         assert rel < 0.10
 
 
 class TestUpdateLambda:
+    @staticmethod
+    def mle(mean, cov):
+        ones = np.ones((mean.shape[0], 1))
+        stats = transition_stats(PairDataset(ones, ones),
+                                 CoeffPosterior(mean, cov))
+        return update_Lambda(stats)
+
     def test_standard_normal_posteriors(self):
-        post = [CoeffPosterior(np.zeros(2), np.eye(2)) for _ in range(5)]
-        assert np.allclose(update_Lambda(post), np.eye(2))
+        est = self.mle(np.zeros((5, 2)), np.broadcast_to(np.eye(2), (5, 2, 2)))
+        assert np.allclose(est, np.eye(2))
 
     def test_single_delta_posterior(self):
         q = np.array([0.3, -1.2])
-        post = [CoeffPosterior(q, np.zeros((2, 2)))]
-        assert np.allclose(update_Lambda(post), np.outer(q, q))
+        est = self.mle(q[None], np.zeros((1, 2, 2)))
+        assert np.allclose(est, np.outer(q, q))
 
     def test_recovers_prior_scale(self):
         lam_true = np.diag([0.04, 0.01])
         draws = rng.normal_matrix(12, (0,), (5000, 2)) @ spd_cholesky(lam_true).T
-        post = [CoeffPosterior(d, np.zeros((2, 2))) for d in draws]
-        est = update_Lambda(post)
+        est = self.mle(draws, np.zeros((5000, 2, 2)))
         assert np.linalg.norm(est - lam_true) / np.linalg.norm(lam_true) < 0.10
 
 
@@ -189,7 +209,7 @@ class TestExpectedCompleteDataLL:
     def test_perfect_fit_constant(self):
         model = scalar_model()
         data = PairDataset([[1.0]], [[1.0]])
-        post = [CoeffPosterior(np.zeros(1), np.zeros((1, 1)))]
+        post = CoeffPosterior(np.zeros((1, 1)), np.zeros((1, 1, 1)))
         val = expected_complete_data_ll(model, data, post)
         assert val == pytest.approx(-np.log(2 * np.pi))  # -(d+J)/2 ln 2pi, d=J=1
 
@@ -200,7 +220,10 @@ class TestExpectedCompleteDataLL:
         single = expected_complete_data_ll(model, data, post)
         doubled_data = PairDataset(np.vstack([data.z_i, data.z_i]),
                                    np.vstack([data.z_next, data.z_next]))
-        doubled = expected_complete_data_ll(model, doubled_data, post + post)
+        doubled = expected_complete_data_ll(
+            model, doubled_data,
+            CoeffPosterior(np.vstack([post.mean, post.mean]),
+                           np.vstack([post.cov, post.cov])))
         assert doubled == pytest.approx(2 * single, rel=1e-12)
 
     def test_matches_monte_carlo(self):
@@ -213,7 +236,7 @@ class TestExpectedCompleteDataLL:
 
         n = 100_000
         eps = rng.normal_matrix(14, (11,), (n, 2))
-        lam_draws = post[0].mean + eps @ spd_cholesky(post[0].cov).T
+        lam_draws = post.mean[0] + eps @ spd_cholesky(post.cov[0]).T
         a = assemble_A(model.basis, z_i)
         from lieflow.gaussian import log_density_batch
         trans = log_density_batch(Gaussian(z_next - z_i, model.trans_cov),
@@ -275,11 +298,13 @@ class TestFit:
         model_c = scalar_model(g=0.7, omega=c ** 2 * 0.02, lam=0.05 ** 2)
         post = e_step_all(model, data)
         post_c = e_step_all(model_c, scaled)
-        g = m_step_G(data, post)
-        g_c = m_step_G(scaled, post_c)
+        stats = transition_stats(data, post)
+        stats_c = transition_stats(scaled, post_c)
+        g = m_step_G(stats)
+        g_c = m_step_G(stats_c)
         assert np.allclose(g.generators, g_c.generators, rtol=1e-10)
-        omega = m_step_Omega(data, post, g)
-        omega_c = m_step_Omega(scaled, post_c, g_c)
+        omega = m_step_Omega(stats, g)
+        omega_c = m_step_Omega(stats_c, g_c)
         assert omega_c[0, 0] == pytest.approx(c ** 2 * omega[0, 0], rel=1e-10)
 
     def test_orthogonalization_prunes_redundant_generators(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lieflow import rng
-from lieflow.dynamics import DynamicsModel, init_model
+from lieflow.dynamics import DynamicsModel, init_model, m_step_dynamics
 from lieflow.gaussian import NumericError
 from lieflow.liealg import GeneratorBasis
 from lieflow.npca import (
@@ -14,9 +14,9 @@ from lieflow.npca import (
     decode,
     elbo_objective,
     encode,
+    encoded_moments,
     fit,
     init_networks,
-    m_step_dynamics_vem,
     named_gradients,
     named_parameters,
     plugin_coefficients,
@@ -251,7 +251,7 @@ class TestObjectiveStructure:
 
 class TestDynamicsUpdates:
     def test_deterministic_encoder_reduces_to_fixed_representation(self):
-        from lieflow.dynamics import PairDataset, e_step_all, m_step_G, m_step_Omega
+        from lieflow.dynamics import PairDataset, e_step_all, transition_stats
 
         spec = SequenceSpec(group_kind="rotation2d", lambda_scale=0.05,
                             noise_std=0.0, pair_count=40, seed=10)
@@ -264,11 +264,11 @@ class TestDynamicsUpdates:
         dyn = init_model(2, 1, 10)
         model = NpcaModel(enc, dec, 0.01, dyn)
         data = ImagePairDataset(latent.z_i, latent.z_next, 1, 2)
-        basis, omega = m_step_dynamics_vem(model, data)
-        posts = e_step_all(dyn, PairDataset(latent.z_i, latent.z_next))
-        ref_basis = m_step_G(PairDataset(latent.z_i, latent.z_next), posts)
-        ref_omega = m_step_Omega(PairDataset(latent.z_i, latent.z_next),
-                                 posts, ref_basis)
+        basis, omega = m_step_dynamics(
+            encoded_moments(model, data).transition_stats())
+        pairs = PairDataset(latent.z_i, latent.z_next)
+        ref_basis, ref_omega = m_step_dynamics(
+            transition_stats(pairs, e_step_all(dyn, pairs)))
         assert np.allclose(basis.generators, ref_basis.generators, atol=1e-8)
         assert np.allclose(omega, ref_omega, atol=1e-8)
 
@@ -280,7 +280,8 @@ class TestDynamicsUpdates:
                           dyn)
         x = rng.normal_matrix(11, (0,), (12, 3))
         data = ImagePairDataset(x, x + 0.01, 1, 3)
-        basis, _ = m_step_dynamics_vem(model, data)
+        basis, _ = m_step_dynamics(
+            encoded_moments(model, data).transition_stats())
         assert np.allclose(basis.generators, 0.0, atol=1e-12)
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,7 @@ from lieflow.dynamics import (
     DynamicsModel,
     PairDataset,
     e_step_all,
-    m_step_G,
-    m_step_Omega,
+    transition_stats,
 )
 from lieflow.gaussian import (
     Gaussian,
@@ -154,8 +155,8 @@ class TestEStepJoint:
                              lam=1e-6 * np.eye(1),
                              gens=np.array([[[0.0, -1.0], [1.0, 0.0]]]))
         moments = e_step_joint(model, x, x, method="fixed_point")
-        assert np.allclose(moments.ez_i, x, atol=1e-4)
-        assert np.allclose(moments.ez_next, x, atol=1e-4)
+        assert np.allclose(moments.ez_i[0], x, atol=1e-4)
+        assert np.allclose(moments.ez_next[0], x, atol=1e-4)
         assert np.abs(moments.elam).max() < 1e-4
 
     def test_collapsed_coefficient_prior_freezes_lambda(self):
@@ -165,14 +166,14 @@ class TestEStepJoint:
             DynamicsModel(model.dynamics.basis, model.dynamics.trans_cov,
                           np.array([[1e-14]])))
         moments = e_step_joint(collapsed, x_i, x_n, method="fixed_point")
-        assert abs(moments.elam[0]) < 1e-6
-        assert abs(moments.elamlam[0, 0]) < 1e-12
+        assert abs(moments.elam[0, 0]) < 1e-6
+        assert abs(moments.elamlam[0, 0, 0]) < 1e-12
         # z-blocks reduce to the coefficient-free chained posteriors
         from lieflow.ppca import _fixed_point_blocks, _moments_from_blocks
         frozen = _moments_from_blocks(_fixed_point_blocks(
             collapsed, (x_i - model.data_mean)[None],
             (x_n - model.data_mean)[None], EStepConfig(),
-            freeze_coefficients=True))[0]
+            freeze_coefficients=True))
         assert np.allclose(moments.ez_i, frozen.ez_i, atol=1e-6)
         assert np.allclose(moments.ez_next, frozen.ez_next, atol=1e-6)
 
@@ -257,16 +258,17 @@ class TestCanonicalForm:
 
         cfg = EStepConfig(grid_points=72)
         quad = e_step_joint(model, x_i, x_n, method="quadrature", config=cfg)
-        center = np.array([quad.ez_i[0], quad.elam[0], quad.ez_next[0]])
-        stds = np.sqrt(np.array([quad.cov_z_i[0, 0], quad.cov_lam[0, 0],
-                                 quad.cov_z_next[0, 0]]))
+        center = np.array([quad.ez_i[0, 0], quad.elam[0, 0],
+                           quad.ez_next[0, 0]])
+        stds = np.sqrt(np.array([quad.cov_z_i[0, 0, 0], quad.cov_lam[0, 0, 0],
+                                 quad.cov_z_next[0, 0, 0]]))
         grid = GridSpec(center - 9 * stds, center + 9 * stds, np.full(3, 96))
         _, mean, second, _ = quadrature_moments(log_canonical, grid)
-        assert abs(mean[0] - quad.ez_i[0]) < 1e-6
-        assert abs(mean[1] - quad.elam[0]) < 1e-6
-        assert abs(mean[2] - quad.ez_next[0]) < 1e-6
-        assert abs(second[0, 0] - quad.ezz_i[0, 0]) < 1e-6
-        assert abs(second[1, 1] - quad.elamlam[0, 0]) < 1e-6
+        assert abs(mean[0] - quad.ez_i[0, 0]) < 1e-6
+        assert abs(mean[1] - quad.elam[0, 0]) < 1e-6
+        assert abs(mean[2] - quad.ez_next[0, 0]) < 1e-6
+        assert abs(second[0, 0] - quad.ezz_i[0, 0, 0]) < 1e-6
+        assert abs(second[1, 1] - quad.elamlam[0, 0, 0]) < 1e-6
 
 
 class TestMSteps:
@@ -289,35 +291,36 @@ class TestMSteps:
 
     @staticmethod
     def delta_moments(z_i, z_n, lam=None, j=1):
-        d = z_i.size
-        lam = np.zeros(j) if lam is None else np.asarray(lam, dtype=float)
+        """Moments of point-mass posteriors, one row per pair."""
+        n = z_i.shape[0]
+        lam = np.zeros((n, j)) if lam is None else np.asarray(lam, dtype=float)
         dz = z_n - z_i
-        zl = np.kron(z_i, lam)
+        zl = np.einsum("na,nj->naj", z_i, lam).reshape(n, -1)
+
+        def outer(a, b):
+            return np.einsum("na,nb->nab", a, b)
+
         return LatentMoments(
             ez_i=z_i, ez_next=z_n,
-            ezz_i=np.outer(z_i, z_i), ezz_next=np.outer(z_n, z_n),
-            elam=lam, elamlam=np.outer(lam, lam),
-            e_dz_dz=np.outer(dz, dz),
-            e_dz_zkronlam=np.outer(dz, zl),
-            e_zz_kron_lamlam=np.outer(zl, zl),
-            e_lam_dz=np.outer(lam, dz))
+            ezz_i=outer(z_i, z_i), ezz_next=outer(z_n, z_n),
+            elam=lam, elamlam=outer(lam, lam),
+            e_dz_dz=outer(dz, dz),
+            e_dz_zkronlam=outer(dz, zl),
+            e_zz_kron_lamlam=outer(zl, zl))
 
     def test_w_identity_limit(self):
         frames = rng.normal_matrix(17, (0,), (6, 2))
         data = ImagePairDataset(frames, frames, 1, 2)
-        moments = [self.delta_moments(f, f) for f in frames]
+        moments = self.delta_moments(frames, frames)
         w = m_step_W(data, moments, np.zeros(2))
         assert np.allclose(w, np.eye(2), atol=1e-10)
 
     def test_w_zero_cross_moments(self):
         frames = rng.normal_matrix(18, (0,), (5, 3))
         data = ImagePairDataset(frames, frames, 1, 3)
-        moments = []
-        for f in frames:
-            m = self.delta_moments(np.zeros(2), np.zeros(2))
-            moments.append(LatentMoments(
-                m.ez_i, m.ez_next, np.eye(2), np.eye(2), m.elam, m.elamlam,
-                m.e_dz_dz, np.zeros((2, 2)), np.zeros((2, 2)), m.e_lam_dz))
+        eye = np.broadcast_to(np.eye(2), (5, 2, 2))
+        moments = replace(self.delta_moments(np.zeros((5, 2)), np.zeros((5, 2))),
+                          ezz_i=eye, ezz_next=eye)
         w = m_step_W(data, moments, np.zeros(3))
         assert np.allclose(w, 0.0, atol=1e-12)
 
@@ -326,8 +329,7 @@ class TestMSteps:
                             noise_std=0.0, pair_count=50, seed=19,
                             height=3, width=3)
         data, truth = generate_image_pairs(spec, embedding="linear")
-        moments = [self.delta_moments(zi, zn)
-                   for zi, zn in zip(truth.z_i, truth.z_next)]
+        moments = self.delta_moments(truth.z_i, truth.z_next)
         w = m_step_W(data, moments, np.zeros(9))
         gap = np.linalg.svd(w - truth.loading, compute_uv=False).max()
         assert gap < 1e-10
@@ -336,7 +338,7 @@ class TestMSteps:
         frames = rng.normal_matrix(20, (0,), (4, 3))
         data = ImagePairDataset(frames, frames, 1, 3)
         w = np.eye(3)
-        moments = [self.delta_moments(f, f) for f in frames]
+        moments = self.delta_moments(frames, frames)
         assert m_step_sigma(data, moments, w, np.zeros(3)) == pytest.approx(1e-12)
 
     def test_sigma_zero_loading_gives_frame_variance(self):
@@ -344,12 +346,9 @@ class TestMSteps:
         x_n = rng.normal_matrix(21, (1,), (40, 3))
         data = ImagePairDataset(x_i, x_n, 1, 3)
         mu = m_step_mu(data)
-        moments = [self.delta_moments(np.zeros(2), np.zeros(2))
-                   for _ in range(40)]
-        moments = [LatentMoments(m.ez_i, m.ez_next, np.eye(2), np.eye(2),
-                                 m.elam, m.elamlam, m.e_dz_dz,
-                                 m.e_dz_zkronlam, m.e_zz_kron_lamlam,
-                                 m.e_lam_dz) for m in moments]
+        eye = np.broadcast_to(np.eye(2), (40, 2, 2))
+        moments = replace(self.delta_moments(np.zeros((40, 2)), np.zeros((40, 2))),
+                          ezz_i=eye, ezz_next=eye)
         got = m_step_sigma(data, moments, np.zeros((3, 2)), mu)
         stacked = np.vstack([x_i, x_n]) - mu
         assert got == pytest.approx(np.mean(stacked ** 2), rel=1e-12)
@@ -362,34 +361,26 @@ class TestMSteps:
         from lieflow.dynamics import init_model
         model = init_model(2, 2, 22)
         posteriors = e_step_all(model, data)
-        moments = []
-        for (zi, zn), post in zip(data.pairs(), posteriors):
-            dz = zn - zi
-            zl_mean = np.kron(zi, post.mean)
-            second = post.cov + np.outer(post.mean, post.mean)
-            moments.append(LatentMoments(
-                ez_i=zi, ez_next=zn, ezz_i=np.outer(zi, zi),
-                ezz_next=np.outer(zn, zn), elam=post.mean, elamlam=second,
-                e_dz_dz=np.outer(dz, dz),
-                e_dz_zkronlam=np.outer(dz, zl_mean),
-                e_zz_kron_lamlam=np.kron(np.outer(zi, zi), second),
-                e_lam_dz=np.outer(post.mean, dz)))
-        basis, omega = m_step_dynamics(moments, 2, 2)
-        ref_basis = m_step_G(data, posteriors)
-        ref_omega = m_step_Omega(data, posteriors, ref_basis)
+        second = posteriors.second
+        zz = np.einsum("na,nb->nab", data.z_i, data.z_i)
+        moments = replace(
+            self.delta_moments(data.z_i, data.z_next, posteriors.mean),
+            elamlam=second,
+            e_zz_kron_lamlam=np.einsum("nab,njk->najbk", zz, second)
+            .reshape(30, 4, 4))
+        basis, omega = m_step_dynamics(moments.transition_stats())
+        ref_basis, ref_omega = m_step_dynamics(transition_stats(data, posteriors))
         assert np.allclose(basis.generators, ref_basis.generators, atol=1e-9)
         assert np.allclose(omega, ref_omega, atol=1e-9)
 
     def test_dynamics_zero_coefficient_moments_give_zero_generator(self):
-        moments = [self.delta_moments(rng.normals(23, (k,), 2),
-                                      rng.normals(23, (k, 1), 2))
-                   for k in range(6)]
-        moments = [LatentMoments(m.ez_i, m.ez_next, m.ezz_i, m.ezz_next,
-                                 np.zeros(1), np.eye(1), m.e_dz_dz,
-                                 np.zeros((2, 2)),
-                                 np.kron(m.ezz_i, np.eye(1)),
-                                 np.zeros((1, 2))) for m in moments]
-        basis, _ = m_step_dynamics(moments, 2, 1)
+        z_i = np.stack([rng.normals(23, (k,), 2) for k in range(6)])
+        z_n = np.stack([rng.normals(23, (k, 1), 2) for k in range(6)])
+        base = self.delta_moments(z_i, z_n)
+        moments = replace(base, elamlam=np.ones((6, 1, 1)),
+                          e_dz_zkronlam=np.zeros((6, 2, 2)),
+                          e_zz_kron_lamlam=base.ezz_i)
+        basis, _ = m_step_dynamics(moments.transition_stats())
         assert np.allclose(basis.generators, 0.0, atol=1e-12)
 
 
@@ -475,6 +466,19 @@ class TestFit:
         assert np.abs(model.loading - w_ref).max() < 1e-6
         assert abs(model.noise_var - s_ref) < 1e-6 * s_ref
 
+    def test_thread_count_does_not_change_the_fit(self):
+        # each pair runs the fixed-point sweeps it would run alone, so the
+        # split into thread blocks cannot move the result
+        spec = SequenceSpec(group_kind="rotation2d", lambda_scale=0.05,
+                            noise_std=0.02, pair_count=120, seed=5,
+                            height=3, width=3)
+        data, _ = generate_image_pairs(spec, embedding="linear")
+        loadings = [fit(data, PpcaConfig(latent_dim=2, j_init=1, max_iters=10,
+                                         seed=0, estimate_lambda=True,
+                                         threads=threads))[0].loading
+                    for threads in (1, 2, 3)]
+        assert all(np.array_equal(loadings[0], w) for w in loadings[1:])
+
     def test_image_rotation_recovery(self):
         spec = SequenceSpec(group_kind="rotation2d", lambda_scale=0.05,
                             noise_std=0.01, pair_count=1000, seed=28,
@@ -507,11 +511,14 @@ def recovered_pixel_generator_angle(model, truth):
 
 
 def test_latent_moments_psd_validation():
+    # one valid pair, then one whose z_i block is negative definite
+    good = np.ones((2, 1, 1))
     bad = dict(
-        ez_i=np.zeros(1), ez_next=np.zeros(1), ezz_i=-np.eye(1),
-        ezz_next=np.eye(1), elam=np.zeros(1), elamlam=np.eye(1),
-        e_dz_dz=np.eye(1), e_dz_zkronlam=np.zeros((1, 1)),
-        e_zz_kron_lamlam=np.eye(1), e_lam_dz=np.zeros((1, 1)))
+        ez_i=np.zeros((2, 1)), ez_next=np.zeros((2, 1)),
+        ezz_i=np.array([[[1.0]], [[-1.0]]]),
+        ezz_next=good, elam=np.zeros((2, 1)), elamlam=good,
+        e_dz_dz=good, e_dz_zkronlam=np.zeros((2, 1, 1)),
+        e_zz_kron_lamlam=good)
     with pytest.raises(NumericError):
         LatentMoments(**bad)
 
