@@ -16,7 +16,7 @@ from .dynamics import CoeffPosterior, DynamicsModel, EmConfig, PairDataset
 from .gaussian import Gaussian, LinearGaussianMap, NumericError
 from .liealg import GeneratorBasis
 from .ppca import LatentMoments, PpcaConfig, PpcaModel
-from .npca import Encoder, GradientBundle, Mlp, NpcaConfig, NpcaModel
+from .npca import Mlp, NpcaConfig, NpcaModel
 from .synth import ImagePairDataset, SequenceSpec, SynthTruth
 
 __version__ = "0.1.0"
@@ -25,10 +25,8 @@ __all__ = [
     "CoeffPosterior",
     "DynamicsModel",
     "EmConfig",
-    "Encoder",
     "Gaussian",
     "GeneratorBasis",
-    "GradientBundle",
     "ImagePairDataset",
     "LatentMoments",
     "LinearGaussianMap",

@@ -109,13 +109,34 @@ def _dynamics_arrays(model: DynamicsModel) -> dict[str, np.ndarray]:
             "Lambda": model.coeff_prior_cov}
 
 
+def _npca_arrays(model: npca.NpcaModel) -> dict[str, np.ndarray]:
+    arrays = {"enc_trunk_count": np.float64(len(model.encoder.weights) - 1),
+              "dec_count": np.float64(len(model.decoder.weights))}
+    arrays.update(npca.named_parameters(model))
+    arrays["sigma2"] = np.float64(model.obs_noise_var)
+    return arrays
+
+
 def cmd_fit(opts) -> int:
     arrays = read_tensors(opts["data"])
     estimator = opts["estimator"]
     estep = _ESTEP_FLAGS[opts["estep"]]
-    threads = opts["threads"] or os.cpu_count() or 1
+    # comparisons written so that NaN fails too
     if opts["max_iters"] < 1:
         raise UsageError("--max-iters must be at least 1")
+    if opts["batch_size"] < 1:
+        raise UsageError("--batch-size must be at least 1")
+    if not 0.0 <= opts["tol"] < np.inf:
+        raise UsageError("--tol must be finite and nonnegative")
+    if opts["threads"] < 0:
+        raise UsageError("--threads must be nonnegative (0 uses every CPU)")
+    if not 0.0 < opts["step_size"] < np.inf:
+        raise UsageError("--step-size must be finite and positive")
+    if not 0.0 < opts["obs_noise_var"] < np.inf:
+        raise UsageError("--obs-noise-var must be finite and positive")
+    if any(width < 1 for width in opts["hidden"]):
+        raise UsageError("--hidden sizes must be at least 1")
+    threads = opts["threads"] or os.cpu_count() or 1
     if estimator == "dynamics":
         data = _load_latent_dataset(arrays)
         if opts["d"] and opts["d"] != data.latent_dim:
@@ -154,20 +175,7 @@ def cmd_fit(opts) -> int:
                                           config.obs_noise_var)
         model, trace = npca.fit(data, config, init=init)
         checkpoint = _dynamics_arrays(model.dynamics)
-        enc = model.encoder
-        checkpoint["enc_trunk_count"] = np.float64(len(enc.trunk.weights))
-        for k, (w, b) in enumerate(zip(enc.trunk.weights, enc.trunk.biases)):
-            checkpoint[f"enc_trunk_w{k}"] = w
-            checkpoint[f"enc_trunk_b{k}"] = b
-        checkpoint.update({
-            "enc_mean_w": enc.mean_weight, "enc_mean_b": enc.mean_bias,
-            "enc_logvar_w": enc.logvar_weight, "enc_logvar_b": enc.logvar_bias,
-            "dec_count": np.float64(len(model.decoder.weights))})
-        for k, (w, b) in enumerate(zip(model.decoder.weights,
-                                       model.decoder.biases)):
-            checkpoint[f"dec_w{k}"] = w
-            checkpoint[f"dec_b{k}"] = b
-        checkpoint["sigma2"] = np.float64(model.obs_noise_var)
+        checkpoint.update(_npca_arrays(model))
     else:
         raise UsageError(f"unknown estimator {estimator!r}")
 
@@ -200,23 +208,30 @@ def _checkpoint_ppca(ck) -> ppca.PpcaModel:
 
 
 def _checkpoint_npca(ck) -> npca.NpcaModel:
-    n_trunk = int(ck["enc_trunk_count"])
-    trunk = npca.Mlp([ck[f"enc_trunk_w{k}"] for k in range(n_trunk)],
-                     [ck[f"enc_trunk_b{k}"] for k in range(n_trunk)])
-    encoder = npca.Encoder(trunk, ck["enc_mean_w"], ck["enc_mean_b"],
-                           ck["enc_logvar_w"], ck["enc_logvar_b"])
-    n_dec = int(ck["dec_count"])
-    decoder = npca.Mlp([ck[f"dec_w{k}"] for k in range(n_dec)],
-                       [ck[f"dec_b{k}"] for k in range(n_dec)])
-    return npca.NpcaModel(encoder, decoder, float(ck["sigma2"]),
-                          _checkpoint_dynamics(ck))
+    return npca.assemble(ck, int(ck["enc_trunk_count"]), int(ck["dec_count"]),
+                         float(ck["sigma2"]), _checkpoint_dynamics(ck))
+
+
+class _Checkpoint(dict):
+    """Arrays of a ``--checkpoint`` file; a missing one is a usage error."""
+
+    def __missing__(self, name):
+        raise UsageError(f"checkpoint has no array {name!r}")
+
+
+def _read_checkpoint(path) -> tuple[_Checkpoint, str]:
+    """The checkpoint's arrays and the estimator that wrote them."""
+    ck = _Checkpoint(read_tensors(path))
+    code = float(ck.get("estimator", np.float64(0)))
+    for estimator, value in _ESTIMATOR_CODES.items():
+        if value == code:
+            return ck, estimator
+    raise UsageError(f"checkpoint has unknown estimator code {code}")
 
 
 def cmd_eval(opts) -> int:
-    ck = read_tensors(opts["checkpoint"])
+    ck, estimator = _read_checkpoint(opts["checkpoint"])
     arrays = read_tensors(opts["data"])
-    code = float(ck.get("estimator", np.float64(0)))
-    estimator = {v: k for k, v in _ESTIMATOR_CODES.items()}[code]
     rows = []
     dynamics = _checkpoint_dynamics(ck)
     if "true_G" not in arrays:
@@ -297,10 +312,8 @@ def _infer_roll_coefficients(dynamics: DynamicsModel, z0: np.ndarray,
 
 
 def cmd_roll(opts) -> int:
-    ck = read_tensors(opts["checkpoint"])
+    ck, estimator = _read_checkpoint(opts["checkpoint"])
     arrays = read_tensors(opts["data"])
-    code = float(ck.get("estimator", np.float64(0)))
-    estimator = {v: k for k, v in _ESTIMATOR_CODES.items()}[code]
     dynamics = _checkpoint_dynamics(ck)
     k = opts["pair_index"]
 

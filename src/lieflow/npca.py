@@ -10,6 +10,11 @@ follow the gradient of that objective; the generators and transition
 noise keep their closed-form updates from the expectation bundles of the
 encoded Gaussians; the generator basis is orthogonalized each epoch.
 
+Both networks are :class:`Mlp` instances: the encoder's linear output
+holds the latent mean followed by the log-variance.  The trainable
+tensors have one layout (:func:`named_parameters`), shared by
+checkpoints, the flat parameter vector and the flat gradient.
+
 Differentiation is hand-rolled reverse-mode over this fixed graph
 (affine layers, tanh, Gaussian log-densities, KL, reparameterization),
 checked against central finite differences.  The plugged-in coefficients
@@ -46,8 +51,8 @@ class Mlp:
     biases: list[np.ndarray]
 
     def __post_init__(self):
-        if len(self.weights) != len(self.biases):
-            raise ValueError("weights and biases must pair up")
+        if not self.weights or len(self.weights) != len(self.biases):
+            raise ValueError("an Mlp needs at least one layer and one bias per weight")
         for w, b in zip(self.weights, self.biases):
             if w.shape[0] != b.shape[0]:
                 raise ValueError("bias length must match weight rows")
@@ -80,10 +85,9 @@ class Mlp:
 
     def backward(self, cache, grad_out: np.ndarray):
         """Accumulate parameter gradients and return the input gradient."""
-        grad_w = [np.zeros_like(w) for w in self.weights]
-        grad_b = [np.zeros_like(b) for b in self.biases]
-        g = np.atleast_2d(grad_out)
         last = len(self.weights) - 1
+        grad_w, grad_b = [None] * (last + 1), [None] * (last + 1)
+        g = np.atleast_2d(grad_out)
         for k in range(last, -1, -1):
             if k < last:
                 g = g * (1.0 - cache[k + 1] ** 2)
@@ -93,123 +97,112 @@ class Mlp:
         return grad_w, grad_b, g
 
 
-@dataclass
-class Encoder:
-    """Shared tanh trunk with affine mean and log-variance heads."""
-
-    trunk: Mlp
-    mean_weight: np.ndarray
-    mean_bias: np.ndarray
-    logvar_weight: np.ndarray
-    logvar_bias: np.ndarray
-
-    def forward(self, x: np.ndarray):
-        h, cache = self._trunk_forward(x)
-        mean = h @ self.mean_weight.T + self.mean_bias
-        logvar = h @ self.logvar_weight.T + self.logvar_bias
-        return mean, logvar, (h, cache)
-
-    def _trunk_forward(self, x: np.ndarray):
-        h = np.atleast_2d(x)
-        cache = [h]
-        for w, b in zip(self.trunk.weights, self.trunk.biases):
-            h = np.tanh(h @ w.T + b)
-            cache.append(h)
-        return h, cache
-
-    def backward(self, cache, grad_mean: np.ndarray, grad_logvar: np.ndarray):
-        h, trunk_cache = cache
-        grads = {
-            "mean_weight": grad_mean.T @ h,
-            "mean_bias": grad_mean.sum(axis=0),
-            "logvar_weight": grad_logvar.T @ h,
-            "logvar_bias": grad_logvar.sum(axis=0),
-        }
-        g = grad_mean @ self.mean_weight + grad_logvar @ self.logvar_weight
-        grad_w = [np.zeros_like(w) for w in self.trunk.weights]
-        grad_b = [np.zeros_like(b) for b in self.trunk.biases]
-        for k in range(len(self.trunk.weights) - 1, -1, -1):
-            g = g * (1.0 - trunk_cache[k + 1] ** 2)
-            grad_w[k] = g.T @ trunk_cache[k]
-            grad_b[k] = g.sum(axis=0)
-            g = g @ self.trunk.weights[k]
-        grads["trunk_weights"] = grad_w
-        grads["trunk_biases"] = grad_b
-        return grads
-
-    @property
-    def latent_dim(self) -> int:
-        return self.mean_weight.shape[0]
-
-
 @dataclass(frozen=True)
 class NpcaModel:
-    encoder: Encoder
+    """Encoder ``x -> (mean, log-variance)`` of ``q(z | x)``, decoder
+    ``z -> x`` mean, observation noise and the shared dynamics."""
+
+    encoder: Mlp
     decoder: Mlp
     obs_noise_var: float
     dynamics: DynamicsModel
 
     def __post_init__(self):
-        if self.obs_noise_var <= 0:
-            raise ValueError("observation noise variance must be positive")
-        if self.encoder.latent_dim != self.dynamics.latent_dim:
-            raise ValueError("encoder latent dimension must match the dynamics")
-        if self.decoder.in_dim != self.encoder.latent_dim:
+        # written so that NaN fails too
+        if not 0.0 < self.obs_noise_var < np.inf:
+            raise ValueError("observation noise variance must be finite and positive")
+        if self.encoder.out_dim != 2 * self.dynamics.latent_dim:
+            raise ValueError("encoder output must hold the latent mean and "
+                             "log-variance of the dynamics' latent dimension")
+        if self.decoder.in_dim != self.dynamics.latent_dim:
             raise ValueError("decoder input must match the latent dimension")
+        if self.encoder.in_dim != self.decoder.out_dim:
+            raise ValueError("encoder input must match the decoder output")
 
     @property
     def latent_dim(self) -> int:
-        return self.encoder.latent_dim
+        return self.dynamics.latent_dim
 
     @property
     def data_dim(self) -> int:
         return self.decoder.out_dim
 
 
-@dataclass
-class GradientBundle:
-    """Objective value plus gradients mirroring the trainable parameters."""
+def _parameter_names(trunk_count: int, dec_count: int) -> list[str]:
+    """Names of the trainable tensors in layout order, for an encoder with
+    ``trunk_count`` tanh layers below its output layer and a decoder with
+    ``dec_count`` layers."""
+    return [*(f"enc_trunk_{p}{k}" for k in range(trunk_count) for p in "wb"),
+            "enc_mean_w", "enc_mean_b", "enc_logvar_w", "enc_logvar_b",
+            *(f"dec_{p}{k}" for k in range(dec_count) for p in "wb")]
 
-    objective: float
-    encoder: dict
-    decoder_weights: list[np.ndarray]
-    decoder_biases: list[np.ndarray]
+
+def _in_layout(enc_w, enc_b, dec_w, dec_b, d: int) -> list[np.ndarray]:
+    """Per-layer encoder and decoder tensors (parameters or gradients) in
+    layout order; the encoder's output layer splits into its mean rows
+    and its log-variance rows."""
+    head_w, head_b = enc_w[-1], enc_b[-1]
+    return [*(a for pair in zip(enc_w[:-1], enc_b[:-1]) for a in pair),
+            head_w[:d], head_b[:d], head_w[d:], head_b[d:],
+            *(a for pair in zip(dec_w, dec_b) for a in pair)]
 
 
 def named_parameters(model: NpcaModel):
-    """(name, array) pairs for every trainable tensor, in a fixed order."""
-    enc = model.encoder
-    for k, (w, b) in enumerate(zip(enc.trunk.weights, enc.trunk.biases)):
-        yield f"enc_trunk_w{k}", w
-        yield f"enc_trunk_b{k}", b
-    yield "enc_mean_w", enc.mean_weight
-    yield "enc_mean_b", enc.mean_bias
-    yield "enc_logvar_w", enc.logvar_weight
-    yield "enc_logvar_b", enc.logvar_bias
-    for k, (w, b) in enumerate(zip(model.decoder.weights, model.decoder.biases)):
-        yield f"dec_w{k}", w
-        yield f"dec_b{k}", b
+    """(name, array) pairs for every trainable tensor, in layout order.
+
+    This is the one parameter layout: checkpoints store these arrays
+    under these names, and :func:`flat_parameters` and the gradients
+    concatenate them in this order.  ``enc_mean_*`` and ``enc_logvar_*``
+    are row views of the encoder's output layer."""
+    enc, dec = model.encoder, model.decoder
+    names = _parameter_names(len(enc.weights) - 1, len(dec.weights))
+    return zip(names, _in_layout(enc.weights, enc.biases, dec.weights,
+                                 dec.biases, model.latent_dim))
 
 
-def named_gradients(bundle: GradientBundle):
-    enc = bundle.encoder
-    for k, (w, b) in enumerate(zip(enc["trunk_weights"], enc["trunk_biases"])):
-        yield f"enc_trunk_w{k}", w
-        yield f"enc_trunk_b{k}", b
-    yield "enc_mean_w", enc["mean_weight"]
-    yield "enc_mean_b", enc["mean_bias"]
-    yield "enc_logvar_w", enc["logvar_weight"]
-    yield "enc_logvar_b", enc["logvar_bias"]
-    for k, (w, b) in enumerate(zip(bundle.decoder_weights, bundle.decoder_biases)):
-        yield f"dec_w{k}", w
-        yield f"dec_b{k}", b
+def flat_parameters(model: NpcaModel) -> np.ndarray:
+    """Every trainable tensor raveled into one vector, in layout order."""
+    return np.concatenate([a.ravel() for _, a in named_parameters(model)])
+
+
+def assemble(named, trunk_count: int, dec_count: int, obs_noise_var: float,
+             dynamics: DynamicsModel) -> NpcaModel:
+    """Inverse of :func:`named_parameters`: the model whose trainable
+    tensors are ``named[name]`` for every name of the layout."""
+    t = 2 * trunk_count
+    arrays = [named[name] for name in _parameter_names(trunk_count, dec_count)]
+    mean_w, mean_b, logvar_w, logvar_b = arrays[t:t + 4]
+    encoder = Mlp([*arrays[0:t:2], np.vstack((mean_w, logvar_w))],
+                  [*arrays[1:t:2], np.concatenate((mean_b, logvar_b))])
+    decoder = Mlp(arrays[t + 4::2], arrays[t + 5::2])
+    return NpcaModel(encoder, decoder, obs_noise_var, dynamics)
+
+
+def unflatten(model: NpcaModel, theta: np.ndarray) -> NpcaModel:
+    """``model`` with its trainable tensors read from the flat vector
+    ``theta`` (layout of :func:`flat_parameters`, copied)."""
+    theta = np.array(theta, dtype=float)
+    named, start = {}, 0
+    for name, a in named_parameters(model):
+        named[name] = theta[start:start + a.size].reshape(a.shape)
+        start += a.size
+    return assemble(named, len(model.encoder.weights) - 1,
+                    len(model.decoder.weights), model.obs_noise_var,
+                    model.dynamics)
+
+
+def _encoder_forward(model: NpcaModel, x: np.ndarray):
+    """Encoder mean, log-variance and forward cache for a batch."""
+    out, cache = model.encoder.forward(x)
+    if not np.all(np.isfinite(out)):
+        raise NumericError("encoder produced non-finite output")
+    d = model.latent_dim
+    return out[:, :d], out[:, d:], cache
 
 
 def encode(model: NpcaModel, x: np.ndarray):
     """Diagonal Gaussian ``q(z | x)`` as a (mean, variance) pair."""
-    mean, logvar, _ = model.encoder.forward(np.atleast_2d(x))
-    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(logvar))):
-        raise NumericError("encoder produced non-finite output")
+    mean, logvar, _ = _encoder_forward(model, np.atleast_2d(x))
     if np.asarray(x).ndim == 1:
         return mean[0], np.exp(logvar[0])
     return mean, np.exp(logvar)
@@ -229,25 +222,36 @@ def reparam_sample(mean: np.ndarray, var: np.ndarray,
     return mean + np.sqrt(var) * noise
 
 
-def _objective_with_grads(model: NpcaModel, x_i, x_n, noise_i, noise_n, lam):
-    """Objective and parameter gradients for a batch of pairs at fixed
-    coefficients ``lam`` (one row per pair)."""
-    x_i = np.atleast_2d(x_i)
-    x_n = np.atleast_2d(x_n)
+def _objective_with_grads(model: NpcaModel, x_i, x_n, noise_i, noise_n,
+                          lam=None, coeff_mode: str = "map_plugin",
+                          coeff_noise: np.ndarray | None = None):
+    """Objective and flat gradient (layout of :func:`flat_parameters`) for
+    a batch of pairs.
+
+    The encoder runs once per frame.  The coefficients are ``lam`` (one
+    row per pair) when given, else :func:`plugin_coefficients` at the
+    sampled latents; the backward pass holds them fixed either way.
+    """
+    x_i = np.atleast_2d(np.asarray(x_i, dtype=float))
+    x_n = np.atleast_2d(np.asarray(x_n, dtype=float))
     noise_i = np.atleast_2d(noise_i)
     noise_n = np.atleast_2d(noise_n)
-    lam = np.atleast_2d(lam)
     n = x_i.shape[0]
     d = model.latent_dim
     sig2 = model.obs_noise_var
     big_d = model.data_dim
     dyn = model.dynamics
 
-    m_i, lv_i, cache_i = model.encoder.forward(x_i)
-    m_n, lv_n, cache_n = model.encoder.forward(x_n)
-    std_i, std_n = np.exp(0.5 * lv_i), np.exp(0.5 * lv_n)
-    z_i = m_i + std_i * noise_i
-    z_n = m_n + std_n * noise_n
+    m_i, lv_i, cache_i = _encoder_forward(model, x_i)
+    m_n, lv_n, cache_n = _encoder_forward(model, x_n)
+    # clamped so that a diverging log-variance cannot overflow
+    var_i = np.exp(np.minimum(lv_i, 700.0))
+    var_n = np.exp(np.minimum(lv_n, 700.0))
+    z_i = reparam_sample(m_i, var_i, noise_i)
+    z_n = reparam_sample(m_n, var_n, noise_n)
+    if lam is None:
+        lam = plugin_coefficients(model, z_i, z_n, coeff_mode, coeff_noise)
+    lam = np.atleast_2d(lam)
 
     out_i, dcache_i = model.decoder.forward(z_i)
     out_n, dcache_n = model.decoder.forward(z_n)
@@ -272,8 +276,8 @@ def _objective_with_grads(model: NpcaModel, x_i, x_n, noise_i, noise_n, lam):
                             + 2.0 * float(np.sum(np.log(np.diag(lam_chol)))))
                        + float(np.sum(lam_white ** 2)))
 
-    kl = 0.5 * float(np.sum(np.exp(lv_i) + m_i ** 2 - 1.0 - lv_i)
-                     + np.sum(np.exp(lv_n) + m_n ** 2 - 1.0 - lv_n))
+    kl = 0.5 * float(np.sum(var_i + m_i ** 2 - 1.0 - lv_i)
+                     + np.sum(var_n + m_n ** 2 - 1.0 - lv_n))
     objective = recon + trans + lam_term - kl
     if not np.isfinite(objective):
         offender = [name for name, val in
@@ -283,32 +287,22 @@ def _objective_with_grads(model: NpcaModel, x_i, x_n, noise_i, noise_n, lam):
         raise NumericError(f"non-finite objective term(s): {', '.join(offender)}")
 
     # reverse pass
-    grad_out_i = res_i / sig2
-    grad_out_n = res_n / sig2
-    dec_w_i, dec_b_i, grad_zi_dec = model.decoder.backward(dcache_i, grad_out_i)
-    dec_w_n, dec_b_n, grad_zn_dec = model.decoder.backward(dcache_n, grad_out_n)
-    dec_w = [a + b for a, b in zip(dec_w_i, dec_w_n)]
-    dec_b = [a + b for a, b in zip(dec_b_i, dec_b_n)]
+    dec_w_i, dec_b_i, grad_zi = model.decoder.backward(dcache_i, res_i / sig2)
+    dec_w_n, dec_b_n, grad_zn = model.decoder.backward(dcache_n, res_n / sig2)
+    grad_zn = grad_zn - t_res_prec
+    grad_zi = grad_zi + np.einsum("nab,na->nb", b_mat, t_res_prec)
 
-    grad_zn = grad_zn_dec - t_res_prec
-    grad_zi = grad_zi_dec + np.einsum("nab,na->nb", b_mat, t_res_prec)
-
-    grad_mi = grad_zi - m_i
-    grad_mn = grad_zn - m_n
-    grad_lvi = 0.5 * grad_zi * std_i * noise_i - 0.5 * (np.exp(lv_i) - 1.0)
-    grad_lvn = 0.5 * grad_zn * std_n * noise_n - 0.5 * (np.exp(lv_n) - 1.0)
-
-    enc_i = model.encoder.backward(cache_i, grad_mi, grad_lvi)
-    enc_n = model.encoder.backward(cache_n, grad_mn, grad_lvn)
-    enc = {}
-    for key in ("mean_weight", "mean_bias", "logvar_weight", "logvar_bias"):
-        enc[key] = enc_i[key] + enc_n[key]
-    enc["trunk_weights"] = [a + b for a, b in zip(enc_i["trunk_weights"],
-                                                  enc_n["trunk_weights"])]
-    enc["trunk_biases"] = [a + b for a, b in zip(enc_i["trunk_biases"],
-                                                 enc_n["trunk_biases"])]
-    bundle = GradientBundle(float(objective), enc, dec_w, dec_b)
-    return bundle, z_i, z_n
+    grads = []
+    for cache, grad_z, m, var, noise, dec_w, dec_b in (
+            (cache_i, grad_zi, m_i, var_i, noise_i, dec_w_i, dec_b_i),
+            (cache_n, grad_zn, m_n, var_n, noise_n, dec_w_n, dec_b_n)):
+        # gradient at the encoder output: mean columns, then log-variance
+        grad_out = np.hstack((grad_z - m, 0.5 * grad_z * np.sqrt(var) * noise
+                              - 0.5 * (var - 1.0)))
+        enc_w, enc_b, _ = model.encoder.backward(cache, grad_out)
+        grads.append(np.concatenate(
+            [a.ravel() for a in _in_layout(enc_w, enc_b, dec_w, dec_b, d)]))
+    return float(objective), grads[0] + grads[1]
 
 
 def plugin_coefficients(model: NpcaModel, z_i: np.ndarray, z_n: np.ndarray,
@@ -333,26 +327,16 @@ def elbo_objective(model: NpcaModel, x_i: np.ndarray, x_next: np.ndarray,
                    noise_i: np.ndarray, noise_next: np.ndarray,
                    coeff_mode: str = "map_plugin",
                    coeff_noise: np.ndarray | None = None
-                   ) -> tuple[float, GradientBundle]:
-    """Per-pair objective and gradients.
+                   ) -> tuple[float, np.ndarray]:
+    """Objective and flat gradient for a batch of pairs (or one pair).
 
     The latents are reparameterized from the supplied noise; the
     coefficients come from their conditional posterior at those latents
     (mean, or a sample in ``sample`` mode) and are held fixed by the
-    backward pass.
+    backward pass.  This is the step :func:`fit` takes per minibatch.
     """
-    x_i = np.atleast_2d(np.asarray(x_i, dtype=float))
-    x_next = np.atleast_2d(np.asarray(x_next, dtype=float))
-    noise_i = np.atleast_2d(noise_i)
-    noise_next = np.atleast_2d(noise_next)
-    m_i, lv_i, _ = model.encoder.forward(x_i)
-    m_n, lv_n, _ = model.encoder.forward(x_next)
-    z_i = m_i + np.exp(0.5 * lv_i) * noise_i
-    z_n = m_n + np.exp(0.5 * lv_n) * noise_next
-    lam = plugin_coefficients(model, z_i, z_n, coeff_mode, coeff_noise)
-    bundle, _, _ = _objective_with_grads(model, x_i, x_next, noise_i,
-                                         noise_next, lam)
-    return bundle.objective, bundle
+    return _objective_with_grads(model, x_i, x_next, noise_i, noise_next,
+                                 coeff_mode=coeff_mode, coeff_noise=coeff_noise)
 
 
 def encoded_moments(model: NpcaModel, dataset: ImagePairDataset
@@ -393,31 +377,33 @@ def _glorot(seed, path, rows, cols):
     return limit * (2.0 * u - 1.0)
 
 
-def init_networks(data_dim: int, config: NpcaConfig) -> tuple[Encoder, Mlp]:
-    """Seeded uniform initialization, +-sqrt(6 / (fan_in + fan_out))."""
+def init_networks(data_dim: int, config: NpcaConfig) -> tuple[Mlp, Mlp]:
+    """Seeded uniform initialization, +-sqrt(6 / (fan_in + fan_out)).
+
+    The encoder's output layer stacks two draws, one for the mean rows
+    and one for the log-variance rows, each with the limit of a
+    ``latent_dim``-row layer."""
     seed = config.seed
     sizes = [data_dim, *config.hidden_sizes]
-    trunk_w, trunk_b = [], []
+    enc_w, enc_b = [], []
     for k, (a, b) in enumerate(zip(sizes[:-1], sizes[1:])):
-        trunk_w.append(_glorot(seed, (_TAG_WEIGHTS, 2 * k), b, a))
-        trunk_b.append(np.zeros(b))
+        enc_w.append(_glorot(seed, (_TAG_WEIGHTS, 2 * k), b, a))
+        enc_b.append(np.zeros(b))
     top = sizes[-1]
     d = config.latent_dim
-    encoder = Encoder(
-        Mlp(trunk_w, trunk_b),
-        _glorot(seed, (_TAG_WEIGHTS, 100), d, top), np.zeros(d),
-        _glorot(seed, (_TAG_WEIGHTS, 101), d, top), np.zeros(d),
-    )
+    enc_w.append(np.vstack((_glorot(seed, (_TAG_WEIGHTS, 100), d, top),
+                            _glorot(seed, (_TAG_WEIGHTS, 101), d, top))))
+    enc_b.append(np.zeros(2 * d))
     dec_sizes = [d, *reversed(config.hidden_sizes), data_dim]
     dec_w, dec_b = [], []
     for k, (a, b) in enumerate(zip(dec_sizes[:-1], dec_sizes[1:])):
         dec_w.append(_glorot(seed, (_TAG_WEIGHTS, 200 + 2 * k), b, a))
         dec_b.append(np.zeros(b))
-    return encoder, Mlp(dec_w, dec_b)
+    return Mlp(enc_w, enc_b), Mlp(dec_w, dec_b)
 
 
 def linear_warm_start(dataset: ImagePairDataset, latent_dim: int,
-                      obs_noise_var: float) -> tuple[Encoder, Mlp]:
+                      obs_noise_var: float) -> tuple[Mlp, Mlp]:
     """Hidden-layer-free networks initialized from the principal-subspace
     solution of the pooled frames: the encoder emits the linear-Gaussian
     latent posterior and the decoder its reconstruction map."""
@@ -426,43 +412,28 @@ def linear_warm_start(dataset: ImagePairDataset, latent_dim: int,
     m = w.T @ w + obs_noise_var * np.eye(latent_dim)
     proj = spd_solve(spd_cholesky(m), w.T)
     post_var = obs_noise_var * spd_solve(spd_cholesky(m), np.eye(latent_dim))
-    encoder = Encoder(Mlp([], []), proj, -proj @ mu,
-                      np.zeros((latent_dim, dataset.image_dim)),
-                      np.log(np.maximum(np.diag(post_var), 1e-12)))
+    encoder = Mlp(
+        [np.vstack((proj, np.zeros((latent_dim, dataset.image_dim))))],
+        [np.concatenate((-proj @ mu,
+                         np.log(np.maximum(np.diag(post_var), 1e-12))))])
     decoder = Mlp([w], [mu])
     return encoder, decoder
 
 
-def _apply_gradients(model: NpcaModel, bundle: GradientBundle, lr: float,
-                     scale: float, velocity: dict | None, momentum: float):
-    """Gradient-ascent step (optionally with momentum) on new parameter
-    arrays; returns the updated model and velocity store.  ``scale``
-    normalizes the summed batch gradients to means."""
-    updates = {name: scale * g for name, g in named_gradients(bundle)}
+def _apply_gradients(model: NpcaModel, grad: np.ndarray, lr: float,
+                     scale: float, velocity: np.ndarray, momentum: float):
+    """Gradient-ascent step (optionally with momentum) on the flat
+    parameter vector; returns the updated model and velocity.  ``scale``
+    normalizes the summed batch gradient to a mean."""
+    update = scale * grad
     if momentum > 0.0:
-        velocity = velocity or {name: np.zeros_like(g)
-                                for name, g in updates.items()}
-        for name, g in updates.items():
-            velocity[name] = momentum * velocity[name] + g
-        updates = velocity
-    params = {name: arr + lr * updates[name]
-              for name, arr in named_parameters(model)}
-    n_trunk = len(model.encoder.trunk.weights)
-    encoder = Encoder(
-        Mlp([params[f"enc_trunk_w{k}"] for k in range(n_trunk)],
-            [params[f"enc_trunk_b{k}"] for k in range(n_trunk)]),
-        params["enc_mean_w"], params["enc_mean_b"],
-        params["enc_logvar_w"], params["enc_logvar_b"])
-    n_dec = len(model.decoder.weights)
-    decoder = Mlp([params[f"dec_w{k}"] for k in range(n_dec)],
-                  [params[f"dec_b{k}"] for k in range(n_dec)])
-    new_model = NpcaModel(encoder, decoder, model.obs_noise_var,
-                          model.dynamics)
-    return new_model, velocity
+        velocity = momentum * velocity + update
+        update = velocity
+    return unflatten(model, flat_parameters(model) + lr * update), velocity
 
 
 def fit(dataset: ImagePairDataset, config: NpcaConfig,
-        init: tuple[Encoder, Mlp] | None = None
+        init: tuple[Mlp, Mlp] | None = None
         ) -> tuple[NpcaModel, list[float]]:
     """Alternate minibatch gradient ascent on the networks with the
     shared closed-form dynamics update
@@ -471,14 +442,15 @@ def fit(dataset: ImagePairDataset, config: NpcaConfig,
     Noise (and the optional shuffle) is drawn from counter-based streams
     keyed by (seed, epoch, pair index), so the trace is bit-reproducible
     and independent of any parallel schedule.  ``init`` overrides the
-    seeded network initialization (e.g. :func:`linear_warm_start`).
+    seeded (encoder, decoder) initialization (e.g.
+    :func:`linear_warm_start`).
     """
     d = config.latent_dim
     encoder, decoder = init if init is not None \
         else init_networks(dataset.image_dim, config)
     dyn = init_model(d, config.j_init, config.seed)
     model = NpcaModel(encoder, decoder, config.obs_noise_var, dyn)
-    velocity = None
+    velocity = np.zeros_like(flat_parameters(model))
     trace: list[float] = []
     n = dataset.count
     for epoch in range(config.epochs):
@@ -490,29 +462,17 @@ def fit(dataset: ImagePairDataset, config: NpcaConfig,
             noise = np.stack([
                 rng.normals(config.seed, (_TAG_NOISE, epoch, int(k)), 2 * d)
                 for k in idx])
-            x_i = dataset.x_i[idx]
-            x_n = dataset.x_next[idx]
-            m_i, lv_i, _ = model.encoder.forward(x_i)
-            m_n, lv_n, _ = model.encoder.forward(x_n)
-            if not (np.all(np.isfinite(m_i)) and np.all(np.isfinite(lv_i))
-                    and np.all(np.isfinite(m_n)) and np.all(np.isfinite(lv_n))):
-                raise NumericError(
-                    f"training diverged at epoch {epoch}: encoder produced "
-                    f"non-finite output (reduce the step size)")
-            z_i = m_i + np.exp(np.minimum(0.5 * lv_i, 350.0)) * noise[:, :d]
-            z_n = m_n + np.exp(np.minimum(0.5 * lv_n, 350.0)) * noise[:, d:]
             coeff_noise = None
             if config.coeff_mode == "sample":
                 coeff_noise = np.stack([
                     rng.normals(config.seed, (_TAG_LAMNOISE, epoch, int(k)),
                                 model.dynamics.coeff_count) for k in idx])
-            lam = plugin_coefficients(model, z_i, z_n, config.coeff_mode,
-                                      coeff_noise)
-            bundle, _, _ = _objective_with_grads(
-                model, x_i, x_n, noise[:, :d], noise[:, d:], lam)
-            total += bundle.objective
+            objective, grad = elbo_objective(
+                model, dataset.x_i[idx], dataset.x_next[idx],
+                noise[:, :d], noise[:, d:], config.coeff_mode, coeff_noise)
+            total += objective
             model, velocity = _apply_gradients(
-                model, bundle, config.step_size, 1.0 / idx.size,
+                model, grad, config.step_size, 1.0 / idx.size,
                 velocity, config.momentum)
         trace.append(total / n)
         if not np.isfinite(trace[-1]):

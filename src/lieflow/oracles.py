@@ -3,8 +3,10 @@
 Tensor-grid trapezoid quadrature, self-normalized importance sampling
 and central finite differences.  These are reference implementations:
 slow, dimension-limited (grids up to 6 dims) and deliberately
-independent of the closed-form code they validate.  The command-line
-tool never imports this module.
+independent of the closed-form code they validate.  The library imports
+this module only for the quadrature E-step of :mod:`lieflow.ppca`
+(``estep="quadrature"``, ``--estep quadrature`` on the command line),
+which runs on the grid code here.
 """
 from __future__ import annotations
 

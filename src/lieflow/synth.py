@@ -55,6 +55,9 @@ class SequenceSpec:
             raise ValueError("noise_std must be finite and nonnegative")
         if self.pair_count < 1:
             raise ValueError("pair_count must be at least 1")
+        if min(self.latent_dim, self.generator_count, self.height, self.width) < 1:
+            raise ValueError("latent_dim, generator_count, height and width "
+                             "must be at least 1")
 
     @property
     def image_dim(self) -> int:

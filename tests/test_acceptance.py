@@ -30,16 +30,17 @@ from lieflow.gaussian import (
 )
 from lieflow.liealg import GeneratorBasis, assemble_A
 from lieflow.npca import (
-    Encoder,
-    Mlp,
     NpcaConfig,
     NpcaModel,
     _objective_with_grads,
     decode,
+    encode,
+    flat_parameters,
     init_networks,
-    named_gradients,
     named_parameters,
     plugin_coefficients,
+    reparam_sample,
+    unflatten,
 )
 from lieflow.oracles import GridSpec, grid_posterior, quadrature_moments
 from lieflow.ppca import (
@@ -359,45 +360,32 @@ def test_criterion_9_variational_gradients():
         x_n = rng.normals(900 + seed, (1,), data_dim)
         noise_i = rng.normals(900 + seed, (2,), 2)
         noise_n = rng.normals(900 + seed, (3,), 2)
-        m_i, lv_i, _ = model.encoder.forward(x_i[None])
-        m_n, lv_n, _ = model.encoder.forward(x_n[None])
-        z_i = m_i + np.exp(0.5 * lv_i) * noise_i
-        z_n = m_n + np.exp(0.5 * lv_n) * noise_n
-        lam = plugin_coefficients(model, z_i, z_n)
-        bundle, _, _ = _objective_with_grads(model, x_i[None], x_n[None],
-                                             noise_i[None], noise_n[None],
-                                             lam)
-        grads = dict(named_gradients(bundle))
-        params = dict(named_parameters(model))
+        mean_i, var_i = encode(model, x_i)
+        mean_n, var_n = encode(model, x_n)
+        lam = plugin_coefficients(model, reparam_sample(mean_i, var_i, noise_i),
+                                  reparam_sample(mean_n, var_n, noise_n))
 
-        def rebuild(target, arr):
-            new = {k: (arr if k == target else v) for k, v in params.items()}
-            n_trunk = len(model.encoder.trunk.weights)
-            enc = Encoder(
-                Mlp([new[f"enc_trunk_w{k}"] for k in range(n_trunk)],
-                    [new[f"enc_trunk_b{k}"] for k in range(n_trunk)]),
-                new["enc_mean_w"], new["enc_mean_b"],
-                new["enc_logvar_w"], new["enc_logvar_b"])
-            n_dec = len(model.decoder.weights)
-            dec = Mlp([new[f"dec_w{k}"] for k in range(n_dec)],
-                      [new[f"dec_b{k}"] for k in range(n_dec)])
-            return NpcaModel(enc, dec, model.obs_noise_var, model.dynamics)
+        def objective(theta):
+            return _objective_with_grads(unflatten(model, theta), x_i[None],
+                                         x_n[None], noise_i[None],
+                                         noise_n[None], lam)
 
-        for name, arr in params.items():
-            fd = np.zeros_like(arr)
-            for idx in np.ndindex(arr.shape):
-                bump = arr.copy()
-                bump[idx] += h
-                hi, _, _ = _objective_with_grads(
-                    rebuild(name, bump), x_i[None], x_n[None],
-                    noise_i[None], noise_n[None], lam)
-                bump[idx] -= 2 * h
-                lo, _, _ = _objective_with_grads(
-                    rebuild(name, bump), x_i[None], x_n[None],
-                    noise_i[None], noise_n[None], lam)
-                fd[idx] = (hi.objective - lo.objective) / (2 * h)
-            denom = max(np.abs(fd).max(), np.abs(grads[name]).max(), 1e-8)
-            rel = np.abs(grads[name] - fd).max() / denom
+        theta = flat_parameters(model)
+        _, grad = objective(theta)
+        fd = np.zeros_like(theta)
+        for k in range(theta.size):
+            bump = theta.copy()
+            bump[k] += h
+            hi, _ = objective(bump)
+            bump[k] -= 2 * h
+            lo, _ = objective(bump)
+            fd[k] = (hi - lo) / (2 * h)
+        end = 0
+        for name, arr in named_parameters(model):
+            part = slice(end, end + arr.size)
+            end += arr.size
+            denom = max(np.abs(fd[part]).max(), np.abs(grad[part]).max(), 1e-8)
+            rel = np.abs(grad[part] - fd[part]).max() / denom
             assert rel < 1e-5, (seed, name, rel)
     report(9, "all encoder/decoder gradients match central differences "
               "(relative error < 1e-5, 5 seeds)")
@@ -466,10 +454,8 @@ def _npca_elbo_quadrature(model, x_i, x_n):
     lam_var = float(model.dynamics.coeff_prior_cov[0, 0])
     sig2 = model.obs_noise_var
     big_d = model.data_dim
-    m_i, lv_i, _ = model.encoder.forward(x_i[None])
-    m_n, lv_n, _ = model.encoder.forward(x_n[None])
-    mu_i, v_i = float(m_i[0, 0]), float(np.exp(lv_i[0, 0]))
-    mu_n, v_n = float(m_n[0, 0]), float(np.exp(lv_n[0, 0]))
+    (mu_i,), (v_i,) = encode(model, x_i)
+    (mu_n,), (v_n,) = encode(model, x_n)
 
     z = np.linspace(-12.0, 12.0, 2048)
     h = z[1] - z[0]

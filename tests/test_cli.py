@@ -366,8 +366,30 @@ def _non_finite_data(tmp_path, names):
     return out
 
 
+def _npca_checkpoint(tmp_path, drop=(), **extra):
+    """A one-epoch npca checkpoint with arrays removed or added."""
+    ck = tmp_path / "npca.lf"
+    assert run(["fit", "--estimator", "npca", "--data", str(_image_data(tmp_path)),
+                "--max-iters", "1", "--hidden", "3", "--out", str(ck),
+                "--trace-out", str(tmp_path / "t.csv")]) == 0
+    arrays = read_tensors(ck)
+    for name in drop:
+        del arrays[name]
+    arrays.update(extra)
+    write_tensors(ck, arrays)
+    return ck
+
+
+def _score(tmp_path, checkpoint):
+    return ["eval", "--checkpoint", str(checkpoint),
+            "--data", str(_image_data(tmp_path))]
+
+
+# case -> (arguments but --out, exit code, *substrings of the message)
 BAD_INPUTS = {
     "no_pairs": (lambda tmp: ["generate", "--n", "0"], 2),
+    "zero_latent_dim": (
+        lambda tmp: ["generate", "--kind", "latent_random", "--d", "0"], 2),
     "rotation_in_3d": (
         lambda tmp: ["generate", "--kind", "rotation2d", "--d", "3"], 2),
     "nan_noise": (lambda tmp: ["generate", "--noise-std", "nan"], 2),
@@ -385,14 +407,42 @@ BAD_INPUTS = {
     "non_finite_image_pairs": (
         lambda tmp: ["fit", "--estimator", "ppca",
                      "--data", str(_non_finite_data(tmp, ("x_i", "x_next")))], 4),
+    "zero_batch_size": (
+        lambda tmp: ["fit", "--estimator", "npca", "--batch-size", "0",
+                     "--data", str(_image_data(tmp))], 2, "--batch-size"),
+    "nan_tol": (
+        lambda tmp: ["fit", "--tol", "nan",
+                     "--data", str(_image_data(tmp))], 2, "--tol"),
+    "negative_threads": (
+        lambda tmp: ["fit", "--estimator", "ppca", "--threads", "-1",
+                     "--data", str(_image_data(tmp))], 2, "--threads"),
+    "nan_step_size": (
+        lambda tmp: ["fit", "--estimator", "npca", "--step-size", "nan",
+                     "--data", str(_image_data(tmp))], 2, "--step-size"),
+    "nan_obs_noise_var": (
+        lambda tmp: ["fit", "--estimator", "npca", "--obs-noise-var", "nan",
+                     "--data", str(_image_data(tmp))], 2, "--obs-noise-var"),
+    "zero_hidden_width": (
+        lambda tmp: ["fit", "--estimator", "npca", "--hidden", "4", "0",
+                     "--data", str(_image_data(tmp))], 2, "--hidden"),
+    "dataset_as_checkpoint": (
+        lambda tmp: _score(tmp, _image_data(tmp)), 2, "'G'"),
+    "npca_checkpoint_without_decoder_layer": (
+        lambda tmp: _score(tmp, _npca_checkpoint(tmp, drop=["dec_w0"])),
+        2, "'dec_w0'"),
+    "unknown_estimator_code": (
+        lambda tmp: _score(tmp, _npca_checkpoint(tmp, estimator=np.float64(7))),
+        2, "estimator code"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_with_documented_code(tmp_path, capsys, case):
-    make_args, code = BAD_INPUTS[case]
+    make_args, code, *details = BAD_INPUTS[case]
     args = make_args(tmp_path) + ["--out", str(tmp_path / "out.lf")]
     capsys.readouterr()
     assert run(args) == code
     label = {2: "usage error", 4: "numeric error"}[code]
-    assert capsys.readouterr().err.startswith(label)
+    err = capsys.readouterr().err
+    assert err.startswith(label)
+    assert all(detail in err for detail in details), err

@@ -1,12 +1,17 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lieflow import rng
+from lieflow.cli import _checkpoint_npca, _dynamics_arrays, _npca_arrays
 from lieflow.dynamics import DynamicsModel, init_model, m_step_dynamics
 from lieflow.gaussian import NumericError
 from lieflow.liealg import GeneratorBasis
 from lieflow.npca import (
-    Encoder,
     Mlp,
     NpcaConfig,
     NpcaModel,
@@ -16,14 +21,16 @@ from lieflow.npca import (
     encode,
     encoded_moments,
     fit,
+    flat_parameters,
     init_networks,
-    named_gradients,
     named_parameters,
     plugin_coefficients,
     reparam_sample,
+    unflatten,
 )
 from lieflow.oracles import GridSpec
 from lieflow.synth import ImagePairDataset, SequenceSpec, generate_image_pairs, subspace_angle
+from lieflow.tensorfile import read_tensors, write_tensors
 
 
 def small_model(seed=0, data_dim=4, latent_dim=2, hidden=(5,), j=1,
@@ -39,11 +46,8 @@ class TestNetworks:
     def test_zero_weight_encoder_is_standard_normal(self):
         model = small_model(1)
         enc = model.encoder
-        zeroed = Encoder(
-            Mlp([np.zeros_like(w) for w in enc.trunk.weights],
-                [np.zeros_like(b) for b in enc.trunk.biases]),
-            np.zeros_like(enc.mean_weight), np.zeros_like(enc.mean_bias),
-            np.zeros_like(enc.logvar_weight), np.zeros_like(enc.logvar_bias))
+        zeroed = Mlp([np.zeros_like(w) for w in enc.weights],
+                     [np.zeros_like(b) for b in enc.biases])
         model = NpcaModel(zeroed, model.decoder, model.obs_noise_var,
                           model.dynamics)
         mean, var = encode(model, np.ones(4))
@@ -78,12 +82,12 @@ class TestNetworks:
     def test_forward_matches_hand_rolled(self):
         model = small_model(5)
         x = rng.normals(5, (9,), 4)
-        enc = model.encoder
+        p = dict(named_parameters(model))
         h = x
-        for w, b in zip(enc.trunk.weights, enc.trunk.biases):
-            h = np.tanh(w @ h + b)
-        mean_ref = enc.mean_weight @ h + enc.mean_bias
-        var_ref = np.exp(enc.logvar_weight @ h + enc.logvar_bias)
+        for k in range(len(model.encoder.weights) - 1):
+            h = np.tanh(p[f"enc_trunk_w{k}"] @ h + p[f"enc_trunk_b{k}"])
+        mean_ref = p["enc_mean_w"] @ h + p["enc_mean_b"]
+        var_ref = np.exp(p["enc_logvar_w"] @ h + p["enc_logvar_b"])
         mean, var = encode(model, x)
         assert np.allclose(mean, mean_ref, atol=1e-12)
         assert np.allclose(var, var_ref, atol=1e-12)
@@ -109,6 +113,33 @@ class TestNetworks:
         assert np.all(np.abs(draws.var(axis=0) - var) < 3 * se_var)
 
 
+@settings(max_examples=40, deadline=None)
+@given(data_dim=st.integers(1, 6), latent_dim=st.integers(1, 3),
+       hidden=st.lists(st.integers(1, 5), max_size=3),
+       seed=st.integers(0, 2 ** 16))
+def test_parameter_layout_round_trips_bit_exactly(data_dim, latent_dim, hidden,
+                                                  seed):
+    cfg = NpcaConfig(latent_dim=latent_dim, hidden_sizes=tuple(hidden),
+                     seed=seed)
+    template = NpcaModel(*init_networks(data_dim, cfg), 0.01,
+                         init_model(latent_dim, 1, seed))
+    theta = rng.normals(seed, (99,), flat_parameters(template).size)
+    model = unflatten(template, theta)
+    assert flat_parameters(model).tobytes() == theta.tobytes()
+
+    # the arrays fit writes to a checkpoint, read back as eval and roll do
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ck.lf")
+        write_tensors(path, {**_dynamics_arrays(model.dynamics),
+                             **_npca_arrays(model)})
+        back = _checkpoint_npca(read_tensors(path))
+    assert back.obs_noise_var == model.obs_noise_var
+    for (name, a), (name_back, b) in zip(named_parameters(model),
+                                         named_parameters(back), strict=True):
+        assert (name_back, b.shape) == (name, a.shape)
+        assert b.tobytes() == a.tobytes()
+
+
 class TestGradients:
     @pytest.mark.parametrize("seed", range(5))
     def test_all_parameter_gradients_match_finite_differences(self, seed):
@@ -120,61 +151,45 @@ class TestGradients:
         noise_i = rng.normals(seed, (52,), 2)
         noise_n = rng.normals(seed, (53,), 2)
         # plug-in coefficients frozen at the base point
-        m_i, lv_i, _ = model.encoder.forward(x_i[None])
-        m_n, lv_n, _ = model.encoder.forward(x_n[None])
-        z_i = m_i + np.exp(0.5 * lv_i) * noise_i
-        z_n = m_n + np.exp(0.5 * lv_n) * noise_n
-        lam = plugin_coefficients(model, z_i, z_n)
+        mean_i, var_i = encode(model, x_i)
+        mean_n, var_n = encode(model, x_n)
+        lam = plugin_coefficients(model, reparam_sample(mean_i, var_i, noise_i),
+                                  reparam_sample(mean_n, var_n, noise_n))
 
-        bundle, _, _ = _objective_with_grads(model, x_i[None], x_n[None],
-                                             noise_i[None], noise_n[None], lam)
-        grads = dict(named_gradients(bundle))
-        params = dict(named_parameters(model))
+        def objective(theta):
+            return _objective_with_grads(unflatten(model, theta), x_i[None],
+                                         x_n[None], noise_i[None],
+                                         noise_n[None], lam)
 
-        def rebuild(name, arr):
-            new = {k: (arr if k == name else v) for k, v in params.items()}
-            n_trunk = len(model.encoder.trunk.weights)
-            enc = Encoder(
-                Mlp([new[f"enc_trunk_w{k}"] for k in range(n_trunk)],
-                    [new[f"enc_trunk_b{k}"] for k in range(n_trunk)]),
-                new["enc_mean_w"], new["enc_mean_b"],
-                new["enc_logvar_w"], new["enc_logvar_b"])
-            n_dec = len(model.decoder.weights)
-            dec = Mlp([new[f"dec_w{k}"] for k in range(n_dec)],
-                      [new[f"dec_b{k}"] for k in range(n_dec)])
-            return NpcaModel(enc, dec, model.obs_noise_var, model.dynamics)
-
+        theta = flat_parameters(model)
+        _, grad = objective(theta)
         h = 1e-4
-        for name, arr in params.items():
-            grad = grads[name]
-            fd = np.zeros_like(arr)
-            for idx in np.ndindex(arr.shape):
-                bump = arr.copy()
-                bump[idx] += h
-                hi, _, _ = _objective_with_grads(
-                    rebuild(name, bump), x_i[None], x_n[None],
-                    noise_i[None], noise_n[None], lam)
-                bump[idx] -= 2 * h
-                lo, _, _ = _objective_with_grads(
-                    rebuild(name, bump), x_i[None], x_n[None],
-                    noise_i[None], noise_n[None], lam)
-                fd[idx] = (hi.objective - lo.objective) / (2 * h)
-            denom = max(np.abs(fd).max(), np.abs(grad).max(), 1e-8)
-            assert np.abs(grad - fd).max() / denom < 1e-5, name
+        fd = np.zeros_like(theta)
+        for k in range(theta.size):
+            bump = theta.copy()
+            bump[k] += h
+            hi, _ = objective(bump)
+            bump[k] -= 2 * h
+            lo, _ = objective(bump)
+            fd[k] = (hi - lo) / (2 * h)
+        end = 0
+        for name, arr in named_parameters(model):
+            part = slice(end, end + arr.size)
+            end += arr.size
+            denom = max(np.abs(fd[part]).max(), np.abs(grad[part]).max(), 1e-8)
+            assert np.abs(grad[part] - fd[part]).max() / denom < 1e-5, name
 
     def test_kl_term_zero_for_standard_normal_encoding(self):
         model = small_model(7, data_dim=3, hidden=())
-        enc = model.encoder
-        zeroed = Encoder(Mlp([], []),
-                         np.zeros_like(enc.mean_weight), np.zeros(2),
-                         np.zeros_like(enc.logvar_weight), np.zeros(2))
+        zeroed = Mlp([np.zeros((4, 3))], [np.zeros(4)])
         model = NpcaModel(zeroed, model.decoder, model.obs_noise_var,
                           model.dynamics)
         x = rng.normals(7, (0,), 3)
         # with q = N(0, I) and zero noise the objective equals the plain
         # complete-data terms: kl contribution must vanish
         val_q, _ = elbo_objective(model, x, x, np.zeros(2), np.zeros(2))
-        m, lv, _ = model.encoder.forward(x[None])
+        out, _ = model.encoder.forward(x[None])
+        m, lv = out[:, :2], out[:, 2:]
         assert np.allclose(m, 0.0) and np.allclose(lv, 0.0)
         kl = 0.5 * np.sum(np.exp(lv) + m ** 2 - 1.0 - lv)
         assert kl == pytest.approx(0.0, abs=1e-15)
@@ -217,11 +232,12 @@ class TestObjectiveStructure:
         e_n = rng.normals(8, (3,), 2)
         lam = np.zeros((1, 1))
 
-        val_ab, _, _ = _objective_with_grads(model, x_a[None], x_b[None],
-                                             e_i[None], e_n[None], lam)
+        val_ab, _ = _objective_with_grads(model, x_a[None], x_b[None],
+                                          e_i[None], e_n[None], lam)
 
         def single_frame(x, eps):
-            m, lv, _ = model.encoder.forward(x[None])
+            out, _ = model.encoder.forward(x[None])
+            m, lv = out[:, :2], out[:, 2:]
             z = m + np.exp(0.5 * lv) * eps
             out, _ = model.decoder.forward(z)
             recon = -0.5 * (3 * np.log(2 * np.pi * model.obs_noise_var)
@@ -235,7 +251,7 @@ class TestObjectiveStructure:
         trans = -0.5 * (2 * np.log(2 * np.pi * 1e8)
                         + np.sum((z_b - z_a) ** 2) / 1e8)
         lam_term = -0.5 * np.log(2 * np.pi)
-        assert val_ab.objective == pytest.approx(va + vb + trans + lam_term,
+        assert val_ab == pytest.approx(va + vb + trans + lam_term,
                                                  rel=1e-12)
 
     def test_non_finite_objective_reports_term(self):
@@ -258,8 +274,8 @@ class TestDynamicsUpdates:
         from lieflow.synth import generate_latent_pairs
         latent, _ = generate_latent_pairs(spec)
         # identity encoder with collapsed variance
-        enc = Encoder(Mlp([], []), np.eye(2), np.zeros(2),
-                      np.zeros((2, 2)), np.full(2, -80.0))
+        enc = Mlp([np.vstack((np.eye(2), np.zeros((2, 2))))],
+                  [np.concatenate((np.zeros(2), np.full(2, -80.0)))])
         dec = Mlp([np.eye(2)], [np.zeros(2)])
         dyn = init_model(2, 1, 10)
         model = NpcaModel(enc, dec, 0.01, dyn)

@@ -1,11 +1,16 @@
-"""The benchmark tracer (perfbench/tracing.py) wraps lieflow functions by
-module and attribute name; a refactor that renames one must fail here,
-not in the benchmark run."""
+"""The benchmark (perfbench/) reaches into lieflow by module and attribute
+name and checks stored reference results; a refactor that renames a
+traced function or drifts from the reference must fail here, not in the
+benchmark run."""
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _load_tracing():
@@ -24,3 +29,14 @@ def test_every_traced_target_resolves():
         if cls is None or attr not in vars(cls):
             missing.append(f"{mod}.{cls_name}.{attr}")
     assert not missing, f"traced names that no longer exist: {missing}"
+
+
+def test_tiny_vem_train_benchmark_passes_its_checks():
+    # checks the seed-1 tiny reference at rtol 1e-9 through
+    # npca.fit, npca.named_parameters and npca.encode
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload",
+         "vem_train", "--size", "tiny", "--seconds", "0.1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert json.loads(proc.stdout.strip().splitlines()[-1])["correct"] is True
