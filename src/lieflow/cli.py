@@ -279,65 +279,55 @@ def _infer_roll_coefficients(dynamics: DynamicsModel, z0: np.ndarray,
     """Coefficients of the seed transformation under the exact exponential
     map, refined by damped Gauss-Newton from the first-order posterior
     mean (which understates large transformations)."""
-    lam = dyn_mod.e_step_lambda(dynamics, z0, z1).mean.copy()
-    j = lam.size
-    h = 1e-6
+    lam = dyn_mod.e_step_all(dynamics, PairDataset(z0[None], z1[None])).mean[0]
+    h, eye = 1e-6, np.eye(lam.size)
+    # backtracking: the first halved step that lowers the residual is taken
+    scales = 0.5 ** np.arange(20)
     for _ in range(iters):
         current = liealg.apply_exact(dynamics.basis, lam, z0)
         residual = z1 - current
-        if np.linalg.norm(residual) < tol:
-            break
-        jac = np.empty((z0.size, j))
-        for m in range(j):
-            bump = lam.copy()
-            bump[m] += h
-            jac[:, m] = (liealg.apply_exact(dynamics.basis, bump, z0)
-                         - current) / h
-        gram = jac.T @ jac + 1e-12 * np.eye(j)
-        step = np.linalg.solve(gram, jac.T @ residual)
-        # backtracking keeps the refinement from overshooting
         best = np.linalg.norm(residual)
-        scale = 1.0
-        for _ in range(20):
-            trial = lam + scale * step
-            err = np.linalg.norm(
-                z1 - liealg.apply_exact(dynamics.basis, trial, z0))
-            if err < best:
-                lam = trial
-                break
-            scale *= 0.5
-        else:
+        if best < tol:
             break
+        jac = (liealg.apply_exact(dynamics.basis, lam + h * eye, z0)
+               - current).T / h
+        gram = jac.T @ jac + 1e-12 * eye
+        step = np.linalg.solve(gram, jac.T @ residual)
+        trials = lam + scales[:, None] * step
+        errs = np.linalg.norm(
+            z1 - liealg.apply_exact(dynamics.basis, trials, z0), axis=1)
+        better = np.flatnonzero(errs < best)
+        if better.size == 0:
+            break
+        lam = trials[better[0]]
     return lam
 
 
 def cmd_roll(opts) -> int:
+    if opts["steps"] < 1:
+        raise UsageError("--steps must be at least 1")
+    if opts["t_max"] is not None and not np.isfinite(opts["t_max"]):
+        raise UsageError("--t-max must be finite")
     ck, estimator = _read_checkpoint(opts["checkpoint"])
     arrays = read_tensors(opts["data"])
     dynamics = _checkpoint_dynamics(ck)
     k = opts["pair_index"]
 
+    latent = estimator == "dynamics"
+    data = (_load_latent_dataset if latent else _load_image_dataset)(arrays)
+    if not 0 <= k < data.count:
+        raise UsageError(f"pair index {k} out of range")
     decoder = None
-    if estimator == "dynamics":
-        data = _load_latent_dataset(arrays)
-        if not 0 <= k < data.count:
-            raise UsageError(f"pair index {k} out of range")
+    if latent:
         z0, z1 = data.z_i[k], data.z_next[k]
     elif estimator == "ppca":
         model = _checkpoint_ppca(ck)
-        data = _load_image_dataset(arrays)
-        if not 0 <= k < data.count:
-            raise UsageError(f"pair index {k} out of range")
-        z0 = ppca.posterior_z_given_x(model, data.x_i[k]).mean
-        z1 = ppca.posterior_z_given_x(model, data.x_next[k]).mean
+        z0, z1 = (ppca.posterior_z_given_x(model, x[k]).mean
+                  for x in (data.x_i, data.x_next))
         decoder = lambda z: model.loading @ z + model.data_mean
     else:
         model = _checkpoint_npca(ck)
-        data = _load_image_dataset(arrays)
-        if not 0 <= k < data.count:
-            raise UsageError(f"pair index {k} out of range")
-        z0 = npca.encode(model, data.x_i[k])[0]
-        z1 = npca.encode(model, data.x_next[k])[0]
+        z0, z1 = (npca.encode(model, x[k])[0] for x in (data.x_i, data.x_next))
         decoder = lambda z: npca.decode(model, z)
 
     lam_hat = _infer_roll_coefficients(dynamics, z0, z1)
@@ -345,7 +335,7 @@ def cmd_roll(opts) -> int:
         (1.0 if opts["mode"] == "interpolate" else 2.0)
     ts = np.linspace(0.0, t_max, opts["steps"])
     gen = liealg.combine(dynamics.basis, lam_hat)
-    traj = np.stack([liealg.matrix_exp(t * gen) @ z0 for t in ts])
+    traj = liealg.matrix_exp(ts[:, None, None] * gen) @ z0
     out_arrays = {"t": ts, "z_traj": traj, "lambda_hat": lam_hat}
     if decoder is not None:
         out_arrays["x_traj"] = np.stack([decoder(z) for z in traj])

@@ -148,7 +148,8 @@ def e_step_lambda(model: DynamicsModel, z_i: np.ndarray,
 
     This is the linear-Gaussian posterior with prior ``N(0, Lambda)``
     and observation ``delta_z = A lambda + noise``, delegated to the
-    Gaussian core; it is the oracle for the batched :func:`e_step_all`.
+    Gaussian core.  The library uses the batched :func:`e_step_all`
+    (a batch of one for a single pair); this is its test oracle.
     """
     zi = np.asarray(z_i, dtype=float)
     a = liealg.assemble_A(model.basis, zi)
@@ -164,7 +165,7 @@ def _e_step_block(model: DynamicsModel, z_i: np.ndarray,
     Returns stacked means ``(N, J)`` and covariances ``(N, J, J)``.
     """
     j = model.coeff_count
-    a = np.einsum("jab,nb->naj", model.basis.generators, z_i)
+    a = liealg.assemble_A(model.basis, z_i)
     omega_chol = spd_cholesky(model.trans_cov)
     lam_prec = spd_solve(spd_cholesky(model.coeff_prior_cov), np.eye(j))
     # Omega^{-1} A for every pair
@@ -285,7 +286,7 @@ def expected_complete_data_ll(model: DynamicsModel, dataset: PairDataset,
 def marginal_log_likelihood(model: DynamicsModel, dataset: PairDataset) -> float:
     """Exact log-likelihood ``sum_i log N(delta_z | 0, Omega + A Lambda A^T)``
     with the coefficients integrated out; the quantity EM ascends."""
-    a = np.einsum("jab,nb->naj", model.basis.generators, dataset.z_i)
+    a = liealg.assemble_A(model.basis, dataset.z_i)
     cov = model.trans_cov + np.einsum("naj,jk,nbk->nab", a,
                                       model.coeff_prior_cov, a)
     sign, log_det = np.linalg.slogdet(cov)

@@ -5,7 +5,9 @@ module provides the matrix exponential, exact and first-order group
 actions on latent vectors, assembly of the per-pair coefficient matrix
 A (column m equals ``G^m z``), the flat d x (dJ) block form used by the
 Kronecker normal equations, and the PCA step that replaces a basis by a
-minimal Frobenius-orthonormal one after each EM iteration.
+minimal Frobenius-orthonormal one after each EM iteration.  The action
+functions take any leading batch axes ``...`` (broadcast between
+coefficients and vectors) and give each item the bits of a lone call.
 """
 from __future__ import annotations
 
@@ -50,76 +52,87 @@ class GeneratorBasis:
 
 def _check_coeffs(basis: GeneratorBasis, coeffs: np.ndarray) -> np.ndarray:
     lam = np.atleast_1d(np.asarray(coeffs, dtype=float))
-    if lam.shape != (basis.count,):
+    if lam.shape[-1:] != (basis.count,):
         raise ValueError(f"expected {basis.count} coefficients, got shape {lam.shape}")
     if not np.all(np.isfinite(lam)):
         raise NumericError("coefficients contain non-finite entries")
     return lam
 
 
+def _check_vectors(basis: GeneratorBasis, z: np.ndarray) -> np.ndarray:
+    vec = np.atleast_1d(np.asarray(z, dtype=float))
+    if vec.shape[-1:] != (basis.latent_dim,):
+        raise ValueError("vector dimension does not match the basis")
+    return vec
+
+
 def combine(basis: GeneratorBasis, coeffs: np.ndarray) -> np.ndarray:
-    """The matrix ``sum_j lambda_j G^j``."""
+    """The ``(..., d, d)`` matrices ``sum_j lambda_j G^j``."""
     lam = _check_coeffs(basis, coeffs)
-    return np.einsum("j,jab->ab", lam, basis.generators)
+    return np.einsum("...j,jab->...ab", lam, basis.generators)
+
+
+def _frobenius(m: np.ndarray) -> np.ndarray:
+    """Per-matrix Frobenius norms, each one dot product like ``np.linalg.norm``."""
+    flat = m.reshape(*m.shape[:-2], 1, m.shape[-2] * m.shape[-1])
+    return np.sqrt(flat @ flat.swapaxes(-1, -2))[..., 0, 0]
 
 
 def matrix_exp(m: np.ndarray, tol: float = DEFAULT_EXP_TOL) -> np.ndarray:
-    """Matrix exponential by scaling and squaring.
+    """Matrix exponential of each matrix in a ``(..., n, n)`` stack.
 
-    The input is scaled by ``2^-s`` until its Frobenius norm is at most
-    0.5, expanded in a truncated power series (terms are added until the
-    next term falls below ``tol / 4``; 13 terms at the default
-    tolerance), then squared ``s`` times.
+    Scaling and squaring: each matrix is scaled by ``2^-s`` until its
+    Frobenius norm is at most 0.5, expanded in a truncated power series
+    (terms are added until the next term falls below ``tol / 4``; 13
+    terms at the default tolerance), then squared ``s`` times, with
+    ``s`` and the term count chosen per matrix.
     """
     a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError("matrix_exp requires a square matrix")
     if not np.all(np.isfinite(a)):
         raise NumericError("matrix_exp input has non-finite entries")
-    norm = float(np.linalg.norm(a))
-    squarings = 0
-    if norm > 0.5:
-        squarings = int(np.ceil(np.log2(norm / 0.5)))
-        a = a / (2.0 ** squarings)
-    n = a.shape[0]
-    term = np.eye(n)
-    acc = np.eye(n)
+    shape, n = a.shape, a.shape[-1]
+    a = a.reshape(-1, n, n)
+    squarings = np.ceil(np.log2(np.maximum(_frobenius(a), 0.5) / 0.5)).astype(int)
+    if squarings.any():  # no scaled copy when no matrix needs one
+        a = a / (2.0 ** squarings)[:, None, None]
+    term = np.broadcast_to(np.eye(n), a.shape).copy()
+    acc = term.copy()
+    live = np.ones(len(a), dtype=bool)
     for k in range(1, _MAX_SERIES_TERMS + 1):
-        term = term @ a / k
-        acc = acc + term
-        if np.linalg.norm(term) <= 0.25 * tol:
+        term = term @ a
+        term /= k
+        np.add(acc, term, out=acc, where=live[:, None, None])
+        live &= _frobenius(term) > 0.25 * tol
+        if not live.any():
             break
-    for _ in range(squarings):
-        acc = acc @ acc
-    return acc
+    for done in range(squarings.max(initial=0)):
+        more = squarings > done
+        acc[more] = acc[more] @ acc[more]
+    return acc.reshape(shape)
 
 
 def apply_first_order(basis: GeneratorBasis, coeffs: np.ndarray,
                       z: np.ndarray) -> np.ndarray:
     """``z + sum_j lambda_j G^j z`` (small-transformation approximation)."""
     lam = _check_coeffs(basis, coeffs)
-    vec = np.atleast_1d(np.asarray(z, dtype=float))
-    if vec.shape != (basis.latent_dim,):
-        raise ValueError("vector dimension does not match the basis")
-    return vec + np.einsum("j,jab,b->a", lam, basis.generators, vec)
+    vec = _check_vectors(basis, z)
+    return vec + np.einsum("...j,jab,...b->...a", lam, basis.generators, vec)
 
 
 def apply_exact(basis: GeneratorBasis, coeffs: np.ndarray, z: np.ndarray,
                 tol: float = DEFAULT_EXP_TOL) -> np.ndarray:
-    """``exp(sum_j lambda_j G^j) z``."""
-    vec = np.atleast_1d(np.asarray(z, dtype=float))
-    if vec.shape != (basis.latent_dim,):
-        raise ValueError("vector dimension does not match the basis")
-    return matrix_exp(combine(basis, coeffs), tol=tol) @ vec
+    """``exp(sum_j lambda_j G^j) z`` for ``(..., J)`` lambda and ``(..., d)`` z."""
+    vec = _check_vectors(basis, z)
+    return (matrix_exp(combine(basis, coeffs), tol=tol) @ vec[..., None])[..., 0]
 
 
 def assemble_A(basis: GeneratorBasis, z: np.ndarray) -> np.ndarray:
-    """The d x J matrix whose column m is ``G^m z``, so ``A lam`` is the
-    combined action ``sum_j lam_j G^j z``."""
-    vec = np.atleast_1d(np.asarray(z, dtype=float))
-    if vec.shape != (basis.latent_dim,):
-        raise ValueError("vector dimension does not match the basis")
-    return np.einsum("jab,b->aj", basis.generators, vec)
+    """The ``(..., d, J)`` matrices whose column m is ``G^m z``, so
+    ``A lam`` is the combined action ``sum_j lam_j G^j z``."""
+    vec = _check_vectors(basis, z)
+    return np.einsum("jab,...b->...aj", basis.generators, vec)
 
 
 def block_flatten(basis: GeneratorBasis) -> np.ndarray:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
+from . import liealg, rng
 from .dynamics import DynamicsModel, _e_step_block, init_model, update_step
 from .gaussian import NumericError, spd_cholesky, spd_solve
 from .ppca import (
@@ -263,7 +263,7 @@ def _objective_with_grads(model: NpcaModel, x_i, x_n, noise_i, noise_n,
     # transition: z_n ~ N(B z_i, Omega) with B = I + sum_j lam_j G_j
     omega_chol = spd_cholesky(dyn.trans_cov)
     omega_prec = spd_solve(omega_chol, np.eye(d))
-    b_mat = np.eye(d) + np.einsum("nj,jab->nab", lam, dyn.basis.generators)
+    b_mat = np.eye(d) + liealg.combine(dyn.basis, lam)
     t_res = z_n - np.einsum("nab,nb->na", b_mat, z_i)
     t_res_prec = t_res @ omega_prec
     log_det_omega = 2.0 * float(np.sum(np.log(np.diag(omega_chol))))

@@ -313,7 +313,7 @@ def _fixed_point_blocks(model: PpcaModel, xc_i: np.ndarray, xc_n: np.ndarray,
     w = model.loading
     d, j = model.latent_dim, model.dynamics.coeff_count
     n = xc_i.shape[0]
-    gens = model.dynamics.basis.generators
+    basis = model.dynamics.basis
     sig2 = model.noise_var
 
     m = w.T @ w + sig2 * np.eye(d)
@@ -341,7 +341,7 @@ def _fixed_point_blocks(model: PpcaModel, xc_i: np.ndarray, xc_n: np.ndarray,
     live = np.arange(n)
     for _ in range(cfg.fixed_point_iters):
         m_zi, m_zn = blocks.m_zi[live], blocks.m_zn[live]
-        a = np.einsum("jab,nb->naj", gens, m_zi)
+        a = liealg.assemble_A(basis, m_zi)
         at_oi = np.einsum("naj,ab->njb", a, omega_prec)
         prec = lam_prec + np.einsum("njb,nbk->njk", at_oi, a)
         k = symmetrize(np.linalg.solve(prec, np.broadcast_to(eye_j, prec.shape)))
@@ -349,7 +349,7 @@ def _fixed_point_blocks(model: PpcaModel, xc_i: np.ndarray, xc_n: np.ndarray,
         drift = m_zi + np.einsum("naj,nj->na", a, q)
         new_zn = np.einsum("nb,bc->nc", wt_xn[live]
                            + np.einsum("na,ab->nb", drift, omega_prec), gamma)
-        b = eye_d + np.einsum("nj,jab->nab", q, gens)
+        b = eye_d + liealg.combine(basis, q)
         bt_oi = np.einsum("nca,cd->nad", b, omega_prec)
         prec_zi = ppca_prec + np.einsum("nad,ndb->nab", bt_oi, b)
         info_zi = info_u[live] + np.einsum("nad,nd->na", bt_oi, new_zn)
@@ -378,9 +378,8 @@ def _linearized_joint_cov(model: PpcaModel, xc_i: np.ndarray,
     with the bilinear transition linearized at the supplied means; used
     to calibrate quadrature boxes."""
     d, j = model.latent_dim, model.dynamics.coeff_count
-    gens = model.dynamics.basis.generators
     omega_prec = spd_inverse(model.dynamics.trans_cov)
-    b = np.eye(d) + np.einsum("j,jab->ab", q, gens)
+    b = np.eye(d) + liealg.combine(model.dynamics.basis, q)
     a = liealg.assemble_A(model.dynamics.basis, m_zi)
     prior_zi = posterior_z_given_x(model, xc_i + model.data_mean)
     prec = np.zeros((2 * d + j, 2 * d + j))
@@ -411,7 +410,6 @@ def _quadrature_moments_pair(model: PpcaModel, xc_i: np.ndarray,
     if dims > 6:
         raise ValueError("quadrature E-step supports at most 6 joint dimensions")
     w = model.loading
-    gens = model.dynamics.basis.generators
     sig2 = model.noise_var
     big_d = model.data_dim
 
@@ -439,7 +437,7 @@ def _quadrature_moments_pair(model: PpcaModel, xc_i: np.ndarray,
         zi = nodes[:, :d]
         lam = nodes[:, d:d + j]
         zn = nodes[:, d + j:]
-        drift = zi + np.einsum("jab,mb,mj->ma", gens, zi, lam)
+        drift = liealg.apply_first_order(model.dynamics.basis, lam, zi)
         recon = xc_n[None, :] - zn @ w.T
         return (gauss_quad(zi_chol, zi - prior_zi.mean)
                 + gauss_quad(lam_chol, lam)
@@ -476,7 +474,6 @@ def _monte_carlo_moments_pair(model: PpcaModel, xc_i: np.ndarray,
     next-frame latent integrated out in closed form per draw."""
     d, j = model.latent_dim, model.dynamics.coeff_count
     w = model.loading
-    gens = model.dynamics.basis.generators
     sig2 = model.noise_var
     s = cfg.mc_samples
 
@@ -486,7 +483,7 @@ def _monte_carlo_moments_pair(model: PpcaModel, xc_i: np.ndarray,
     lam = rng.normal_matrix(cfg.seed, (_TAG_MC_LAM, *stream), (s, j)) \
         @ spd_cholesky(model.dynamics.coeff_prior_cov).T
 
-    drift = zi + np.einsum("jab,mb,mj->ma", gens, zi, lam)
+    drift = liealg.apply_first_order(model.dynamics.basis, lam, zi)
     # weight: x_next likelihood with z_next marginalized out
     resid_cov = sig2 * np.eye(model.data_dim) \
         + w @ model.dynamics.trans_cov @ w.T

@@ -160,7 +160,7 @@ def generate_latent_pairs(spec: SequenceSpec) -> tuple[PairDataset, SynthTruth]:
     z_i = rng.normal_matrix(spec.seed, (_TAG_Z,), (n, d))
     lambdas = spec.lambda_scale * rng.normal_matrix(spec.seed, (_TAG_LAM,), (n, j))
     step = apply_first_order if spec.first_order else apply_exact
-    z_next = np.stack([step(basis, lam, z) for lam, z in zip(lambdas, z_i)])
+    z_next = step(basis, lambdas, z_i)
     if spec.noise_std > 0:
         z_next = z_next + spec.noise_std * rng.normal_matrix(
             spec.seed, (_TAG_NOISE,), (n, d))
@@ -217,11 +217,8 @@ def generate_image_pairs(spec: SequenceSpec, embedding: str = "linear"
         offsets = big_d * rng.uniforms(spec.seed, (_TAG_Z,), n)
         lambdas = spec.lambda_scale * rng.normal_matrix(spec.seed, (_TAG_LAM,), (n, 1))
         shift_scale = np.linalg.norm(_cyclic_shift_generator(big_d))
-        x_i = np.stack([
-            matrix_exp(combine(basis, [off * shift_scale])) @ pattern
-            for off in offsets])
-        x_next = np.stack([
-            apply_exact(basis, lam, x) for lam, x in zip(lambdas, x_i)])
+        x_i = matrix_exp(combine(basis, offsets[:, None] * shift_scale)) @ pattern
+        x_next = apply_exact(basis, lambdas, x_i)
         truth = SynthTruth(basis, lambdas, x_i, x_next, None)
     if spec.noise_std > 0:
         x_i = x_i + spec.noise_std * rng.normal_matrix(

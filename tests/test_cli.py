@@ -385,6 +385,11 @@ def _score(tmp_path, checkpoint):
             "--data", str(_image_data(tmp_path))]
 
 
+def _roll(tmp_path, *options):
+    return ["roll", "--checkpoint", str(_npca_checkpoint(tmp_path)),
+            "--data", str(_image_data(tmp_path)), *options]
+
+
 # case -> (arguments but --out, exit code, *substrings of the message)
 BAD_INPUTS = {
     "no_pairs": (lambda tmp: ["generate", "--n", "0"], 2),
@@ -433,6 +438,8 @@ BAD_INPUTS = {
     "unknown_estimator_code": (
         lambda tmp: _score(tmp, _npca_checkpoint(tmp, estimator=np.float64(7))),
         2, "estimator code"),
+    "zero_roll_steps": (lambda tmp: _roll(tmp, "--steps", "0"), 2, "--steps"),
+    "nan_roll_t_max": (lambda tmp: _roll(tmp, "--t-max", "nan"), 2, "--t-max"),
 }
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lieflow import rng
 from lieflow.gaussian import NumericError
@@ -219,3 +221,32 @@ def test_combine_matches_sum():
     lam = rng.normals(16, (1,), 3)
     manual = sum(l * g for l, g in zip(lam, basis.generators))
     assert np.allclose(combine(basis, lam), manual, atol=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 5), d=st.integers(1, 5), j=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 31 - 1), top=st.floats(-1.0, 1.5))
+def test_stacked_action_equals_per_item_loop(n, d, j, seed, top):
+    # coefficient norms span up to ~10^top * sqrt(J): from no squaring to
+    # several, with a different squaring count per item of one stack
+    basis = GeneratorBasis(rng.normal_matrix(seed, (0,), (j, d, d)))
+    scales = 10.0 ** (top - 4.0 * rng.uniforms(seed, (1,), n))
+    lam = scales[:, None] * rng.normal_matrix(seed, (2,), (n, j))
+    z = rng.normal_matrix(seed, (3,), (n, d))
+    stacked = {
+        "matrix_exp": matrix_exp(combine(basis, lam)),
+        "combine": combine(basis, lam),
+        "assemble_A": assemble_A(basis, z),
+        "apply_first_order": apply_first_order(basis, lam, z),
+        "apply_exact": apply_exact(basis, lam, z),
+    }
+    looped = {
+        "matrix_exp": [matrix_exp(combine(basis, l)) for l in lam],
+        "combine": [combine(basis, l) for l in lam],
+        "assemble_A": [assemble_A(basis, v) for v in z],
+        "apply_first_order": [apply_first_order(basis, l, v) for l, v in zip(lam, z)],
+        "apply_exact": [apply_exact(basis, l, v) for l, v in zip(lam, z)],
+    }
+    for name, out in stacked.items():
+        items = np.array(looped[name]).reshape(out.shape)
+        assert np.array_equal(out, items), name

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
 
@@ -31,12 +33,15 @@ def test_every_traced_target_resolves():
     assert not missing, f"traced names that no longer exist: {missing}"
 
 
-def test_tiny_vem_train_benchmark_passes_its_checks():
-    # checks the seed-1 tiny reference at rtol 1e-9 through
+@pytest.mark.parametrize("workload", ["latent_em", "vem_train"])
+def test_tiny_benchmark_passes_its_checks(workload):
+    # checks the seed-1 tiny reference (iterations, and the objective at
+    # rtol 1e-9): latent_em through the stacked group action of
+    # synth.generate_latent_pairs and dynamics.fit, vem_train through
     # npca.fit, npca.named_parameters and npca.encode
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload",
-         "vem_train", "--size", "tiny", "--seconds", "0.1"],
+         workload, "--size", "tiny", "--seconds", "0.1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     assert json.loads(proc.stdout.strip().splitlines()[-1])["correct"] is True
