@@ -252,8 +252,7 @@ def cmd_eval(opts) -> int:
         data = _load_image_dataset(arrays)
         if estimator == "ppca":
             model = _checkpoint_ppca(ck)
-            latents = np.stack([ppca.posterior_z_given_x(model, x).mean
-                                for x in data.x_i])
+            latents, _ = ppca.posterior_z_given_x(model, data.x_i)
             recon = latents @ model.loading.T + model.data_mean
         else:
             model = _checkpoint_npca(ck)
@@ -322,8 +321,8 @@ def cmd_roll(opts) -> int:
         z0, z1 = data.z_i[k], data.z_next[k]
     elif estimator == "ppca":
         model = _checkpoint_ppca(ck)
-        z0, z1 = (ppca.posterior_z_given_x(model, x[k]).mean
-                  for x in (data.x_i, data.x_next))
+        (z0, z1), _ = ppca.posterior_z_given_x(
+            model, np.stack([data.x_i[k], data.x_next[k]]))
         decoder = lambda z: model.loading @ z + model.data_mean
     else:
         model = _checkpoint_npca(ck)

@@ -24,6 +24,7 @@ import numpy as np
 from . import liealg
 from . import rng
 from .gaussian import (
+    LOG_2PI,
     Gaussian,
     LinearGaussianMap,
     NumericError,
@@ -36,6 +37,9 @@ from .gaussian import (
 from .liealg import GeneratorBasis
 
 GRAM_COND_LIMIT = 1e14
+# diagonal jitter added to the fitted noise and prior covariances,
+# relative to their mean variance
+JITTER_SCALE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -138,7 +142,6 @@ class EmConfig:
     seed: int = 0
     estimate_lambda: bool = False
     orthogonalize: bool = True
-    jitter_scale: float = 1e-9
     threads: int = 1
 
 
@@ -264,23 +267,31 @@ def update_Lambda(stats: TransitionStats) -> np.ndarray:
     return symmetrize(stats.lamlam / stats.count)
 
 
-def expected_complete_data_ll(model: DynamicsModel, dataset: PairDataset,
-                              post: CoeffPosterior) -> float:
-    """Expected complete-data log-likelihood under the given posteriors.
-
-    ``sum_i E[log N(z_next | z_i + A lambda, Omega) + log N(lambda | 0, Lambda)]``
-    evaluated in closed form from the summed statistics.
-    """
-    stats = transition_stats(dataset, post)
+def expected_log_density(model: DynamicsModel, stats: TransitionStats,
+                         prior_count: int) -> float:
+    """Closed form from the summed statistics: the expected transition
+    log-density ``E[log N(z_next | z_i + A lambda, Omega)]`` summed over
+    the pairs, plus the expected coefficient prior
+    ``E[log N(lambda | 0, Lambda)]`` of ``prior_count`` of them (pairs
+    whose coefficients are pinned at zero carry no prior term)."""
     omega_chol = spd_cholesky(model.trans_cov)
     lam_chol = spd_cholesky(model.coeff_prior_cov)
-    log_dets = 2.0 * float(np.sum(np.log(np.diag(omega_chol)))
-                           + np.sum(np.log(np.diag(lam_chol))))
-    quad = (np.trace(spd_solve(omega_chol, _residual_outer(stats, model.basis)))
-            + np.trace(spd_solve(lam_chol, stats.lamlam)))
-    dims = model.latent_dim + model.coeff_count
-    return float(-0.5 * (stats.count * (dims * np.log(2.0 * np.pi) + log_dets)
-                         + quad))
+    trans = (stats.count * (model.latent_dim * LOG_2PI
+                            + 2.0 * float(np.sum(np.log(np.diag(omega_chol)))))
+             + np.trace(spd_solve(omega_chol, _residual_outer(stats, model.basis))))
+    prior = (prior_count * (model.coeff_count * LOG_2PI
+                            + 2.0 * float(np.sum(np.log(np.diag(lam_chol)))))
+             + np.trace(spd_solve(lam_chol, stats.lamlam)))
+    return float(-0.5 * (trans + prior))
+
+
+def expected_complete_data_ll(model: DynamicsModel, dataset: PairDataset,
+                              post: CoeffPosterior) -> float:
+    """Expected complete-data log-likelihood under the given posteriors,
+    ``sum_i E[log N(z_next | z_i + A lambda, Omega) + log N(lambda | 0, Lambda)]``
+    (:func:`expected_log_density` of every pair)."""
+    return expected_log_density(model, transition_stats(dataset, post),
+                                dataset.count)
 
 
 def marginal_log_likelihood(model: DynamicsModel, dataset: PairDataset) -> float:
@@ -315,18 +326,18 @@ def update_step(model: DynamicsModel, stats: TransitionStats,
     Generators and transition noise from the summed statistics, Omega
     jitter, the optional coefficient-prior MLE plus jitter, then the
     basis orthogonalization with the prior carried through the change of
-    basis.  ``config`` supplies ``jitter_scale``, ``estimate_lambda``,
-    ``orthogonalize`` and ``orth_threshold``.  Returns the fitted model,
+    basis.  ``config`` supplies ``estimate_lambda``, ``orthogonalize``
+    and ``orth_threshold``.  Returns the fitted model,
     at which the estimators record their objective, and the
     orthogonalized model the next iteration starts from.
     """
     basis, omega = m_step_dynamics(stats)
-    omega = omega + max(default_jitter(omega, config.jitter_scale),
+    omega = omega + max(default_jitter(omega, JITTER_SCALE),
                         1e-300) * np.eye(omega.shape[0])
     lam_cov = model.coeff_prior_cov
     if config.estimate_lambda:
         lam_cov = update_Lambda(stats)
-        lam_cov = lam_cov + default_jitter(lam_cov, config.jitter_scale) \
+        lam_cov = lam_cov + default_jitter(lam_cov, JITTER_SCALE) \
             * np.eye(lam_cov.shape[0])
     fitted = DynamicsModel(basis, omega, lam_cov)
     if not (config.orthogonalize and np.any(basis.generators)):

@@ -29,12 +29,15 @@ import numpy as np
 from . import liealg, rng
 from .dynamics import DynamicsModel, _e_step_block, init_model, update_step
 from .gaussian import NumericError, spd_cholesky, spd_solve
+from .liealg import GeneratorBasis
 from .ppca import (
     LatentMoments,
+    PpcaModel,
     _Blocks,
     _moments_from_blocks,
     init_loading,
     m_step_mu,
+    posterior_z_given_x,
 )
 from .synth import ImagePairDataset
 
@@ -357,7 +360,6 @@ class NpcaConfig:
     hidden_sizes: tuple[int, ...] = (16,)
     j_init: int = 1
     step_size: float = 1e-3
-    momentum: float = 0.0
     batch_size: int = 32
     epochs: int = 50
     seed: int = 0
@@ -367,8 +369,6 @@ class NpcaConfig:
     estimate_lambda: bool = False
     update_dynamics: bool = True
     orthogonalize: bool = True
-    jitter_scale: float = 1e-9
-    shuffle: bool = True
 
 
 def _glorot(seed, path, rows, cols):
@@ -409,27 +409,27 @@ def linear_warm_start(dataset: ImagePairDataset, latent_dim: int,
     latent posterior and the decoder its reconstruction map."""
     mu = m_step_mu(dataset)
     w, _ = init_loading(dataset, latent_dim, mu)
-    m = w.T @ w + obs_noise_var * np.eye(latent_dim)
-    proj = spd_solve(spd_cholesky(m), w.T)
-    post_var = obs_noise_var * spd_solve(spd_cholesky(m), np.eye(latent_dim))
+    # the posterior mean is linear in the frame: its weights are the means
+    # of the unit frames under a zero-mean model (the dynamics do not enter)
+    d = latent_dim
+    static = DynamicsModel(GeneratorBasis(np.zeros((1, d, d))), np.eye(d), np.eye(1))
+    proj_t, post_cov = posterior_z_given_x(
+        PpcaModel(w, np.zeros_like(mu), obs_noise_var, static),
+        np.eye(dataset.image_dim))
+    proj = proj_t.T
     encoder = Mlp(
-        [np.vstack((proj, np.zeros((latent_dim, dataset.image_dim))))],
+        [np.vstack((proj, np.zeros((d, dataset.image_dim))))],
         [np.concatenate((-proj @ mu,
-                         np.log(np.maximum(np.diag(post_var), 1e-12))))])
+                         np.log(np.maximum(np.diag(post_cov), 1e-12))))])
     decoder = Mlp([w], [mu])
     return encoder, decoder
 
 
 def _apply_gradients(model: NpcaModel, grad: np.ndarray, lr: float,
-                     scale: float, velocity: np.ndarray, momentum: float):
-    """Gradient-ascent step (optionally with momentum) on the flat
-    parameter vector; returns the updated model and velocity.  ``scale``
+                     scale: float) -> NpcaModel:
+    """Gradient-ascent step on the flat parameter vector; ``scale``
     normalizes the summed batch gradient to a mean."""
-    update = scale * grad
-    if momentum > 0.0:
-        velocity = momentum * velocity + update
-        update = velocity
-    return unflatten(model, flat_parameters(model) + lr * update), velocity
+    return unflatten(model, flat_parameters(model) + lr * (scale * grad))
 
 
 def fit(dataset: ImagePairDataset, config: NpcaConfig,
@@ -439,7 +439,7 @@ def fit(dataset: ImagePairDataset, config: NpcaConfig,
     shared closed-form dynamics update
     (:func:`lieflow.dynamics.update_step`) on the encoded moments.
 
-    Noise (and the optional shuffle) is drawn from counter-based streams
+    The shuffle and the noise are drawn from counter-based streams
     keyed by (seed, epoch, pair index), so the trace is bit-reproducible
     and independent of any parallel schedule.  ``init`` overrides the
     seeded (encoder, decoder) initialization (e.g.
@@ -450,12 +450,10 @@ def fit(dataset: ImagePairDataset, config: NpcaConfig,
         else init_networks(dataset.image_dim, config)
     dyn = init_model(d, config.j_init, config.seed)
     model = NpcaModel(encoder, decoder, config.obs_noise_var, dyn)
-    velocity = np.zeros_like(flat_parameters(model))
     trace: list[float] = []
     n = dataset.count
     for epoch in range(config.epochs):
-        order = (rng.permutation(config.seed, (_TAG_SHUFFLE, epoch), n)
-                 if config.shuffle else np.arange(n))
+        order = rng.permutation(config.seed, (_TAG_SHUFFLE, epoch), n)
         total = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
@@ -471,15 +469,14 @@ def fit(dataset: ImagePairDataset, config: NpcaConfig,
                 model, dataset.x_i[idx], dataset.x_next[idx],
                 noise[:, :d], noise[:, d:], config.coeff_mode, coeff_noise)
             total += objective
-            model, velocity = _apply_gradients(
-                model, grad, config.step_size, 1.0 / idx.size,
-                velocity, config.momentum)
+            model = _apply_gradients(model, grad, config.step_size,
+                                     1.0 / idx.size)
         trace.append(total / n)
         if not np.isfinite(trace[-1]):
             raise NumericError(f"objective diverged at epoch {epoch}")
         if config.update_dynamics:
             _, dyn = update_step(model.dynamics,
-                                 encoded_moments(model, dataset).transition_stats(),
+                                 encoded_moments(model, dataset).transition,
                                  config)
             model = NpcaModel(model.encoder, model.decoder,
                               model.obs_noise_var, dyn)

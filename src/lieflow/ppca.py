@@ -15,16 +15,17 @@ expectation bundle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import block_diag, solve_triangular
 
 from . import liealg, rng
 from .dynamics import (
     DynamicsModel,
     TransitionStats,
     converged,
+    expected_log_density,
     init_model,
     m_step_dynamics,  # noqa: F401  (re-exported, see the M-steps below)
     map_blocks,
@@ -43,6 +44,14 @@ from .synth import ImagePairDataset
 LOG_2PI = float(np.log(2.0 * np.pi))
 SIGMA_FLOOR = 1e-12
 E_STEP_METHODS = ("quadrature", "fixed_point", "monte_carlo")
+# fixed-point E-step: sweep limit, and the largest change of a pair's
+# block moments below which that pair stops
+FIXED_POINT_ITERS = 500
+FIXED_POINT_TOL = 1e-10
+# quadrature box: half-width in marginal stds of the linearized joint
+# posterior, after inflating those stds by GRID_INFLATION
+GRID_SIGMAS = 8.0
+GRID_INFLATION = 1.5
 
 _TAG_MC_Z, _TAG_MC_LAM = 0x5A, 0x5B
 
@@ -86,14 +95,10 @@ def _outer_cov(mean: np.ndarray, second: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LatentMoments:
-    """Expectations under the joint posterior of (z_i, lambda, z_next), one
-    row per pair along the leading axis.
-
-    ``e_dz_zkronlam`` is ``E[dz (z kron lam)^T]`` with ``dz = z_next - z_i``
-    and ``e_zz_kron_lamlam`` is ``E[z z^T kron lam lam^T]``; summed over
-    the pairs (:meth:`transition_stats`) they feed the Kronecker normal
-    equations of the dynamics M-step.
-    """
+    """Expectations under the joint posterior of (z_i, lambda, z_next): the
+    moments of each block, one row per pair along the leading axis, and
+    the sums over the pairs that the dynamics M-step and the transition
+    term of the objective read (``transition``)."""
 
     ez_i: np.ndarray
     ez_next: np.ndarray
@@ -101,9 +106,7 @@ class LatentMoments:
     ezz_next: np.ndarray
     elam: np.ndarray
     elamlam: np.ndarray
-    e_dz_dz: np.ndarray
-    e_dz_zkronlam: np.ndarray
-    e_zz_kron_lamlam: np.ndarray
+    transition: TransitionStats
 
     def __post_init__(self):
         for cov, ezz, label in ((self.cov_z_i, self.ezz_i, "z_i"),
@@ -129,23 +132,19 @@ class LatentMoments:
     def cov_lam(self) -> np.ndarray:
         return _outer_cov(self.elam, self.elamlam)
 
-    def transition_stats(self) -> TransitionStats:
-        return TransitionStats(self.count, self.e_dz_dz.sum(axis=0),
-                               self.e_dz_zkronlam.sum(axis=0),
-                               self.e_zz_kron_lamlam.sum(axis=0),
-                               self.elamlam.sum(axis=0))
+    @property
+    def live_coefficients(self) -> np.ndarray:
+        """Pairs whose coefficient block is not degenerate (all moments
+        zero, as under frozen coefficients)."""
+        return np.any(self.elamlam, axis=(1, 2)) | np.any(self.elam, axis=1)
 
 
 @dataclass
 class EStepConfig:
-    """Knobs for the three E-step backends."""
+    """Knobs for the Monte Carlo and quadrature E-step backends."""
 
-    fixed_point_iters: int = 500
-    fixed_point_tol: float = 1e-10
     mc_samples: int = 100_000
     grid_points: int = 64
-    grid_sigmas: float = 8.0
-    grid_inflation: float = 1.5
     seed: int = 0
 
 
@@ -162,29 +161,30 @@ class PpcaConfig:
     freeze_coefficients: bool = False
     update_dynamics: bool = True
     orthogonalize: bool = True
-    jitter_scale: float = 1e-9
     init_omega_scale: float = 1.0
     estep_config: EStepConfig | None = None
     threads: int = 1
 
     def resolved_estep(self) -> EStepConfig:
-        cfg = self.estep_config or EStepConfig()
-        cfg.seed = self.seed
-        return cfg
+        """The E-step settings with this config's seed, as a copy: the
+        caller's ``estep_config`` is left unchanged."""
+        return replace(self.estep_config or EStepConfig(), seed=self.seed)
 
 
-def posterior_z_given_x(model: PpcaModel, x: np.ndarray) -> Gaussian:
-    """Latent posterior ``N(M^{-1} W^T x_mu, sigma^2 M^{-1})`` with
-    ``M = W^T W + sigma^2 I`` (the quadrature-verified parameterization)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (model.data_dim,):
+def posterior_z_given_x(model: PpcaModel, x: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Latent posterior ``N(M^{-1} W^T (x - mu), sigma^2 M^{-1})`` with
+    ``M = W^T W + sigma^2 I`` of every frame in ``x`` (any leading axes):
+    the means, which keep the frames' leading axes, and the one
+    covariance all frames share."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (model.data_dim,):
         raise ValueError("observation dimension does not match the model")
-    w = model.loading
-    m = w.T @ w + model.noise_var * np.eye(model.latent_dim)
-    chol = spd_cholesky(m)
-    mean = spd_solve(chol, w.T @ (x - model.data_mean))
-    cov = model.noise_var * spd_solve(chol, np.eye(model.latent_dim))
-    return Gaussian(mean, symmetrize(cov))
+    w, d = model.loading, model.latent_dim
+    chol = spd_cholesky(w.T @ w + model.noise_var * np.eye(d))
+    xc = (x - model.data_mean).reshape(-1, model.data_dim)
+    means = spd_solve(chol, w.T @ xc.T).T.reshape(*x.shape[:-1], d)
+    return means, model.noise_var * symmetrize(spd_solve(chol, np.eye(d)))
 
 
 def posterior_znext(model: PpcaModel, x_next: np.ndarray, z_i: np.ndarray,
@@ -222,28 +222,35 @@ class _Blocks:
 
 def _moments_from_blocks(blocks: _Blocks) -> LatentMoments:
     """Assemble the expectation bundle under the factorized posterior
-    ``q(z_i) q(lambda) q(z_next)``."""
+    ``q(z_i) q(lambda) q(z_next)``.
+
+    The transition statistics are each pair's term summed over the pairs
+    in pair order, so they do not depend on how the pairs were blocked.
+    """
     n, d = blocks.m_zi.shape
     j = blocks.q.shape[1]
     ezz_i = blocks.cov_zi + np.einsum("na,nb->nab", blocks.m_zi, blocks.m_zi)
     ezz_n = blocks.cov_zn + np.einsum("na,nb->nab", blocks.m_zn, blocks.m_zn)
     elamlam = blocks.k + np.einsum("nj,nk->njk", blocks.q, blocks.q)
-    e_dz_dz = (ezz_n + ezz_i
-               - np.einsum("na,nb->nab", blocks.m_zn, blocks.m_zi)
-               - np.einsum("na,nb->nab", blocks.m_zi, blocks.m_zn))
+    dz_dz = (ezz_n + ezz_i
+             - np.einsum("na,nb->nab", blocks.m_zn, blocks.m_zi)
+             - np.einsum("na,nb->nab", blocks.m_zi, blocks.m_zn))
     # E[dz (z kron lam)^T] = E[lam_j] (E[z_n] E[z_i]^T - E[z_i z_i^T])
     core = (np.einsum("nr,na->nra", blocks.m_zn, blocks.m_zi) - ezz_i)
-    e_dz_zkronlam = np.einsum("nra,nj->nraj", core, blocks.q).reshape(n, d, d * j)
-    e_zz_kron = np.einsum("nab,njk->najbk", ezz_i, elamlam).reshape(n, d * j, d * j)
+    dz_zlam = np.einsum("nra,nj->nraj", core, blocks.q).reshape(n, d, d * j)
+    zz_lamlam = np.einsum("nab,njk->najbk", ezz_i, elamlam).reshape(n, d * j, d * j)
+    transition = TransitionStats(n, dz_dz.sum(axis=0), dz_zlam.sum(axis=0),
+                                 zz_lamlam.sum(axis=0), elamlam.sum(axis=0))
     return LatentMoments(blocks.m_zi, blocks.m_zn, ezz_i, ezz_n, blocks.q,
-                         elamlam, e_dz_dz, e_dz_zkronlam, e_zz_kron)
+                         elamlam, transition)
 
 
 def _weighted_moments(p: np.ndarray, zi: np.ndarray, lam: np.ndarray,
                       zn: np.ndarray, zn_cov=0.0) -> dict[str, np.ndarray]:
-    """Expectation bundle fields of one pair from weighted nodes or samples
-    ``(zi, lam, zn)``; ``zn_cov`` is the covariance of ``z_next`` left
-    around each ``zn`` when it was integrated out in closed form."""
+    """Moments of one pair from weighted nodes or samples ``(zi, lam,
+    zn)``, with that pair's terms of the transition statistics;
+    ``zn_cov`` is the covariance of ``z_next`` left around each ``zn``
+    when it was integrated out in closed form."""
     d, j = zi.shape[1], lam.shape[1]
     dz = zn - zi
     zl = np.einsum("ma,mj->maj", zi, lam).reshape(-1, d * j)
@@ -253,17 +260,22 @@ def _weighted_moments(p: np.ndarray, zi: np.ndarray, lam: np.ndarray,
 
     return dict(ez_i=p @ zi, ez_next=p @ zn, ezz_i=outer(zi, zi),
                 ezz_next=zn_cov + outer(zn, zn), elam=p @ lam,
-                elamlam=outer(lam, lam), e_dz_dz=zn_cov + outer(dz, dz),
-                e_dz_zkronlam=outer(dz, zl), e_zz_kron_lamlam=outer(zl, zl))
+                elamlam=outer(lam, lam), dz_dz=zn_cov + outer(dz, dz),
+                dz_zlam=outer(dz, zl), zz_lamlam=outer(zl, zl))
 
 
 def _stack_moments(parts: list[dict[str, np.ndarray]]) -> LatentMoments:
-    return LatentMoments(**{name: np.stack([p[name] for p in parts])
-                            for name in parts[0]})
+    """One bundle from per-pair moments; the transition terms are summed
+    over the pairs."""
+    stacked = {name: np.stack([p[name] for p in parts]) for name in parts[0]}
+    sums = {name: stacked.pop(name).sum(axis=0)
+            for name in ("dz_dz", "dz_zlam", "zz_lamlam")}
+    return LatentMoments(**stacked, transition=TransitionStats(
+        len(parts), **sums, lamlam=stacked["elamlam"].sum(axis=0)))
 
 
-def _frozen_coefficient_blocks(model: PpcaModel, xc_i: np.ndarray,
-                               xc_n: np.ndarray) -> _Blocks:
+def _frozen_coefficient_blocks(model: PpcaModel, x_i: np.ndarray,
+                               x_n: np.ndarray) -> _Blocks:
     """Mean-field fixed point with the coefficients pinned at zero.
 
     The (z_i, z_next) problem is then jointly Gaussian, so the
@@ -275,19 +287,18 @@ def _frozen_coefficient_blocks(model: PpcaModel, xc_i: np.ndarray,
     w = model.loading
     d = model.latent_dim
     j = model.dynamics.coeff_count
-    n = xc_i.shape[0]
+    n = x_i.shape[0]
     sig2 = model.noise_var
-    m = w.T @ w + sig2 * np.eye(d)
-    m_chol = spd_cholesky(m)
-    u_i = spd_solve(m_chol, w.T @ xc_i.T).T
-    ppca_prec = symmetrize(spd_inverse(sig2 * spd_solve(m_chol, np.eye(d))))
+    u_i, ppca_cov = posterior_z_given_x(model, x_i)
+    ppca_prec = symmetrize(spd_inverse(ppca_cov))
     omega_prec = spd_inverse(model.dynamics.trans_cov)
     prec = np.zeros((2 * d, 2 * d))
     prec[:d, :d] = ppca_prec + omega_prec
     prec[:d, d:] = -omega_prec
     prec[d:, :d] = -omega_prec
     prec[d:, d:] = omega_prec + (w.T @ w) / sig2
-    info = np.concatenate([u_i @ ppca_prec, xc_n @ w / sig2], axis=1)
+    info = np.concatenate([u_i @ ppca_prec,
+                           (x_n - model.data_mean) @ w / sig2], axis=1)
     chol = spd_cholesky(symmetrize(prec))
     means = spd_solve(chol, info.T).T
     cov_zi = symmetrize(spd_solve(spd_cholesky(prec[:d, :d]), np.eye(d)))
@@ -298,35 +309,30 @@ def _frozen_coefficient_blocks(model: PpcaModel, xc_i: np.ndarray,
         q=np.zeros((n, j)), k=np.zeros((n, j, j)))
 
 
-def _fixed_point_blocks(model: PpcaModel, xc_i: np.ndarray, xc_n: np.ndarray,
-                        cfg: EStepConfig, freeze_coefficients: bool = False
-                        ) -> _Blocks:
+def _fixed_point_blocks(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray,
+                        freeze_coefficients: bool = False) -> _Blocks:
     """Cycle the three closed-form conditionals at the current block means
-    until self-consistent.
+    until self-consistent, starting from the frames' latent posteriors.
 
     Each pair stops on its own residual and the products are formed pair
     by pair, so a pair's result does not depend on which other pairs share
     the block (nor, therefore, on the thread count).
     """
     if freeze_coefficients:
-        return _frozen_coefficient_blocks(model, xc_i, xc_n)
+        return _frozen_coefficient_blocks(model, x_i, x_n)
     w = model.loading
     d, j = model.latent_dim, model.dynamics.coeff_count
-    n = xc_i.shape[0]
+    n = x_i.shape[0]
     basis = model.dynamics.basis
     sig2 = model.noise_var
 
-    m = w.T @ w + sig2 * np.eye(d)
-    m_chol = spd_cholesky(m)
-    u_i = spd_solve(m_chol, w.T @ xc_i.T).T
-    u_n = spd_solve(m_chol, w.T @ xc_n.T).T
-    ppca_cov = sig2 * symmetrize(spd_solve(m_chol, np.eye(d)))
+    (u_i, u_n), ppca_cov = posterior_z_given_x(model, np.stack([x_i, x_n]))
     ppca_prec = symmetrize(spd_inverse(ppca_cov))
     omega_prec = spd_inverse(model.dynamics.trans_cov)
     lam_prec = spd_inverse(model.dynamics.coeff_prior_cov)
     gamma_prec = omega_prec + (w.T @ w) / sig2
     gamma = symmetrize(spd_solve(spd_cholesky(gamma_prec), np.eye(d)))
-    wt_xn = xc_n @ w / sig2
+    wt_xn = (x_n - model.data_mean) @ w / sig2
     info_u = u_i @ ppca_prec
 
     blocks = _Blocks(
@@ -339,7 +345,7 @@ def _fixed_point_blocks(model: PpcaModel, xc_i: np.ndarray, xc_n: np.ndarray,
     )
     eye_j, eye_d = np.eye(j), np.eye(d)
     live = np.arange(n)
-    for _ in range(cfg.fixed_point_iters):
+    for _ in range(FIXED_POINT_ITERS):
         m_zi, m_zn = blocks.m_zi[live], blocks.m_zn[live]
         a = liealg.assemble_A(basis, m_zi)
         at_oi = np.einsum("naj,ab->njb", a, omega_prec)
@@ -364,46 +370,35 @@ def _fixed_point_blocks(model: PpcaModel, xc_i: np.ndarray, xc_n: np.ndarray,
         blocks.m_zi[live], blocks.m_zn[live], blocks.q[live] = new_zi, new_zn, q
         blocks.cov_zi[live], blocks.k[live] = cov_zi, k
         # a NaN residual keeps its pair iterating into the error below
-        live = live[~(residual < cfg.fixed_point_tol)]
+        live = live[~(residual < FIXED_POINT_TOL)]
         if live.size == 0:
             return blocks
     raise NumericError(
-        f"fixed-point E-step did not converge within {cfg.fixed_point_iters} "
+        f"fixed-point E-step did not converge within {FIXED_POINT_ITERS} "
         f"iterations (residual {residual.max():.3e})")
 
 
-def _linearized_joint_cov(model: PpcaModel, xc_i: np.ndarray,
+def _linearized_joint_cov(model: PpcaModel, zi_prec: np.ndarray,
                           m_zi: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Covariance of the joint posterior over ``(z_i, lambda, z_next)``
-    with the bilinear transition linearized at the supplied means; used
-    to calibrate quadrature boxes."""
-    d, j = model.latent_dim, model.dynamics.coeff_count
+    with the bilinear transition residual ``z_next - B z_i - A lambda``
+    linearized at the supplied means, given the precision ``zi_prec`` of
+    the first frame's latent posterior; used to size quadrature boxes."""
+    d = model.latent_dim
+    basis = model.dynamics.basis
+    jac = np.hstack([np.eye(d) + liealg.combine(basis, q),
+                     liealg.assemble_A(basis, m_zi), -np.eye(d)])
+    prior = block_diag(zi_prec, spd_inverse(model.dynamics.coeff_prior_cov),
+                       (model.loading.T @ model.loading) / model.noise_var)
     omega_prec = spd_inverse(model.dynamics.trans_cov)
-    b = np.eye(d) + liealg.combine(model.dynamics.basis, q)
-    a = liealg.assemble_A(model.dynamics.basis, m_zi)
-    prior_zi = posterior_z_given_x(model, xc_i + model.data_mean)
-    prec = np.zeros((2 * d + j, 2 * d + j))
-    sl_i, sl_l, sl_n = slice(0, d), slice(d, d + j), slice(d + j, 2 * d + j)
-    prec[sl_i, sl_i] = spd_inverse(prior_zi.cov) + b.T @ omega_prec @ b
-    prec[sl_l, sl_l] = spd_inverse(model.dynamics.coeff_prior_cov) \
-        + a.T @ omega_prec @ a
-    prec[sl_n, sl_n] = omega_prec \
-        + (model.loading.T @ model.loading) / model.noise_var
-    prec[sl_i, sl_l] = b.T @ omega_prec @ a
-    prec[sl_l, sl_i] = prec[sl_i, sl_l].T
-    prec[sl_i, sl_n] = -b.T @ omega_prec
-    prec[sl_n, sl_i] = prec[sl_i, sl_n].T
-    prec[sl_l, sl_n] = -a.T @ omega_prec
-    prec[sl_n, sl_l] = prec[sl_l, sl_n].T
-    return spd_inverse(symmetrize(prec))
+    return spd_inverse(symmetrize(prior + jac.T @ omega_prec @ jac))
 
 
-def _quadrature_moments_pair(model: PpcaModel, xc_i: np.ndarray,
-                             xc_n: np.ndarray, cfg: EStepConfig
-                             ) -> tuple[dict[str, np.ndarray], float]:
-    """Grid-exact moments for one pair, plus the log of
-    ``p(x_next | x_i)`` (the normalizer of the integrand)."""
-    from .oracles import GridSpec, grid_posterior
+def _quadrature_moments(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray,
+                        cfg: EStepConfig) -> tuple[LatentMoments, float]:
+    """Grid-exact moments of every pair, plus the sum over the pairs of
+    ``log p(x_next | x_i)`` (the normalizers of the integrands)."""
+    from .oracles import BoxTooSmallError, GridSpec, grid_posterior
 
     d, j = model.latent_dim, model.dynamics.coeff_count
     dims = 2 * d + j
@@ -413,17 +408,15 @@ def _quadrature_moments_pair(model: PpcaModel, xc_i: np.ndarray,
     sig2 = model.noise_var
     big_d = model.data_dim
 
-    # center on the (cheap) mean-field solution; size the box from the
+    # center each box on the (cheap) mean-field solution; size it from the
     # marginal stds of the joint Gaussian linearized at that solution
     # (the factor stds alone understate marginal spread when the
     # transition couples the blocks tightly)
-    blocks = _fixed_point_blocks(model, xc_i[None], xc_n[None], cfg)
-    center = np.concatenate([blocks.m_zi[0], blocks.q[0], blocks.m_zn[0]])
-    stds = cfg.grid_inflation * np.sqrt(np.diag(_linearized_joint_cov(
-        model, xc_i, blocks.m_zi[0], blocks.q[0])))
-
-    prior_zi = posterior_z_given_x(model, xc_i + model.data_mean)
-    zi_chol = spd_cholesky(prior_zi.cov)
+    blocks = _fixed_point_blocks(model, x_i, x_n)
+    centers = np.concatenate([blocks.m_zi, blocks.q, blocks.m_zn], axis=1)
+    prior_means, prior_cov = posterior_z_given_x(model, x_i)
+    zi_prec = spd_inverse(prior_cov)
+    zi_chol = spd_cholesky(prior_cov)
     lam_chol = spd_cholesky(model.dynamics.coeff_prior_cov)
     omega_chol = spd_cholesky(model.dynamics.trans_cov)
 
@@ -433,76 +426,81 @@ def _quadrature_moments_pair(model: PpcaModel, xc_i: np.ndarray,
         k = diffs.shape[1]
         return -0.5 * (k * LOG_2PI + log_det + np.sum(white * white, axis=0))
 
-    def log_target(nodes):
-        zi = nodes[:, :d]
-        lam = nodes[:, d:d + j]
-        zn = nodes[:, d + j:]
-        drift = liealg.apply_first_order(model.dynamics.basis, lam, zi)
-        recon = xc_n[None, :] - zn @ w.T
-        return (gauss_quad(zi_chol, zi - prior_zi.mean)
-                + gauss_quad(lam_chol, lam)
-                + gauss_quad(omega_chol, zn - drift)
-                - 0.5 * (big_d * np.log(2.0 * np.pi * sig2)
-                         + np.sum(recon * recon, axis=1) / sig2))
+    parts, log_norm = [], 0.0
+    for prior_mean, xc_n, center, m_zi, q in zip(
+            prior_means, x_n - model.data_mean, centers, blocks.m_zi, blocks.q):
+        stds = GRID_INFLATION * np.sqrt(np.diag(
+            _linearized_joint_cov(model, zi_prec, m_zi, q)))
 
-    # the boundary-mass diagnostic governs the box: widen and retry when
-    # the linearized sizing underestimates the true posterior spread
-    from .oracles import BoxTooSmallError
+        def log_target(nodes):
+            zi = nodes[:, :d]
+            lam = nodes[:, d:d + j]
+            zn = nodes[:, d + j:]
+            drift = liealg.apply_first_order(model.dynamics.basis, lam, zi)
+            recon = xc_n[None, :] - zn @ w.T
+            return (gauss_quad(zi_chol, zi - prior_mean)
+                    + gauss_quad(lam_chol, lam)
+                    + gauss_quad(omega_chol, zn - drift)
+                    - 0.5 * (big_d * np.log(2.0 * np.pi * sig2)
+                             + np.sum(recon * recon, axis=1) / sig2))
 
-    post = None
-    for attempt in range(3):
-        widen = 2.0 ** attempt
-        half = cfg.grid_sigmas * stds * widen
-        grid = GridSpec(center - half, center + half,
-                        np.full(dims, cfg.grid_points))
-        try:
-            post = grid_posterior(log_target, grid)
-            break
-        except BoxTooSmallError:
-            if attempt == 2:
-                raise
-    nodes = post.nodes
-    return (_weighted_moments(post.probs, nodes[:, :d], nodes[:, d:d + j],
-                              nodes[:, d + j:]), post.log_norm)
+        # the boundary-mass diagnostic governs the box: widen and retry
+        # when the linearized sizing underestimates the posterior spread
+        for attempt in range(3):
+            half = GRID_SIGMAS * stds * 2.0 ** attempt
+            grid = GridSpec(center - half, center + half,
+                            np.full(dims, cfg.grid_points))
+            try:
+                post = grid_posterior(log_target, grid)
+                break
+            except BoxTooSmallError:
+                if attempt == 2:
+                    raise
+        nodes = post.nodes
+        parts.append(_weighted_moments(post.probs, nodes[:, :d],
+                                       nodes[:, d:d + j], nodes[:, d + j:]))
+        log_norm += post.log_norm
+    return _stack_moments(parts), log_norm
 
 
-def _monte_carlo_moments_pair(model: PpcaModel, xc_i: np.ndarray,
-                              xc_n: np.ndarray, cfg: EStepConfig,
-                              stream: tuple[int, ...] = ()
-                              ) -> tuple[dict[str, np.ndarray], float]:
+def _monte_carlo_moments(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray,
+                         cfg: EStepConfig, streams) -> LatentMoments:
     """Self-normalized sampling from ``q(z_i | x_i) p(lambda)`` with the
-    next-frame latent integrated out in closed form per draw."""
+    next-frame latent integrated out in closed form per draw; pair ``k``
+    draws from the random streams keyed by ``streams[k]``."""
     d, j = model.latent_dim, model.dynamics.coeff_count
     w = model.loading
     sig2 = model.noise_var
     s = cfg.mc_samples
 
-    prior_zi = posterior_z_given_x(model, xc_i + model.data_mean)
-    zi = prior_zi.mean + rng.normal_matrix(
-        cfg.seed, (_TAG_MC_Z, *stream), (s, d)) @ spd_cholesky(prior_zi.cov).T
-    lam = rng.normal_matrix(cfg.seed, (_TAG_MC_LAM, *stream), (s, j)) \
-        @ spd_cholesky(model.dynamics.coeff_prior_cov).T
-
-    drift = liealg.apply_first_order(model.dynamics.basis, lam, zi)
+    prior_means, prior_cov = posterior_z_given_x(model, x_i)
+    zi_chol = spd_cholesky(prior_cov)
+    lam_chol = spd_cholesky(model.dynamics.coeff_prior_cov)
     # weight: x_next likelihood with z_next marginalized out
-    resid_cov = sig2 * np.eye(model.data_dim) \
-        + w @ model.dynamics.trans_cov @ w.T
-    resid_chol = spd_cholesky(resid_cov)
-    resid = xc_n[None, :] - drift @ w.T
-    white = solve_triangular(resid_chol, resid.T, lower=True)
-    log_w = -0.5 * np.sum(white * white, axis=0)
-    log_w -= log_w.max()
-    probs = np.exp(log_w)
-    probs /= probs.sum()
-    ess = float(1.0 / np.sum(probs ** 2))
-    if ess < 0.01 * s:
-        raise NumericError(
-            f"monte-carlo E-step degenerate (effective sample size {ess:.1f} of {s})")
-
+    resid_chol = spd_cholesky(sig2 * np.eye(model.data_dim)
+                              + w @ model.dynamics.trans_cov @ w.T)
     omega_prec = spd_inverse(model.dynamics.trans_cov)
     gamma = symmetrize(spd_inverse(omega_prec + (w.T @ w) / sig2))
-    m_zn = (xc_n @ w / sig2 + drift @ omega_prec) @ gamma
-    return _weighted_moments(probs, zi, lam, m_zn, gamma), ess
+    parts = []
+    for prior_mean, xc_n, stream in zip(prior_means, x_n - model.data_mean,
+                                        streams):
+        zi = prior_mean + rng.normal_matrix(
+            cfg.seed, (_TAG_MC_Z, *stream), (s, d)) @ zi_chol.T
+        lam = rng.normal_matrix(cfg.seed, (_TAG_MC_LAM, *stream), (s, j)) \
+            @ lam_chol.T
+        drift = liealg.apply_first_order(model.dynamics.basis, lam, zi)
+        resid = xc_n[None, :] - drift @ w.T
+        white = solve_triangular(resid_chol, resid.T, lower=True)
+        log_w = -0.5 * np.sum(white * white, axis=0)
+        probs = np.exp(log_w - log_w.max())
+        probs /= probs.sum()
+        ess = float(1.0 / np.sum(probs ** 2))
+        if ess < 0.01 * s:
+            raise NumericError(f"monte-carlo E-step degenerate "
+                               f"(effective sample size {ess:.1f} of {s})")
+        m_zn = (xc_n @ w / sig2 + drift @ omega_prec) @ gamma
+        parts.append(_weighted_moments(probs, zi, lam, m_zn, gamma))
+    return _stack_moments(parts)
 
 
 def e_step_joint(model: PpcaModel, x_i: np.ndarray, x_next: np.ndarray,
@@ -513,14 +511,13 @@ def e_step_joint(model: PpcaModel, x_i: np.ndarray, x_next: np.ndarray,
     if method not in E_STEP_METHODS:
         raise ValueError(f"unknown E-step method {method!r}")
     cfg = config or EStepConfig()
-    xc_i = np.asarray(x_i, dtype=float) - model.data_mean
-    xc_n = np.asarray(x_next, dtype=float) - model.data_mean
+    x_i = np.asarray(x_i, dtype=float)[None]
+    x_next = np.asarray(x_next, dtype=float)[None]
     if method == "quadrature":
-        return _stack_moments([_quadrature_moments_pair(model, xc_i, xc_n, cfg)[0]])
+        return _quadrature_moments(model, x_i, x_next, cfg)[0]
     if method == "monte_carlo":
-        return _stack_moments([_monte_carlo_moments_pair(model, xc_i, xc_n, cfg)[0]])
-    return _moments_from_blocks(_fixed_point_blocks(model, xc_i[None],
-                                                    xc_n[None], cfg))
+        return _monte_carlo_moments(model, x_i, x_next, cfg, [()])
+    return _moments_from_blocks(_fixed_point_blocks(model, x_i, x_next))
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +561,7 @@ def m_step_sigma(dataset: ImagePairDataset, moments: LatentMoments,
 
 
 # The dynamics M-step is the shared ``m_step_dynamics`` of
-# :mod:`lieflow.dynamics` applied to ``LatentMoments.transition_stats()``:
+# :mod:`lieflow.dynamics` applied to ``LatentMoments.transition``:
 # the fixed-representation normal equations with expectations over
 # (z, lambda) substituted.
 
@@ -592,14 +589,15 @@ def _entropy(cov: np.ndarray) -> np.ndarray:
 
 
 def expected_complete_data_ll(model: PpcaModel, xc_i: np.ndarray,
-                              xc_n: np.ndarray, moments: LatentMoments,
-                              include_coeff_terms=True) -> np.ndarray:
-    """Per-pair expected complete-data log-likelihood (two-frame
-    factorization) under the expectation bundle; the coefficient prior
-    term is dropped where ``include_coeff_terms`` (one flag, or one per
-    pair) is false."""
+                              xc_n: np.ndarray, moments: LatentMoments) -> float:
+    """Expected complete-data log-likelihood (two-frame factorization)
+    under the expectation bundle, summed over the pairs.  The transition
+    and coefficient-prior terms are
+    :func:`lieflow.dynamics.expected_log_density` of the summed
+    statistics, with the prior counted for the pairs whose coefficients
+    are live."""
     w = model.loading
-    d, j = model.latent_dim, model.dynamics.coeff_count
+    d = model.latent_dim
     big_d = model.data_dim
     sig2 = model.noise_var
     gram = w.T @ w
@@ -610,26 +608,13 @@ def expected_complete_data_ll(model: PpcaModel, xc_i: np.ndarray,
                           - 2.0 * np.einsum("nd,nd->n", xc, ez @ w.T)
                           + np.einsum("ab,nab->n", gram, ezz)) / sig2)
 
-    omega_chol = spd_cholesky(model.dynamics.trans_cov)
-    omega_prec = spd_solve(omega_chol, np.eye(d))
-    flat = liealg.block_flatten(model.dynamics.basis)
-    prec_flat = omega_prec @ flat
-    trans_quad = (np.einsum("ab,nab->n", omega_prec, moments.e_dz_dz)
-                  - 2.0 * np.einsum("ak,nak->n", prec_flat, moments.e_dz_zkronlam)
-                  + np.einsum("kl,nkl->n", flat.T @ prec_flat,
-                              moments.e_zz_kron_lamlam))
-    trans = -0.5 * (d * LOG_2PI
-                    + 2.0 * float(np.sum(np.log(np.diag(omega_chol))))
-                    + trans_quad)
-    lam_chol = spd_cholesky(model.dynamics.coeff_prior_cov)
-    lam_prec = spd_solve(lam_chol, np.eye(j))
-    lam_term = -0.5 * (j * LOG_2PI
-                       + 2.0 * float(np.sum(np.log(np.diag(lam_chol))))
-                       + np.einsum("jk,njk->n", lam_prec, moments.elamlam))
     prior_zi = -0.5 * (d * LOG_2PI + np.trace(moments.ezz_i, axis1=1, axis2=2))
-    return (recon(xc_i, moments.ez_i, moments.ezz_i)
-            + recon(xc_n, moments.ez_next, moments.ezz_next)
-            + trans + np.where(include_coeff_terms, lam_term, 0.0) + prior_zi)
+    return float(np.sum(recon(xc_i, moments.ez_i, moments.ezz_i)
+                        + recon(xc_n, moments.ez_next, moments.ezz_next)
+                        + prior_zi)
+                 + expected_log_density(
+                     model.dynamics, moments.transition,
+                     int(np.count_nonzero(moments.live_coefficients))))
 
 
 def mean_field_elbo(model: PpcaModel, dataset: ImagePairDataset,
@@ -640,13 +625,13 @@ def mean_field_elbo(model: PpcaModel, dataset: ImagePairDataset,
     A degenerate coefficient block (all moments zero, as under frozen
     coefficients) contributes neither a prior term nor an entropy.
     """
-    live = np.any(moments.elamlam, axis=(1, 2)) | np.any(moments.elam, axis=1)
-    per_pair = (expected_complete_data_ll(model, dataset.x_i - model.data_mean,
-                                          dataset.x_next - model.data_mean,
-                                          moments, include_coeff_terms=live)
-                + _entropy(moments.cov_z_i) + _entropy(moments.cov_z_next)
-                + np.where(live, _entropy(moments.cov_lam), 0.0))
-    return float(per_pair.sum())
+    entropies = (_entropy(moments.cov_z_i) + _entropy(moments.cov_z_next)
+                 + np.where(moments.live_coefficients,
+                            _entropy(moments.cov_lam), 0.0))
+    return (expected_complete_data_ll(model, dataset.x_i - model.data_mean,
+                                      dataset.x_next - model.data_mean,
+                                      moments)
+            + float(entropies.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -683,23 +668,18 @@ def _e_step_dataset(model: PpcaModel, dataset: ImagePairDataset,
                     ) -> tuple[LatentMoments, float | None]:
     """All-pair moments plus, for the quadrature backend, the exact
     conditional evidence ``sum_i log p(x_next | x_i)``."""
-    xc_i = dataset.x_i - model.data_mean
-    xc_n = dataset.x_next - model.data_mean
-    n = dataset.count
+    x_i, x_n = dataset.x_i, dataset.x_next
     if method == "fixed_point":
         parts = map_blocks(lambda a, b: _fixed_point_blocks(
-            model, xc_i[a:b], xc_n[a:b], cfg, freeze_coefficients), n, threads)
+            model, x_i[a:b], x_n[a:b], freeze_coefficients),
+            dataset.count, threads)
         return _moments_from_blocks(_Blocks(**{
             name: np.concatenate([getattr(p, name) for p in parts])
             for name in vars(parts[0])})), None
     if method == "quadrature":
-        results = [_quadrature_moments_pair(model, xc_i[i], xc_n[i], cfg)
-                   for i in range(n)]
-        return (_stack_moments([r[0] for r in results]),
-                float(sum(r[1] for r in results)))
-    return _stack_moments([
-        _monte_carlo_moments_pair(model, xc_i[i], xc_n[i], cfg, (i,))[0]
-        for i in range(n)]), None
+        return _quadrature_moments(model, x_i, x_n, cfg)
+    return _monte_carlo_moments(model, x_i, x_n, cfg,
+                                [(i,) for i in range(dataset.count)]), None
 
 
 def fit(dataset: ImagePairDataset, config: PpcaConfig
@@ -736,7 +716,7 @@ def fit(dataset: ImagePairDataset, config: PpcaConfig
         sigma2 = m_step_sigma(dataset, moments, w, mu)
         dyn = next_dyn = model.dynamics
         if config.update_dynamics and not config.freeze_coefficients:
-            dyn, next_dyn = update_step(dyn, moments.transition_stats(), config)
+            dyn, next_dyn = update_step(dyn, moments.transition, config)
         if exact_evidence is None:
             trace.append(mean_field_elbo(PpcaModel(w, mu, sigma2, dyn),
                                          dataset, moments))

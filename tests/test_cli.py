@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lieflow.cli import main
+from lieflow.gaussian import Gaussian, LinearGaussianMap, posterior
 from lieflow.tensorfile import read_tensors, write_tensors
 
 
@@ -187,6 +188,30 @@ class TestImageEstimators:
                     "--out", str(traj)]) == 0
         out = read_tensors(traj)
         assert out["x_traj"].shape == (4, 9)
+
+    def test_ppca_eval_matches_per_frame_oracle(self, tmp_path,
+                                                image_dataset):
+        # eval's batched latent posterior against the Gaussian core, one
+        # frame at a time
+        ck = tmp_path / "ppca.lf"
+        assert run(["fit", "--estimator", "ppca", "--data",
+                    str(image_dataset), "--d", "2", "--max-iters", "3",
+                    "--out", str(ck),
+                    "--trace-out", str(tmp_path / "t.csv")]) == 0
+        metrics = tmp_path / "m.csv"
+        assert run(["eval", "--checkpoint", str(ck), "--data",
+                    str(image_dataset), "--out", str(metrics)]) == 0
+        values = dict(line.split(",") for line in
+                      metrics.read_text().strip().split("\n")[1:])
+        arrays, data = read_tensors(ck), read_tensors(image_dataset)
+        w, mu = arrays["W"], arrays["mu"]
+        prior = Gaussian(np.zeros(2), np.eye(2))
+        lin = LinearGaussianMap(w, mu, float(arrays["sigma2"]) * np.eye(9))
+        recon = np.stack([w @ posterior(prior, lin, x).mean + mu
+                          for x in data["x_i"]])
+        oracle = float(np.mean((recon - data["x_i"]) ** 2))
+        assert float(values["reconstruction_mse"]) == pytest.approx(
+            oracle, rel=1e-12)
 
     def test_npca_fit_roundtrip(self, tmp_path, image_dataset):
         ck = tmp_path / "npca.lf"

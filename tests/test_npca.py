@@ -281,7 +281,7 @@ class TestDynamicsUpdates:
         model = NpcaModel(enc, dec, 0.01, dyn)
         data = ImagePairDataset(latent.z_i, latent.z_next, 1, 2)
         basis, omega = m_step_dynamics(
-            encoded_moments(model, data).transition_stats())
+            encoded_moments(model, data).transition)
         pairs = PairDataset(latent.z_i, latent.z_next)
         ref_basis, ref_omega = m_step_dynamics(
             transition_stats(pairs, e_step_all(dyn, pairs)))
@@ -297,7 +297,7 @@ class TestDynamicsUpdates:
         x = rng.normal_matrix(11, (0,), (12, 3))
         data = ImagePairDataset(x, x + 0.01, 1, 3)
         basis, _ = m_step_dynamics(
-            encoded_moments(model, data).transition_stats())
+            encoded_moments(model, data).transition)
         assert np.allclose(basis.generators, 0.0, atol=1e-12)
 
 

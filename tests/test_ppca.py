@@ -2,12 +2,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import reference_ppca_em, tiny_joint_instance
 from lieflow import rng
 from lieflow.dynamics import (
     DynamicsModel,
     PairDataset,
+    TransitionStats,
     e_step_all,
     transition_stats,
 )
@@ -25,6 +28,8 @@ from lieflow.ppca import (
     LatentMoments,
     PpcaConfig,
     PpcaModel,
+    _Blocks,
+    _moments_from_blocks,
     e_step_joint,
     fit,
     init_loading,
@@ -59,22 +64,22 @@ def simple_model(w, sigma2=1.0, omega=None, lam=None, mu=None, gens=None):
 class TestPosteriorZGivenX:
     def test_scalar_equal_precision(self):
         model = simple_model([[1.0]], sigma2=1.0)
-        post = posterior_z_given_x(model, [2.0])
-        assert post.mean[0] == pytest.approx(1.0)
-        assert post.cov[0, 0] == pytest.approx(0.5)
+        mean, cov = posterior_z_given_x(model, [2.0])
+        assert mean[0] == pytest.approx(1.0)
+        assert cov[0, 0] == pytest.approx(0.5)
 
     def test_zero_loading_returns_prior(self):
         model = simple_model(np.zeros((3, 2)), sigma2=0.7)
-        post = posterior_z_given_x(model, [1.0, -2.0, 0.5])
-        assert np.allclose(post.mean, 0.0)
-        assert np.allclose(post.cov, np.eye(2))
+        mean, cov = posterior_z_given_x(model, [1.0, -2.0, 0.5])
+        assert np.allclose(mean, 0.0)
+        assert np.allclose(cov, np.eye(2))
 
     def test_matches_quadrature_bayes(self):
         w = rng.normal_matrix(1, (0,), (4, 2))
         mu = rng.normals(1, (1,), 4)
         model = simple_model(w, sigma2=0.3 ** 2, mu=mu)
         x = rng.normals(1, (2,), 4)
-        post = posterior_z_given_x(model, x)
+        post_mean, post_cov = posterior_z_given_x(model, x)
 
         like = Gaussian(x - mu, model.noise_var * np.eye(4))
 
@@ -82,22 +87,44 @@ class TestPosteriorZGivenX:
             prior = -0.5 * np.sum(zs * zs, axis=1) - np.log(2 * np.pi)
             return prior + log_density_batch(like, zs @ w.T)
 
-        half = 8.0 * np.sqrt(np.diag(post.cov).max())
-        grid = GridSpec(post.mean - half, post.mean + half, np.full(2, 128))
+        half = 8.0 * np.sqrt(np.diag(post_cov).max())
+        grid = GridSpec(post_mean - half, post_mean + half, np.full(2, 128))
         _, mean, second, _ = quadrature_moments(log_target, grid)
-        assert np.allclose(mean, post.mean, atol=1e-6)
-        assert np.allclose(second - np.outer(mean, mean), post.cov, atol=1e-6)
+        assert np.allclose(mean, post_mean, atol=1e-6)
+        assert np.allclose(second - np.outer(mean, mean), post_cov, atol=1e-6)
 
     def test_identical_to_gaussian_core_posterior(self):
         w = rng.normal_matrix(2, (0,), (5, 2))
         mu = rng.normals(2, (1,), 5)
         model = simple_model(w, sigma2=0.2, mu=mu)
         x = rng.normals(2, (2,), 5)
-        direct = posterior_z_given_x(model, x)
+        mean, cov = posterior_z_given_x(model, x)
         ref = posterior(Gaussian(np.zeros(2), np.eye(2)),
                         LinearGaussianMap(w, mu, 0.2 * np.eye(5)), x)
-        assert np.allclose(direct.mean, ref.mean, atol=1e-12)
-        assert np.allclose(direct.cov, ref.cov, atol=1e-12)
+        assert np.allclose(mean, ref.mean, atol=1e-12)
+        assert np.allclose(cov, ref.cov, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 5), big_d=st.integers(1, 6), d=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 31 - 1), log_sig2=st.floats(-2.0, 1.0))
+def test_batched_posterior_equals_per_frame_oracle(n, big_d, d, seed,
+                                                   log_sig2):
+    d = min(d, big_d)
+    w = rng.normal_matrix(seed, (0,), (big_d, d))
+    mu = rng.normals(seed, (1,), big_d)
+    sig2 = 10.0 ** log_sig2
+    model = simple_model(w, sigma2=sig2, mu=mu)
+    x = mu + rng.normal_matrix(seed, (2,), (n, big_d))
+    means, cov = posterior_z_given_x(model, x)
+    assert means.shape == (n, d) and cov.shape == (d, d)
+    prior = Gaussian(np.zeros(d), np.eye(d))
+    lin = LinearGaussianMap(w, mu, sig2 * np.eye(big_d))
+    for mean, frame in zip(means, x):
+        ref = posterior(prior, lin, frame)
+        assert np.abs(mean - ref.mean).max() \
+            <= 1e-12 * max(1.0, np.abs(ref.mean).max())
+        assert np.abs(cov - ref.cov).max() <= 1e-12 * max(1.0, np.abs(ref.cov).max())
 
 
 class TestPosteriorZNext:
@@ -120,9 +147,9 @@ class TestPosteriorZNext:
         model = simple_model(w, sigma2=1e-8, omega=1e6 * np.eye(2))
         x_n = rng.normals(4, (1,), 4)
         post = posterior_znext(model, x_n, np.zeros(2), np.zeros(1))
-        ref = posterior_z_given_x(model, x_n)
-        assert np.allclose(post.mean, ref.mean, atol=1e-5)
-        assert np.allclose(post.cov, ref.cov, atol=1e-5)
+        ref_mean, ref_cov = posterior_z_given_x(model, x_n)
+        assert np.allclose(post.mean, ref_mean, atol=1e-5)
+        assert np.allclose(post.cov, ref_cov, atol=1e-5)
 
     def test_matches_quadrature(self):
         w = rng.normal_matrix(5, (0,), (3, 2))
@@ -169,11 +196,9 @@ class TestEStepJoint:
         assert abs(moments.elam[0, 0]) < 1e-6
         assert abs(moments.elamlam[0, 0, 0]) < 1e-12
         # z-blocks reduce to the coefficient-free chained posteriors
-        from lieflow.ppca import _fixed_point_blocks, _moments_from_blocks
+        from lieflow.ppca import _fixed_point_blocks
         frozen = _moments_from_blocks(_fixed_point_blocks(
-            collapsed, (x_i - model.data_mean)[None],
-            (x_n - model.data_mean)[None], EStepConfig(),
-            freeze_coefficients=True))
+            collapsed, x_i[None], x_n[None], freeze_coefficients=True))
         assert np.allclose(moments.ez_i, frozen.ez_i, atol=1e-6)
         assert np.allclose(moments.ez_next, frozen.ez_next, atol=1e-6)
 
@@ -215,8 +240,8 @@ class TestCanonicalForm:
         xc_n = x_n - model.data_mean
         w = float(model.loading[:, 0] @ model.loading[:, 0]) ** 0.5
         wx = float(model.loading[:, 0] @ xc_n)
-        post_zi = posterior_z_given_x(model, x_i)
-        u, s = float(post_zi.mean[0]), float(post_zi.cov[0, 0])
+        post_mean, post_cov = posterior_z_given_x(model, x_i)
+        u, s = float(post_mean[0]), float(post_cov[0, 0])
         g = float(model.dynamics.basis.generators[0, 0, 0])
         omega = float(model.dynamics.trans_cov[0, 0])
         lam_var = float(model.dynamics.coeff_prior_cov[0, 0])
@@ -290,23 +315,16 @@ class TestMSteps:
         assert np.allclose(m_step_mu(data), brute, atol=1e-12)
 
     @staticmethod
-    def delta_moments(z_i, z_n, lam=None, j=1):
-        """Moments of point-mass posteriors, one row per pair."""
-        n = z_i.shape[0]
+    def delta_moments(z_i, z_n, lam=None, j=1, lam_cov=None):
+        """Moments of point-mass latents, and of point-mass coefficients
+        unless ``lam_cov`` is given, assembled like the mean-field
+        bundle; one row per pair."""
+        n, d = z_i.shape
         lam = np.zeros((n, j)) if lam is None else np.asarray(lam, dtype=float)
-        dz = z_n - z_i
-        zl = np.einsum("na,nj->naj", z_i, lam).reshape(n, -1)
-
-        def outer(a, b):
-            return np.einsum("na,nb->nab", a, b)
-
-        return LatentMoments(
-            ez_i=z_i, ez_next=z_n,
-            ezz_i=outer(z_i, z_i), ezz_next=outer(z_n, z_n),
-            elam=lam, elamlam=outer(lam, lam),
-            e_dz_dz=outer(dz, dz),
-            e_dz_zkronlam=outer(dz, zl),
-            e_zz_kron_lamlam=outer(zl, zl))
+        lam_cov = np.zeros((n, lam.shape[1], lam.shape[1])) \
+            if lam_cov is None else lam_cov
+        point = np.zeros((n, d, d))
+        return _moments_from_blocks(_Blocks(z_i, point, z_n, point, lam, lam_cov))
 
     def test_w_identity_limit(self):
         frames = rng.normal_matrix(17, (0,), (6, 2))
@@ -361,14 +379,9 @@ class TestMSteps:
         from lieflow.dynamics import init_model
         model = init_model(2, 2, 22)
         posteriors = e_step_all(model, data)
-        second = posteriors.second
-        zz = np.einsum("na,nb->nab", data.z_i, data.z_i)
-        moments = replace(
-            self.delta_moments(data.z_i, data.z_next, posteriors.mean),
-            elamlam=second,
-            e_zz_kron_lamlam=np.einsum("nab,njk->najbk", zz, second)
-            .reshape(30, 4, 4))
-        basis, omega = m_step_dynamics(moments.transition_stats())
+        moments = self.delta_moments(data.z_i, data.z_next, posteriors.mean,
+                                     lam_cov=posteriors.cov)
+        basis, omega = m_step_dynamics(moments.transition)
         ref_basis, ref_omega = m_step_dynamics(transition_stats(data, posteriors))
         assert np.allclose(basis.generators, ref_basis.generators, atol=1e-9)
         assert np.allclose(omega, ref_omega, atol=1e-9)
@@ -376,11 +389,10 @@ class TestMSteps:
     def test_dynamics_zero_coefficient_moments_give_zero_generator(self):
         z_i = np.stack([rng.normals(23, (k,), 2) for k in range(6)])
         z_n = np.stack([rng.normals(23, (k, 1), 2) for k in range(6)])
-        base = self.delta_moments(z_i, z_n)
-        moments = replace(base, elamlam=np.ones((6, 1, 1)),
-                          e_dz_zkronlam=np.zeros((6, 2, 2)),
-                          e_zz_kron_lamlam=base.ezz_i)
-        basis, _ = m_step_dynamics(moments.transition_stats())
+        # zero-mean coefficients of unit variance
+        moments = self.delta_moments(z_i, z_n, lam_cov=np.ones((6, 1, 1)))
+        assert np.all(moments.transition.dz_zlam == 0.0)
+        basis, _ = m_step_dynamics(moments.transition)
         assert np.allclose(basis.generators, 0.0, atol=1e-12)
 
 
@@ -429,8 +441,8 @@ class TestFit:
         trace = np.array(trace)
         tail = np.diff(trace)[-10:] / np.abs(trace[-11:-1])
         assert np.abs(tail).max() < 1e-4
-        rec = np.stack([model.loading @ posterior_z_given_x(model, x).mean
-                        + model.data_mean for x in data.x_i])
+        means, _ = posterior_z_given_x(model, data.x_i)
+        rec = means @ model.loading.T + model.data_mean
         assert np.mean((rec - data.x_i) ** 2) < 2 * 0.02 ** 2
 
     def test_quadrature_estep_trace_monotone(self):
@@ -517,10 +529,19 @@ def test_latent_moments_psd_validation():
         ez_i=np.zeros((2, 1)), ez_next=np.zeros((2, 1)),
         ezz_i=np.array([[[1.0]], [[-1.0]]]),
         ezz_next=good, elam=np.zeros((2, 1)), elamlam=good,
-        e_dz_dz=good, e_dz_zkronlam=np.zeros((2, 1, 1)),
-        e_zz_kron_lamlam=good)
+        transition=TransitionStats(2, np.ones((1, 1)), np.zeros((1, 1)),
+                                   np.ones((1, 1)), np.ones((1, 1))))
     with pytest.raises(NumericError):
         LatentMoments(**bad)
+
+
+def test_resolved_estep_leaves_the_callers_config_unchanged():
+    shared = EStepConfig(mc_samples=500)
+    late = PpcaConfig(seed=9, estep_config=shared).resolved_estep()
+    early = PpcaConfig(seed=5, estep_config=shared).resolved_estep()
+    assert (early.seed, late.seed) == (5, 9)
+    assert early.mc_samples == late.mc_samples == 500
+    assert shared == EStepConfig(mc_samples=500)
 
 
 def test_init_loading_is_deterministic_and_scaled():

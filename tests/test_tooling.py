@@ -33,12 +33,15 @@ def test_every_traced_target_resolves():
     assert not missing, f"traced names that no longer exist: {missing}"
 
 
-@pytest.mark.parametrize("workload", ["latent_em", "vem_train"])
+@pytest.mark.parametrize("workload", ["latent_em", "image_em", "vem_train",
+                                      "cli_roundtrip"])
 def test_tiny_benchmark_passes_its_checks(workload):
     # checks the seed-1 tiny reference (iterations, and the objective at
     # rtol 1e-9): latent_em through the stacked group action of
-    # synth.generate_latent_pairs and dynamics.fit, vem_train through
-    # npca.fit, npca.named_parameters and npca.encode
+    # synth.generate_latent_pairs and dynamics.fit, image_em through
+    # ppca.fit, vem_train through npca.fit, npca.named_parameters and
+    # npca.encode, cli_roundtrip through generate, fit (ppca), eval and
+    # roll as CLI processes
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload",
          workload, "--size", "tiny", "--seconds", "0.1"],
