@@ -1,7 +1,9 @@
 """Command-line surface: generate / fit / eval / roll.
 
-One binary with four subcommands.  Flags override values from an
-optional JSON ``--config`` file, which overrides built-in defaults.
+One binary with four subcommands.  ``_OPTIONS`` is the one place each
+option is declared: flag, config key, type, default, choices or range.
+Flags override an optional JSON ``--config`` file, which overrides the
+defaults; every value is checked the same way whatever its source.
 Exit codes: 0 success, 2 usage error, 3 I/O or format error, 4 numeric
 abort.  All numeric CSV output uses 17 significant digits so files are
 reproducible bit-for-bit under a fixed seed.
@@ -12,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,31 +61,23 @@ def cmd_generate(opts) -> int:
         generator_count=opts["j"], lambda_scale=opts["lambda_scale"],
         noise_std=opts["noise_std"], pair_count=opts["n"],
         seed=opts["seed"], first_order=opts["first_order"])
-    arrays: dict[str, np.ndarray] = {}
     if opts["mode"] == "latent":
         data, truth = synth.generate_latent_pairs(spec)
-        arrays["z_i"] = data.z_i
-        arrays["z_next"] = data.z_next
+        arrays = {"z_i": data.z_i, "z_next": data.z_next}
         dims = data.latent_dim
     else:
         data, truth = synth.generate_image_pairs(spec, opts["embedding"])
-        arrays["x_i"] = data.x_i
-        arrays["x_next"] = data.x_next
-        arrays["height"] = np.float64(data.height)
-        arrays["width"] = np.float64(data.width)
+        arrays = {"x_i": data.x_i, "x_next": data.x_next,
+                  "height": np.float64(data.height),
+                  "width": np.float64(data.width)}
         if truth.loading is not None:
             arrays["true_W"] = truth.loading
-        arrays["true_z_i"] = truth.z_i
-        arrays["true_z_next"] = truth.z_next
+        arrays.update(true_z_i=truth.z_i, true_z_next=truth.z_next)
         dims = data.image_dim
-    arrays["true_G"] = truth.basis.generators
-    arrays["true_lambdas"] = truth.lambdas
+    arrays.update(true_G=truth.basis.generators, true_lambdas=truth.lambdas)
     write_tensors(opts["out"], arrays)
-    print(f"n={spec.pair_count}")
-    print(f"dim={dims}")
-    print(f"seed={spec.seed}")
-    print(f"kind={spec.group_kind}")
-    print(f"out={opts['out']}")
+    print(f"n={spec.pair_count}", f"dim={dims}", f"seed={spec.seed}",
+          f"kind={spec.group_kind}", f"out={opts['out']}", sep="\n")
     return EXIT_OK
 
 
@@ -120,45 +115,26 @@ def _npca_arrays(model: npca.NpcaModel) -> dict[str, np.ndarray]:
 def cmd_fit(opts) -> int:
     arrays = read_tensors(opts["data"])
     estimator = opts["estimator"]
-    estep = _ESTEP_FLAGS[opts["estep"]]
-    # comparisons written so that NaN fails too
-    if opts["max_iters"] < 1:
-        raise UsageError("--max-iters must be at least 1")
-    if opts["batch_size"] < 1:
-        raise UsageError("--batch-size must be at least 1")
-    if not 0.0 <= opts["tol"] < np.inf:
-        raise UsageError("--tol must be finite and nonnegative")
-    if opts["threads"] < 0:
-        raise UsageError("--threads must be nonnegative (0 uses every CPU)")
-    if not 0.0 < opts["step_size"] < np.inf:
-        raise UsageError("--step-size must be finite and positive")
-    if not 0.0 < opts["obs_noise_var"] < np.inf:
-        raise UsageError("--obs-noise-var must be finite and positive")
-    if any(width < 1 for width in opts["hidden"]):
-        raise UsageError("--hidden sizes must be at least 1")
-    threads = opts["threads"] or os.cpu_count() or 1
+    em = dict(j_init=opts["j"], max_iters=opts["max_iters"], tol=opts["tol"],
+              seed=opts["seed"], estimate_lambda=opts["estimate_lambda"],
+              threads=opts["threads"] or os.cpu_count() or 1)
     if estimator == "dynamics":
         data = _load_latent_dataset(arrays)
         if opts["d"] and opts["d"] != data.latent_dim:
             raise UsageError(
                 f"config latent dim {opts['d']} != dataset dim {data.latent_dim}")
-        config = EmConfig(j_init=opts["j"], max_iters=opts["max_iters"],
-                          tol=opts["tol"], seed=opts["seed"],
-                          estimate_lambda=opts["estimate_lambda"],
-                          threads=threads)
+        config = EmConfig(**em)
         model, trace = dyn_mod.fit(data, config)
         checkpoint = _dynamics_arrays(model)
     elif estimator == "ppca":
         data = _load_image_dataset(arrays)
-        config = ppca.PpcaConfig(
-            latent_dim=opts["d"] or 2, j_init=opts["j"], estep=estep,
-            max_iters=opts["max_iters"], tol=opts["tol"], seed=opts["seed"],
-            estimate_lambda=opts["estimate_lambda"], threads=threads)
+        config = ppca.PpcaConfig(latent_dim=opts["d"] or 2,
+                                 estep=_ESTEP_FLAGS[opts["estep"]], **em)
         model, trace = ppca.fit(data, config)
         checkpoint = _dynamics_arrays(model.dynamics)
         checkpoint.update({"W": model.loading, "mu": model.data_mean,
                            "sigma2": np.float64(model.noise_var)})
-    elif estimator == "npca":
+    else:
         data = _load_image_dataset(arrays)
         config = npca.NpcaConfig(
             latent_dim=opts["d"] or 2,
@@ -176,8 +152,6 @@ def cmd_fit(opts) -> int:
         model, trace = npca.fit(data, config, init=init)
         checkpoint = _dynamics_arrays(model.dynamics)
         checkpoint.update(_npca_arrays(model))
-    else:
-        raise UsageError(f"unknown estimator {estimator!r}")
 
     # npca trains for a fixed number of epochs: no stopping rule to fire
     converged = estimator != "npca" and dyn_mod.converged(trace, config.tol)
@@ -303,10 +277,6 @@ def _infer_roll_coefficients(dynamics: DynamicsModel, z0: np.ndarray,
 
 
 def cmd_roll(opts) -> int:
-    if opts["steps"] < 1:
-        raise UsageError("--steps must be at least 1")
-    if opts["t_max"] is not None and not np.isfinite(opts["t_max"]):
-        raise UsageError("--t-max must be finite")
     ck, estimator = _read_checkpoint(opts["checkpoint"])
     arrays = read_tensors(opts["data"])
     dynamics = _checkpoint_dynamics(ck)
@@ -350,21 +320,99 @@ def cmd_roll(opts) -> int:
 # ---------------------------------------------------------------------------
 # argument handling
 
-_DEFAULTS = {
-    "generate": {"kind": "rotation2d", "mode": "latent", "embedding": "linear",
-                 "n": 100, "d": 2, "j": 1, "height": 1, "width": 4,
-                 "lambda_scale": 0.05, "noise_std": 0.0, "seed": 0,
-                 "first_order": False, "out": "dataset.lf"},
-    "fit": {"estimator": "dynamics", "d": 0, "j": 1, "estep": "fixed-point",
-            "max_iters": 500, "tol": 1e-8, "seed": 0, "threads": 1,
-            "estimate_lambda": False, "hidden": [], "step_size": 1e-3,
-            "batch_size": 32, "obs_noise_var": 0.01, "warm_start": False,
-            "out": "checkpoint.lf", "trace_out": None, "data": None},
-    "eval": {"checkpoint": None, "data": None, "out": "metrics.csv"},
-    "roll": {"checkpoint": None, "data": None, "pair_index": 0,
-             "mode": "interpolate", "steps": 11, "t_max": None,
-             "out": "trajectory.lf", "csv_out": None},
-}
+
+@dataclass(frozen=True)
+class _Option:
+    """One option: flag ``--name`` and config key ``name`` of commands."""
+
+    commands: str       # space-separated subcommands
+    name: str
+    type: type          # int, float (finite), str, bool (a flag) or list
+    default: object = None      # None: unset, unless required
+    choices: tuple = ()
+    low: float | None = None    # smallest allowed value (of each element)
+    above: bool = False         # low itself is excluded
+    required: bool = False
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
+
+_OPTIONS = (
+    _Option("generate", "kind", str, "rotation2d", synth.KINDS),
+    _Option("generate", "mode", str, "latent", ("latent", "image")),
+    _Option("generate", "embedding", str, "linear", ("linear", "raster")),
+    _Option("generate", "n", int, 100),
+    _Option("generate", "d", int, 2),
+    _Option("generate", "j", int, 1),
+    _Option("generate", "height", int, 1),
+    _Option("generate", "width", int, 4),
+    _Option("generate", "lambda_scale", float, 0.05),
+    _Option("generate", "noise_std", float, 0.0),
+    _Option("generate", "seed", int, 0),
+    _Option("generate", "first_order", bool, False),
+    _Option("generate", "out", str, "dataset.lf"),
+    _Option("fit", "estimator", str, "dynamics", tuple(_ESTIMATOR_CODES)),
+    _Option("eval roll", "checkpoint", str, required=True),
+    _Option("fit eval roll", "data", str, required=True),
+    _Option("fit", "d", int, 0),
+    _Option("fit", "j", int, 1),
+    _Option("fit", "estep", str, "fixed-point", tuple(_ESTEP_FLAGS)),
+    _Option("fit", "max_iters", int, 500, low=1),
+    _Option("fit", "tol", float, 1e-8, low=0.0),
+    _Option("fit", "seed", int, 0),
+    _Option("fit", "threads", int, 1, low=0),   # 0 uses every CPU
+    _Option("fit", "estimate_lambda", bool, False),
+    _Option("fit", "hidden", list, (), low=1),
+    _Option("fit", "step_size", float, 1e-3, low=0.0, above=True),
+    _Option("fit", "batch_size", int, 32, low=1),
+    _Option("fit", "obs_noise_var", float, 0.01, low=0.0, above=True),
+    _Option("fit", "warm_start", bool, False),
+    _Option("fit", "out", str, "checkpoint.lf"),
+    _Option("fit", "trace_out", str),
+    _Option("eval", "out", str, "metrics.csv"),
+    _Option("roll", "pair_index", int, 0),
+    _Option("roll", "mode", str, "interpolate", ("interpolate", "extrapolate")),
+    _Option("roll", "steps", int, 11, low=1),
+    _Option("roll", "t_max", float),
+    _Option("roll", "out", str, "trajectory.lf"),
+    _Option("roll", "csv_out", str),
+)
+# accepted JSON types; a bool is no number and a float no integer
+_JSON_TYPES = {int: int, float: (int, float), str: str, bool: bool}
+_COMMANDS = {"generate": ("synthesize a dataset", cmd_generate),
+             "fit": ("fit an estimator to a dataset", cmd_fit),
+             "eval": ("score a checkpoint on a dataset", cmd_eval),
+             "roll": ("interpolate or extrapolate a pair", cmd_roll)}
+
+
+def _check(opt: _Option, value):
+    """``value`` as the handlers use it, or a UsageError naming the flag."""
+    if value is None:
+        if opt.required or opt.default is not None:
+            raise UsageError(f"{opt.flag} is required" if opt.required
+                             else f"{opt.flag} must not be null")
+        return None
+    items = value if opt.type is list else [value]
+    kind = int if opt.type is list else opt.type
+    if not isinstance(items, (list, tuple)) or not all(
+            isinstance(v, _JSON_TYPES[kind])
+            and isinstance(v, bool) == (kind is bool) for v in items):
+        expected = "list of int" if opt.type is list else opt.type.__name__
+        raise UsageError(f"{opt.flag} must be {expected}, not {value!r}")
+    if opt.type is float:
+        # written so that NaN and integers beyond float range fail too
+        if not abs(value) <= sys.float_info.max:
+            raise UsageError(f"{opt.flag} must be finite")
+        value = float(value)
+    if opt.choices and value not in opt.choices:
+        raise UsageError(f"{opt.flag} must be one of {list(opt.choices)}")
+    if opt.low is not None and any(
+            v < opt.low or (opt.above and v == opt.low) for v in items):
+        raise UsageError(f"{opt.flag} must be "
+                         f"{'above' if opt.above else 'at least'} {opt.low:g}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -373,94 +421,45 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Joint estimation of sequence representations and their "
                     "transition generators.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("generate", help="synthesize a dataset")
-    gen.add_argument("--kind", choices=synth.KINDS)
-    gen.add_argument("--mode", choices=["latent", "image"])
-    gen.add_argument("--embedding", choices=["linear", "raster"])
-    gen.add_argument("--n", type=int)
-    gen.add_argument("--d", type=int)
-    gen.add_argument("--j", type=int)
-    gen.add_argument("--height", type=int)
-    gen.add_argument("--width", type=int)
-    gen.add_argument("--lambda-scale", dest="lambda_scale", type=float)
-    gen.add_argument("--noise-std", dest="noise_std", type=float)
-    gen.add_argument("--seed", type=int)
-    gen.add_argument("--first-order", dest="first_order",
-                     action="store_const", const=True)
-    gen.add_argument("--out")
-
-    fit_p = sub.add_parser("fit", help="fit an estimator to a dataset")
-    fit_p.add_argument("--estimator", choices=["dynamics", "ppca", "npca"])
-    fit_p.add_argument("--data")
-    fit_p.add_argument("--d", type=int)
-    fit_p.add_argument("--j", type=int)
-    fit_p.add_argument("--estep", choices=list(_ESTEP_FLAGS))
-    fit_p.add_argument("--max-iters", dest="max_iters", type=int)
-    fit_p.add_argument("--tol", type=float)
-    fit_p.add_argument("--seed", type=int)
-    fit_p.add_argument("--threads", type=int)
-    fit_p.add_argument("--estimate-lambda", dest="estimate_lambda",
-                       action="store_const", const=True)
-    fit_p.add_argument("--hidden", type=int, nargs="*")
-    fit_p.add_argument("--step-size", dest="step_size", type=float)
-    fit_p.add_argument("--batch-size", dest="batch_size", type=int)
-    fit_p.add_argument("--obs-noise-var", dest="obs_noise_var", type=float)
-    fit_p.add_argument("--warm-start", dest="warm_start",
-                       action="store_const", const=True)
-    fit_p.add_argument("--out")
-    fit_p.add_argument("--trace-out", dest="trace_out")
-
-    eval_p = sub.add_parser("eval", help="score a checkpoint on a dataset")
-    eval_p.add_argument("--checkpoint")
-    eval_p.add_argument("--data")
-    eval_p.add_argument("--out")
-
-    roll_p = sub.add_parser("roll", help="interpolate or extrapolate a pair")
-    roll_p.add_argument("--checkpoint")
-    roll_p.add_argument("--data")
-    roll_p.add_argument("--pair-index", dest="pair_index", type=int)
-    roll_p.add_argument("--mode", choices=["interpolate", "extrapolate"])
-    roll_p.add_argument("--steps", type=int)
-    roll_p.add_argument("--t-max", dest="t_max", type=float)
-    roll_p.add_argument("--out")
-    roll_p.add_argument("--csv-out", dest="csv_out")
-
-    for p in (gen, fit_p, eval_p, roll_p):
+    commands = {name: sub.add_parser(name, help=help_text)
+                for name, (help_text, _) in _COMMANDS.items()}
+    for opt in _OPTIONS:
+        if opt.type is bool:
+            kwargs = {"action": "store_const", "const": True}
+        else:
+            kwargs = {"choices": opt.choices or None,
+                      "type": int if opt.type is list else opt.type,
+                      "nargs": "*" if opt.type is list else None}
+        for command in opt.commands.split():
+            commands[command].add_argument(opt.flag, dest=opt.name, **kwargs)
+    for p in commands.values():
         p.add_argument("--config", help="JSON file with defaults for any flag")
     return parser
 
 
 def _merge_options(command: str, args: argparse.Namespace) -> dict:
-    """Precedence: explicit flags > config file > defaults."""
-    opts = dict(_DEFAULTS[command])
-    config_path = getattr(args, "config", None)
-    if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
+    """Precedence: explicit flags > config file > defaults; every value
+    is checked, whatever its source, before any data file is read."""
+    options = [opt for opt in _OPTIONS if command in opt.commands.split()]
+    loaded = {}
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
-        unknown = set(loaded) - set(opts)
+        if not isinstance(loaded, dict):
+            raise UsageError("config file must hold a JSON object")
+        unknown = set(loaded) - {opt.name for opt in options}
         if unknown:
             raise UsageError(f"unknown config keys {sorted(unknown)}")
-        opts.update(loaded)
-    for key in opts:
-        value = getattr(args, key, None)
-        if value is not None:
-            opts[key] = value
-    missing = [k for k, v in opts.items() if v is None and
-               k in ("data", "checkpoint")]
-    if missing:
-        raise UsageError(f"missing required option(s): {missing}")
-    return opts
+    flags = {name: v for name, v in vars(args).items() if v is not None}
+    merged = {opt.name: opt.default for opt in options} | loaded | flags
+    return {opt.name: _check(opt, merged[opt.name]) for opt in options}
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {"generate": cmd_generate, "fit": cmd_fit,
-                "eval": cmd_eval, "roll": cmd_roll}
+    args = _build_parser().parse_args(argv)
     try:
         opts = _merge_options(args.command, args)
-        return handlers[args.command](opts)
+        return _COMMANDS[args.command][1](opts)
     except (TensorFormatError, OSError, json.JSONDecodeError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -229,11 +229,14 @@ def _objective_with_grads(model: NpcaModel, x_i, x_n, noise_i, noise_n,
                           lam=None, coeff_mode: str = "map_plugin",
                           coeff_noise: np.ndarray | None = None):
     """Objective and flat gradient (layout of :func:`flat_parameters`) for
-    a batch of pairs.
+    a batch of pairs (or one pair).
 
-    The encoder runs once per frame.  The coefficients are ``lam`` (one
-    row per pair) when given, else :func:`plugin_coefficients` at the
-    sampled latents; the backward pass holds them fixed either way.
+    The latents are reparameterized from the supplied noise; the encoder
+    runs once per frame.  The coefficients are ``lam`` (one row per pair)
+    when given, else from their conditional posterior at the sampled
+    latents (:func:`plugin_coefficients`: the mean, or a sample in
+    ``sample`` mode); the backward pass holds them fixed either way.
+    This is the step :func:`fit` takes per minibatch.
     """
     x_i = np.atleast_2d(np.asarray(x_i, dtype=float))
     x_n = np.atleast_2d(np.asarray(x_n, dtype=float))
@@ -324,22 +327,6 @@ def plugin_coefficients(model: NpcaModel, z_i: np.ndarray, z_n: np.ndarray,
         chol = np.linalg.cholesky(cov)
         mean = mean + np.einsum("njk,nk->nj", chol, np.atleast_2d(noise))
     return mean
-
-
-def elbo_objective(model: NpcaModel, x_i: np.ndarray, x_next: np.ndarray,
-                   noise_i: np.ndarray, noise_next: np.ndarray,
-                   coeff_mode: str = "map_plugin",
-                   coeff_noise: np.ndarray | None = None
-                   ) -> tuple[float, np.ndarray]:
-    """Objective and flat gradient for a batch of pairs (or one pair).
-
-    The latents are reparameterized from the supplied noise; the
-    coefficients come from their conditional posterior at those latents
-    (mean, or a sample in ``sample`` mode) and are held fixed by the
-    backward pass.  This is the step :func:`fit` takes per minibatch.
-    """
-    return _objective_with_grads(model, x_i, x_next, noise_i, noise_next,
-                                 coeff_mode=coeff_mode, coeff_noise=coeff_noise)
 
 
 def encoded_moments(model: NpcaModel, dataset: ImagePairDataset
@@ -465,9 +452,10 @@ def fit(dataset: ImagePairDataset, config: NpcaConfig,
                 coeff_noise = np.stack([
                     rng.normals(config.seed, (_TAG_LAMNOISE, epoch, int(k)),
                                 model.dynamics.coeff_count) for k in idx])
-            objective, grad = elbo_objective(
+            objective, grad = _objective_with_grads(
                 model, dataset.x_i[idx], dataset.x_next[idx],
-                noise[:, :d], noise[:, d:], config.coeff_mode, coeff_noise)
+                noise[:, :d], noise[:, d:], coeff_mode=config.coeff_mode,
+                coeff_noise=coeff_noise)
             total += objective
             model = _apply_gradients(model, grad, config.step_size,
                                      1.0 / idx.size)

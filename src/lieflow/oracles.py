@@ -2,14 +2,15 @@
 
 Tensor-grid trapezoid quadrature, self-normalized importance sampling
 and central finite differences.  These are reference implementations:
-slow, dimension-limited (grids up to 6 dims) and deliberately
-independent of the closed-form code they validate.  The library imports
-this module only for the quadrature E-step of :mod:`lieflow.ppca`
-(``estep="quadrature"``, ``--estep quadrature`` on the command line),
-which runs on the grid code here.
+slow, size-limited (grids of at most ``MAX_GRID_NODES`` nodes) and
+deliberately independent of the closed-form code they validate.  The
+library imports this module only for the quadrature E-step of
+:mod:`lieflow.ppca` (``estep="quadrature"``, ``--estep quadrature`` on
+the command line), which runs on the grid code here.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,9 @@ from scipy.linalg import solve_triangular
 from . import rng
 from .gaussian import Gaussian, NumericError, spd_cholesky
 
-MAX_GRID_DIMS = 6
+# above the 48**4 nodes of the largest grid the tests build; one float64
+# value per node takes 64 MiB
+MAX_GRID_NODES = 2 ** 23
 MIN_POINTS = 16
 BOUNDARY_LIMIT = 1e-8
 
@@ -45,8 +48,12 @@ class GridSpec:
         pts = np.atleast_1d(np.asarray(self.points, dtype=int))
         if not (lo.shape == hi.shape == pts.shape):
             raise ValueError("lo, hi and points must have matching lengths")
-        if lo.size > MAX_GRID_DIMS:
-            raise ValueError(f"grids are limited to {MAX_GRID_DIMS} dimensions")
+        nodes = math.prod(int(p) for p in pts)
+        if nodes > MAX_GRID_NODES:
+            raise ValueError(
+                f"a {lo.size}-dim grid of {nodes} nodes exceeds the budget of "
+                f"{MAX_GRID_NODES}; use the fixed-point or Monte Carlo E-step "
+                f"(--estep fixed-point or mc)")
         if np.any(pts < MIN_POINTS):
             raise ValueError(f"at least {MIN_POINTS} points per dimension required")
         if np.any(hi <= lo):

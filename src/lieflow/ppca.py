@@ -402,8 +402,6 @@ def _quadrature_moments(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray,
 
     d, j = model.latent_dim, model.dynamics.coeff_count
     dims = 2 * d + j
-    if dims > 6:
-        raise ValueError("quadrature E-step supports at most 6 joint dimensions")
     w = model.loading
     sig2 = model.noise_var
     big_d = model.data_dim

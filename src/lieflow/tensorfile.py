@@ -19,6 +19,7 @@ bit-exact.  Array names are ``[A-Za-z0-9_.]+``; scalars have ``ndim 0``.
 """
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -95,15 +96,21 @@ def read_tensors(path) -> dict[str, np.ndarray]:
                 or not all(p.isdigit() for p in parts[1:]):
             raise TensorFormatError(f"malformed table entry {line!r}")
         name = parts[0]
+        if name in out:
+            raise TensorFormatError(f"duplicate array name {name!r}")
         ndim = int(parts[1])
         shape = tuple(int(s) for s in parts[2:])
         if len(shape) != ndim:
             raise TensorFormatError(f"bad shape in table entry {line!r}")
-        nbytes = 8 * int(np.prod(shape, dtype=np.int64)) if shape else 8
+        nbytes = 8 * math.prod(shape)
         chunk = payload[offset:offset + nbytes]
         if len(chunk) != nbytes:
             raise TensorFormatError(f"payload truncated at array {name!r}")
-        out[name] = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
+        try:
+            out[name] = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
+        except ValueError as exc:   # an empty array with a huge dimension
+            raise TensorFormatError(f"bad shape in table entry {line!r}") \
+                from exc
         offset += nbytes
     if offset != len(payload):
         raise TensorFormatError(

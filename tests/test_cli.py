@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lieflow.cli import main
+from lieflow.cli import _OPTIONS, main
 from lieflow.gaussian import Gaussian, LinearGaussianMap, posterior
 from lieflow.tensorfile import read_tensors, write_tensors
 
@@ -405,6 +409,20 @@ def _npca_checkpoint(tmp_path, drop=(), **extra):
     return ck
 
 
+def _noisy_images(tmp_path):
+    out = tmp_path / "noisy.lf"
+    assert run(["generate", "--mode", "image", "--height", "4", "--width", "4",
+                "--n", "20", "--noise-std", "0.01", "--out", str(out)]) == 0
+    return out
+
+
+def _config(tmp_path, content):
+    """``--config`` with a file holding ``content`` as JSON."""
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(content))
+    return ["--config", str(path)]
+
+
 def _score(tmp_path, checkpoint):
     return ["eval", "--checkpoint", str(checkpoint),
             "--data", str(_image_data(tmp_path))]
@@ -465,6 +483,44 @@ BAD_INPUTS = {
         2, "estimator code"),
     "zero_roll_steps": (lambda tmp: _roll(tmp, "--steps", "0"), 2, "--steps"),
     "nan_roll_t_max": (lambda tmp: _roll(tmp, "--t-max", "nan"), 2, "--t-max"),
+    "quadrature_grid_over_budget": (
+        lambda tmp: ["fit", "--estimator", "ppca", "--estep", "quadrature",
+                     "--d", "2", "--j", "1", "--data", str(_noisy_images(tmp))],
+        2, "1073741824 nodes", "--estep fixed-point"),
+    # config values are checked exactly like flags
+    "config_float_pair_count": (
+        lambda tmp: ["generate", *_config(tmp, {"n": 1.5})], 2, "--n"),
+    "config_string_pair_count": (
+        lambda tmp: ["generate", *_config(tmp, {"n": "abc"})], 2, "--n"),
+    "config_string_seed": (
+        lambda tmp: ["generate", *_config(tmp, {"seed": "7"})], 2, "--seed"),
+    "config_scalar_hidden": (
+        lambda tmp: ["fit", "--estimator", "npca", "--data",
+                     str(_image_data(tmp)), *_config(tmp, {"hidden": 3})],
+        2, "--hidden"),
+    "config_null_threads": (
+        lambda tmp: ["fit", "--data", str(_image_data(tmp)),
+                     *_config(tmp, {"threads": None})], 2, "--threads"),
+    "config_string_generator_count": (
+        lambda tmp: ["fit", "--estimator", "ppca", "--data",
+                     str(_image_data(tmp)), *_config(tmp, {"j": "2"})],
+        2, "--j"),
+    "config_string_flag": (
+        lambda tmp: ["fit", "--estimator", "ppca", "--data",
+                     str(_image_data(tmp)),
+                     *_config(tmp, {"estimate_lambda": "no"})],
+        2, "--estimate-lambda"),
+    "config_integer_path": (
+        lambda tmp: ["fit", *_config(tmp, {"data": 3})], 2, "--data"),
+    "config_float_roll_steps": (
+        lambda tmp: _roll(tmp, *_config(tmp, {"steps": 2.5})), 2, "--steps"),
+    "config_number": (
+        lambda tmp: ["generate", *_config(tmp, 5)], 2, "JSON object"),
+    "config_null": (
+        lambda tmp: ["generate", *_config(tmp, None)], 2, "JSON object"),
+    "config_list": (
+        lambda tmp: ["fit", "--data", str(_image_data(tmp)),
+                     *_config(tmp, [1, 2])], 2, "JSON object"),
 }
 
 
@@ -478,3 +534,65 @@ def test_bad_input_exits_with_documented_code(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith(label)
     assert all(detail in err for detail in details), err
+
+
+def _rejected_values(opt):
+    """JSON values ``opt`` must refuse: every other JSON type, null unless
+    the option is nullable, and numbers outside its choices or range."""
+    numbers = st.integers() | st.floats()
+    scalars = {int: st.floats(), float: st.nothing(), str: numbers,
+               bool: numbers, list: numbers}[opt.type]
+    wrong = [scalars, st.booleans() if opt.type is not bool else st.nothing()]
+    if opt.type is not str:
+        wrong.append(st.text(max_size=4))
+    if opt.type is not list:
+        wrong.append(st.lists(st.integers(), max_size=2))
+    else:
+        wrong.append(st.lists(st.floats() | st.booleans() | st.text(max_size=4),
+                              min_size=1, max_size=2))
+    if opt.default is not None or opt.required:
+        wrong.append(st.none())
+    if opt.choices:
+        wrong.append(st.text(max_size=12).filter(
+            lambda s: s not in opt.choices))
+    if opt.type is float:
+        wrong.append(st.sampled_from([float("nan"), float("inf"),
+                                      -float("inf")]))
+    if opt.low is not None:
+        below = (st.integers(max_value=int(opt.low) - (not opt.above))
+                 if opt.type in (int, list) else
+                 st.floats(max_value=opt.low, exclude_max=not opt.above,
+                           allow_nan=False))
+        wrong.append(st.lists(below, min_size=1, max_size=2)
+                     if opt.type is list else below)
+    return st.one_of(wrong)
+
+
+_ROWS = [(command, opt) for opt in _OPTIONS
+         for command in opt.commands.split()]
+_PATHS = ("out", "data", "checkpoint", "trace_out", "csv_out")
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.sampled_from(_ROWS).flatmap(
+           lambda row: st.tuples(st.just(row), _rejected_values(row[1]))),
+       path_names=st.lists(st.from_regex(r"[a-z]{1,8}\.lf", fullmatch=True),
+                           min_size=len(_PATHS), max_size=len(_PATHS)))
+def test_config_value_of_wrong_type_or_range_is_usage_error(
+        tmp_path_factory, case, path_names):
+    (command, opt), value = case
+    work = tmp_path_factory.mktemp("cfg")
+    # valid paths for the command's other path options: only the drawn
+    # value is wrong, and input files are absent so nothing can be fitted
+    names = {o.name for o in _OPTIONS if command in o.commands.split()}
+    config = {name: str(work / path) for name, path in zip(_PATHS, path_names)
+              if name in names and name != opt.name}
+    config[opt.name] = value
+    (work / "run.json").write_text(json.dumps(config))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([command, "--config", str(work / "run.json")])
+    assert code == 2, (config, err.getvalue())
+    assert err.getvalue().startswith("usage error")
+    assert "--" + opt.name.replace("_", "-") in err.getvalue()
+    assert os.listdir(work) == ["run.json"]

@@ -23,9 +23,16 @@ def test_grid_spec_validation():
     with pytest.raises(ValueError):
         GridSpec.cube(-1.0, 1.0, 8, 2)       # too few points
     with pytest.raises(ValueError):
-        GridSpec.cube(-1.0, 1.0, 16, 7)      # too many dims
+        GridSpec.cube(-1.0, 1.0, 16, 7)      # too many nodes
     with pytest.raises(ValueError):
         GridSpec([0.0], [0.0], [16])         # empty box
+
+
+def test_grid_node_budget_is_checked_before_allocation():
+    # 64**5 nodes would need 8 GiB of node coordinates alone
+    with pytest.raises(ValueError, match="1073741824 nodes"):
+        GridSpec.cube(-1.0, 1.0, 64, 5)
+    assert GridSpec.cube(-1.0, 1.0, 48, 4).dims == 4
 
 
 def test_standard_normal_moments():
