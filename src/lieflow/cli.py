@@ -343,13 +343,13 @@ _OPTIONS = (
     _Option("generate", "kind", str, "rotation2d", synth.KINDS),
     _Option("generate", "mode", str, "latent", ("latent", "image")),
     _Option("generate", "embedding", str, "linear", ("linear", "raster")),
-    _Option("generate", "n", int, 100),
-    _Option("generate", "d", int, 2),
-    _Option("generate", "j", int, 1),
-    _Option("generate", "height", int, 1),
-    _Option("generate", "width", int, 4),
-    _Option("generate", "lambda_scale", float, 0.05),
-    _Option("generate", "noise_std", float, 0.0),
+    _Option("generate", "n", int, 100, low=1),
+    _Option("generate", "d", int, 2, low=1),
+    _Option("generate", "j", int, 1, low=1),
+    _Option("generate", "height", int, 1, low=1),
+    _Option("generate", "width", int, 4, low=1),
+    _Option("generate", "lambda_scale", float, 0.05, low=0.0),
+    _Option("generate", "noise_std", float, 0.0, low=0.0),
     _Option("generate", "seed", int, 0),
     _Option("generate", "first_order", bool, False),
     _Option("generate", "out", str, "dataset.lf"),
@@ -469,6 +469,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         # UsageError, and the library's own argument validation
         print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        # sizes too large for this machine's memory
+        print(f"usage error: out of memory for the requested sizes: {exc}",
+              file=sys.stderr)
         return EXIT_USAGE
 
 

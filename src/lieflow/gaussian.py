@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
 COND_LIMIT = 1e12
 SYM_RTOL = 1e-12
@@ -56,9 +55,41 @@ def spd_cholesky(m: np.ndarray, jitter: float = 0.0,
     return np.linalg.cholesky(a)
 
 
+def triangular_solve(chol: np.ndarray, b: np.ndarray,
+                     transpose: bool = False) -> np.ndarray:
+    """Solve ``L x = b`` by forward substitution, or ``L^T x = b`` by back
+    substitution, for a lower triangular ``L`` and a right-hand side of
+    shape ``(d,)`` or ``(d, m)``.
+
+    Each step divides one row by its pivot and subtracts it, scaled by
+    the pivot's column of ``L``, from the rows still to be solved.  These
+    are elementwise operations, so every column of ``x`` depends on its
+    own column of ``b`` alone, bit for bit.
+    """
+    x = np.array(b, dtype=float)
+    rows = x if x.ndim == 2 else x[:, None]
+    d = chol.shape[0]
+    for i in (range(d - 1, -1, -1) if transpose else range(d)):
+        rows[i] /= chol[i, i]
+        if transpose:
+            rows[:i] -= chol[i, :i, None] * rows[i]
+        else:
+            rows[i + 1:] -= chol[i + 1:, i, None] * rows[i]
+    return x
+
+
 def spd_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``A x = b`` given the lower Cholesky factor of ``A``."""
-    return cho_solve((chol, True), b)
+    return triangular_solve(chol, triangular_solve(chol, b), transpose=True)
+
+
+def cholesky_log_density(chol: np.ndarray, diffs: np.ndarray) -> np.ndarray:
+    """Log density of ``N(0, L L^T)`` at each row of ``diffs`` (shape
+    ``(m, k)``), given the lower Cholesky factor ``L``."""
+    white = triangular_solve(chol, diffs.T)
+    log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    return -0.5 * (chol.shape[0] * LOG_2PI + log_det
+                   + np.sum(white * white, axis=0))
 
 
 def spd_inverse(m: np.ndarray, jitter: float = 0.0) -> np.ndarray:
@@ -219,16 +250,11 @@ def log_density(dist: Gaussian, point: np.ndarray) -> float:
     x = np.atleast_1d(np.asarray(point, dtype=float))
     if x.shape != (dist.dim,):
         raise ValueError("point dimension does not match distribution")
-    chol = spd_cholesky(dist.cov)
-    white = solve_triangular(chol, x - dist.mean, lower=True)
-    log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    return -0.5 * (dist.dim * LOG_2PI + log_det + float(white @ white))
+    return float(cholesky_log_density(spd_cholesky(dist.cov),
+                                      (x - dist.mean)[None])[0])
 
 
 def log_density_batch(dist: Gaussian, points: np.ndarray) -> np.ndarray:
     """Log density at each row of ``points`` (shape ``(m, dim)``)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    chol = spd_cholesky(dist.cov)
-    white = solve_triangular(chol, (pts - dist.mean).T, lower=True)
-    log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    return -0.5 * (dist.dim * LOG_2PI + log_det + np.sum(white * white, axis=0))
+    return cholesky_log_density(spd_cholesky(dist.cov), pts - dist.mean)

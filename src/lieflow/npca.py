@@ -28,7 +28,7 @@ import numpy as np
 
 from . import liealg, rng
 from .dynamics import DynamicsModel, _e_step_block, init_model, update_step
-from .gaussian import NumericError, spd_cholesky, spd_solve
+from .gaussian import LOG_2PI, NumericError, spd_cholesky, spd_solve
 from .liealg import GeneratorBasis
 from .ppca import (
     LatentMoments,
@@ -40,8 +40,6 @@ from .ppca import (
     posterior_z_given_x,
 )
 from .synth import ImagePairDataset
-
-LOG_2PI = float(np.log(2.0 * np.pi))
 
 _TAG_WEIGHTS, _TAG_NOISE, _TAG_SHUFFLE, _TAG_LAMNOISE = 0xE0, 0xE1, 0xE2, 0xE3
 

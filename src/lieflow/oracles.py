@@ -14,10 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import rng
-from .gaussian import Gaussian, NumericError, spd_cholesky
+from .gaussian import Gaussian, NumericError, cholesky_log_density, spd_cholesky
 
 # above the 48**4 nodes of the largest grid the tests build; one float64
 # value per node takes 64 MiB
@@ -169,9 +168,7 @@ def mc_moments(log_unnormalized, proposal: Gaussian, samples: int,
     eps = rng.normals(seed, (0x4D43,), samples * dim).reshape(samples, dim)
     chol = spd_cholesky(proposal.cov)
     draws = proposal.mean + eps @ chol.T
-    white = solve_triangular(chol, (draws - proposal.mean).T, lower=True)
-    log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    log_q = -0.5 * (dim * np.log(2.0 * np.pi) + log_det + np.sum(white * white, axis=0))
+    log_q = cholesky_log_density(chol, draws - proposal.mean)
     log_w = np.asarray(log_unnormalized(draws), dtype=float) - log_q
     shift = log_w.max()
     w = np.exp(log_w - shift)

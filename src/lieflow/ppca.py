@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import block_diag, solve_triangular
 
 from . import liealg, rng
 from .dynamics import (
@@ -32,16 +31,18 @@ from .dynamics import (
     update_step,
 )
 from .gaussian import (
+    LOG_2PI,
     Gaussian,
     NumericError,
+    cholesky_log_density,
     spd_cholesky,
     spd_inverse,
     spd_solve,
     symmetrize,
+    triangular_solve,
 )
 from .synth import ImagePairDataset
 
-LOG_2PI = float(np.log(2.0 * np.pi))
 SIGMA_FLOOR = 1e-12
 E_STEP_METHODS = ("quadrature", "fixed_point", "monte_carlo")
 # fixed-point E-step: sweep limit, and the largest change of a pair's
@@ -384,12 +385,14 @@ def _linearized_joint_cov(model: PpcaModel, zi_prec: np.ndarray,
     with the bilinear transition residual ``z_next - B z_i - A lambda``
     linearized at the supplied means, given the precision ``zi_prec`` of
     the first frame's latent posterior; used to size quadrature boxes."""
-    d = model.latent_dim
+    d, j = model.latent_dim, model.dynamics.coeff_count
     basis = model.dynamics.basis
     jac = np.hstack([np.eye(d) + liealg.combine(basis, q),
                      liealg.assemble_A(basis, m_zi), -np.eye(d)])
-    prior = block_diag(zi_prec, spd_inverse(model.dynamics.coeff_prior_cov),
-                       (model.loading.T @ model.loading) / model.noise_var)
+    prior = np.zeros((2 * d + j, 2 * d + j))
+    prior[:d, :d] = zi_prec
+    prior[d:d + j, d:d + j] = spd_inverse(model.dynamics.coeff_prior_cov)
+    prior[d + j:, d + j:] = (model.loading.T @ model.loading) / model.noise_var
     omega_prec = spd_inverse(model.dynamics.trans_cov)
     return spd_inverse(symmetrize(prior + jac.T @ omega_prec @ jac))
 
@@ -418,12 +421,6 @@ def _quadrature_moments(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray,
     lam_chol = spd_cholesky(model.dynamics.coeff_prior_cov)
     omega_chol = spd_cholesky(model.dynamics.trans_cov)
 
-    def gauss_quad(chol, diffs):
-        white = solve_triangular(chol, diffs.T, lower=True)
-        log_det = 2.0 * np.sum(np.log(np.diag(chol)))
-        k = diffs.shape[1]
-        return -0.5 * (k * LOG_2PI + log_det + np.sum(white * white, axis=0))
-
     parts, log_norm = [], 0.0
     for prior_mean, xc_n, center, m_zi, q in zip(
             prior_means, x_n - model.data_mean, centers, blocks.m_zi, blocks.q):
@@ -436,9 +433,9 @@ def _quadrature_moments(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray,
             zn = nodes[:, d + j:]
             drift = liealg.apply_first_order(model.dynamics.basis, lam, zi)
             recon = xc_n[None, :] - zn @ w.T
-            return (gauss_quad(zi_chol, zi - prior_mean)
-                    + gauss_quad(lam_chol, lam)
-                    + gauss_quad(omega_chol, zn - drift)
+            return (cholesky_log_density(zi_chol, zi - prior_mean)
+                    + cholesky_log_density(lam_chol, lam)
+                    + cholesky_log_density(omega_chol, zn - drift)
                     - 0.5 * (big_d * np.log(2.0 * np.pi * sig2)
                              + np.sum(recon * recon, axis=1) / sig2))
 
@@ -488,7 +485,7 @@ def _monte_carlo_moments(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray,
             @ lam_chol.T
         drift = liealg.apply_first_order(model.dynamics.basis, lam, zi)
         resid = xc_n[None, :] - drift @ w.T
-        white = solve_triangular(resid_chol, resid.T, lower=True)
+        white = triangular_solve(resid_chol, resid.T)
         log_w = -0.5 * np.sum(white * white, axis=0)
         probs = np.exp(log_w - log_w.max())
         probs /= probs.sum()
@@ -572,12 +569,7 @@ def _first_frame_evidence(model: PpcaModel, xc_i: np.ndarray) -> float:
     """``sum_i log N(x_i | mu, W W^T + sigma^2 I)``."""
     cov = model.loading @ model.loading.T \
         + model.noise_var * np.eye(model.data_dim)
-    chol = spd_cholesky(cov)
-    white = solve_triangular(chol, xc_i.T, lower=True)
-    log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    n = xc_i.shape[0]
-    return float(-0.5 * (n * (model.data_dim * LOG_2PI + log_det)
-                         + np.sum(white * white)))
+    return float(np.sum(cholesky_log_density(spd_cholesky(cov), xc_i)))
 
 
 def _entropy(cov: np.ndarray) -> np.ndarray:

@@ -2,12 +2,17 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lieflow
+from lieflow import synth
 from lieflow.cli import _OPTIONS, main
 from lieflow.gaussian import Gaussian, LinearGaussianMap, posterior
 from lieflow.tensorfile import read_tensors, write_tensors
@@ -380,6 +385,33 @@ def test_numeric_abort_gives_exit_4(tmp_path, capsys):
     assert "numeric error" in capsys.readouterr().err
 
 
+def test_out_of_memory_is_usage_error(tmp_path, capsys, monkeypatch):
+    def exhausted(spec):
+        raise MemoryError("Unable to allocate 14.6 TiB for an array")
+
+    monkeypatch.setattr(synth, "generate_latent_pairs", exhausted)
+    out = tmp_path / "huge.lf"
+    assert run(["generate", "--n", "1000000000000", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error") and "14.6 TiB" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_import_leaves_scipy_unloaded():
+    # start-up of every CLI process pays for what the library imports
+    src = str(Path(lieflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, lieflow, lieflow.cli, lieflow.oracles; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def _image_data(tmp_path):
     out = tmp_path / "img.lf"
     assert run(["generate", "--mode", "image", "--height", "1", "--width", "4",
@@ -435,9 +467,22 @@ def _roll(tmp_path, *options):
 
 # case -> (arguments but --out, exit code, *substrings of the message)
 BAD_INPUTS = {
-    "no_pairs": (lambda tmp: ["generate", "--n", "0"], 2),
+    "no_pairs": (lambda tmp: ["generate", "--n", "0"], 2, "--n"),
     "zero_latent_dim": (
-        lambda tmp: ["generate", "--kind", "latent_random", "--d", "0"], 2),
+        lambda tmp: ["generate", "--kind", "latent_random", "--d", "0"],
+        2, "--d"),
+    "zero_generator_count": (
+        lambda tmp: ["generate", "--j", "0"], 2, "--j"),
+    "zero_image_height": (
+        lambda tmp: ["generate", "--mode", "image", "--height", "0"],
+        2, "--height"),
+    "zero_image_width": (
+        lambda tmp: ["generate", "--mode", "image", "--width", "0"],
+        2, "--width"),
+    "negative_noise": (
+        lambda tmp: ["generate", "--noise-std", "-0.1"], 2, "--noise-std"),
+    "negative_lambda_scale": (
+        lambda tmp: ["generate", "--lambda-scale", "-1"], 2, "--lambda-scale"),
     "rotation_in_3d": (
         lambda tmp: ["generate", "--kind", "rotation2d", "--d", "3"], 2),
     "nan_noise": (lambda tmp: ["generate", "--noise-std", "nan"], 2),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lieflow import rng
 from lieflow.dynamics import (
@@ -99,6 +101,23 @@ class TestEStepLambda:
             single = e_step_lambda(model, zi, zn)
             assert np.allclose(single.mean, batched.mean[k], atol=1e-12)
             assert np.allclose(single.cov, batched.cov[k], atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 4),
+           j=st.integers(1, 3), n=st.integers(1, 12), threads=st.integers(1, 3),
+           step=st.sampled_from([1e-3, 0.3, 3.0]))
+    def test_batched_equals_per_pair_oracle(self, seed, d, j, n, threads, step):
+        model = random_model(seed, d, j)
+        z_i = rng.normal_matrix(seed, (3,), (n, d))
+        z_n = z_i + step * rng.normal_matrix(seed, (4,), (n, d))
+        batched = e_step_all(model, PairDataset(z_i, z_n), threads=threads)
+        assert batched.mean.shape == (n, j) and batched.cov.shape == (n, j, j)
+        for k in range(n):
+            single = e_step_lambda(model, z_i[k], z_n[k])
+            spread = np.abs(single.cov).max()
+            assert np.abs(batched.cov[k] - single.cov).max() <= 1e-9 * spread
+            assert np.abs(batched.mean[k] - single.mean).max() <= 1e-9 * (
+                np.abs(single.mean).max() + spread ** 0.5)
 
     def test_threaded_matches_serial(self):
         model = random_model(4, 2, 1)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lieflow import rng
 from lieflow.gaussian import (
@@ -13,6 +16,8 @@ from lieflow.gaussian import (
     marginal,
     posterior,
     spd_cholesky,
+    spd_solve,
+    triangular_solve,
 )
 from lieflow.oracles import GridSpec, quadrature_moments
 
@@ -255,3 +260,48 @@ class TestInvariants:
         for g in (marginal(prior, lin), joint(prior, lin),
                   posterior(prior, lin, np.zeros(2))):
             spd_cholesky(g.cov)  # raises on failure
+
+
+class TestSubstitution:
+    """The numpy substitutions against scipy's LAPACK solvers."""
+
+    @staticmethod
+    def close(got, ref):
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 16),
+           cols=st.none() | st.integers(1, 5),
+           scale=st.sampled_from([1e-6, 1.0, 1e6]))
+    def test_matches_scipy(self, seed, d, cols, scale):
+        chol = spd_cholesky(random_spd(seed, (0,), d, scale))
+        shape = (d,) if cols is None else (d, cols)
+        b = rng.normals(seed, (1,), d * (cols or 1)).reshape(shape)
+        self.close(triangular_solve(chol, b),
+                   scipy.linalg.solve_triangular(chol, b, lower=True))
+        self.close(triangular_solve(chol, b, transpose=True),
+                   scipy.linalg.solve_triangular(chol, b, lower=True,
+                                                 trans="T"))
+        self.close(spd_solve(chol, b), scipy.linalg.cho_solve((chol, True), b))
+
+    def test_columns_are_independent(self):
+        chol = spd_cholesky(random_spd(5, (0,), 6))
+        b = rng.normal_matrix(5, (1,), (6, 9))
+        whole = spd_solve(chol, b)
+        for k in range(9):
+            assert np.array_equal(whole[:, k], spd_solve(chol, b[:, k]))
+
+    def test_leaves_right_hand_side_unchanged(self):
+        chol = spd_cholesky(random_spd(6, (0,), 4))
+        b = rng.normal_matrix(6, (1,), (4, 3))
+        kept = b.copy()
+        spd_solve(chol, b)
+        assert np.array_equal(b, kept)
+
+    def test_batch_log_density_matches_pointwise(self):
+        g = Gaussian(rng.normals(7, (0,), 3), random_spd(7, (1,), 3))
+        pts = rng.normal_matrix(7, (2,), (5, 3))
+        batch = log_density_batch(g, pts)
+        assert np.allclose(batch, [log_density(g, p) for p in pts],
+                           rtol=1e-14, atol=0)
