@@ -350,18 +350,18 @@ _OPTIONS = (
     _Option("generate", "width", int, 4, low=1),
     _Option("generate", "lambda_scale", float, 0.05, low=0.0),
     _Option("generate", "noise_std", float, 0.0, low=0.0),
-    _Option("generate", "seed", int, 0),
+    _Option("generate", "seed", int, 0, low=0),
     _Option("generate", "first_order", bool, False),
     _Option("generate", "out", str, "dataset.lf"),
     _Option("fit", "estimator", str, "dynamics", tuple(_ESTIMATOR_CODES)),
     _Option("eval roll", "checkpoint", str, required=True),
     _Option("fit eval roll", "data", str, required=True),
-    _Option("fit", "d", int, 0),
-    _Option("fit", "j", int, 1),
+    _Option("fit", "d", int, 0, low=0),   # 0: dataset's (dynamics), else 2
+    _Option("fit", "j", int, 1, low=1),
     _Option("fit", "estep", str, "fixed-point", tuple(_ESTEP_FLAGS)),
     _Option("fit", "max_iters", int, 500, low=1),
     _Option("fit", "tol", float, 1e-8, low=0.0),
-    _Option("fit", "seed", int, 0),
+    _Option("fit", "seed", int, 0, low=0),
     _Option("fit", "threads", int, 1, low=0),   # 0 uses every CPU
     _Option("fit", "estimate_lambda", bool, False),
     _Option("fit", "hidden", list, (), low=1),

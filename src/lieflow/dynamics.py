@@ -138,7 +138,6 @@ class EmConfig:
     j_init: int = 1
     max_iters: int = 500
     tol: float = 1e-8
-    orth_threshold: float = 0.99
     seed: int = 0
     estimate_lambda: bool = False
     orthogonalize: bool = True
@@ -320,31 +319,32 @@ def _project_lambda(old_basis: GeneratorBasis, new_basis: GeneratorBasis,
 
 
 def update_step(model: DynamicsModel, stats: TransitionStats,
-                config) -> tuple[DynamicsModel, DynamicsModel]:
+                estimate_lambda: bool, orthogonalize: bool
+                ) -> tuple[DynamicsModel, DynamicsModel]:
     """The dynamics update each estimator runs after its E-step.
 
     Generators and transition noise from the summed statistics, Omega
-    jitter, the optional coefficient-prior MLE plus jitter, then the
-    basis orthogonalization with the prior carried through the change of
-    basis.  ``config`` supplies ``estimate_lambda``, ``orthogonalize``
-    and ``orth_threshold``.  Returns the fitted model,
-    at which the estimators record their objective, and the
+    jitter, the coefficient-prior MLE plus jitter if ``estimate_lambda``,
+    then, if ``orthogonalize``, the basis orthogonalization at the
+    default variance share of :func:`lieflow.liealg.orthogonalize` with
+    the prior carried through the change of basis.  Returns the fitted
+    model, at which the estimators record their objective, and the
     orthogonalized model the next iteration starts from.
     """
     basis, omega = m_step_dynamics(stats)
     omega = omega + max(default_jitter(omega, JITTER_SCALE),
                         1e-300) * np.eye(omega.shape[0])
     lam_cov = model.coeff_prior_cov
-    if config.estimate_lambda:
+    if estimate_lambda:
         lam_cov = update_Lambda(stats)
         lam_cov = lam_cov + default_jitter(lam_cov, JITTER_SCALE) \
             * np.eye(lam_cov.shape[0])
     fitted = DynamicsModel(basis, omega, lam_cov)
-    if not (config.orthogonalize and np.any(basis.generators)):
+    if not (orthogonalize and np.any(basis.generators)):
         return fitted, fitted
-    new_basis = liealg.orthogonalize(basis, config.orth_threshold)
+    new_basis = liealg.orthogonalize(basis)
     lam_after = (_project_lambda(basis, new_basis, fitted.coeff_prior_cov)
-                 if config.estimate_lambda else np.eye(new_basis.count))
+                 if estimate_lambda else np.eye(new_basis.count))
     return fitted, DynamicsModel(new_basis, fitted.trans_cov, lam_after)
 
 
@@ -376,7 +376,7 @@ def fit(dataset: PairDataset, config: EmConfig) -> tuple[DynamicsModel, list[flo
     for _ in range(config.max_iters):
         post = e_step_all(model, dataset, threads=config.threads)
         fitted, model = update_step(model, transition_stats(dataset, post),
-                                    config)
+                                    config.estimate_lambda, config.orthogonalize)
         trace.append(marginal_log_likelihood(fitted, dataset))
         if converged(trace, config.tol):
             break

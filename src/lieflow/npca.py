@@ -33,7 +33,6 @@ from .liealg import GeneratorBasis
 from .ppca import (
     LatentMoments,
     PpcaModel,
-    _Blocks,
     _moments_from_blocks,
     init_loading,
     m_step_mu,
@@ -335,8 +334,8 @@ def encoded_moments(model: NpcaModel, dataset: ImagePairDataset
     mean_n, var_n = encode(model, dataset.x_next)
     q, k = _e_step_block(model.dynamics, mean_i, mean_n - mean_i)
     eye = np.eye(model.latent_dim)
-    return _moments_from_blocks(_Blocks(mean_i, var_i[:, :, None] * eye,
-                                        mean_n, var_n[:, :, None] * eye, q, k))
+    return _moments_from_blocks(mean_i, var_i[:, :, None] * eye,
+                                mean_n, var_n[:, :, None] * eye, q, k)
 
 
 @dataclass
@@ -350,10 +349,8 @@ class NpcaConfig:
     seed: int = 0
     coeff_mode: str = "map_plugin"
     obs_noise_var: float = 0.01
-    orth_threshold: float = 0.99
     estimate_lambda: bool = False
     update_dynamics: bool = True
-    orthogonalize: bool = True
 
 
 def _glorot(seed, path, rows, cols):
@@ -463,7 +460,7 @@ def fit(dataset: ImagePairDataset, config: NpcaConfig,
         if config.update_dynamics:
             _, dyn = update_step(model.dynamics,
                                  encoded_moments(model, dataset).transition,
-                                 config)
+                                 config.estimate_lambda, orthogonalize=True)
             model = NpcaModel(model.encoder, model.decoder,
                               model.obs_noise_var, dyn)
     return model, trace

@@ -156,7 +156,6 @@ class PpcaConfig:
     estep: str = "fixed_point"
     max_iters: int = 200
     tol: float = 1e-8
-    orth_threshold: float = 0.99
     seed: int = 0
     estimate_lambda: bool = False
     freeze_coefficients: bool = False
@@ -209,41 +208,29 @@ def posterior_znext(model: PpcaModel, x_next: np.ndarray, z_i: np.ndarray,
 # E-step backends
 
 
-@dataclass
-class _Blocks:
-    """Mean-field state: per-pair Gaussian blocks for z_i, lambda, z_next."""
-
-    m_zi: np.ndarray
-    cov_zi: np.ndarray
-    m_zn: np.ndarray
-    cov_zn: np.ndarray
-    q: np.ndarray
-    k: np.ndarray
-
-
-def _moments_from_blocks(blocks: _Blocks) -> LatentMoments:
-    """Assemble the expectation bundle under the factorized posterior
-    ``q(z_i) q(lambda) q(z_next)``.
+def _moments_from_blocks(m_zi, cov_zi, m_zn, cov_zn, q, k) -> LatentMoments:
+    """Expectation bundle under the factorized posterior ``q(z_i)
+    q(lambda) q(z_next)`` from each pair's block means and covariances,
+    in the order ``(m_zi, cov_zi, m_zn, cov_zn, q, k)``.
 
     The transition statistics are each pair's term summed over the pairs
     in pair order, so they do not depend on how the pairs were blocked.
     """
-    n, d = blocks.m_zi.shape
-    j = blocks.q.shape[1]
-    ezz_i = blocks.cov_zi + np.einsum("na,nb->nab", blocks.m_zi, blocks.m_zi)
-    ezz_n = blocks.cov_zn + np.einsum("na,nb->nab", blocks.m_zn, blocks.m_zn)
-    elamlam = blocks.k + np.einsum("nj,nk->njk", blocks.q, blocks.q)
+    n, d = m_zi.shape
+    j = q.shape[1]
+    ezz_i = cov_zi + np.einsum("na,nb->nab", m_zi, m_zi)
+    ezz_n = cov_zn + np.einsum("na,nb->nab", m_zn, m_zn)
+    elamlam = k + np.einsum("nj,nk->njk", q, q)
     dz_dz = (ezz_n + ezz_i
-             - np.einsum("na,nb->nab", blocks.m_zn, blocks.m_zi)
-             - np.einsum("na,nb->nab", blocks.m_zi, blocks.m_zn))
+             - np.einsum("na,nb->nab", m_zn, m_zi)
+             - np.einsum("na,nb->nab", m_zi, m_zn))
     # E[dz (z kron lam)^T] = E[lam_j] (E[z_n] E[z_i]^T - E[z_i z_i^T])
-    core = (np.einsum("nr,na->nra", blocks.m_zn, blocks.m_zi) - ezz_i)
-    dz_zlam = np.einsum("nra,nj->nraj", core, blocks.q).reshape(n, d, d * j)
+    core = (np.einsum("nr,na->nra", m_zn, m_zi) - ezz_i)
+    dz_zlam = np.einsum("nra,nj->nraj", core, q).reshape(n, d, d * j)
     zz_lamlam = np.einsum("nab,njk->najbk", ezz_i, elamlam).reshape(n, d * j, d * j)
     transition = TransitionStats(n, dz_dz.sum(axis=0), dz_zlam.sum(axis=0),
                                  zz_lamlam.sum(axis=0), elamlam.sum(axis=0))
-    return LatentMoments(blocks.m_zi, blocks.m_zn, ezz_i, ezz_n, blocks.q,
-                         elamlam, transition)
+    return LatentMoments(m_zi, m_zn, ezz_i, ezz_n, q, elamlam, transition)
 
 
 def _weighted_moments(p: np.ndarray, zi: np.ndarray, lam: np.ndarray,
@@ -276,7 +263,7 @@ def _stack_moments(parts: list[dict[str, np.ndarray]]) -> LatentMoments:
 
 
 def _frozen_coefficient_blocks(model: PpcaModel, x_i: np.ndarray,
-                               x_n: np.ndarray) -> _Blocks:
+                               x_n: np.ndarray) -> tuple[np.ndarray, ...]:
     """Mean-field fixed point with the coefficients pinned at zero.
 
     The (z_i, z_next) problem is then jointly Gaussian, so the
@@ -304,16 +291,18 @@ def _frozen_coefficient_blocks(model: PpcaModel, x_i: np.ndarray,
     means = spd_solve(chol, info.T).T
     cov_zi = symmetrize(spd_solve(spd_cholesky(prec[:d, :d]), np.eye(d)))
     cov_zn = symmetrize(spd_solve(spd_cholesky(prec[d:, d:]), np.eye(d)))
-    return _Blocks(
-        m_zi=means[:, :d], cov_zi=np.broadcast_to(cov_zi, (n, d, d)).copy(),
-        m_zn=means[:, d:], cov_zn=np.broadcast_to(cov_zn, (n, d, d)).copy(),
-        q=np.zeros((n, j)), k=np.zeros((n, j, j)))
+    return (means[:, :d], np.broadcast_to(cov_zi, (n, d, d)),
+            means[:, d:], np.broadcast_to(cov_zn, (n, d, d)),
+            np.zeros((n, j)), np.zeros((n, j, j)))
 
 
 def _fixed_point_blocks(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray,
-                        freeze_coefficients: bool = False) -> _Blocks:
+                        freeze_coefficients: bool = False
+                        ) -> tuple[np.ndarray, ...]:
     """Cycle the three closed-form conditionals at the current block means
     until self-consistent, starting from the frames' latent posteriors.
+    Returns each pair's block moments in the order of
+    :func:`_moments_from_blocks`: ``(m_zi, cov_zi, m_zn, cov_zn, q, k)``.
 
     Each pair stops on its own residual and the products are formed pair
     by pair, so a pair's result does not depend on which other pairs share
@@ -336,18 +325,13 @@ def _fixed_point_blocks(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray,
     wt_xn = (x_n - model.data_mean) @ w / sig2
     info_u = u_i @ ppca_prec
 
-    blocks = _Blocks(
-        m_zi=u_i.copy(),
-        cov_zi=np.broadcast_to(ppca_cov, (n, d, d)).copy(),
-        m_zn=u_n.copy(),
-        cov_zn=np.broadcast_to(gamma, (n, d, d)).copy(),
-        q=np.zeros((n, j)),
-        k=np.broadcast_to(model.dynamics.coeff_prior_cov, (n, j, j)).copy(),
-    )
+    all_zi, all_zn, all_q = u_i.copy(), u_n.copy(), np.zeros((n, j))
+    all_cov_zi = np.broadcast_to(ppca_cov, (n, d, d)).copy()
+    all_k = np.broadcast_to(model.dynamics.coeff_prior_cov, (n, j, j)).copy()
     eye_j, eye_d = np.eye(j), np.eye(d)
     live = np.arange(n)
     for _ in range(FIXED_POINT_ITERS):
-        m_zi, m_zn = blocks.m_zi[live], blocks.m_zn[live]
+        m_zi, m_zn = all_zi[live], all_zn[live]
         a = liealg.assemble_A(basis, m_zi)
         at_oi = np.einsum("naj,ab->njb", a, omega_prec)
         prec = lam_prec + np.einsum("njb,nbk->njk", at_oi, a)
@@ -365,15 +349,16 @@ def _fixed_point_blocks(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray,
         new_zi = np.linalg.solve(prec_zi, info_zi[..., None])[..., 0]
         residual = np.max([np.abs(new - old).reshape(live.size, -1).max(axis=1)
                            for new, old in ((new_zi, m_zi), (new_zn, m_zn),
-                                            (q, blocks.q[live]),
-                                            (cov_zi, blocks.cov_zi[live]),
-                                            (k, blocks.k[live]))], axis=0)
-        blocks.m_zi[live], blocks.m_zn[live], blocks.q[live] = new_zi, new_zn, q
-        blocks.cov_zi[live], blocks.k[live] = cov_zi, k
+                                            (q, all_q[live]),
+                                            (cov_zi, all_cov_zi[live]),
+                                            (k, all_k[live]))], axis=0)
+        all_zi[live], all_zn[live], all_q[live] = new_zi, new_zn, q
+        all_cov_zi[live], all_k[live] = cov_zi, k
         # a NaN residual keeps its pair iterating into the error below
         live = live[~(residual < FIXED_POINT_TOL)]
         if live.size == 0:
-            return blocks
+            return (all_zi, all_cov_zi, all_zn, np.broadcast_to(gamma, (n, d, d)),
+                    all_q, all_k)
     raise NumericError(
         f"fixed-point E-step did not converge within {FIXED_POINT_ITERS} "
         f"iterations (residual {residual.max():.3e})")
@@ -413,8 +398,8 @@ def _quadrature_moments(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray,
     # marginal stds of the joint Gaussian linearized at that solution
     # (the factor stds alone understate marginal spread when the
     # transition couples the blocks tightly)
-    blocks = _fixed_point_blocks(model, x_i, x_n)
-    centers = np.concatenate([blocks.m_zi, blocks.q, blocks.m_zn], axis=1)
+    mf_zi, _, mf_zn, _, mf_q, _ = _fixed_point_blocks(model, x_i, x_n)
+    centers = np.concatenate([mf_zi, mf_q, mf_zn], axis=1)
     prior_means, prior_cov = posterior_z_given_x(model, x_i)
     zi_prec = spd_inverse(prior_cov)
     zi_chol = spd_cholesky(prior_cov)
@@ -423,7 +408,7 @@ def _quadrature_moments(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray,
 
     parts, log_norm = [], 0.0
     for prior_mean, xc_n, center, m_zi, q in zip(
-            prior_means, x_n - model.data_mean, centers, blocks.m_zi, blocks.q):
+            prior_means, x_n - model.data_mean, centers, mf_zi, mf_q):
         stds = GRID_INFLATION * np.sqrt(np.diag(
             _linearized_joint_cov(model, zi_prec, m_zi, q)))
 
@@ -512,7 +497,7 @@ def e_step_joint(model: PpcaModel, x_i: np.ndarray, x_next: np.ndarray,
         return _quadrature_moments(model, x_i, x_next, cfg)[0]
     if method == "monte_carlo":
         return _monte_carlo_moments(model, x_i, x_next, cfg, [()])
-    return _moments_from_blocks(_fixed_point_blocks(model, x_i, x_next))
+    return _moments_from_blocks(*_fixed_point_blocks(model, x_i, x_next))
 
 
 # ---------------------------------------------------------------------------
@@ -540,18 +525,23 @@ def m_step_W(dataset: ImagePairDataset, moments: LatentMoments,
             f"(condition number {np.linalg.cond(gram):.3e})") from exc
 
 
+def _residual_power(xc_i: np.ndarray, xc_n: np.ndarray,
+                    moments: LatentMoments, w: np.ndarray) -> float:
+    """Expected reconstruction power ``sum E||x - mu - W z||^2`` over both
+    centered frames of every pair."""
+    return float(np.sum(xc_i * xc_i) + np.sum(xc_n * xc_n)
+                 - 2.0 * (np.sum(xc_i * (moments.ez_i @ w.T))
+                          + np.sum(xc_n * (moments.ez_next @ w.T)))
+                 + float(np.einsum("ab,nab->", w.T @ w,
+                                   moments.ezz_i + moments.ezz_next)))
+
+
 def m_step_sigma(dataset: ImagePairDataset, moments: LatentMoments,
                  w: np.ndarray, mu: np.ndarray) -> float:
     """Isotropic noise update: expected residual power over both frames of
     every pair, averaged over the ``2N D`` scalar observations and clamped
     at ``1e-12``."""
-    xc_i = dataset.x_i - mu
-    xc_n = dataset.x_next - mu
-    total = (np.sum(xc_i * xc_i) + np.sum(xc_n * xc_n)
-             - 2.0 * (np.sum(xc_i * (moments.ez_i @ w.T))
-                      + np.sum(xc_n * (moments.ez_next @ w.T)))
-             + float(np.einsum("ab,nab->", w.T @ w,
-                               moments.ezz_i + moments.ezz_next)))
+    total = _residual_power(dataset.x_i - mu, dataset.x_next - mu, moments, w)
     return max(total / (2.0 * dataset.count * dataset.image_dim), SIGMA_FLOOR)
 
 
@@ -586,22 +576,12 @@ def expected_complete_data_ll(model: PpcaModel, xc_i: np.ndarray,
     :func:`lieflow.dynamics.expected_log_density` of the summed
     statistics, with the prior counted for the pairs whose coefficients
     are live."""
-    w = model.loading
-    d = model.latent_dim
-    big_d = model.data_dim
-    sig2 = model.noise_var
-    gram = w.T @ w
-
-    def recon(xc, ez, ezz):
-        return -0.5 * (big_d * np.log(2.0 * np.pi * sig2)
-                       + (np.einsum("nd,nd->n", xc, xc)
-                          - 2.0 * np.einsum("nd,nd->n", xc, ez @ w.T)
-                          + np.einsum("ab,nab->n", gram, ezz)) / sig2)
-
-    prior_zi = -0.5 * (d * LOG_2PI + np.trace(moments.ezz_i, axis1=1, axis2=2))
-    return float(np.sum(recon(xc_i, moments.ez_i, moments.ezz_i)
-                        + recon(xc_n, moments.ez_next, moments.ezz_next)
-                        + prior_zi)
+    n, sig2 = moments.count, model.noise_var
+    recon = -0.5 * (2 * n * model.data_dim * np.log(2.0 * np.pi * sig2)
+                    + _residual_power(xc_i, xc_n, moments, model.loading) / sig2)
+    prior_zi = -0.5 * (n * model.latent_dim * LOG_2PI
+                       + np.trace(moments.ezz_i, axis1=1, axis2=2).sum())
+    return float(recon + prior_zi
                  + expected_log_density(
                      model.dynamics, moments.transition,
                      int(np.count_nonzero(moments.live_coefficients))))
@@ -663,9 +643,8 @@ def _e_step_dataset(model: PpcaModel, dataset: ImagePairDataset,
         parts = map_blocks(lambda a, b: _fixed_point_blocks(
             model, x_i[a:b], x_n[a:b], freeze_coefficients),
             dataset.count, threads)
-        return _moments_from_blocks(_Blocks(**{
-            name: np.concatenate([getattr(p, name) for p in parts])
-            for name in vars(parts[0])})), None
+        return _moments_from_blocks(*(np.concatenate(arrays)
+                                      for arrays in zip(*parts))), None
     if method == "quadrature":
         return _quadrature_moments(model, x_i, x_n, cfg)
     return _monte_carlo_moments(model, x_i, x_n, cfg,
@@ -706,7 +685,8 @@ def fit(dataset: ImagePairDataset, config: PpcaConfig
         sigma2 = m_step_sigma(dataset, moments, w, mu)
         dyn = next_dyn = model.dynamics
         if config.update_dynamics and not config.freeze_coefficients:
-            dyn, next_dyn = update_step(dyn, moments.transition, config)
+            dyn, next_dyn = update_step(dyn, moments.transition,
+                                        config.estimate_lambda, config.orthogonalize)
         if exact_evidence is None:
             trace.append(mean_field_elbo(PpcaModel(w, mu, sigma2, dyn),
                                          dataset, moments))

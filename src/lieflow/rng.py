@@ -28,9 +28,12 @@ def _bit_generator(seed: int, path: tuple[int, ...] = ()) -> np.random.Philox:
     if len(path) > 3:
         raise ValueError("stream path is limited to 3 words")
     counter = np.zeros(4, dtype=np.uint64)
-    for i, word in enumerate(path):
-        counter[i + 1] = np.uint64(word)
-    return np.random.Philox(key=np.uint64(seed), counter=counter)
+    try:
+        for i, word in enumerate(path):
+            counter[i + 1] = np.uint64(word)
+        return np.random.Philox(key=np.uint64(seed), counter=counter)
+    except OverflowError as exc:
+        raise ValueError("seeds and path words must lie in [0, 2**64)") from exc
 
 
 def uniforms(seed: int, path: tuple[int, ...], n: int) -> np.ndarray:

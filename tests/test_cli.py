@@ -473,6 +473,10 @@ BAD_INPUTS = {
         2, "--d"),
     "zero_generator_count": (
         lambda tmp: ["generate", "--j", "0"], 2, "--j"),
+    "negative_generate_seed": (
+        lambda tmp: ["generate", "--seed", "-1"], 2, "--seed"),
+    "seed_beyond_64_bits": (
+        lambda tmp: ["generate", "--seed", str(2 ** 64)], 2, "[0, 2**64)"),
     "zero_image_height": (
         lambda tmp: ["generate", "--mode", "image", "--height", "0"],
         2, "--height"),
@@ -500,6 +504,18 @@ BAD_INPUTS = {
     "non_finite_image_pairs": (
         lambda tmp: ["fit", "--estimator", "ppca",
                      "--data", str(_non_finite_data(tmp, ("x_i", "x_next")))], 4),
+    "negative_fit_seed": (
+        lambda tmp: ["fit", "--estimator", "ppca", "--seed", "-1",
+                     "--data", str(_image_data(tmp))], 2, "--seed"),
+    "zero_fit_generator_count": (
+        lambda tmp: ["fit", "--estimator", "ppca", "--j", "0",
+                     "--data", str(_image_data(tmp))], 2, "--j"),
+    "negative_fit_generator_count": (
+        lambda tmp: ["fit", "--j", "-2",
+                     "--data", str(_image_data(tmp))], 2, "--j"),
+    "negative_npca_latent_dim": (
+        lambda tmp: ["fit", "--estimator", "npca", "--d", "-1",
+                     "--data", str(_image_data(tmp))], 2, "--d"),
     "zero_batch_size": (
         lambda tmp: ["fit", "--estimator", "npca", "--batch-size", "0",
                      "--data", str(_image_data(tmp))], 2, "--batch-size"),

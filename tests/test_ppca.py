@@ -18,6 +18,7 @@ from lieflow.gaussian import (
     Gaussian,
     LinearGaussianMap,
     NumericError,
+    log_density,
     log_density_batch,
     posterior,
 )
@@ -28,15 +29,16 @@ from lieflow.ppca import (
     LatentMoments,
     PpcaConfig,
     PpcaModel,
-    _Blocks,
     _moments_from_blocks,
     e_step_joint,
+    expected_complete_data_ll,
     fit,
     init_loading,
     m_step_W,
     m_step_dynamics,
     m_step_mu,
     m_step_sigma,
+    mean_field_elbo,
     posterior_z_given_x,
     posterior_znext,
 )
@@ -197,7 +199,7 @@ class TestEStepJoint:
         assert abs(moments.elamlam[0, 0, 0]) < 1e-12
         # z-blocks reduce to the coefficient-free chained posteriors
         from lieflow.ppca import _fixed_point_blocks
-        frozen = _moments_from_blocks(_fixed_point_blocks(
+        frozen = _moments_from_blocks(*_fixed_point_blocks(
             collapsed, x_i[None], x_n[None], freeze_coefficients=True))
         assert np.allclose(moments.ez_i, frozen.ez_i, atol=1e-6)
         assert np.allclose(moments.ez_next, frozen.ez_next, atol=1e-6)
@@ -324,7 +326,7 @@ class TestMSteps:
         lam_cov = np.zeros((n, lam.shape[1], lam.shape[1])) \
             if lam_cov is None else lam_cov
         point = np.zeros((n, d, d))
-        return _moments_from_blocks(_Blocks(z_i, point, z_n, point, lam, lam_cov))
+        return _moments_from_blocks(z_i, point, z_n, point, lam, lam_cov)
 
     def test_w_identity_limit(self):
         frames = rng.normal_matrix(17, (0,), (6, 2))
@@ -394,6 +396,70 @@ class TestMSteps:
         assert np.all(moments.transition.dz_zlam == 0.0)
         basis, _ = m_step_dynamics(moments.transition)
         assert np.allclose(basis.generators, 0.0, atol=1e-12)
+
+
+def random_spd(seed, path, n, k):
+    """``n`` random symmetric positive definite ``k x k`` matrices."""
+    b = rng.normal_matrix(seed, path, (n, k, k))
+    return np.einsum("nab,ncb->nac", b, b) + 0.1 * np.eye(k)
+
+
+def random_objective_instance(seed, n, big_d, d, j):
+    """A random model with SPD noise and prior covariances, and ``n``
+    image pairs around its mean."""
+    d = min(d, big_d)
+    model = simple_model(rng.normal_matrix(seed, (0,), (big_d, d)),
+                         sigma2=0.5 + rng.uniforms(seed, (1,), 1)[0],
+                         omega=random_spd(seed, (2,), 1, d)[0],
+                         lam=random_spd(seed, (3,), 1, j)[0],
+                         mu=rng.normals(seed, (4,), big_d),
+                         gens=rng.normal_matrix(seed, (5,), (j, d, d)))
+    x_i, x_n = model.data_mean + rng.normal_matrix(seed, (6,), (2, n, big_d))
+    return model, x_i, x_n
+
+
+_OBJECTIVE_SIZES = dict(seed=st.integers(0, 2 ** 31 - 1), n=st.integers(1, 3),
+                        big_d=st.integers(1, 4), d=st.integers(1, 2),
+                        j=st.integers(1, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_OBJECTIVE_SIZES)
+def test_point_mass_objective_is_the_complete_data_log_density(seed, n, big_d,
+                                                               d, j):
+    model, x_i, x_n = random_objective_instance(seed, n, big_d, d, j)
+    d, j = model.latent_dim, model.dynamics.coeff_count
+    z_i, z_n = rng.normal_matrix(seed, (7,), (2, n, d))
+    lam = rng.normal_matrix(seed, (8,), (n, j))
+    moments = _moments_from_blocks(z_i, np.zeros((n, d, d)), z_n,
+                                   np.zeros((n, d, d)), lam, np.zeros((n, j, j)))
+    dyn, w, mu = model.dynamics, model.loading, model.data_mean
+    noise = model.noise_var * np.eye(model.data_dim)
+    ref = sum(log_density(Gaussian(w @ zi + mu, noise), xi)
+              + log_density(Gaussian(w @ zn + mu, noise), xn)
+              + log_density(Gaussian(np.zeros(d), np.eye(d)), zi)
+              + log_density(Gaussian(zi + assemble_A(dyn.basis, zi) @ lm,
+                                     dyn.trans_cov), zn)
+              + log_density(Gaussian(np.zeros(j), dyn.coeff_prior_cov), lm)
+              for xi, xn, zi, zn, lm in zip(x_i, x_n, z_i, z_n, lam))
+    got = expected_complete_data_ll(model, x_i - mu, x_n - mu, moments)
+    assert abs(got - ref) <= 1e-10 * abs(ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_OBJECTIVE_SIZES)
+def test_sigma_update_maximizes_the_elbo(seed, n, big_d, d, j):
+    model, x_i, x_n = random_objective_instance(seed, n, big_d, d, j)
+    d, j = model.latent_dim, model.dynamics.coeff_count
+    moments = _moments_from_blocks(
+        rng.normal_matrix(seed, (7,), (n, d)), random_spd(seed, (8,), n, d),
+        rng.normal_matrix(seed, (9,), (n, d)), random_spd(seed, (10,), n, d),
+        rng.normal_matrix(seed, (11,), (n, j)), random_spd(seed, (12,), n, j))
+    data = ImagePairDataset(x_i, x_n, 1, model.data_dim)
+    best = m_step_sigma(data, moments, model.loading, model.data_mean)
+    elbo = [mean_field_elbo(replace(model, noise_var=best * f), data, moments)
+            for f in (1.0, 1.0 - 1e-3, 1.0 + 1e-3)]
+    assert elbo[0] >= max(elbo[1:])
 
 
 class TestFit:

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from lieflow import rng
 
@@ -39,3 +40,9 @@ def test_orthonormal_columns():
 def test_permutation_is_a_permutation():
     p = rng.permutation(9, (4,), 257)
     assert np.array_equal(np.sort(p), np.arange(257))
+
+
+@pytest.mark.parametrize("seed, path", [(-1, ()), (2 ** 64, ()), (0, (-1,))])
+def test_out_of_range_seed_or_path_word_is_a_value_error(seed, path):
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+        rng.normals(seed, path, 4)
