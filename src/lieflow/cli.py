@@ -332,6 +332,7 @@ class _Option:
     choices: tuple = ()
     low: float | None = None    # smallest allowed value (of each element)
     above: bool = False         # low itself is excluded
+    high: int | None = None     # largest allowed value
     required: bool = False
 
     @property
@@ -350,7 +351,7 @@ _OPTIONS = (
     _Option("generate", "width", int, 4, low=1),
     _Option("generate", "lambda_scale", float, 0.05, low=0.0),
     _Option("generate", "noise_std", float, 0.0, low=0.0),
-    _Option("generate", "seed", int, 0, low=0),
+    _Option("generate", "seed", int, 0, low=0, high=2 ** 64 - 1),
     _Option("generate", "first_order", bool, False),
     _Option("generate", "out", str, "dataset.lf"),
     _Option("fit", "estimator", str, "dynamics", tuple(_ESTIMATOR_CODES)),
@@ -361,7 +362,7 @@ _OPTIONS = (
     _Option("fit", "estep", str, "fixed-point", tuple(_ESTEP_FLAGS)),
     _Option("fit", "max_iters", int, 500, low=1),
     _Option("fit", "tol", float, 1e-8, low=0.0),
-    _Option("fit", "seed", int, 0, low=0),
+    _Option("fit", "seed", int, 0, low=0, high=2 ** 64 - 1),
     _Option("fit", "threads", int, 1, low=0),   # 0 uses every CPU
     _Option("fit", "estimate_lambda", bool, False),
     _Option("fit", "hidden", list, (), low=1),
@@ -412,6 +413,8 @@ def _check(opt: _Option, value):
             v < opt.low or (opt.above and v == opt.low) for v in items):
         raise UsageError(f"{opt.flag} must be "
                          f"{'above' if opt.above else 'at least'} {opt.low:g}")
+    if opt.high is not None and value > opt.high:
+        raise UsageError(f"{opt.flag} must be at most {opt.high}")
     return value
 
 

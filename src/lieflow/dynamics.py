@@ -6,6 +6,10 @@ coefficients ``lambda ~ N(0, Lambda)`` and transition noise
 ``N(0, Omega)``.  The E-step is the exact Gaussian posterior of the
 coefficients per pair; the M-step solves the Kronecker normal equations
 for the flattened generator block and refreshes the noise covariance.
+The E-step and the marginal likelihood share one J x J posterior
+precision per pair (:func:`_pair_precision`), factorized for all pairs
+at once, so an iteration costs O(N d^2 J) with no per-pair d x d
+factorization.
 Each iteration may be followed by a PCA orthogonalization of the
 generator basis.
 
@@ -17,7 +21,8 @@ latents and share the M-step, the rest of the update
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,7 +37,10 @@ from .gaussian import (
     posterior,
     spd_cholesky,
     spd_solve,
+    stacked_cholesky,
+    stacked_forward_solve,
     symmetrize,
+    triangular_solve,
 )
 from .liealg import GeneratorBasis
 
@@ -50,6 +58,10 @@ class DynamicsModel:
     basis: GeneratorBasis
     trans_cov: np.ndarray
     coeff_prior_cov: np.ndarray
+    # lower Cholesky factors of the two covariances, formed once when the
+    # model is built (which validates both) and read by every E-step
+    trans_chol: np.ndarray = field(init=False, repr=False, compare=False)
+    coeff_prior_chol: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         omega = np.atleast_2d(np.asarray(self.trans_cov, dtype=float))
@@ -59,8 +71,8 @@ class DynamicsModel:
             raise ValueError("transition covariance dimension must match the basis")
         if lam_cov.shape != (j, j):
             raise ValueError("coefficient prior dimension must match the generator count")
-        spd_cholesky(omega)
-        spd_cholesky(lam_cov)
+        object.__setattr__(self, "trans_chol", spd_cholesky(omega))
+        object.__setattr__(self, "coeff_prior_chol", spd_cholesky(lam_cov))
         object.__setattr__(self, "trans_cov", symmetrize(omega))
         object.__setattr__(self, "coeff_prior_cov", symmetrize(lam_cov))
 
@@ -98,7 +110,7 @@ class PairDataset:
     def latent_dim(self) -> int:
         return self.z_i.shape[1]
 
-    @property
+    @cached_property
     def delta(self) -> np.ndarray:
         return self.z_next - self.z_i
 
@@ -160,25 +172,43 @@ def e_step_lambda(model: DynamicsModel, z_i: np.ndarray,
     return posterior(prior, lin, np.asarray(z_next, dtype=float) - zi)
 
 
+def _pair_precision(model: DynamicsModel, z_i: np.ndarray, delta: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The per-pair J x J posterior precision shared by the E-step and
+    the marginal likelihood.
+
+    Whitens the columns of ``[A, delta]`` with the Cholesky factor of
+    Omega and returns, from their Gram matrices, the precisions
+    ``P = Lambda^{-1} + A^T Omega^{-1} A`` ``(N, J, J)``, the information
+    vectors ``b = A^T Omega^{-1} delta`` ``(N, J)`` and the squared
+    whitened residuals ``delta^T Omega^{-1} delta`` ``(N,)``.  Every
+    pair's values depend on that pair alone, bit for bit.
+    """
+    j = model.coeff_count
+    cols = np.concatenate([liealg.assemble_A(model.basis, z_i),
+                           delta[:, :, None]], axis=2)
+    n, d, _ = cols.shape
+    white = triangular_solve(model.trans_chol,
+                             cols.transpose(1, 0, 2).reshape(d, n * (j + 1)))
+    white = white.reshape(d, n, j + 1).transpose(1, 0, 2)
+    gram = white.swapaxes(1, 2) @ white
+    lam_prec = spd_solve(model.coeff_prior_chol, np.eye(j))
+    return lam_prec + gram[:, :j, :j], gram[:, :j, j], gram[:, j, j]
+
+
 def _e_step_block(model: DynamicsModel, z_i: np.ndarray,
                   delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized coefficient posteriors for a block of pairs.
+    """Vectorized coefficient posteriors for a block of pairs: the
+    covariance ``P^{-1}`` from the stacked Cholesky factor of the
+    precision, and the mean ``P^{-1} b``.
 
     Returns stacked means ``(N, J)`` and covariances ``(N, J, J)``.
     """
-    j = model.coeff_count
-    a = liealg.assemble_A(model.basis, z_i)
-    omega_chol = spd_cholesky(model.trans_cov)
-    lam_prec = spd_solve(spd_cholesky(model.coeff_prior_cov), np.eye(j))
-    # Omega^{-1} A for every pair
-    d = model.latent_dim
-    oia = spd_solve(omega_chol, a.transpose(1, 0, 2).reshape(d, -1))
-    oia = oia.reshape(d, -1, j).transpose(1, 0, 2)
-    prec = lam_prec + np.einsum("ndj,ndk->njk", a, oia)
-    cov = np.linalg.solve(prec, np.broadcast_to(np.eye(j), prec.shape))
-    cov = symmetrize(cov)
-    mean = np.einsum("njk,nk->nj", cov, np.einsum("ndj,nd->nj", oia, delta))
-    return mean, cov
+    prec, info, _ = _pair_precision(model, z_i, delta)
+    eye = np.broadcast_to(np.eye(model.coeff_count), prec.shape)
+    inv_chol = stacked_forward_solve(stacked_cholesky(prec), eye)
+    cov = symmetrize(inv_chol.swapaxes(1, 2) @ inv_chol)
+    return (cov @ info[:, :, None])[:, :, 0], cov
 
 
 def map_blocks(fn, count: int, threads: int) -> list:
@@ -210,17 +240,21 @@ def e_step_all(model: DynamicsModel, dataset: PairDataset,
 def transition_stats(dataset: PairDataset,
                      post: CoeffPosterior) -> TransitionStats:
     """Summed statistics of exact latents under coefficient posteriors,
-    formed without per-pair Kronecker blocks."""
+    each formed as one product over the pair axis without per-pair
+    Kronecker blocks."""
     if post.mean.shape[0] != dataset.count:
         raise ValueError("need exactly one posterior per pair")
     second = post.second
     z, delta = dataset.z_i, dataset.delta
-    d, j = dataset.latent_dim, post.mean.shape[1]
+    n, d, j = dataset.count, dataset.latent_dim, post.mean.shape[1]
+    z_lam = (z[:, :, None] * post.mean[:, None, :]).reshape(n, d * j)
+    zz = (z[:, :, None] * z[:, None, :]).reshape(n, d * d)
+    zz_lamlam = (zz.T @ second.reshape(n, j * j)).reshape(d, d, j, j)
     return TransitionStats(
-        count=dataset.count,
-        dz_dz=np.einsum("na,nb->ab", delta, delta),
-        dz_zlam=np.einsum("nr,ne,nj->rej", delta, z, post.mean).reshape(d, d * j),
-        zz_lamlam=np.einsum("ne,nf,njk->ejfk", z, z, second).reshape(d * j, d * j),
+        count=n,
+        dz_dz=delta.T @ delta,
+        dz_zlam=delta.T @ z_lam,
+        zz_lamlam=zz_lamlam.transpose(0, 2, 1, 3).reshape(d * j, d * j),
         lamlam=second.sum(axis=0))
 
 
@@ -273,8 +307,7 @@ def expected_log_density(model: DynamicsModel, stats: TransitionStats,
     the pairs, plus the expected coefficient prior
     ``E[log N(lambda | 0, Lambda)]`` of ``prior_count`` of them (pairs
     whose coefficients are pinned at zero carry no prior term)."""
-    omega_chol = spd_cholesky(model.trans_cov)
-    lam_chol = spd_cholesky(model.coeff_prior_cov)
+    omega_chol, lam_chol = model.trans_chol, model.coeff_prior_chol
     trans = (stats.count * (model.latent_dim * LOG_2PI
                             + 2.0 * float(np.sum(np.log(np.diag(omega_chol)))))
              + np.trace(spd_solve(omega_chol, _residual_outer(stats, model.basis))))
@@ -295,17 +328,23 @@ def expected_complete_data_ll(model: DynamicsModel, dataset: PairDataset,
 
 def marginal_log_likelihood(model: DynamicsModel, dataset: PairDataset) -> float:
     """Exact log-likelihood ``sum_i log N(delta_z | 0, Omega + A Lambda A^T)``
-    with the coefficients integrated out; the quantity EM ascends."""
-    a = liealg.assemble_A(model.basis, dataset.z_i)
-    cov = model.trans_cov + np.einsum("naj,jk,nbk->nab", a,
-                                      model.coeff_prior_cov, a)
-    sign, log_det = np.linalg.slogdet(cov)
-    if np.any(sign <= 0):
-        raise NumericError("marginal covariance is not positive definite")
-    sol = np.linalg.solve(cov, dataset.delta[..., None])[..., 0]
-    quad = np.einsum("nd,nd->n", dataset.delta, sol)
-    d = dataset.latent_dim
-    return float(-0.5 * np.sum(d * np.log(2.0 * np.pi) + log_det + quad))
+    with the coefficients integrated out; the quantity EM ascends.
+
+    Formed from the J x J posterior precisions ``P`` of the E-step: by
+    the determinant lemma ``log|Omega + A Lambda A^T| = log|Omega| +
+    log|Lambda| + log|P|``, and by Woodbury the quadratic form is
+    ``|L_Omega^{-1} delta|^2 - |L_P^{-1} b|^2``.
+    """
+    prec, info, white_sq = _pair_precision(model, dataset.z_i, dataset.delta)
+    prec_chol = stacked_cholesky(prec)
+    white_info = stacked_forward_solve(prec_chol, info)
+    log_det = (dataset.count * 2.0 * (
+        np.sum(np.log(np.diag(model.trans_chol)))
+        + np.sum(np.log(np.diag(model.coeff_prior_chol))))
+        + 2.0 * np.sum(np.log(np.diagonal(prec_chol, axis1=1, axis2=2))))
+    quad = np.sum(white_sq) - np.sum(white_info * white_info)
+    return float(-0.5 * (dataset.count * dataset.latent_dim * LOG_2PI
+                         + log_det + quad))
 
 
 def _project_lambda(old_basis: GeneratorBasis, new_basis: GeneratorBasis,

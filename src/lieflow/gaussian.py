@@ -83,6 +83,43 @@ def spd_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
     return triangular_solve(chol, triangular_solve(chol, b), transpose=True)
 
 
+def stacked_cholesky(m: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of a stack ``(N, J, J)`` of symmetric
+    positive-definite matrices, one column at a time for the whole stack.
+
+    Each step scales a pivot's column by its root and subtracts that
+    column's outer product from the trailing block.  These are
+    elementwise operations, so every factor depends on its own matrix
+    alone, bit for bit.  Raises :class:`NumericError` if a pivot is not
+    positive.
+    """
+    work = np.array(m, dtype=float)
+    for k in range(work.shape[-1]):
+        pivot = work[:, k, k]
+        if not (pivot > 0.0).all():
+            raise NumericError(
+                f"{int(np.sum(~(pivot > 0.0)))} of {pivot.shape[0]} stacked "
+                f"matrices not positive definite")
+        work[:, k, k] = np.sqrt(pivot)
+        work[:, k, k + 1:] = 0.0
+        col = work[:, k + 1:, k]
+        col /= work[:, k, k, None]
+        work[:, k + 1:, k + 1:] -= col[:, :, None] * col[:, None, :]
+    return work
+
+
+def stacked_forward_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``L_n x_n = b_n`` by forward substitution for a stack of
+    lower triangular ``L`` ``(N, J, J)`` and right-hand sides ``(N, J)`` or
+    ``(N, J, m)``, elementwise over the stack like :func:`triangular_solve`."""
+    x = np.array(b, dtype=float)
+    rows = x if x.ndim == 3 else x[..., None]
+    for i in range(chol.shape[-1]):
+        rows[:, i] /= chol[:, i, i, None]
+        rows[:, i + 1:] -= chol[:, i + 1:, i, None] * rows[:, i, None]
+    return x
+
+
 def cholesky_log_density(chol: np.ndarray, diffs: np.ndarray) -> np.ndarray:
     """Log density of ``N(0, L L^T)`` at each row of ``diffs`` (shape
     ``(m, k)``), given the lower Cholesky factor ``L``."""

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import liealg, rng
 from .dynamics import DynamicsModel, _e_step_block, init_model, update_step
-from .gaussian import LOG_2PI, NumericError, spd_cholesky, spd_solve
+from .gaussian import LOG_2PI, NumericError, spd_solve
 from .liealg import GeneratorBasis
 from .ppca import (
     LatentMoments,
@@ -264,7 +264,7 @@ def _objective_with_grads(model: NpcaModel, x_i, x_n, noise_i, noise_n,
              - 0.5 * (np.sum(res_i ** 2) + np.sum(res_n ** 2)) / sig2)
 
     # transition: z_n ~ N(B z_i, Omega) with B = I + sum_j lam_j G_j
-    omega_chol = spd_cholesky(dyn.trans_cov)
+    omega_chol = dyn.trans_chol
     omega_prec = spd_solve(omega_chol, np.eye(d))
     b_mat = np.eye(d) + liealg.combine(dyn.basis, lam)
     t_res = z_n - np.einsum("nab,nb->na", b_mat, z_i)
@@ -273,7 +273,7 @@ def _objective_with_grads(model: NpcaModel, x_i, x_n, noise_i, noise_n,
     trans = -0.5 * (n * (d * LOG_2PI + log_det_omega)
                     + float(np.sum(t_res_prec * t_res)))
 
-    lam_chol = spd_cholesky(dyn.coeff_prior_cov)
+    lam_chol = dyn.coeff_prior_chol
     lam_white = np.linalg.solve(lam_chol, lam.T)
     lam_term = -0.5 * (n * (dyn.coeff_count * LOG_2PI
                             + 2.0 * float(np.sum(np.log(np.diag(lam_chol)))))

@@ -403,8 +403,8 @@ def _quadrature_moments(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray,
     prior_means, prior_cov = posterior_z_given_x(model, x_i)
     zi_prec = spd_inverse(prior_cov)
     zi_chol = spd_cholesky(prior_cov)
-    lam_chol = spd_cholesky(model.dynamics.coeff_prior_cov)
-    omega_chol = spd_cholesky(model.dynamics.trans_cov)
+    lam_chol = model.dynamics.coeff_prior_chol
+    omega_chol = model.dynamics.trans_chol
 
     parts, log_norm = [], 0.0
     for prior_mean, xc_n, center, m_zi, q in zip(
@@ -455,7 +455,7 @@ def _monte_carlo_moments(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray,
 
     prior_means, prior_cov = posterior_z_given_x(model, x_i)
     zi_chol = spd_cholesky(prior_cov)
-    lam_chol = spd_cholesky(model.dynamics.coeff_prior_cov)
+    lam_chol = model.dynamics.coeff_prior_chol
     # weight: x_next likelihood with z_next marginalized out
     resid_chol = spd_cholesky(sig2 * np.eye(model.data_dim)
                               + w @ model.dynamics.trans_cov @ w.T)

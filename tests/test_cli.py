@@ -476,7 +476,12 @@ BAD_INPUTS = {
     "negative_generate_seed": (
         lambda tmp: ["generate", "--seed", "-1"], 2, "--seed"),
     "seed_beyond_64_bits": (
-        lambda tmp: ["generate", "--seed", str(2 ** 64)], 2, "[0, 2**64)"),
+        lambda tmp: ["generate", "--seed", str(2 ** 64)], 2,
+        "--seed", f"at most {2 ** 64 - 1}"),
+    "fit_seed_beyond_64_bits": (
+        lambda tmp: ["fit", "--data", str(_image_data(tmp)), "--estimator",
+                     "ppca", "--seed", str(2 ** 64)], 2,
+        "--seed", f"at most {2 ** 64 - 1}"),
     "zero_image_height": (
         lambda tmp: ["generate", "--mode", "image", "--height", "0"],
         2, "--height"),
@@ -626,6 +631,8 @@ def _rejected_values(opt):
                            allow_nan=False))
         wrong.append(st.lists(below, min_size=1, max_size=2)
                      if opt.type is list else below)
+    if opt.high is not None:
+        wrong.append(st.integers(min_value=opt.high + 1))
     return st.one_of(wrong)
 
 

@@ -119,6 +119,19 @@ class TestEStepLambda:
             assert np.abs(batched.mean[k] - single.mean).max() <= 1e-9 * (
                 np.abs(single.mean).max() + spread ** 0.5)
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 4),
+           j=st.integers(1, 3), n=st.integers(1, 40), threads=st.integers(2, 3))
+    def test_threads_are_bit_identical(self, seed, d, j, n, threads):
+        # n not divisible by the thread count splits into unequal blocks
+        model = random_model(seed, d, j)
+        z_i = rng.normal_matrix(seed, (3,), (n, d))
+        data = PairDataset(z_i, z_i + 0.3 * rng.normal_matrix(seed, (4,), (n, d)))
+        serial = e_step_all(model, data, threads=1)
+        threaded = e_step_all(model, data, threads=threads)
+        assert np.array_equal(serial.mean, threaded.mean)
+        assert np.array_equal(serial.cov, threaded.cov)
+
     def test_threaded_matches_serial(self):
         model = random_model(4, 2, 1)
         data, _ = generate_latent_pairs(SequenceSpec(pair_count=37, seed=6))
@@ -344,6 +357,70 @@ def test_marginal_ll_matches_direct_formula():
         cov = model.trans_cov + a @ model.coeff_prior_cov @ a.T
         total += log_density(Gaussian(np.zeros(2), cov), zn - zi)
     assert marginal_log_likelihood(model, data) == pytest.approx(total, rel=1e-12)
+
+
+_SIZES = dict(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 4),
+              j=st.integers(1, 3), n=st.integers(1, 12),
+              step=st.sampled_from([1e-3, 0.3, 3.0]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(**_SIZES, omega_scale=st.integers(0, 6).map(lambda e: 10.0 ** -e))
+def test_marginal_ll_equals_dense_per_pair_oracle(seed, d, j, n, step,
+                                                  omega_scale):
+    # the dense d x d form sum_i log N(delta | 0, Omega + A Lambda A^T),
+    # evaluated in 50-digit arithmetic: in doubles, adding the rank-J
+    # term to an Omega of scale 1e-6 already costs ~1e-9 of the total
+    import mpmath
+    base = random_model(seed, d, j)
+    model = DynamicsModel(base.basis, omega_scale * base.trans_cov,
+                          base.coeff_prior_cov)
+    z_i = rng.normal_matrix(seed, (3,), (n, d))
+    data = PairDataset(z_i, z_i + step * rng.normal_matrix(seed, (4,), (n, d)))
+    with mpmath.workdps(50):
+        omega = mpmath.matrix(model.trans_cov.tolist())
+        lam = mpmath.matrix(model.coeff_prior_cov.tolist())
+        total = mpmath.mpf(0)
+        for zi, zn in data.pairs():
+            a = mpmath.matrix(assemble_A(model.basis, zi).tolist())
+            cov = omega + a * lam * a.T
+            dz = mpmath.matrix((zn - zi).tolist())
+            quad = (dz.T * mpmath.lu_solve(cov, dz))[0]
+            total -= (d * mpmath.log(2 * mpmath.pi) + mpmath.log(mpmath.det(cov))
+                      + quad) / 2
+        total = float(total)
+    assert abs(marginal_log_likelihood(model, data) - total) <= 1e-9 * abs(total)
+
+
+@settings(max_examples=100, deadline=None)
+@given(**_SIZES)
+def test_transition_stats_equal_per_pair_kronecker_sums(seed, d, j, n, step):
+    z_i = rng.normal_matrix(seed, (3,), (n, d))
+    data = PairDataset(z_i, z_i + step * rng.normal_matrix(seed, (4,), (n, d)))
+    mean = rng.normal_matrix(seed, (5,), (n, j))
+    root = rng.normal_matrix(seed, (6,), (n, j, j))
+    post = CoeffPosterior(mean, root @ root.swapaxes(1, 2))
+    stats = transition_stats(data, post)
+    # each field against the signed and the absolute sum of its per-pair terms
+    terms = {"dz_dz": [], "dz_zlam": [], "zz_lamlam": [], "lamlam": []}
+    for z, dz, m, cov in zip(data.z_i, data.delta, post.mean, post.cov):
+        second = cov + np.outer(m, m)
+        terms["dz_dz"].append(np.outer(dz, dz))
+        terms["dz_zlam"].append(np.outer(dz, np.kron(z, m)))
+        terms["zz_lamlam"].append(np.kron(np.outer(z, z), second))
+        terms["lamlam"].append(second)
+    assert stats.count == n
+    for name, parts in terms.items():
+        got, want = getattr(stats, name), np.sum(parts, axis=0)
+        assert got.shape == want.shape
+        scale = np.sum(np.abs(parts), axis=0)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale), name
+
+
+def test_pair_delta_is_computed_once():
+    data = PairDataset([[1.0, 2.0]], [[4.0, 0.0]])
+    assert data.delta is data.delta
+    assert np.array_equal(data.delta, [[3.0, -2.0]])
 
 
 def test_init_model_is_seeded():

@@ -17,6 +17,8 @@ from lieflow.gaussian import (
     posterior,
     spd_cholesky,
     spd_solve,
+    stacked_cholesky,
+    stacked_forward_solve,
     triangular_solve,
 )
 from lieflow.oracles import GridSpec, quadrature_moments
@@ -305,3 +307,41 @@ class TestSubstitution:
         batch = log_density_batch(g, pts)
         assert np.allclose(batch, [log_density(g, p) for p in pts],
                            rtol=1e-14, atol=0)
+
+
+class TestStackedCholesky:
+    """The stacked factorization and substitution against one LAPACK call
+    per matrix, and each item against a lone call."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 9),
+           j=st.integers(1, 5), scale=st.sampled_from([1e-6, 1.0, 1e6]))
+    def test_matches_per_matrix_lapack(self, seed, n, j, scale):
+        stack = np.stack([random_spd(seed, (k,), j, scale) for k in range(n)])
+        chol = stacked_cholesky(stack)
+        rhs = rng.normal_matrix(seed, (n,), (n, j, 3))
+        sol = stacked_forward_solve(chol, rhs)
+        vec = stacked_forward_solve(chol, rhs[:, :, 0])
+        for k in range(n):
+            ref = np.linalg.cholesky(stack[k])
+            assert np.abs(chol[k] - ref).max() <= 1e-12 * np.abs(ref).max()
+            ref_sol = scipy.linalg.solve_triangular(ref, rhs[k], lower=True)
+            assert np.abs(sol[k] - ref_sol).max() <= 1e-10 * np.abs(ref_sol).max()
+            assert np.array_equal(vec[k], sol[k][:, 0])
+            assert np.array_equal(chol[k], stacked_cholesky(stack[k:k + 1])[0])
+            assert np.array_equal(sol[k], stacked_forward_solve(
+                chol[k:k + 1], rhs[k:k + 1])[0])
+
+    def test_non_positive_pivot_is_numeric_error(self):
+        stack = np.stack([np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]])])
+        with pytest.raises(NumericError, match="1 of 2"):
+            stacked_cholesky(stack)
+        with pytest.raises(NumericError):
+            stacked_cholesky(np.full((1, 1, 1), np.nan))
+
+    def test_leaves_inputs_unchanged(self):
+        stack = np.stack([random_spd(8, (k,), 3) for k in range(4)])
+        rhs = rng.normal_matrix(8, (9,), (4, 3))
+        kept = stack.copy(), rhs.copy()
+        stacked_forward_solve(stacked_cholesky(stack), rhs)
+        assert np.array_equal(stack, kept[0]) and np.array_equal(rhs, kept[1])
