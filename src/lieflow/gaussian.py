@@ -129,10 +129,14 @@ def cholesky_log_density(chol: np.ndarray, diffs: np.ndarray) -> np.ndarray:
                    + np.sum(white * white, axis=0))
 
 
+def cholesky_inverse(chol: np.ndarray) -> np.ndarray:
+    """Inverse of an SPD matrix given its lower Cholesky factor."""
+    return symmetrize(spd_solve(chol, np.eye(chol.shape[0])))
+
+
 def spd_inverse(m: np.ndarray, jitter: float = 0.0) -> np.ndarray:
     """Inverse of an SPD matrix via its Cholesky factorization."""
-    chol = spd_cholesky(m, jitter=jitter)
-    return symmetrize(spd_solve(chol, np.eye(m.shape[0])))
+    return cholesky_inverse(spd_cholesky(m, jitter=jitter))
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

@@ -423,7 +423,8 @@ def fit(dataset: ImagePairDataset, config: NpcaConfig,
 
     The shuffle and the noise are drawn from counter-based streams
     keyed by (seed, epoch, pair index), so the trace is bit-reproducible
-    and independent of any parallel schedule.  ``init`` overrides the
+    and independent of any parallel schedule; each epoch draws the noise
+    of all pairs as one stack of streams.  ``init`` overrides the
     seeded (encoder, decoder) initialization (e.g.
     :func:`linear_warm_start`).
     """
@@ -434,23 +435,25 @@ def fit(dataset: ImagePairDataset, config: NpcaConfig,
     model = NpcaModel(encoder, decoder, config.obs_noise_var, dyn)
     trace: list[float] = []
     n = dataset.count
+    paths = np.zeros((n, 3), dtype=np.uint64)
+    paths[:, 2] = np.arange(n)
     for epoch in range(config.epochs):
         order = rng.permutation(config.seed, (_TAG_SHUFFLE, epoch), n)
+        # row k of each draw is the stream (tag, epoch, k) of pair k
+        paths[:, 0], paths[:, 1] = _TAG_NOISE, epoch
+        noise = rng.normals(config.seed, paths, 2 * d)
+        coeff_noise = None
+        if config.coeff_mode == "sample":
+            paths[:, 0] = _TAG_LAMNOISE
+            coeff_noise = rng.normals(config.seed, paths,
+                                      model.dynamics.coeff_count)
         total = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            noise = np.stack([
-                rng.normals(config.seed, (_TAG_NOISE, epoch, int(k)), 2 * d)
-                for k in idx])
-            coeff_noise = None
-            if config.coeff_mode == "sample":
-                coeff_noise = np.stack([
-                    rng.normals(config.seed, (_TAG_LAMNOISE, epoch, int(k)),
-                                model.dynamics.coeff_count) for k in idx])
             objective, grad = _objective_with_grads(
                 model, dataset.x_i[idx], dataset.x_next[idx],
-                noise[:, :d], noise[:, d:], coeff_mode=config.coeff_mode,
-                coeff_noise=coeff_noise)
+                noise[idx, :d], noise[idx, d:], coeff_mode=config.coeff_mode,
+                coeff_noise=None if coeff_noise is None else coeff_noise[idx])
             total += objective
             model = _apply_gradients(model, grad, config.step_size,
                                      1.0 / idx.size)

@@ -34,6 +34,7 @@ from .gaussian import (
     LOG_2PI,
     Gaussian,
     NumericError,
+    cholesky_inverse,
     cholesky_log_density,
     spd_cholesky,
     spd_inverse,
@@ -194,7 +195,7 @@ def posterior_znext(model: PpcaModel, x_next: np.ndarray, z_i: np.ndarray,
     x_next = np.atleast_1d(np.asarray(x_next, dtype=float))
     z_i = np.atleast_1d(np.asarray(z_i, dtype=float))
     w = model.loading
-    omega_prec = spd_inverse(model.dynamics.trans_cov)
+    omega_prec = cholesky_inverse(model.dynamics.trans_chol)
     gamma_prec = omega_prec + (w.T @ w) / model.noise_var
     chol = spd_cholesky(gamma_prec)
     drift = z_i + liealg.assemble_A(model.dynamics.basis, z_i) @ np.atleast_1d(lam)
@@ -279,7 +280,7 @@ def _frozen_coefficient_blocks(model: PpcaModel, x_i: np.ndarray,
     sig2 = model.noise_var
     u_i, ppca_cov = posterior_z_given_x(model, x_i)
     ppca_prec = symmetrize(spd_inverse(ppca_cov))
-    omega_prec = spd_inverse(model.dynamics.trans_cov)
+    omega_prec = cholesky_inverse(model.dynamics.trans_chol)
     prec = np.zeros((2 * d, 2 * d))
     prec[:d, :d] = ppca_prec + omega_prec
     prec[:d, d:] = -omega_prec
@@ -318,8 +319,8 @@ def _fixed_point_blocks(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray,
 
     (u_i, u_n), ppca_cov = posterior_z_given_x(model, np.stack([x_i, x_n]))
     ppca_prec = symmetrize(spd_inverse(ppca_cov))
-    omega_prec = spd_inverse(model.dynamics.trans_cov)
-    lam_prec = spd_inverse(model.dynamics.coeff_prior_cov)
+    omega_prec = cholesky_inverse(model.dynamics.trans_chol)
+    lam_prec = cholesky_inverse(model.dynamics.coeff_prior_chol)
     gamma_prec = omega_prec + (w.T @ w) / sig2
     gamma = symmetrize(spd_solve(spd_cholesky(gamma_prec), np.eye(d)))
     wt_xn = (x_n - model.data_mean) @ w / sig2
@@ -376,9 +377,9 @@ def _linearized_joint_cov(model: PpcaModel, zi_prec: np.ndarray,
                      liealg.assemble_A(basis, m_zi), -np.eye(d)])
     prior = np.zeros((2 * d + j, 2 * d + j))
     prior[:d, :d] = zi_prec
-    prior[d:d + j, d:d + j] = spd_inverse(model.dynamics.coeff_prior_cov)
+    prior[d:d + j, d:d + j] = cholesky_inverse(model.dynamics.coeff_prior_chol)
     prior[d + j:, d + j:] = (model.loading.T @ model.loading) / model.noise_var
-    omega_prec = spd_inverse(model.dynamics.trans_cov)
+    omega_prec = cholesky_inverse(model.dynamics.trans_chol)
     return spd_inverse(symmetrize(prior + jac.T @ omega_prec @ jac))
 
 
@@ -459,7 +460,7 @@ def _monte_carlo_moments(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray,
     # weight: x_next likelihood with z_next marginalized out
     resid_chol = spd_cholesky(sig2 * np.eye(model.data_dim)
                               + w @ model.dynamics.trans_cov @ w.T)
-    omega_prec = spd_inverse(model.dynamics.trans_cov)
+    omega_prec = cholesky_inverse(model.dynamics.trans_chol)
     gamma = symmetrize(spd_inverse(omega_prec + (w.T @ w) / sig2))
     parts = []
     for prior_mean, xc_n, stream in zip(prior_means, x_n - model.data_mean,

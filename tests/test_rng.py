@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lieflow import rng
 
@@ -46,3 +48,47 @@ def test_permutation_is_a_permutation():
 def test_out_of_range_seed_or_path_word_is_a_value_error(seed, path):
     with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
         rng.normals(seed, path, 4)
+
+
+_ZEROS = np.zeros((2, 1), dtype=np.uint64)
+
+
+@pytest.mark.parametrize("seed, paths", [
+    (-1, _ZEROS),
+    (2 ** 64, _ZEROS),
+    (0, np.array([[3], [-1]])),  # int64: a cast to uint64 would wrap it
+    (0, np.array([[2 ** 64]], dtype=object)),
+    (0, np.array([[-1]], dtype=object)),
+])
+def test_out_of_range_seed_or_word_in_a_stack_is_a_value_error(seed, paths):
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+        rng.normals(seed, paths, 4)
+
+
+@pytest.mark.parametrize("path", [(0, 0, 0, 0), np.zeros((2, 4), dtype=np.uint64)])
+def test_path_longer_than_3_words_is_a_value_error(path):
+    with pytest.raises(ValueError, match="3 words"):
+        rng.normals(0, path, 4)
+
+
+_WORD = st.integers(0, 2 ** 64 - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=_WORD, width=st.integers(0, 3), count=st.integers(1, 50),
+       n=st.integers(1, 13), data=st.data())
+def test_stacked_rows_equal_lone_path_streams(seed, width, count, n, data):
+    paths = data.draw(st.lists(st.lists(_WORD, min_size=width, max_size=width),
+                               min_size=count, max_size=count))
+    stack = np.array(paths, dtype=np.uint64).reshape(count, width)
+    for draw in (rng.uniforms, rng.normals):
+        rows = draw(seed, stack, n)
+        assert rows.shape == (count, n)
+        for row, path in zip(rows, paths):
+            assert np.array_equal(row, draw(seed, tuple(path), n))
+    # the raw words follow the documented counter layout [b + 1, *path]
+    raw = rng.uniforms(seed, stack, n)[0] / 2.0 ** -53
+    counter = np.zeros(4, dtype=np.uint64)
+    counter[1:1 + width] = paths[0]
+    bits = np.random.Philox(key=np.uint64(seed), counter=counter)
+    assert np.array_equal(raw, (bits.random_raw(n) >> np.uint64(11)).astype(float))
