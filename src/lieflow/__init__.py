@@ -5,15 +5,17 @@ Three estimators of increasing generality: EM over given latent pairs
 (:mod:`lieflow.dynamics`), joint EM with a probabilistic-PCA observation
 model (:mod:`lieflow.ppca`) and variational EM with nonlinear
 encoder/decoder networks (:mod:`lieflow.npca`).  Supporting layers:
-closed-form Gaussian algebra (:mod:`lieflow.gaussian`), generator-basis
+SPD factorizations and solvers (:mod:`lieflow.gaussian`), generator-basis
 arithmetic (:mod:`lieflow.liealg`), synthetic ground-truth data
-(:mod:`lieflow.synth`), brute-force numerical oracles for tests
-(:mod:`lieflow.oracles`) and file/CLI plumbing
-(:mod:`lieflow.tensorfile`, :mod:`lieflow.cli`).
+(:mod:`lieflow.synth`), the grid quadrature of the ppca quadrature
+E-step (:mod:`lieflow.oracles`) and file/CLI plumbing
+(:mod:`lieflow.tensorfile`, :mod:`lieflow.cli`).  The reference
+implementations the tests check these against live in
+``tests/reference.py``, outside the package.
 """
 
 from .dynamics import CoeffPosterior, DynamicsModel, EmConfig, PairDataset
-from .gaussian import Gaussian, LinearGaussianMap, NumericError
+from .gaussian import NumericError
 from .liealg import GeneratorBasis
 from .ppca import LatentMoments, PpcaConfig, PpcaModel
 from .npca import Mlp, NpcaConfig, NpcaModel
@@ -25,11 +27,9 @@ __all__ = [
     "CoeffPosterior",
     "DynamicsModel",
     "EmConfig",
-    "Gaussian",
     "GeneratorBasis",
     "ImagePairDataset",
     "LatentMoments",
-    "LinearGaussianMap",
     "Mlp",
     "NpcaConfig",
     "NpcaModel",

@@ -30,11 +30,8 @@ from . import liealg
 from . import rng
 from .gaussian import (
     LOG_2PI,
-    Gaussian,
-    LinearGaussianMap,
     NumericError,
     default_jitter,
-    posterior,
     spd_cholesky,
     spd_solve,
     stacked_cholesky,
@@ -114,9 +111,6 @@ class PairDataset:
     def delta(self) -> np.ndarray:
         return self.z_next - self.z_i
 
-    def pairs(self):
-        return zip(self.z_i, self.z_next)
-
 
 @dataclass(frozen=True)
 class CoeffPosterior:
@@ -154,22 +148,6 @@ class EmConfig:
     estimate_lambda: bool = False
     orthogonalize: bool = True
     threads: int = 1
-
-
-def e_step_lambda(model: DynamicsModel, z_i: np.ndarray,
-                  z_next: np.ndarray) -> Gaussian:
-    """Exact coefficient posterior ``N(q, K)`` for one pair.
-
-    This is the linear-Gaussian posterior with prior ``N(0, Lambda)``
-    and observation ``delta_z = A lambda + noise``, delegated to the
-    Gaussian core.  The library uses the batched :func:`e_step_all`
-    (a batch of one for a single pair); this is its test oracle.
-    """
-    zi = np.asarray(z_i, dtype=float)
-    a = liealg.assemble_A(model.basis, zi)
-    prior = Gaussian(np.zeros(model.coeff_count), model.coeff_prior_cov)
-    lin = LinearGaussianMap(a, np.zeros(model.latent_dim), model.trans_cov)
-    return posterior(prior, lin, np.asarray(z_next, dtype=float) - zi)
 
 
 def _pair_precision(model: DynamicsModel, z_i: np.ndarray, delta: np.ndarray
@@ -315,15 +293,6 @@ def expected_log_density(model: DynamicsModel, stats: TransitionStats,
                             + 2.0 * float(np.sum(np.log(np.diag(lam_chol)))))
              + np.trace(spd_solve(lam_chol, stats.lamlam)))
     return float(-0.5 * (trans + prior))
-
-
-def expected_complete_data_ll(model: DynamicsModel, dataset: PairDataset,
-                              post: CoeffPosterior) -> float:
-    """Expected complete-data log-likelihood under the given posteriors,
-    ``sum_i E[log N(z_next | z_i + A lambda, Omega) + log N(lambda | 0, Lambda)]``
-    (:func:`expected_log_density` of every pair)."""
-    return expected_log_density(model, transition_stats(dataset, post),
-                                dataset.count)
 
 
 def marginal_log_likelihood(model: DynamicsModel, dataset: PairDataset) -> float:

@@ -202,6 +202,8 @@ def _encoder_forward(model: NpcaModel, x: np.ndarray):
 
 def encode(model: NpcaModel, x: np.ndarray):
     """Diagonal Gaussian ``q(z | x)`` as a (mean, variance) pair."""
+    if np.shape(x)[-1:] != (model.data_dim,):
+        raise ValueError("observation dimension does not match the model")
     mean, logvar, _ = _encoder_forward(model, np.atleast_2d(x))
     if np.asarray(x).ndim == 1:
         return mean[0], np.exp(logvar[0])

@@ -1,12 +1,14 @@
-"""Brute-force numerical ground truth for tests and calibration.
+"""Tensor-grid trapezoid quadrature for the quadrature E-step.
 
-Tensor-grid trapezoid quadrature, self-normalized importance sampling
-and central finite differences.  These are reference implementations:
-slow, size-limited (grids of at most ``MAX_GRID_NODES`` nodes) and
-deliberately independent of the closed-form code they validate.  The
-library imports this module only for the quadrature E-step of
-:mod:`lieflow.ppca` (``estep="quadrature"``, ``--estep quadrature`` on
-the command line), which runs on the grid code here.
+The quadrature E-step of :mod:`lieflow.ppca` (``estep="quadrature"``,
+``--estep quadrature`` on the command line) normalizes each pair's
+joint posterior on a box with :func:`grid_posterior` and takes its
+moments with :meth:`GridPosterior.expect`.  Grids are size-limited (at
+most ``MAX_GRID_NODES`` nodes) and a box whose faces carry
+non-negligible density raises :class:`BoxTooSmallError`.  The
+brute-force references the tests check the closed-form code against
+(grid moments, importance sampling, finite differences) live in
+``tests/reference.py``.
 """
 from __future__ import annotations
 
@@ -15,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
-from .gaussian import Gaussian, NumericError, cholesky_log_density, spd_cholesky
+from .gaussian import NumericError
 
 # above the 48**4 nodes of the largest grid the tests build; one float64
 # value per node takes 64 MiB
@@ -27,10 +28,6 @@ BOUNDARY_LIMIT = 1e-8
 
 class BoxTooSmallError(NumericError):
     """Integration box carries non-negligible boundary mass."""
-
-
-class EssTooLowError(NumericError):
-    """Importance sampling collapsed onto too few effective samples."""
 
 
 @dataclass(frozen=True)
@@ -126,72 +123,3 @@ def grid_posterior(log_density, grid: GridSpec) -> GridPosterior:
     f = weights * np.exp(logf - peak)
     total = f.sum()
     return GridPosterior(nodes, f / total, float(peak + np.log(total)), boundary_ratio)
-
-
-def quadrature_moments(log_density, grid: GridSpec):
-    """Normalizer, mean and second-moment matrix of a density on a grid.
-
-    Returns ``(log_norm, mean, second_moment, boundary_ratio)`` where
-    ``second_moment = E[x x^T]``.
-    """
-    post = grid_posterior(log_density, grid)
-    mean = post.expect(post.nodes)
-    second = np.einsum("m,ma,mb->ab", post.probs, post.nodes, post.nodes)
-    return post.log_norm, mean, second, post.boundary_ratio
-
-
-def quadrature_expectation(log_density, grid: GridSpec, func) -> np.ndarray:
-    """E[func(x)] under the normalized density; ``func`` maps ``(m, dims)``
-    node arrays to per-node values ``(m, ...)``."""
-    post = grid_posterior(log_density, grid)
-    return post.expect(np.asarray(func(post.nodes), dtype=float))
-
-
-@dataclass(frozen=True)
-class McMoments:
-    mean: np.ndarray
-    second_moment: np.ndarray
-    ess: float
-    log_norm: float
-
-
-def mc_moments(log_unnormalized, proposal: Gaussian, samples: int,
-               seed: int, ess_floor: float = 0.01) -> McMoments:
-    """Self-normalized importance-sampling moments with an ESS diagnostic.
-
-    Draws from ``proposal`` using the library's counter-based streams,
-    weights by ``exp(log_unnormalized - log_proposal)`` and raises
-    :class:`EssTooLowError` if the effective sample size drops below
-    ``ess_floor * samples``.
-    """
-    dim = proposal.dim
-    eps = rng.normals(seed, (0x4D43,), samples * dim).reshape(samples, dim)
-    chol = spd_cholesky(proposal.cov)
-    draws = proposal.mean + eps @ chol.T
-    log_q = cholesky_log_density(chol, draws - proposal.mean)
-    log_w = np.asarray(log_unnormalized(draws), dtype=float) - log_q
-    shift = log_w.max()
-    w = np.exp(log_w - shift)
-    total = w.sum()
-    probs = w / total
-    ess = float(1.0 / np.sum(probs ** 2))
-    if ess < ess_floor * samples:
-        raise EssTooLowError(f"effective sample size {ess:.1f} of {samples}")
-    mean = probs @ draws
-    second = np.einsum("m,ma,mb->ab", probs, draws, draws)
-    return McMoments(mean, second, ess, float(shift + np.log(total / samples)))
-
-
-def finite_difference_gradient(f, point: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar function of a vector."""
-    x = np.asarray(point, dtype=float)
-    grad = np.zeros_like(x)
-    for k in range(x.size):
-        step = np.zeros_like(x)
-        step.flat[k] = h
-        hi = f(x + step)
-        lo = f(x - step)
-        if not (np.isfinite(hi) and np.isfinite(lo)):
-            raise NumericError("function is non-finite at a finite-difference stencil point")
-        grad.flat[k] = (hi - lo) / (2.0 * h)
-    return grad

@@ -32,7 +32,6 @@ from .dynamics import (
 )
 from .gaussian import (
     LOG_2PI,
-    Gaussian,
     NumericError,
     cholesky_inverse,
     cholesky_log_density,
@@ -74,6 +73,9 @@ class PpcaModel:
             raise ValueError("loading rows and data mean length must agree")
         if w.shape[1] > w.shape[0]:
             raise ValueError("latent dimension cannot exceed the data dimension")
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(mu))
+                and np.isfinite(self.noise_var)):
+            raise NumericError("loading, data mean and noise variance must be finite")
         if self.noise_var <= 0:
             raise ValueError("noise variance must be positive")
         if self.dynamics.latent_dim != w.shape[1]:
@@ -186,23 +188,6 @@ def posterior_z_given_x(model: PpcaModel, x: np.ndarray
     xc = (x - model.data_mean).reshape(-1, model.data_dim)
     means = spd_solve(chol, w.T @ xc.T).T.reshape(*x.shape[:-1], d)
     return means, model.noise_var * symmetrize(spd_solve(chol, np.eye(d)))
-
-
-def posterior_znext(model: PpcaModel, x_next: np.ndarray, z_i: np.ndarray,
-                    lam: np.ndarray) -> Gaussian:
-    """Conditional of the transformed latent given the next frame and
-    ``(z_i, lambda)``: precision ``Omega^{-1} + sigma^{-2} W^T W``."""
-    x_next = np.atleast_1d(np.asarray(x_next, dtype=float))
-    z_i = np.atleast_1d(np.asarray(z_i, dtype=float))
-    w = model.loading
-    omega_prec = cholesky_inverse(model.dynamics.trans_chol)
-    gamma_prec = omega_prec + (w.T @ w) / model.noise_var
-    chol = spd_cholesky(gamma_prec)
-    drift = z_i + liealg.assemble_A(model.dynamics.basis, z_i) @ np.atleast_1d(lam)
-    info = w.T @ (x_next - model.data_mean) / model.noise_var + omega_prec @ drift
-    mean = spd_solve(chol, info)
-    cov = spd_solve(chol, np.eye(model.latent_dim))
-    return Gaussian(mean, symmetrize(cov))
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +368,8 @@ def _linearized_joint_cov(model: PpcaModel, zi_prec: np.ndarray,
     return spd_inverse(symmetrize(prior + jac.T @ omega_prec @ jac))
 
 
-def _quadrature_moments(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray,
-                        cfg: EStepConfig) -> tuple[LatentMoments, float]:
+def _quadrature_e_step(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray,
+                       cfg: EStepConfig) -> tuple[LatentMoments, float]:
     """Grid-exact moments of every pair, plus the sum over the pairs of
     ``log p(x_next | x_i)`` (the normalizers of the integrands)."""
     from .oracles import BoxTooSmallError, GridSpec, grid_posterior
@@ -444,8 +429,8 @@ def _quadrature_moments(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray,
     return _stack_moments(parts), log_norm
 
 
-def _monte_carlo_moments(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray,
-                         cfg: EStepConfig, streams) -> LatentMoments:
+def _monte_carlo_e_step(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray,
+                        cfg: EStepConfig, streams) -> LatentMoments:
     """Self-normalized sampling from ``q(z_i | x_i) p(lambda)`` with the
     next-frame latent integrated out in closed form per draw; pair ``k``
     draws from the random streams keyed by ``streams[k]``."""
@@ -482,23 +467,6 @@ def _monte_carlo_moments(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray,
         m_zn = (xc_n @ w / sig2 + drift @ omega_prec) @ gamma
         parts.append(_weighted_moments(probs, zi, lam, m_zn, gamma))
     return _stack_moments(parts)
-
-
-def e_step_joint(model: PpcaModel, x_i: np.ndarray, x_next: np.ndarray,
-                 method: str = "fixed_point",
-                 config: EStepConfig | None = None) -> LatentMoments:
-    """Expectation bundle (a batch of one) for one image pair under the
-    joint posterior."""
-    if method not in E_STEP_METHODS:
-        raise ValueError(f"unknown E-step method {method!r}")
-    cfg = config or EStepConfig()
-    x_i = np.asarray(x_i, dtype=float)[None]
-    x_next = np.asarray(x_next, dtype=float)[None]
-    if method == "quadrature":
-        return _quadrature_moments(model, x_i, x_next, cfg)[0]
-    if method == "monte_carlo":
-        return _monte_carlo_moments(model, x_i, x_next, cfg, [()])
-    return _moments_from_blocks(*_fixed_point_blocks(model, x_i, x_next))
 
 
 # ---------------------------------------------------------------------------
@@ -647,9 +615,9 @@ def _e_step_dataset(model: PpcaModel, dataset: ImagePairDataset,
         return _moments_from_blocks(*(np.concatenate(arrays)
                                       for arrays in zip(*parts))), None
     if method == "quadrature":
-        return _quadrature_moments(model, x_i, x_n, cfg)
-    return _monte_carlo_moments(model, x_i, x_n, cfg,
-                                [(i,) for i in range(dataset.count)]), None
+        return _quadrature_e_step(model, x_i, x_n, cfg)
+    return _monte_carlo_e_step(model, x_i, x_n, cfg,
+                               [(i,) for i in range(dataset.count)]), None
 
 
 def fit(dataset: ImagePairDataset, config: PpcaConfig

@@ -1,0 +1,339 @@
+"""Reference implementations the tests compare the library against.
+
+The estimators compute every Gaussian posterior they need in batched
+form (``dynamics._pair_precision``, ``ppca.posterior_z_given_x``) and
+run none of the code here.  This module keeps the slower, independent
+versions that check them:
+
+- a second linear-Gaussian algebra: :class:`Gaussian` and
+  :class:`LinearGaussianMap` objects with their marginal, posterior,
+  joint and partitioned conditional, and log densities;
+- the one-pair forms of the E-steps: the coefficient posterior of one
+  latent pair (:func:`e_step_lambda`), the next-frame conditional of
+  probabilistic PCA (:func:`posterior_znext`) and the joint expectation
+  bundle of one image pair under any backend (:func:`e_step_joint`);
+- brute-force numerical ground truth: grid moments
+  (:func:`quadrature_moments`), self-normalized importance sampling
+  (:func:`mc_moments`) and central finite differences
+  (:func:`finite_difference_gradient`).
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from lieflow import liealg, rng
+from lieflow.dynamics import DynamicsModel
+from lieflow.gaussian import (
+    NumericError,
+    cholesky_inverse,
+    cholesky_log_density,
+    spd_cholesky,
+    spd_solve,
+    symmetrize,
+)
+from lieflow.oracles import GridSpec, grid_posterior
+from lieflow.ppca import (
+    E_STEP_METHODS,
+    EStepConfig,
+    LatentMoments,
+    PpcaModel,
+    _fixed_point_blocks,
+    _moments_from_blocks,
+    _monte_carlo_e_step,
+    _quadrature_e_step,
+)
+
+SYM_RTOL = 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Linear-Gaussian algebra
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    out = np.array(a, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
+@dataclass(frozen=True)
+class Gaussian:
+    """A multivariate normal with mean vector and SPD covariance."""
+
+    mean: np.ndarray
+    cov: np.ndarray
+
+    def __post_init__(self):
+        mean = _readonly(np.atleast_1d(self.mean))
+        cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
+        if mean.ndim != 1 or cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
+            raise ValueError("mean must be a vector and cov a square matrix")
+        if cov.shape[0] != mean.shape[0]:
+            raise ValueError("mean and covariance dimensions disagree")
+        scale = max(1.0, float(np.abs(cov).max()))
+        if np.abs(cov - cov.T).max() > SYM_RTOL * scale:
+            raise NumericError("covariance is not symmetric")
+        spd_cholesky(cov)  # validates positive definiteness / conditioning
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "cov", _readonly(symmetrize(cov)))
+
+    @property
+    def dim(self) -> int:
+        return self.mean.shape[0]
+
+
+@dataclass(frozen=True)
+class LinearGaussianMap:
+    """``y = A x + b + noise`` with Gaussian noise of covariance ``noise_cov``."""
+
+    weight: np.ndarray
+    offset: np.ndarray
+    noise_cov: np.ndarray
+
+    def __post_init__(self):
+        weight = _readonly(np.atleast_2d(self.weight))
+        offset = _readonly(np.atleast_1d(self.offset))
+        noise = np.atleast_2d(np.asarray(self.noise_cov, dtype=float))
+        if weight.shape[0] != offset.shape[0] or noise.shape != (offset.shape[0],) * 2:
+            raise ValueError("weight rows, offset length and noise dimension must agree")
+        scale = max(1.0, float(np.abs(noise).max()))
+        if np.abs(noise - noise.T).max() > SYM_RTOL * scale:
+            raise NumericError("noise covariance is not symmetric")
+        spd_cholesky(noise)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "noise_cov", _readonly(symmetrize(noise)))
+
+    @property
+    def in_dim(self) -> int:
+        return self.weight.shape[1]
+
+    @property
+    def out_dim(self) -> int:
+        return self.weight.shape[0]
+
+
+def _check_compatible(prior: Gaussian, lin_map: LinearGaussianMap):
+    if lin_map.in_dim != prior.dim:
+        raise ValueError(f"map expects dimension {lin_map.in_dim}, prior has {prior.dim}")
+
+
+def marginal(prior: Gaussian, lin_map: LinearGaussianMap) -> Gaussian:
+    """Distribution of ``y = A x + b + noise`` for ``x`` from the prior."""
+    _check_compatible(prior, lin_map)
+    a = lin_map.weight
+    mean = a @ prior.mean + lin_map.offset
+    cov = lin_map.noise_cov + a @ prior.cov @ a.T
+    return Gaussian(mean, symmetrize(cov))
+
+
+def posterior(prior: Gaussian, lin_map: LinearGaussianMap,
+              observation: np.ndarray) -> Gaussian:
+    """Posterior of ``x`` given an observation of ``y = A x + b + noise``.
+
+    Assembles the posterior precision ``prior_prec + A^T noise_prec A``
+    and solves through its Cholesky factor.
+    """
+    _check_compatible(prior, lin_map)
+    y = np.atleast_1d(np.asarray(observation, dtype=float))
+    if y.shape != (lin_map.out_dim,):
+        raise ValueError("observation length does not match map output dimension")
+    a = lin_map.weight
+    prior_chol = spd_cholesky(prior.cov)
+    noise_chol = spd_cholesky(lin_map.noise_cov)
+    prior_prec = spd_solve(prior_chol, np.eye(prior.dim))
+    noise_prec_a = spd_solve(noise_chol, a)
+    precision = prior_prec + a.T @ noise_prec_a
+    info = a.T @ spd_solve(noise_chol, y - lin_map.offset) + prior_prec @ prior.mean
+    try:
+        prec_chol = spd_cholesky(precision)
+    except NumericError as exc:
+        raise NumericError(f"singular precision assembly: {exc}") from exc
+    cov = symmetrize(spd_solve(prec_chol, np.eye(prior.dim)))
+    mean = spd_solve(prec_chol, info)
+    return Gaussian(mean, cov)
+
+
+def joint(prior: Gaussian, lin_map: LinearGaussianMap) -> Gaussian:
+    """Joint Gaussian over the stacked vector ``(x, y)``."""
+    _check_compatible(prior, lin_map)
+    a = lin_map.weight
+    n, m = prior.dim, lin_map.out_dim
+    cross = prior.cov @ a.T
+    cov = np.empty((n + m, n + m))
+    cov[:n, :n] = prior.cov
+    cov[:n, n:] = cross
+    cov[n:, :n] = cross.T
+    cov[n:, n:] = lin_map.noise_cov + a @ cross
+    mean = np.concatenate([prior.mean, a @ prior.mean + lin_map.offset])
+    return Gaussian(mean, symmetrize(cov))
+
+
+def condition_partitioned(joint_dist: Gaussian, observed_indices,
+                          observed_values: np.ndarray) -> Gaussian:
+    """Condition a joint Gaussian on an observed index subset.
+
+    Uses the precision-partition form: with precision blocks
+    ``P_aa, P_ab`` over kept/observed indices, the conditional is
+    ``N(mu_a - P_aa^{-1} P_ab (x_b - mu_b), P_aa^{-1})``.
+    """
+    idx = np.atleast_1d(np.asarray(observed_indices, dtype=int))
+    values = np.atleast_1d(np.asarray(observed_values, dtype=float))
+    n = joint_dist.dim
+    if idx.size == 0 or idx.size >= n:
+        raise ValueError("observed index set must be a nonempty proper subset")
+    if np.unique(idx).size != idx.size or idx.min() < 0 or idx.max() >= n:
+        raise ValueError("observed indices must be unique and in range")
+    if values.shape != idx.shape:
+        raise ValueError("observed values length must match index count")
+    keep = np.setdiff1d(np.arange(n), idx)
+    chol = spd_cholesky(joint_dist.cov)
+    precision = spd_solve(chol, np.eye(n))
+    p_aa = precision[np.ix_(keep, keep)]
+    p_ab = precision[np.ix_(keep, idx)]
+    aa_chol = spd_cholesky(p_aa)
+    shift = spd_solve(aa_chol, p_ab @ (values - joint_dist.mean[idx]))
+    cov = symmetrize(spd_solve(aa_chol, np.eye(keep.size)))
+    return Gaussian(joint_dist.mean[keep] - shift, cov)
+
+
+def log_density(dist: Gaussian, point: np.ndarray) -> float:
+    """Exact Gaussian log density at ``point`` via the Cholesky factor."""
+    x = np.atleast_1d(np.asarray(point, dtype=float))
+    if x.shape != (dist.dim,):
+        raise ValueError("point dimension does not match distribution")
+    return float(cholesky_log_density(spd_cholesky(dist.cov),
+                                      (x - dist.mean)[None])[0])
+
+
+def log_density_batch(dist: Gaussian, points: np.ndarray) -> np.ndarray:
+    """Log density at each row of ``points`` (shape ``(m, dim)``)."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    return cholesky_log_density(spd_cholesky(dist.cov), pts - dist.mean)
+
+
+# ---------------------------------------------------------------------------
+# One-pair E-steps
+
+
+def e_step_lambda(model: DynamicsModel, z_i: np.ndarray,
+                  z_next: np.ndarray) -> Gaussian:
+    """Exact coefficient posterior ``N(q, K)`` for one pair.
+
+    This is the linear-Gaussian posterior with prior ``N(0, Lambda)``
+    and observation ``delta_z = A lambda + noise``, delegated to the
+    Gaussian algebra above.  The library uses the batched
+    :func:`lieflow.dynamics.e_step_all` (a batch of one for a single
+    pair); this is its test oracle.
+    """
+    zi = np.asarray(z_i, dtype=float)
+    a = liealg.assemble_A(model.basis, zi)
+    prior = Gaussian(np.zeros(model.coeff_count), model.coeff_prior_cov)
+    lin = LinearGaussianMap(a, np.zeros(model.latent_dim), model.trans_cov)
+    return posterior(prior, lin, np.asarray(z_next, dtype=float) - zi)
+
+
+def posterior_znext(model: PpcaModel, x_next: np.ndarray, z_i: np.ndarray,
+                    lam: np.ndarray) -> Gaussian:
+    """Conditional of the transformed latent given the next frame and
+    ``(z_i, lambda)``: precision ``Omega^{-1} + sigma^{-2} W^T W``."""
+    x_next = np.atleast_1d(np.asarray(x_next, dtype=float))
+    z_i = np.atleast_1d(np.asarray(z_i, dtype=float))
+    w = model.loading
+    omega_prec = cholesky_inverse(model.dynamics.trans_chol)
+    gamma_prec = omega_prec + (w.T @ w) / model.noise_var
+    chol = spd_cholesky(gamma_prec)
+    drift = z_i + liealg.assemble_A(model.dynamics.basis, z_i) @ np.atleast_1d(lam)
+    info = w.T @ (x_next - model.data_mean) / model.noise_var + omega_prec @ drift
+    mean = spd_solve(chol, info)
+    cov = spd_solve(chol, np.eye(model.latent_dim))
+    return Gaussian(mean, symmetrize(cov))
+
+
+def e_step_joint(model: PpcaModel, x_i: np.ndarray, x_next: np.ndarray,
+                 method: str = "fixed_point",
+                 config: EStepConfig | None = None) -> LatentMoments:
+    """Expectation bundle (a batch of one) for one image pair under the
+    joint posterior."""
+    if method not in E_STEP_METHODS:
+        raise ValueError(f"unknown E-step method {method!r}")
+    cfg = config or EStepConfig()
+    x_i = np.asarray(x_i, dtype=float)[None]
+    x_next = np.asarray(x_next, dtype=float)[None]
+    if method == "quadrature":
+        return _quadrature_e_step(model, x_i, x_next, cfg)[0]
+    if method == "monte_carlo":
+        return _monte_carlo_e_step(model, x_i, x_next, cfg, [()])
+    return _moments_from_blocks(*_fixed_point_blocks(model, x_i, x_next))
+
+
+# ---------------------------------------------------------------------------
+# Brute-force numerical ground truth
+
+
+class EssTooLowError(NumericError):
+    """Importance sampling collapsed onto too few effective samples."""
+
+
+def quadrature_moments(log_density, grid: GridSpec):
+    """Normalizer, mean and second-moment matrix of a density on a grid.
+
+    Returns ``(log_norm, mean, second_moment, boundary_ratio)`` where
+    ``second_moment = E[x x^T]``.
+    """
+    post = grid_posterior(log_density, grid)
+    mean = post.expect(post.nodes)
+    second = np.einsum("m,ma,mb->ab", post.probs, post.nodes, post.nodes)
+    return post.log_norm, mean, second, post.boundary_ratio
+
+
+@dataclass(frozen=True)
+class McMoments:
+    mean: np.ndarray
+    second_moment: np.ndarray
+    ess: float
+    log_norm: float
+
+
+def mc_moments(log_unnormalized, proposal: Gaussian, samples: int,
+               seed: int, ess_floor: float = 0.01) -> McMoments:
+    """Self-normalized importance-sampling moments with an ESS diagnostic.
+
+    Draws from ``proposal`` using the library's counter-based streams,
+    weights by ``exp(log_unnormalized - log_proposal)`` and raises
+    :class:`EssTooLowError` if the effective sample size drops below
+    ``ess_floor * samples``.
+    """
+    dim = proposal.dim
+    eps = rng.normals(seed, (0x4D43,), samples * dim).reshape(samples, dim)
+    chol = spd_cholesky(proposal.cov)
+    draws = proposal.mean + eps @ chol.T
+    log_q = cholesky_log_density(chol, draws - proposal.mean)
+    log_w = np.asarray(log_unnormalized(draws), dtype=float) - log_q
+    shift = log_w.max()
+    w = np.exp(log_w - shift)
+    total = w.sum()
+    probs = w / total
+    ess = float(1.0 / np.sum(probs ** 2))
+    if ess < ess_floor * samples:
+        raise EssTooLowError(f"effective sample size {ess:.1f} of {samples}")
+    mean = probs @ draws
+    second = np.einsum("m,ma,mb->ab", probs, draws, draws)
+    return McMoments(mean, second, ess, float(shift + np.log(total / samples)))
+
+
+def finite_difference_gradient(f, point: np.ndarray, h: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient of a scalar function of a vector."""
+    x = np.asarray(point, dtype=float)
+    grad = np.zeros_like(x)
+    for k in range(x.size):
+        step = np.zeros_like(x)
+        step.flat[k] = h
+        hi = f(x + step)
+        lo = f(x - step)
+        if not (np.isfinite(hi) and np.isfinite(lo)):
+            raise NumericError("function is non-finite at a finite-difference stencil point")
+        grad.flat[k] = (hi - lo) / (2.0 * h)
+    return grad

@@ -15,19 +15,9 @@ from lieflow.dynamics import (
     DynamicsModel,
     EmConfig,
     PairDataset,
-    e_step_lambda,
     fit as fit_dynamics,
 )
-from lieflow.gaussian import (
-    Gaussian,
-    LinearGaussianMap,
-    condition_partitioned,
-    joint,
-    log_density_batch,
-    marginal,
-    posterior,
-    spd_cholesky,
-)
+from lieflow.gaussian import spd_cholesky
 from lieflow.liealg import GeneratorBasis, assemble_A
 from lieflow.npca import (
     NpcaConfig,
@@ -42,11 +32,10 @@ from lieflow.npca import (
     reparam_sample,
     unflatten,
 )
-from lieflow.oracles import GridSpec, grid_posterior, quadrature_moments
+from lieflow.oracles import GridSpec, grid_posterior
 from lieflow.ppca import (
     EStepConfig,
     PpcaConfig,
-    e_step_joint,
     fit as fit_ppca,
     posterior_z_given_x,
 )
@@ -57,6 +46,18 @@ from lieflow.synth import (
     subspace_angle,
 )
 from lieflow.tensorfile import read_tensors, write_tensors
+from reference import (
+    Gaussian,
+    LinearGaussianMap,
+    condition_partitioned,
+    e_step_joint,
+    e_step_lambda,
+    joint,
+    log_density_batch,
+    marginal,
+    posterior,
+    quadrature_moments,
+)
 
 
 def report(num: int, text: str) -> None:

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 import lieflow
 from lieflow import synth
 from lieflow.cli import _OPTIONS, main
-from lieflow.gaussian import Gaussian, LinearGaussianMap, posterior
 from lieflow.tensorfile import read_tensors, write_tensors
+from reference import Gaussian, LinearGaussianMap, posterior
 
 
 def run(args):
@@ -429,9 +429,16 @@ def _non_finite_data(tmp_path, names):
 
 def _npca_checkpoint(tmp_path, drop=(), **extra):
     """A one-epoch npca checkpoint with arrays removed or added."""
-    ck = tmp_path / "npca.lf"
-    assert run(["fit", "--estimator", "npca", "--data", str(_image_data(tmp_path)),
-                "--max-iters", "1", "--hidden", "3", "--out", str(ck),
+    return _checkpoint(tmp_path, ["--estimator", "npca", "--hidden", "3"],
+                       drop, **extra)
+
+
+def _checkpoint(tmp_path, fit_options, drop=(), **extra):
+    """A one-iteration checkpoint fitted with ``fit_options`` on
+    :func:`_image_data`, with arrays removed or added."""
+    ck = tmp_path / "ck.lf"
+    assert run(["fit", *fit_options, "--data", str(_image_data(tmp_path)),
+                "--max-iters", "1", "--out", str(ck),
                 "--trace-out", str(tmp_path / "t.csv")]) == 0
     arrays = read_tensors(ck)
     for name in drop:
@@ -544,6 +551,14 @@ BAD_INPUTS = {
     "npca_checkpoint_without_decoder_layer": (
         lambda tmp: _score(tmp, _npca_checkpoint(tmp, drop=["dec_w0"])),
         2, "'dec_w0'"),
+    "ppca_checkpoint_with_nan_mean": (
+        lambda tmp: _score(tmp, _checkpoint(
+            tmp, ["--estimator", "ppca"], mu=np.array([0.0, np.nan, 0.0, 0.0]))),
+        4, "finite"),
+    "npca_checkpoint_on_other_image_size": (
+        lambda tmp: ["eval", "--checkpoint", str(_npca_checkpoint(tmp)),
+                     "--data", str(_noisy_images(tmp))],
+        2, "observation dimension"),
     "unknown_estimator_code": (
         lambda tmp: _score(tmp, _npca_checkpoint(tmp, estimator=np.float64(7))),
         2, "estimator code"),

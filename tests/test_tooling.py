@@ -1,10 +1,14 @@
 """The benchmark (perfbench/) reaches into lieflow by module and attribute
 name and checks stored reference results; a refactor that renames a
 traced function or drifts from the reference must fail here, not in the
-benchmark run."""
+benchmark run.  The library ships only what the estimators, the CLI and
+the benchmark run: code that only tests call belongs in
+tests/reference.py."""
+import ast
 import importlib
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +17,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
+LIBRARY = ROOT / "src" / "lieflow"
 
 
 def _load_tracing():
@@ -48,3 +53,27 @@ def test_tiny_benchmark_passes_its_checks(workload):
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     assert json.loads(proc.stdout.strip().splitlines()[-1])["correct"] is True
+
+
+def _loaded_names(tree):
+    """Every name a module reads, bare or as an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_public_library_name_has_a_caller_outside_the_tests():
+    # re-exports in __init__.py do not count; the benchmark refers to
+    # traced functions by strings, so its files are searched as text
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(LIBRARY.glob("*.py")) if path.name != "__init__.py"}
+    used = set().union(*map(_loaded_names, trees.values()))
+    bench = "\n".join(path.read_text()
+                      for path in sorted((ROOT / "perfbench").glob("*.py")))
+    unused = [f"{module}.{node.name}" for module, tree in trees.items()
+              for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in used
+              and not re.search(rf"\b{node.name}\b", bench)]
+    assert not unused, f"library names only the tests call: {unused}"
