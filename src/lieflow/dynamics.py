@@ -36,6 +36,7 @@ from .gaussian import (
     spd_solve,
     stacked_cholesky,
     stacked_forward_solve,
+    stacked_posterior,
     symmetrize,
     triangular_solve,
 )
@@ -176,17 +177,10 @@ def _pair_precision(model: DynamicsModel, z_i: np.ndarray, delta: np.ndarray
 
 def _e_step_block(model: DynamicsModel, z_i: np.ndarray,
                   delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized coefficient posteriors for a block of pairs: the
-    covariance ``P^{-1}`` from the stacked Cholesky factor of the
-    precision, and the mean ``P^{-1} b``.
-
-    Returns stacked means ``(N, J)`` and covariances ``(N, J, J)``.
-    """
+    """Coefficient posteriors of a block of pairs: stacked means ``P^{-1} b``
+    ``(N, J)`` and covariances ``P^{-1}`` ``(N, J, J)``."""
     prec, info, _ = _pair_precision(model, z_i, delta)
-    eye = np.broadcast_to(np.eye(model.coeff_count), prec.shape)
-    inv_chol = stacked_forward_solve(stacked_cholesky(prec), eye)
-    cov = symmetrize(inv_chol.swapaxes(1, 2) @ inv_chol)
-    return (cov @ info[:, :, None])[:, :, 0], cov
+    return stacked_posterior(prec, info)
 
 
 def map_blocks(fn, count: int, threads: int) -> list:

@@ -5,9 +5,11 @@ solves, stacked factorizations and forward solves over a leading pair
 axis, and the Gaussian log density from a Cholesky factor.  The
 estimators assemble every linear-Gaussian posterior they need from
 these in batched form; an explicit matrix inverse is never formed
-outside of a Cholesky solve.  The per-distribution algebra that checks
-them (marginal, posterior, joint, partitioned conditional) is a test
-reference in ``tests/reference.py``.
+outside of a Cholesky solve.  The dynamics E-step and the ppca
+fixed-point sweep take their stacked posteriors from one factor per
+precision (:func:`stacked_posterior`).  The per-distribution algebra
+that checks them (marginal, posterior, joint, partitioned conditional)
+is a test reference in ``tests/reference.py``.
 """
 from __future__ import annotations
 
@@ -117,6 +119,18 @@ def stacked_forward_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
         rows[:, i] /= chol[:, i, i, None]
         rows[:, i + 1:] -= chol[:, i + 1:, i, None] * rows[:, i, None]
     return x
+
+
+def stacked_posterior(prec: np.ndarray, info: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Means ``P^{-1} b`` and covariances ``P^{-1}`` of a stack of Gaussians
+    with precisions ``P`` ``(N, J, J)`` and information ``b`` ``(N, J)``:
+    each ``P = L L^T`` is factored once, the covariance is ``L^{-T} L^{-1}``
+    and the mean the covariance times ``b``, elementwise over the stack."""
+    eye = np.broadcast_to(np.eye(prec.shape[-1]), prec.shape)
+    inv_chol = stacked_forward_solve(stacked_cholesky(prec), eye)
+    cov = symmetrize(inv_chol.swapaxes(1, 2) @ inv_chol)
+    return (cov @ info[:, :, None])[:, :, 0], cov
 
 
 def cholesky_log_density(chol: np.ndarray, diffs: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@
 The quadrature E-step of :mod:`lieflow.ppca` (``estep="quadrature"``,
 ``--estep quadrature`` on the command line) normalizes each pair's
 joint posterior on a box with :func:`grid_posterior` and takes its
-moments with :meth:`GridPosterior.expect`.  Grids are size-limited (at
+moments from the normalized node weights.  Grids are size-limited (at
 most ``MAX_GRID_NODES`` nodes) and a box whose faces carry
 non-negligible density raises :class:`BoxTooSmallError`.  The
 brute-force references the tests check the closed-form code against
@@ -58,14 +58,6 @@ class GridSpec:
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "points", pts)
 
-    @classmethod
-    def cube(cls, lo: float, hi: float, points: int, dims: int) -> "GridSpec":
-        return cls(np.full(dims, lo), np.full(dims, hi), np.full(dims, points))
-
-    @property
-    def dims(self) -> int:
-        return self.lo.size
-
     def axes(self) -> list[np.ndarray]:
         return [np.linspace(l, h, p) for l, h, p in zip(self.lo, self.hi, self.points)]
 
@@ -96,10 +88,6 @@ class GridPosterior:
     probs: np.ndarray          # trapezoid-weighted, sums to 1
     log_norm: float            # log of the integral of the unnormalized density
     boundary_ratio: float
-
-    def expect(self, values: np.ndarray) -> np.ndarray:
-        """E[f] for per-node values of shape ``(m, ...)``."""
-        return np.tensordot(self.probs, values, axes=(0, 0))
 
 
 def grid_posterior(log_density, grid: GridSpec) -> GridPosterior:

@@ -38,6 +38,7 @@ from .gaussian import (
     spd_cholesky,
     spd_inverse,
     spd_solve,
+    stacked_posterior,
     symmetrize,
     triangular_solve,
 )
@@ -290,9 +291,12 @@ def _fixed_point_blocks(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray,
     Returns each pair's block moments in the order of
     :func:`_moments_from_blocks`: ``(m_zi, cov_zi, m_zn, cov_zn, q, k)``.
 
-    Each pair stops on its own residual and the products are formed pair
-    by pair, so a pair's result does not depend on which other pairs share
-    the block (nor, therefore, on the thread count).
+    Each sweep factors every live pair's q(lambda) and q(z_i) precision
+    once (:func:`lieflow.gaussian.stacked_posterior`) and forms every
+    other product as a stack of one-pair products.  Every operation is
+    elementwise over the pairs and each pair stops on its own residual,
+    so a pair's result does not depend on which other pairs share the
+    block (nor, therefore, on the thread count).
     """
     if freeze_coefficients:
         return _frozen_coefficient_blocks(model, x_i, x_n)
@@ -302,49 +306,49 @@ def _fixed_point_blocks(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray,
     basis = model.dynamics.basis
     sig2 = model.noise_var
 
-    (u_i, u_n), ppca_cov = posterior_z_given_x(model, np.stack([x_i, x_n]))
-    ppca_prec = symmetrize(spd_inverse(ppca_cov))
+    wtw = (w.T @ w) / sig2
+    ppca_prec = np.eye(d) + wtw
+    ppca_cov = cholesky_inverse(spd_cholesky(ppca_prec))
     omega_prec = cholesky_inverse(model.dynamics.trans_chol)
     lam_prec = cholesky_inverse(model.dynamics.coeff_prior_chol)
-    gamma_prec = omega_prec + (w.T @ w) / sig2
-    gamma = symmetrize(spd_solve(spd_cholesky(gamma_prec), np.eye(d)))
-    wt_xn = (x_n - model.data_mean) @ w / sig2
-    info_u = u_i @ ppca_prec
+    gamma = cholesky_inverse(spd_cholesky(omega_prec + wtw))
+    # W^T (x - mu) / sigma^2 of both frames, the information of their
+    # latent posteriors, and those posteriors' means
+    info = ((np.stack([x_i, x_n]) - model.data_mean)[..., None, :] @ w) / sig2
+    info_u, wt_xn = info[..., 0, :]
+    u_i, u_n = (info @ ppca_cov)[..., 0, :]
 
-    all_zi, all_zn, all_q = u_i.copy(), u_n.copy(), np.zeros((n, j))
-    all_cov_zi = np.broadcast_to(ppca_cov, (n, d, d)).copy()
-    all_k = np.broadcast_to(model.dynamics.coeff_prior_cov, (n, j, j)).copy()
-    eye_j, eye_d = np.eye(j), np.eye(d)
+    # one row per pair: m_zi, m_zn, q, cov_zi, k
+    state = np.hstack([u_i, u_n, np.zeros((n, j)),
+                       np.tile(ppca_cov.ravel(), (n, 1)),
+                       np.tile(model.dynamics.coeff_prior_cov.ravel(), (n, 1))])
     live = np.arange(n)
     for _ in range(FIXED_POINT_ITERS):
-        m_zi, m_zn = all_zi[live], all_zn[live]
+        old = state[live]
+        m_zi, m_zn = old[:, :d], old[:, d:2 * d]
         a = liealg.assemble_A(basis, m_zi)
         at_oi = np.einsum("naj,ab->njb", a, omega_prec)
-        prec = lam_prec + np.einsum("njb,nbk->njk", at_oi, a)
-        k = symmetrize(np.linalg.solve(prec, np.broadcast_to(eye_j, prec.shape)))
-        q = np.einsum("njk,nk->nj", k, np.einsum("njb,nb->nj", at_oi, m_zn - m_zi))
+        q, k = stacked_posterior(lam_prec + at_oi @ a,
+                                 np.einsum("njb,nb->nj", at_oi, m_zn - m_zi))
         drift = m_zi + np.einsum("naj,nj->na", a, q)
         new_zn = np.einsum("nb,bc->nc", wt_xn[live]
                            + np.einsum("na,ab->nb", drift, omega_prec), gamma)
-        b = eye_d + liealg.combine(basis, q)
-        bt_oi = np.einsum("nca,cd->nad", b, omega_prec)
-        prec_zi = ppca_prec + np.einsum("nad,ndb->nab", bt_oi, b)
-        info_zi = info_u[live] + np.einsum("nad,nd->na", bt_oi, new_zn)
-        cov_zi = symmetrize(np.linalg.solve(prec_zi,
-                                            np.broadcast_to(eye_d, prec_zi.shape)))
-        new_zi = np.linalg.solve(prec_zi, info_zi[..., None])[..., 0]
-        residual = np.max([np.abs(new - old).reshape(live.size, -1).max(axis=1)
-                           for new, old in ((new_zi, m_zi), (new_zn, m_zn),
-                                            (q, all_q[live]),
-                                            (cov_zi, all_cov_zi[live]),
-                                            (k, all_k[live]))], axis=0)
-        all_zi[live], all_zn[live], all_q[live] = new_zi, new_zn, q
-        all_cov_zi[live], all_k[live] = cov_zi, k
-        # a NaN residual keeps its pair iterating into the error below
+        b = np.eye(d) + liealg.combine(basis, q)
+        bt_oi = b.swapaxes(1, 2) @ omega_prec
+        new_zi, cov_zi = stacked_posterior(
+            ppca_prec + bt_oi @ b,
+            info_u[live] + np.einsum("nad,nd->na", bt_oi, new_zn))
+        new = np.hstack([new_zi, new_zn, q, cov_zi.reshape(live.size, -1),
+                         k.reshape(live.size, -1)])
+        residual = np.abs(new - old).max(axis=1)
+        state[live] = new
+        # a NaN stays live; its next factorization raises NumericError
         live = live[~(residual < FIXED_POINT_TOL)]
         if live.size == 0:
-            return (all_zi, all_cov_zi, all_zn, np.broadcast_to(gamma, (n, d, d)),
-                    all_q, all_k)
+            m_zi, m_zn, q, cov_zi, k = np.split(
+                state, np.cumsum([d, d, j, d * d]), axis=1)
+            return (m_zi, cov_zi.reshape(n, d, d), m_zn,
+                    np.broadcast_to(gamma, (n, d, d)), q, k.reshape(n, j, j))
     raise NumericError(
         f"fixed-point E-step did not converge within {FIXED_POINT_ITERS} "
         f"iterations (residual {residual.max():.3e})")

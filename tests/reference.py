@@ -13,7 +13,8 @@ versions that check them:
   probabilistic PCA (:func:`posterior_znext`) and the joint expectation
   bundle of one image pair under any backend (:func:`e_step_joint`);
 - brute-force numerical ground truth: grid moments
-  (:func:`quadrature_moments`), self-normalized importance sampling
+  (:func:`quadrature_moments`, with the grid helpers :func:`grid_cube`,
+  :func:`grid_dims` and :func:`grid_expect`), self-normalized importance sampling
   (:func:`mc_moments`) and central finite differences
   (:func:`finite_difference_gradient`).
 """
@@ -30,12 +31,15 @@ from lieflow.gaussian import (
     cholesky_inverse,
     cholesky_log_density,
     spd_cholesky,
+    spd_inverse,
     spd_solve,
     symmetrize,
 )
-from lieflow.oracles import GridSpec, grid_posterior
+from lieflow.oracles import GridPosterior, GridSpec, grid_posterior
 from lieflow.ppca import (
     E_STEP_METHODS,
+    FIXED_POINT_ITERS,
+    FIXED_POINT_TOL,
     EStepConfig,
     LatentMoments,
     PpcaModel,
@@ -43,6 +47,7 @@ from lieflow.ppca import (
     _moments_from_blocks,
     _monte_carlo_e_step,
     _quadrature_e_step,
+    posterior_z_given_x,
 )
 
 SYM_RTOL = 1e-12
@@ -252,6 +257,65 @@ def posterior_znext(model: PpcaModel, x_next: np.ndarray, z_i: np.ndarray,
     return Gaussian(mean, symmetrize(cov))
 
 
+def solve_fixed_point_blocks(model: PpcaModel, x_i: np.ndarray,
+                             x_n: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The mean-field fixed point of :func:`lieflow.ppca._fixed_point_blocks`
+    computed the direct way: each sweep solves the stacked q(lambda) and
+    q(z_i) precisions with ``np.linalg.solve`` (q(z_i) twice, for the
+    covariance and the mean) and forms the other products as einsums."""
+    w = model.loading
+    d, j = model.latent_dim, model.dynamics.coeff_count
+    n = x_i.shape[0]
+    basis = model.dynamics.basis
+    sig2 = model.noise_var
+
+    (u_i, u_n), ppca_cov = posterior_z_given_x(model, np.stack([x_i, x_n]))
+    ppca_prec = symmetrize(spd_inverse(ppca_cov))
+    omega_prec = cholesky_inverse(model.dynamics.trans_chol)
+    lam_prec = cholesky_inverse(model.dynamics.coeff_prior_chol)
+    gamma_prec = omega_prec + (w.T @ w) / sig2
+    gamma = symmetrize(spd_solve(spd_cholesky(gamma_prec), np.eye(d)))
+    wt_xn = (x_n - model.data_mean) @ w / sig2
+    info_u = u_i @ ppca_prec
+
+    all_zi, all_zn, all_q = u_i.copy(), u_n.copy(), np.zeros((n, j))
+    all_cov_zi = np.broadcast_to(ppca_cov, (n, d, d)).copy()
+    all_k = np.broadcast_to(model.dynamics.coeff_prior_cov, (n, j, j)).copy()
+    eye_j, eye_d = np.eye(j), np.eye(d)
+    live = np.arange(n)
+    for _ in range(FIXED_POINT_ITERS):
+        m_zi, m_zn = all_zi[live], all_zn[live]
+        a = liealg.assemble_A(basis, m_zi)
+        at_oi = np.einsum("naj,ab->njb", a, omega_prec)
+        prec = lam_prec + np.einsum("njb,nbk->njk", at_oi, a)
+        k = symmetrize(np.linalg.solve(prec, np.broadcast_to(eye_j, prec.shape)))
+        q = np.einsum("njk,nk->nj", k, np.einsum("njb,nb->nj", at_oi, m_zn - m_zi))
+        drift = m_zi + np.einsum("naj,nj->na", a, q)
+        new_zn = np.einsum("nb,bc->nc", wt_xn[live]
+                           + np.einsum("na,ab->nb", drift, omega_prec), gamma)
+        b = eye_d + liealg.combine(basis, q)
+        bt_oi = np.einsum("nca,cd->nad", b, omega_prec)
+        prec_zi = ppca_prec + np.einsum("nad,ndb->nab", bt_oi, b)
+        info_zi = info_u[live] + np.einsum("nad,nd->na", bt_oi, new_zn)
+        cov_zi = symmetrize(np.linalg.solve(prec_zi,
+                                            np.broadcast_to(eye_d, prec_zi.shape)))
+        new_zi = np.linalg.solve(prec_zi, info_zi[..., None])[..., 0]
+        residual = np.max([np.abs(new - old).reshape(live.size, -1).max(axis=1)
+                           for new, old in ((new_zi, m_zi), (new_zn, m_zn),
+                                            (q, all_q[live]),
+                                            (cov_zi, all_cov_zi[live]),
+                                            (k, all_k[live]))], axis=0)
+        all_zi[live], all_zn[live], all_q[live] = new_zi, new_zn, q
+        all_cov_zi[live], all_k[live] = cov_zi, k
+        live = live[~(residual < FIXED_POINT_TOL)]
+        if live.size == 0:
+            return (all_zi, all_cov_zi, all_zn, np.broadcast_to(gamma, (n, d, d)),
+                    all_q, all_k)
+    raise NumericError(
+        f"fixed-point E-step did not converge within {FIXED_POINT_ITERS} "
+        f"iterations (residual {residual.max():.3e})")
+
+
 def e_step_joint(model: PpcaModel, x_i: np.ndarray, x_next: np.ndarray,
                  method: str = "fixed_point",
                  config: EStepConfig | None = None) -> LatentMoments:
@@ -277,6 +341,22 @@ class EssTooLowError(NumericError):
     """Importance sampling collapsed onto too few effective samples."""
 
 
+def grid_cube(lo: float, hi: float, points: int, dims: int) -> GridSpec:
+    """The grid of ``points`` nodes per dimension on the cube
+    ``[lo, hi]^dims``."""
+    return GridSpec(np.full(dims, lo), np.full(dims, hi), np.full(dims, points))
+
+
+def grid_dims(grid: GridSpec) -> int:
+    """The number of dimensions of a grid."""
+    return grid.lo.size
+
+
+def grid_expect(post: GridPosterior, values: np.ndarray) -> np.ndarray:
+    """E[f] under a grid posterior for per-node values of shape ``(m, ...)``."""
+    return np.tensordot(post.probs, values, axes=(0, 0))
+
+
 def quadrature_moments(log_density, grid: GridSpec):
     """Normalizer, mean and second-moment matrix of a density on a grid.
 
@@ -284,7 +364,7 @@ def quadrature_moments(log_density, grid: GridSpec):
     ``second_moment = E[x x^T]``.
     """
     post = grid_posterior(log_density, grid)
-    mean = post.expect(post.nodes)
+    mean = grid_expect(post, post.nodes)
     second = np.einsum("m,ma,mb->ab", post.probs, post.nodes, post.nodes)
     return post.log_norm, mean, second, post.boundary_ratio
 

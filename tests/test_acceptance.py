@@ -52,6 +52,8 @@ from reference import (
     condition_partitioned,
     e_step_joint,
     e_step_lambda,
+    grid_cube,
+    grid_expect,
     joint,
     log_density_batch,
     marginal,
@@ -91,7 +93,7 @@ def rotated_grid_mean_cov(center, ref_cov, log_density, points=48,
     grid = GridSpec(-half, half, np.full(half.size, points))
     post = grid_posterior(lambda u: log_density(center + u @ eigvecs.T), grid)
     nodes = center + post.nodes @ eigvecs.T
-    mean = post.expect(nodes)
+    mean = grid_expect(post, nodes)
     second = np.einsum("m,ma,mb->ab", post.probs, nodes, nodes)
     return mean, second - np.outer(mean, mean)
 
@@ -448,7 +450,7 @@ def _npca_log_marginal(model, x_i, x_n):
                  - big_d * np.log(2 * np.pi * sig2))
         return prior + lam_p + trans + recon
 
-    post = grid_posterior(log_joint, GridSpec.cube(-9.0, 9.0, 128, 3))
+    post = grid_posterior(log_joint, grid_cube(-9.0, 9.0, 128, 3))
     return post.log_norm
 
 

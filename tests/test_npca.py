@@ -28,9 +28,9 @@ from lieflow.npca import (
     reparam_sample,
     unflatten,
 )
-from lieflow.oracles import GridSpec
 from lieflow.synth import ImagePairDataset, SequenceSpec, generate_image_pairs, subspace_angle
 from lieflow.tensorfile import read_tensors, write_tensors
+from reference import grid_cube
 
 
 def small_model(seed=0, data_dim=4, latent_dim=2, hidden=(5,), j=1,
@@ -203,7 +203,7 @@ class TestGradients:
 
         total = 0.0
         for k in range(2):
-            grid = GridSpec.cube(-10.0, 10.0, 512, 1)
+            grid = grid_cube(-10.0, 10.0, 512, 1)
 
             def integrand(points, k=k):
                 z = points[:, 0]

@@ -22,6 +22,7 @@ from lieflow.ppca import (
     LatentMoments,
     PpcaConfig,
     PpcaModel,
+    _fixed_point_blocks,
     _moments_from_blocks,
     expected_complete_data_ll,
     fit,
@@ -49,6 +50,7 @@ from reference import (
     posterior,
     posterior_znext,
     quadrature_moments,
+    solve_fixed_point_blocks,
 )
 
 
@@ -461,6 +463,66 @@ def test_sigma_update_maximizes_the_elbo(seed, n, big_d, d, j):
     elbo = [mean_field_elbo(replace(model, noise_var=best * f), data, moments)
             for f in (1.0, 1.0 - 1e-3, 1.0 + 1e-3)]
     assert elbo[0] >= max(elbo[1:])
+
+
+_SWEEP_SIZES = dict(seed=st.integers(0, 2 ** 31 - 1), n=st.integers(1, 12),
+                    extra_dims=st.integers(0, 3), d=st.integers(1, 3),
+                    j=st.integers(1, 3), scale=st.sampled_from([1e-3, 0.3, 3.0]))
+
+
+def scaled_sweep_instance(seed, n, extra_dims, d, j, scale):
+    """:func:`random_objective_instance` with ``extra_dims`` more data than
+    latent dimensions and the coefficient standard deviations scaled by
+    ``scale``: weak coupling of the three blocks at 1e-3, strong at 3."""
+    model, x_i, x_n = random_objective_instance(seed, n, d + extra_dims, d, j)
+    dyn = model.dynamics
+    return replace(model, dynamics=DynamicsModel(
+        dyn.basis, dyn.trans_cov, scale ** 2 * dyn.coeff_prior_cov)), x_i, x_n
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_SWEEP_SIZES)
+def test_fixed_point_sweep_matches_the_direct_solve_oracle(seed, n, extra_dims,
+                                                           d, j, scale):
+    model, x_i, x_n = scaled_sweep_instance(seed, n, extra_dims, d, j, scale)
+    try:
+        want = solve_fixed_point_blocks(model, x_i, x_n)
+    except NumericError:
+        # strong coupling can keep the sweep from converging; both forms
+        # must then fail alike
+        with pytest.raises(NumericError):
+            _fixed_point_blocks(model, x_i, x_n)
+        return
+    got = _fixed_point_blocks(model, x_i, x_n)
+    assert len(got) == len(want) == 6
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.abs(g - w).max() <= 1e-9 * np.abs(w).max()
+
+
+def _blocks_or_none(model, x_i, x_n):
+    try:
+        return _fixed_point_blocks(model, x_i, x_n)
+    except NumericError:
+        return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_SWEEP_SIZES)
+def test_fixed_point_sweep_of_a_block_equals_its_one_pair_sweeps(
+        seed, n, extra_dims, d, j, scale):
+    # every operation is elementwise over the pairs, so a pair's bits do
+    # not depend on the block it is swept in
+    model, x_i, x_n = scaled_sweep_instance(seed, n, extra_dims, d, j, scale)
+    block = _blocks_or_none(model, x_i, x_n)
+    singles = [_blocks_or_none(model, x_i[k:k + 1], x_n[k:k + 1])
+               for k in range(n)]
+    if block is None:
+        assert any(single is None for single in singles)
+        return
+    assert all(single is not None for single in singles)
+    for got, *parts in zip(block, *singles):
+        assert np.array_equal(got, np.concatenate(parts))
 
 
 class TestFit:

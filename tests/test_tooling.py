@@ -63,6 +63,21 @@ def _loaded_names(tree):
             and isinstance(node.ctx, ast.Load)}
 
 
+def _public_definitions(module, tree):
+    """``(qualified name, name)`` of each public top-level function and
+    class, and of each public method and property in a class body."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                or node.name.startswith("_"):
+            continue
+        yield f"{module}.{node.name}", node.name
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) \
+                        and not member.name.startswith("_"):
+                    yield f"{module}.{node.name}.{member.name}", member.name
+
+
 def test_every_public_library_name_has_a_caller_outside_the_tests():
     # re-exports in __init__.py do not count; the benchmark refers to
     # traced functions by strings, so its files are searched as text
@@ -71,9 +86,7 @@ def test_every_public_library_name_has_a_caller_outside_the_tests():
     used = set().union(*map(_loaded_names, trees.values()))
     bench = "\n".join(path.read_text()
                       for path in sorted((ROOT / "perfbench").glob("*.py")))
-    unused = [f"{module}.{node.name}" for module, tree in trees.items()
-              for node in tree.body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and not node.name.startswith("_") and node.name not in used
-              and not re.search(rf"\b{node.name}\b", bench)]
+    unused = [qualified for module, tree in trees.items()
+              for qualified, name in _public_definitions(module, tree)
+              if name not in used and not re.search(rf"\b{name}\b", bench)]
     assert not unused, f"library names only the tests call: {unused}"
