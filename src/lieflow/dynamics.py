@@ -43,9 +43,6 @@ from .gaussian import (
 from .liealg import GeneratorBasis
 
 GRAM_COND_LIMIT = 1e14
-# diagonal jitter added to the fitted noise and prior covariances,
-# relative to their mean variance
-JITTER_SCALE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -293,19 +290,31 @@ def marginal_log_likelihood(model: DynamicsModel, dataset: PairDataset) -> float
     """Exact log-likelihood ``sum_i log N(delta_z | 0, Omega + A Lambda A^T)``
     with the coefficients integrated out; the quantity EM ascends.
 
-    Formed from the J x J posterior precisions ``P`` of the E-step: by
-    the determinant lemma ``log|Omega + A Lambda A^T| = log|Omega| +
+    With at least as many latent dimensions as generators it is formed
+    from the J x J posterior precisions ``P`` of the E-step: by the
+    determinant lemma ``log|Omega + A Lambda A^T| = log|Omega| +
     log|Lambda| + log|P|``, and by Woodbury the quadratic form is
-    ``|L_Omega^{-1} delta|^2 - |L_P^{-1} b|^2``.
+    ``|L_Omega^{-1} delta|^2 - |L_P^{-1} b|^2``.  With fewer (``d < J``)
+    each pair's d x d covariance is factored instead: ``P`` is then a
+    rank-d term plus ``Lambda^{-1}``, and its log-determinant loses the
+    digits that a small Omega makes large.
     """
-    prec, info, white_sq = _pair_precision(model, dataset.z_i, dataset.delta)
-    prec_chol = stacked_cholesky(prec)
-    white_info = stacked_forward_solve(prec_chol, info)
-    log_det = (dataset.count * 2.0 * (
-        np.sum(np.log(np.diag(model.trans_chol)))
-        + np.sum(np.log(np.diag(model.coeff_prior_chol))))
-        + 2.0 * np.sum(np.log(np.diagonal(prec_chol, axis1=1, axis2=2))))
-    quad = np.sum(white_sq) - np.sum(white_info * white_info)
+    if dataset.latent_dim < model.coeff_count:
+        a = liealg.assemble_A(model.basis, dataset.z_i)
+        chol = stacked_cholesky(model.trans_cov + symmetrize(
+            a @ model.coeff_prior_cov @ a.swapaxes(1, 2)))
+        white = stacked_forward_solve(chol, dataset.delta)
+        log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)))
+        quad = np.sum(white * white)
+    else:
+        prec, info, white_sq = _pair_precision(model, dataset.z_i, dataset.delta)
+        prec_chol = stacked_cholesky(prec)
+        white_info = stacked_forward_solve(prec_chol, info)
+        log_det = (dataset.count * 2.0 * (
+            np.sum(np.log(np.diag(model.trans_chol)))
+            + np.sum(np.log(np.diag(model.coeff_prior_chol))))
+            + 2.0 * np.sum(np.log(np.diagonal(prec_chol, axis1=1, axis2=2))))
+        quad = np.sum(white_sq) - np.sum(white_info * white_info)
     return float(-0.5 * (dataset.count * dataset.latent_dim * LOG_2PI
                          + log_det + quad))
 
@@ -316,7 +325,7 @@ def _project_lambda(old_basis: GeneratorBasis, new_basis: GeneratorBasis,
     change = (new_basis.generators.reshape(new_basis.count, -1)
               @ old_basis.generators.reshape(old_basis.count, -1).T)
     projected = symmetrize(change @ lam_cov @ change.T)
-    jitter = max(default_jitter(projected, 1e-9), 1e-12)
+    jitter = max(default_jitter(projected), 1e-12)
     return projected + jitter * np.eye(new_basis.count)
 
 
@@ -334,13 +343,11 @@ def update_step(model: DynamicsModel, stats: TransitionStats,
     orthogonalized model the next iteration starts from.
     """
     basis, omega = m_step_dynamics(stats)
-    omega = omega + max(default_jitter(omega, JITTER_SCALE),
-                        1e-300) * np.eye(omega.shape[0])
+    omega = omega + max(default_jitter(omega), 1e-300) * np.eye(omega.shape[0])
     lam_cov = model.coeff_prior_cov
     if estimate_lambda:
         lam_cov = update_Lambda(stats)
-        lam_cov = lam_cov + default_jitter(lam_cov, JITTER_SCALE) \
-            * np.eye(lam_cov.shape[0])
+        lam_cov = lam_cov + default_jitter(lam_cov) * np.eye(lam_cov.shape[0])
     fitted = DynamicsModel(basis, omega, lam_cov)
     if not (orthogonalize and np.any(basis.generators)):
         return fitted, fitted

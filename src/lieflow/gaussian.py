@@ -28,31 +28,28 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
-def default_jitter(cov: np.ndarray, scale: float = 1e-9) -> float:
-    """Opt-in diagonal jitter, ``scale * trace / n``."""
+def default_jitter(cov: np.ndarray) -> float:
+    """Diagonal jitter relative to the mean variance, ``1e-9 * trace / n``."""
     n = cov.shape[0]
-    return scale * float(np.trace(cov)) / n
+    return 1e-9 * float(np.trace(cov)) / n
 
 
-def spd_cholesky(m: np.ndarray, jitter: float = 0.0,
-                 cond_limit: float = COND_LIMIT):
+def spd_cholesky(m: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive-definite matrix.
 
-    The matrix is symmetrized and ``jitter`` is added to the diagonal
-    before factorization.  Raises :class:`NumericError` if the matrix is
-    not positive definite or its condition number exceeds ``cond_limit``.
+    The matrix is symmetrized before factorization.  Raises
+    :class:`NumericError` if the matrix is not positive definite or its
+    condition number exceeds :data:`COND_LIMIT`.
     """
     a = symmetrize(np.asarray(m, dtype=float))
     if not np.all(np.isfinite(a)):
         raise NumericError("matrix has non-finite entries")
-    if jitter:
-        a = a + jitter * np.eye(a.shape[0])
     eigs = np.linalg.eigvalsh(a)
     if eigs[0] <= 0.0:
         raise NumericError(f"matrix not positive definite (min eigenvalue {eigs[0]:.3e})")
     cond = eigs[-1] / eigs[0]
-    if cond > cond_limit:
-        raise NumericError(f"matrix condition number {cond:.3e} exceeds limit {cond_limit:.1e}")
+    if cond > COND_LIMIT:
+        raise NumericError(f"matrix condition number {cond:.3e} exceeds limit {COND_LIMIT:.1e}")
     return np.linalg.cholesky(a)
 
 
@@ -147,6 +144,6 @@ def cholesky_inverse(chol: np.ndarray) -> np.ndarray:
     return symmetrize(spd_solve(chol, np.eye(chol.shape[0])))
 
 
-def spd_inverse(m: np.ndarray, jitter: float = 0.0) -> np.ndarray:
+def spd_inverse(m: np.ndarray) -> np.ndarray:
     """Inverse of an SPD matrix via its Cholesky factorization."""
-    return cholesky_inverse(spd_cholesky(m, jitter=jitter))
+    return cholesky_inverse(spd_cholesky(m))

@@ -78,13 +78,13 @@ def _frobenius(m: np.ndarray) -> np.ndarray:
     return np.sqrt(flat @ flat.swapaxes(-1, -2))[..., 0, 0]
 
 
-def matrix_exp(m: np.ndarray, tol: float = DEFAULT_EXP_TOL) -> np.ndarray:
+def matrix_exp(m: np.ndarray) -> np.ndarray:
     """Matrix exponential of each matrix in a ``(..., n, n)`` stack.
 
     Scaling and squaring: each matrix is scaled by ``2^-s`` until its
     Frobenius norm is at most 0.5, expanded in a truncated power series
-    (terms are added until the next term falls below ``tol / 4``; 13
-    terms at the default tolerance), then squared ``s`` times, with
+    (terms are added until the next term falls below
+    ``DEFAULT_EXP_TOL / 4``; 13 terms), then squared ``s`` times, with
     ``s`` and the term count chosen per matrix.
     """
     a = np.asarray(m, dtype=float)
@@ -104,7 +104,7 @@ def matrix_exp(m: np.ndarray, tol: float = DEFAULT_EXP_TOL) -> np.ndarray:
         term = term @ a
         term /= k
         np.add(acc, term, out=acc, where=live[:, None, None])
-        live &= _frobenius(term) > 0.25 * tol
+        live &= _frobenius(term) > 0.25 * DEFAULT_EXP_TOL
         if not live.any():
             break
     for done in range(squarings.max(initial=0)):
@@ -121,11 +121,11 @@ def apply_first_order(basis: GeneratorBasis, coeffs: np.ndarray,
     return vec + np.einsum("...j,jab,...b->...a", lam, basis.generators, vec)
 
 
-def apply_exact(basis: GeneratorBasis, coeffs: np.ndarray, z: np.ndarray,
-                tol: float = DEFAULT_EXP_TOL) -> np.ndarray:
+def apply_exact(basis: GeneratorBasis, coeffs: np.ndarray,
+                z: np.ndarray) -> np.ndarray:
     """``exp(sum_j lambda_j G^j) z`` for ``(..., J)`` lambda and ``(..., d)`` z."""
     vec = _check_vectors(basis, z)
-    return (matrix_exp(combine(basis, coeffs), tol=tol) @ vec[..., None])[..., 0]
+    return (matrix_exp(combine(basis, coeffs)) @ vec[..., None])[..., 0]
 
 
 def assemble_A(basis: GeneratorBasis, z: np.ndarray) -> np.ndarray:

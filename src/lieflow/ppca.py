@@ -10,12 +10,16 @@ transition couples ``z_i`` and ``lambda`` bilinearly), so the E-step
 offers three backends: tensor-grid quadrature (exact to grid resolution,
 tiny dimensions only), a mean-field fixed point cycling the three
 closed-form conditionals (production default) and self-normalized
-importance sampling (cross-check).  All M-steps are closed form in the
-expectation bundle.
+importance sampling (cross-check), chosen by ``PpcaConfig.estep`` and
+tuned by the same config's ``grid_points``, ``mc_samples`` and ``seed``.
+All three start from the frames' closed-form latent posteriors
+``N(S W^T (x - mu) / sigma^2, S)`` with ``S = (I + W^T W / sigma^2)^-1``,
+which one function forms (:func:`posterior_z_given_x`), one product per
+frame.  All M-steps are closed form in the expectation bundle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -145,16 +149,14 @@ class LatentMoments:
 
 
 @dataclass
-class EStepConfig:
-    """Knobs for the Monte Carlo and quadrature E-step backends."""
-
-    mc_samples: int = 100_000
-    grid_points: int = 64
-    seed: int = 0
-
-
-@dataclass
 class PpcaConfig:
+    """Settings of :func:`fit`.  ``estep`` picks the E-step backend
+    (:data:`E_STEP_METHODS`): the quadrature E-step puts ``grid_points``
+    nodes on each axis of its grid, and the Monte Carlo E-step draws
+    ``mc_samples`` samples per pair from the random streams of ``seed``.
+    ``freeze_coefficients`` pins the coefficients at zero and keeps the
+    initial dynamics; it needs the fixed-point E-step."""
+
     latent_dim: int = 2
     j_init: int = 1
     estep: str = "fixed_point"
@@ -163,32 +165,39 @@ class PpcaConfig:
     seed: int = 0
     estimate_lambda: bool = False
     freeze_coefficients: bool = False
-    update_dynamics: bool = True
     orthogonalize: bool = True
     init_omega_scale: float = 1.0
-    estep_config: EStepConfig | None = None
+    grid_points: int = 64
+    mc_samples: int = 100_000
     threads: int = 1
 
-    def resolved_estep(self) -> EStepConfig:
-        """The E-step settings with this config's seed, as a copy: the
-        caller's ``estep_config`` is left unchanged."""
-        return replace(self.estep_config or EStepConfig(), seed=self.seed)
+
+def _frame_posteriors(model: PpcaModel, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The latent posteriors ``N(S b, S)`` of every frame in ``x`` (any
+    leading axes), with information ``b = W^T (x - mu) / sigma^2`` and
+    ``S = (I + W^T W / sigma^2)^{-1}``: each frame's ``b``, the one
+    precision ``S^{-1}`` all frames share, each frame's mean and ``S``.
+    Every ``b`` and mean is one product per frame, so a frame's bits do
+    not depend on the frames it comes with."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (model.data_dim,):
+        raise ValueError("observation dimension does not match the model")
+    w, sig2 = model.loading, model.noise_var
+    prec = np.eye(model.latent_dim) + (w.T @ w) / sig2
+    cov = cholesky_inverse(spd_cholesky(prec))
+    info = ((x - model.data_mean)[..., None, :] @ w) / sig2
+    return info[..., 0, :], prec, (info @ cov)[..., 0, :], cov
 
 
 def posterior_z_given_x(model: PpcaModel, x: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Latent posterior ``N(M^{-1} W^T (x - mu), sigma^2 M^{-1})`` with
-    ``M = W^T W + sigma^2 I`` of every frame in ``x`` (any leading axes):
-    the means, which keep the frames' leading axes, and the one
-    covariance all frames share."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1:] != (model.data_dim,):
-        raise ValueError("observation dimension does not match the model")
-    w, d = model.loading, model.latent_dim
-    chol = spd_cholesky(w.T @ w + model.noise_var * np.eye(d))
-    xc = (x - model.data_mean).reshape(-1, model.data_dim)
-    means = spd_solve(chol, w.T @ xc.T).T.reshape(*x.shape[:-1], d)
-    return means, model.noise_var * symmetrize(spd_solve(chol, np.eye(d)))
+    """Latent posterior ``N(S W^T (x - mu) / sigma^2, S)`` with
+    ``S = (I + W^T W / sigma^2)^{-1}`` of every frame in ``x`` (any
+    leading axes): the means, which keep the frames' leading axes, and
+    the one covariance all frames share.  A frame's mean is the same
+    bits in any stack of frames."""
+    _, _, means, cov = _frame_posteriors(model, x)
+    return means, cov
 
 
 # ---------------------------------------------------------------------------
@@ -263,28 +272,23 @@ def _frozen_coefficient_blocks(model: PpcaModel, x_i: np.ndarray,
     d = model.latent_dim
     j = model.dynamics.coeff_count
     n = x_i.shape[0]
-    sig2 = model.noise_var
-    u_i, ppca_cov = posterior_z_given_x(model, x_i)
-    ppca_prec = symmetrize(spd_inverse(ppca_cov))
+    (info_i, info_n), ppca_prec, _, _ = _frame_posteriors(
+        model, np.stack([x_i, x_n]))
     omega_prec = cholesky_inverse(model.dynamics.trans_chol)
     prec = np.zeros((2 * d, 2 * d))
     prec[:d, :d] = ppca_prec + omega_prec
     prec[:d, d:] = -omega_prec
     prec[d:, :d] = -omega_prec
-    prec[d:, d:] = omega_prec + (w.T @ w) / sig2
-    info = np.concatenate([u_i @ ppca_prec,
-                           (x_n - model.data_mean) @ w / sig2], axis=1)
-    chol = spd_cholesky(symmetrize(prec))
-    means = spd_solve(chol, info.T).T
-    cov_zi = symmetrize(spd_solve(spd_cholesky(prec[:d, :d]), np.eye(d)))
-    cov_zn = symmetrize(spd_solve(spd_cholesky(prec[d:, d:]), np.eye(d)))
+    prec[d:, d:] = omega_prec + (w.T @ w) / model.noise_var
+    means = spd_solve(spd_cholesky(prec), np.hstack([info_i, info_n]).T).T
+    cov_zi = cholesky_inverse(spd_cholesky(prec[:d, :d]))
+    cov_zn = cholesky_inverse(spd_cholesky(prec[d:, d:]))
     return (means[:, :d], np.broadcast_to(cov_zi, (n, d, d)),
             means[:, d:], np.broadcast_to(cov_zn, (n, d, d)),
             np.zeros((n, j)), np.zeros((n, j, j)))
 
 
-def _fixed_point_blocks(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray,
-                        freeze_coefficients: bool = False
+def _fixed_point_blocks(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray
                         ) -> tuple[np.ndarray, ...]:
     """Cycle the three closed-form conditionals at the current block means
     until self-consistent, starting from the frames' latent posteriors.
@@ -298,25 +302,19 @@ def _fixed_point_blocks(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray,
     so a pair's result does not depend on which other pairs share the
     block (nor, therefore, on the thread count).
     """
-    if freeze_coefficients:
-        return _frozen_coefficient_blocks(model, x_i, x_n)
     w = model.loading
     d, j = model.latent_dim, model.dynamics.coeff_count
     n = x_i.shape[0]
     basis = model.dynamics.basis
-    sig2 = model.noise_var
 
-    wtw = (w.T @ w) / sig2
-    ppca_prec = np.eye(d) + wtw
-    ppca_cov = cholesky_inverse(spd_cholesky(ppca_prec))
+    # both frames' latent posteriors: their information W^T (x - mu) /
+    # sigma^2, shared precision, means and shared covariance
+    (info_u, wt_xn), ppca_prec, (u_i, u_n), ppca_cov = _frame_posteriors(
+        model, np.stack([x_i, x_n]))
     omega_prec = cholesky_inverse(model.dynamics.trans_chol)
     lam_prec = cholesky_inverse(model.dynamics.coeff_prior_chol)
-    gamma = cholesky_inverse(spd_cholesky(omega_prec + wtw))
-    # W^T (x - mu) / sigma^2 of both frames, the information of their
-    # latent posteriors, and those posteriors' means
-    info = ((np.stack([x_i, x_n]) - model.data_mean)[..., None, :] @ w) / sig2
-    info_u, wt_xn = info[..., 0, :]
-    u_i, u_n = (info @ ppca_cov)[..., 0, :]
+    gamma = cholesky_inverse(spd_cholesky(
+        omega_prec + (w.T @ w) / model.noise_var))
 
     # one row per pair: m_zi, m_zn, q, cov_zi, k
     state = np.hstack([u_i, u_n, np.zeros((n, j)),
@@ -354,26 +352,22 @@ def _fixed_point_blocks(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray,
         f"iterations (residual {residual.max():.3e})")
 
 
-def _linearized_joint_cov(model: PpcaModel, zi_prec: np.ndarray,
-                          m_zi: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _linearized_joint_cov(basis: liealg.GeneratorBasis, prior: np.ndarray,
+                          omega_prec: np.ndarray, m_zi: np.ndarray,
+                          q: np.ndarray) -> np.ndarray:
     """Covariance of the joint posterior over ``(z_i, lambda, z_next)``
     with the bilinear transition residual ``z_next - B z_i - A lambda``
-    linearized at the supplied means, given the precision ``zi_prec`` of
-    the first frame's latent posterior; used to size quadrature boxes."""
-    d, j = model.latent_dim, model.dynamics.coeff_count
-    basis = model.dynamics.basis
+    linearized at the supplied means; ``prior`` holds the precision
+    blocks that do not depend on the pair, ``omega_prec`` is
+    ``Omega^{-1}``.  Used to size quadrature boxes."""
+    d = basis.latent_dim
     jac = np.hstack([np.eye(d) + liealg.combine(basis, q),
                      liealg.assemble_A(basis, m_zi), -np.eye(d)])
-    prior = np.zeros((2 * d + j, 2 * d + j))
-    prior[:d, :d] = zi_prec
-    prior[d:d + j, d:d + j] = cholesky_inverse(model.dynamics.coeff_prior_chol)
-    prior[d + j:, d + j:] = (model.loading.T @ model.loading) / model.noise_var
-    omega_prec = cholesky_inverse(model.dynamics.trans_chol)
     return spd_inverse(symmetrize(prior + jac.T @ omega_prec @ jac))
 
 
 def _quadrature_e_step(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray,
-                       cfg: EStepConfig) -> tuple[LatentMoments, float]:
+                       config: PpcaConfig) -> tuple[LatentMoments, float]:
     """Grid-exact moments of every pair, plus the sum over the pairs of
     ``log p(x_next | x_i)`` (the normalizers of the integrands)."""
     from .oracles import BoxTooSmallError, GridSpec, grid_posterior
@@ -390,17 +384,21 @@ def _quadrature_e_step(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray,
     # transition couples the blocks tightly)
     mf_zi, _, mf_zn, _, mf_q, _ = _fixed_point_blocks(model, x_i, x_n)
     centers = np.concatenate([mf_zi, mf_q, mf_zn], axis=1)
-    prior_means, prior_cov = posterior_z_given_x(model, x_i)
-    zi_prec = spd_inverse(prior_cov)
+    _, zi_prec, prior_means, prior_cov = _frame_posteriors(model, x_i)
     zi_chol = spd_cholesky(prior_cov)
     lam_chol = model.dynamics.coeff_prior_chol
     omega_chol = model.dynamics.trans_chol
+    prior = np.zeros((dims, dims))
+    prior[:d, :d] = zi_prec
+    prior[d:d + j, d:d + j] = cholesky_inverse(lam_chol)
+    prior[d + j:, d + j:] = (w.T @ w) / sig2
+    omega_prec = cholesky_inverse(omega_chol)
 
     parts, log_norm = [], 0.0
     for prior_mean, xc_n, center, m_zi, q in zip(
             prior_means, x_n - model.data_mean, centers, mf_zi, mf_q):
-        stds = GRID_INFLATION * np.sqrt(np.diag(
-            _linearized_joint_cov(model, zi_prec, m_zi, q)))
+        stds = GRID_INFLATION * np.sqrt(np.diag(_linearized_joint_cov(
+            model.dynamics.basis, prior, omega_prec, m_zi, q)))
 
         def log_target(nodes):
             zi = nodes[:, :d]
@@ -419,7 +417,7 @@ def _quadrature_e_step(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray,
         for attempt in range(3):
             half = GRID_SIGMAS * stds * 2.0 ** attempt
             grid = GridSpec(center - half, center + half,
-                            np.full(dims, cfg.grid_points))
+                            np.full(dims, config.grid_points))
             try:
                 post = grid_posterior(log_target, grid)
                 break
@@ -434,14 +432,15 @@ def _quadrature_e_step(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray,
 
 
 def _monte_carlo_e_step(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray,
-                        cfg: EStepConfig, streams) -> LatentMoments:
+                        config: PpcaConfig, streams) -> LatentMoments:
     """Self-normalized sampling from ``q(z_i | x_i) p(lambda)`` with the
     next-frame latent integrated out in closed form per draw; pair ``k``
-    draws from the random streams keyed by ``streams[k]``."""
+    draws from the random streams of ``config.seed`` keyed by
+    ``streams[k]``."""
     d, j = model.latent_dim, model.dynamics.coeff_count
     w = model.loading
     sig2 = model.noise_var
-    s = cfg.mc_samples
+    s, seed = config.mc_samples, config.seed
 
     prior_means, prior_cov = posterior_z_given_x(model, x_i)
     zi_chol = spd_cholesky(prior_cov)
@@ -450,13 +449,13 @@ def _monte_carlo_e_step(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray,
     resid_chol = spd_cholesky(sig2 * np.eye(model.data_dim)
                               + w @ model.dynamics.trans_cov @ w.T)
     omega_prec = cholesky_inverse(model.dynamics.trans_chol)
-    gamma = symmetrize(spd_inverse(omega_prec + (w.T @ w) / sig2))
+    gamma = cholesky_inverse(spd_cholesky(omega_prec + (w.T @ w) / sig2))
     parts = []
     for prior_mean, xc_n, stream in zip(prior_means, x_n - model.data_mean,
                                         streams):
         zi = prior_mean + rng.normal_matrix(
-            cfg.seed, (_TAG_MC_Z, *stream), (s, d)) @ zi_chol.T
-        lam = rng.normal_matrix(cfg.seed, (_TAG_MC_LAM, *stream), (s, j)) \
+            seed, (_TAG_MC_Z, *stream), (s, d)) @ zi_chol.T
+        lam = rng.normal_matrix(seed, (_TAG_MC_LAM, *stream), (s, j)) \
             @ lam_chol.T
         drift = liealg.apply_first_order(model.dynamics.basis, lam, zi)
         resid = xc_n[None, :] - drift @ w.T
@@ -592,13 +591,8 @@ def init_loading(dataset: ImagePairDataset, latent_dim: int,
     stacked = np.vstack([dataset.x_i, dataset.x_next]) - mu
     n2 = stacked.shape[0]
     _, svals, vt = np.linalg.svd(stacked, full_matrices=False)
-    v = vt[:latent_dim].T
-    signs = np.ones(latent_dim)
-    for k in range(latent_dim):
-        col = v[:, k]
-        lead = col[np.abs(col) > 1e-12 * np.abs(col).max()][0]
-        signs[k] = 1.0 if lead >= 0 else -1.0
-    w = v * signs * (svals[:latent_dim] / np.sqrt(n2))
+    v = liealg._fix_signs(vt[:latent_dim]).T
+    w = v * (svals[:latent_dim] / np.sqrt(n2))
     tail = svals[latent_dim:] ** 2
     dof = max(dataset.image_dim - latent_dim, 1)
     sigma2 = float(tail.sum() / (n2 * dof)) if tail.size else SIGMA_FLOOR
@@ -606,22 +600,22 @@ def init_loading(dataset: ImagePairDataset, latent_dim: int,
 
 
 def _e_step_dataset(model: PpcaModel, dataset: ImagePairDataset,
-                    method: str, cfg: EStepConfig, threads: int,
-                    freeze_coefficients: bool
-                    ) -> tuple[LatentMoments, float | None]:
-    """All-pair moments plus, for the quadrature backend, the exact
-    conditional evidence ``sum_i log p(x_next | x_i)``."""
+                    config: PpcaConfig) -> tuple[LatentMoments, float | None]:
+    """All-pair moments of the backend ``config.estep`` plus, for the
+    quadrature backend, the exact conditional evidence
+    ``sum_i log p(x_next | x_i)``."""
     x_i, x_n = dataset.x_i, dataset.x_next
-    if method == "fixed_point":
-        parts = map_blocks(lambda a, b: _fixed_point_blocks(
-            model, x_i[a:b], x_n[a:b], freeze_coefficients),
-            dataset.count, threads)
-        return _moments_from_blocks(*(np.concatenate(arrays)
-                                      for arrays in zip(*parts))), None
-    if method == "quadrature":
-        return _quadrature_e_step(model, x_i, x_n, cfg)
-    return _monte_carlo_e_step(model, x_i, x_n, cfg,
-                               [(i,) for i in range(dataset.count)]), None
+    if config.estep == "quadrature":
+        return _quadrature_e_step(model, x_i, x_n, config)
+    if config.estep == "monte_carlo":
+        return _monte_carlo_e_step(model, x_i, x_n, config,
+                                   [(i,) for i in range(dataset.count)]), None
+    blocks = (_frozen_coefficient_blocks if config.freeze_coefficients
+              else _fixed_point_blocks)
+    parts = map_blocks(lambda a, b: blocks(model, x_i[a:b], x_n[a:b]),
+                       dataset.count, config.threads)
+    return _moments_from_blocks(*(np.concatenate(arrays)
+                                  for arrays in zip(*parts))), None
 
 
 def fit(dataset: ImagePairDataset, config: PpcaConfig
@@ -637,6 +631,9 @@ def fit(dataset: ImagePairDataset, config: PpcaConfig
     """
     if config.estep not in E_STEP_METHODS:
         raise ValueError(f"unknown E-step method {config.estep!r}")
+    if config.freeze_coefficients and config.estep != "fixed_point":
+        raise ValueError(f"freeze_coefficients needs the fixed_point E-step, "
+                         f"not {config.estep!r}")
     d = config.latent_dim
     mu = m_step_mu(dataset)
     w, sigma2 = init_loading(dataset, d, mu)
@@ -644,12 +641,9 @@ def fit(dataset: ImagePairDataset, config: PpcaConfig
     dyn = DynamicsModel(dyn.basis, config.init_omega_scale * np.eye(d),
                         dyn.coeff_prior_cov)
     model = PpcaModel(w, mu, sigma2, dyn)
-    cfg = config.resolved_estep()
     trace: list[float] = []
     for _ in range(config.max_iters):
-        moments, exact_evidence = _e_step_dataset(
-            model, dataset, config.estep, cfg, config.threads,
-            config.freeze_coefficients)
+        moments, exact_evidence = _e_step_dataset(model, dataset, config)
         if exact_evidence is not None:
             # exact conditional evidence at the parameters the E-step used
             trace.append(_first_frame_evidence(model, dataset.x_i - mu)
@@ -657,7 +651,7 @@ def fit(dataset: ImagePairDataset, config: PpcaConfig
         w = m_step_W(dataset, moments, mu)
         sigma2 = m_step_sigma(dataset, moments, w, mu)
         dyn = next_dyn = model.dynamics
-        if config.update_dynamics and not config.freeze_coefficients:
+        if not config.freeze_coefficients:
             dyn, next_dyn = update_step(dyn, moments.transition,
                                         config.estimate_lambda, config.orthogonalize)
         if exact_evidence is None:

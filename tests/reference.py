@@ -40,8 +40,8 @@ from lieflow.ppca import (
     E_STEP_METHODS,
     FIXED_POINT_ITERS,
     FIXED_POINT_TOL,
-    EStepConfig,
     LatentMoments,
+    PpcaConfig,
     PpcaModel,
     _fixed_point_blocks,
     _moments_from_blocks,
@@ -317,19 +317,20 @@ def solve_fixed_point_blocks(model: PpcaModel, x_i: np.ndarray,
 
 
 def e_step_joint(model: PpcaModel, x_i: np.ndarray, x_next: np.ndarray,
-                 method: str = "fixed_point",
-                 config: EStepConfig | None = None) -> LatentMoments:
+                 method: str = "fixed_point", **settings) -> LatentMoments:
     """Expectation bundle (a batch of one) for one image pair under the
-    joint posterior."""
+    joint posterior; ``settings`` are the E-step fields of
+    :class:`lieflow.ppca.PpcaConfig` (``grid_points``, ``mc_samples``,
+    ``seed``)."""
     if method not in E_STEP_METHODS:
         raise ValueError(f"unknown E-step method {method!r}")
-    cfg = config or EStepConfig()
+    config = PpcaConfig(estep=method, **settings)
     x_i = np.asarray(x_i, dtype=float)[None]
     x_next = np.asarray(x_next, dtype=float)[None]
     if method == "quadrature":
-        return _quadrature_e_step(model, x_i, x_next, cfg)[0]
+        return _quadrature_e_step(model, x_i, x_next, config)[0]
     if method == "monte_carlo":
-        return _monte_carlo_e_step(model, x_i, x_next, cfg, [()])
+        return _monte_carlo_e_step(model, x_i, x_next, config, [()])
     return _moments_from_blocks(*_fixed_point_blocks(model, x_i, x_next))
 
 

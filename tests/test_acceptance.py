@@ -34,7 +34,6 @@ from lieflow.npca import (
 )
 from lieflow.oracles import GridSpec, grid_posterior
 from lieflow.ppca import (
-    EStepConfig,
     PpcaConfig,
     fit as fit_ppca,
     posterior_z_given_x,
@@ -225,7 +224,7 @@ def test_criterion_5_ppca_reduction():
                         height=4, width=4)
     data, _ = generate_image_pairs(spec, embedding="linear")
     model, _ = fit_ppca(data, PpcaConfig(
-        latent_dim=2, freeze_coefficients=True, update_dynamics=False,
+        latent_dim=2, freeze_coefficients=True,
         init_omega_scale=1e-6, max_iters=100, seed=0))
 
     stacked = np.vstack([data.x_i, data.x_next])
@@ -279,10 +278,10 @@ def test_criterion_6_joint_estep_cross_validation():
     samples = 1_000_000
     for k in range(10):
         model, x_i, x_n = tiny_joint_instance(600 + k)
-        cfg = EStepConfig(mc_samples=samples, grid_points=72, seed=600 + k)
-        quad = e_step_joint(model, x_i, x_n, method="quadrature", config=cfg)
-        fp = e_step_joint(model, x_i, x_n, method="fixed_point", config=cfg)
-        mc = e_step_joint(model, x_i, x_n, method="monte_carlo", config=cfg)
+        settings = dict(mc_samples=samples, grid_points=72, seed=600 + k)
+        quad = e_step_joint(model, x_i, x_n, method="quadrature", **settings)
+        fp = e_step_joint(model, x_i, x_n, method="fixed_point", **settings)
+        mc = e_step_joint(model, x_i, x_n, method="monte_carlo", **settings)
 
         for field in ("ez_i", "ez_next", "elam", "ezz_i", "ezz_next",
                       "elamlam"):
@@ -320,8 +319,7 @@ def test_criterion_7_exact_em_monotonicity():
     # keeps the evidence non-decreasing
     _, trace = fit_ppca(data, PpcaConfig(
         latent_dim=1, j_init=1, estep="quadrature", max_iters=25, tol=0.0,
-        seed=1, estimate_lambda=True,
-        estep_config=EStepConfig(grid_points=48)))
+        seed=1, estimate_lambda=True, grid_points=48))
     trace = np.array(trace)
     rel = np.diff(trace) / np.abs(trace[:-1])
     assert rel.min() >= -1e-8

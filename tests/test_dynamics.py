@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lieflow import rng
@@ -369,6 +369,7 @@ _SIZES = dict(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 4),
 
 @settings(max_examples=100, deadline=None)
 @given(**_SIZES, omega_scale=st.integers(0, 6).map(lambda e: 10.0 ** -e))
+@example(seed=1211, d=1, j=2, n=4, step=0.001, omega_scale=1e-6)
 def test_marginal_ll_equals_dense_per_pair_oracle(seed, d, j, n, step,
                                                   omega_scale):
     # the dense d x d form sum_i log N(delta | 0, Omega + A Lambda A^T),

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -18,11 +19,11 @@ from lieflow.gaussian import NumericError
 from lieflow.liealg import GeneratorBasis, assemble_A
 from lieflow.oracles import GridSpec
 from lieflow.ppca import (
-    EStepConfig,
     LatentMoments,
     PpcaConfig,
     PpcaModel,
     _fixed_point_blocks,
+    _frozen_coefficient_blocks,
     _moments_from_blocks,
     expected_complete_data_ll,
     fit,
@@ -132,6 +133,29 @@ def test_batched_posterior_equals_per_frame_oracle(n, big_d, d, seed,
         assert np.abs(cov - ref.cov).max() <= 1e-12 * max(1.0, np.abs(ref.cov).max())
 
 
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 6), big_d=st.integers(1, 6), d=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 31 - 1), log_sig2=st.floats(-2.0, 1.0),
+       column_major=st.booleans())
+def test_stacked_posterior_equals_its_one_frame_calls_bit_for_bit(
+        n, big_d, d, seed, log_sig2, column_major):
+    # each mean is one product per frame, so a frame's bits do not depend
+    # on the frames it is passed with; fitted loadings are column-major
+    d = min(d, big_d)
+    w = rng.normal_matrix(seed, (0,), (big_d, d))
+    if column_major:
+        w = np.asfortranarray(w)
+    model = simple_model(w, sigma2=10.0 ** log_sig2,
+                         mu=rng.normals(seed, (1,), big_d))
+    x = model.data_mean + rng.normal_matrix(seed, (2,), (2, n, big_d))
+    means, cov = posterior_z_given_x(model, x)
+    for k in range(2):
+        for i in range(n):
+            mean_one, cov_one = posterior_z_given_x(model, x[k, i])
+            assert np.array_equal(means[k, i], mean_one)
+            assert np.array_equal(cov, cov_one)
+
+
 class TestPosteriorZNext:
     def test_zero_loading_gives_pure_transition(self):
         gens = rng.normal_matrix(3, (0,), (2, 2, 2))
@@ -201,19 +225,18 @@ class TestEStepJoint:
         assert abs(moments.elam[0, 0]) < 1e-6
         assert abs(moments.elamlam[0, 0, 0]) < 1e-12
         # z-blocks reduce to the coefficient-free chained posteriors
-        from lieflow.ppca import _fixed_point_blocks
-        frozen = _moments_from_blocks(*_fixed_point_blocks(
-            collapsed, x_i[None], x_n[None], freeze_coefficients=True))
+        frozen = _moments_from_blocks(*_frozen_coefficient_blocks(
+            collapsed, x_i[None], x_n[None]))
         assert np.allclose(moments.ez_i, frozen.ez_i, atol=1e-6)
         assert np.allclose(moments.ez_next, frozen.ez_next, atol=1e-6)
 
     @pytest.mark.parametrize("seed", [11, 12])
     def test_fixed_point_and_mc_match_quadrature(self, seed):
         model, x_i, x_n = tiny_joint_instance(seed)
-        cfg = EStepConfig(mc_samples=200_000, grid_points=72, seed=seed)
-        quad = e_step_joint(model, x_i, x_n, method="quadrature", config=cfg)
-        fp = e_step_joint(model, x_i, x_n, method="fixed_point", config=cfg)
-        mc = e_step_joint(model, x_i, x_n, method="monte_carlo", config=cfg)
+        settings = dict(mc_samples=200_000, grid_points=72, seed=seed)
+        quad = e_step_joint(model, x_i, x_n, method="quadrature", **settings)
+        fp = e_step_joint(model, x_i, x_n, method="fixed_point", **settings)
+        mc = e_step_joint(model, x_i, x_n, method="monte_carlo", **settings)
         for field in ("ez_i", "ez_next", "elam"):
             q, f, m = (getattr(quad, field), getattr(fp, field),
                        getattr(mc, field))
@@ -286,8 +309,8 @@ class TestCanonicalForm:
         gap = log_model(probe) - log_canonical(probe)
         assert gap.max() - gap.min() < 1e-9
 
-        cfg = EStepConfig(grid_points=72)
-        quad = e_step_joint(model, x_i, x_n, method="quadrature", config=cfg)
+        quad = e_step_joint(model, x_i, x_n, method="quadrature",
+                            grid_points=72)
         center = np.array([quad.ez_i[0, 0], quad.elam[0, 0],
                            quad.ez_next[0, 0]])
         stds = np.sqrt(np.array([quad.cov_z_i[0, 0, 0], quad.cov_lam[0, 0, 0],
@@ -550,7 +573,7 @@ class TestFit:
                             height=3, width=3)
         data, _ = generate_image_pairs(spec, embedding="linear")
         model, trace = fit(data, PpcaConfig(
-            latent_dim=2, freeze_coefficients=True, update_dynamics=False,
+            latent_dim=2, freeze_coefficients=True,
             max_iters=40, tol=1e-5, seed=0))
         assert model.noise_var == pytest.approx(1e-12)
         trace = np.array(trace)
@@ -581,8 +604,7 @@ class TestFit:
         data = ImagePairDataset(x_is, x_ns, 1, 3)
         _, trace = fit(data, PpcaConfig(
             latent_dim=1, j_init=1, estep="quadrature", max_iters=25,
-            tol=0.0, seed=1,
-            estep_config=EStepConfig(grid_points=48)))
+            tol=0.0, seed=1, grid_points=48))
         trace = np.array(trace)
         rel = np.diff(trace) / np.abs(trace[:-1])
         assert rel.min() >= -1e-8
@@ -598,7 +620,7 @@ class TestFit:
         data, _ = generate_image_pairs(spec, embedding="linear")
         iters = 7
         model, _ = fit(data, PpcaConfig(
-            latent_dim=2, freeze_coefficients=True, update_dynamics=False,
+            latent_dim=2, freeze_coefficients=True,
             init_omega_scale=1e8, max_iters=iters, tol=0.0, seed=0))
         mu = m_step_mu(data)
         w0, s0 = init_loading(data, 2, mu)
@@ -676,13 +698,39 @@ def test_model_rejects_non_finite_parameters(field, bad):
         PpcaModel(**values, dynamics=dyn)
 
 
-def test_resolved_estep_leaves_the_callers_config_unchanged():
-    shared = EStepConfig(mc_samples=500)
-    late = PpcaConfig(seed=9, estep_config=shared).resolved_estep()
-    early = PpcaConfig(seed=5, estep_config=shared).resolved_estep()
-    assert (early.seed, late.seed) == (5, 9)
-    assert early.mc_samples == late.mc_samples == 500
-    assert shared == EStepConfig(mc_samples=500)
+@pytest.mark.parametrize("estep", ["quadrature", "monte_carlo"])
+def test_frozen_coefficients_need_the_fixed_point_estep(estep):
+    # only the fixed-point E-step can pin the coefficients at zero
+    x_i, x_n = (np.stack([tiny_joint_instance(40 + k)[frame]
+                          for k in range(3)]) for frame in (1, 2))
+    data = ImagePairDataset(x_i, x_n, 1, 3)
+    with pytest.raises(ValueError, match="freeze_coefficients"):
+        fit(data, PpcaConfig(latent_dim=1, estep=estep,
+                             freeze_coefficients=True, max_iters=1))
+
+
+# SHA-256 of a tiny fixed-point fit's parameters, dynamics and trace,
+# recorded before the E-step settings moved onto PpcaConfig and the
+# latent posterior got one implementation; any drift of the sweep's
+# bits changes it.  Three threads split the 13 pairs into blocks of 4,
+# 4 and 5.
+@pytest.mark.parametrize("threads", [1, 3])
+def test_tiny_fit_matches_pinned_digest(threads):
+    spec = SequenceSpec(group_kind="rotation2d", lambda_scale=0.05,
+                        noise_std=0.05, pair_count=13, seed=21,
+                        height=2, width=3)
+    data, _ = generate_image_pairs(spec, embedding="linear")
+    model, trace = fit(data, PpcaConfig(
+        latent_dim=3, j_init=2, max_iters=4, tol=0.0, seed=2 ** 64 - 3,
+        estimate_lambda=True, threads=threads))
+    dyn = model.dynamics
+    h = hashlib.sha256()
+    for a in [model.loading, model.data_mean, np.array([model.noise_var]),
+              dyn.basis.generators, dyn.trans_cov, dyn.coeff_prior_cov,
+              np.array(trace)]:
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    assert h.hexdigest() == \
+        "62f71d94a0f99350a393396057d9eaddefd0fa79188033dccaae6f75f1878986"
 
 
 def test_init_loading_is_deterministic_and_scaled():
