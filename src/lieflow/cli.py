@@ -181,9 +181,23 @@ def _checkpoint_ppca(ck) -> ppca.PpcaModel:
                           _checkpoint_dynamics(ck))
 
 
+def _layer_count(ck, name: str, least: int, most: int) -> int:
+    """``ck[name]`` as a whole number in ``[least, most]``."""
+    value = float(ck[name])
+    if not np.isfinite(value):
+        raise NumericError(f"checkpoint array {name!r} must be finite")
+    if not (least <= value <= most and value == int(value)):
+        raise UsageError(f"checkpoint array {name!r} must be a whole number "
+                         f"in [{least}, {most}], got {value!r}")
+    return int(value)
+
+
 def _checkpoint_npca(ck) -> npca.NpcaModel:
-    return npca.assemble(ck, int(ck["enc_trunk_count"]), int(ck["dec_count"]),
-                         float(ck["sigma2"]), _checkpoint_dynamics(ck))
+    # each layer holds arrays of the file, which bounds the counts
+    trunk = _layer_count(ck, "enc_trunk_count", 0, len(ck))
+    dec = _layer_count(ck, "dec_count", 1, len(ck) - trunk)
+    return npca.assemble(ck, trunk, dec, float(ck["sigma2"]),
+                         _checkpoint_dynamics(ck))
 
 
 class _Checkpoint(dict):

@@ -13,7 +13,8 @@ encoded Gaussians; the generator basis is orthogonalized each epoch.
 Both networks are :class:`Mlp` instances: the encoder's linear output
 holds the latent mean followed by the log-variance.  The trainable
 tensors have one layout (:func:`named_parameters`), shared by
-checkpoints, the flat parameter vector and the flat gradient.
+checkpoints and the gradients; a minibatch step updates those tensors
+in place.
 
 Differentiation is hand-rolled reverse-mode over this fixed graph
 (affine layers, tanh, Gaussian log-densities, KL, reparameterization),
@@ -22,7 +23,7 @@ are treated as constants by the backward pass.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -108,9 +109,10 @@ class NpcaModel:
     dynamics: DynamicsModel
 
     def __post_init__(self):
-        # written so that NaN fails too
-        if not 0.0 < self.obs_noise_var < np.inf:
-            raise ValueError("observation noise variance must be finite and positive")
+        if not np.isfinite(self.obs_noise_var):
+            raise NumericError("observation noise variance must be finite")
+        if self.obs_noise_var <= 0.0:
+            raise ValueError("observation noise variance must be positive")
         if self.encoder.out_dim != 2 * self.dynamics.latent_dim:
             raise ValueError("encoder output must hold the latent mean and "
                              "log-variance of the dynamics' latent dimension")
@@ -151,18 +153,13 @@ def named_parameters(model: NpcaModel):
     """(name, array) pairs for every trainable tensor, in layout order.
 
     This is the one parameter layout: checkpoints store these arrays
-    under these names, and :func:`flat_parameters` and the gradients
-    concatenate them in this order.  ``enc_mean_*`` and ``enc_logvar_*``
-    are row views of the encoder's output layer."""
+    under these names, and the gradients come in this order.  ``enc_mean_*``
+    and ``enc_logvar_*`` are row views of the encoder's output layer, so
+    a step written into them updates that layer."""
     enc, dec = model.encoder, model.decoder
     names = _parameter_names(len(enc.weights) - 1, len(dec.weights))
     return zip(names, _in_layout(enc.weights, enc.biases, dec.weights,
                                  dec.biases, model.latent_dim))
-
-
-def flat_parameters(model: NpcaModel) -> np.ndarray:
-    """Every trainable tensor raveled into one vector, in layout order."""
-    return np.concatenate([a.ravel() for _, a in named_parameters(model)])
 
 
 def assemble(named, trunk_count: int, dec_count: int, obs_noise_var: float,
@@ -176,19 +173,6 @@ def assemble(named, trunk_count: int, dec_count: int, obs_noise_var: float,
                   [*arrays[1:t:2], np.concatenate((mean_b, logvar_b))])
     decoder = Mlp(arrays[t + 4::2], arrays[t + 5::2])
     return NpcaModel(encoder, decoder, obs_noise_var, dynamics)
-
-
-def unflatten(model: NpcaModel, theta: np.ndarray) -> NpcaModel:
-    """``model`` with its trainable tensors read from the flat vector
-    ``theta`` (layout of :func:`flat_parameters`, copied)."""
-    theta = np.array(theta, dtype=float)
-    named, start = {}, 0
-    for name, a in named_parameters(model):
-        named[name] = theta[start:start + a.size].reshape(a.shape)
-        start += a.size
-    return assemble(named, len(model.encoder.weights) - 1,
-                    len(model.decoder.weights), model.obs_noise_var,
-                    model.dynamics)
 
 
 def _encoder_forward(model: NpcaModel, x: np.ndarray):
@@ -227,8 +211,8 @@ def reparam_sample(mean: np.ndarray, var: np.ndarray,
 def _objective_with_grads(model: NpcaModel, x_i, x_n, noise_i, noise_n,
                           lam=None, coeff_mode: str = "map_plugin",
                           coeff_noise: np.ndarray | None = None):
-    """Objective and flat gradient (layout of :func:`flat_parameters`) for
-    a batch of pairs (or one pair).
+    """Objective and its gradient, one array per trainable tensor in the
+    order of :func:`named_parameters`, for a batch of pairs (or one pair).
 
     The latents are reparameterized from the supplied noise; the encoder
     runs once per frame.  The coefficients are ``lam`` (one row per pair)
@@ -305,9 +289,8 @@ def _objective_with_grads(model: NpcaModel, x_i, x_n, noise_i, noise_n,
         grad_out = np.hstack((grad_z - m, 0.5 * grad_z * np.sqrt(var) * noise
                               - 0.5 * (var - 1.0)))
         enc_w, enc_b, _ = model.encoder.backward(cache, grad_out)
-        grads.append(np.concatenate(
-            [a.ravel() for a in _in_layout(enc_w, enc_b, dec_w, dec_b, d)]))
-    return float(objective), grads[0] + grads[1]
+        grads.append(_in_layout(enc_w, enc_b, dec_w, dec_b, d))
+    return float(objective), [g_i + g_n for g_i, g_n in zip(*grads)]
 
 
 def plugin_coefficients(model: NpcaModel, z_i: np.ndarray, z_n: np.ndarray,
@@ -352,7 +335,6 @@ class NpcaConfig:
     coeff_mode: str = "map_plugin"
     obs_noise_var: float = 0.01
     estimate_lambda: bool = False
-    update_dynamics: bool = True
 
 
 def _glorot(seed, path, rows, cols):
@@ -409,11 +391,12 @@ def linear_warm_start(dataset: ImagePairDataset, latent_dim: int,
     return encoder, decoder
 
 
-def _apply_gradients(model: NpcaModel, grad: np.ndarray, lr: float,
-                     scale: float) -> NpcaModel:
-    """Gradient-ascent step on the flat parameter vector; ``scale``
-    normalizes the summed batch gradient to a mean."""
-    return unflatten(model, flat_parameters(model) + lr * (scale * grad))
+def _apply_gradients(model: NpcaModel, grads: list[np.ndarray], lr: float,
+                     scale: float) -> None:
+    """In-place gradient-ascent step; ``grads`` follow :func:`named_parameters`
+    and ``scale`` normalizes the summed batch gradient to a mean."""
+    for (_, p), g in zip(named_parameters(model), grads):
+        p += lr * (scale * g)
 
 
 def fit(dataset: ImagePairDataset, config: NpcaConfig,
@@ -428,11 +411,14 @@ def fit(dataset: ImagePairDataset, config: NpcaConfig,
     and independent of any parallel schedule; each epoch draws the noise
     of all pairs as one stack of streams.  ``init`` overrides the
     seeded (encoder, decoder) initialization (e.g.
-    :func:`linear_warm_start`).
+    :func:`linear_warm_start`); fit trains copies and leaves it as is.
     """
     d = config.latent_dim
-    encoder, decoder = init if init is not None \
-        else init_networks(dataset.image_dim, config)
+    encoder, decoder = (
+        Mlp([np.array(w, dtype=float, order="C") for w in net.weights],
+            [np.array(b, dtype=float, order="C") for b in net.biases])
+        for net in (init if init is not None
+                    else init_networks(dataset.image_dim, config)))
     dyn = init_model(d, config.j_init, config.seed)
     model = NpcaModel(encoder, decoder, config.obs_noise_var, dyn)
     trace: list[float] = []
@@ -452,20 +438,19 @@ def fit(dataset: ImagePairDataset, config: NpcaConfig,
         total = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            objective, grad = _objective_with_grads(
+            objective, grads = _objective_with_grads(
                 model, dataset.x_i[idx], dataset.x_next[idx],
                 noise[idx, :d], noise[idx, d:], coeff_mode=config.coeff_mode,
                 coeff_noise=None if coeff_noise is None else coeff_noise[idx])
             total += objective
-            model = _apply_gradients(model, grad, config.step_size,
-                                     1.0 / idx.size)
+            _apply_gradients(model, grads, config.step_size, 1.0 / idx.size)
         trace.append(total / n)
         if not np.isfinite(trace[-1]):
             raise NumericError(f"objective diverged at epoch {epoch}")
-        if config.update_dynamics:
-            _, dyn = update_step(model.dynamics,
-                                 encoded_moments(model, dataset).transition,
-                                 config.estimate_lambda, orthogonalize=True)
-            model = NpcaModel(model.encoder, model.decoder,
-                              model.obs_noise_var, dyn)
+        if not all(np.all(np.isfinite(p)) for _, p in named_parameters(model)):
+            raise NumericError(f"network parameters diverged at epoch {epoch}")
+        _, dyn = update_step(model.dynamics,
+                             encoded_moments(model, dataset).transition,
+                             config.estimate_lambda, orthogonalize=True)
+        model = replace(model, dynamics=dyn)
     return model, trace

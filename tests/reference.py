@@ -16,7 +16,9 @@ versions that check them:
   (:func:`quadrature_moments`, with the grid helpers :func:`grid_cube`,
   :func:`grid_dims` and :func:`grid_expect`), self-normalized importance sampling
   (:func:`mc_moments`) and central finite differences
-  (:func:`finite_difference_gradient`).
+  (:func:`finite_difference_gradient`);
+- the flat parameter vector of an npca model (:func:`flat_parameters`,
+  :func:`unflatten`), the layout the finite-difference checks perturb.
 """
 from __future__ import annotations
 
@@ -35,6 +37,7 @@ from lieflow.gaussian import (
     spd_solve,
     symmetrize,
 )
+from lieflow.npca import NpcaModel, assemble, named_parameters
 from lieflow.oracles import GridPosterior, GridSpec, grid_posterior
 from lieflow.ppca import (
     E_STEP_METHODS,
@@ -418,3 +421,25 @@ def finite_difference_gradient(f, point: np.ndarray, h: float = 1e-5) -> np.ndar
             raise NumericError("function is non-finite at a finite-difference stencil point")
         grad.flat[k] = (hi - lo) / (2.0 * h)
     return grad
+
+
+# ---------------------------------------------------------------------------
+# Flat npca parameters
+
+
+def flat_parameters(model: NpcaModel) -> np.ndarray:
+    """Every trainable tensor raveled into one vector, in layout order."""
+    return np.concatenate([a.ravel() for _, a in named_parameters(model)])
+
+
+def unflatten(model: NpcaModel, theta: np.ndarray) -> NpcaModel:
+    """``model`` with its trainable tensors read from the flat vector
+    ``theta`` (layout of :func:`flat_parameters`, copied)."""
+    theta = np.array(theta, dtype=float)
+    named, start = {}, 0
+    for name, a in named_parameters(model):
+        named[name] = theta[start:start + a.size].reshape(a.shape)
+        start += a.size
+    return assemble(named, len(model.encoder.weights) - 1,
+                    len(model.decoder.weights), model.obs_noise_var,
+                    model.dynamics)

@@ -551,6 +551,26 @@ BAD_INPUTS = {
     "npca_checkpoint_without_decoder_layer": (
         lambda tmp: _score(tmp, _npca_checkpoint(tmp, drop=["dec_w0"])),
         2, "'dec_w0'"),
+    "npca_checkpoint_with_huge_layer_count": (
+        lambda tmp: _score(tmp, _npca_checkpoint(
+            tmp, enc_trunk_count=np.float64(1e300))),
+        2, "'enc_trunk_count'"),
+    "npca_checkpoint_with_negative_layer_count": (
+        lambda tmp: _score(tmp, _npca_checkpoint(
+            tmp, enc_trunk_count=np.float64(-1))),
+        2, "'enc_trunk_count'"),
+    "npca_checkpoint_with_fractional_layer_count": (
+        lambda tmp: _score(tmp, _npca_checkpoint(
+            tmp, dec_count=np.float64(1.5))),
+        2, "'dec_count'"),
+    "npca_checkpoint_with_nan_layer_count": (
+        lambda tmp: _score(tmp, _npca_checkpoint(
+            tmp, dec_count=np.float64(np.nan))),
+        4, "'dec_count'", "finite"),
+    "npca_checkpoint_with_nan_sigma2": (
+        lambda tmp: _score(tmp, _npca_checkpoint(
+            tmp, sigma2=np.float64(np.nan))),
+        4, "finite"),
     "ppca_checkpoint_with_nan_mean": (
         lambda tmp: _score(tmp, _checkpoint(
             tmp, ["--estimator", "ppca"], mu=np.array([0.0, np.nan, 0.0, 0.0]))),

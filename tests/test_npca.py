@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lieflow import rng
+from lieflow import npca, rng
 from lieflow.cli import _checkpoint_npca, _dynamics_arrays, _npca_arrays
 from lieflow.dynamics import DynamicsModel, init_model, m_step_dynamics
 from lieflow.gaussian import NumericError
@@ -16,21 +16,21 @@ from lieflow.npca import (
     Mlp,
     NpcaConfig,
     NpcaModel,
+    _apply_gradients,
     _objective_with_grads,
     decode,
     encode,
     encoded_moments,
     fit,
-    flat_parameters,
     init_networks,
+    linear_warm_start,
     named_parameters,
     plugin_coefficients,
     reparam_sample,
-    unflatten,
 )
 from lieflow.synth import ImagePairDataset, SequenceSpec, generate_image_pairs, subspace_angle
 from lieflow.tensorfile import read_tensors, write_tensors
-from reference import grid_cube
+from reference import flat_parameters, grid_cube, unflatten
 
 
 def small_model(seed=0, data_dim=4, latent_dim=2, hidden=(5,), j=1,
@@ -140,6 +140,36 @@ def test_parameter_layout_round_trips_bit_exactly(data_dim, latent_dim, hidden,
         assert b.tobytes() == a.tobytes()
 
 
+@settings(max_examples=40, deadline=None)
+@given(data_dim=st.integers(1, 6), latent_dim=st.integers(1, 3),
+       hidden=st.lists(st.integers(1, 5), max_size=3),
+       seed=st.integers(0, 2 ** 16),
+       lr=st.floats(1e-6, 1.0), scale=st.floats(1e-3, 1.0))
+def test_in_place_step_equals_the_flat_vector_step(data_dim, latent_dim,
+                                                   hidden, seed, lr, scale):
+    cfg = NpcaConfig(latent_dim=latent_dim, hidden_sizes=tuple(hidden),
+                     seed=seed)
+    template = NpcaModel(*init_networks(data_dim, cfg), 0.01,
+                         init_model(latent_dim, 1, seed))
+    size = flat_parameters(template).size
+    model = unflatten(template, rng.normals(seed, (99,), size))
+    flat_grad = rng.normals(seed, (98,), size)
+    grads, start = [], 0
+    for _, a in named_parameters(model):
+        grads.append(flat_grad[start:start + a.size].reshape(a.shape))
+        start += a.size
+    expected = flat_parameters(model) + lr * (scale * flat_grad)
+    head = model.encoder.weights[-1]
+    _apply_gradients(model, grads, lr, scale)
+    assert np.array_equal(flat_parameters(model), expected)
+    # the mean and log-variance rows were written through to the stacked
+    # output layer the encoder runs
+    p = dict(named_parameters(model))
+    assert model.encoder.weights[-1] is head
+    assert np.array_equal(head, np.vstack((p["enc_mean_w"],
+                                           p["enc_logvar_w"])))
+
+
 class TestGradients:
     @pytest.mark.parametrize("seed", range(5))
     def test_all_parameter_gradients_match_finite_differences(self, seed):
@@ -163,6 +193,7 @@ class TestGradients:
 
         theta = flat_parameters(model)
         _, grad = objective(theta)
+        grad = np.concatenate([g.ravel() for g in grad])
         h = 1e-4
         fd = np.zeros_like(theta)
         for k in range(theta.size):
@@ -324,13 +355,46 @@ class TestFit:
         data, _ = generate_image_pairs(spec, embedding="linear")
         cfg = NpcaConfig(latent_dim=2, hidden_sizes=(), epochs=3000,
                          batch_size=60, step_size=5e-5, seed=4,
-                         update_dynamics=False, obs_noise_var=0.02 ** 2)
+                         obs_noise_var=0.02 ** 2)
         model, trace = fit(data, cfg)
         mean, _ = encode(model, data.x_i)
         rec = decode(model, mean)
         mse = np.mean((rec - data.x_i) ** 2)
         assert mse < 2 * 0.02 ** 2
         assert trace[-1] > trace[0]
+
+    def test_warm_start_arrays_are_left_unchanged(self):
+        spec = SequenceSpec(group_kind="rotation2d", lambda_scale=0.05,
+                            noise_std=0.05, pair_count=20, seed=19,
+                            height=2, width=3)
+        data, _ = generate_image_pairs(spec, embedding="linear")
+        init = linear_warm_start(data, 2, 1e-2)
+        before = [a.copy() for net in init for a in (*net.weights, *net.biases)]
+        cfg = NpcaConfig(latent_dim=2, hidden_sizes=(), epochs=2,
+                         batch_size=8, step_size=1e-3, seed=7)
+        fit(data, cfg, init=init)
+        after = [a for net in init for a in (*net.weights, *net.biases)]
+        assert all(np.array_equal(a, b) for a, b in zip(before, after,
+                                                        strict=True))
+
+    def test_non_finite_gradient_raises(self, monkeypatch):
+        # a finite objective, so only the parameter check can fire; the
+        # gradient reaches no encoder tensor, so encoding stays finite too
+        def finite_objective_infinite_decoder_bias(model, *args, **kwargs):
+            grads = [np.zeros_like(a) for _, a in named_parameters(model)]
+            grads[-1][:] = np.inf
+            return 0.0, grads
+
+        monkeypatch.setattr(npca, "_objective_with_grads",
+                            finite_objective_infinite_decoder_bias)
+        spec = SequenceSpec(group_kind="rotation2d", lambda_scale=0.05,
+                            noise_std=0.05, pair_count=12, seed=20,
+                            height=2, width=3)
+        data, _ = generate_image_pairs(spec, embedding="linear")
+        cfg = NpcaConfig(latent_dim=2, hidden_sizes=(4,), epochs=1,
+                         batch_size=6, seed=8)
+        with pytest.raises(NumericError, match="parameters"):
+            fit(data, cfg)
 
     def test_epoch_trend_non_decreasing_on_average(self):
         spec = SequenceSpec(group_kind="rotation2d", lambda_scale=0.05,
