@@ -94,9 +94,9 @@ def _load_latent_dataset(arrays) -> PairDataset:
 def _load_image_dataset(arrays) -> ImagePairDataset:
     if "x_i" not in arrays or "x_next" not in arrays:
         raise UsageError("dataset does not contain image pairs (x_i, x_next)")
-    return ImagePairDataset(arrays["x_i"], arrays["x_next"],
-                            int(arrays.get("height", np.float64(1))),
-                            int(arrays.get("width", np.float64(1))))
+    height, width = (_scalar(arrays, name, 1) if name in arrays else 1
+                     for name in ("height", "width"))
+    return ImagePairDataset(arrays["x_i"], arrays["x_next"], height, width)
 
 
 def _dynamics_arrays(model: DynamicsModel) -> dict[str, np.ndarray]:
@@ -176,27 +176,31 @@ def _checkpoint_dynamics(ck) -> DynamicsModel:
     return DynamicsModel(GeneratorBasis(ck["G"]), ck["Omega"], ck["Lambda"])
 
 
-def _checkpoint_ppca(ck) -> ppca.PpcaModel:
-    return ppca.PpcaModel(ck["W"], ck["mu"], float(ck["sigma2"]),
-                          _checkpoint_dynamics(ck))
-
-
-def _layer_count(ck, name: str, least: int, most: int) -> int:
-    """``ck[name]`` as a whole number in ``[least, most]``."""
-    value = float(ck[name])
+def _scalar(arrays, name: str, least=None, most=np.inf) -> float | int:
+    """The finite scalar ``arrays[name]`` of a file; given ``least``, a
+    whole number in ``[least, most]``, returned as an int."""
+    shape = np.shape(arrays[name])
+    if shape != ():
+        raise UsageError(f"array {name!r} must be a scalar, not of shape {shape}")
+    value = float(arrays[name])
     if not np.isfinite(value):
-        raise NumericError(f"checkpoint array {name!r} must be finite")
-    if not (least <= value <= most and value == int(value)):
-        raise UsageError(f"checkpoint array {name!r} must be a whole number "
+        raise NumericError(f"array {name!r} must be finite")
+    if least is not None and not (least <= value <= most and value == int(value)):
+        raise UsageError(f"array {name!r} must be a whole number "
                          f"in [{least}, {most}], got {value!r}")
-    return int(value)
+    return value if least is None else int(value)
+
+
+def _checkpoint_ppca(ck) -> ppca.PpcaModel:
+    return ppca.PpcaModel(ck["W"], ck["mu"], _scalar(ck, "sigma2"),
+                          _checkpoint_dynamics(ck))
 
 
 def _checkpoint_npca(ck) -> npca.NpcaModel:
     # each layer holds arrays of the file, which bounds the counts
-    trunk = _layer_count(ck, "enc_trunk_count", 0, len(ck))
-    dec = _layer_count(ck, "dec_count", 1, len(ck) - trunk)
-    return npca.assemble(ck, trunk, dec, float(ck["sigma2"]),
+    trunk = _scalar(ck, "enc_trunk_count", 0, len(ck))
+    dec = _scalar(ck, "dec_count", 1, len(ck) - trunk)
+    return npca.assemble(ck, trunk, dec, _scalar(ck, "sigma2"),
                          _checkpoint_dynamics(ck))
 
 
@@ -210,7 +214,7 @@ class _Checkpoint(dict):
 def _read_checkpoint(path) -> tuple[_Checkpoint, str]:
     """The checkpoint's arrays and the estimator that wrote them."""
     ck = _Checkpoint(read_tensors(path))
-    code = float(ck.get("estimator", np.float64(0)))
+    code = _scalar(ck, "estimator") if "estimator" in ck else 0.0
     for estimator, value in _ESTIMATOR_CODES.items():
         if value == code:
             return ck, estimator
@@ -249,7 +253,7 @@ def cmd_eval(opts) -> int:
         mse = float(np.mean((recon - data.x_i) ** 2))
         rows.append(("reconstruction_mse", mse))
     if "final_objective" in ck:
-        rows.append(("final_objective", float(ck["final_objective"])))
+        rows.append(("final_objective", _scalar(ck, "final_objective")))
     _write_csv(opts["out"], "metric,value", rows)
     for name, value in rows:
         print(f"{name}={_fmt(value)}")

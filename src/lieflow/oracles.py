@@ -2,8 +2,8 @@
 
 The quadrature E-step of :mod:`lieflow.ppca` (``estep="quadrature"``,
 ``--estep quadrature`` on the command line) normalizes each pair's
-joint posterior on a box with :func:`grid_posterior` and takes its
-moments from the normalized node weights.  Grids are size-limited (at
+posterior over ``(z_i, lambda)`` on a box with :func:`grid_posterior`
+and takes its moments from the normalized node weights.  Grids are size-limited (at
 most ``MAX_GRID_NODES`` nodes) and a box whose faces carry
 non-negligible density raises :class:`BoxTooSmallError`.  The
 brute-force references the tests check the closed-form code against

@@ -7,11 +7,14 @@ noise``, with isotropic observation noise of variance ``sigma^2``.
 
 The joint posterior over ``(z_i, lambda, z_next)`` is non-Gaussian (the
 transition couples ``z_i`` and ``lambda`` bilinearly), so the E-step
-offers three backends: tensor-grid quadrature (exact to grid resolution,
-tiny dimensions only), a mean-field fixed point cycling the three
-closed-form conditionals (production default) and self-normalized
-importance sampling (cross-check), chosen by ``PpcaConfig.estep`` and
-tuned by the same config's ``grid_points``, ``mc_samples`` and ``seed``.
+offers three backends: tensor-grid quadrature over ``(z_i, lambda)``
+(exact to grid resolution, small dimensions only), a mean-field fixed
+point cycling the three closed-form conditionals (production default)
+and self-normalized importance sampling (cross-check), chosen by
+``PpcaConfig.estep`` and tuned by the same config's ``grid_points``,
+``mc_samples`` and ``seed``.  Given ``(z_i, lambda)`` the pair is
+linear-Gaussian, so quadrature and sampling both integrate ``z_next``
+out in closed form with one helper (:func:`_next_frame`).
 All three start from the frames' closed-form latent posteriors
 ``N(S W^T (x - mu) / sigma^2, S)`` with ``S = (I + W^T W / sigma^2)^-1``,
 which one function forms (:func:`posterior_z_given_x`), one product per
@@ -44,7 +47,6 @@ from .gaussian import (
     spd_solve,
     stacked_posterior,
     symmetrize,
-    triangular_solve,
 )
 from .synth import ImagePairDataset
 
@@ -54,8 +56,8 @@ E_STEP_METHODS = ("quadrature", "fixed_point", "monte_carlo")
 # block moments below which that pair stops
 FIXED_POINT_ITERS = 500
 FIXED_POINT_TOL = 1e-10
-# quadrature box: half-width in marginal stds of the linearized joint
-# posterior, after inflating those stds by GRID_INFLATION
+# quadrature box: half-width in marginal stds of the linearized posterior
+# over (z_i, lambda), after inflating those stds by GRID_INFLATION
 GRID_SIGMAS = 8.0
 GRID_INFLATION = 1.5
 
@@ -230,11 +232,11 @@ def _moments_from_blocks(m_zi, cov_zi, m_zn, cov_zn, q, k) -> LatentMoments:
 
 
 def _weighted_moments(p: np.ndarray, zi: np.ndarray, lam: np.ndarray,
-                      zn: np.ndarray, zn_cov=0.0) -> dict[str, np.ndarray]:
-    """Moments of one pair from weighted nodes or samples ``(zi, lam,
-    zn)``, with that pair's terms of the transition statistics;
-    ``zn_cov`` is the covariance of ``z_next`` left around each ``zn``
-    when it was integrated out in closed form."""
+                      zn: np.ndarray, zn_cov: np.ndarray) -> dict[str, np.ndarray]:
+    """Moments of one pair from weighted nodes or samples ``(zi, lam)``,
+    with that pair's terms of the transition statistics; ``z_next`` is
+    integrated out at each node in closed form, to mean ``zn`` and the
+    covariance ``zn_cov`` shared by all nodes."""
     d, j = zi.shape[1], lam.shape[1]
     dz = zn - zi
     zl = np.einsum("ma,mj->maj", zi, lam).reshape(-1, d * j)
@@ -269,8 +271,7 @@ def _frozen_coefficient_blocks(model: PpcaModel, x_i: np.ndarray,
     point, but arbitrarily slowly as the transition noise shrinks.)
     """
     w = model.loading
-    d = model.latent_dim
-    j = model.dynamics.coeff_count
+    d, j = model.latent_dim, model.dynamics.coeff_count
     n = x_i.shape[0]
     (info_i, info_n), ppca_prec, _, _ = _frame_posteriors(
         model, np.stack([x_i, x_n]))
@@ -302,7 +303,6 @@ def _fixed_point_blocks(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray
     so a pair's result does not depend on which other pairs share the
     block (nor, therefore, on the thread count).
     """
-    w = model.loading
     d, j = model.latent_dim, model.dynamics.coeff_count
     n = x_i.shape[0]
     basis = model.dynamics.basis
@@ -313,8 +313,7 @@ def _fixed_point_blocks(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray
         model, np.stack([x_i, x_n]))
     omega_prec = cholesky_inverse(model.dynamics.trans_chol)
     lam_prec = cholesky_inverse(model.dynamics.coeff_prior_chol)
-    gamma = cholesky_inverse(spd_cholesky(
-        omega_prec + (w.T @ w) / model.noise_var))
+    gamma = _next_frame_cov(model)
 
     # one row per pair: m_zi, m_zn, q, cov_zi, k
     state = np.hstack([u_i, u_n, np.zeros((n, j)),
@@ -352,104 +351,105 @@ def _fixed_point_blocks(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray
         f"iterations (residual {residual.max():.3e})")
 
 
-def _linearized_joint_cov(basis: liealg.GeneratorBasis, prior: np.ndarray,
-                          omega_prec: np.ndarray, m_zi: np.ndarray,
-                          q: np.ndarray) -> np.ndarray:
-    """Covariance of the joint posterior over ``(z_i, lambda, z_next)``
-    with the bilinear transition residual ``z_next - B z_i - A lambda``
-    linearized at the supplied means; ``prior`` holds the precision
-    blocks that do not depend on the pair, ``omega_prec`` is
-    ``Omega^{-1}``.  Used to size quadrature boxes."""
-    d = basis.latent_dim
-    jac = np.hstack([np.eye(d) + liealg.combine(basis, q),
-                     liealg.assemble_A(basis, m_zi), -np.eye(d)])
-    return spd_inverse(symmetrize(prior + jac.T @ omega_prec @ jac))
+def _next_frame_cov(model: PpcaModel) -> np.ndarray:
+    """``Gamma = (Omega^-1 + W^T W / sigma^2)^-1``, the covariance of
+    ``z_next`` given ``(z_i, lambda, x_next)`` at every ``(z_i, lambda)``."""
+    return cholesky_inverse(spd_cholesky(
+        cholesky_inverse(model.dynamics.trans_chol)
+        + (model.loading.T @ model.loading) / model.noise_var))
+
+
+def _next_frame(model: PpcaModel, zi: np.ndarray, lam: np.ndarray,
+                xc_n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``z_next`` integrated out at nodes ``(zi, lam)`` given the centred
+    next frame ``xc_n``: with ``drift = z_i + A(z_i) lambda``, each node's
+    ``log N(xc_n | W drift, R)``, ``R = sigma^2 I + W Omega W^T``, and
+    ``E[z_next | node, x_next] = (W^T xc_n / sigma^2 + Omega^-1 drift)
+    Gamma`` (``Gamma`` is :func:`_next_frame_cov`)."""
+    w, sig2 = model.loading, model.noise_var
+    drift = liealg.apply_first_order(model.dynamics.basis, lam, zi)
+    resid_chol = spd_cholesky(sig2 * np.eye(model.data_dim)
+                              + w @ model.dynamics.trans_cov @ w.T)
+    omega_prec = cholesky_inverse(model.dynamics.trans_chol)
+    return (cholesky_log_density(resid_chol, xc_n - drift @ w.T),
+            (xc_n @ w / sig2 + drift @ omega_prec) @ _next_frame_cov(model))
 
 
 def _quadrature_e_step(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray,
                        config: PpcaConfig) -> tuple[LatentMoments, float]:
     """Grid-exact moments of every pair, plus the sum over the pairs of
-    ``log p(x_next | x_i)`` (the normalizers of the integrands)."""
+    ``log p(x_next | x_i)`` (the normalizers of the integrands).  Each
+    pair's grid spans ``(z_i, lambda)``, ``d + J`` axes: the integrand is
+    the ``z_i`` prior times the coefficient prior times the next frame's
+    likelihood with ``z_next`` integrated out (:func:`_next_frame`)."""
     from .oracles import BoxTooSmallError, GridSpec, grid_posterior
 
     d, j = model.latent_dim, model.dynamics.coeff_count
-    dims = 2 * d + j
-    w = model.loading
-    sig2 = model.noise_var
-    big_d = model.data_dim
+    basis = model.dynamics.basis
 
     # center each box on the (cheap) mean-field solution; size it from the
-    # marginal stds of the joint Gaussian linearized at that solution
-    # (the factor stds alone understate marginal spread when the
-    # transition couples the blocks tightly)
-    mf_zi, _, mf_zn, _, mf_q, _ = _fixed_point_blocks(model, x_i, x_n)
-    centers = np.concatenate([mf_zi, mf_q, mf_zn], axis=1)
+    # marginal stds of the Gaussian over (z_i, lambda) with the transition
+    # linearized at that solution (the factor stds alone understate
+    # marginal spread when the transition couples the blocks tightly)
+    mf_zi, _, _, _, mf_q, _ = _fixed_point_blocks(model, x_i, x_n)
     _, zi_prec, prior_means, prior_cov = _frame_posteriors(model, x_i)
     zi_chol = spd_cholesky(prior_cov)
     lam_chol = model.dynamics.coeff_prior_chol
-    omega_chol = model.dynamics.trans_chol
-    prior = np.zeros((dims, dims))
+    prior = np.zeros((d + j, d + j))
     prior[:d, :d] = zi_prec
-    prior[d:d + j, d:d + j] = cholesky_inverse(lam_chol)
-    prior[d + j:, d + j:] = (w.T @ w) / sig2
-    omega_prec = cholesky_inverse(omega_chol)
+    prior[d:, d:] = cholesky_inverse(lam_chol)
+    # the precision W^T R^-1 W of the drift, by the matrix inversion lemma
+    omega_prec = cholesky_inverse(model.dynamics.trans_chol)
+    gamma = _next_frame_cov(model)
+    drift_prec = omega_prec - omega_prec @ gamma @ omega_prec
 
     parts, log_norm = [], 0.0
-    for prior_mean, xc_n, center, m_zi, q in zip(
-            prior_means, x_n - model.data_mean, centers, mf_zi, mf_q):
-        stds = GRID_INFLATION * np.sqrt(np.diag(_linearized_joint_cov(
-            model.dynamics.basis, prior, omega_prec, m_zi, q)))
+    for prior_mean, xc_n, m_zi, q in zip(
+            prior_means, x_n - model.data_mean, mf_zi, mf_q):
+        jac = np.hstack([np.eye(d) + liealg.combine(basis, q),
+                         liealg.assemble_A(basis, m_zi)])
+        stds = GRID_INFLATION * np.sqrt(np.diag(spd_inverse(
+            symmetrize(prior + jac.T @ drift_prec @ jac))))
+        center = np.concatenate([m_zi, q])
+        found = {}   # E[z_next | node, x_next] on the last grid evaluated
 
         def log_target(nodes):
-            zi = nodes[:, :d]
-            lam = nodes[:, d:d + j]
-            zn = nodes[:, d + j:]
-            drift = liealg.apply_first_order(model.dynamics.basis, lam, zi)
-            recon = xc_n[None, :] - zn @ w.T
+            zi, lam = nodes[:, :d], nodes[:, d:]
+            log_lik, found["m_zn"] = _next_frame(model, zi, lam, xc_n)
             return (cholesky_log_density(zi_chol, zi - prior_mean)
-                    + cholesky_log_density(lam_chol, lam)
-                    + cholesky_log_density(omega_chol, zn - drift)
-                    - 0.5 * (big_d * np.log(2.0 * np.pi * sig2)
-                             + np.sum(recon * recon, axis=1) / sig2))
+                    + cholesky_log_density(lam_chol, lam) + log_lik)
 
         # the boundary-mass diagnostic governs the box: widen and retry
         # when the linearized sizing underestimates the posterior spread
         for attempt in range(3):
             half = GRID_SIGMAS * stds * 2.0 ** attempt
             grid = GridSpec(center - half, center + half,
-                            np.full(dims, config.grid_points))
+                            np.full(d + j, config.grid_points))
             try:
                 post = grid_posterior(log_target, grid)
                 break
             except BoxTooSmallError:
                 if attempt == 2:
                     raise
-        nodes = post.nodes
-        parts.append(_weighted_moments(post.probs, nodes[:, :d],
-                                       nodes[:, d:d + j], nodes[:, d + j:]))
+        parts.append(_weighted_moments(post.probs, post.nodes[:, :d],
+                                       post.nodes[:, d:], found["m_zn"], gamma))
         log_norm += post.log_norm
     return _stack_moments(parts), log_norm
 
 
 def _monte_carlo_e_step(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray,
                         config: PpcaConfig, streams) -> LatentMoments:
-    """Self-normalized sampling from ``q(z_i | x_i) p(lambda)`` with the
-    next-frame latent integrated out in closed form per draw; pair ``k``
-    draws from the random streams of ``config.seed`` keyed by
-    ``streams[k]``."""
+    """Self-normalized sampling from ``q(z_i | x_i) p(lambda)``, weighted
+    by the next frame's likelihood with ``z_next`` integrated out in
+    closed form per draw (:func:`_next_frame`); pair ``k`` draws from the
+    random streams of ``config.seed`` keyed by ``streams[k]``."""
     d, j = model.latent_dim, model.dynamics.coeff_count
-    w = model.loading
-    sig2 = model.noise_var
     s, seed = config.mc_samples, config.seed
 
     prior_means, prior_cov = posterior_z_given_x(model, x_i)
     zi_chol = spd_cholesky(prior_cov)
     lam_chol = model.dynamics.coeff_prior_chol
-    # weight: x_next likelihood with z_next marginalized out
-    resid_chol = spd_cholesky(sig2 * np.eye(model.data_dim)
-                              + w @ model.dynamics.trans_cov @ w.T)
-    omega_prec = cholesky_inverse(model.dynamics.trans_chol)
-    gamma = cholesky_inverse(spd_cholesky(omega_prec + (w.T @ w) / sig2))
+    gamma = _next_frame_cov(model)
     parts = []
     for prior_mean, xc_n, stream in zip(prior_means, x_n - model.data_mean,
                                         streams):
@@ -457,17 +457,13 @@ def _monte_carlo_e_step(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray,
             seed, (_TAG_MC_Z, *stream), (s, d)) @ zi_chol.T
         lam = rng.normal_matrix(seed, (_TAG_MC_LAM, *stream), (s, j)) \
             @ lam_chol.T
-        drift = liealg.apply_first_order(model.dynamics.basis, lam, zi)
-        resid = xc_n[None, :] - drift @ w.T
-        white = triangular_solve(resid_chol, resid.T)
-        log_w = -0.5 * np.sum(white * white, axis=0)
+        log_w, m_zn = _next_frame(model, zi, lam, xc_n)
         probs = np.exp(log_w - log_w.max())
         probs /= probs.sum()
         ess = float(1.0 / np.sum(probs ** 2))
         if ess < 0.01 * s:
             raise NumericError(f"monte-carlo E-step degenerate "
                                f"(effective sample size {ess:.1f} of {s})")
-        m_zn = (xc_n @ w / sig2 + drift @ omega_prec) @ gamma
         parts.append(_weighted_moments(probs, zi, lam, m_zn, gamma))
     return _stack_moments(parts)
 

@@ -412,10 +412,13 @@ def test_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
-def _image_data(tmp_path):
+def _image_data(tmp_path, **extra):
+    """A 20-pair 1x4 image dataset with arrays replaced or added."""
     out = tmp_path / "img.lf"
     assert run(["generate", "--mode", "image", "--height", "1", "--width", "4",
                 "--n", "20", "--out", str(out)]) == 0
+    if extra:
+        write_tensors(out, read_tensors(out) | extra)
     return out
 
 
@@ -571,6 +574,17 @@ BAD_INPUTS = {
         lambda tmp: _score(tmp, _npca_checkpoint(
             tmp, sigma2=np.float64(np.nan))),
         4, "finite"),
+    "ppca_checkpoint_with_vector_sigma2": (
+        lambda tmp: _score(tmp, _checkpoint(
+            tmp, ["--estimator", "ppca"], sigma2=np.array([0.1, 0.1]))),
+        2, "'sigma2'", "scalar"),
+    "vector_image_height": (
+        lambda tmp: ["fit", "--estimator", "ppca", "--data", str(
+            _image_data(tmp, height=np.array([4.0, 4.0])))], 2, "'height'"),
+    "nan_image_height": (
+        lambda tmp: ["fit", "--estimator", "ppca", "--data", str(
+            _image_data(tmp, height=np.float64(np.nan)))],
+        4, "'height'", "finite"),
     "ppca_checkpoint_with_nan_mean": (
         lambda tmp: _score(tmp, _checkpoint(
             tmp, ["--estimator", "ppca"], mu=np.array([0.0, np.nan, 0.0, 0.0]))),
@@ -586,7 +600,7 @@ BAD_INPUTS = {
     "nan_roll_t_max": (lambda tmp: _roll(tmp, "--t-max", "nan"), 2, "--t-max"),
     "quadrature_grid_over_budget": (
         lambda tmp: ["fit", "--estimator", "ppca", "--estep", "quadrature",
-                     "--d", "2", "--j", "1", "--data", str(_noisy_images(tmp))],
+                     "--d", "3", "--j", "2", "--data", str(_noisy_images(tmp))],
         2, "1073741824 nodes", "--estep fixed-point"),
     # config values are checked exactly like flags
     "config_float_pair_count": (

@@ -25,6 +25,7 @@ from lieflow.ppca import (
     _fixed_point_blocks,
     _frozen_coefficient_blocks,
     _moments_from_blocks,
+    _quadrature_e_step,
     expected_complete_data_ll,
     fit,
     init_loading,
@@ -256,6 +257,27 @@ class TestEStepJoint:
         model, x_i, x_n = tiny_joint_instance(14)
         with pytest.raises(ValueError):
             e_step_joint(model, x_i, x_n, method="variational")
+
+
+@pytest.mark.parametrize("seed", range(30, 35))
+def test_quadrature_evidence_is_exact_for_a_zero_generator_basis(seed):
+    # with every generator zero the pair is linear-Gaussian:
+    # p(x_next | x_i) = N(W m + mu, W (S + Omega) W^T + sigma^2 I) with
+    # (m, S) the frame posterior of x_i
+    model, x_i, x_n = tiny_joint_instance(seed)
+    dyn = model.dynamics
+    model = PpcaModel(model.loading, model.data_mean, model.noise_var,
+                      DynamicsModel(GeneratorBasis(np.zeros((1, 1, 1))),
+                                    dyn.trans_cov, dyn.coeff_prior_cov))
+    _, log_norm = _quadrature_e_step(model, x_i[None], x_n[None], PpcaConfig(
+        estep="quadrature", grid_points=72))
+    m, s = posterior_z_given_x(model, x_i)
+    w = model.loading
+    cov = w @ (s + dyn.trans_cov) @ w.T + model.noise_var * np.eye(3)
+    resid = x_n - w @ m - model.data_mean
+    exact = -0.5 * (resid @ np.linalg.solve(cov, resid)
+                    + np.linalg.slogdet(cov)[1] + 3 * np.log(2.0 * np.pi))
+    assert abs(log_norm - exact) <= 1e-12 * abs(exact)
 
 
 class TestCanonicalForm:
@@ -606,6 +628,20 @@ class TestFit:
             latent_dim=1, j_init=1, estep="quadrature", max_iters=25,
             tol=0.0, seed=1, grid_points=48))
         trace = np.array(trace)
+        rel = np.diff(trace) / np.abs(trace[:-1])
+        assert rel.min() >= -1e-8
+
+    def test_two_dim_quadrature_estep_trace_monotone(self):
+        # the grid spans (z_i, lambda) only: 32**3 nodes at d=2, J=1
+        spec = SequenceSpec(group_kind="rotation2d", lambda_scale=0.1,
+                            noise_std=0.05, pair_count=3, seed=3,
+                            height=4, width=4)
+        data, _ = generate_image_pairs(spec, embedding="linear")
+        _, trace = fit(data, PpcaConfig(
+            latent_dim=2, j_init=1, estep="quadrature", max_iters=4,
+            tol=0.0, seed=1, estimate_lambda=True, grid_points=32))
+        trace = np.array(trace)
+        assert trace.size == 4
         rel = np.diff(trace) / np.abs(trace[:-1])
         assert rel.min() >= -1e-8
 

@@ -90,3 +90,20 @@ def test_every_public_library_name_has_a_caller_outside_the_tests():
               for qualified, name in _public_definitions(module, tree)
               if name not in used and not re.search(rf"\b{name}\b", bench)]
     assert not unused, f"library names only the tests call: {unused}"
+
+
+def test_library_imports_only_numpy_and_the_standard_library():
+    # the library needs numpy only; function-level imports count too
+    allowed = {"numpy", *sys.stdlib_module_names}
+    foreign = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}: {name}" for name in names
+                        if name.split(".")[0] not in allowed]
+    assert not foreign, f"imports outside numpy and the standard library: {foreign}"
