@@ -94,8 +94,9 @@ def _load_latent_dataset(arrays) -> PairDataset:
 def _load_image_dataset(arrays) -> ImagePairDataset:
     if "x_i" not in arrays or "x_next" not in arrays:
         raise UsageError("dataset does not contain image pairs (x_i, x_next)")
-    height, width = (_scalar(arrays, name, 1) if name in arrays else 1
-                     for name in ("height", "width"))
+    width = np.atleast_2d(arrays["x_i"]).shape[1]   # by default one pixel row
+    height, width = (_scalar(arrays, name, 1) if name in arrays else default
+                     for name, default in (("height", 1), ("width", width)))
     return ImagePairDataset(arrays["x_i"], arrays["x_next"], height, width)
 
 
@@ -191,17 +192,24 @@ def _scalar(arrays, name: str, least=None, most=np.inf) -> float | int:
     return value if least is None else int(value)
 
 
-def _checkpoint_ppca(ck) -> ppca.PpcaModel:
-    return ppca.PpcaModel(ck["W"], ck["mu"], _scalar(ck, "sigma2"),
-                          _checkpoint_dynamics(ck))
-
-
 def _checkpoint_npca(ck) -> npca.NpcaModel:
     # each layer holds arrays of the file, which bounds the counts
     trunk = _scalar(ck, "enc_trunk_count", 0, len(ck))
     dec = _scalar(ck, "dec_count", 1, len(ck) - trunk)
     return npca.assemble(ck, trunk, dec, _scalar(ck, "sigma2"),
                          _checkpoint_dynamics(ck))
+
+
+def _image_maps(ck, estimator: str):
+    """The frame -> latent-mean map (ppca posterior or npca encoder means)
+    and the latent -> frame map of an image checkpoint, over stacks."""
+    if estimator == "ppca":
+        m = ppca.PpcaModel(ck["W"], ck["mu"], _scalar(ck, "sigma2"),
+                           _checkpoint_dynamics(ck))
+        return (lambda x: ppca.posterior_z_given_x(m, x)[0],
+                lambda z: z @ m.loading.T + m.data_mean)
+    m = _checkpoint_npca(ck)
+    return lambda x: npca.encode(m, x)[0], lambda z: npca.decode(m, z)
 
 
 class _Checkpoint(dict):
@@ -242,14 +250,8 @@ def cmd_eval(opts) -> int:
         rows.append(("predictive_log_density", float(ll)))
     else:
         data = _load_image_dataset(arrays)
-        if estimator == "ppca":
-            model = _checkpoint_ppca(ck)
-            latents, _ = ppca.posterior_z_given_x(model, data.x_i)
-            recon = latents @ model.loading.T + model.data_mean
-        else:
-            model = _checkpoint_npca(ck)
-            mean, _ = npca.encode(model, data.x_i)
-            recon = npca.decode(model, mean)
+        encode, decode = _image_maps(ck, estimator)
+        recon = decode(encode(data.x_i))
         mse = float(np.mean((recon - data.x_i) ** 2))
         rows.append(("reconstruction_mse", mse))
     if "final_objective" in ck:
@@ -304,18 +306,11 @@ def cmd_roll(opts) -> int:
     data = (_load_latent_dataset if latent else _load_image_dataset)(arrays)
     if not 0 <= k < data.count:
         raise UsageError(f"pair index {k} out of range")
-    decoder = None
     if latent:
         z0, z1 = data.z_i[k], data.z_next[k]
-    elif estimator == "ppca":
-        model = _checkpoint_ppca(ck)
-        (z0, z1), _ = ppca.posterior_z_given_x(
-            model, np.stack([data.x_i[k], data.x_next[k]]))
-        decoder = lambda z: model.loading @ z + model.data_mean
     else:
-        model = _checkpoint_npca(ck)
-        z0, z1 = (npca.encode(model, x[k])[0] for x in (data.x_i, data.x_next))
-        decoder = lambda z: npca.decode(model, z)
+        encode, decode = _image_maps(ck, estimator)
+        z0, z1 = encode(np.stack([data.x_i[k], data.x_next[k]]))
 
     lam_hat = _infer_roll_coefficients(dynamics, z0, z1)
     t_max = opts["t_max"] if opts["t_max"] is not None else \
@@ -324,8 +319,8 @@ def cmd_roll(opts) -> int:
     gen = liealg.combine(dynamics.basis, lam_hat)
     traj = liealg.matrix_exp(ts[:, None, None] * gen) @ z0
     out_arrays = {"t": ts, "z_traj": traj, "lambda_hat": lam_hat}
-    if decoder is not None:
-        out_arrays["x_traj"] = np.stack([decoder(z) for z in traj])
+    if not latent:
+        out_arrays["x_traj"] = decode(traj)
     write_tensors(opts["out"], out_arrays)
     csv_path = opts["csv_out"] or opts["out"] + ".csv"
     _write_csv(csv_path, "step,t,z_norm",

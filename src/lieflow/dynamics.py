@@ -9,7 +9,10 @@ for the flattened generator block and refreshes the noise covariance.
 The E-step and the marginal likelihood share one J x J posterior
 precision per pair (:func:`_pair_precision`), factorized for all pairs
 at once, so an iteration costs O(N d^2 J) with no per-pair d x d
-factorization.
+factorization.  :class:`DynamicsModel` forms the Cholesky factors,
+inverses and log-determinants of Omega and Lambda once, when it is
+built; the E-steps, objectives and gradients of the three estimators
+read them instead of deriving them again.
 Each iteration may be followed by a PCA orthogonalization of the
 generator basis.
 
@@ -31,6 +34,7 @@ from . import rng
 from .gaussian import (
     LOG_2PI,
     NumericError,
+    cholesky_inverse,
     default_jitter,
     spd_cholesky,
     spd_solve,
@@ -53,10 +57,14 @@ class DynamicsModel:
     basis: GeneratorBasis
     trans_cov: np.ndarray
     coeff_prior_cov: np.ndarray
-    # lower Cholesky factors of the two covariances, formed once when the
-    # model is built (which validates both) and read by every E-step
+    # lower Cholesky factors of the two covariances (which validates
+    # both), their inverses and log-determinants, formed once
     trans_chol: np.ndarray = field(init=False, repr=False, compare=False)
     coeff_prior_chol: np.ndarray = field(init=False, repr=False, compare=False)
+    trans_prec: np.ndarray = field(init=False, repr=False, compare=False)
+    coeff_prior_prec: np.ndarray = field(init=False, repr=False, compare=False)
+    trans_logdet: float = field(init=False, repr=False, compare=False)
+    coeff_prior_logdet: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         omega = np.atleast_2d(np.asarray(self.trans_cov, dtype=float))
@@ -66,10 +74,13 @@ class DynamicsModel:
             raise ValueError("transition covariance dimension must match the basis")
         if lam_cov.shape != (j, j):
             raise ValueError("coefficient prior dimension must match the generator count")
-        object.__setattr__(self, "trans_chol", spd_cholesky(omega))
-        object.__setattr__(self, "coeff_prior_chol", spd_cholesky(lam_cov))
-        object.__setattr__(self, "trans_cov", symmetrize(omega))
-        object.__setattr__(self, "coeff_prior_cov", symmetrize(lam_cov))
+        for name, cov in (("trans", omega), ("coeff_prior", lam_cov)):
+            chol = spd_cholesky(cov)
+            object.__setattr__(self, f"{name}_chol", chol)
+            object.__setattr__(self, f"{name}_prec", cholesky_inverse(chol))
+            object.__setattr__(self, f"{name}_logdet",
+                               2.0 * float(np.sum(np.log(np.diag(chol)))))
+            object.__setattr__(self, f"{name}_cov", symmetrize(cov))
 
     @property
     def latent_dim(self) -> int:
@@ -168,8 +179,7 @@ def _pair_precision(model: DynamicsModel, z_i: np.ndarray, delta: np.ndarray
                              cols.transpose(1, 0, 2).reshape(d, n * (j + 1)))
     white = white.reshape(d, n, j + 1).transpose(1, 0, 2)
     gram = white.swapaxes(1, 2) @ white
-    lam_prec = spd_solve(model.coeff_prior_chol, np.eye(j))
-    return lam_prec + gram[:, :j, :j], gram[:, :j, j], gram[:, j, j]
+    return model.coeff_prior_prec + gram[:, :j, :j], gram[:, :j, j], gram[:, j, j]
 
 
 def _e_step_block(model: DynamicsModel, z_i: np.ndarray,
@@ -276,13 +286,11 @@ def expected_log_density(model: DynamicsModel, stats: TransitionStats,
     the pairs, plus the expected coefficient prior
     ``E[log N(lambda | 0, Lambda)]`` of ``prior_count`` of them (pairs
     whose coefficients are pinned at zero carry no prior term)."""
-    omega_chol, lam_chol = model.trans_chol, model.coeff_prior_chol
-    trans = (stats.count * (model.latent_dim * LOG_2PI
-                            + 2.0 * float(np.sum(np.log(np.diag(omega_chol)))))
-             + np.trace(spd_solve(omega_chol, _residual_outer(stats, model.basis))))
-    prior = (prior_count * (model.coeff_count * LOG_2PI
-                            + 2.0 * float(np.sum(np.log(np.diag(lam_chol)))))
-             + np.trace(spd_solve(lam_chol, stats.lamlam)))
+    trans = (stats.count * (model.latent_dim * LOG_2PI + model.trans_logdet)
+             + np.trace(spd_solve(model.trans_chol,
+                                  _residual_outer(stats, model.basis))))
+    prior = (prior_count * (model.coeff_count * LOG_2PI + model.coeff_prior_logdet)
+             + np.trace(spd_solve(model.coeff_prior_chol, stats.lamlam)))
     return float(-0.5 * (trans + prior))
 
 
@@ -310,10 +318,8 @@ def marginal_log_likelihood(model: DynamicsModel, dataset: PairDataset) -> float
         prec, info, white_sq = _pair_precision(model, dataset.z_i, dataset.delta)
         prec_chol = stacked_cholesky(prec)
         white_info = stacked_forward_solve(prec_chol, info)
-        log_det = (dataset.count * 2.0 * (
-            np.sum(np.log(np.diag(model.trans_chol)))
-            + np.sum(np.log(np.diag(model.coeff_prior_chol))))
-            + 2.0 * np.sum(np.log(np.diagonal(prec_chol, axis1=1, axis2=2))))
+        log_det = (dataset.count * (model.trans_logdet + model.coeff_prior_logdet)
+                   + 2.0 * np.sum(np.log(np.diagonal(prec_chol, axis1=1, axis2=2))))
         quad = np.sum(white_sq) - np.sum(white_info * white_info)
     return float(-0.5 * (dataset.count * dataset.latent_dim * LOG_2PI
                          + log_det + quad))

@@ -142,8 +142,3 @@ def cholesky_log_density(chol: np.ndarray, diffs: np.ndarray) -> np.ndarray:
 def cholesky_inverse(chol: np.ndarray) -> np.ndarray:
     """Inverse of an SPD matrix given its lower Cholesky factor."""
     return symmetrize(spd_solve(chol, np.eye(chol.shape[0])))
-
-
-def spd_inverse(m: np.ndarray) -> np.ndarray:
-    """Inverse of an SPD matrix via its Cholesky factorization."""
-    return cholesky_inverse(spd_cholesky(m))

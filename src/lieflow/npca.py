@@ -29,7 +29,7 @@ import numpy as np
 
 from . import liealg, rng
 from .dynamics import DynamicsModel, _e_step_block, init_model, update_step
-from .gaussian import LOG_2PI, NumericError, spd_solve
+from .gaussian import LOG_2PI, NumericError, triangular_solve
 from .liealg import GeneratorBasis
 from .ppca import (
     LatentMoments,
@@ -225,11 +225,8 @@ def _objective_with_grads(model: NpcaModel, x_i, x_n, noise_i, noise_n,
     x_n = np.atleast_2d(np.asarray(x_n, dtype=float))
     noise_i = np.atleast_2d(noise_i)
     noise_n = np.atleast_2d(noise_n)
-    n = x_i.shape[0]
-    d = model.latent_dim
-    sig2 = model.obs_noise_var
-    big_d = model.data_dim
-    dyn = model.dynamics
+    n, d, big_d = x_i.shape[0], model.latent_dim, model.data_dim
+    sig2, dyn = model.obs_noise_var, model.dynamics
 
     m_i, lv_i, cache_i = _encoder_forward(model, x_i)
     m_n, lv_n, cache_n = _encoder_forward(model, x_n)
@@ -250,19 +247,14 @@ def _objective_with_grads(model: NpcaModel, x_i, x_n, noise_i, noise_n,
              - 0.5 * (np.sum(res_i ** 2) + np.sum(res_n ** 2)) / sig2)
 
     # transition: z_n ~ N(B z_i, Omega) with B = I + sum_j lam_j G_j
-    omega_chol = dyn.trans_chol
-    omega_prec = spd_solve(omega_chol, np.eye(d))
     b_mat = np.eye(d) + liealg.combine(dyn.basis, lam)
     t_res = z_n - np.einsum("nab,nb->na", b_mat, z_i)
-    t_res_prec = t_res @ omega_prec
-    log_det_omega = 2.0 * float(np.sum(np.log(np.diag(omega_chol))))
-    trans = -0.5 * (n * (d * LOG_2PI + log_det_omega)
+    t_res_prec = t_res @ dyn.trans_prec
+    trans = -0.5 * (n * (d * LOG_2PI + dyn.trans_logdet)
                     + float(np.sum(t_res_prec * t_res)))
 
-    lam_chol = dyn.coeff_prior_chol
-    lam_white = np.linalg.solve(lam_chol, lam.T)
-    lam_term = -0.5 * (n * (dyn.coeff_count * LOG_2PI
-                            + 2.0 * float(np.sum(np.log(np.diag(lam_chol)))))
+    lam_white = triangular_solve(dyn.coeff_prior_chol, lam.T)
+    lam_term = -0.5 * (n * (dyn.coeff_count * LOG_2PI + dyn.coeff_prior_logdet)
                        + float(np.sum(lam_white ** 2)))
 
     kl = 0.5 * float(np.sum(var_i + m_i ** 2 - 1.0 - lv_i)

@@ -16,13 +16,18 @@ and self-normalized importance sampling (cross-check), chosen by
 linear-Gaussian, so quadrature and sampling both integrate ``z_next``
 out in closed form with one helper (:func:`_next_frame`).
 All three start from the frames' closed-form latent posteriors
-``N(S W^T (x - mu) / sigma^2, S)`` with ``S = (I + W^T W / sigma^2)^-1``,
-which one function forms (:func:`posterior_z_given_x`), one product per
-frame.  All M-steps are closed form in the expectation bundle.
+``N(S W^T (x - mu) / sigma^2, S)`` (:func:`posterior_z_given_x`, one
+product per frame).  What every frame or node shares is formed once per
+model: ``S``, its precision, the covariance ``Gamma`` of ``z_next`` and
+the factor of the covariance ``R`` of ``x_next`` are lazily cached
+:class:`PpcaModel` properties, and ``Omega^-1``, ``Lambda^-1`` and their
+log-determinants come with the :class:`lieflow.dynamics.DynamicsModel`.
+All M-steps are closed form in the expectation bundle.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,7 +48,6 @@ from .gaussian import (
     cholesky_inverse,
     cholesky_log_density,
     spd_cholesky,
-    spd_inverse,
     spd_solve,
     stacked_posterior,
     symmetrize,
@@ -98,6 +102,33 @@ class PpcaModel:
     @property
     def latent_dim(self) -> int:
         return self.loading.shape[1]
+
+    @cached_property
+    def latent_prec(self) -> np.ndarray:
+        """``S^-1 = I + W^T W / sigma^2``, every frame's latent precision."""
+        w = self.loading
+        return np.eye(self.latent_dim) + (w.T @ w) / self.noise_var
+
+    @cached_property
+    def latent_cov(self) -> np.ndarray:
+        """``S``, every frame's latent posterior covariance."""
+        return cholesky_inverse(spd_cholesky(self.latent_prec))
+
+    @cached_property
+    def next_frame_cov(self) -> np.ndarray:
+        """``Gamma = (Omega^-1 + W^T W / sigma^2)^-1``, the covariance of
+        ``z_next`` given ``(z_i, lambda, x_next)`` at every ``(z_i, lambda)``."""
+        w = self.loading
+        return cholesky_inverse(spd_cholesky(
+            self.dynamics.trans_prec + (w.T @ w) / self.noise_var))
+
+    @cached_property
+    def resid_chol(self) -> np.ndarray:
+        """Lower Cholesky factor of ``R = sigma^2 I + W Omega W^T``, the
+        covariance of ``x_next`` given ``(z_i, lambda)``."""
+        w = self.loading
+        return spd_cholesky(self.noise_var * np.eye(self.data_dim)
+                            + w @ self.dynamics.trans_cov @ w.T)
 
 
 def _outer_cov(mean: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -174,32 +205,27 @@ class PpcaConfig:
     threads: int = 1
 
 
-def _frame_posteriors(model: PpcaModel, x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The latent posteriors ``N(S b, S)`` of every frame in ``x`` (any
-    leading axes), with information ``b = W^T (x - mu) / sigma^2`` and
-    ``S = (I + W^T W / sigma^2)^{-1}``: each frame's ``b``, the one
-    precision ``S^{-1}`` all frames share, each frame's mean and ``S``.
-    Every ``b`` and mean is one product per frame, so a frame's bits do
-    not depend on the frames it comes with."""
+def _frame_posteriors(model: PpcaModel, x: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """The frame-dependent part of the latent posteriors ``N(S b, S)`` of
+    every frame in ``x`` (any leading axes): each frame's information
+    ``b = W^T (x - mu) / sigma^2`` and mean ``S b``, each one product per
+    frame, so a frame's bits do not depend on the frames it comes with."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (model.data_dim,):
         raise ValueError("observation dimension does not match the model")
-    w, sig2 = model.loading, model.noise_var
-    prec = np.eye(model.latent_dim) + (w.T @ w) / sig2
-    cov = cholesky_inverse(spd_cholesky(prec))
-    info = ((x - model.data_mean)[..., None, :] @ w) / sig2
-    return info[..., 0, :], prec, (info @ cov)[..., 0, :], cov
+    info = ((x - model.data_mean)[..., None, :] @ model.loading) / model.noise_var
+    return info[..., 0, :], (info @ model.latent_cov)[..., 0, :]
 
 
 def posterior_z_given_x(model: PpcaModel, x: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Latent posterior ``N(S W^T (x - mu) / sigma^2, S)`` with
-    ``S = (I + W^T W / sigma^2)^{-1}`` of every frame in ``x`` (any
-    leading axes): the means, which keep the frames' leading axes, and
-    the one covariance all frames share.  A frame's mean is the same
-    bits in any stack of frames."""
-    _, _, means, cov = _frame_posteriors(model, x)
-    return means, cov
+    """Latent posterior ``N(S W^T (x - mu) / sigma^2, S)`` of every frame
+    in ``x`` (any leading axes): the means, which keep the frames' leading
+    axes, and the one covariance ``S`` (``model.latent_cov``) all frames
+    share.  A frame's mean is the same bits in any stack of frames."""
+    _, means = _frame_posteriors(model, x)
+    return means, model.latent_cov
 
 
 # ---------------------------------------------------------------------------
@@ -271,21 +297,17 @@ def _frozen_coefficient_blocks(model: PpcaModel, x_i: np.ndarray,
     point, but arbitrarily slowly as the transition noise shrinks.)
     """
     w = model.loading
-    d, j = model.latent_dim, model.dynamics.coeff_count
-    n = x_i.shape[0]
-    (info_i, info_n), ppca_prec, _, _ = _frame_posteriors(
-        model, np.stack([x_i, x_n]))
-    omega_prec = cholesky_inverse(model.dynamics.trans_chol)
+    d, j, n = model.latent_dim, model.dynamics.coeff_count, x_i.shape[0]
+    (info_i, info_n), _ = _frame_posteriors(model, np.stack([x_i, x_n]))
+    omega_prec = model.dynamics.trans_prec
     prec = np.zeros((2 * d, 2 * d))
-    prec[:d, :d] = ppca_prec + omega_prec
-    prec[:d, d:] = -omega_prec
-    prec[d:, :d] = -omega_prec
+    prec[:d, :d] = model.latent_prec + omega_prec
+    prec[:d, d:] = prec[d:, :d] = -omega_prec
     prec[d:, d:] = omega_prec + (w.T @ w) / model.noise_var
     means = spd_solve(spd_cholesky(prec), np.hstack([info_i, info_n]).T).T
     cov_zi = cholesky_inverse(spd_cholesky(prec[:d, :d]))
-    cov_zn = cholesky_inverse(spd_cholesky(prec[d:, d:]))
     return (means[:, :d], np.broadcast_to(cov_zi, (n, d, d)),
-            means[:, d:], np.broadcast_to(cov_zn, (n, d, d)),
+            means[:, d:], np.broadcast_to(model.next_frame_cov, (n, d, d)),
             np.zeros((n, j)), np.zeros((n, j, j)))
 
 
@@ -307,17 +329,14 @@ def _fixed_point_blocks(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray
     n = x_i.shape[0]
     basis = model.dynamics.basis
 
-    # both frames' latent posteriors: their information W^T (x - mu) /
-    # sigma^2, shared precision, means and shared covariance
-    (info_u, wt_xn), ppca_prec, (u_i, u_n), ppca_cov = _frame_posteriors(
-        model, np.stack([x_i, x_n]))
-    omega_prec = cholesky_inverse(model.dynamics.trans_chol)
-    lam_prec = cholesky_inverse(model.dynamics.coeff_prior_chol)
-    gamma = _next_frame_cov(model)
+    # both frames' latent posteriors: information W^T (x - mu) / sigma^2
+    # and means (their shared precision and covariance are the model's)
+    (info_u, wt_xn), (u_i, u_n) = _frame_posteriors(model, np.stack([x_i, x_n]))
+    omega_prec, gamma = model.dynamics.trans_prec, model.next_frame_cov
 
     # one row per pair: m_zi, m_zn, q, cov_zi, k
     state = np.hstack([u_i, u_n, np.zeros((n, j)),
-                       np.tile(ppca_cov.ravel(), (n, 1)),
+                       np.tile(model.latent_cov.ravel(), (n, 1)),
                        np.tile(model.dynamics.coeff_prior_cov.ravel(), (n, 1))])
     live = np.arange(n)
     for _ in range(FIXED_POINT_ITERS):
@@ -325,7 +344,7 @@ def _fixed_point_blocks(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray
         m_zi, m_zn = old[:, :d], old[:, d:2 * d]
         a = liealg.assemble_A(basis, m_zi)
         at_oi = np.einsum("naj,ab->njb", a, omega_prec)
-        q, k = stacked_posterior(lam_prec + at_oi @ a,
+        q, k = stacked_posterior(model.dynamics.coeff_prior_prec + at_oi @ a,
                                  np.einsum("njb,nb->nj", at_oi, m_zn - m_zi))
         drift = m_zi + np.einsum("naj,nj->na", a, q)
         new_zn = np.einsum("nb,bc->nc", wt_xn[live]
@@ -333,7 +352,7 @@ def _fixed_point_blocks(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray
         b = np.eye(d) + liealg.combine(basis, q)
         bt_oi = b.swapaxes(1, 2) @ omega_prec
         new_zi, cov_zi = stacked_posterior(
-            ppca_prec + bt_oi @ b,
+            model.latent_prec + bt_oi @ b,
             info_u[live] + np.einsum("nad,nd->na", bt_oi, new_zn))
         new = np.hstack([new_zi, new_zn, q, cov_zi.reshape(live.size, -1),
                          k.reshape(live.size, -1)])
@@ -351,28 +370,19 @@ def _fixed_point_blocks(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray
         f"iterations (residual {residual.max():.3e})")
 
 
-def _next_frame_cov(model: PpcaModel) -> np.ndarray:
-    """``Gamma = (Omega^-1 + W^T W / sigma^2)^-1``, the covariance of
-    ``z_next`` given ``(z_i, lambda, x_next)`` at every ``(z_i, lambda)``."""
-    return cholesky_inverse(spd_cholesky(
-        cholesky_inverse(model.dynamics.trans_chol)
-        + (model.loading.T @ model.loading) / model.noise_var))
-
-
 def _next_frame(model: PpcaModel, zi: np.ndarray, lam: np.ndarray,
                 xc_n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``z_next`` integrated out at nodes ``(zi, lam)`` given the centred
     next frame ``xc_n``: with ``drift = z_i + A(z_i) lambda``, each node's
     ``log N(xc_n | W drift, R)``, ``R = sigma^2 I + W Omega W^T``, and
     ``E[z_next | node, x_next] = (W^T xc_n / sigma^2 + Omega^-1 drift)
-    Gamma`` (``Gamma`` is :func:`_next_frame_cov`)."""
-    w, sig2 = model.loading, model.noise_var
+    Gamma`` (``R`` and ``Gamma`` are the model's ``resid_chol`` factor
+    and ``next_frame_cov``)."""
+    w = model.loading
     drift = liealg.apply_first_order(model.dynamics.basis, lam, zi)
-    resid_chol = spd_cholesky(sig2 * np.eye(model.data_dim)
-                              + w @ model.dynamics.trans_cov @ w.T)
-    omega_prec = cholesky_inverse(model.dynamics.trans_chol)
-    return (cholesky_log_density(resid_chol, xc_n - drift @ w.T),
-            (xc_n @ w / sig2 + drift @ omega_prec) @ _next_frame_cov(model))
+    return (cholesky_log_density(model.resid_chol, xc_n - drift @ w.T),
+            (xc_n @ w / model.noise_var + drift @ model.dynamics.trans_prec)
+            @ model.next_frame_cov)
 
 
 def _quadrature_e_step(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray,
@@ -392,15 +402,14 @@ def _quadrature_e_step(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray,
     # linearized at that solution (the factor stds alone understate
     # marginal spread when the transition couples the blocks tightly)
     mf_zi, _, _, _, mf_q, _ = _fixed_point_blocks(model, x_i, x_n)
-    _, zi_prec, prior_means, prior_cov = _frame_posteriors(model, x_i)
+    prior_means, prior_cov = posterior_z_given_x(model, x_i)
     zi_chol = spd_cholesky(prior_cov)
     lam_chol = model.dynamics.coeff_prior_chol
     prior = np.zeros((d + j, d + j))
-    prior[:d, :d] = zi_prec
-    prior[d:, d:] = cholesky_inverse(lam_chol)
+    prior[:d, :d] = model.latent_prec
+    prior[d:, d:] = model.dynamics.coeff_prior_prec
     # the precision W^T R^-1 W of the drift, by the matrix inversion lemma
-    omega_prec = cholesky_inverse(model.dynamics.trans_chol)
-    gamma = _next_frame_cov(model)
+    omega_prec, gamma = model.dynamics.trans_prec, model.next_frame_cov
     drift_prec = omega_prec - omega_prec @ gamma @ omega_prec
 
     parts, log_norm = [], 0.0
@@ -408,8 +417,8 @@ def _quadrature_e_step(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray,
             prior_means, x_n - model.data_mean, mf_zi, mf_q):
         jac = np.hstack([np.eye(d) + liealg.combine(basis, q),
                          liealg.assemble_A(basis, m_zi)])
-        stds = GRID_INFLATION * np.sqrt(np.diag(spd_inverse(
-            symmetrize(prior + jac.T @ drift_prec @ jac))))
+        stds = GRID_INFLATION * np.sqrt(np.diag(cholesky_inverse(
+            spd_cholesky(prior + jac.T @ drift_prec @ jac))))
         center = np.concatenate([m_zi, q])
         found = {}   # E[z_next | node, x_next] on the last grid evaluated
 
@@ -449,7 +458,6 @@ def _monte_carlo_e_step(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray,
     prior_means, prior_cov = posterior_z_given_x(model, x_i)
     zi_chol = spd_cholesky(prior_cov)
     lam_chol = model.dynamics.coeff_prior_chol
-    gamma = _next_frame_cov(model)
     parts = []
     for prior_mean, xc_n, stream in zip(prior_means, x_n - model.data_mean,
                                         streams):
@@ -464,7 +472,7 @@ def _monte_carlo_e_step(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray,
         if ess < 0.01 * s:
             raise NumericError(f"monte-carlo E-step degenerate "
                                f"(effective sample size {ess:.1f} of {s})")
-        parts.append(_weighted_moments(probs, zi, lam, m_zn, gamma))
+        parts.append(_weighted_moments(probs, zi, lam, m_zn, model.next_frame_cov))
     return _stack_moments(parts)
 
 

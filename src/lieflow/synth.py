@@ -78,6 +78,9 @@ class ImagePairDataset:
         xn = np.atleast_2d(np.asarray(self.x_next, dtype=float))
         if xi.shape != xn.shape or xi.shape[0] < 1:
             raise ValueError("x_i and x_next must be matching (N, D) arrays with N >= 1")
+        if self.height * self.width != xi.shape[1]:
+            raise ValueError(f"height {self.height} x width {self.width} does "
+                             f"not match the frame size {xi.shape[1]}")
         if not (np.all(np.isfinite(xi)) and np.all(np.isfinite(xn))):
             raise NumericError("image pairs must be finite")
         object.__setattr__(self, "x_i", xi)

@@ -33,7 +33,6 @@ from lieflow.gaussian import (
     cholesky_inverse,
     cholesky_log_density,
     spd_cholesky,
-    spd_inverse,
     spd_solve,
     symmetrize,
 )
@@ -273,7 +272,7 @@ def solve_fixed_point_blocks(model: PpcaModel, x_i: np.ndarray,
     sig2 = model.noise_var
 
     (u_i, u_n), ppca_cov = posterior_z_given_x(model, np.stack([x_i, x_n]))
-    ppca_prec = symmetrize(spd_inverse(ppca_cov))
+    ppca_prec = cholesky_inverse(spd_cholesky(ppca_cov))
     omega_prec = cholesky_inverse(model.dynamics.trans_chol)
     lam_prec = cholesky_inverse(model.dynamics.coeff_prior_chol)
     gamma_prec = omega_prec + (w.T @ w) / sig2

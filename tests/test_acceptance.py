@@ -93,7 +93,7 @@ def rotated_grid_mean_cov(center, ref_cov, log_density, points=48,
     post = grid_posterior(lambda u: log_density(center + u @ eigvecs.T), grid)
     nodes = center + post.nodes @ eigvecs.T
     mean = grid_expect(post, nodes)
-    second = np.einsum("m,ma,mb->ab", post.probs, nodes, nodes)
+    second = (nodes * post.probs[:, None]).T @ nodes
     return mean, second - np.outer(mean, mean)
 
 

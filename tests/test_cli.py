@@ -581,6 +581,9 @@ BAD_INPUTS = {
     "vector_image_height": (
         lambda tmp: ["fit", "--estimator", "ppca", "--data", str(
             _image_data(tmp, height=np.array([4.0, 4.0])))], 2, "'height'"),
+    "image_height_not_frame_size": (
+        lambda tmp: ["fit", "--estimator", "ppca", "--data", str(
+            _image_data(tmp, height=np.float64(4)))], 2, "height", "width"),
     "nan_image_height": (
         lambda tmp: ["fit", "--estimator", "ppca", "--data", str(
             _image_data(tmp, height=np.float64(np.nan)))],

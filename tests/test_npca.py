@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lieflow import npca, rng
+from lieflow import dynamics, gaussian, npca, ppca, rng
 from lieflow.cli import _checkpoint_npca, _dynamics_arrays, _npca_arrays
 from lieflow.dynamics import DynamicsModel, init_model, m_step_dynamics
 from lieflow.gaussian import NumericError
@@ -362,6 +362,37 @@ class TestFit:
         mse = np.mean((rec - data.x_i) ** 2)
         assert mse < 2 * 0.02 ** 2
         assert trace[-1] > trace[0]
+
+    def test_dynamics_precisions_are_solved_only_where_a_model_is_built(
+            self, monkeypatch):
+        # Omega^-1 and Lambda^-1 come with each DynamicsModel: no minibatch
+        # step, coefficient posterior or update solves for them again
+        spec = SequenceSpec(group_kind="rotation2d", lambda_scale=0.05,
+                            noise_std=0.05, pair_count=20, seed=12,
+                            height=2, width=3)
+        data, _ = generate_image_pairs(spec, embedding="linear")
+        calls, building = {True: 0, False: 0}, [False]
+        solve, post_init = gaussian.spd_solve, DynamicsModel.__post_init__
+
+        def counted_solve(chol, b):
+            calls[building[0]] += 1
+            return solve(chol, b)
+
+        def flagged_post_init(model):
+            building[0] = True
+            try:
+                post_init(model)
+            finally:
+                building[0] = False
+
+        for module in (gaussian, dynamics, ppca, npca):
+            if hasattr(module, "spd_solve"):
+                monkeypatch.setattr(module, "spd_solve", counted_solve)
+        monkeypatch.setattr(DynamicsModel, "__post_init__", flagged_post_init)
+        fit(data, NpcaConfig(latent_dim=2, hidden_sizes=(4,), j_init=2,
+                             epochs=3, batch_size=4, seed=1))
+        assert calls[False] == 0
+        assert calls[True] > 0
 
     def test_warm_start_arrays_are_left_unchanged(self):
         spec = SequenceSpec(group_kind="rotation2d", lambda_scale=0.05,

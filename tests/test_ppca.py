@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_ppca_em, tiny_joint_instance
-from lieflow import rng
+from lieflow import ppca, rng
 from lieflow.dynamics import (
     DynamicsModel,
     PairDataset,
@@ -25,6 +25,7 @@ from lieflow.ppca import (
     _fixed_point_blocks,
     _frozen_coefficient_blocks,
     _moments_from_blocks,
+    _monte_carlo_e_step,
     _quadrature_e_step,
     expected_complete_data_ll,
     fit,
@@ -707,6 +708,22 @@ def recovered_pixel_generator_angle(model, truth):
     t_inv = np.linalg.inv(t)
     mapped = np.stack([t @ g @ t_inv for g in model.dynamics.basis.generators])
     return subspace_angle(GeneratorBasis(mapped), truth.basis)
+
+
+def test_monte_carlo_e_step_factors_r_once_not_per_pair(monkeypatch):
+    # R = sigma^2 I + W Omega W^T belongs to the model, not to each pair
+    model, x_i, x_n = tiny_joint_instance(11)
+    shapes, factor = [], ppca.spd_cholesky
+
+    def counted_factor(m):
+        shapes.append(np.shape(m))
+        return factor(m)
+
+    monkeypatch.setattr(ppca, "spd_cholesky", counted_factor)
+    _monte_carlo_e_step(model, np.stack([x_i] * 3), np.stack([x_n] * 3),
+                        PpcaConfig(mc_samples=2000, seed=3),
+                        [(k,) for k in range(3)])
+    assert shapes.count((model.data_dim, model.data_dim)) == 1
 
 
 def test_latent_moments_psd_validation():
