@@ -14,7 +14,7 @@ implementations the tests check these against live in
 ``tests/reference.py``, outside the package.
 """
 
-from .dynamics import CoeffPosterior, DynamicsModel, EmConfig, PairDataset
+from .dynamics import DynamicsModel, EmConfig, PairDataset
 from .gaussian import NumericError
 from .liealg import GeneratorBasis
 from .ppca import LatentMoments, PpcaConfig, PpcaModel
@@ -24,7 +24,6 @@ from .synth import ImagePairDataset, SequenceSpec, SynthTruth
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoeffPosterior",
     "DynamicsModel",
     "EmConfig",
     "GeneratorBasis",

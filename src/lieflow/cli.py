@@ -272,7 +272,8 @@ def _infer_roll_coefficients(dynamics: DynamicsModel, z0: np.ndarray,
     """Coefficients of the seed transformation under the exact exponential
     map, refined by damped Gauss-Newton from the first-order posterior
     mean (which understates large transformations)."""
-    lam = dyn_mod.e_step_all(dynamics, PairDataset(z0[None], z1[None])).mean[0]
+    mean, _ = dyn_mod.e_step_all(dynamics, PairDataset(z0[None], z1[None]))
+    lam = mean[0]
     h, eye = 1e-6, np.eye(lam.size)
     # backtracking: the first halved step that lowers the residual is taken
     scales = 0.5 ** np.arange(20)
@@ -317,7 +318,9 @@ def cmd_roll(opts) -> int:
         (1.0 if opts["mode"] == "interpolate" else 2.0)
     ts = np.linspace(0.0, t_max, opts["steps"])
     gen = liealg.combine(dynamics.basis, lam_hat)
-    traj = liealg.matrix_exp(ts[:, None, None] * gen) @ z0
+    with np.errstate(over="ignore"):  # matrix_exp rejects an overflowed t * gen
+        scaled = ts[:, None, None] * gen
+    traj = liealg.matrix_exp(scaled) @ z0
     out_arrays = {"t": ts, "z_traj": traj, "lambda_hat": lam_hat}
     if not latent:
         out_arrays["x_traj"] = decode(traj)

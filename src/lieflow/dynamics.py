@@ -4,15 +4,17 @@ Each data pair ``(z_i, z_next)`` is modelled as
 ``z_next = z_i + sum_j lambda_j G^j z_i + noise`` with Gaussian
 coefficients ``lambda ~ N(0, Lambda)`` and transition noise
 ``N(0, Omega)``.  The E-step is the exact Gaussian posterior of the
-coefficients per pair; the M-step solves the Kronecker normal equations
-for the flattened generator block and refreshes the noise covariance.
-The E-step and the marginal likelihood share one J x J posterior
-precision per pair (:func:`_pair_precision`), factorized for all pairs
-at once, so an iteration costs O(N d^2 J) with no per-pair d x d
-factorization.  :class:`DynamicsModel` forms the Cholesky factors,
-inverses and log-determinants of Omega and Lambda once, when it is
-built; the E-steps, objectives and gradients of the three estimators
-read them instead of deriving them again.
+coefficients per pair, returned as plain stacked arrays: means
+``(N, J)`` and covariances ``(N, J, J)``.  The M-step solves the
+Kronecker normal equations for the flattened generator block and
+refreshes the noise covariance.  The E-step and the marginal likelihood
+share one J x J posterior precision per pair (:func:`_pair_precision`):
+it whitens with the Cholesky factor of Omega, adds Lambda^{-1}, and is
+factorized for all pairs at once, so an iteration costs O(N d^2 J) with
+no per-pair d x d factorization.  :class:`DynamicsModel` forms the
+Cholesky factors, inverses and log-determinants of Omega and Lambda
+once, when it is built; the E-steps, objectives and gradients of the
+three estimators read them instead of deriving them again.
 Each iteration may be followed by a PCA orthogonalization of the
 generator basis.
 
@@ -39,7 +41,6 @@ from .gaussian import (
     spd_cholesky,
     spd_solve,
     stacked_cholesky,
-    stacked_forward_solve,
     stacked_posterior,
     symmetrize,
     triangular_solve,
@@ -122,20 +123,6 @@ class PairDataset:
 
 
 @dataclass(frozen=True)
-class CoeffPosterior:
-    """Gaussian posteriors of the combination coefficients, one per pair:
-    means ``(N, J)`` and covariances ``(N, J, J)``."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    @property
-    def second(self) -> np.ndarray:
-        """``E[lambda lambda^T]`` per pair."""
-        return self.cov + np.einsum("nj,nk->njk", self.mean, self.mean)
-
-
-@dataclass(frozen=True)
 class TransitionStats:
     """Sums over pairs of the expectations the dynamics M-step reads, with
     ``dz = z_next - z_i``: ``E[dz dz^T]``, ``E[dz (z kron lam)^T]``,
@@ -202,8 +189,9 @@ def map_blocks(fn, count: int, threads: int) -> list:
 
 
 def e_step_all(model: DynamicsModel, dataset: PairDataset,
-               threads: int = 1) -> CoeffPosterior:
-    """Coefficient posteriors for every pair.
+               threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient posteriors for every pair: means ``(N, J)`` and
+    covariances ``(N, J, J)``.
 
     The per-pair computation is pure; with ``threads > 1`` the dataset is
     split into contiguous blocks whose results are combined in block
@@ -213,20 +201,20 @@ def e_step_all(model: DynamicsModel, dataset: PairDataset,
         raise ValueError("dataset and model latent dimensions disagree")
     parts = map_blocks(lambda a, b: _e_step_block(
         model, dataset.z_i[a:b], dataset.delta[a:b]), dataset.count, threads)
-    return CoeffPosterior(*(np.concatenate(arrays) for arrays in zip(*parts)))
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
-def transition_stats(dataset: PairDataset,
-                     post: CoeffPosterior) -> TransitionStats:
-    """Summed statistics of exact latents under coefficient posteriors,
-    each formed as one product over the pair axis without per-pair
-    Kronecker blocks."""
-    if post.mean.shape[0] != dataset.count:
+def transition_stats(dataset: PairDataset, mean: np.ndarray,
+                     cov: np.ndarray) -> TransitionStats:
+    """Summed statistics of exact latents under coefficient posteriors with
+    means ``(N, J)`` and covariances ``(N, J, J)``, each formed as one
+    product over the pair axis without per-pair Kronecker blocks."""
+    if mean.shape[0] != dataset.count:
         raise ValueError("need exactly one posterior per pair")
-    second = post.second
+    second = cov + np.einsum("nj,nk->njk", mean, mean)  # E[lambda lambda^T]
     z, delta = dataset.z_i, dataset.delta
-    n, d, j = dataset.count, dataset.latent_dim, post.mean.shape[1]
-    z_lam = (z[:, :, None] * post.mean[:, None, :]).reshape(n, d * j)
+    n, d, j = dataset.count, dataset.latent_dim, mean.shape[1]
+    z_lam = (z[:, :, None] * mean[:, None, :]).reshape(n, d * j)
     zz = (z[:, :, None] * z[:, None, :]).reshape(n, d * d)
     zz_lamlam = (zz.T @ second.reshape(n, j * j)).reshape(d, d, j, j)
     return TransitionStats(
@@ -298,26 +286,29 @@ def marginal_log_likelihood(model: DynamicsModel, dataset: PairDataset) -> float
     """Exact log-likelihood ``sum_i log N(delta_z | 0, Omega + A Lambda A^T)``
     with the coefficients integrated out; the quantity EM ascends.
 
-    With at least as many latent dimensions as generators it is formed
-    from the J x J posterior precisions ``P`` of the E-step: by the
-    determinant lemma ``log|Omega + A Lambda A^T| = log|Omega| +
-    log|Lambda| + log|P|``, and by Woodbury the quadratic form is
-    ``|L_Omega^{-1} delta|^2 - |L_P^{-1} b|^2``.  With fewer (``d < J``)
-    each pair's d x d covariance is factored instead: ``P`` is then a
-    rank-d term plus ``Lambda^{-1}``, and its log-determinant loses the
-    digits that a small Omega makes large.
+    With more latent dimensions than generators it is formed from the
+    J x J posterior precisions ``P`` of the E-step: by the determinant
+    lemma ``log|Omega + A Lambda A^T| = log|Omega| + log|Lambda| +
+    log|P|``, and by Woodbury the quadratic form is
+    ``|L_Omega^{-1} delta|^2 - |L_P^{-1} b|^2``.  With at most as many
+    (``d <= J``) each pair's d x d covariance is factored instead.  ``A``
+    then spans the whole latent space, so under a small Omega the two
+    Woodbury terms are both of order ``|delta|^2 / Omega`` and their
+    difference loses the digits that ratio makes large; and with
+    ``d < J``, ``P`` is a rank-d term plus ``Lambda^{-1}``, and its
+    log-determinant loses them too.
     """
-    if dataset.latent_dim < model.coeff_count:
+    if dataset.latent_dim <= model.coeff_count:
         a = liealg.assemble_A(model.basis, dataset.z_i)
         chol = stacked_cholesky(model.trans_cov + symmetrize(
             a @ model.coeff_prior_cov @ a.swapaxes(1, 2)))
-        white = stacked_forward_solve(chol, dataset.delta)
+        white = triangular_solve(chol, dataset.delta)
         log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)))
         quad = np.sum(white * white)
     else:
         prec, info, white_sq = _pair_precision(model, dataset.z_i, dataset.delta)
         prec_chol = stacked_cholesky(prec)
-        white_info = stacked_forward_solve(prec_chol, info)
+        white_info = triangular_solve(prec_chol, info)
         log_det = (dataset.count * (model.trans_logdet + model.coeff_prior_logdet)
                    + 2.0 * np.sum(np.log(np.diagonal(prec_chol, axis1=1, axis2=2))))
         quad = np.sum(white_sq) - np.sum(white_info * white_info)
@@ -389,8 +380,8 @@ def fit(dataset: PairDataset, config: EmConfig) -> tuple[DynamicsModel, list[flo
     model = init_model(dataset.latent_dim, config.j_init, config.seed)
     trace: list[float] = []
     for _ in range(config.max_iters):
-        post = e_step_all(model, dataset, threads=config.threads)
-        fitted, model = update_step(model, transition_stats(dataset, post),
+        mean, cov = e_step_all(model, dataset, threads=config.threads)
+        fitted, model = update_step(model, transition_stats(dataset, mean, cov),
                                     config.estimate_lambda, config.orthogonalize)
         trace.append(marginal_log_likelihood(fitted, dataset))
         if converged(trace, config.tol):

@@ -1,8 +1,10 @@
 """Symmetric positive-definite factorizations and solvers.
 
-Cholesky factors with SPD and conditioning checks, triangular and SPD
-solves, stacked factorizations and forward solves over a leading pair
-axis, and the Gaussian log density from a Cholesky factor.  The
+Cholesky factors with SPD and conditioning checks, one triangular
+substitution with its SPD solve, stacked factorizations, and the
+Gaussian log density from a Cholesky factor.  The substitution and the
+stacked factorization take plain arrays with leading stack axes
+``(..., d, d)`` and give every item the bits of a lone call.  The
 estimators assemble every linear-Gaussian posterior they need from
 these in batched form; an explicit matrix inverse is never formed
 outside of a Cholesky solve.  The dynamics E-step and the ppca
@@ -56,23 +58,25 @@ def spd_cholesky(m: np.ndarray) -> np.ndarray:
 def triangular_solve(chol: np.ndarray, b: np.ndarray,
                      transpose: bool = False) -> np.ndarray:
     """Solve ``L x = b`` by forward substitution, or ``L^T x = b`` by back
-    substitution, for a lower triangular ``L`` and a right-hand side of
-    shape ``(d,)`` or ``(d, m)``.
+    substitution, for lower triangular factors ``L`` ``(..., d, d)``.
 
-    Each step divides one row by its pivot and subtracts it, scaled by
-    the pivot's column of ``L``, from the rows still to be solved.  These
-    are elementwise operations, so every column of ``x`` depends on its
-    own column of ``b`` alone, bit for bit.
+    ``b`` has the factors' leading axes and holds one vector per factor,
+    ``(..., d)``, when it has one axis fewer than ``chol``; otherwise it
+    is ``(..., d, m)``.  Each step divides one row by its pivot and
+    subtracts it, scaled by the pivot's column of ``L``, from the rows
+    still to be solved.  These are elementwise operations, so every
+    column of ``x`` depends on its own factor and column of ``b`` alone,
+    bit for bit.
     """
     x = np.array(b, dtype=float)
-    rows = x if x.ndim == 2 else x[:, None]
-    d = chol.shape[0]
+    rows = x[..., None] if x.ndim < chol.ndim else x
+    d = chol.shape[-1]
     for i in (range(d - 1, -1, -1) if transpose else range(d)):
-        rows[i] /= chol[i, i]
+        rows[..., i, :] /= chol[..., i, i, None]
         if transpose:
-            rows[:i] -= chol[i, :i, None] * rows[i]
+            rows[..., :i, :] -= chol[..., i, :i, None] * rows[..., i, None, :]
         else:
-            rows[i + 1:] -= chol[i + 1:, i, None] * rows[i]
+            rows[..., i + 1:, :] -= chol[..., i + 1:, i, None] * rows[..., i, None, :]
     return x
 
 
@@ -82,7 +86,7 @@ def spd_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def stacked_cholesky(m: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factors of a stack ``(N, J, J)`` of symmetric
+    """Lower Cholesky factors of a stack ``(..., J, J)`` of symmetric
     positive-definite matrices, one column at a time for the whole stack.
 
     Each step scales a pivot's column by its root and subtracts that
@@ -93,41 +97,29 @@ def stacked_cholesky(m: np.ndarray) -> np.ndarray:
     """
     work = np.array(m, dtype=float)
     for k in range(work.shape[-1]):
-        pivot = work[:, k, k]
+        pivot = work[..., k, k]
         if not (pivot > 0.0).all():
             raise NumericError(
-                f"{int(np.sum(~(pivot > 0.0)))} of {pivot.shape[0]} stacked "
+                f"{int(np.sum(~(pivot > 0.0)))} of {pivot.size} stacked "
                 f"matrices not positive definite")
-        work[:, k, k] = np.sqrt(pivot)
-        work[:, k, k + 1:] = 0.0
-        col = work[:, k + 1:, k]
-        col /= work[:, k, k, None]
-        work[:, k + 1:, k + 1:] -= col[:, :, None] * col[:, None, :]
+        work[..., k, k] = np.sqrt(pivot)
+        work[..., k, k + 1:] = 0.0
+        col = work[..., k + 1:, k]
+        col /= work[..., k, k, None]
+        work[..., k + 1:, k + 1:] -= col[..., :, None] * col[..., None, :]
     return work
-
-
-def stacked_forward_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``L_n x_n = b_n`` by forward substitution for a stack of
-    lower triangular ``L`` ``(N, J, J)`` and right-hand sides ``(N, J)`` or
-    ``(N, J, m)``, elementwise over the stack like :func:`triangular_solve`."""
-    x = np.array(b, dtype=float)
-    rows = x if x.ndim == 3 else x[..., None]
-    for i in range(chol.shape[-1]):
-        rows[:, i] /= chol[:, i, i, None]
-        rows[:, i + 1:] -= chol[:, i + 1:, i, None] * rows[:, i, None]
-    return x
 
 
 def stacked_posterior(prec: np.ndarray, info: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Means ``P^{-1} b`` and covariances ``P^{-1}`` of a stack of Gaussians
-    with precisions ``P`` ``(N, J, J)`` and information ``b`` ``(N, J)``:
+    with precisions ``P`` ``(..., J, J)`` and information ``b`` ``(..., J)``:
     each ``P = L L^T`` is factored once, the covariance is ``L^{-T} L^{-1}``
     and the mean the covariance times ``b``, elementwise over the stack."""
     eye = np.broadcast_to(np.eye(prec.shape[-1]), prec.shape)
-    inv_chol = stacked_forward_solve(stacked_cholesky(prec), eye)
-    cov = symmetrize(inv_chol.swapaxes(1, 2) @ inv_chol)
-    return (cov @ info[:, :, None])[:, :, 0], cov
+    inv_chol = triangular_solve(stacked_cholesky(prec), eye)
+    cov = symmetrize(inv_chol.swapaxes(-1, -2) @ inv_chol)
+    return (cov @ info[..., None])[..., 0], cov
 
 
 def cholesky_log_density(chol: np.ndarray, diffs: np.ndarray) -> np.ndarray:

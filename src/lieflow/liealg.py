@@ -85,7 +85,8 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
     Frobenius norm is at most 0.5, expanded in a truncated power series
     (terms are added until the next term falls below
     ``DEFAULT_EXP_TOL / 4``; 13 terms), then squared ``s`` times, with
-    ``s`` and the term count chosen per matrix.
+    ``s`` and the term count chosen per matrix.  Raises
+    :class:`NumericError` when a norm or the result overflows.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -94,7 +95,11 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
         raise NumericError("matrix_exp input has non-finite entries")
     shape, n = a.shape, a.shape[-1]
     a = a.reshape(-1, n, n)
-    squarings = np.ceil(np.log2(np.maximum(_frobenius(a), 0.5) / 0.5)).astype(int)
+    with np.errstate(over="ignore"):
+        norms = _frobenius(a)
+    if not np.all(norms <= 2.0 ** 1022):  # else the scaling overflows
+        raise NumericError("matrix_exp input norm overflows")
+    squarings = np.ceil(np.log2(np.maximum(norms, 0.5) / 0.5)).astype(int)
     if squarings.any():  # no scaled copy when no matrix needs one
         a = a / (2.0 ** squarings)[:, None, None]
     term = np.broadcast_to(np.eye(n), a.shape).copy()
@@ -107,9 +112,12 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
         live &= _frobenius(term) > 0.25 * DEFAULT_EXP_TOL
         if not live.any():
             break
-    for done in range(squarings.max(initial=0)):
-        more = squarings > done
-        acc[more] = acc[more] @ acc[more]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for done in range(squarings.max(initial=0)):
+            more = squarings > done
+            acc[more] = acc[more] @ acc[more]
+    if not np.all(np.isfinite(acc)):
+        raise NumericError("matrix_exp result overflows")
     return acc.reshape(shape)
 
 

@@ -72,10 +72,10 @@ class Mlp:
         return self.weights[-1].shape[0]
 
     def forward(self, x: np.ndarray):
-        """Batched forward pass; returns the output and the per-layer
-        post-activation cache needed by the backward pass."""
-        h = np.atleast_2d(x)
-        cache = [h]
+        """Forward pass of a stack of inputs ``(N, in_dim)``; returns the
+        output and the per-layer post-activation cache needed by the
+        backward pass."""
+        h, cache = x, [x]
         last = len(self.weights) - 1
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
             h = h @ w.T + b
@@ -85,10 +85,11 @@ class Mlp:
         return h, cache
 
     def backward(self, cache, grad_out: np.ndarray):
-        """Accumulate parameter gradients and return the input gradient."""
+        """Parameter gradients, summed over the stack, and the input
+        gradient for output gradients ``(N, out_dim)``."""
         last = len(self.weights) - 1
         grad_w, grad_b = [None] * (last + 1), [None] * (last + 1)
-        g = np.atleast_2d(grad_out)
+        g = grad_out
         for k in range(last, -1, -1):
             if k < last:
                 g = g * (1.0 - cache[k + 1] ** 2)
@@ -212,7 +213,8 @@ def _objective_with_grads(model: NpcaModel, x_i, x_n, noise_i, noise_n,
                           lam=None, coeff_mode: str = "map_plugin",
                           coeff_noise: np.ndarray | None = None):
     """Objective and its gradient, one array per trainable tensor in the
-    order of :func:`named_parameters`, for a batch of pairs (or one pair).
+    order of :func:`named_parameters`, for a stack of pairs: frames
+    ``(N, D)``, noise ``(N, d)`` and, if given, ``lam`` ``(N, J)``.
 
     The latents are reparameterized from the supplied noise; the encoder
     runs once per frame.  The coefficients are ``lam`` (one row per pair)
@@ -221,10 +223,6 @@ def _objective_with_grads(model: NpcaModel, x_i, x_n, noise_i, noise_n,
     ``sample`` mode); the backward pass holds them fixed either way.
     This is the step :func:`fit` takes per minibatch.
     """
-    x_i = np.atleast_2d(np.asarray(x_i, dtype=float))
-    x_n = np.atleast_2d(np.asarray(x_n, dtype=float))
-    noise_i = np.atleast_2d(noise_i)
-    noise_n = np.atleast_2d(noise_n)
     n, d, big_d = x_i.shape[0], model.latent_dim, model.data_dim
     sig2, dyn = model.obs_noise_var, model.dynamics
 
@@ -237,7 +235,6 @@ def _objective_with_grads(model: NpcaModel, x_i, x_n, noise_i, noise_n,
     z_n = reparam_sample(m_n, var_n, noise_n)
     if lam is None:
         lam = plugin_coefficients(model, z_i, z_n, coeff_mode, coeff_noise)
-    lam = np.atleast_2d(lam)
 
     out_i, dcache_i = model.decoder.forward(z_i)
     out_n, dcache_n = model.decoder.forward(z_n)
@@ -288,18 +285,17 @@ def _objective_with_grads(model: NpcaModel, x_i, x_n, noise_i, noise_n,
 def plugin_coefficients(model: NpcaModel, z_i: np.ndarray, z_n: np.ndarray,
                         mode: str = "map_plugin",
                         noise: np.ndarray | None = None) -> np.ndarray:
-    """Coefficients for sampled latents: posterior mean, or a posterior
-    sample driven by external noise."""
+    """Coefficients ``(N, J)`` for stacks of sampled latents ``(N, d)``:
+    posterior means, or posterior samples driven by external noise
+    ``(N, J)``."""
     if mode not in ("map_plugin", "sample"):
         raise ValueError(f"unknown coefficient mode {mode!r}")
-    z_i = np.atleast_2d(z_i)
-    z_n = np.atleast_2d(z_n)
     mean, cov = _e_step_block(model.dynamics, z_i, z_n - z_i)
     if mode == "sample":
         if noise is None:
             raise ValueError("sample mode requires external noise")
         chol = np.linalg.cholesky(cov)
-        mean = mean + np.einsum("njk,nk->nj", chol, np.atleast_2d(noise))
+        mean = mean + np.einsum("njk,nk->nj", chol, noise)
     return mean
 
 

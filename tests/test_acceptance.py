@@ -367,8 +367,9 @@ def test_criterion_9_variational_gradients():
         noise_n = rng.normals(900 + seed, (3,), 2)
         mean_i, var_i = encode(model, x_i)
         mean_n, var_n = encode(model, x_n)
-        lam = plugin_coefficients(model, reparam_sample(mean_i, var_i, noise_i),
-                                  reparam_sample(mean_n, var_n, noise_n))
+        lam = plugin_coefficients(
+            model, reparam_sample(mean_i, var_i, noise_i)[None],
+            reparam_sample(mean_n, var_n, noise_n)[None])
 
         def objective(theta):
             return _objective_with_grads(unflatten(model, theta), x_i[None],

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -363,6 +364,23 @@ class TestRoll:
         csv_lines = (tmp_path / "traj.lf.csv").read_text().strip().split("\n")
         assert csv_lines[0] == "step,t,z_norm"
         assert len(csv_lines) == 4
+
+    @pytest.mark.parametrize("t_max", ["1e308", "1.79e308"])
+    def test_overflowing_t_max_is_numeric_error(self, tmp_path, capsys, t_max):
+        # 1e308 overflows the norm inside matrix_exp, 1.79e308 the product
+        # t * generator before it
+        data, _ = self.make_quarter_turn_pair(tmp_path)
+        ck = self.make_rotation_checkpoint(tmp_path)
+        out = tmp_path / "traj.lf"
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["roll", "--checkpoint", str(ck), "--data", str(data),
+                        "--t-max", t_max, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 4 and not caught
+        assert err.startswith("numeric error") and err.count("\n") == 1
+        assert not out.exists()
 
 
 def test_wrong_magic_gives_io_exit(tmp_path):

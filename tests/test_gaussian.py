@@ -10,7 +10,6 @@ from lieflow.gaussian import (
     spd_cholesky,
     spd_solve,
     stacked_cholesky,
-    stacked_forward_solve,
     triangular_solve,
 )
 from lieflow.oracles import GridSpec
@@ -290,6 +289,31 @@ class TestSubstitution:
                                                  trans="T"))
         self.close(spd_solve(chol, b), scipy.linalg.cho_solve((chol, True), b))
 
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           stack=st.sampled_from([(), (1,), (2,), (5,), (2, 3)]),
+           d=st.integers(1, 8), cols=st.none() | st.integers(1, 4),
+           transpose=st.booleans())
+    def test_stacked_items_equal_lone_calls(self, seed, stack, d, cols,
+                                            transpose):
+        # a stack of factors, forward or back, one vector or a matrix per
+        # factor: each item has the bits of its lone call, which matches
+        # LAPACK, and the right-hand side is left as it was
+        count = int(np.prod(stack))
+        chol = np.stack([spd_cholesky(random_spd(seed, (k,), d))
+                         for k in range(count)]).reshape(*stack, d, d)
+        tail = (d,) if cols is None else (d, cols)
+        b = rng.normals(seed, (count,), count * d * (cols or 1)).reshape(
+            *stack, *tail)
+        kept = b.copy()
+        x = triangular_solve(chol, b, transpose)
+        assert np.array_equal(b, kept) and x.shape == b.shape
+        for idx in np.ndindex(*stack):
+            lone = triangular_solve(chol[idx], b[idx], transpose)
+            assert np.array_equal(x[idx], lone)
+            self.close(lone, scipy.linalg.solve_triangular(
+                chol[idx], b[idx], lower=True, trans="T" if transpose else "N"))
+
     def test_columns_are_independent(self):
         chol = spd_cholesky(random_spd(5, (0,), 6))
         b = rng.normal_matrix(5, (1,), (6, 9))
@@ -323,8 +347,8 @@ class TestStackedCholesky:
         stack = np.stack([random_spd(seed, (k,), j, scale) for k in range(n)])
         chol = stacked_cholesky(stack)
         rhs = rng.normal_matrix(seed, (n,), (n, j, 3))
-        sol = stacked_forward_solve(chol, rhs)
-        vec = stacked_forward_solve(chol, rhs[:, :, 0])
+        sol = triangular_solve(chol, rhs)
+        vec = triangular_solve(chol, rhs[:, :, 0])
         for k in range(n):
             ref = np.linalg.cholesky(stack[k])
             assert np.abs(chol[k] - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -332,7 +356,7 @@ class TestStackedCholesky:
             assert np.abs(sol[k] - ref_sol).max() <= 1e-10 * np.abs(ref_sol).max()
             assert np.array_equal(vec[k], sol[k][:, 0])
             assert np.array_equal(chol[k], stacked_cholesky(stack[k:k + 1])[0])
-            assert np.array_equal(sol[k], stacked_forward_solve(
+            assert np.array_equal(sol[k], triangular_solve(
                 chol[k:k + 1], rhs[k:k + 1])[0])
 
     def test_non_positive_pivot_is_numeric_error(self):
@@ -346,5 +370,5 @@ class TestStackedCholesky:
         stack = np.stack([random_spd(8, (k,), 3) for k in range(4)])
         rhs = rng.normal_matrix(8, (9,), (4, 3))
         kept = stack.copy(), rhs.copy()
-        stacked_forward_solve(stacked_cholesky(stack), rhs)
+        triangular_solve(stacked_cholesky(stack), rhs)
         assert np.array_equal(stack, kept[0]) and np.array_equal(rhs, kept[1])

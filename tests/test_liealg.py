@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -54,6 +56,17 @@ class TestMatrixExp:
     def test_rejects_non_finite(self):
         with pytest.raises(NumericError):
             matrix_exp(np.array([[np.nan, 0.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("m", [
+        np.array([[0.0, -1e200], [1e200, 0.0]]),  # the norm overflows
+        1000.0 * np.eye(2),                       # the result overflows
+        np.stack([np.eye(2), 1000.0 * np.eye(2)]),
+    ])
+    def test_overflow_is_numeric_error_without_warnings(self, m):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="overflows"):
+                matrix_exp(m)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_inverse_property(self, seed):

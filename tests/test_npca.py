@@ -183,8 +183,9 @@ class TestGradients:
         # plug-in coefficients frozen at the base point
         mean_i, var_i = encode(model, x_i)
         mean_n, var_n = encode(model, x_n)
-        lam = plugin_coefficients(model, reparam_sample(mean_i, var_i, noise_i),
-                                  reparam_sample(mean_n, var_n, noise_n))
+        lam = plugin_coefficients(
+            model, reparam_sample(mean_i, var_i, noise_i)[None],
+            reparam_sample(mean_n, var_n, noise_n)[None])
 
         def objective(theta):
             return _objective_with_grads(unflatten(model, theta), x_i[None],
@@ -218,8 +219,8 @@ class TestGradients:
         x = rng.normals(7, (0,), 3)
         # with q = N(0, I) and zero noise the objective equals the plain
         # complete-data terms: kl contribution must vanish
-        val_q, _ = _objective_with_grads(model, x, x, np.zeros(2),
-                                         np.zeros(2))
+        val_q, _ = _objective_with_grads(model, x[None], x[None],
+                                         np.zeros(2)[None], np.zeros(2)[None])
         out, _ = model.encoder.forward(x[None])
         m, lv = out[:, :2], out[:, 2:]
         assert np.allclose(m, 0.0) and np.allclose(lv, 0.0)
@@ -293,8 +294,8 @@ class TestObjectiveStructure:
                           model.dynamics)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError):
-                _objective_with_grads(model, np.ones(3), np.ones(3),
-                                      np.ones(2), np.ones(2))
+                _objective_with_grads(model, np.ones(3)[None], np.ones(3)[None],
+                                      np.ones(2)[None], np.ones(2)[None])
 
 
 class TestDynamicsUpdates:
@@ -316,7 +317,7 @@ class TestDynamicsUpdates:
             encoded_moments(model, data).transition)
         pairs = PairDataset(latent.z_i, latent.z_next)
         ref_basis, ref_omega = m_step_dynamics(
-            transition_stats(pairs, e_step_all(dyn, pairs)))
+            transition_stats(pairs, *e_step_all(dyn, pairs)))
         assert np.allclose(basis.generators, ref_basis.generators, atol=1e-8)
         assert np.allclose(omega, ref_omega, atol=1e-8)
 

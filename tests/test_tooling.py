@@ -18,6 +18,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
 LIBRARY = ROOT / "src" / "lieflow"
+README = ROOT / "README.md"
 
 
 def _load_tracing():
@@ -107,3 +108,23 @@ def test_library_imports_only_numpy_and_the_standard_library():
             foreign += [f"{path.name}: {name}" for name in names
                         if name.split(".")[0] not in allowed]
     assert not foreign, f"imports outside numpy and the standard library: {foreign}"
+
+
+def test_every_module_name_in_the_readme_resolves():
+    # a backticked `module.name` or `lieflow.module.name` in the prose
+    # (fenced code and *.py paths aside) names an attribute of
+    # lieflow.<module>, so a renamed or deleted name cannot linger there
+    modules = {path.stem for path in LIBRARY.glob("*.py")} - {"__init__"}
+    prose = re.sub(r"^```.*?^```", "", README.read_text(), flags=re.S | re.M)
+    checked, stale = 0, []
+    for span in re.findall(r"`([^`]+)`", prose):
+        match = re.match(r"(?:lieflow\.)?(\w+)((?:\.\w+)+)", span)
+        if span.endswith(".py") or not match or match[1] not in modules:
+            continue
+        target = importlib.import_module(f"lieflow.{match[1]}")
+        for attr in match[2][1:].split("."):
+            target = getattr(target, attr, None)
+        checked += 1
+        if target is None:
+            stale.append(match[0])
+    assert checked >= 10 and not stale, f"README names that do not resolve: {stale}"
