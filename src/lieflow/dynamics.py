@@ -11,10 +11,10 @@ refreshes the noise covariance.  The E-step and the marginal likelihood
 share one J x J posterior precision per pair (:func:`_pair_precision`):
 it whitens with the Cholesky factor of Omega, adds Lambda^{-1}, and is
 factorized for all pairs at once, so an iteration costs O(N d^2 J) with
-no per-pair d x d factorization.  :class:`DynamicsModel` forms the
-Cholesky factors, inverses and log-determinants of Omega and Lambda
-once, when it is built; the E-steps, objectives and gradients of the
-three estimators read them instead of deriving them again.
+no per-pair d x d factorization.  :class:`DynamicsModel` factors Omega
+and Lambda when it is built and inverts them on first read; the
+E-steps, objectives and gradients of the three estimators read those
+factors, log-determinants and inverses instead of deriving them again.
 Each iteration may be followed by a PCA orthogonalization of the
 generator basis.
 
@@ -58,12 +58,10 @@ class DynamicsModel:
     basis: GeneratorBasis
     trans_cov: np.ndarray
     coeff_prior_cov: np.ndarray
-    # lower Cholesky factors of the two covariances (which validates
-    # both), their inverses and log-determinants, formed once
+    # lower Cholesky factors of the two covariances (which validates both)
+    # and their log-determinants, formed once; the inverses on first read
     trans_chol: np.ndarray = field(init=False, repr=False, compare=False)
     coeff_prior_chol: np.ndarray = field(init=False, repr=False, compare=False)
-    trans_prec: np.ndarray = field(init=False, repr=False, compare=False)
-    coeff_prior_prec: np.ndarray = field(init=False, repr=False, compare=False)
     trans_logdet: float = field(init=False, repr=False, compare=False)
     coeff_prior_logdet: float = field(init=False, repr=False, compare=False)
 
@@ -78,10 +76,17 @@ class DynamicsModel:
         for name, cov in (("trans", omega), ("coeff_prior", lam_cov)):
             chol = spd_cholesky(cov)
             object.__setattr__(self, f"{name}_chol", chol)
-            object.__setattr__(self, f"{name}_prec", cholesky_inverse(chol))
             object.__setattr__(self, f"{name}_logdet",
                                2.0 * float(np.sum(np.log(np.diag(chol)))))
             object.__setattr__(self, f"{name}_cov", symmetrize(cov))
+
+    @cached_property
+    def trans_prec(self) -> np.ndarray:
+        return cholesky_inverse(self.trans_chol)
+
+    @cached_property
+    def coeff_prior_prec(self) -> np.ndarray:
+        return cholesky_inverse(self.coeff_prior_chol)
 
     @property
     def latent_dim(self) -> int:

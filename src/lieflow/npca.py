@@ -11,7 +11,9 @@ noise keep their closed-form updates from the expectation bundles of the
 encoded Gaussians; the generator basis is orthogonalized each epoch.
 
 Both networks are :class:`Mlp` instances: the encoder's linear output
-holds the latent mean followed by the log-variance.  The trainable
+holds the latent mean followed by the log-variance.  A minibatch's two
+frames travel as one stack ``(2, N, ...)``, first frame first, so each
+network pass runs once per minibatch.  The trainable
 tensors have one layout (:func:`named_parameters`), shared by
 checkpoints and the gradients; a minibatch step updates those tensors
 in place.
@@ -34,6 +36,7 @@ from .liealg import GeneratorBasis
 from .ppca import (
     LatentMoments,
     PpcaModel,
+    _frame_sum,
     _moments_from_blocks,
     init_loading,
     m_step_mu,
@@ -72,9 +75,8 @@ class Mlp:
         return self.weights[-1].shape[0]
 
     def forward(self, x: np.ndarray):
-        """Forward pass of a stack of inputs ``(N, in_dim)``; returns the
-        output and the per-layer post-activation cache needed by the
-        backward pass."""
+        """Forward pass of inputs ``(..., in_dim)``, one product per frame of a
+        frame stack; returns the output and the cache the backward pass reads."""
         h, cache = x, [x]
         last = len(self.weights) - 1
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -85,16 +87,16 @@ class Mlp:
         return h, cache
 
     def backward(self, cache, grad_out: np.ndarray):
-        """Parameter gradients, summed over the stack, and the input
-        gradient for output gradients ``(N, out_dim)``."""
+        """Parameter gradients, summed over the pairs and then the frames, and
+        the input gradient, for frame-stack output gradients ``(2, N, out)``."""
         last = len(self.weights) - 1
         grad_w, grad_b = [None] * (last + 1), [None] * (last + 1)
         g = grad_out
         for k in range(last, -1, -1):
             if k < last:
                 g = g * (1.0 - cache[k + 1] ** 2)
-            grad_w[k] = g.T @ cache[k]
-            grad_b[k] = g.sum(axis=0)
+            grad_w[k] = (g.swapaxes(1, 2) @ cache[k]).sum(axis=0)
+            grad_b[k] = g.sum(axis=1).sum(axis=0)
             g = g @ self.weights[k]
         return grad_w, grad_b, g
 
@@ -177,16 +179,17 @@ def assemble(named, trunk_count: int, dec_count: int, obs_noise_var: float,
 
 
 def _encoder_forward(model: NpcaModel, x: np.ndarray):
-    """Encoder mean, log-variance and forward cache for a batch."""
+    """Encoder mean, log-variance and forward cache, any leading axes."""
     out, cache = model.encoder.forward(x)
     if not np.all(np.isfinite(out)):
         raise NumericError("encoder produced non-finite output")
     d = model.latent_dim
-    return out[:, :d], out[:, d:], cache
+    return out[..., :d], out[..., d:], cache
 
 
 def encode(model: NpcaModel, x: np.ndarray):
-    """Diagonal Gaussian ``q(z | x)`` as a (mean, variance) pair."""
+    """Diagonal Gaussian ``q(z | x)`` as a (mean, variance) pair, any
+    leading axes."""
     if np.shape(x)[-1:] != (model.data_dim,):
         raise ValueError("observation dimension does not match the model")
     mean, logvar, _ = _encoder_forward(model, np.atleast_2d(x))
@@ -216,36 +219,32 @@ def _objective_with_grads(model: NpcaModel, x_i, x_n, noise_i, noise_n,
     order of :func:`named_parameters`, for a stack of pairs: frames
     ``(N, D)``, noise ``(N, d)`` and, if given, ``lam`` ``(N, J)``.
 
-    The latents are reparameterized from the supplied noise; the encoder
-    runs once per frame.  The coefficients are ``lam`` (one row per pair)
-    when given, else from their conditional posterior at the sampled
-    latents (:func:`plugin_coefficients`: the mean, or a sample in
-    ``sample`` mode); the backward pass holds them fixed either way.
-    This is the step :func:`fit` takes per minibatch.
+    The frames travel as one stack, so each network pass runs once; the
+    latents are reparameterized from the supplied noise.  The
+    coefficients are ``lam`` (one row per pair) when given, else from
+    their conditional posterior at the sampled latents
+    (:func:`plugin_coefficients`: the mean, or a sample in ``sample``
+    mode); the backward pass holds them fixed either way.  This is the
+    step :func:`fit` takes per minibatch.
     """
-    n, d, big_d = x_i.shape[0], model.latent_dim, model.data_dim
+    n, d = x_i.shape[0], model.latent_dim
     sig2, dyn = model.obs_noise_var, model.dynamics
+    x, noise = np.stack([x_i, x_n]), np.stack([noise_i, noise_n])
 
-    m_i, lv_i, cache_i = _encoder_forward(model, x_i)
-    m_n, lv_n, cache_n = _encoder_forward(model, x_n)
+    m, lv, cache = _encoder_forward(model, x)
     # clamped so that a diverging log-variance cannot overflow
-    var_i = np.exp(np.minimum(lv_i, 700.0))
-    var_n = np.exp(np.minimum(lv_n, 700.0))
-    z_i = reparam_sample(m_i, var_i, noise_i)
-    z_n = reparam_sample(m_n, var_n, noise_n)
+    var = np.exp(np.minimum(lv, 700.0))
+    z = reparam_sample(m, var, noise)
     if lam is None:
-        lam = plugin_coefficients(model, z_i, z_n, coeff_mode, coeff_noise)
+        lam = plugin_coefficients(model, z[0], z[1], coeff_mode, coeff_noise)
 
-    out_i, dcache_i = model.decoder.forward(z_i)
-    out_n, dcache_n = model.decoder.forward(z_n)
-    res_i = x_i - out_i
-    res_n = x_n - out_n
-    recon = (-0.5 * n * 2 * big_d * np.log(2.0 * np.pi * sig2)
-             - 0.5 * (np.sum(res_i ** 2) + np.sum(res_n ** 2)) / sig2)
+    out, dcache = model.decoder.forward(z)
+    res = x - out
+    recon = -0.5 * (x.size * np.log(2.0 * np.pi * sig2) + _frame_sum(res ** 2) / sig2)
 
     # transition: z_n ~ N(B z_i, Omega) with B = I + sum_j lam_j G_j
     b_mat = np.eye(d) + liealg.combine(dyn.basis, lam)
-    t_res = z_n - np.einsum("nab,nb->na", b_mat, z_i)
+    t_res = z[1] - np.einsum("nab,nb->na", b_mat, z[0])
     t_res_prec = t_res @ dyn.trans_prec
     trans = -0.5 * (n * (d * LOG_2PI + dyn.trans_logdet)
                     + float(np.sum(t_res_prec * t_res)))
@@ -254,8 +253,7 @@ def _objective_with_grads(model: NpcaModel, x_i, x_n, noise_i, noise_n,
     lam_term = -0.5 * (n * (dyn.coeff_count * LOG_2PI + dyn.coeff_prior_logdet)
                        + float(np.sum(lam_white ** 2)))
 
-    kl = 0.5 * float(np.sum(var_i + m_i ** 2 - 1.0 - lv_i)
-                     + np.sum(var_n + m_n ** 2 - 1.0 - lv_n))
+    kl = 0.5 * float(_frame_sum(var + m ** 2 - 1.0 - lv))
     objective = recon + trans + lam_term - kl
     if not np.isfinite(objective):
         offender = [name for name, val in
@@ -265,21 +263,14 @@ def _objective_with_grads(model: NpcaModel, x_i, x_n, noise_i, noise_n,
         raise NumericError(f"non-finite objective term(s): {', '.join(offender)}")
 
     # reverse pass
-    dec_w_i, dec_b_i, grad_zi = model.decoder.backward(dcache_i, res_i / sig2)
-    dec_w_n, dec_b_n, grad_zn = model.decoder.backward(dcache_n, res_n / sig2)
-    grad_zn = grad_zn - t_res_prec
-    grad_zi = grad_zi + np.einsum("nab,na->nb", b_mat, t_res_prec)
-
-    grads = []
-    for cache, grad_z, m, var, noise, dec_w, dec_b in (
-            (cache_i, grad_zi, m_i, var_i, noise_i, dec_w_i, dec_b_i),
-            (cache_n, grad_zn, m_n, var_n, noise_n, dec_w_n, dec_b_n)):
-        # gradient at the encoder output: mean columns, then log-variance
-        grad_out = np.hstack((grad_z - m, 0.5 * grad_z * np.sqrt(var) * noise
-                              - 0.5 * (var - 1.0)))
-        enc_w, enc_b, _ = model.encoder.backward(cache, grad_out)
-        grads.append(_in_layout(enc_w, enc_b, dec_w, dec_b, d))
-    return float(objective), [g_i + g_n for g_i, g_n in zip(*grads)]
+    dec_w, dec_b, grad_z = model.decoder.backward(dcache, res / sig2)
+    grad_z[0] += np.einsum("nab,na->nb", b_mat, t_res_prec)
+    grad_z[1] -= t_res_prec
+    # gradient at the encoder output: mean columns, then log-variance
+    grad_out = np.concatenate((grad_z - m, 0.5 * grad_z * np.sqrt(var) * noise
+                               - 0.5 * (var - 1.0)), axis=-1)
+    enc_w, enc_b, _ = model.encoder.backward(cache, grad_out)
+    return float(objective), _in_layout(enc_w, enc_b, dec_w, dec_b, d)
 
 
 def plugin_coefficients(model: NpcaModel, z_i: np.ndarray, z_n: np.ndarray,
@@ -303,12 +294,10 @@ def encoded_moments(model: NpcaModel, dataset: ImagePairDataset
                     ) -> LatentMoments:
     """Expectation bundle from the encoder Gaussians with the coefficient
     posterior taken at the encoded means (mean-field assembly)."""
-    mean_i, var_i = encode(model, dataset.x_i)
-    mean_n, var_n = encode(model, dataset.x_next)
+    (mean_i, mean_n), var = encode(model, np.stack([dataset.x_i, dataset.x_next]))
     q, k = _e_step_block(model.dynamics, mean_i, mean_n - mean_i)
-    eye = np.eye(model.latent_dim)
-    return _moments_from_blocks(mean_i, var_i[:, :, None] * eye,
-                                mean_n, var_n[:, :, None] * eye, q, k)
+    cov_i, cov_n = var[..., None] * np.eye(model.latent_dim)
+    return _moments_from_blocks(mean_i, cov_i, mean_n, cov_n, q, k)
 
 
 @dataclass

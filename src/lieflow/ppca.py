@@ -22,6 +22,8 @@ model: ``S``, its precision, the covariance ``Gamma`` of ``z_next`` and
 the factor of the covariance ``R`` of ``x_next`` are lazily cached
 :class:`PpcaModel` properties, and ``Omega^-1``, ``Lambda^-1`` and their
 log-determinants come with the :class:`lieflow.dynamics.DynamicsModel`.
+Both frames share the observation model, so frames, their posteriors
+and their moments travel as one stack ``(2, N, ...)``, ``x_i`` first.
 All M-steps are closed form in the expectation bundle.
 """
 from __future__ import annotations
@@ -132,27 +134,29 @@ class PpcaModel:
 
 
 def _outer_cov(mean: np.ndarray, second: np.ndarray) -> np.ndarray:
-    return symmetrize(second - np.einsum("na,nb->nab", mean, mean))
+    return symmetrize(second - np.einsum("...a,...b->...ab", mean, mean))
+
+
+def _frame_sum(a: np.ndarray) -> float:
+    """Sum of a frame stack ``(2, N, ...)``, first frame's sum first."""
+    return np.sum(a, axis=tuple(range(1, a.ndim))).sum()
 
 
 @dataclass(frozen=True)
 class LatentMoments:
-    """Expectations under the joint posterior of (z_i, lambda, z_next): the
-    moments of each block, one row per pair along the leading axis, and
-    the sums over the pairs that the dynamics M-step and the transition
-    term of the objective read (``transition``)."""
+    """Expectations under the joint posterior of (z_i, lambda, z_next): each
+    block's moments, one row per pair, with both frames' in one stack
+    (``ez`` ``(2, N, d)``, ``ezz`` ``(2, N, d, d)``), and the pair sums that
+    the dynamics M-step and the objective read (``transition``)."""
 
-    ez_i: np.ndarray
-    ez_next: np.ndarray
-    ezz_i: np.ndarray
-    ezz_next: np.ndarray
+    ez: np.ndarray
+    ezz: np.ndarray
     elam: np.ndarray
     elamlam: np.ndarray
     transition: TransitionStats
 
     def __post_init__(self):
-        for cov, ezz, label in ((self.cov_z_i, self.ezz_i, "z_i"),
-                                (self.cov_z_next, self.ezz_next, "z_next"),
+        for cov, ezz, label in (*zip(self.cov_z, self.ezz, ("z_i", "z_next")),
                                 (self.cov_lam, self.elamlam, "lambda")):
             floor = -1e-8 * np.maximum(1.0, np.abs(ezz).max(axis=(1, 2)))
             if np.any(np.linalg.eigvalsh(cov)[:, 0] < floor):
@@ -160,15 +164,11 @@ class LatentMoments:
 
     @property
     def count(self) -> int:
-        return self.ez_i.shape[0]
+        return self.ez.shape[1]
 
     @property
-    def cov_z_i(self) -> np.ndarray:
-        return _outer_cov(self.ez_i, self.ezz_i)
-
-    @property
-    def cov_z_next(self) -> np.ndarray:
-        return _outer_cov(self.ez_next, self.ezz_next)
+    def cov_z(self) -> np.ndarray:
+        return _outer_cov(self.ez, self.ezz)
 
     @property
     def cov_lam(self) -> np.ndarray:
@@ -240,21 +240,22 @@ def _moments_from_blocks(m_zi, cov_zi, m_zn, cov_zn, q, k) -> LatentMoments:
     The transition statistics are each pair's term summed over the pairs
     in pair order, so they do not depend on how the pairs were blocked.
     """
-    n, d = m_zi.shape
-    j = q.shape[1]
-    ezz_i = cov_zi + np.einsum("na,nb->nab", m_zi, m_zi)
-    ezz_n = cov_zn + np.einsum("na,nb->nab", m_zn, m_zn)
+    (n, d), j = m_zi.shape, q.shape[1]
+    ez = np.stack([m_zi, m_zn])
+    ezz = np.einsum("fna,fnb->fnab", ez, ez)
+    ezz[0] += cov_zi
+    ezz[1] += cov_zn
     elamlam = k + np.einsum("nj,nk->njk", q, q)
-    dz_dz = (ezz_n + ezz_i
+    dz_dz = (ezz[1] + ezz[0]
              - np.einsum("na,nb->nab", m_zn, m_zi)
              - np.einsum("na,nb->nab", m_zi, m_zn))
     # E[dz (z kron lam)^T] = E[lam_j] (E[z_n] E[z_i]^T - E[z_i z_i^T])
-    core = (np.einsum("nr,na->nra", m_zn, m_zi) - ezz_i)
+    core = (np.einsum("nr,na->nra", m_zn, m_zi) - ezz[0])
     dz_zlam = np.einsum("nra,nj->nraj", core, q).reshape(n, d, d * j)
-    zz_lamlam = np.einsum("nab,njk->najbk", ezz_i, elamlam).reshape(n, d * j, d * j)
+    zz_lamlam = np.einsum("nab,njk->najbk", ezz[0], elamlam).reshape(n, d * j, d * j)
     transition = TransitionStats(n, dz_dz.sum(axis=0), dz_zlam.sum(axis=0),
                                  zz_lamlam.sum(axis=0), elamlam.sum(axis=0))
-    return LatentMoments(m_zi, m_zn, ezz_i, ezz_n, q, elamlam, transition)
+    return LatentMoments(ez, ezz, q, elamlam, transition)
 
 
 def _weighted_moments(p: np.ndarray, zi: np.ndarray, lam: np.ndarray,
@@ -270,16 +271,17 @@ def _weighted_moments(p: np.ndarray, zi: np.ndarray, lam: np.ndarray,
     def outer(a, b):
         return np.einsum("m,ma,mb->ab", p, a, b)
 
-    return dict(ez_i=p @ zi, ez_next=p @ zn, ezz_i=outer(zi, zi),
-                ezz_next=zn_cov + outer(zn, zn), elam=p @ lam,
-                elamlam=outer(lam, lam), dz_dz=zn_cov + outer(dz, dz),
-                dz_zlam=outer(dz, zl), zz_lamlam=outer(zl, zl))
+    return dict(ez=(p @ zi, p @ zn), ezz=(outer(zi, zi), zn_cov + outer(zn, zn)),
+                elam=p @ lam, elamlam=outer(lam, lam),
+                dz_dz=zn_cov + outer(dz, dz), dz_zlam=outer(dz, zl),
+                zz_lamlam=outer(zl, zl))
 
 
 def _stack_moments(parts: list[dict[str, np.ndarray]]) -> LatentMoments:
-    """One bundle from per-pair moments; the transition terms are summed
-    over the pairs."""
-    stacked = {name: np.stack([p[name] for p in parts]) for name in parts[0]}
+    """One bundle from per-pair moments, the frame axis of ``ez`` and ``ezz``
+    first; the transition terms are summed over the pairs."""
+    stacked = {name: np.stack([p[name] for p in parts], axis=int(name[:2] == "ez"))
+               for name in parts[0]}
     sums = {name: stacked.pop(name).sum(axis=0)
             for name in ("dz_dz", "dz_zlam", "zz_lamlam")}
     return LatentMoments(**stacked, transition=TransitionStats(
@@ -480,6 +482,11 @@ def _monte_carlo_e_step(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray,
 # M-steps
 
 
+def _frames(dataset: ImagePairDataset) -> np.ndarray:
+    """Both frames of every pair as one stack ``(2, N, D)``, ``x_i`` first."""
+    return np.stack([dataset.x_i, dataset.x_next])
+
+
 def m_step_mu(dataset: ImagePairDataset) -> np.ndarray:
     """Average of all 2N frames."""
     return 0.5 * (dataset.x_i.mean(axis=0) + dataset.x_next.mean(axis=0))
@@ -490,9 +497,8 @@ def m_step_W(dataset: ImagePairDataset, moments: LatentMoments,
     """Loading update from both frames' cross moments, via a linear solve."""
     if moments.count != dataset.count:
         raise ValueError("need exactly one moment bundle per pair")
-    num = (dataset.x_next - mu).T @ moments.ez_next \
-        + (dataset.x_i - mu).T @ moments.ez_i
-    gram = (moments.ezz_i + moments.ezz_next).sum(axis=0)
+    num = ((_frames(dataset) - mu).swapaxes(1, 2) @ moments.ez).sum(axis=0)
+    gram = moments.ezz.sum(axis=0).sum(axis=0)
     try:
         return np.linalg.solve(symmetrize(gram), num.T).T
     except np.linalg.LinAlgError as exc:
@@ -501,15 +507,15 @@ def m_step_W(dataset: ImagePairDataset, moments: LatentMoments,
             f"(condition number {np.linalg.cond(gram):.3e})") from exc
 
 
-def _residual_power(xc_i: np.ndarray, xc_n: np.ndarray,
-                    moments: LatentMoments, w: np.ndarray) -> float:
-    """Expected reconstruction power ``sum E||x - mu - W z||^2`` over both
-    centered frames of every pair."""
-    return float(np.sum(xc_i * xc_i) + np.sum(xc_n * xc_n)
-                 - 2.0 * (np.sum(xc_i * (moments.ez_i @ w.T))
-                          + np.sum(xc_n * (moments.ez_next @ w.T)))
-                 + float(np.einsum("ab,nab->", w.T @ w,
-                                   moments.ezz_i + moments.ezz_next)))
+def _residual_power(xc: np.ndarray, moments: LatentMoments,
+                    w: np.ndarray) -> float:
+    """Expected reconstruction power ``sum E||x - mu - W z||^2`` over the
+    centred frame stack ``xc`` ``(2, N, D)``; one stack temporary at a time."""
+    power = _frame_sum(xc * xc)
+    proj = moments.ez @ w.T
+    proj *= xc
+    return float(power - 2.0 * _frame_sum(proj)
+                 + float(np.einsum("ab,nab->", w.T @ w, moments.ezz.sum(axis=0))))
 
 
 def m_step_sigma(dataset: ImagePairDataset, moments: LatentMoments,
@@ -517,7 +523,7 @@ def m_step_sigma(dataset: ImagePairDataset, moments: LatentMoments,
     """Isotropic noise update: expected residual power over both frames of
     every pair, averaged over the ``2N D`` scalar observations and clamped
     at ``1e-12``."""
-    total = _residual_power(dataset.x_i - mu, dataset.x_next - mu, moments, w)
+    total = _residual_power(_frames(dataset) - mu, moments, w)
     return max(total / (2.0 * dataset.count * dataset.image_dim), SIGMA_FLOOR)
 
 
@@ -544,19 +550,19 @@ def _entropy(cov: np.ndarray) -> np.ndarray:
     return 0.5 * (cov.shape[-1] * (1.0 + LOG_2PI) + np.log(eigs).sum(axis=-1))
 
 
-def expected_complete_data_ll(model: PpcaModel, xc_i: np.ndarray,
-                              xc_n: np.ndarray, moments: LatentMoments) -> float:
-    """Expected complete-data log-likelihood (two-frame factorization)
-    under the expectation bundle, summed over the pairs.  The transition
-    and coefficient-prior terms are
-    :func:`lieflow.dynamics.expected_log_density` of the summed
+def expected_complete_data_ll(model: PpcaModel, xc: np.ndarray,
+                              moments: LatentMoments) -> float:
+    """Expected complete-data log-likelihood (two-frame factorization) of
+    the centred frame stack ``xc`` ``(2, N, D)`` under the expectation
+    bundle, summed over the pairs.  The transition and coefficient-prior
+    terms are :func:`lieflow.dynamics.expected_log_density` of the summed
     statistics, with the prior counted for the pairs whose coefficients
     are live."""
     n, sig2 = moments.count, model.noise_var
     recon = -0.5 * (2 * n * model.data_dim * np.log(2.0 * np.pi * sig2)
-                    + _residual_power(xc_i, xc_n, moments, model.loading) / sig2)
+                    + _residual_power(xc, moments, model.loading) / sig2)
     prior_zi = -0.5 * (n * model.latent_dim * LOG_2PI
-                       + np.trace(moments.ezz_i, axis1=1, axis2=2).sum())
+                       + np.trace(moments.ezz[0], axis1=1, axis2=2).sum())
     return float(recon + prior_zi
                  + expected_log_density(
                      model.dynamics, moments.transition,
@@ -571,11 +577,10 @@ def mean_field_elbo(model: PpcaModel, dataset: ImagePairDataset,
     A degenerate coefficient block (all moments zero, as under frozen
     coefficients) contributes neither a prior term nor an entropy.
     """
-    entropies = (_entropy(moments.cov_z_i) + _entropy(moments.cov_z_next)
-                 + np.where(moments.live_coefficients,
-                            _entropy(moments.cov_lam), 0.0))
-    return (expected_complete_data_ll(model, dataset.x_i - model.data_mean,
-                                      dataset.x_next - model.data_mean,
+    frame_i, frame_n = _entropy(moments.cov_z)
+    entropies = (frame_i + frame_n + np.where(moments.live_coefficients,
+                                              _entropy(moments.cov_lam), 0.0))
+    return (expected_complete_data_ll(model, _frames(dataset) - model.data_mean,
                                       moments)
             + float(entropies.sum()))
 

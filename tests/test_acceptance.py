@@ -283,8 +283,7 @@ def test_criterion_6_joint_estep_cross_validation():
         fp = e_step_joint(model, x_i, x_n, method="fixed_point", **settings)
         mc = e_step_joint(model, x_i, x_n, method="monte_carlo", **settings)
 
-        for field in ("ez_i", "ez_next", "elam", "ezz_i", "ezz_next",
-                      "elamlam"):
+        for field in ("ez", "elam", "ezz", "elamlam"):
             gap = np.abs(getattr(fp, field) - getattr(quad, field)).max()
             assert gap < 1e-3, (field, gap)
         # the transition statistics of the one pair
@@ -296,8 +295,8 @@ def test_criterion_6_joint_estep_cross_validation():
         zi, lam, probs = _snis_reference(model, x_i, x_n, samples,
                                          600 + k, ())
         checks = {
-            "ez_i": zi[:, 0], "elam": lam[:, 0],
-            "ezz_i": zi[:, 0] ** 2, "elamlam": lam[:, 0] ** 2,
+            "ez": zi[:, 0], "elam": lam[:, 0],
+            "ezz": zi[:, 0] ** 2, "elamlam": lam[:, 0] ** 2,
         }
         for field, values in checks.items():
             est = float(np.atleast_1d(getattr(mc, field)).ravel()[0])

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +20,7 @@ from lieflow.dynamics import (
     transition_stats,
     update_Lambda,
 )
-from lieflow.gaussian import NumericError, spd_cholesky
+from lieflow.gaussian import NumericError, cholesky_inverse, spd_cholesky
 from lieflow.liealg import GeneratorBasis, assemble_A
 from lieflow.oracles import GridSpec
 from lieflow.synth import SequenceSpec, generate_latent_pairs, subspace_angle
@@ -430,3 +432,36 @@ def test_init_model_is_seeded():
     assert np.array_equal(a.basis.generators, b.basis.generators)
     assert not np.array_equal(a.basis.generators,
                               init_model(3, 2, 43).basis.generators)
+
+
+def test_precisions_are_formed_on_first_read():
+    # the dynamics estimator never reads Omega^-1, so no fitted model forms it
+    data, _ = generate_latent_pairs(SequenceSpec(pair_count=20, seed=3))
+    model, _ = fit(data, EmConfig(j_init=1, max_iters=3, seed=0))
+    assert "trans_prec" not in vars(model)
+    prec = model.trans_prec
+    assert prec is model.trans_prec
+    assert prec.tobytes() == cholesky_inverse(model.trans_chol).tobytes()
+    assert model.coeff_prior_prec.tobytes() == \
+        cholesky_inverse(model.coeff_prior_chol).tobytes()
+
+
+# SHA-256 of a tiny fit's generators, Omega, Lambda and trace, recorded
+# before the model's precisions were formed on first read; any drift of
+# the E-step, M-step or orthogonalization bits changes it.  Three threads
+# split the 13 pairs into blocks of 4, 4 and 5.
+@pytest.mark.parametrize("threads", [1, 3])
+def test_tiny_fit_matches_pinned_digest(threads):
+    spec = SequenceSpec(group_kind="latent_random", latent_dim=3,
+                        generator_count=2, lambda_scale=0.08, noise_std=0.01,
+                        pair_count=13, seed=21)
+    data, _ = generate_latent_pairs(spec)
+    model, trace = fit(data, EmConfig(j_init=2, max_iters=4, tol=0.0,
+                                      seed=2 ** 64 - 3, estimate_lambda=True,
+                                      threads=threads))
+    h = hashlib.sha256()
+    for a in [model.basis.generators, model.trans_cov, model.coeff_prior_cov,
+              np.array(trace)]:
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    assert h.hexdigest() == \
+        "ed5c3f8897dce5e4087afc88eccf3d88ef785dc4923ae51fa362797d7b827f18"

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import os
 import tempfile
@@ -111,6 +112,31 @@ class TestNetworks:
         assert np.all(np.abs(draws.mean(axis=0) - mean) < 3 * se_mean)
         se_var = np.sqrt(2.0 / (n - 1)) * var
         assert np.all(np.abs(draws.var(axis=0) - var) < 3 * se_var)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 40),
+       sizes=st.lists(st.integers(1, 8), min_size=2, max_size=4),
+       seed=st.integers(0, 2 ** 16))
+def test_mlp_frame_stack_matches_lone_frames_bit_for_bit(n, sizes, seed):
+    # sizes: the input width, 0-2 hidden widths and the output width
+    net = Mlp([rng.normal_matrix(seed, (k,), (b, a))
+               for k, (a, b) in enumerate(zip(sizes[:-1], sizes[1:]))],
+              [rng.normals(seed, (10 + k,), b) for k, b in enumerate(sizes[1:])])
+    x = rng.normal_matrix(seed, (20,), (2, n, sizes[0]))
+    grad_out = rng.normal_matrix(seed, (21,), (2, n, sizes[-1]))
+    out, cache = net.forward(x)
+    grad_w, grad_b, grad_x = net.backward(cache, grad_out)
+    lone = []
+    for f in range(2):
+        out_f, cache_f = net.forward(x[f])
+        assert out[f].tobytes() == out_f.tobytes()
+        w_f, b_f, x_f = net.backward([c[None] for c in cache_f],
+                                     grad_out[f][None])
+        assert grad_x[f].tobytes() == x_f[0].tobytes()
+        lone.append(w_f + b_f)
+    for got, first, second in zip(grad_w + grad_b, *lone, strict=True):
+        assert got.tobytes() == (first + second).tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -366,30 +392,39 @@ class TestFit:
 
     def test_dynamics_precisions_are_solved_only_where_a_model_is_built(
             self, monkeypatch):
-        # Omega^-1 and Lambda^-1 come with each DynamicsModel: no minibatch
-        # step, coefficient posterior or update solves for them again
+        # Omega^-1 and Lambda^-1 come with each DynamicsModel, formed when
+        # it is built or, once, on first read: no minibatch step,
+        # coefficient posterior or update solves for them again
         spec = SequenceSpec(group_kind="rotation2d", lambda_scale=0.05,
                             noise_std=0.05, pair_count=20, seed=12,
                             height=2, width=3)
         data, _ = generate_image_pairs(spec, embedding="linear")
         calls, building = {True: 0, False: 0}, [False]
-        solve, post_init = gaussian.spd_solve, DynamicsModel.__post_init__
+        solve = gaussian.spd_solve
 
         def counted_solve(chol, b):
             calls[building[0]] += 1
             return solve(chol, b)
 
-        def flagged_post_init(model):
-            building[0] = True
-            try:
-                post_init(model)
-            finally:
-                building[0] = False
+        def flagged(method):
+            def run(model):
+                building[0] = True
+                try:
+                    return method(model)
+                finally:
+                    building[0] = False
+            return run
 
         for module in (gaussian, dynamics, ppca, npca):
             if hasattr(module, "spd_solve"):
                 monkeypatch.setattr(module, "spd_solve", counted_solve)
-        monkeypatch.setattr(DynamicsModel, "__post_init__", flagged_post_init)
+        monkeypatch.setattr(DynamicsModel, "__post_init__",
+                            flagged(DynamicsModel.__post_init__))
+        for name in ("trans_prec", "coeff_prior_prec"):
+            prop = functools.cached_property(
+                flagged(vars(DynamicsModel)[name].func))
+            prop.__set_name__(DynamicsModel, name)
+            monkeypatch.setattr(DynamicsModel, name, prop)
         fit(data, NpcaConfig(latent_dim=2, hidden_sizes=(4,), j_init=2,
                              epochs=3, batch_size=4, seed=1))
         assert calls[False] == 0

@@ -213,8 +213,8 @@ class TestEStepJoint:
                              lam=1e-6 * np.eye(1),
                              gens=np.array([[[0.0, -1.0], [1.0, 0.0]]]))
         moments = e_step_joint(model, x, x, method="fixed_point")
-        assert np.allclose(moments.ez_i[0], x, atol=1e-4)
-        assert np.allclose(moments.ez_next[0], x, atol=1e-4)
+        assert np.allclose(moments.ez[0, 0], x, atol=1e-4)
+        assert np.allclose(moments.ez[1, 0], x, atol=1e-4)
         assert np.abs(moments.elam).max() < 1e-4
 
     def test_collapsed_coefficient_prior_freezes_lambda(self):
@@ -229,8 +229,7 @@ class TestEStepJoint:
         # z-blocks reduce to the coefficient-free chained posteriors
         frozen = _moments_from_blocks(*_frozen_coefficient_blocks(
             collapsed, x_i[None], x_n[None]))
-        assert np.allclose(moments.ez_i, frozen.ez_i, atol=1e-6)
-        assert np.allclose(moments.ez_next, frozen.ez_next, atol=1e-6)
+        assert np.allclose(moments.ez, frozen.ez, atol=1e-6)
 
     @pytest.mark.parametrize("seed", [11, 12])
     def test_fixed_point_and_mc_match_quadrature(self, seed):
@@ -239,19 +238,19 @@ class TestEStepJoint:
         quad = e_step_joint(model, x_i, x_n, method="quadrature", **settings)
         fp = e_step_joint(model, x_i, x_n, method="fixed_point", **settings)
         mc = e_step_joint(model, x_i, x_n, method="monte_carlo", **settings)
-        for field in ("ez_i", "ez_next", "elam"):
+        for field in ("ez", "elam"):
             q, f, m = (getattr(quad, field), getattr(fp, field),
                        getattr(mc, field))
             assert np.abs(f - q).max() < 1e-3
             assert np.abs(m - q).max() < 5e-3  # ~3 SE at this sample count
-        assert np.abs(fp.ezz_i - quad.ezz_i).max() < 1e-3
-        assert np.abs(mc.ezz_i - quad.ezz_i).max() < 5e-3
+        assert np.abs(fp.ezz[0] - quad.ezz[0]).max() < 1e-3
+        assert np.abs(mc.ezz[0] - quad.ezz[0]).max() < 5e-3
 
     def test_moment_bundles_are_psd(self):
         model, x_i, x_n = tiny_joint_instance(13)
         for method in ("fixed_point", "quadrature"):
             m = e_step_joint(model, x_i, x_n, method=method)
-            assert np.linalg.eigvalsh(m.cov_z_i).min() > -1e-10
+            assert np.linalg.eigvalsh(m.cov_z[0]).min() > -1e-10
             assert np.linalg.eigvalsh(m.cov_lam).min() > -1e-10
 
     def test_rejects_unknown_method(self):
@@ -334,16 +333,16 @@ class TestCanonicalForm:
 
         quad = e_step_joint(model, x_i, x_n, method="quadrature",
                             grid_points=72)
-        center = np.array([quad.ez_i[0, 0], quad.elam[0, 0],
-                           quad.ez_next[0, 0]])
-        stds = np.sqrt(np.array([quad.cov_z_i[0, 0, 0], quad.cov_lam[0, 0, 0],
-                                 quad.cov_z_next[0, 0, 0]]))
+        center = np.array([quad.ez[0, 0, 0], quad.elam[0, 0],
+                           quad.ez[1, 0, 0]])
+        stds = np.sqrt(np.array([quad.cov_z[0, 0, 0, 0], quad.cov_lam[0, 0, 0],
+                                 quad.cov_z[1, 0, 0, 0]]))
         grid = GridSpec(center - 9 * stds, center + 9 * stds, np.full(3, 96))
         _, mean, second, _ = quadrature_moments(log_canonical, grid)
-        assert abs(mean[0] - quad.ez_i[0, 0]) < 1e-6
+        assert abs(mean[0] - quad.ez[0, 0, 0]) < 1e-6
         assert abs(mean[1] - quad.elam[0, 0]) < 1e-6
-        assert abs(mean[2] - quad.ez_next[0, 0]) < 1e-6
-        assert abs(second[0, 0] - quad.ezz_i[0, 0, 0]) < 1e-6
+        assert abs(mean[2] - quad.ez[1, 0, 0]) < 1e-6
+        assert abs(second[0, 0] - quad.ezz[0, 0, 0, 0]) < 1e-6
         assert abs(second[1, 1] - quad.elamlam[0, 0, 0]) < 1e-6
 
 
@@ -387,9 +386,9 @@ class TestMSteps:
     def test_w_zero_cross_moments(self):
         frames = rng.normal_matrix(18, (0,), (5, 3))
         data = ImagePairDataset(frames, frames, 1, 3)
-        eye = np.broadcast_to(np.eye(2), (5, 2, 2))
+        eye = np.broadcast_to(np.eye(2), (2, 5, 2, 2))
         moments = replace(self.delta_moments(np.zeros((5, 2)), np.zeros((5, 2))),
-                          ezz_i=eye, ezz_next=eye)
+                          ezz=eye)
         w = m_step_W(data, moments, np.zeros(3))
         assert np.allclose(w, 0.0, atol=1e-12)
 
@@ -415,9 +414,9 @@ class TestMSteps:
         x_n = rng.normal_matrix(21, (1,), (40, 3))
         data = ImagePairDataset(x_i, x_n, 1, 3)
         mu = m_step_mu(data)
-        eye = np.broadcast_to(np.eye(2), (40, 2, 2))
+        eye = np.broadcast_to(np.eye(2), (2, 40, 2, 2))
         moments = replace(self.delta_moments(np.zeros((40, 2)), np.zeros((40, 2))),
-                          ezz_i=eye, ezz_next=eye)
+                          ezz=eye)
         got = m_step_sigma(data, moments, np.zeros((3, 2)), mu)
         stacked = np.vstack([x_i, x_n]) - mu
         assert got == pytest.approx(np.mean(stacked ** 2), rel=1e-12)
@@ -490,7 +489,7 @@ def test_point_mass_objective_is_the_complete_data_log_density(seed, n, big_d,
                                      dyn.trans_cov), zn)
               + log_density(Gaussian(np.zeros(j), dyn.coeff_prior_cov), lm)
               for xi, xn, zi, zn, lm in zip(x_i, x_n, z_i, z_n, lam))
-    got = expected_complete_data_ll(model, x_i - mu, x_n - mu, moments)
+    got = expected_complete_data_ll(model, np.stack([x_i, x_n]) - mu, moments)
     assert abs(got - ref) <= 1e-10 * abs(ref)
 
 
@@ -725,16 +724,18 @@ def test_monte_carlo_e_step_factors_r_once_not_per_pair(monkeypatch):
     assert shapes.count((model.data_dim, model.data_dim)) == 1
 
 
-def test_latent_moments_psd_validation():
-    # one valid pair, then one whose z_i block is negative definite
-    good = np.ones((2, 1, 1))
+@pytest.mark.parametrize("block", ["z_i", "z_next", "lambda"])
+def test_latent_moments_psd_validation(block):
+    # one valid pair, then one whose named block is negative definite
+    good, neg = np.ones((2, 1, 1)), np.array([[[1.0]], [[-1.0]]])
     bad = dict(
-        ez_i=np.zeros((2, 1)), ez_next=np.zeros((2, 1)),
-        ezz_i=np.array([[[1.0]], [[-1.0]]]),
-        ezz_next=good, elam=np.zeros((2, 1)), elamlam=good,
+        ez=np.zeros((2, 2, 1)),
+        ezz=np.stack([neg if block == "z_i" else good,
+                      neg if block == "z_next" else good]),
+        elam=np.zeros((2, 1)), elamlam=neg if block == "lambda" else good,
         transition=TransitionStats(2, np.ones((1, 1)), np.zeros((1, 1)),
                                    np.ones((1, 1)), np.ones((1, 1))))
-    with pytest.raises(NumericError):
+    with pytest.raises(NumericError, match=f"^{block} moment block"):
         LatentMoments(**bad)
 
 
