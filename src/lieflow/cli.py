@@ -311,7 +311,7 @@ def cmd_roll(opts) -> int:
         z0, z1 = data.z_i[k], data.z_next[k]
     else:
         encode, decode = _image_maps(ck, estimator)
-        z0, z1 = encode(np.stack([data.x_i[k], data.x_next[k]]))
+        z0, z1 = encode(data.frames[:, k])
 
     lam_hat = _infer_roll_coefficients(dynamics, z0, z1)
     t_max = opts["t_max"] if opts["t_max"] is not None else \

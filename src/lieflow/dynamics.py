@@ -122,9 +122,19 @@ class PairDataset:
     def latent_dim(self) -> int:
         return self.z_i.shape[1]
 
+    # the data terms of the E-step and of transition_stats, formed once:
+    # delta, sum_i delta_i delta_i^T and each pair's z_i z_i^T as one row
     @cached_property
     def delta(self) -> np.ndarray:
         return self.z_next - self.z_i
+
+    @cached_property
+    def _delta_gram(self) -> np.ndarray:
+        return self.delta.T @ self.delta
+
+    @cached_property
+    def _zz_rows(self) -> np.ndarray:
+        return (self.z_i[:, :, None] * self.z_i[:, None, :]).reshape(self.count, -1)
 
 
 @dataclass(frozen=True)
@@ -220,11 +230,10 @@ def transition_stats(dataset: PairDataset, mean: np.ndarray,
     z, delta = dataset.z_i, dataset.delta
     n, d, j = dataset.count, dataset.latent_dim, mean.shape[1]
     z_lam = (z[:, :, None] * mean[:, None, :]).reshape(n, d * j)
-    zz = (z[:, :, None] * z[:, None, :]).reshape(n, d * d)
-    zz_lamlam = (zz.T @ second.reshape(n, j * j)).reshape(d, d, j, j)
+    zz_lamlam = (dataset._zz_rows.T @ second.reshape(n, j * j)).reshape(d, d, j, j)
     return TransitionStats(
         count=n,
-        dz_dz=delta.T @ delta,
+        dz_dz=dataset._delta_gram,
         dz_zlam=delta.T @ z_lam,
         zz_lamlam=zz_lamlam.transpose(0, 2, 1, 3).reshape(d * j, d * j),
         lamlam=second.sum(axis=0))

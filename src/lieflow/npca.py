@@ -192,18 +192,16 @@ def encode(model: NpcaModel, x: np.ndarray):
     leading axes."""
     if np.shape(x)[-1:] != (model.data_dim,):
         raise ValueError("observation dimension does not match the model")
-    mean, logvar, _ = _encoder_forward(model, np.atleast_2d(x))
-    if np.asarray(x).ndim == 1:
-        return mean[0], np.exp(logvar[0])
+    mean, logvar, _ = _encoder_forward(model, np.asarray(x))
     return mean, np.exp(logvar)
 
 
 def decode(model: NpcaModel, z: np.ndarray) -> np.ndarray:
-    """Decoder mean of ``p(x | z)``."""
-    out, _ = model.decoder.forward(np.atleast_2d(z))
+    """Decoder mean of ``p(x | z)``, any leading axes."""
+    out, _ = model.decoder.forward(np.asarray(z))
     if not np.all(np.isfinite(out)):
         raise NumericError("decoder produced non-finite output")
-    return out[0] if np.asarray(z).ndim == 1 else out
+    return out
 
 
 def reparam_sample(mean: np.ndarray, var: np.ndarray,
@@ -212,14 +210,13 @@ def reparam_sample(mean: np.ndarray, var: np.ndarray,
     return mean + np.sqrt(var) * noise
 
 
-def _objective_with_grads(model: NpcaModel, x_i, x_n, noise_i, noise_n,
-                          lam=None, coeff_mode: str = "map_plugin",
+def _objective_with_grads(model: NpcaModel, x, noise, lam=None,
+                          coeff_mode: str = "map_plugin",
                           coeff_noise: np.ndarray | None = None):
     """Objective and its gradient, one array per trainable tensor in the
-    order of :func:`named_parameters`, for a stack of pairs: frames
-    ``(N, D)``, noise ``(N, d)`` and, if given, ``lam`` ``(N, J)``.
-
-    The frames travel as one stack, so each network pass runs once; the
+    order of :func:`named_parameters`, for a stack of pairs: frame and
+    noise stacks ``(2, N, D)`` and ``(2, N, d)`` and, if given, ``lam``
+    ``(N, J)``.  Each network pass runs once over the frame stack; the
     latents are reparameterized from the supplied noise.  The
     coefficients are ``lam`` (one row per pair) when given, else from
     their conditional posterior at the sampled latents
@@ -227,9 +224,8 @@ def _objective_with_grads(model: NpcaModel, x_i, x_n, noise_i, noise_n,
     mode); the backward pass holds them fixed either way.  This is the
     step :func:`fit` takes per minibatch.
     """
-    n, d = x_i.shape[0], model.latent_dim
+    n, d = x.shape[1], model.latent_dim
     sig2, dyn = model.obs_noise_var, model.dynamics
-    x, noise = np.stack([x_i, x_n]), np.stack([noise_i, noise_n])
 
     m, lv, cache = _encoder_forward(model, x)
     # clamped so that a diverging log-variance cannot overflow
@@ -294,7 +290,7 @@ def encoded_moments(model: NpcaModel, dataset: ImagePairDataset
                     ) -> LatentMoments:
     """Expectation bundle from the encoder Gaussians with the coefficient
     posterior taken at the encoded means (mean-field assembly)."""
-    (mean_i, mean_n), var = encode(model, np.stack([dataset.x_i, dataset.x_next]))
+    (mean_i, mean_n), var = encode(model, dataset.frames)
     q, k = _e_step_block(model.dynamics, mean_i, mean_n - mean_i)
     cov_i, cov_n = var[..., None] * np.eye(model.latent_dim)
     return _moments_from_blocks(mean_i, cov_i, mean_n, cov_n, q, k)
@@ -404,9 +400,10 @@ def fit(dataset: ImagePairDataset, config: NpcaConfig,
     paths[:, 2] = np.arange(n)
     for epoch in range(config.epochs):
         order = rng.permutation(config.seed, (_TAG_SHUFFLE, epoch), n)
-        # row k of each draw is the stream (tag, epoch, k) of pair k
+        # row k of each draw is the stream (tag, epoch, k) of pair k; a
+        # noise row holds the first frame's d values, then the second's
         paths[:, 0], paths[:, 1] = _TAG_NOISE, epoch
-        noise = rng.normals(config.seed, paths, 2 * d)
+        noise = rng.normals(config.seed, paths, 2 * d).reshape(n, 2, d).swapaxes(0, 1)
         coeff_noise = None
         if config.coeff_mode == "sample":
             paths[:, 0] = _TAG_LAMNOISE
@@ -416,8 +413,8 @@ def fit(dataset: ImagePairDataset, config: NpcaConfig,
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
             objective, grads = _objective_with_grads(
-                model, dataset.x_i[idx], dataset.x_next[idx],
-                noise[idx, :d], noise[idx, d:], coeff_mode=config.coeff_mode,
+                model, dataset.frames[:, idx], noise[:, idx],
+                coeff_mode=config.coeff_mode,
                 coeff_noise=None if coeff_noise is None else coeff_noise[idx])
             total += objective
             _apply_gradients(model, grads, config.step_size, 1.0 / idx.size)

@@ -22,8 +22,9 @@ model: ``S``, its precision, the covariance ``Gamma`` of ``z_next`` and
 the factor of the covariance ``R`` of ``x_next`` are lazily cached
 :class:`PpcaModel` properties, and ``Omega^-1``, ``Lambda^-1`` and their
 log-determinants come with the :class:`lieflow.dynamics.DynamicsModel`.
-Both frames share the observation model, so frames, their posteriors
-and their moments travel as one stack ``(2, N, ...)``, ``x_i`` first.
+Both frames share the observation model, so frames (the dataset's
+``frames``, and the ``x`` of each E-step backend), their posteriors and
+their moments travel as one stack ``(2, N, ...)``, ``x_i`` first.
 All M-steps are closed form in the expectation bundle.
 """
 from __future__ import annotations
@@ -156,25 +157,32 @@ class LatentMoments:
     transition: TransitionStats
 
     def __post_init__(self):
-        for cov, ezz, label in (*zip(self.cov_z, self.ezz, ("z_i", "z_next")),
-                                (self.cov_lam, self.elamlam, "lambda")):
+        eig_z, eig_lam = self._eigs
+        for eigs, ezz, label in (*zip(eig_z, self.ezz, ("z_i", "z_next")),
+                                 (eig_lam, self.elamlam, "lambda")):
             floor = -1e-8 * np.maximum(1.0, np.abs(ezz).max(axis=(1, 2)))
-            if np.any(np.linalg.eigvalsh(cov)[:, 0] < floor):
+            if np.any(eigs[:, 0] < floor):
                 raise NumericError(f"{label} moment block is not positive semidefinite")
 
     @property
     def count(self) -> int:
         return self.ez.shape[1]
 
-    @property
+    @cached_property
     def cov_z(self) -> np.ndarray:
         return _outer_cov(self.ez, self.ezz)
 
-    @property
+    @cached_property
     def cov_lam(self) -> np.ndarray:
         return _outer_cov(self.elam, self.elamlam)
 
-    @property
+    @cached_property
+    def _eigs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues of ``cov_z`` and ``cov_lam``, read by the PSD check
+        and by the entropies of :func:`mean_field_elbo`."""
+        return np.linalg.eigvalsh(self.cov_z), np.linalg.eigvalsh(self.cov_lam)
+
+    @cached_property
     def live_coefficients(self) -> np.ndarray:
         """Pairs whose coefficient block is not degenerate (all moments
         zero, as under frozen coefficients)."""
@@ -288,8 +296,8 @@ def _stack_moments(parts: list[dict[str, np.ndarray]]) -> LatentMoments:
         len(parts), **sums, lamlam=stacked["elamlam"].sum(axis=0)))
 
 
-def _frozen_coefficient_blocks(model: PpcaModel, x_i: np.ndarray,
-                               x_n: np.ndarray) -> tuple[np.ndarray, ...]:
+def _frozen_coefficient_blocks(model: PpcaModel, x: np.ndarray
+                               ) -> tuple[np.ndarray, ...]:
     """Mean-field fixed point with the coefficients pinned at zero.
 
     The (z_i, z_next) problem is then jointly Gaussian, so the
@@ -299,8 +307,8 @@ def _frozen_coefficient_blocks(model: PpcaModel, x_i: np.ndarray,
     point, but arbitrarily slowly as the transition noise shrinks.)
     """
     w = model.loading
-    d, j, n = model.latent_dim, model.dynamics.coeff_count, x_i.shape[0]
-    (info_i, info_n), _ = _frame_posteriors(model, np.stack([x_i, x_n]))
+    d, j, n = model.latent_dim, model.dynamics.coeff_count, x.shape[1]
+    (info_i, info_n), _ = _frame_posteriors(model, x)
     omega_prec = model.dynamics.trans_prec
     prec = np.zeros((2 * d, 2 * d))
     prec[:d, :d] = model.latent_prec + omega_prec
@@ -313,8 +321,7 @@ def _frozen_coefficient_blocks(model: PpcaModel, x_i: np.ndarray,
             np.zeros((n, j)), np.zeros((n, j, j)))
 
 
-def _fixed_point_blocks(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray
-                        ) -> tuple[np.ndarray, ...]:
+def _fixed_point_blocks(model: PpcaModel, x: np.ndarray) -> tuple[np.ndarray, ...]:
     """Cycle the three closed-form conditionals at the current block means
     until self-consistent, starting from the frames' latent posteriors.
     Returns each pair's block moments in the order of
@@ -328,12 +335,12 @@ def _fixed_point_blocks(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray
     block (nor, therefore, on the thread count).
     """
     d, j = model.latent_dim, model.dynamics.coeff_count
-    n = x_i.shape[0]
+    n = x.shape[1]
     basis = model.dynamics.basis
 
     # both frames' latent posteriors: information W^T (x - mu) / sigma^2
     # and means (their shared precision and covariance are the model's)
-    (info_u, wt_xn), (u_i, u_n) = _frame_posteriors(model, np.stack([x_i, x_n]))
+    (info_u, wt_xn), (u_i, u_n) = _frame_posteriors(model, x)
     omega_prec, gamma = model.dynamics.trans_prec, model.next_frame_cov
 
     # one row per pair: m_zi, m_zn, q, cov_zi, k
@@ -387,8 +394,8 @@ def _next_frame(model: PpcaModel, zi: np.ndarray, lam: np.ndarray,
             @ model.next_frame_cov)
 
 
-def _quadrature_e_step(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray,
-                       config: PpcaConfig) -> tuple[LatentMoments, float]:
+def _quadrature_e_step(model: PpcaModel, x: np.ndarray, config: PpcaConfig
+                       ) -> tuple[LatentMoments, float]:
     """Grid-exact moments of every pair, plus the sum over the pairs of
     ``log p(x_next | x_i)`` (the normalizers of the integrands).  Each
     pair's grid spans ``(z_i, lambda)``, ``d + J`` axes: the integrand is
@@ -403,8 +410,8 @@ def _quadrature_e_step(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray,
     # marginal stds of the Gaussian over (z_i, lambda) with the transition
     # linearized at that solution (the factor stds alone understate
     # marginal spread when the transition couples the blocks tightly)
-    mf_zi, _, _, _, mf_q, _ = _fixed_point_blocks(model, x_i, x_n)
-    prior_means, prior_cov = posterior_z_given_x(model, x_i)
+    mf_zi, _, _, _, mf_q, _ = _fixed_point_blocks(model, x)
+    prior_means, prior_cov = posterior_z_given_x(model, x[0])
     zi_chol = spd_cholesky(prior_cov)
     lam_chol = model.dynamics.coeff_prior_chol
     prior = np.zeros((d + j, d + j))
@@ -416,7 +423,7 @@ def _quadrature_e_step(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray,
 
     parts, log_norm = [], 0.0
     for prior_mean, xc_n, m_zi, q in zip(
-            prior_means, x_n - model.data_mean, mf_zi, mf_q):
+            prior_means, x[1] - model.data_mean, mf_zi, mf_q):
         jac = np.hstack([np.eye(d) + liealg.combine(basis, q),
                          liealg.assemble_A(basis, m_zi)])
         stds = GRID_INFLATION * np.sqrt(np.diag(cholesky_inverse(
@@ -448,8 +455,8 @@ def _quadrature_e_step(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray,
     return _stack_moments(parts), log_norm
 
 
-def _monte_carlo_e_step(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray,
-                        config: PpcaConfig, streams) -> LatentMoments:
+def _monte_carlo_e_step(model: PpcaModel, x: np.ndarray, config: PpcaConfig,
+                        streams) -> LatentMoments:
     """Self-normalized sampling from ``q(z_i | x_i) p(lambda)``, weighted
     by the next frame's likelihood with ``z_next`` integrated out in
     closed form per draw (:func:`_next_frame`); pair ``k`` draws from the
@@ -457,11 +464,11 @@ def _monte_carlo_e_step(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray,
     d, j = model.latent_dim, model.dynamics.coeff_count
     s, seed = config.mc_samples, config.seed
 
-    prior_means, prior_cov = posterior_z_given_x(model, x_i)
+    prior_means, prior_cov = posterior_z_given_x(model, x[0])
     zi_chol = spd_cholesky(prior_cov)
     lam_chol = model.dynamics.coeff_prior_chol
     parts = []
-    for prior_mean, xc_n, stream in zip(prior_means, x_n - model.data_mean,
+    for prior_mean, xc_n, stream in zip(prior_means, x[1] - model.data_mean,
                                         streams):
         zi = prior_mean + rng.normal_matrix(
             seed, (_TAG_MC_Z, *stream), (s, d)) @ zi_chol.T
@@ -482,11 +489,6 @@ def _monte_carlo_e_step(model: PpcaModel, x_i: np.ndarray, x_n: np.ndarray,
 # M-steps
 
 
-def _frames(dataset: ImagePairDataset) -> np.ndarray:
-    """Both frames of every pair as one stack ``(2, N, D)``, ``x_i`` first."""
-    return np.stack([dataset.x_i, dataset.x_next])
-
-
 def m_step_mu(dataset: ImagePairDataset) -> np.ndarray:
     """Average of all 2N frames."""
     return 0.5 * (dataset.x_i.mean(axis=0) + dataset.x_next.mean(axis=0))
@@ -497,7 +499,7 @@ def m_step_W(dataset: ImagePairDataset, moments: LatentMoments,
     """Loading update from both frames' cross moments, via a linear solve."""
     if moments.count != dataset.count:
         raise ValueError("need exactly one moment bundle per pair")
-    num = ((_frames(dataset) - mu).swapaxes(1, 2) @ moments.ez).sum(axis=0)
+    num = ((dataset.frames - mu).swapaxes(1, 2) @ moments.ez).sum(axis=0)
     gram = moments.ezz.sum(axis=0).sum(axis=0)
     try:
         return np.linalg.solve(symmetrize(gram), num.T).T
@@ -523,7 +525,7 @@ def m_step_sigma(dataset: ImagePairDataset, moments: LatentMoments,
     """Isotropic noise update: expected residual power over both frames of
     every pair, averaged over the ``2N D`` scalar observations and clamped
     at ``1e-12``."""
-    total = _residual_power(_frames(dataset) - mu, moments, w)
+    total = _residual_power(dataset.frames - mu, moments, w)
     return max(total / (2.0 * dataset.count * dataset.image_dim), SIGMA_FLOOR)
 
 
@@ -544,10 +546,10 @@ def _first_frame_evidence(model: PpcaModel, xc_i: np.ndarray) -> float:
     return float(np.sum(cholesky_log_density(spd_cholesky(cov), xc_i)))
 
 
-def _entropy(cov: np.ndarray) -> np.ndarray:
-    """Gaussian entropies of a stack of symmetric covariances."""
-    eigs = np.maximum(np.linalg.eigvalsh(cov), 1e-300)
-    return 0.5 * (cov.shape[-1] * (1.0 + LOG_2PI) + np.log(eigs).sum(axis=-1))
+def _entropy(eigs: np.ndarray) -> np.ndarray:
+    """Gaussian entropies of a stack of covariances from their eigenvalues."""
+    return 0.5 * (eigs.shape[-1] * (1.0 + LOG_2PI)
+                  + np.log(np.maximum(eigs, 1e-300)).sum(axis=-1))
 
 
 def expected_complete_data_ll(model: PpcaModel, xc: np.ndarray,
@@ -577,10 +579,11 @@ def mean_field_elbo(model: PpcaModel, dataset: ImagePairDataset,
     A degenerate coefficient block (all moments zero, as under frozen
     coefficients) contributes neither a prior term nor an entropy.
     """
-    frame_i, frame_n = _entropy(moments.cov_z)
+    eig_z, eig_lam = moments._eigs
+    frame_i, frame_n = _entropy(eig_z)
     entropies = (frame_i + frame_n + np.where(moments.live_coefficients,
-                                              _entropy(moments.cov_lam), 0.0))
-    return (expected_complete_data_ll(model, _frames(dataset) - model.data_mean,
+                                              _entropy(eig_lam), 0.0))
+    return (expected_complete_data_ll(model, dataset.frames - model.data_mean,
                                       moments)
             + float(entropies.sum()))
 
@@ -597,7 +600,7 @@ def init_loading(dataset: ImagePairDataset, latent_dim: int,
     if not 1 <= latent_dim <= dataset.image_dim:
         raise ValueError(f"latent dimension {latent_dim} must lie in "
                          f"[1, {dataset.image_dim}] (the data dimension)")
-    stacked = np.vstack([dataset.x_i, dataset.x_next]) - mu
+    stacked = dataset.frames.reshape(-1, dataset.image_dim) - mu
     n2 = stacked.shape[0]
     _, svals, vt = np.linalg.svd(stacked, full_matrices=False)
     v = liealg._fix_signs(vt[:latent_dim]).T
@@ -613,15 +616,15 @@ def _e_step_dataset(model: PpcaModel, dataset: ImagePairDataset,
     """All-pair moments of the backend ``config.estep`` plus, for the
     quadrature backend, the exact conditional evidence
     ``sum_i log p(x_next | x_i)``."""
-    x_i, x_n = dataset.x_i, dataset.x_next
+    x = dataset.frames
     if config.estep == "quadrature":
-        return _quadrature_e_step(model, x_i, x_n, config)
+        return _quadrature_e_step(model, x, config)
     if config.estep == "monte_carlo":
-        return _monte_carlo_e_step(model, x_i, x_n, config,
+        return _monte_carlo_e_step(model, x, config,
                                    [(i,) for i in range(dataset.count)]), None
     blocks = (_frozen_coefficient_blocks if config.freeze_coefficients
               else _fixed_point_blocks)
-    parts = map_blocks(lambda a, b: blocks(model, x_i[a:b], x_n[a:b]),
+    parts = map_blocks(lambda a, b: blocks(model, x[:, a:b]),
                        dataset.count, config.threads)
     return _moments_from_blocks(*(np.concatenate(arrays)
                                   for arrays in zip(*parts))), None

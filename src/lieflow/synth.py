@@ -10,7 +10,7 @@ means the same across kinds.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,12 +66,15 @@ class SequenceSpec:
 
 @dataclass(frozen=True)
 class ImagePairDataset:
-    """N aligned image pairs as flat (N, D) arrays plus raster metadata."""
+    """N aligned image pairs as flat (N, D) arrays plus raster metadata,
+    stored as one stack ``frames`` ``(2, N, D)`` of which ``x_i`` and
+    ``x_next`` are the views ``frames[0]`` and ``frames[1]``."""
 
     x_i: np.ndarray
     x_next: np.ndarray
     height: int
     width: int
+    frames: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         xi = np.atleast_2d(np.asarray(self.x_i, dtype=float))
@@ -83,8 +86,10 @@ class ImagePairDataset:
                              f"not match the frame size {xi.shape[1]}")
         if not (np.all(np.isfinite(xi)) and np.all(np.isfinite(xn))):
             raise NumericError("image pairs must be finite")
-        object.__setattr__(self, "x_i", xi)
-        object.__setattr__(self, "x_next", xn)
+        frames = np.stack([xi, xn])
+        object.__setattr__(self, "frames", frames)
+        object.__setattr__(self, "x_i", frames[0])
+        object.__setattr__(self, "x_next", frames[1])
 
     @property
     def count(self) -> int:

@@ -327,13 +327,12 @@ def e_step_joint(model: PpcaModel, x_i: np.ndarray, x_next: np.ndarray,
     if method not in E_STEP_METHODS:
         raise ValueError(f"unknown E-step method {method!r}")
     config = PpcaConfig(estep=method, **settings)
-    x_i = np.asarray(x_i, dtype=float)[None]
-    x_next = np.asarray(x_next, dtype=float)[None]
+    x = np.asarray([x_i, x_next], dtype=float)[:, None]
     if method == "quadrature":
-        return _quadrature_e_step(model, x_i, x_next, config)[0]
+        return _quadrature_e_step(model, x, config)[0]
     if method == "monte_carlo":
-        return _monte_carlo_e_step(model, x_i, x_next, config, [()])
-    return _moments_from_blocks(*_fixed_point_blocks(model, x_i, x_next))
+        return _monte_carlo_e_step(model, x, config, [()])
+    return _moments_from_blocks(*_fixed_point_blocks(model, x))
 
 
 # ---------------------------------------------------------------------------

@@ -371,9 +371,10 @@ def test_criterion_9_variational_gradients():
             reparam_sample(mean_n, var_n, noise_n)[None])
 
         def objective(theta):
-            return _objective_with_grads(unflatten(model, theta), x_i[None],
-                                         x_n[None], noise_i[None],
-                                         noise_n[None], lam)
+            return _objective_with_grads(unflatten(model, theta),
+                                         np.stack([x_i, x_n])[:, None],
+                                         np.stack([noise_i, noise_n])[:, None],
+                                         lam)
 
         theta = flat_parameters(model)
         _, grad = objective(theta)

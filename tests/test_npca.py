@@ -214,9 +214,10 @@ class TestGradients:
             reparam_sample(mean_n, var_n, noise_n)[None])
 
         def objective(theta):
-            return _objective_with_grads(unflatten(model, theta), x_i[None],
-                                         x_n[None], noise_i[None],
-                                         noise_n[None], lam)
+            return _objective_with_grads(unflatten(model, theta),
+                                         np.stack([x_i, x_n])[:, None],
+                                         np.stack([noise_i, noise_n])[:, None],
+                                         lam)
 
         theta = flat_parameters(model)
         _, grad = objective(theta)
@@ -245,8 +246,8 @@ class TestGradients:
         x = rng.normals(7, (0,), 3)
         # with q = N(0, I) and zero noise the objective equals the plain
         # complete-data terms: kl contribution must vanish
-        val_q, _ = _objective_with_grads(model, x[None], x[None],
-                                         np.zeros(2)[None], np.zeros(2)[None])
+        val_q, _ = _objective_with_grads(model, np.stack([x, x])[:, None],
+                                         np.zeros((2, 1, 2)))
         out, _ = model.encoder.forward(x[None])
         m, lv = out[:, :2], out[:, 2:]
         assert np.allclose(m, 0.0) and np.allclose(lv, 0.0)
@@ -291,8 +292,8 @@ class TestObjectiveStructure:
         e_n = rng.normals(8, (3,), 2)
         lam = np.zeros((1, 1))
 
-        val_ab, _ = _objective_with_grads(model, x_a[None], x_b[None],
-                                          e_i[None], e_n[None], lam)
+        val_ab, _ = _objective_with_grads(model, np.stack([x_a, x_b])[:, None],
+                                          np.stack([e_i, e_n])[:, None], lam)
 
         def single_frame(x, eps):
             out, _ = model.encoder.forward(x[None])
@@ -320,8 +321,8 @@ class TestObjectiveStructure:
                           model.dynamics)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError):
-                _objective_with_grads(model, np.ones(3)[None], np.ones(3)[None],
-                                      np.ones(2)[None], np.ones(2)[None])
+                _objective_with_grads(model, np.ones((2, 1, 3)),
+                                      np.ones((2, 1, 2)))
 
 
 class TestDynamicsUpdates:

@@ -228,7 +228,7 @@ class TestEStepJoint:
         assert abs(moments.elamlam[0, 0, 0]) < 1e-12
         # z-blocks reduce to the coefficient-free chained posteriors
         frozen = _moments_from_blocks(*_frozen_coefficient_blocks(
-            collapsed, x_i[None], x_n[None]))
+            collapsed, np.stack([x_i, x_n])[:, None]))
         assert np.allclose(moments.ez, frozen.ez, atol=1e-6)
 
     @pytest.mark.parametrize("seed", [11, 12])
@@ -269,7 +269,7 @@ def test_quadrature_evidence_is_exact_for_a_zero_generator_basis(seed):
     model = PpcaModel(model.loading, model.data_mean, model.noise_var,
                       DynamicsModel(GeneratorBasis(np.zeros((1, 1, 1))),
                                     dyn.trans_cov, dyn.coeff_prior_cov))
-    _, log_norm = _quadrature_e_step(model, x_i[None], x_n[None], PpcaConfig(
+    _, log_norm = _quadrature_e_step(model, np.stack([x_i, x_n])[:, None], PpcaConfig(
         estep="quadrature", grid_points=72))
     m, s = posterior_z_given_x(model, x_i)
     w = model.loading
@@ -509,6 +509,24 @@ def test_sigma_update_maximizes_the_elbo(seed, n, big_d, d, j):
     assert elbo[0] >= max(elbo[1:])
 
 
+def test_mean_field_elbo_reuses_the_bundle_eigenvalues(monkeypatch):
+    # a bundle eigen-decomposes its covariance stacks once, for its PSD
+    # check, and the entropies of the bound read those eigenvalues
+    model, x_i, x_n = random_objective_instance(3, 4, 3, 2, 2)
+    blocks = (rng.normal_matrix(3, (7,), (4, 2)), random_spd(3, (8,), 4, 2),
+              rng.normal_matrix(3, (9,), (4, 2)), random_spd(3, (10,), 4, 2),
+              rng.normal_matrix(3, (11,), (4, 2)), random_spd(3, (12,), 4, 2))
+    data = ImagePairDataset(x_i, x_n, 1, model.data_dim)
+    want = mean_field_elbo(model, data, _moments_from_blocks(*blocks))
+    moments = _moments_from_blocks(*blocks)
+
+    def no_eigvalsh(*args, **kwargs):
+        raise AssertionError("eigen-decomposed again")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    assert mean_field_elbo(model, data, moments) == want
+
+
 _SWEEP_SIZES = dict(seed=st.integers(0, 2 ** 31 - 1), n=st.integers(1, 12),
                     extra_dims=st.integers(0, 3), d=st.integers(1, 3),
                     j=st.integers(1, 3), scale=st.sampled_from([1e-3, 0.3, 3.0]))
@@ -535,9 +553,9 @@ def test_fixed_point_sweep_matches_the_direct_solve_oracle(seed, n, extra_dims,
         # strong coupling can keep the sweep from converging; both forms
         # must then fail alike
         with pytest.raises(NumericError):
-            _fixed_point_blocks(model, x_i, x_n)
+            _fixed_point_blocks(model, np.stack([x_i, x_n]))
         return
-    got = _fixed_point_blocks(model, x_i, x_n)
+    got = _fixed_point_blocks(model, np.stack([x_i, x_n]))
     assert len(got) == len(want) == 6
     for g, w in zip(got, want):
         assert g.shape == w.shape
@@ -546,7 +564,7 @@ def test_fixed_point_sweep_matches_the_direct_solve_oracle(seed, n, extra_dims,
 
 def _blocks_or_none(model, x_i, x_n):
     try:
-        return _fixed_point_blocks(model, x_i, x_n)
+        return _fixed_point_blocks(model, np.stack([x_i, x_n]))
     except NumericError:
         return None
 
@@ -718,7 +736,7 @@ def test_monte_carlo_e_step_factors_r_once_not_per_pair(monkeypatch):
         return factor(m)
 
     monkeypatch.setattr(ppca, "spd_cholesky", counted_factor)
-    _monte_carlo_e_step(model, np.stack([x_i] * 3), np.stack([x_n] * 3),
+    _monte_carlo_e_step(model, np.stack([[x_i] * 3, [x_n] * 3]),
                         PpcaConfig(mc_samples=2000, seed=3),
                         [(k,) for k in range(3)])
     assert shapes.count((model.data_dim, model.data_dim)) == 1

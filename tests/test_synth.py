@@ -4,6 +4,7 @@ import pytest
 from lieflow.gaussian import NumericError
 from lieflow.liealg import GeneratorBasis, apply_exact, combine, matrix_exp
 from lieflow.synth import (
+    ImagePairDataset,
     SequenceSpec,
     generate_image_pairs,
     generate_latent_pairs,
@@ -132,6 +133,16 @@ class TestGenerateImagePairs:
         b, _ = generate_image_pairs(spec)
         assert np.array_equal(a.x_i, b.x_i)
         assert np.array_equal(a.x_next, b.x_next)
+
+    def test_frames_are_one_stack_viewed_by_both_frames(self):
+        x_i = np.arange(6.0).reshape(3, 2)
+        x_next = 10.0 - x_i
+        data = ImagePairDataset(x_i, x_next, 1, 2)
+        assert data.frames.shape == (2, 3, 2)
+        assert np.shares_memory(data.x_i, data.frames)
+        assert np.shares_memory(data.x_next, data.frames)
+        assert np.array_equal(data.x_i, x_i)
+        assert np.array_equal(data.x_next, x_next)
 
 
 class TestSubspaceAngle:

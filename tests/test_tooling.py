@@ -93,6 +93,25 @@ def test_every_public_library_name_has_a_caller_outside_the_tests():
     assert not unused, f"library names only the tests call: {unused}"
 
 
+def test_only_the_image_dataset_stacks_the_two_frames():
+    # ImagePairDataset stores both frames as one (2, N, D) stack and the
+    # estimators read it, so no other library code stacks x_i and x_next
+    stackers = {"stack", "vstack", "concatenate"}
+    found = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        if path.name == "synth.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in stackers \
+                    and isinstance(node.func.value, ast.Name) \
+                    and node.func.value.id == "np" \
+                    and {"x_i", "x_next"} & _loaded_names(node):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"frame stacks built outside ImagePairDataset: {found}"
+
+
 def test_library_imports_only_numpy_and_the_standard_library():
     # the library needs numpy only; function-level imports count too
     allowed = {"numpy", *sys.stdlib_module_names}
