@@ -8,13 +8,16 @@ coefficients per pair, returned as plain stacked arrays: means
 ``(N, J)`` and covariances ``(N, J, J)``.  The M-step solves the
 Kronecker normal equations for the flattened generator block and
 refreshes the noise covariance.  The E-step and the marginal likelihood
-share one J x J posterior precision per pair (:func:`_pair_precision`):
-it whitens with the Cholesky factor of Omega, adds Lambda^{-1}, and is
-factorized for all pairs at once, so an iteration costs O(N d^2 J) with
-no per-pair d x d factorization.  :class:`DynamicsModel` factors Omega
-and Lambda when it is built and inverts them on first read; the
-E-steps, objectives and gradients of the three estimators read those
-factors, log-determinants and inverses instead of deriving them again.
+share one J x J posterior precision per pair (:func:`_pair_precision`),
+factorized for all pairs at once: an iteration costs O(N d^2 J) with no
+per-pair d x d factorization and no per-pair BLAS call.
+:class:`DynamicsModel` factors Omega and Lambda when it is built,
+inverts them on first read, and whitens its generators
+``L_Omega^{-1} G_j`` once on first read; each precision is then a
+fixed-order elementwise sum over the latent axis, so a pair's bits do
+not depend on the pairs that share its block.  The E-steps, objectives
+and gradients of the three estimators read those factors,
+log-determinants and inverses instead of deriving them again.
 Each iteration may be followed by a PCA orthogonalization of the
 generator basis.
 
@@ -87,6 +90,12 @@ class DynamicsModel:
     @cached_property
     def coeff_prior_prec(self) -> np.ndarray:
         return cholesky_inverse(self.coeff_prior_chol)
+
+    @cached_property
+    def _white_generators(self) -> np.ndarray:
+        # L_Omega^{-1} G_j (J, d, d): _pair_precision whitens A = [G_j z]
+        # from these instead of solving with L_Omega once per pair
+        return triangular_solve(self.trans_chol, self.basis.generators)
 
     @property
     def latent_dim(self) -> int:
@@ -166,22 +175,29 @@ def _pair_precision(model: DynamicsModel, z_i: np.ndarray, delta: np.ndarray
     """The per-pair J x J posterior precision shared by the E-step and
     the marginal likelihood.
 
-    Whitens the columns of ``[A, delta]`` with the Cholesky factor of
-    Omega and returns, from their Gram matrices, the precisions
-    ``P = Lambda^{-1} + A^T Omega^{-1} A`` ``(N, J, J)``, the information
-    vectors ``b = A^T Omega^{-1} delta`` ``(N, J)`` and the squared
-    whitened residuals ``delta^T Omega^{-1} delta`` ``(N,)``.  Every
-    pair's values depend on that pair alone, bit for bit.
+    With the model's whitened generators ``L_Omega^{-1} G_j``, the
+    whitened columns of ``[A, delta]`` are ``L_Omega^{-1} G_j z_i`` and
+    ``L_Omega^{-1} delta`` (one substitution).  Their inner products give
+    the precisions ``P = Lambda^{-1} + A^T Omega^{-1} A`` ``(N, J, J)``,
+    the information vectors ``b = A^T Omega^{-1} delta`` ``(N, J)`` and
+    the squared whitened residuals ``delta^T Omega^{-1} delta`` ``(N,)``,
+    all C-ordered.  Both products are elementwise sums over the latent
+    axis in a fixed order, with no matrix product over the pair stack,
+    so every pair's values depend on that pair alone, bit for bit.
     """
-    j = model.coeff_count
-    cols = np.concatenate([liealg.assemble_A(model.basis, z_i),
-                           delta[:, :, None]], axis=2)
-    n, d, _ = cols.shape
-    white = triangular_solve(model.trans_chol,
-                             cols.transpose(1, 0, 2).reshape(d, n * (j + 1)))
-    white = white.reshape(d, n, j + 1).transpose(1, 0, 2)
-    gram = white.swapaxes(1, 2) @ white
-    return model.coeff_prior_prec + gram[:, :j, :j], gram[:, :j, j], gram[:, j, j]
+    j, d, n = model.coeff_count, model.latent_dim, z_i.shape[0]
+    white_gens = model._white_generators
+    cols = np.empty((j + 1, d, n))  # whitened [A, delta], pairs last
+    cols[j] = triangular_solve(model.trans_chol, delta.T)
+    np.multiply(white_gens[:, :, 0, None], z_i[:, 0], out=cols[:j])
+    for b in range(1, d):
+        cols[:j] += white_gens[:, :, b, None] * z_i[:, b]
+    gram = cols[:, None, 0] * cols[None, :, 0]
+    for a in range(1, d):
+        gram += cols[:, None, a] * cols[None, :, a]
+    prec = np.empty((n, j, j))
+    np.add(model.coeff_prior_prec, gram[:j, :j].transpose(2, 0, 1), out=prec)
+    return prec, gram[:j, j].T.copy(), gram[j, j]
 
 
 def _e_step_block(model: DynamicsModel, z_i: np.ndarray,

@@ -9,7 +9,9 @@ estimators assemble every linear-Gaussian posterior they need from
 these in batched form; an explicit matrix inverse is never formed
 outside of a Cholesky solve.  The dynamics E-step and the ppca
 fixed-point sweep take their stacked posteriors from one factor per
-precision (:func:`stacked_posterior`).  The per-distribution algebra
+precision (:func:`stacked_posterior`), whose covariances and means are
+fixed-order elementwise sums over J with no matrix product over the
+stack, returned C-ordered.  The per-distribution algebra
 that checks them (marginal, posterior, joint, partitioned conditional)
 is a test reference in ``tests/reference.py``.
 """
@@ -113,13 +115,25 @@ def stacked_cholesky(m: np.ndarray) -> np.ndarray:
 def stacked_posterior(prec: np.ndarray, info: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Means ``P^{-1} b`` and covariances ``P^{-1}`` of a stack of Gaussians
-    with precisions ``P`` ``(..., J, J)`` and information ``b`` ``(..., J)``:
-    each ``P = L L^T`` is factored once, the covariance is ``L^{-T} L^{-1}``
-    and the mean the covariance times ``b``, elementwise over the stack."""
-    eye = np.broadcast_to(np.eye(prec.shape[-1]), prec.shape)
-    inv_chol = triangular_solve(stacked_cholesky(prec), eye)
-    cov = symmetrize(inv_chol.swapaxes(-1, -2) @ inv_chol)
-    return (cov @ info[..., None])[..., 0], cov
+    with precisions ``P`` ``(..., J, J)`` and information ``b`` ``(..., J)``.
+
+    Each ``P = L L^T`` is factored once.  The covariance ``L^{-T} L^{-1}``
+    and the mean, the covariance times ``b``, are elementwise sums over J
+    in a fixed order, with no matrix product over the stack: every item
+    has the bits of a lone call, and both outputs are C-ordered (the
+    covariances exactly symmetric)."""
+    j = prec.shape[-1]
+    inv_chol = triangular_solve(stacked_cholesky(prec),
+                                np.broadcast_to(np.eye(j), prec.shape))
+    cov = np.empty(prec.shape)
+    np.multiply(inv_chol[..., 0, :, None], inv_chol[..., 0, None, :], out=cov)
+    for k in range(1, j):
+        cov += inv_chol[..., k, :, None] * inv_chol[..., k, None, :]
+    mean = np.empty(info.shape)
+    np.multiply(cov[..., 0], info[..., 0, None], out=mean)
+    for k in range(1, j):
+        mean += cov[..., k] * info[..., k, None]
+    return mean, cov
 
 
 def cholesky_log_density(chol: np.ndarray, diffs: np.ndarray) -> np.ndarray:

@@ -7,7 +7,8 @@ A (column m equals ``G^m z``), the flat d x (dJ) block form used by the
 Kronecker normal equations, and the PCA step that replaces a basis by a
 minimal Frobenius-orthonormal one after each EM iteration.  The action
 functions take any leading batch axes ``...`` (broadcast between
-coefficients and vectors) and give each item the bits of a lone call.
+coefficients and vectors) in either memory order and give each item the
+bits of a lone call.
 """
 from __future__ import annotations
 
@@ -51,7 +52,7 @@ class GeneratorBasis:
 
 
 def _check_coeffs(basis: GeneratorBasis, coeffs: np.ndarray) -> np.ndarray:
-    lam = np.atleast_1d(np.asarray(coeffs, dtype=float))
+    lam = np.ascontiguousarray(coeffs, dtype=float)
     if lam.shape[-1:] != (basis.count,):
         raise ValueError(f"expected {basis.count} coefficients, got shape {lam.shape}")
     if not np.all(np.isfinite(lam)):
@@ -60,7 +61,7 @@ def _check_coeffs(basis: GeneratorBasis, coeffs: np.ndarray) -> np.ndarray:
 
 
 def _check_vectors(basis: GeneratorBasis, z: np.ndarray) -> np.ndarray:
-    vec = np.atleast_1d(np.asarray(z, dtype=float))
+    vec = np.ascontiguousarray(z, dtype=float)
     if vec.shape[-1:] != (basis.latent_dim,):
         raise ValueError("vector dimension does not match the basis")
     return vec

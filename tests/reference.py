@@ -8,6 +8,8 @@ versions that check them:
 - a second linear-Gaussian algebra: :class:`Gaussian` and
   :class:`LinearGaussianMap` objects with their marginal, posterior,
   joint and partitioned conditional, and log densities;
+- the stacked coefficient precisions of ``dynamics._pair_precision``
+  by substitution and a matrix product (:func:`pair_precision`);
 - the one-pair forms of the E-steps: the coefficient posterior of one
   latent pair (:func:`e_step_lambda`), the next-frame conditional of
   probabilistic PCA (:func:`posterior_znext`) and the joint expectation
@@ -35,6 +37,7 @@ from lieflow.gaussian import (
     spd_cholesky,
     spd_solve,
     symmetrize,
+    triangular_solve,
 )
 from lieflow.npca import NpcaModel, assemble, named_parameters
 from lieflow.oracles import GridPosterior, GridSpec, grid_posterior
@@ -240,6 +243,23 @@ def e_step_lambda(model: DynamicsModel, z_i: np.ndarray,
     prior = Gaussian(np.zeros(model.coeff_count), model.coeff_prior_cov)
     lin = LinearGaussianMap(a, np.zeros(model.latent_dim), model.trans_cov)
     return posterior(prior, lin, np.asarray(z_next, dtype=float) - zi)
+
+
+def pair_precision(model: DynamicsModel, z_i: np.ndarray, delta: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stacked ``(P, b, delta^T Omega^{-1} delta)`` of
+    :func:`lieflow.dynamics._pair_precision` by its earlier route: the
+    columns of ``[A, delta]`` whitened by one substitution with
+    ``L_Omega`` and their Gram matrices formed by a stacked ``@``."""
+    j = model.coeff_count
+    cols = np.concatenate([liealg.assemble_A(model.basis, z_i),
+                           delta[:, :, None]], axis=2)
+    n, d, _ = cols.shape
+    white = triangular_solve(model.trans_chol,
+                             cols.transpose(1, 0, 2).reshape(d, n * (j + 1)))
+    white = white.reshape(d, n, j + 1).transpose(1, 0, 2)
+    gram = white.swapaxes(1, 2) @ white
+    return model.coeff_prior_prec + gram[:, :j, :j], gram[:, :j, j], gram[:, j, j]
 
 
 def posterior_znext(model: PpcaModel, x_next: np.ndarray, z_i: np.ndarray,

@@ -10,6 +10,8 @@ from lieflow.dynamics import (
     DynamicsModel,
     EmConfig,
     PairDataset,
+    _e_step_block,
+    _pair_precision,
     e_step_all,
     expected_log_density,
     fit,
@@ -20,7 +22,12 @@ from lieflow.dynamics import (
     transition_stats,
     update_Lambda,
 )
-from lieflow.gaussian import NumericError, cholesky_inverse, spd_cholesky
+from lieflow.gaussian import (
+    NumericError,
+    cholesky_inverse,
+    spd_cholesky,
+    triangular_solve,
+)
 from lieflow.liealg import GeneratorBasis, assemble_A
 from lieflow.oracles import GridSpec
 from lieflow.synth import SequenceSpec, generate_latent_pairs, subspace_angle
@@ -30,6 +37,7 @@ from reference import (
     e_step_lambda,
     log_density,
     log_density_batch,
+    pair_precision,
     posterior,
     quadrature_moments,
 )
@@ -420,6 +428,69 @@ def test_transition_stats_equal_per_pair_kronecker_sums(seed, d, j, n, step):
         assert np.all(np.abs(got - want) <= 1e-12 * scale), name
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 6),
+       j=st.integers(1, 3), n=st.integers(1, 12),
+       step=st.sampled_from([1e-3, 0.3, 3.0]), log_cond=st.floats(0.0, 8.0))
+def test_pair_precision_matches_the_substitution_oracle(seed, d, j, n, step,
+                                                        log_cond):
+    # Omega with eigenvalues spread over 10^log_cond: both routes whiten
+    # through L_Omega, whose condition number is 10^(log_cond / 2), so
+    # each entry may differ by that many rounding errors of the
+    # Cauchy-Schwarz bound on its magnitude (measured: under 4 of them)
+    base = random_model(seed, d, j)
+    q, _ = np.linalg.qr(rng.normal_matrix(seed, (5,), (d, d)))
+    omega = (q * 10.0 ** (-log_cond * np.linspace(0.0, 1.0, d))) @ q.T
+    model = DynamicsModel(base.basis, omega, base.coeff_prior_cov)
+    z_i = rng.normal_matrix(seed, (3,), (n, d))
+    delta = step * rng.normal_matrix(seed, (4,), (n, d))
+    prec, info, white_sq = _pair_precision(model, z_i, delta)
+    want_prec, want_info, want_sq = pair_precision(model, z_i, delta)
+    rtol = 64 * np.finfo(float).eps * 10.0 ** (log_cond / 2)
+    gram_diag = np.diagonal(want_prec - model.coeff_prior_prec, axis1=1, axis2=2)
+    prec_scale = (np.sqrt(gram_diag[:, :, None] * gram_diag[:, None, :])
+                  + np.abs(model.coeff_prior_prec))
+    assert prec.shape == (n, j, j) and info.shape == (n, j) \
+        and white_sq.shape == (n,)
+    assert np.all(np.abs(prec - want_prec) <= rtol * prec_scale)
+    assert np.all(np.abs(info - want_info)
+                  <= rtol * np.sqrt(gram_diag * want_sq[:, None]))
+    assert np.all(np.abs(white_sq - want_sq) <= rtol * want_sq)
+
+
+@pytest.mark.parametrize("column_major", [False, True])
+@pytest.mark.parametrize("d, j", [(1, 3), (3, 2), (6, 2)])
+def test_e_step_block_equals_its_one_pair_calls(d, j, column_major):
+    # a column-major stack of pairs gives each pair the bits of its lone
+    # call, and every output stack is row-major like a lone call's
+    order = "F" if column_major else "C"
+    for seed in range(8):
+        model = random_model(seed, d, j)
+        z_i = np.asarray(rng.normal_matrix(seed, (3,), (5, d)), order=order)
+        delta = np.asarray(0.3 * rng.normal_matrix(seed, (4,), (5, d)),
+                           order=order)
+        block = (*_pair_precision(model, z_i, delta),
+                 *_e_step_block(model, z_i, delta))
+        singles = [(*_pair_precision(model, z_i[k:k + 1], delta[k:k + 1]),
+                    *_e_step_block(model, z_i[k:k + 1], delta[k:k + 1]))
+                   for k in range(5)]
+        cov = block[-1]  # exactly symmetric
+        assert np.array_equal(cov, cov.swapaxes(1, 2))
+        for got, *parts in zip(block, *singles):
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, np.concatenate(parts))
+
+
+def test_whitened_generators_are_formed_once_without_the_precision():
+    model = random_model(7, 3, 2)
+    z_i = rng.normal_matrix(7, (3,), (4, 3))
+    e_step_all(model, PairDataset(z_i, z_i + 0.3))
+    white = model._white_generators
+    assert white is model._white_generators and "trans_prec" not in vars(model)
+    assert np.array_equal(white, triangular_solve(model.trans_chol,
+                                                  model.basis.generators))
+
+
 def test_pair_delta_is_computed_once():
     data = PairDataset([[1.0, 2.0]], [[4.0, 0.0]])
     assert data.delta is data.delta
@@ -447,9 +518,9 @@ def test_precisions_are_formed_on_first_read():
 
 
 # SHA-256 of a tiny fit's generators, Omega, Lambda and trace, recorded
-# before the model's precisions were formed on first read; any drift of
-# the E-step, M-step or orthogonalization bits changes it.  Three threads
-# split the 13 pairs into blocks of 4, 4 and 5.
+# when the coefficient posteriors became fixed-order elementwise sums;
+# any drift of the E-step, M-step or orthogonalization bits changes it.
+# Three threads split the 13 pairs into blocks of 4, 4 and 5.
 @pytest.mark.parametrize("threads", [1, 3])
 def test_tiny_fit_matches_pinned_digest(threads):
     spec = SequenceSpec(group_kind="latent_random", latent_dim=3,
@@ -464,4 +535,4 @@ def test_tiny_fit_matches_pinned_digest(threads):
               np.array(trace)]:
         h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
     assert h.hexdigest() == \
-        "ed5c3f8897dce5e4087afc88eccf3d88ef785dc4923ae51fa362797d7b827f18"
+        "aae572c9d7b059a175160277a34bc7312027dbe282b74a677111f3a89729f1ef"

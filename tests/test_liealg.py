@@ -236,16 +236,7 @@ def test_combine_matches_sum():
     assert np.allclose(combine(basis, lam), manual, atol=1e-15)
 
 
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(0, 5), d=st.integers(1, 5), j=st.integers(1, 3),
-       seed=st.integers(0, 2 ** 31 - 1), top=st.floats(-1.0, 1.5))
-def test_stacked_action_equals_per_item_loop(n, d, j, seed, top):
-    # coefficient norms span up to ~10^top * sqrt(J): from no squaring to
-    # several, with a different squaring count per item of one stack
-    basis = GeneratorBasis(rng.normal_matrix(seed, (0,), (j, d, d)))
-    scales = 10.0 ** (top - 4.0 * rng.uniforms(seed, (1,), n))
-    lam = scales[:, None] * rng.normal_matrix(seed, (2,), (n, j))
-    z = rng.normal_matrix(seed, (3,), (n, d))
+def assert_stack_equals_per_item_loop(basis, lam, z):
     stacked = {
         "matrix_exp": matrix_exp(combine(basis, lam)),
         "combine": combine(basis, lam),
@@ -263,3 +254,30 @@ def test_stacked_action_equals_per_item_loop(n, d, j, seed, top):
     for name, out in stacked.items():
         items = np.array(looped[name]).reshape(out.shape)
         assert np.array_equal(out, items), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 5), d=st.integers(1, 5), j=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 31 - 1), top=st.floats(-1.0, 1.5))
+def test_stacked_action_equals_per_item_loop(n, d, j, seed, top):
+    # coefficient norms span up to ~10^top * sqrt(J): from no squaring to
+    # several, with a different squaring count per item of one stack
+    basis = GeneratorBasis(rng.normal_matrix(seed, (0,), (j, d, d)))
+    scales = 10.0 ** (top - 4.0 * rng.uniforms(seed, (1,), n))
+    lam = scales[:, None] * rng.normal_matrix(seed, (2,), (n, j))
+    z = rng.normal_matrix(seed, (3,), (n, d))
+    assert_stack_equals_per_item_loop(basis, lam, z)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 5), d=st.integers(1, 4), j=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 31 - 1), column_major=st.booleans())
+def test_stacked_action_ignores_the_memory_order(n, d, j, seed, column_major):
+    # a column-major (n, J) or (n, d) stack, as an elementwise product
+    # over a strided view can return, gives each item the bits of a lone
+    # call, like a row-major one
+    basis = GeneratorBasis(rng.normal_matrix(seed, (0,), (j, d, d)))
+    order = "F" if column_major else "C"
+    assert_stack_equals_per_item_loop(
+        basis, np.asarray(rng.normal_matrix(seed, (1,), (n, j)), order=order),
+        np.asarray(rng.normal_matrix(seed, (2,), (n, d)), order=order))

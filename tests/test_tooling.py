@@ -112,6 +112,24 @@ def test_only_the_image_dataset_stacks_the_two_frames():
     assert not found, f"frame stacks built outside ImagePairDataset: {found}"
 
 
+@pytest.mark.parametrize("module, function", [
+    ("dynamics", "_pair_precision"), ("gaussian", "stacked_posterior")])
+def test_stacked_posteriors_take_no_matrix_product_over_the_stack(module,
+                                                                  function):
+    # BLAS may round a product over a stack of pairs differently with the
+    # stack's size, and numpy runs a stacked @ as one call per pair; both
+    # functions form their products as elementwise sums instead
+    tree = ast.parse((LIBRARY / f"{module}.py").read_text())
+    body = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == function)
+    products = {"matmul", "einsum", "dot", "tensordot"}
+    found = [node.lineno for node in ast.walk(body)
+             if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult))
+             or (isinstance(node, ast.Attribute) and node.attr in products
+                 and isinstance(node.value, ast.Name) and node.value.id == "np")]
+    assert not found, f"{module}.{function} multiplies matrices at lines {found}"
+
+
 def test_library_imports_only_numpy_and_the_standard_library():
     # the library needs numpy only; function-level imports count too
     allowed = {"numpy", *sys.stdlib_module_names}
