@@ -203,7 +203,9 @@ def _pair_precision(model: DynamicsModel, z_i: np.ndarray, delta: np.ndarray
 def _e_step_block(model: DynamicsModel, z_i: np.ndarray,
                   delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient posteriors of a block of pairs: stacked means ``P^{-1} b``
-    ``(N, J)`` and covariances ``P^{-1}`` ``(N, J, J)``."""
+    ``(N, J)`` and covariances ``P^{-1}`` ``(N, J, J)``.  The one closed
+    form of q(lambda): the ppca fixed-point sweep and npca's plug-in
+    coefficients call it too."""
     prec, info, _ = _pair_precision(model, z_i, delta)
     return stacked_posterior(prec, info)
 

@@ -9,7 +9,8 @@ The joint posterior over ``(z_i, lambda, z_next)`` is non-Gaussian (the
 transition couples ``z_i`` and ``lambda`` bilinearly), so the E-step
 offers three backends: tensor-grid quadrature over ``(z_i, lambda)``
 (exact to grid resolution, small dimensions only), a mean-field fixed
-point cycling the three closed-form conditionals (production default)
+point cycling the three closed-form conditionals (production default;
+its q(lambda) is the coefficient posterior of the dynamics E-step)
 and self-normalized importance sampling (cross-check), chosen by
 ``PpcaConfig.estep`` and tuned by the same config's ``grid_points``,
 ``mc_samples`` and ``seed``.  Given ``(z_i, lambda)`` the pair is
@@ -38,6 +39,7 @@ from . import liealg, rng
 from .dynamics import (
     DynamicsModel,
     TransitionStats,
+    _e_step_block,
     converged,
     expected_log_density,
     init_model,
@@ -327,9 +329,12 @@ def _fixed_point_blocks(model: PpcaModel, x: np.ndarray) -> tuple[np.ndarray, ..
     Returns each pair's block moments in the order of
     :func:`_moments_from_blocks`: ``(m_zi, cov_zi, m_zn, cov_zn, q, k)``.
 
-    Each sweep factors every live pair's q(lambda) and q(z_i) precision
-    once (:func:`lieflow.gaussian.stacked_posterior`) and forms every
-    other product as a stack of one-pair products.  Every operation is
+    Each sweep takes every live pair's q(lambda) from the dynamics E-step
+    at the current means (:func:`lieflow.dynamics._e_step_block`, the
+    coefficient posterior all three estimators share), factors every live
+    pair's q(z_i) precision once
+    (:func:`lieflow.gaussian.stacked_posterior`) and forms every other
+    product as a stack of one-pair products.  Every operation is
     elementwise over the pairs and each pair stops on its own residual,
     so a pair's result does not depend on which other pairs share the
     block (nor, therefore, on the thread count).
@@ -351,14 +356,11 @@ def _fixed_point_blocks(model: PpcaModel, x: np.ndarray) -> tuple[np.ndarray, ..
     for _ in range(FIXED_POINT_ITERS):
         old = state[live]
         m_zi, m_zn = old[:, :d], old[:, d:2 * d]
-        a = liealg.assemble_A(basis, m_zi)
-        at_oi = np.einsum("naj,ab->njb", a, omega_prec)
-        q, k = stacked_posterior(model.dynamics.coeff_prior_prec + at_oi @ a,
-                                 np.einsum("njb,nb->nj", at_oi, m_zn - m_zi))
-        drift = m_zi + np.einsum("naj,nj->na", a, q)
+        q, k = _e_step_block(model.dynamics, m_zi, m_zn - m_zi)
+        b = np.eye(d) + liealg.combine(basis, q)
+        drift = np.einsum("nab,nb->na", b, m_zi)
         new_zn = np.einsum("nb,bc->nc", wt_xn[live]
                            + np.einsum("na,ab->nb", drift, omega_prec), gamma)
-        b = np.eye(d) + liealg.combine(basis, q)
         bt_oi = b.swapaxes(1, 2) @ omega_prec
         new_zi, cov_zi = stacked_posterior(
             model.latent_prec + bt_oi @ b,

@@ -390,17 +390,42 @@ def test_wrong_magic_gives_io_exit(tmp_path):
                 "--out", str(tmp_path / "x.lf")]) == 3
 
 
+def assert_npca_fit_aborts_with_one_line(tmp_path, capsys, data, *options):
+    """A diverging npca fit exits 4 with a one-line message on stderr and
+    prints no numpy warning on the way."""
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["fit", "--estimator", "npca", "--data", str(data),
+                    *options, "--out", str(tmp_path / "x.lf")])
+    err = capsys.readouterr().err
+    assert code == 4 and not caught
+    assert err.startswith("numeric error") and err.count("\n") == 1
+
+
 def test_numeric_abort_gives_exit_4(tmp_path, capsys):
     data = tmp_path / "img.lf"
     run(["generate", "--kind", "rotation2d", "--mode", "image",
          "--height", "2", "--width", "3", "--n", "20", "--seed", "1",
          "--noise-std", "0.05", "--out", str(data)])
-    with np.errstate(all="ignore"):
-        code = run(["fit", "--estimator", "npca", "--data", str(data),
-                    "--d", "2", "--max-iters", "50", "--hidden", "4",
-                    "--step-size", "1e3", "--out", str(tmp_path / "x.lf")])
-    assert code == 4
-    assert "numeric error" in capsys.readouterr().err
+    assert_npca_fit_aborts_with_one_line(
+        tmp_path, capsys, data, "--d", "2", "--max-iters", "50",
+        "--hidden", "4", "--step-size", "1e3")
+
+
+def test_npca_fit_on_scaled_frames_aborts_with_one_line(tmp_path, capsys):
+    # at three times the generated scale the default step overflows the
+    # networks' backward pass within 20 epochs
+    data = tmp_path / "img.lf"
+    run(["generate", "--kind", "rotation2d", "--mode", "image",
+         "--height", "4", "--width", "4", "--n", "64", "--seed", "1",
+         "--noise-std", "0.01", "--out", str(data)])
+    arrays = read_tensors(data)
+    for name in ("x_i", "x_next"):
+        arrays[name] = 3.0 * arrays[name]
+    write_tensors(data, arrays)
+    assert_npca_fit_aborts_with_one_line(
+        tmp_path, capsys, data, "--hidden", "16", "--max-iters", "20")
 
 
 def test_out_of_memory_is_usage_error(tmp_path, capsys, monkeypatch):

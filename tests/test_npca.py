@@ -509,24 +509,9 @@ def test_plugin_coefficients_match_dynamics_posterior():
     assert np.allclose(lam[0], ref.mean, atol=1e-12)
 
 
-def test_sampled_coefficients_shift_by_posterior_noise():
-    from lieflow.gaussian import spd_cholesky
-    from reference import e_step_lambda
-
-    model = small_model(17, data_dim=3)
-    z_i = rng.normals(17, (0,), 2)
-    z_n = rng.normals(17, (1,), 2)
-    noise = np.array([[0.7]])
-    lam = plugin_coefficients(model, z_i[None], z_n[None], mode="sample",
-                              noise=noise)
-    ref = e_step_lambda(model.dynamics, z_i, z_n)
-    expected = ref.mean + spd_cholesky(ref.cov) @ noise[0]
-    assert np.allclose(lam[0], expected, atol=1e-12)
-    with pytest.raises(ValueError):
-        plugin_coefficients(model, z_i[None], z_n[None], mode="sample")
-
-
-def test_fit_with_sampled_coefficients_is_deterministic():
+def test_fit_rejects_an_unknown_coefficient_mode():
+    # coefficients are always posterior means; another mode is an error,
+    # not a setting the fit ignores
     spec = SequenceSpec(group_kind="rotation2d", lambda_scale=0.05,
                         noise_std=0.05, pair_count=16, seed=18,
                         height=2, width=3)
@@ -534,21 +519,19 @@ def test_fit_with_sampled_coefficients_is_deterministic():
     cfg = NpcaConfig(latent_dim=2, hidden_sizes=(4,), epochs=3,
                      batch_size=8, step_size=1e-3, seed=9,
                      coeff_mode="sample")
-    _, trace_a = fit(data, cfg)
-    _, trace_b = fit(data, cfg)
-    assert trace_a == trace_b
+    with pytest.raises(ValueError, match="unknown coefficient mode 'sample'"):
+        fit(data, cfg)
 
 
 # SHA-256 of a tiny fit's parameters, dynamics and trace, recorded when
 # the coefficient posteriors became fixed-order elementwise sums; any
-# drift of the npca streams or the E-step changes them.  A seed near
+# drift of the npca streams or the E-step changes it.  A seed near
 # 2**64, 3 latent dimensions and 3 generators give odd Box-Muller
 # lengths and a ragged last minibatch.  The test ids leave the digests
 # out, so a re-recorded digest keeps its test's name.
 @pytest.mark.parametrize("coeff_mode, digest", [
     ("map_plugin", "52c27a551971821447ca3152ba183465d2b133fdb499ac8d3b847f8f589d5850"),
-    ("sample", "6eac742c590e0f0974c6a03babb320ac0a3be968bbbbb29900e58f0d24a4078c"),
-], ids=["map_plugin", "sample"])
+], ids=["map_plugin"])
 def test_tiny_fit_matches_pinned_digest(coeff_mode, digest):
     spec = SequenceSpec(group_kind="rotation2d", lambda_scale=0.05,
                         noise_std=0.05, pair_count=13, seed=21,

@@ -12,6 +12,7 @@ from lieflow.dynamics import (
     DynamicsModel,
     PairDataset,
     TransitionStats,
+    _e_step_block,
     e_step_all,
     transition_stats,
 )
@@ -603,6 +604,27 @@ def test_fixed_point_sweep_block_independence_on_a_fixed_grid():
     assert sum(converged) >= 15
 
 
+def test_fixed_point_sweep_takes_q_lambda_from_the_dynamics_e_step(monkeypatch):
+    # the sweep's coefficient posterior is the dynamics E-step's, not a
+    # second copy of its closed form: every pair's returned q and k are a
+    # row of what the E-step's calls returned
+    calls = []
+
+    def spy(dynamics_model, z_i, delta):
+        out = _e_step_block(dynamics_model, z_i, delta)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(ppca, "_e_step_block", spy)
+    model, x_i, x_n = scaled_sweep_instance(5, 6, 1, 2, 2, 0.3)
+    *_, q, k = _fixed_point_blocks(model, np.stack([x_i, x_n]))
+    assert len(calls) > 1 and len(calls[0][0]) == len(q)
+    rows = [(mean, cov) for means, covs in calls for mean, cov in zip(means, covs)]
+    for mean, cov in zip(q, k):
+        assert any(np.array_equal(mean, m) and np.array_equal(cov, c)
+                   for m, c in rows)
+
+
 class TestFit:
     def test_identity_transition_dataset(self):
         # x_next identical to x_i: the raw generator update collapses and
@@ -797,8 +819,8 @@ def test_frozen_coefficients_need_the_fixed_point_estep(estep):
 
 
 # SHA-256 of a tiny fixed-point fit's parameters, dynamics and trace,
-# recorded when the sweep's stacked posteriors became fixed-order
-# elementwise sums; any drift of the sweep's bits changes it.  Three
+# recorded when the sweep took q(lambda) from the dynamics E-step; any
+# drift of the sweep's bits changes it.  Three
 # threads split the 13 pairs into blocks of 4, 4 and 5.
 @pytest.mark.parametrize("threads", [1, 3])
 def test_tiny_fit_matches_pinned_digest(threads):
@@ -816,7 +838,7 @@ def test_tiny_fit_matches_pinned_digest(threads):
               np.array(trace)]:
         h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
     assert h.hexdigest() == \
-        "4c695cfae114bfedf718511aec22ef778a77a253511f7754179d817dec093e1e"
+        "602f9f62e172d493294eef18fa6415d8384d148fc936784e14de287353b8b413"
 
 
 def test_init_loading_is_deterministic_and_scaled():

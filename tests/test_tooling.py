@@ -5,6 +5,7 @@ benchmark run.  The library ships only what the estimators, the CLI and
 the benchmark run: code that only tests call belongs in
 tests/reference.py."""
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -110,6 +111,23 @@ def test_only_the_image_dataset_stacks_the_two_frames():
                     and {"x_i", "x_next"} & _loaded_names(node):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"frame stacks built outside ImagePairDataset: {found}"
+
+
+def test_every_config_field_is_read_by_the_library():
+    # a field no library code reads as ``config.<field>`` is a setting a
+    # fit silently ignores
+    from lieflow.dynamics import EmConfig
+    from lieflow.npca import NpcaConfig
+    from lieflow.ppca import PpcaConfig
+
+    read = {node.attr for path in sorted(LIBRARY.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name) and node.value.id == "config"}
+    unread = [f"{cls.__name__}.{field.name}"
+              for cls in (EmConfig, PpcaConfig, NpcaConfig)
+              for field in dataclasses.fields(cls) if field.name not in read]
+    assert not unread, f"config fields the library never reads: {unread}"
 
 
 @pytest.mark.parametrize("module, function", [
