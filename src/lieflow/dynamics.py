@@ -39,6 +39,7 @@ from . import rng
 from .gaussian import (
     LOG_2PI,
     NumericError,
+    _ordered_sum,
     cholesky_inverse,
     default_jitter,
     spd_cholesky,
@@ -93,9 +94,12 @@ class DynamicsModel:
 
     @cached_property
     def _white_generators(self) -> np.ndarray:
-        # L_Omega^{-1} G_j (J, d, d): _pair_precision whitens A = [G_j z]
-        # from these instead of solving with L_Omega once per pair
-        return triangular_solve(self.trans_chol, self.basis.generators)
+        # L_Omega^{-1} G_j (J, d, d), one substitution for the flattened
+        # block [G_j]: _pair_precision whitens A = [G_j z] from these
+        # instead of solving with L_Omega once per pair
+        d, j = self.latent_dim, self.coeff_count
+        white = triangular_solve(self.trans_chol, liealg.block_flatten(self.basis))
+        return white.reshape(d, d, j).transpose(2, 0, 1)
 
     @property
     def latent_dim(self) -> int:
@@ -173,39 +177,36 @@ class EmConfig:
 def _pair_precision(model: DynamicsModel, z_i: np.ndarray, delta: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The per-pair J x J posterior precision shared by the E-step and
-    the marginal likelihood.
+    the marginal likelihood, for pairs ``z_i`` and ``delta`` ``(N, d)``.
 
     With the model's whitened generators ``L_Omega^{-1} G_j``, the
     whitened columns of ``[A, delta]`` are ``L_Omega^{-1} G_j z_i`` and
     ``L_Omega^{-1} delta`` (one substitution).  Their inner products give
-    the precisions ``P = Lambda^{-1} + A^T Omega^{-1} A`` ``(N, J, J)``,
-    the information vectors ``b = A^T Omega^{-1} delta`` ``(N, J)`` and
+    the precisions ``P = Lambda^{-1} + A^T Omega^{-1} A`` ``(J, J, N)``,
+    the information vectors ``b = A^T Omega^{-1} delta`` ``(J, N)`` and
     the squared whitened residuals ``delta^T Omega^{-1} delta`` ``(N,)``,
-    all C-ordered.  Both products are elementwise sums over the latent
-    axis in a fixed order, with no matrix product over the pair stack,
-    so every pair's values depend on that pair alone, bit for bit.
+    all C-ordered with the pair axis last.  Both products are
+    elementwise sums over the latent axis in a fixed order, with no
+    matrix product over the pair stack, so every pair's values depend on
+    that pair alone, bit for bit.
     """
     j, d, n = model.coeff_count, model.latent_dim, z_i.shape[0]
     white_gens = model._white_generators
     cols = np.empty((j + 1, d, n))  # whitened [A, delta], pairs last
     cols[j] = triangular_solve(model.trans_chol, delta.T)
-    np.multiply(white_gens[:, :, 0, None], z_i[:, 0], out=cols[:j])
-    for b in range(1, d):
-        cols[:j] += white_gens[:, :, b, None] * z_i[:, b]
-    gram = cols[:, None, 0] * cols[None, :, 0]
-    for a in range(1, d):
-        gram += cols[:, None, a] * cols[None, :, a]
-    prec = np.empty((n, j, j))
-    np.add(model.coeff_prior_prec, gram[:j, :j].transpose(2, 0, 1), out=prec)
-    return prec, gram[:j, j].T.copy(), gram[j, j]
+    cols[:j] = _ordered_sum(white_gens[:, :, b, None] * z_i[:, b] for b in range(d))
+    gram = _ordered_sum(cols[:, None, a] * cols[None, :, a] for a in range(d))
+    return (model.coeff_prior_prec[:, :, None] + gram[:j, :j],
+            gram[:j, j].copy(), gram[j, j])
 
 
 def _e_step_block(model: DynamicsModel, z_i: np.ndarray,
                   delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient posteriors of a block of pairs: stacked means ``P^{-1} b``
-    ``(N, J)`` and covariances ``P^{-1}`` ``(N, J, J)``.  The one closed
-    form of q(lambda): the ppca fixed-point sweep and npca's plug-in
-    coefficients call it too."""
+    """Coefficient posteriors of a block of pairs ``z_i`` and ``delta``
+    ``(N, d)``: stacked means ``P^{-1} b`` ``(J, N)`` and covariances
+    ``P^{-1}`` ``(J, J, N)``, the pair axis last.  The one closed form of
+    q(lambda): the ppca fixed-point sweep and npca's plug-in coefficients
+    call it too."""
     prec, info, _ = _pair_precision(model, z_i, delta)
     return stacked_posterior(prec, info)
 
@@ -234,25 +235,34 @@ def e_step_all(model: DynamicsModel, dataset: PairDataset,
         raise ValueError("dataset and model latent dimensions disagree")
     parts = map_blocks(lambda a, b: _e_step_block(
         model, dataset.z_i[a:b], dataset.delta[a:b]), dataset.count, threads)
-    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+    mean, cov = (np.concatenate(arrays, axis=-1) for arrays in zip(*parts))
+    # C-ordered copies: numpy rounds a sum over the pairs by memory order
+    return mean.T.copy(), cov.transpose(2, 0, 1).copy()
+
+
+def _pair_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``sum_n a_n (x) b_n`` over the leading pair axis of two stacks, as
+    one product over that axis: shape ``a.shape[1:] + b.shape[1:]``."""
+    n = a.shape[0]
+    return (a.reshape(n, -1).T @ b.reshape(n, -1)).reshape(a.shape[1:] + b.shape[1:])
 
 
 def transition_stats(dataset: PairDataset, mean: np.ndarray,
                      cov: np.ndarray) -> TransitionStats:
     """Summed statistics of exact latents under coefficient posteriors with
     means ``(N, J)`` and covariances ``(N, J, J)``, each formed as one
-    product over the pair axis without per-pair Kronecker blocks."""
+    product over the pair axis (:func:`_pair_sum`) without per-pair
+    Kronecker blocks."""
     if mean.shape[0] != dataset.count:
         raise ValueError("need exactly one posterior per pair")
     second = cov + np.einsum("nj,nk->njk", mean, mean)  # E[lambda lambda^T]
-    z, delta = dataset.z_i, dataset.delta
     n, d, j = dataset.count, dataset.latent_dim, mean.shape[1]
-    z_lam = (z[:, :, None] * mean[:, None, :]).reshape(n, d * j)
-    zz_lamlam = (dataset._zz_rows.T @ second.reshape(n, j * j)).reshape(d, d, j, j)
+    z_lam = dataset.z_i[:, :, None] * mean[:, None, :]
+    zz_lamlam = _pair_sum(dataset._zz_rows, second).reshape(d, d, j, j)
     return TransitionStats(
         count=n,
         dz_dz=dataset._delta_gram,
-        dz_zlam=delta.T @ z_lam,
+        dz_zlam=_pair_sum(dataset.delta, z_lam).reshape(d, d * j),
         zz_lamlam=zz_lamlam.transpose(0, 2, 1, 3).reshape(d * j, d * j),
         lamlam=second.sum(axis=0))
 
@@ -330,20 +340,26 @@ def marginal_log_likelihood(model: DynamicsModel, dataset: PairDataset) -> float
     ``d < J``, ``P`` is a rank-d term plus ``Lambda^{-1}``, and its
     log-determinant loses them too.
     """
-    if dataset.latent_dim <= model.coeff_count:
-        a = liealg.assemble_A(model.basis, dataset.z_i)
-        chol = stacked_cholesky(model.trans_cov + symmetrize(
-            a @ model.coeff_prior_cov @ a.swapaxes(1, 2)))
-        white = triangular_solve(chol, dataset.delta)
-        log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)))
+    d, z = dataset.latent_dim, dataset.z_i.T
+    if d <= model.coeff_count:
+        # A Lambda A^T = C C^T with the columns C_k = sum_m (L_Lambda)_mk G_m z
+        # of A L_Lambda, so each covariance comes out exactly symmetric
+        gens = liealg.combine(model.basis, model.coeff_prior_chol.T)
+        cols = _ordered_sum(gens[:, :, b, None] * z[b] for b in range(d))
+        chol = stacked_cholesky(model.trans_cov[:, :, None] + _ordered_sum(
+            cols[k, :, None] * cols[k, None, :] for k in range(model.coeff_count)))
+        white = triangular_solve(chol, dataset.delta.T)
+        log_det = 2.0 * np.sum(np.log(np.diagonal(chol)))
         quad = np.sum(white * white)
     else:
         prec, info, white_sq = _pair_precision(model, dataset.z_i, dataset.delta)
         prec_chol = stacked_cholesky(prec)
         white_info = triangular_solve(prec_chol, info)
+        # both sums run pair-major, as over (N, J) arrays: the pinned fit
+        # digests fix the objective's bits to this order
         log_det = (dataset.count * (model.trans_logdet + model.coeff_prior_logdet)
-                   + 2.0 * np.sum(np.log(np.diagonal(prec_chol, axis1=1, axis2=2))))
-        quad = np.sum(white_sq) - np.sum(white_info * white_info)
+                   + 2.0 * np.sum(np.log(np.diagonal(prec_chol)).ravel()))
+        quad = np.sum(white_sq) - np.sum((white_info * white_info).T.ravel())
     return float(-0.5 * (dataset.count * dataset.latent_dim * LOG_2PI
                          + log_det + quad))
 

@@ -3,8 +3,10 @@
 Cholesky factors with SPD and conditioning checks, one triangular
 substitution with its SPD solve, stacked factorizations, and the
 Gaussian log density from a Cholesky factor.  The substitution and the
-stacked factorization take plain arrays with leading stack axes
-``(..., d, d)`` and give every item the bits of a lone call.  The
+stacked factorization take plain arrays with the matrix axes first and
+the stack axes last, ``(d, d, ...)``, so each step is an elementwise
+operation over contiguous rows of pairs, and give every item the bits
+of a lone call.  The
 estimators assemble every linear-Gaussian posterior they need from
 these in batched form; an explicit matrix inverse is never formed
 outside of a Cholesky solve.  The dynamics E-step and the ppca
@@ -60,25 +62,26 @@ def spd_cholesky(m: np.ndarray) -> np.ndarray:
 def triangular_solve(chol: np.ndarray, b: np.ndarray,
                      transpose: bool = False) -> np.ndarray:
     """Solve ``L x = b`` by forward substitution, or ``L^T x = b`` by back
-    substitution, for lower triangular factors ``L`` ``(..., d, d)``.
+    substitution, for lower triangular factors ``L`` ``(d, d, ...)``, the
+    matrix axes first and any stack axes last.
 
-    ``b`` has the factors' leading axes and holds one vector per factor,
-    ``(..., d)``, when it has one axis fewer than ``chol``; otherwise it
-    is ``(..., d, m)``.  Each step divides one row by its pivot and
-    subtracts it, scaled by the pivot's column of ``L``, from the rows
-    still to be solved.  These are elementwise operations, so every
-    column of ``x`` depends on its own factor and column of ``b`` alone,
-    bit for bit.
+    ``b`` holds one vector per factor, ``(d, ...)``, when it has one axis
+    fewer than ``chol``; otherwise it is ``(d, m, ...)``.  A single
+    factor ``(d, d)`` with a ``(d, m)`` right-hand side is the same code.
+    Each step divides one row by its pivot and subtracts it, scaled by the
+    pivot's column of ``L``, from the rows still to be solved.  These are
+    elementwise operations over contiguous rows, so every column of ``x``
+    depends on its own factor and column of ``b`` alone, bit for bit.
     """
     x = np.array(b, dtype=float)
-    rows = x[..., None] if x.ndim < chol.ndim else x
-    d = chol.shape[-1]
-    for i in (range(d - 1, -1, -1) if transpose else range(d)):
-        rows[..., i, :] /= chol[..., i, i, None]
+    rows = x[:, None] if x.ndim < chol.ndim else x
+    for i in (range(chol.shape[0] - 1, -1, -1) if transpose
+              else range(chol.shape[0])):
+        rows[i] /= chol[i, i]
         if transpose:
-            rows[..., :i, :] -= chol[..., i, :i, None] * rows[..., i, None, :]
+            rows[:i] -= chol[i, :i, None] * rows[i]
         else:
-            rows[..., i + 1:, :] -= chol[..., i + 1:, i, None] * rows[..., i, None, :]
+            rows[i + 1:] -= chol[i + 1:, i, None] * rows[i]
     return x
 
 
@@ -88,52 +91,59 @@ def spd_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def stacked_cholesky(m: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factors of a stack ``(..., J, J)`` of symmetric
-    positive-definite matrices, one column at a time for the whole stack.
+    """Lower Cholesky factors of a stack ``(J, J, ...)`` of symmetric
+    positive-definite matrices, the stack axes last, one column at a time
+    for the whole stack.
 
     Each step scales a pivot's column by its root and subtracts that
     column's outer product from the trailing block.  These are
-    elementwise operations, so every factor depends on its own matrix
-    alone, bit for bit.  Raises :class:`NumericError` if a pivot is not
-    positive.
+    elementwise operations over contiguous rows, so every factor depends
+    on its own matrix alone, bit for bit.  Raises :class:`NumericError`
+    if a pivot is not positive.
     """
     work = np.array(m, dtype=float)
-    for k in range(work.shape[-1]):
-        pivot = work[..., k, k]
+    for k in range(work.shape[0]):
+        pivot = work[k, k]
         if not (pivot > 0.0).all():
             raise NumericError(
                 f"{int(np.sum(~(pivot > 0.0)))} of {pivot.size} stacked "
                 f"matrices not positive definite")
-        work[..., k, k] = np.sqrt(pivot)
-        work[..., k, k + 1:] = 0.0
-        col = work[..., k + 1:, k]
-        col /= work[..., k, k, None]
-        work[..., k + 1:, k + 1:] -= col[..., :, None] * col[..., None, :]
+        work[k, k] = np.sqrt(pivot)
+        work[k, k + 1:] = 0.0
+        col = work[k + 1:, k]
+        col /= work[k, k]
+        work[k + 1:, k + 1:] -= col[:, None] * col[None, :]
     return work
+
+
+def _ordered_sum(terms) -> np.ndarray:
+    """Elementwise sum of the fresh arrays ``terms``, added into the first
+    in the order given: a fixed-order sum, so an item's bits do not
+    depend on the other items of a stack."""
+    terms = iter(terms)
+    total = next(terms)
+    for term in terms:
+        total += term
+    return total
 
 
 def stacked_posterior(prec: np.ndarray, info: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Means ``P^{-1} b`` and covariances ``P^{-1}`` of a stack of Gaussians
-    with precisions ``P`` ``(..., J, J)`` and information ``b`` ``(..., J)``.
+    """Means ``P^{-1} b`` ``(J, ...)`` and covariances ``P^{-1}``
+    ``(J, J, ...)`` of a stack of Gaussians with precisions ``P``
+    ``(J, J, ...)`` and information ``b`` ``(J, ...)``, the stack axes last.
 
     Each ``P = L L^T`` is factored once.  The covariance ``L^{-T} L^{-1}``
     and the mean, the covariance times ``b``, are elementwise sums over J
     in a fixed order, with no matrix product over the stack: every item
     has the bits of a lone call, and both outputs are C-ordered (the
     covariances exactly symmetric)."""
-    j = prec.shape[-1]
+    j = prec.shape[0]
+    eye = np.eye(j).reshape((j, j) + (1,) * (prec.ndim - 2))
     inv_chol = triangular_solve(stacked_cholesky(prec),
-                                np.broadcast_to(np.eye(j), prec.shape))
-    cov = np.empty(prec.shape)
-    np.multiply(inv_chol[..., 0, :, None], inv_chol[..., 0, None, :], out=cov)
-    for k in range(1, j):
-        cov += inv_chol[..., k, :, None] * inv_chol[..., k, None, :]
-    mean = np.empty(info.shape)
-    np.multiply(cov[..., 0], info[..., 0, None], out=mean)
-    for k in range(1, j):
-        mean += cov[..., k] * info[..., k, None]
-    return mean, cov
+                                np.broadcast_to(eye, prec.shape))
+    cov = _ordered_sum(inv_chol[k, :, None] * inv_chol[k, None, :] for k in range(j))
+    return _ordered_sum(cov[:, k] * info[k] for k in range(j)), cov
 
 
 def cholesky_log_density(chol: np.ndarray, diffs: np.ndarray) -> np.ndarray:

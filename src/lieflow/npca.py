@@ -271,7 +271,7 @@ def plugin_coefficients(model: NpcaModel, z_i: np.ndarray,
     """Coefficients ``(N, J)`` for stacks of sampled latents ``(N, d)``:
     the means of the coefficient posterior of the dynamics E-step
     (:func:`lieflow.dynamics._e_step_block`)."""
-    return _e_step_block(model.dynamics, z_i, z_n - z_i)[0]
+    return _e_step_block(model.dynamics, z_i, z_n - z_i)[0].T
 
 
 def encoded_moments(model: NpcaModel, dataset: ImagePairDataset
@@ -281,7 +281,8 @@ def encoded_moments(model: NpcaModel, dataset: ImagePairDataset
     (mean_i, mean_n), var = encode(model, dataset.frames)
     q, k = _e_step_block(model.dynamics, mean_i, mean_n - mean_i)
     cov_i, cov_n = var[..., None] * np.eye(model.latent_dim)
-    return _moments_from_blocks(mean_i, cov_i, mean_n, cov_n, q, k)
+    return _moments_from_blocks(mean_i, cov_i, mean_n, cov_n, q.T,
+                                k.transpose(2, 0, 1))
 
 
 @dataclass

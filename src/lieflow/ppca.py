@@ -40,6 +40,7 @@ from .dynamics import (
     DynamicsModel,
     TransitionStats,
     _e_step_block,
+    _pair_sum,
     converged,
     expected_log_density,
     init_model,
@@ -50,6 +51,7 @@ from .dynamics import (
 from .gaussian import (
     LOG_2PI,
     NumericError,
+    _ordered_sum,
     cholesky_inverse,
     cholesky_log_density,
     spd_cholesky,
@@ -247,8 +249,11 @@ def _moments_from_blocks(m_zi, cov_zi, m_zn, cov_zn, q, k) -> LatentMoments:
     q(lambda) q(z_next)`` from each pair's block means and covariances,
     in the order ``(m_zi, cov_zi, m_zn, cov_zn, q, k)``.
 
-    The transition statistics are each pair's term summed over the pairs
-    in pair order, so they do not depend on how the pairs were blocked.
+    The transition statistics are sums over the whole stack of pairs; the
+    two Kronecker ones are each one product over the pair axis, formed by
+    the helper that :func:`lieflow.dynamics.transition_stats` uses too.
+    The stack is the same however the pairs were blocked for the sweep,
+    so neither are the sums.
     """
     (n, d), j = m_zi.shape, q.shape[1]
     ez = np.stack([m_zi, m_zn])
@@ -261,10 +266,11 @@ def _moments_from_blocks(m_zi, cov_zi, m_zn, cov_zn, q, k) -> LatentMoments:
              - np.einsum("na,nb->nab", m_zi, m_zn))
     # E[dz (z kron lam)^T] = E[lam_j] (E[z_n] E[z_i]^T - E[z_i z_i^T])
     core = (np.einsum("nr,na->nra", m_zn, m_zi) - ezz[0])
-    dz_zlam = np.einsum("nra,nj->nraj", core, q).reshape(n, d, d * j)
-    zz_lamlam = np.einsum("nab,njk->najbk", ezz[0], elamlam).reshape(n, d * j, d * j)
-    transition = TransitionStats(n, dz_dz.sum(axis=0), dz_zlam.sum(axis=0),
-                                 zz_lamlam.sum(axis=0), elamlam.sum(axis=0))
+    zz_lamlam = _pair_sum(ezz[0], elamlam).transpose(0, 2, 1, 3)
+    transition = TransitionStats(n, dz_dz.sum(axis=0),
+                                 _pair_sum(core, q).reshape(d, d * j),
+                                 zz_lamlam.reshape(d * j, d * j),
+                                 elamlam.sum(axis=0))
     return LatentMoments(ez, ezz, q, elamlam, transition)
 
 
@@ -329,53 +335,67 @@ def _fixed_point_blocks(model: PpcaModel, x: np.ndarray) -> tuple[np.ndarray, ..
     Returns each pair's block moments in the order of
     :func:`_moments_from_blocks`: ``(m_zi, cov_zi, m_zn, cov_zn, q, k)``.
 
-    Each sweep takes every live pair's q(lambda) from the dynamics E-step
-    at the current means (:func:`lieflow.dynamics._e_step_block`, the
-    coefficient posterior all three estimators share), factors every live
-    pair's q(z_i) precision once
-    (:func:`lieflow.gaussian.stacked_posterior`) and forms every other
-    product as a stack of one-pair products.  Every operation is
-    elementwise over the pairs and each pair stops on its own residual,
-    so a pair's result does not depend on which other pairs share the
-    block (nor, therefore, on the thread count).
+    The sweep keeps the pair axis last: its state is one array with a
+    column per pair.  Each sweep takes every live pair's q(lambda) from
+    the dynamics E-step at the current means
+    (:func:`lieflow.dynamics._e_step_block`, the coefficient posterior all
+    three estimators share), forms ``B = I + sum_j q_j G_j``, the drift,
+    q(z_next), ``B^T Omega^-1``, ``B^T Omega^-1 B`` and q(z_i)'s
+    information as fixed-order elementwise sums over d, and factors
+    every live pair's q(z_i) precision once
+    (:func:`lieflow.gaussian.stacked_posterior`).  No product runs over
+    the pairs, and each pair stops on its own residual, so a pair's
+    result does not depend on which other pairs share the block (nor,
+    therefore, on the thread count).
     """
     d, j = model.latent_dim, model.dynamics.coeff_count
     n = x.shape[1]
-    basis = model.dynamics.basis
+    gens = model.dynamics.basis.generators
 
     # both frames' latent posteriors: information W^T (x - mu) / sigma^2
     # and means (their shared precision and covariance are the model's)
     (info_u, wt_xn), (u_i, u_n) = _frame_posteriors(model, x)
+    info_u, wt_xn = info_u.T, wt_xn.T
     omega_prec, gamma = model.dynamics.trans_prec, model.next_frame_cov
 
-    # one row per pair: m_zi, m_zn, q, cov_zi, k
-    state = np.hstack([u_i, u_n, np.zeros((n, j)),
-                       np.tile(model.latent_cov.ravel(), (n, 1)),
-                       np.tile(model.dynamics.coeff_prior_cov.ravel(), (n, 1))])
+    # one column per pair: rows m_zi, m_zn, q, cov_zi, k
+    state = np.vstack([u_i.T, u_n.T, np.zeros((j, n)),
+                       np.broadcast_to(model.latent_cov.reshape(-1, 1), (d * d, n)),
+                       np.broadcast_to(model.dynamics.coeff_prior_cov.reshape(-1, 1),
+                                       (j * j, n))])
     live = np.arange(n)
     for _ in range(FIXED_POINT_ITERS):
-        old = state[live]
-        m_zi, m_zn = old[:, :d], old[:, d:2 * d]
-        q, k = _e_step_block(model.dynamics, m_zi, m_zn - m_zi)
-        b = np.eye(d) + liealg.combine(basis, q)
-        drift = np.einsum("nab,nb->na", b, m_zi)
-        new_zn = np.einsum("nb,bc->nc", wt_xn[live]
-                           + np.einsum("na,ab->nb", drift, omega_prec), gamma)
-        bt_oi = b.swapaxes(1, 2) @ omega_prec
+        old = state[:, live]
+        m_zi, m_zn = old[:d], old[d:2 * d]
+        q, k = _e_step_block(model.dynamics, m_zi.T, (m_zn - m_zi).T)
+        # B = I + sum_j q_j G_j, drift B m_zi, then q(z_next)'s mean
+        b = _ordered_sum(gens[m, :, :, None] * q[m] for m in range(j))
+        for a in range(d):
+            b[a, a] += 1.0
+        drift = _ordered_sum(b[:, c] * m_zi[c] for c in range(d))
+        info_zn = wt_xn[:, live] + _ordered_sum(omega_prec[a, :, None] * drift[a]
+                                                for a in range(d))
+        new_zn = _ordered_sum(gamma[c, :, None] * info_zn[c] for c in range(d))
+        # q(z_i): precision S^-1 + B^T Omega^-1 B, information
+        # W^T (x_i - mu) / sigma^2 + B^T Omega^-1 m_zn
+        bt_oi = _ordered_sum(b[r, :, None] * omega_prec[r, :, None]
+                             for r in range(d))
+        prec = _ordered_sum(bt_oi[:, r, None] * b[r] for r in range(d))
+        prec += model.latent_prec[:, :, None]
         new_zi, cov_zi = stacked_posterior(
-            model.latent_prec + bt_oi @ b,
-            info_u[live] + np.einsum("nad,nd->na", bt_oi, new_zn))
-        new = np.hstack([new_zi, new_zn, q, cov_zi.reshape(live.size, -1),
-                         k.reshape(live.size, -1)])
-        residual = np.abs(new - old).max(axis=1)
-        state[live] = new
+            prec, info_u[:, live] + _ordered_sum(bt_oi[:, c] * new_zn[c]
+                                                 for c in range(d)))
+        new = np.vstack([new_zi, new_zn, q, cov_zi.reshape(d * d, -1),
+                         k.reshape(j * j, -1)])
+        residual = np.abs(new - old).max(axis=0)
+        state[:, live] = new
         # a NaN stays live; its next factorization raises NumericError
         live = live[~(residual < FIXED_POINT_TOL)]
         if live.size == 0:
-            m_zi, m_zn, q, cov_zi, k = np.split(
-                state, np.cumsum([d, d, j, d * d]), axis=1)
-            return (m_zi, cov_zi.reshape(n, d, d), m_zn,
-                    np.broadcast_to(gamma, (n, d, d)), q, k.reshape(n, j, j))
+            m_zi, m_zn, q, cov_zi, k = np.split(state, np.cumsum([d, d, j, d * d]))
+            return (m_zi.T, cov_zi.reshape(d, d, n).transpose(2, 0, 1), m_zn.T,
+                    np.broadcast_to(gamma, (n, d, d)), q.T,
+                    k.reshape(j, j, n).transpose(2, 0, 1))
     raise NumericError(
         f"fixed-point E-step did not converge within {FIXED_POINT_ITERS} "
         f"iterations (residual {residual.max():.3e})")

@@ -10,6 +10,8 @@ versions that check them:
   joint and partitioned conditional, and log densities;
 - the stacked coefficient precisions of ``dynamics._pair_precision``
   by substitution and a matrix product (:func:`pair_precision`);
+- the ppca fixed-point sweep in its pair-first form, with stacked
+  matrix products (:func:`pair_first_fixed_point_blocks`);
 - the one-pair forms of the E-steps: the coefficient posterior of one
   latent pair (:func:`e_step_lambda`), the next-frame conditional of
   probabilistic PCA (:func:`posterior_znext`) and the joint expectation
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lieflow import liealg, rng
+from lieflow import dynamics, gaussian, liealg, rng
 from lieflow.dynamics import DynamicsModel
 from lieflow.gaussian import (
     NumericError,
@@ -49,6 +51,7 @@ from lieflow.ppca import (
     PpcaConfig,
     PpcaModel,
     _fixed_point_blocks,
+    _frame_posteriors,
     _moments_from_blocks,
     _monte_carlo_e_step,
     _quadrature_e_step,
@@ -333,6 +336,73 @@ def solve_fixed_point_blocks(model: PpcaModel, x_i: np.ndarray,
         if live.size == 0:
             return (all_zi, all_cov_zi, all_zn, np.broadcast_to(gamma, (n, d, d)),
                     all_q, all_k)
+    raise NumericError(
+        f"fixed-point E-step did not converge within {FIXED_POINT_ITERS} "
+        f"iterations (residual {residual.max():.3e})")
+
+
+def _e_step_block(model: DynamicsModel, z_i: np.ndarray,
+                  delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`lieflow.dynamics._e_step_block` with the pair axis first:
+    means ``(N, J)`` and covariances ``(N, J, J)``."""
+    mean, cov = dynamics._e_step_block(model, z_i, delta)
+    return mean.T, cov.transpose(2, 0, 1)
+
+
+def stacked_posterior(prec: np.ndarray, info: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`lieflow.gaussian.stacked_posterior` with the stack axis
+    first: precisions ``(N, J, J)`` and information ``(N, J)``."""
+    mean, cov = gaussian.stacked_posterior(prec.transpose(1, 2, 0), info.T)
+    return mean.T, cov.transpose(2, 0, 1)
+
+
+def pair_first_fixed_point_blocks(model: PpcaModel, x: np.ndarray
+                                  ) -> tuple[np.ndarray, ...]:
+    """The sweep of :func:`lieflow.ppca._fixed_point_blocks` in its
+    earlier pair-first form: one row per pair, ``B`` from
+    :func:`lieflow.liealg.combine`, and ``B^T Omega^-1`` and
+    ``B^T Omega^-1 B`` as stacked ``@`` products, one BLAS call per pair.
+    Its coefficient and q(z_i) posteriors are the library's, read pair
+    first, so each pair gets the bits the pair-first sweep gave it.
+    """
+    d, j = model.latent_dim, model.dynamics.coeff_count
+    n = x.shape[1]
+    basis = model.dynamics.basis
+
+    # both frames' latent posteriors: information W^T (x - mu) / sigma^2
+    # and means (their shared precision and covariance are the model's)
+    (info_u, wt_xn), (u_i, u_n) = _frame_posteriors(model, x)
+    omega_prec, gamma = model.dynamics.trans_prec, model.next_frame_cov
+
+    # one row per pair: m_zi, m_zn, q, cov_zi, k
+    state = np.hstack([u_i, u_n, np.zeros((n, j)),
+                       np.tile(model.latent_cov.ravel(), (n, 1)),
+                       np.tile(model.dynamics.coeff_prior_cov.ravel(), (n, 1))])
+    live = np.arange(n)
+    for _ in range(FIXED_POINT_ITERS):
+        old = state[live]
+        m_zi, m_zn = old[:, :d], old[:, d:2 * d]
+        q, k = _e_step_block(model.dynamics, m_zi, m_zn - m_zi)
+        b = np.eye(d) + liealg.combine(basis, q)
+        drift = np.einsum("nab,nb->na", b, m_zi)
+        new_zn = np.einsum("nb,bc->nc", wt_xn[live]
+                           + np.einsum("na,ab->nb", drift, omega_prec), gamma)
+        bt_oi = b.swapaxes(1, 2) @ omega_prec
+        new_zi, cov_zi = stacked_posterior(
+            model.latent_prec + bt_oi @ b,
+            info_u[live] + np.einsum("nad,nd->na", bt_oi, new_zn))
+        new = np.hstack([new_zi, new_zn, q, cov_zi.reshape(live.size, -1),
+                         k.reshape(live.size, -1)])
+        residual = np.abs(new - old).max(axis=1)
+        state[live] = new
+        # a NaN stays live; its next factorization raises NumericError
+        live = live[~(residual < FIXED_POINT_TOL)]
+        if live.size == 0:
+            m_zi, m_zn, q, cov_zi, k = np.split(
+                state, np.cumsum([d, d, j, d * d]), axis=1)
+            return (m_zi, cov_zi.reshape(n, d, d), m_zn,
+                    np.broadcast_to(gamma, (n, d, d)), q, k.reshape(n, j, j))
     raise NumericError(
         f"fixed-point E-step did not converge within {FIXED_POINT_ITERS} "
         f"iterations (residual {residual.max():.3e})")

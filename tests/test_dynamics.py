@@ -445,6 +445,8 @@ def test_pair_precision_matches_the_substitution_oracle(seed, d, j, n, step,
     z_i = rng.normal_matrix(seed, (3,), (n, d))
     delta = step * rng.normal_matrix(seed, (4,), (n, d))
     prec, info, white_sq = _pair_precision(model, z_i, delta)
+    assert prec.shape == (j, j, n) and info.shape == (j, n)
+    prec, info = prec.transpose(2, 0, 1), info.T
     want_prec, want_info, want_sq = pair_precision(model, z_i, delta)
     rtol = 64 * np.finfo(float).eps * 10.0 ** (log_cond / 2)
     gram_diag = np.diagonal(want_prec - model.coeff_prior_prec, axis1=1, axis2=2)
@@ -462,7 +464,8 @@ def test_pair_precision_matches_the_substitution_oracle(seed, d, j, n, step,
 @pytest.mark.parametrize("d, j", [(1, 3), (3, 2), (6, 2)])
 def test_e_step_block_equals_its_one_pair_calls(d, j, column_major):
     # a column-major stack of pairs gives each pair the bits of its lone
-    # call, and every output stack is row-major like a lone call's
+    # call, and every output stack is row-major like a lone call's, with
+    # the pair axis last
     order = "F" if column_major else "C"
     for seed in range(8):
         model = random_model(seed, d, j)
@@ -475,10 +478,10 @@ def test_e_step_block_equals_its_one_pair_calls(d, j, column_major):
                     *_e_step_block(model, z_i[k:k + 1], delta[k:k + 1]))
                    for k in range(5)]
         cov = block[-1]  # exactly symmetric
-        assert np.array_equal(cov, cov.swapaxes(1, 2))
+        assert np.array_equal(cov, cov.swapaxes(0, 1))
         for got, *parts in zip(block, *singles):
             assert got.flags.c_contiguous
-            assert np.array_equal(got, np.concatenate(parts))
+            assert np.array_equal(got, np.concatenate(parts, axis=-1))
 
 
 def test_whitened_generators_are_formed_once_without_the_precision():
@@ -487,8 +490,8 @@ def test_whitened_generators_are_formed_once_without_the_precision():
     e_step_all(model, PairDataset(z_i, z_i + 0.3))
     white = model._white_generators
     assert white is model._white_generators and "trans_prec" not in vars(model)
-    assert np.array_equal(white, triangular_solve(model.trans_chol,
-                                                  model.basis.generators))
+    assert np.array_equal(white, [triangular_solve(model.trans_chol, g)
+                                  for g in model.basis.generators])
 
 
 def test_pair_delta_is_computed_once():

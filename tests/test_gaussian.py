@@ -26,6 +26,13 @@ from reference import (
 )
 
 
+def stack_last(a, axes, contiguous):
+    """``a`` with its ``axes`` leading stack axes moved last: a transposed
+    view, or a C-ordered copy of it if ``contiguous``."""
+    moved = np.moveaxis(a, range(axes), range(-axes, 0))
+    return np.ascontiguousarray(moved) if contiguous else moved
+
+
 def random_spd(seed, path, n, scale=1.0):
     m = rng.normal_matrix(seed, path, (n, n))
     return scale * (m @ m.T + n * np.eye(n))
@@ -293,26 +300,29 @@ class TestSubstitution:
     @given(seed=st.integers(0, 2 ** 32 - 1),
            stack=st.sampled_from([(), (1,), (2,), (5,), (2, 3)]),
            d=st.integers(1, 8), cols=st.none() | st.integers(1, 4),
-           transpose=st.booleans())
+           transpose=st.booleans(), contiguous=st.booleans())
     def test_stacked_items_equal_lone_calls(self, seed, stack, d, cols,
-                                            transpose):
-        # a stack of factors, forward or back, one vector or a matrix per
-        # factor: each item has the bits of its lone call, which matches
-        # LAPACK, and the right-hand side is left as it was
+                                            transpose, contiguous):
+        # a stack of factors, the stack axes last, forward or back, one
+        # vector or a matrix per factor, C-ordered or a transposed view:
+        # each item has the bits of its lone call, which matches LAPACK,
+        # and the right-hand side is left as it was
         count = int(np.prod(stack))
-        chol = np.stack([spd_cholesky(random_spd(seed, (k,), d))
-                         for k in range(count)]).reshape(*stack, d, d)
+        chol = stack_last(np.stack([spd_cholesky(random_spd(seed, (k,), d))
+                                    for k in range(count)]).reshape(*stack, d, d),
+                          len(stack), contiguous)
         tail = (d,) if cols is None else (d, cols)
-        b = rng.normals(seed, (count,), count * d * (cols or 1)).reshape(
-            *stack, *tail)
+        b = stack_last(rng.normals(seed, (count,), count * d * (cols or 1)).reshape(
+            *stack, *tail), len(stack), contiguous)
         kept = b.copy()
         x = triangular_solve(chol, b, transpose)
         assert np.array_equal(b, kept) and x.shape == b.shape
         for idx in np.ndindex(*stack):
-            lone = triangular_solve(chol[idx], b[idx], transpose)
-            assert np.array_equal(x[idx], lone)
+            lone = triangular_solve(chol[(..., *idx)], b[(..., *idx)], transpose)
+            assert np.array_equal(x[(..., *idx)], lone)
             self.close(lone, scipy.linalg.solve_triangular(
-                chol[idx], b[idx], lower=True, trans="T" if transpose else "N"))
+                chol[(..., *idx)], b[(..., *idx)], lower=True,
+                trans="T" if transpose else "N"))
 
     def test_columns_are_independent(self):
         chol = spd_cholesky(random_spd(5, (0,), 6))
@@ -337,38 +347,42 @@ class TestSubstitution:
 
 
 class TestStackedCholesky:
-    """The stacked factorization and substitution against one LAPACK call
-    per matrix, and each item against a lone call."""
+    """The stacked factorization and substitution, the stack axis last,
+    against one LAPACK call per matrix, and each item against a lone call."""
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 9),
-           j=st.integers(1, 5), scale=st.sampled_from([1e-6, 1.0, 1e6]))
-    def test_matches_per_matrix_lapack(self, seed, n, j, scale):
-        stack = np.stack([random_spd(seed, (k,), j, scale) for k in range(n)])
+           j=st.integers(1, 5), scale=st.sampled_from([1e-6, 1.0, 1e6]),
+           contiguous=st.booleans())
+    def test_matches_per_matrix_lapack(self, seed, n, j, scale, contiguous):
+        stack = stack_last(np.stack([random_spd(seed, (k,), j, scale)
+                                     for k in range(n)]), 1, contiguous)
         chol = stacked_cholesky(stack)
-        rhs = rng.normal_matrix(seed, (n,), (n, j, 3))
+        rhs = stack_last(rng.normal_matrix(seed, (n,), (n, j, 3)), 1, contiguous)
         sol = triangular_solve(chol, rhs)
-        vec = triangular_solve(chol, rhs[:, :, 0])
+        vec = triangular_solve(chol, rhs[:, 0])
         for k in range(n):
-            ref = np.linalg.cholesky(stack[k])
-            assert np.abs(chol[k] - ref).max() <= 1e-12 * np.abs(ref).max()
-            ref_sol = scipy.linalg.solve_triangular(ref, rhs[k], lower=True)
-            assert np.abs(sol[k] - ref_sol).max() <= 1e-10 * np.abs(ref_sol).max()
-            assert np.array_equal(vec[k], sol[k][:, 0])
-            assert np.array_equal(chol[k], stacked_cholesky(stack[k:k + 1])[0])
-            assert np.array_equal(sol[k], triangular_solve(
-                chol[k:k + 1], rhs[k:k + 1])[0])
+            ref = np.linalg.cholesky(stack[..., k])
+            assert np.abs(chol[..., k] - ref).max() <= 1e-12 * np.abs(ref).max()
+            ref_sol = scipy.linalg.solve_triangular(ref, rhs[..., k], lower=True)
+            assert np.abs(sol[..., k] - ref_sol).max() \
+                <= 1e-10 * np.abs(ref_sol).max()
+            assert np.array_equal(vec[..., k], sol[:, 0, k])
+            assert np.array_equal(chol[..., k],
+                                  stacked_cholesky(stack[..., k:k + 1])[..., 0])
+            assert np.array_equal(sol[..., k], triangular_solve(
+                chol[..., k:k + 1], rhs[..., k:k + 1])[..., 0])
 
     def test_non_positive_pivot_is_numeric_error(self):
-        stack = np.stack([np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]])])
+        stack = np.stack([np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]])], axis=-1)
         with pytest.raises(NumericError, match="1 of 2"):
             stacked_cholesky(stack)
         with pytest.raises(NumericError):
             stacked_cholesky(np.full((1, 1, 1), np.nan))
 
     def test_leaves_inputs_unchanged(self):
-        stack = np.stack([random_spd(8, (k,), 3) for k in range(4)])
-        rhs = rng.normal_matrix(8, (9,), (4, 3))
+        stack = np.stack([random_spd(8, (k,), 3) for k in range(4)], axis=-1)
+        rhs = rng.normal_matrix(8, (9,), (4, 3)).T
         kept = stack.copy(), rhs.copy()
         triangular_solve(stacked_cholesky(stack), rhs)
         assert np.array_equal(stack, kept[0]) and np.array_equal(rhs, kept[1])

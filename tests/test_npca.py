@@ -524,13 +524,13 @@ def test_fit_rejects_an_unknown_coefficient_mode():
 
 
 # SHA-256 of a tiny fit's parameters, dynamics and trace, recorded when
-# the coefficient posteriors became fixed-order elementwise sums; any
-# drift of the npca streams or the E-step changes it.  A seed near
-# 2**64, 3 latent dimensions and 3 generators give odd Box-Muller
-# lengths and a ragged last minibatch.  The test ids leave the digests
+# the Kronecker pair sums of the moment bundle became one product over
+# the pairs; any drift of the npca streams or the E-step changes it.  A
+# seed near 2**64, 3 latent dimensions and 3 generators give odd
+# Box-Muller lengths and a ragged last minibatch.  The test ids leave the digests
 # out, so a re-recorded digest keeps its test's name.
 @pytest.mark.parametrize("coeff_mode, digest", [
-    ("map_plugin", "52c27a551971821447ca3152ba183465d2b133fdb499ac8d3b847f8f589d5850"),
+    ("map_plugin", "890f8e14699beca4757e4246c078caba085a38ffe347474cb4bb11af4cbf88e4"),
 ], ids=["map_plugin"])
 def test_tiny_fit_matches_pinned_digest(coeff_mode, digest):
     spec = SequenceSpec(group_kind="rotation2d", lambda_scale=0.05,

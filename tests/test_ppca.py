@@ -51,6 +51,7 @@ from reference import (
     e_step_joint,
     log_density,
     log_density_batch,
+    pair_first_fixed_point_blocks,
     posterior,
     posterior_znext,
     quadrature_moments,
@@ -563,6 +564,29 @@ def test_fixed_point_sweep_matches_the_direct_solve_oracle(seed, n, extra_dims,
         assert np.abs(g - w).max() <= 1e-9 * np.abs(w).max()
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1), n=st.integers(1, 6),
+       extra_dims=st.integers(0, 3), d=st.integers(1, 3), j=st.integers(1, 2),
+       scale=st.sampled_from([1e-3, 0.3, 3.0]))
+def test_fixed_point_sweep_matches_its_pair_first_form(seed, n, extra_dims, d,
+                                                       j, scale):
+    # the pair-last sweep sums over d in another order than the stacked
+    # products of the pair-first one, so the six blocks agree to rounding
+    model, x_i, x_n = scaled_sweep_instance(seed, n, extra_dims, d, j, scale)
+    x = np.stack([x_i, x_n])
+    try:
+        want = pair_first_fixed_point_blocks(model, x)
+    except NumericError:
+        with pytest.raises(NumericError):
+            _fixed_point_blocks(model, x)
+        return
+    got = _fixed_point_blocks(model, x)
+    assert len(got) == len(want) == 6
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+
 def _blocks_or_none(model, x_i, x_n):
     try:
         return _fixed_point_blocks(model, np.stack([x_i, x_n]))
@@ -606,8 +630,8 @@ def test_fixed_point_sweep_block_independence_on_a_fixed_grid():
 
 def test_fixed_point_sweep_takes_q_lambda_from_the_dynamics_e_step(monkeypatch):
     # the sweep's coefficient posterior is the dynamics E-step's, not a
-    # second copy of its closed form: every pair's returned q and k are a
-    # row of what the E-step's calls returned
+    # second copy of its closed form: every pair's returned q and k are
+    # one pair (last-axis slice) of what the E-step's calls returned
     calls = []
 
     def spy(dynamics_model, z_i, delta):
@@ -618,8 +642,9 @@ def test_fixed_point_sweep_takes_q_lambda_from_the_dynamics_e_step(monkeypatch):
     monkeypatch.setattr(ppca, "_e_step_block", spy)
     model, x_i, x_n = scaled_sweep_instance(5, 6, 1, 2, 2, 0.3)
     *_, q, k = _fixed_point_blocks(model, np.stack([x_i, x_n]))
-    assert len(calls) > 1 and len(calls[0][0]) == len(q)
-    rows = [(mean, cov) for means, covs in calls for mean, cov in zip(means, covs)]
+    assert len(calls) > 1 and calls[0][0].shape[-1] == len(q)
+    rows = [(mean, cov) for means, covs in calls
+            for mean, cov in zip(means.T, covs.transpose(2, 0, 1))]
     for mean, cov in zip(q, k):
         assert any(np.array_equal(mean, m) and np.array_equal(cov, c)
                    for m, c in rows)
@@ -819,8 +844,9 @@ def test_frozen_coefficients_need_the_fixed_point_estep(estep):
 
 
 # SHA-256 of a tiny fixed-point fit's parameters, dynamics and trace,
-# recorded when the sweep took q(lambda) from the dynamics E-step; any
-# drift of the sweep's bits changes it.  Three
+# recorded when the sweep put the pair axis last and the Kronecker pair
+# sums became one product over the pairs; any drift of the sweep's bits
+# changes it.  Three
 # threads split the 13 pairs into blocks of 4, 4 and 5.
 @pytest.mark.parametrize("threads", [1, 3])
 def test_tiny_fit_matches_pinned_digest(threads):
@@ -838,7 +864,7 @@ def test_tiny_fit_matches_pinned_digest(threads):
               np.array(trace)]:
         h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
     assert h.hexdigest() == \
-        "602f9f62e172d493294eef18fa6415d8384d148fc936784e14de287353b8b413"
+        "8d0dda0a88f241922c2ddb3c6a7c2769185663d74d96f39cea7d68cdea653df5"
 
 
 def test_init_loading_is_deterministic_and_scaled():

@@ -131,11 +131,13 @@ def test_every_config_field_is_read_by_the_library():
 
 
 @pytest.mark.parametrize("module, function", [
-    ("dynamics", "_pair_precision"), ("gaussian", "stacked_posterior")])
+    ("dynamics", "_pair_precision"), ("gaussian", "stacked_posterior"),
+    ("ppca", "_fixed_point_blocks"), ("gaussian", "triangular_solve"),
+    ("gaussian", "stacked_cholesky")])
 def test_stacked_posteriors_take_no_matrix_product_over_the_stack(module,
                                                                   function):
     # BLAS may round a product over a stack of pairs differently with the
-    # stack's size, and numpy runs a stacked @ as one call per pair; both
+    # stack's size, and numpy runs a stacked @ as one call per pair; these
     # functions form their products as elementwise sums instead
     tree = ast.parse((LIBRARY / f"{module}.py").read_text())
     body = next(node for node in tree.body
