@@ -273,7 +273,7 @@ def _infer_roll_coefficients(dynamics: DynamicsModel, z0: np.ndarray,
     map, refined by damped Gauss-Newton from the first-order posterior
     mean (which understates large transformations)."""
     mean, _ = dyn_mod.e_step_all(dynamics, PairDataset(z0[None], z1[None]))
-    lam = mean[0]
+    lam = mean[:, 0]
     h, eye = 1e-6, np.eye(lam.size)
     # backtracking: the first halved step that lowers the residual is taken
     scales = 0.5 ** np.arange(20)

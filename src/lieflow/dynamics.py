@@ -4,16 +4,20 @@ Each data pair ``(z_i, z_next)`` is modelled as
 ``z_next = z_i + sum_j lambda_j G^j z_i + noise`` with Gaussian
 coefficients ``lambda ~ N(0, Lambda)`` and transition noise
 ``N(0, Omega)``.  The E-step is the exact Gaussian posterior of the
-coefficients per pair, returned as plain stacked arrays: means
-``(N, J)`` and covariances ``(N, J, J)``.  The M-step solves the
-Kronecker normal equations for the flattened generator block and
-refreshes the noise covariance.  The E-step and the marginal likelihood
-share one J x J posterior precision per pair (:func:`_pair_precision`),
-factorized for all pairs at once: an iteration costs O(N d^2 J) with no
-per-pair d x d factorization and no per-pair BLAS call.
+coefficients per pair, returned as plain stacked arrays with the pair
+axis last: means ``(J, N)`` and covariances ``(J, J, N)``.  The M-step
+solves the Kronecker normal equations for the flattened generator block
+and refreshes the noise covariance.  The E-step and the marginal
+likelihood read one J x J posterior precision per pair, taken from the
+whitened pair Gram of ``[A, delta]`` (:func:`_white_gram`) and
+factorized for all pairs at once: the Gram costs O(N d^2 J) with no
+per-pair d x d factorization and no per-pair BLAS call.  :func:`fit`
+forms that Gram once per iteration, at the fitted model; the marginal
+likelihood reads it, and the next E-step reads it carried through the
+orthogonalization's change of basis (:func:`_change_gram_basis`).
 :class:`DynamicsModel` factors Omega and Lambda when it is built,
 inverts them on first read, and whitens its generators
-``L_Omega^{-1} G_j`` once on first read; each precision is then a
+``L_Omega^{-1} G_j`` once on first read; each Gram entry is then a
 fixed-order elementwise sum over the latent axis, so a pair's bits do
 not depend on the pairs that share its block.  The E-steps, objectives
 and gradients of the three estimators read those factors,
@@ -136,18 +140,29 @@ class PairDataset:
         return self.z_i.shape[1]
 
     # the data terms of the E-step and of transition_stats, formed once:
-    # delta, sum_i delta_i delta_i^T and each pair's z_i z_i^T as one row
+    # delta, z_i^T and delta^T with the pair axis last (C-ordered, so each
+    # latent coordinate is one contiguous row), sum_i delta_i delta_i^T
+    # and each pair's z_i z_i^T as one column
     @cached_property
     def delta(self) -> np.ndarray:
         return self.z_next - self.z_i
+
+    @cached_property
+    def _z_cols(self) -> np.ndarray:
+        return np.ascontiguousarray(self.z_i.T)
+
+    @cached_property
+    def _delta_cols(self) -> np.ndarray:
+        return np.ascontiguousarray(self.delta.T)
 
     @cached_property
     def _delta_gram(self) -> np.ndarray:
         return self.delta.T @ self.delta
 
     @cached_property
-    def _zz_rows(self) -> np.ndarray:
-        return (self.z_i[:, :, None] * self.z_i[:, None, :]).reshape(self.count, -1)
+    def _zz_cols(self) -> np.ndarray:
+        z = self._z_cols
+        return (z[:, None] * z[None, :]).reshape(-1, self.count)
 
 
 @dataclass(frozen=True)
@@ -174,30 +189,44 @@ class EmConfig:
     threads: int = 1
 
 
-def _pair_precision(model: DynamicsModel, z_i: np.ndarray, delta: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The per-pair J x J posterior precision shared by the E-step and
-    the marginal likelihood, for pairs ``z_i`` and ``delta`` ``(N, d)``.
+def _white_gram(model: DynamicsModel, z_cols: np.ndarray,
+                delta_cols: np.ndarray) -> np.ndarray:
+    """The whitened pair Gram ``H`` ``(J+1, J+1, N)`` for pairs ``z_i``
+    and ``delta`` given pair-last, ``(d, N)``: the inner products of the
+    whitened columns of ``[A, delta]``.
 
-    With the model's whitened generators ``L_Omega^{-1} G_j``, the
-    whitened columns of ``[A, delta]`` are ``L_Omega^{-1} G_j z_i`` and
-    ``L_Omega^{-1} delta`` (one substitution).  Their inner products give
-    the precisions ``P = Lambda^{-1} + A^T Omega^{-1} A`` ``(J, J, N)``,
-    the information vectors ``b = A^T Omega^{-1} delta`` ``(J, N)`` and
-    the squared whitened residuals ``delta^T Omega^{-1} delta`` ``(N,)``,
-    all C-ordered with the pair axis last.  Both products are
-    elementwise sums over the latent axis in a fixed order, with no
-    matrix product over the pair stack, so every pair's values depend on
-    that pair alone, bit for bit.
+    With the model's whitened generators ``L_Omega^{-1} G_j``, those
+    columns are ``L_Omega^{-1} G_j z_i`` and ``L_Omega^{-1} delta`` (one
+    substitution).  Both products are elementwise sums over the latent
+    axis in a fixed order, with no matrix product over the pair stack, so
+    every pair's values depend on that pair alone, bit for bit.
     """
-    j, d, n = model.coeff_count, model.latent_dim, z_i.shape[0]
+    j, d, n = model.coeff_count, model.latent_dim, z_cols.shape[1]
     white_gens = model._white_generators
     cols = np.empty((j + 1, d, n))  # whitened [A, delta], pairs last
-    cols[j] = triangular_solve(model.trans_chol, delta.T)
-    cols[:j] = _ordered_sum(white_gens[:, :, b, None] * z_i[:, b] for b in range(d))
-    gram = _ordered_sum(cols[:, None, a] * cols[None, :, a] for a in range(d))
+    cols[j] = triangular_solve(model.trans_chol, delta_cols)
+    cols[:j] = _ordered_sum(white_gens[:, :, b, None] * z_cols[b] for b in range(d))
+    return _ordered_sum(cols[:, None, a] * cols[None, :, a] for a in range(d))
+
+
+def _gram_precision(model: DynamicsModel, gram: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The posterior precisions ``P = Lambda^{-1} + A^T Omega^{-1} A``
+    ``(J, J, N)``, the information vectors ``b = A^T Omega^{-1} delta``
+    ``(J, N)`` and the squared whitened residuals
+    ``delta^T Omega^{-1} delta`` ``(N,)`` of a whitened pair Gram, all
+    C-ordered with the pair axis last."""
+    j = model.coeff_count
     return (model.coeff_prior_prec[:, :, None] + gram[:j, :j],
             gram[:j, j].copy(), gram[j, j])
+
+
+def _pair_precision(model: DynamicsModel, z_i: np.ndarray, delta: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The per-pair J x J posterior precision, information and squared
+    whitened residual for pairs ``z_i`` and ``delta`` given pair-first,
+    ``(N, d)``: :func:`_gram_precision` of :func:`_white_gram`."""
+    return _gram_precision(model, _white_gram(model, z_i.T, delta.T))
 
 
 def _e_step_block(model: DynamicsModel, z_i: np.ndarray,
@@ -222,49 +251,79 @@ def map_blocks(fn, count: int, threads: int) -> list:
         return list(pool.map(fn, bounds[:-1], bounds[1:]))
 
 
-def e_step_all(model: DynamicsModel, dataset: PairDataset,
-               threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient posteriors for every pair: means ``(N, J)`` and
-    covariances ``(N, J, J)``.
+def _pair_gram(model: DynamicsModel, dataset: PairDataset,
+               threads: int = 1) -> np.ndarray:
+    """The whitened pair Gram ``(J+1, J+1, N)`` of every pair
+    (:func:`_white_gram`), formed in contiguous blocks of pairs, one per
+    thread, and joined in block order: its bits do not depend on
+    ``threads``."""
+    blocks = map_blocks(lambda a, b: _white_gram(
+        model, dataset._z_cols[:, a:b], dataset._delta_cols[:, a:b]),
+        dataset.count, threads)
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-1)
 
-    The per-pair computation is pure; with ``threads > 1`` the dataset is
-    split into contiguous blocks whose results are combined in block
-    order, so the output does not depend on the schedule.
+
+def _change_gram_basis(gram: np.ndarray, coeff_map: np.ndarray) -> np.ndarray:
+    """Carry a whitened pair Gram ``H`` ``(J+1, J+1, N)`` to the generators
+    ``G' = T G`` of a coefficient map ``T`` ``(k, J)``: with
+    ``E = diag(T, 1)``, ``E H E^T`` ``(k+1, k+1, N)``.
+
+    Omega is the same for both bases, so the whitened columns of ``A'``
+    are ``T`` times those of ``A`` and ``delta``'s are unchanged: this is
+    the Gram at the new generators without touching the pairs.  Both
+    products are fixed-order elementwise sums over J, with no matrix
+    product over the pair stack, and each entry is formed once for both
+    of its symmetric places; the identity map returns ``H``'s bits.
+    """
+    k, j = coeff_map.shape
+    left = _ordered_sum(coeff_map[:, m, None, None] * gram[m] for m in range(j))
+    out = np.empty((k + 1, k + 1, gram.shape[-1]))
+    out[k, k] = gram[j, j]
+    for a in range(k):
+        out[a, k] = out[k, a] = left[a, j]
+        for c in range(a + 1):
+            out[a, c] = out[c, a] = _ordered_sum(
+                left[a, m] * coeff_map[c, m] for m in range(j))
+    return out
+
+
+def e_step_all(model: DynamicsModel, dataset: PairDataset, threads: int = 1,
+               *, gram: np.ndarray | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient posteriors for every pair: means ``(J, N)`` and
+    covariances ``(J, J, N)``, the pair axis last.
+
+    ``gram`` is the model's whitened pair Gram when the caller has it
+    already; otherwise it is formed here (:func:`_pair_gram`, with
+    ``threads``).  Every step is per pair, so the output does not depend
+    on ``threads``.
     """
     if dataset.latent_dim != model.latent_dim:
         raise ValueError("dataset and model latent dimensions disagree")
-    parts = map_blocks(lambda a, b: _e_step_block(
-        model, dataset.z_i[a:b], dataset.delta[a:b]), dataset.count, threads)
-    mean, cov = (np.concatenate(arrays, axis=-1) for arrays in zip(*parts))
-    # C-ordered copies: numpy rounds a sum over the pairs by memory order
-    return mean.T.copy(), cov.transpose(2, 0, 1).copy()
-
-
-def _pair_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``sum_n a_n (x) b_n`` over the leading pair axis of two stacks, as
-    one product over that axis: shape ``a.shape[1:] + b.shape[1:]``."""
-    n = a.shape[0]
-    return (a.reshape(n, -1).T @ b.reshape(n, -1)).reshape(a.shape[1:] + b.shape[1:])
+    if gram is None:
+        gram = _pair_gram(model, dataset, threads)
+    prec, info, _ = _gram_precision(model, gram)
+    return stacked_posterior(prec, info)
 
 
 def transition_stats(dataset: PairDataset, mean: np.ndarray,
                      cov: np.ndarray) -> TransitionStats:
     """Summed statistics of exact latents under coefficient posteriors with
-    means ``(N, J)`` and covariances ``(N, J, J)``, each formed as one
-    product over the pair axis (:func:`_pair_sum`) without per-pair
-    Kronecker blocks."""
-    if mean.shape[0] != dataset.count:
+    means ``(J, N)`` and covariances ``(J, J, N)``, the pair axis last, each
+    Kronecker sum formed as one matrix product over the pair axis without
+    per-pair Kronecker blocks."""
+    n, d, j = dataset.count, dataset.latent_dim, mean.shape[0]
+    if mean.shape[-1] != n:
         raise ValueError("need exactly one posterior per pair")
-    second = cov + np.einsum("nj,nk->njk", mean, mean)  # E[lambda lambda^T]
-    n, d, j = dataset.count, dataset.latent_dim, mean.shape[1]
-    z_lam = dataset.z_i[:, :, None] * mean[:, None, :]
-    zz_lamlam = _pair_sum(dataset._zz_rows, second).reshape(d, d, j, j)
+    second = cov + mean[:, None] * mean[None, :]  # E[lambda lambda^T]
+    z_lam = (dataset._z_cols[:, None] * mean[None, :]).reshape(d * j, n)
+    zz_lamlam = (dataset._zz_cols @ second.reshape(j * j, n).T).reshape(d, d, j, j)
     return TransitionStats(
         count=n,
         dz_dz=dataset._delta_gram,
-        dz_zlam=_pair_sum(dataset.delta, z_lam).reshape(d, d * j),
+        dz_zlam=dataset._delta_cols @ z_lam.T,
         zz_lamlam=zz_lamlam.transpose(0, 2, 1, 3).reshape(d * j, d * j),
-        lamlam=second.sum(axis=0))
+        lamlam=second.sum(axis=-1))
 
 
 def m_step_G(stats: TransitionStats) -> GeneratorBasis:
@@ -324,23 +383,25 @@ def expected_log_density(model: DynamicsModel, stats: TransitionStats,
     return float(-0.5 * (trans + prior))
 
 
-def marginal_log_likelihood(model: DynamicsModel, dataset: PairDataset) -> float:
+def marginal_log_likelihood(model: DynamicsModel, dataset: PairDataset, *,
+                            gram: np.ndarray | None = None) -> float:
     """Exact log-likelihood ``sum_i log N(delta_z | 0, Omega + A Lambda A^T)``
     with the coefficients integrated out; the quantity EM ascends.
 
     With more latent dimensions than generators it is formed from the
-    J x J posterior precisions ``P`` of the E-step: by the determinant
-    lemma ``log|Omega + A Lambda A^T| = log|Omega| + log|Lambda| +
-    log|P|``, and by Woodbury the quadratic form is
-    ``|L_Omega^{-1} delta|^2 - |L_P^{-1} b|^2``.  With at most as many
-    (``d <= J``) each pair's d x d covariance is factored instead.  ``A``
-    then spans the whole latent space, so under a small Omega the two
-    Woodbury terms are both of order ``|delta|^2 / Omega`` and their
-    difference loses the digits that ratio makes large; and with
-    ``d < J``, ``P`` is a rank-d term plus ``Lambda^{-1}``, and its
-    log-determinant loses them too.
+    J x J posterior precisions ``P`` of the E-step, read from the model's
+    whitened pair Gram ``gram`` (:func:`_pair_gram`, formed here if not
+    given): by the determinant lemma ``log|Omega + A Lambda A^T| =
+    log|Omega| + log|Lambda| + log|P|``, and by Woodbury the quadratic
+    form is ``|L_Omega^{-1} delta|^2 - |L_P^{-1} b|^2``.  With at most as
+    many (``d <= J``) each pair's d x d covariance is factored instead,
+    and ``gram`` is not read.  ``A`` then spans the whole latent space,
+    so under a small Omega the two Woodbury terms are both of order
+    ``|delta|^2 / Omega`` and their difference loses the digits that
+    ratio makes large; and with ``d < J``, ``P`` is a rank-d term plus
+    ``Lambda^{-1}``, and its log-determinant loses them too.
     """
-    d, z = dataset.latent_dim, dataset.z_i.T
+    d, z = dataset.latent_dim, dataset._z_cols
     if d <= model.coeff_count:
         # A Lambda A^T = C C^T with the columns C_k = sum_m (L_Lambda)_mk G_m z
         # of A L_Lambda, so each covariance comes out exactly symmetric
@@ -348,11 +409,12 @@ def marginal_log_likelihood(model: DynamicsModel, dataset: PairDataset) -> float
         cols = _ordered_sum(gens[:, :, b, None] * z[b] for b in range(d))
         chol = stacked_cholesky(model.trans_cov[:, :, None] + _ordered_sum(
             cols[k, :, None] * cols[k, None, :] for k in range(model.coeff_count)))
-        white = triangular_solve(chol, dataset.delta.T)
+        white = triangular_solve(chol, dataset._delta_cols)
         log_det = 2.0 * np.sum(np.log(np.diagonal(chol)))
         quad = np.sum(white * white)
     else:
-        prec, info, white_sq = _pair_precision(model, dataset.z_i, dataset.delta)
+        prec, info, white_sq = _gram_precision(
+            model, _pair_gram(model, dataset) if gram is None else gram)
         prec_chol = stacked_cholesky(prec)
         white_info = triangular_solve(prec_chol, info)
         # both sums run pair-major, as over (N, J) arrays: the pinned fit
@@ -376,7 +438,7 @@ def _project_lambda(old_basis: GeneratorBasis, new_basis: GeneratorBasis,
 
 def update_step(model: DynamicsModel, stats: TransitionStats,
                 estimate_lambda: bool, orthogonalize: bool
-                ) -> tuple[DynamicsModel, DynamicsModel]:
+                ) -> tuple[DynamicsModel, DynamicsModel, np.ndarray]:
     """The dynamics update each estimator runs after its E-step.
 
     Generators and transition noise from the summed statistics, Omega
@@ -384,8 +446,10 @@ def update_step(model: DynamicsModel, stats: TransitionStats,
     then, if ``orthogonalize``, the basis orthogonalization at the
     default variance share of :func:`lieflow.liealg.orthogonalize` with
     the prior carried through the change of basis.  Returns the fitted
-    model, at which the estimators record their objective, and the
-    orthogonalized model the next iteration starts from.
+    model, at which the estimators record their objective, the
+    orthogonalized model the next iteration starts from, and the
+    coefficient map ``T`` ``(k, J)`` from the fitted generators to the
+    next ones, ``G' = T G`` (the identity when nothing changes).
     """
     basis, omega = m_step_dynamics(stats)
     omega = omega + max(default_jitter(omega), 1e-300) * np.eye(omega.shape[0])
@@ -395,11 +459,11 @@ def update_step(model: DynamicsModel, stats: TransitionStats,
         lam_cov = lam_cov + default_jitter(lam_cov) * np.eye(lam_cov.shape[0])
     fitted = DynamicsModel(basis, omega, lam_cov)
     if not (orthogonalize and np.any(basis.generators)):
-        return fitted, fitted
-    new_basis = liealg.orthogonalize(basis)
+        return fitted, fitted, np.eye(basis.count)
+    new_basis, coeff_map = liealg._orthogonalize_with_map(basis)
     lam_after = (_project_lambda(basis, new_basis, fitted.coeff_prior_cov)
                  if estimate_lambda else np.eye(new_basis.count))
-    return fitted, DynamicsModel(new_basis, fitted.trans_cov, lam_after)
+    return fitted, DynamicsModel(new_basis, fitted.trans_cov, lam_after), coeff_map
 
 
 def converged(trace: list[float], tol: float) -> bool:
@@ -421,17 +485,28 @@ def fit(dataset: PairDataset, config: EmConfig) -> tuple[DynamicsModel, list[flo
 
     The returned trace holds the marginal log-likelihood of the model
     right after each M-step, before orthogonalization (orthogonalization
-    may decrease it).  Stops when :func:`converged` fires or after
-    ``config.max_iters`` iterations; non-convergence is reported through
-    the trace, not an error.
+    may decrease it).  Each iteration forms the whitened pair Gram
+    (:func:`_pair_gram`) once, at the fitted model: the marginal
+    likelihood reads it, and the next E-step reads it carried to the
+    orthogonalized generators (:func:`_change_gram_basis`), which differ
+    from the fitted ones by the linear map ``T`` that
+    :func:`update_step` returns and share their Omega.  Only the initial
+    model's Gram is formed on its own, so a fit of ``max_iters``
+    iterations forms ``max_iters + 1`` Grams.  Stops when
+    :func:`converged` fires or after ``config.max_iters`` iterations;
+    non-convergence is reported through the trace, not an error.
     """
     model = init_model(dataset.latent_dim, config.j_init, config.seed)
+    gram = _pair_gram(model, dataset, config.threads)
     trace: list[float] = []
     for _ in range(config.max_iters):
-        mean, cov = e_step_all(model, dataset, threads=config.threads)
-        fitted, model = update_step(model, transition_stats(dataset, mean, cov),
-                                    config.estimate_lambda, config.orthogonalize)
-        trace.append(marginal_log_likelihood(fitted, dataset))
+        mean, cov = e_step_all(model, dataset, gram=gram)
+        fitted, model, coeff_map = update_step(
+            model, transition_stats(dataset, mean, cov),
+            config.estimate_lambda, config.orthogonalize)
+        gram = _pair_gram(fitted, dataset, config.threads)
+        trace.append(marginal_log_likelihood(fitted, dataset, gram=gram))
         if converged(trace, config.tol):
             break
+        gram = _change_gram_basis(gram, coeff_map)
     return model, trace

@@ -5,7 +5,8 @@ module provides the matrix exponential, exact and first-order group
 actions on latent vectors, assembly of the per-pair coefficient matrix
 A (column m equals ``G^m z``), the flat d x (dJ) block form used by the
 Kronecker normal equations, and the PCA step that replaces a basis by a
-minimal Frobenius-orthonormal one after each EM iteration.  The action
+minimal Frobenius-orthonormal one after each EM iteration (with the
+linear map from the old generators to the new).  The action
 functions take any leading batch axes ``...`` (broadcast between
 coefficients and vectors) in either memory order and give each item the
 bits of a lone call.
@@ -159,18 +160,22 @@ def block_unflatten(m: np.ndarray, d: int, count: int) -> GeneratorBasis:
     return GeneratorBasis(flat.reshape(d, d, count).transpose(2, 0, 1))
 
 
-def _fix_signs(rows: np.ndarray) -> np.ndarray:
-    """Deterministic sign convention: first entry of each row whose
-    magnitude exceeds 1e-12 of the row peak is made positive."""
-    out = rows.copy()
-    for i, row in enumerate(out):
+def _lead_signs(rows: np.ndarray) -> np.ndarray:
+    """Deterministic sign convention: +1 or -1 per row, the sign of the
+    first entry whose magnitude exceeds 1e-12 of the row peak (+1 for a
+    zero row)."""
+    signs = np.ones(len(rows))
+    for i, row in enumerate(rows):
         peak = np.abs(row).max()
-        if peak == 0.0:
-            continue
-        lead = row[np.abs(row) > 1e-12 * peak][0]
-        if lead < 0:
-            out[i] = -row
-    return out
+        if peak > 0.0 and row[np.abs(row) > 1e-12 * peak][0] < 0:
+            signs[i] = -1.0
+    return signs
+
+
+def _fix_signs(rows: np.ndarray) -> np.ndarray:
+    """The rows under the sign convention of :func:`_lead_signs` (each
+    first entry above 1e-12 of its row peak made positive)."""
+    return rows * _lead_signs(rows)[:, None]
 
 
 def orthogonalize(basis: GeneratorBasis,
@@ -183,13 +188,30 @@ def orthogonalize(basis: GeneratorBasis,
     ordered by decreasing singular value with a fixed sign convention.
     The output span is contained in the input span.
     """
+    return _orthogonalize_with_map(basis, variance_threshold)[0]
+
+
+def _orthogonalize_with_map(basis: GeneratorBasis,
+                            variance_threshold: float = 0.99
+                            ) -> tuple[GeneratorBasis, np.ndarray]:
+    """:func:`orthogonalize` and its coefficient map: the ``(k, J)``
+    matrix ``T`` with ``G'_k = sum_j T_kj G_j`` in exact arithmetic.
+
+    With the SVD ``flat = U S V^T`` of the vectorized generators, the
+    k-th principal component is ``V_k = U_k^T flat / s_k``, so row k of
+    ``T`` is ``sign_k U_k^T / s_k`` from the same SVD; in the
+    already-orthonormal branch ``T`` is the signed identity.  Below a
+    threshold of 1, a kept component carries at least
+    ``(1 - variance_threshold) / J`` of the variance, so ``1 / s_k``
+    stays bounded: ``T`` needs no pseudo-inverse.
+    """
     if not 0.0 < variance_threshold <= 1.0:
         raise ValueError("variance_threshold must lie in (0, 1]")
     d, j = basis.latent_dim, basis.count
     flat = basis.generators.reshape(j, d * d)
     if not np.any(flat):
         raise NumericError("cannot orthogonalize an all-zero basis")
-    _, svals, vt = np.linalg.svd(flat, full_matrices=False)
+    u, svals, vt = np.linalg.svd(flat, full_matrices=False)
     energy = np.cumsum(svals ** 2)
     total = energy[-1]
     kept = int(np.searchsorted(energy, variance_threshold * total * (1.0 - 1e-12)) + 1)
@@ -197,7 +219,9 @@ def orthogonalize(basis: GeneratorBasis,
     if kept == j and np.allclose(flat @ flat.T, np.eye(j), atol=1e-12):
         # already orthonormal and nothing to drop: the PCA basis is
         # underdetermined (all singular values equal), keep the input
-        components = flat
+        components, coeff_map = flat, np.eye(j)
     else:
-        components = vt[:kept]
-    return GeneratorBasis(_fix_signs(components).reshape(-1, d, d))
+        components, coeff_map = vt[:kept], u[:, :kept].T / svals[:kept, None]
+    signs = _lead_signs(components)[:, None]
+    return (GeneratorBasis((components * signs).reshape(-1, d, d)),
+            coeff_map * signs)

@@ -415,8 +415,8 @@ def fit(dataset: ImagePairDataset, config: NpcaConfig,
                 raise NumericError(f"objective diverged at epoch {epoch}")
             if not all(np.all(np.isfinite(p)) for _, p in named_parameters(model)):
                 raise NumericError(f"network parameters diverged at epoch {epoch}")
-            _, dyn = update_step(model.dynamics,
-                                 encoded_moments(model, dataset).transition,
-                                 config.estimate_lambda, orthogonalize=True)
+            _, dyn, _ = update_step(model.dynamics,
+                                    encoded_moments(model, dataset).transition,
+                                    config.estimate_lambda, orthogonalize=True)
             model = replace(model, dynamics=dyn)
     return model, trace

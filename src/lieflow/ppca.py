@@ -40,7 +40,6 @@ from .dynamics import (
     DynamicsModel,
     TransitionStats,
     _e_step_block,
-    _pair_sum,
     converged,
     expected_log_density,
     init_model,
@@ -244,14 +243,21 @@ def posterior_z_given_x(model: PpcaModel, x: np.ndarray
 # E-step backends
 
 
+def _pair_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``sum_n a_n (x) b_n`` over the leading pair axis of two stacks, as
+    one product over that axis: shape ``a.shape[1:] + b.shape[1:]``."""
+    n = a.shape[0]
+    return (a.reshape(n, -1).T @ b.reshape(n, -1)).reshape(a.shape[1:] + b.shape[1:])
+
+
 def _moments_from_blocks(m_zi, cov_zi, m_zn, cov_zn, q, k) -> LatentMoments:
     """Expectation bundle under the factorized posterior ``q(z_i)
     q(lambda) q(z_next)`` from each pair's block means and covariances,
     in the order ``(m_zi, cov_zi, m_zn, cov_zn, q, k)``.
 
     The transition statistics are sums over the whole stack of pairs; the
-    two Kronecker ones are each one product over the pair axis, formed by
-    the helper that :func:`lieflow.dynamics.transition_stats` uses too.
+    two Kronecker ones are each one matrix product over the pair axis
+    (:func:`_pair_sum`), as in :func:`lieflow.dynamics.transition_stats`.
     The stack is the same however the pairs were blocked for the sweep,
     so neither are the sums.
     """
@@ -686,8 +692,9 @@ def fit(dataset: ImagePairDataset, config: PpcaConfig
         sigma2 = m_step_sigma(dataset, moments, w, mu)
         dyn = next_dyn = model.dynamics
         if not config.freeze_coefficients:
-            dyn, next_dyn = update_step(dyn, moments.transition,
-                                        config.estimate_lambda, config.orthogonalize)
+            dyn, next_dyn, _ = update_step(dyn, moments.transition,
+                                           config.estimate_lambda,
+                                           config.orthogonalize)
         if exact_evidence is None:
             trace.append(mean_field_elbo(PpcaModel(w, mu, sigma2, dyn),
                                          dataset, moments))

@@ -5,13 +5,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lieflow import rng
+from lieflow import dynamics, rng
 from lieflow.dynamics import (
     DynamicsModel,
     EmConfig,
     PairDataset,
+    TransitionStats,
+    _change_gram_basis,
     _e_step_block,
+    _gram_precision,
     _pair_precision,
+    _white_gram,
     e_step_all,
     expected_log_density,
     fit,
@@ -21,6 +25,7 @@ from lieflow.dynamics import (
     marginal_log_likelihood,
     transition_stats,
     update_Lambda,
+    update_step,
 )
 from lieflow.gaussian import (
     NumericError,
@@ -28,7 +33,7 @@ from lieflow.gaussian import (
     spd_cholesky,
     triangular_solve,
 )
-from lieflow.liealg import GeneratorBasis, assemble_A
+from lieflow.liealg import GeneratorBasis, assemble_A, block_flatten
 from lieflow.oracles import GridSpec
 from lieflow.synth import SequenceSpec, generate_latent_pairs, subspace_angle
 from reference import (
@@ -109,8 +114,8 @@ class TestEStepLambda:
         mean, cov = e_step_all(model, data)
         for k, (zi, zn) in enumerate(zip(data.z_i, data.z_next)):
             single = e_step_lambda(model, zi, zn)
-            assert np.allclose(single.mean, mean[k], atol=1e-12)
-            assert np.allclose(single.cov, cov[k], atol=1e-12)
+            assert np.allclose(single.mean, mean[:, k], atol=1e-12)
+            assert np.allclose(single.cov, cov[..., k], atol=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 4),
@@ -121,12 +126,12 @@ class TestEStepLambda:
         z_i = rng.normal_matrix(seed, (3,), (n, d))
         z_n = z_i + step * rng.normal_matrix(seed, (4,), (n, d))
         mean, cov = e_step_all(model, PairDataset(z_i, z_n), threads=threads)
-        assert mean.shape == (n, j) and cov.shape == (n, j, j)
+        assert mean.shape == (j, n) and cov.shape == (j, j, n)
         for k in range(n):
             single = e_step_lambda(model, z_i[k], z_n[k])
             spread = np.abs(single.cov).max()
-            assert np.abs(cov[k] - single.cov).max() <= 1e-9 * spread
-            assert np.abs(mean[k] - single.mean).max() <= 1e-9 * (
+            assert np.abs(cov[..., k] - single.cov).max() <= 1e-9 * spread
+            assert np.abs(mean[:, k] - single.mean).max() <= 1e-9 * (
                 np.abs(single.mean).max() + spread ** 0.5)
 
     @settings(max_examples=60, deadline=None)
@@ -160,8 +165,8 @@ class TestMStepG:
 
     def test_zero_mean_coefficients_zero_numerator(self):
         data, _ = generate_latent_pairs(SequenceSpec(pair_count=9, seed=7))
-        basis = m_step_G(transition_stats(data, np.zeros((9, 1)),
-                                          np.ones((9, 1, 1))))
+        basis = m_step_G(transition_stats(data, np.zeros((1, 9)),
+                                          np.ones((1, 1, 9))))
         assert np.allclose(basis.generators, 0.0, atol=1e-12)
 
     def test_recovers_generators_from_exact_posteriors(self):
@@ -170,8 +175,8 @@ class TestMStepG:
                             noise_std=0.0, pair_count=50, seed=8,
                             first_order=True)
         data, truth = generate_latent_pairs(spec)
-        basis = m_step_G(transition_stats(data, truth.lambdas,
-                                          np.zeros((50, 2, 2))))
+        basis = m_step_G(transition_stats(data, truth.lambdas.T,
+                                          np.zeros((2, 2, 50))))
         err = np.linalg.norm(basis.generators - truth.basis.generators)
         assert err < 1e-8
 
@@ -179,8 +184,8 @@ class TestMStepG:
         z = np.zeros((4, 2))
         data = PairDataset(z, z + 1.0)
         with pytest.raises(NumericError, match="condition number"):
-            m_step_G(transition_stats(data, np.ones((4, 1)),
-                                      np.zeros((4, 1, 1))))
+            m_step_G(transition_stats(data, np.ones((1, 4)),
+                                      np.zeros((1, 1, 4))))
 
 
 class TestMStepOmega:
@@ -190,8 +195,8 @@ class TestMStepOmega:
                             noise_std=0.0, pair_count=40, seed=9,
                             first_order=True)
         data, truth = generate_latent_pairs(spec)
-        omega = m_step_Omega(transition_stats(data, truth.lambdas,
-                                              np.zeros((40, 2, 2))),
+        omega = m_step_Omega(transition_stats(data, truth.lambdas.T,
+                                              np.zeros((2, 2, 40))),
                              truth.basis)
         assert np.abs(omega).max() < 1e-15
 
@@ -202,7 +207,8 @@ class TestMStepOmega:
         data = PairDataset(data.z_i, data.z_i)  # force delta = 0
         basis = GeneratorBasis(rng.normal_matrix(10, (3,), (2, 2, 2)))
         omega = m_step_Omega(transition_stats(
-            data, np.zeros((11, 2)), np.broadcast_to(np.eye(2), (11, 2, 2))),
+            data, np.zeros((2, 11)),
+            np.broadcast_to(np.eye(2)[:, :, None], (2, 2, 11))),
             basis)
         expected = np.zeros((2, 2))
         for z in data.z_i:
@@ -227,23 +233,24 @@ class TestMStepOmega:
 class TestUpdateLambda:
     @staticmethod
     def mle(mean, cov):
-        ones = np.ones((mean.shape[0], 1))
+        ones = np.ones((mean.shape[1], 1))
         stats = transition_stats(PairDataset(ones, ones), mean, cov)
         return update_Lambda(stats)
 
     def test_standard_normal_posteriors(self):
-        est = self.mle(np.zeros((5, 2)), np.broadcast_to(np.eye(2), (5, 2, 2)))
+        est = self.mle(np.zeros((2, 5)),
+                       np.broadcast_to(np.eye(2)[:, :, None], (2, 2, 5)))
         assert np.allclose(est, np.eye(2))
 
     def test_single_delta_posterior(self):
         q = np.array([0.3, -1.2])
-        est = self.mle(q[None], np.zeros((1, 2, 2)))
+        est = self.mle(q[:, None], np.zeros((2, 2, 1)))
         assert np.allclose(est, np.outer(q, q))
 
     def test_recovers_prior_scale(self):
         lam_true = np.diag([0.04, 0.01])
         draws = rng.normal_matrix(12, (0,), (5000, 2)) @ spd_cholesky(lam_true).T
-        est = self.mle(draws, np.zeros((5000, 2, 2)))
+        est = self.mle(draws.T, np.zeros((2, 2, 5000)))
         assert np.linalg.norm(est - lam_true) / np.linalg.norm(lam_true) < 0.10
 
 
@@ -265,8 +272,8 @@ class TestExpectedCompleteDataLL:
         doubled_data = PairDataset(np.vstack([data.z_i, data.z_i]),
                                    np.vstack([data.z_next, data.z_next]))
         doubled = expected_log_density(
-            model, transition_stats(doubled_data, np.vstack([mean, mean]),
-                                    np.vstack([cov, cov])),
+            model, transition_stats(doubled_data, np.hstack([mean, mean]),
+                                    np.concatenate([cov, cov], axis=-1)),
             doubled_data.count)
         assert doubled == pytest.approx(2 * single, rel=1e-12)
 
@@ -281,7 +288,7 @@ class TestExpectedCompleteDataLL:
 
         n = 100_000
         eps = rng.normal_matrix(14, (11,), (n, 2))
-        lam_draws = mean[0] + eps @ spd_cholesky(cov[0]).T
+        lam_draws = mean[:, 0] + eps @ spd_cholesky(cov[..., 0]).T
         a = assemble_A(model.basis, z_i)
         trans = log_density_batch(Gaussian(z_next - z_i, model.trans_cov),
                                   lam_draws @ a.T)
@@ -411,7 +418,7 @@ def test_transition_stats_equal_per_pair_kronecker_sums(seed, d, j, n, step):
     mean = rng.normal_matrix(seed, (5,), (n, j))
     root = rng.normal_matrix(seed, (6,), (n, j, j))
     cov = root @ root.swapaxes(1, 2)
-    stats = transition_stats(data, mean, cov)
+    stats = transition_stats(data, mean.T, cov.transpose(1, 2, 0))
     # each field against the signed and the absolute sum of its per-pair terms
     terms = {"dz_dz": [], "dz_zlam": [], "zz_lamlam": [], "lamlam": []}
     for z, dz, m, c in zip(data.z_i, data.delta, mean, cov):
@@ -484,6 +491,95 @@ def test_e_step_block_equals_its_one_pair_calls(d, j, column_major):
             assert np.array_equal(got, np.concatenate(parts, axis=-1))
 
 
+def _stats_fitting(basis: GeneratorBasis, omega: np.ndarray,
+                   lamlam: np.ndarray, count: int) -> TransitionStats:
+    # summed statistics whose M-step returns ``basis`` (an identity
+    # Kronecker Gram) and, up to rounding, ``omega``
+    flat = block_flatten(basis)
+    return TransitionStats(count, flat @ flat.T + count * omega, flat.copy(),
+                           np.eye(flat.shape[1]), lamlam)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 4),
+       j=st.integers(1, 3), n=st.integers(1, 12),
+       step=st.sampled_from([1e-3, 0.3, 3.0]),
+       case=st.sampled_from(["generic", "dropped", "orthonormal"]),
+       orthogonalize=st.booleans(), estimate_lambda=st.booleans())
+@example(seed=3, d=2, j=3, n=5, step=0.3, case="dropped",
+         orthogonalize=True, estimate_lambda=True)
+@example(seed=4, d=2, j=2, n=5, step=0.3, case="orthonormal",
+         orthogonalize=True, estimate_lambda=False)
+def test_carried_gram_equals_the_gram_at_the_orthogonalized_model(
+        seed, d, j, n, step, case, orthogonalize, estimate_lambda):
+    # the next E-step reads the fitted model's Gram carried through the
+    # coefficient map of update_step: its precisions and information
+    # must be those of the orthogonalized model, within a relative 1e-12
+    # of the Cauchy-Schwarz scale of each entry (measured: under 5e-14)
+    base = random_model(seed, d, j)
+    gens = base.basis.generators.copy()
+    if case == "dropped" and j > 1:
+        gens[-1] = -0.7 * gens[0]  # a collinear generator: one is dropped
+    elif case == "orthonormal" and j <= d * d:
+        q, _ = np.linalg.qr(rng.normal_matrix(seed, (7,), (d * d, d * d)))
+        rows = q[:j].copy()
+        lead = rows[-1][np.abs(rows[-1]) > 1e-12 * np.abs(rows[-1]).max()][0]
+        rows[-1] *= -np.sign(lead)  # its sign convention flips it back
+        gens = rows.reshape(j, d, d)
+    stats = _stats_fitting(GeneratorBasis(gens), base.trans_cov,
+                           n * base.coeff_prior_cov, n)
+    fitted, nxt, coeff_map = update_step(base, stats, estimate_lambda,
+                                         orthogonalize)
+    assert coeff_map.shape == (nxt.coeff_count, fitted.coeff_count)
+    if not orthogonalize:
+        assert nxt is fitted and np.array_equal(coeff_map, np.eye(j))
+    elif case == "dropped" and j > 1:
+        assert nxt.coeff_count < j
+    elif case == "orthonormal" and j <= d * d:
+        assert np.array_equal(np.abs(coeff_map), np.eye(j))
+        assert coeff_map[-1, -1] == -1.0
+    z_i = rng.normal_matrix(seed, (3,), (n, d))
+    delta = step * rng.normal_matrix(seed, (4,), (n, d))
+    carried = _change_gram_basis(_white_gram(fitted, z_i.T, delta.T), coeff_map)
+    assert np.array_equal(carried, carried.swapaxes(0, 1))
+    prec, info, white_sq = _gram_precision(nxt, carried)
+    want_prec, want_info, want_sq = _pair_precision(nxt, z_i, delta)
+    gram_diag = np.diagonal(want_prec - nxt.coeff_prior_prec[:, :, None])
+    prec_scale = (np.sqrt(gram_diag[..., :, None] * gram_diag[..., None, :])
+                  + np.abs(nxt.coeff_prior_prec)).transpose(1, 2, 0)
+    assert np.all(np.abs(prec - want_prec) <= 1e-12 * prec_scale)
+    assert np.all(np.abs(info - want_info)
+                  <= 1e-12 * np.sqrt(gram_diag.T * want_sq))
+    assert np.array_equal(white_sq, _white_gram(fitted, z_i.T, delta.T)[-1, -1])
+    if not orthogonalize:
+        assert np.array_equal(prec, want_prec) and np.array_equal(info, want_info)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_fit_forms_one_pair_gram_per_iteration(monkeypatch, threads):
+    # every Gram whitens the pairs' delta columns with one substitution by
+    # L_Omega: a fit of max_iters iterations (d > J) whitens each pair
+    # max_iters + 1 times, once per iteration and once for the initial
+    # model, not once for the E-step and again for the marginal likelihood
+    spec = SequenceSpec(group_kind="latent_random", latent_dim=3,
+                        generator_count=2, lambda_scale=0.08, noise_std=0.01,
+                        pair_count=13, seed=21)
+    data, _ = generate_latent_pairs(spec)
+    whitened = []
+    solve = dynamics.triangular_solve
+
+    def spy(chol, b, *args, **kwargs):
+        if chol.ndim == 2 and np.shares_memory(b, data._delta_cols):
+            whitened.append(b.shape[-1])
+        return solve(chol, b, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "triangular_solve", spy)
+    _, trace = fit(data, EmConfig(j_init=2, max_iters=5, tol=0.0, seed=3,
+                                  threads=threads))
+    assert len(trace) == 5
+    assert sum(whitened) == (5 + 1) * data.count
+
+
 def test_whitened_generators_are_formed_once_without_the_precision():
     model = random_model(7, 3, 2)
     z_i = rng.normal_matrix(7, (3,), (4, 3))
@@ -521,9 +617,10 @@ def test_precisions_are_formed_on_first_read():
 
 
 # SHA-256 of a tiny fit's generators, Omega, Lambda and trace, recorded
-# when the coefficient posteriors became fixed-order elementwise sums;
-# any drift of the E-step, M-step or orthogonalization bits changes it.
-# Three threads split the 13 pairs into blocks of 4, 4 and 5.
+# when each E-step began to read the previous iteration's pair Gram
+# carried through the orthogonalization's coefficient map; any drift of
+# the E-step, M-step or orthogonalization bits changes it.  Three
+# threads split the 13 pairs into blocks of 4, 4 and 5.
 @pytest.mark.parametrize("threads", [1, 3])
 def test_tiny_fit_matches_pinned_digest(threads):
     spec = SequenceSpec(group_kind="latent_random", latent_dim=3,
@@ -538,4 +635,4 @@ def test_tiny_fit_matches_pinned_digest(threads):
               np.array(trace)]:
         h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
     assert h.hexdigest() == \
-        "aae572c9d7b059a175160277a34bc7312027dbe282b74a677111f3a89729f1ef"
+        "552e8955725a6f2ad2fa4184fc7f9cc7a673a7635797d54725546db00514cab3"

@@ -431,7 +431,8 @@ class TestMSteps:
         from lieflow.dynamics import init_model
         model = init_model(2, 2, 22)
         mean, cov = e_step_all(model, data)
-        moments = self.delta_moments(data.z_i, data.z_next, mean, lam_cov=cov)
+        moments = self.delta_moments(data.z_i, data.z_next, mean.T,
+                                     lam_cov=cov.transpose(2, 0, 1))
         basis, omega = m_step_dynamics(moments.transition)
         ref_basis, ref_omega = m_step_dynamics(transition_stats(data, mean, cov))
         assert np.allclose(basis.generators, ref_basis.generators, atol=1e-9)

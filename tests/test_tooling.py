@@ -131,7 +131,8 @@ def test_every_config_field_is_read_by_the_library():
 
 
 @pytest.mark.parametrize("module, function", [
-    ("dynamics", "_pair_precision"), ("gaussian", "stacked_posterior"),
+    ("dynamics", "_pair_precision"), ("dynamics", "_white_gram"),
+    ("dynamics", "_change_gram_basis"), ("gaussian", "stacked_posterior"),
     ("ppca", "_fixed_point_blocks"), ("gaussian", "triangular_solve"),
     ("gaussian", "stacked_cholesky")])
 def test_stacked_posteriors_take_no_matrix_product_over_the_stack(module,
