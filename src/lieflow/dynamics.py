@@ -32,7 +32,6 @@ latents and share the M-step, the rest of the update
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -246,6 +245,9 @@ def map_blocks(fn, count: int, threads: int) -> list:
     two pairs), results in block order."""
     if threads <= 1 or count < 2 * threads:
         return [fn(0, count)]
+    # imported here: it pulls in logging and queue, which every CLI
+    # process would otherwise load though only threads > 1 uses them
+    from concurrent.futures import ThreadPoolExecutor
     bounds = np.linspace(0, count, threads + 1, dtype=int)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, bounds[:-1], bounds[1:]))

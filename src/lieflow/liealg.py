@@ -21,6 +21,11 @@ from .gaussian import NumericError
 
 DEFAULT_EXP_TOL = 1e-12
 _MAX_SERIES_TERMS = 40
+# bytes of one (B, d, d) stack in apply_exact's blocks, so that a block's
+# few such stacks stay in a 2 MiB L2 cache: on a 2-CPU x86-64 host, d = 6
+# generation at N = 10 000 was fastest at 256 KiB of the sizes from
+# 32 KiB (+48%) to 4 MiB (+44%)
+_EXP_BLOCK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -104,15 +109,22 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
     squarings = np.ceil(np.log2(np.maximum(norms, 0.5) / 0.5)).astype(int)
     if squarings.any():  # no scaled copy when no matrix needs one
         a = a / (2.0 ** squarings)[:, None, None]
+    # the series reuses two term buffers; a matrix whose terms have
+    # fallen below the tolerance stops adding (the masked add), which
+    # a plain add matches bit for bit while every matrix is live
     term = np.broadcast_to(np.eye(n), a.shape).copy()
-    acc = term.copy()
-    live = np.ones(len(a), dtype=bool)
+    acc, spare = term.copy(), np.empty_like(term)
+    live, live_count = np.ones(len(a), dtype=bool), len(a)
     for k in range(1, _MAX_SERIES_TERMS + 1):
-        term = term @ a
+        term, spare = np.matmul(term, a, out=spare), term
         term /= k
-        np.add(acc, term, out=acc, where=live[:, None, None])
+        if live_count == len(a):
+            acc += term
+        else:
+            np.add(acc, term, out=acc, where=live[:, None, None])
         live &= _frobenius(term) > 0.25 * DEFAULT_EXP_TOL
-        if not live.any():
+        live_count = np.count_nonzero(live)
+        if not live_count:
             break
     with np.errstate(over="ignore", invalid="ignore"):
         for done in range(squarings.max(initial=0)):
@@ -133,9 +145,27 @@ def apply_first_order(basis: GeneratorBasis, coeffs: np.ndarray,
 
 def apply_exact(basis: GeneratorBasis, coeffs: np.ndarray,
                 z: np.ndarray) -> np.ndarray:
-    """``exp(sum_j lambda_j G^j) z`` for ``(..., J)`` lambda and ``(..., d)`` z."""
+    """``exp(sum_j lambda_j G^j) z`` for ``(..., J)`` lambda and ``(..., d)`` z.
+
+    The items are exponentiated in blocks of ``_EXP_BLOCK_BYTES`` of
+    ``d x d`` matrices, so the ``(..., d, d)`` stack of the whole batch
+    is never formed; each item keeps the bits of a lone call.  The
+    batch axes are broadcast first, so a coefficient row shared by many
+    vectors is exponentiated once per vector.
+    """
     vec = _check_vectors(basis, z)
-    return (matrix_exp(combine(basis, coeffs)) @ vec[..., None])[..., 0]
+    lam = _check_coeffs(basis, coeffs)
+    d = basis.latent_dim
+    lead = np.broadcast_shapes(lam.shape[:-1], vec.shape[:-1])
+    lam = np.broadcast_to(lam, lead + lam.shape[-1:]).reshape(-1, basis.count)
+    vec = np.broadcast_to(vec, lead + (d,)).reshape(-1, d, 1)
+    out = np.empty(vec.shape)
+    step = max(1, _EXP_BLOCK_BYTES // (8 * d * d))
+    for start in range(0, len(out), step):
+        block = slice(start, start + step)
+        np.matmul(matrix_exp(combine(basis, lam[block])), vec[block],
+                  out=out[block])
+    return out.reshape(lead + (d,))
 
 
 def assemble_A(basis: GeneratorBasis, z: np.ndarray) -> np.ndarray:

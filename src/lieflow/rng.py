@@ -115,7 +115,11 @@ def _raw(seed: int, path: tuple[int, ...] | np.ndarray, n: int) -> np.ndarray:
 def uniforms(seed: int, path: tuple[int, ...] | np.ndarray, n: int) -> np.ndarray:
     """``n`` doubles in [0, 1) from the stream ``(seed, path)``; for a
     stack of paths, one row of ``n`` per path."""
-    return (_raw(seed, path, n) >> np.uint64(11)).astype(np.float64) * _U53
+    raw = _raw(seed, path, n)
+    raw >>= np.uint64(11)
+    u = raw.astype(np.float64)
+    u *= _U53
+    return u
 
 
 def normals(seed: int, path: tuple[int, ...] | np.ndarray, n: int) -> np.ndarray:
@@ -123,9 +127,17 @@ def normals(seed: int, path: tuple[int, ...] | np.ndarray, n: int) -> np.ndarray
     a stack of paths, one row of ``n`` per path."""
     half = (n + 1) // 2
     u = uniforms(seed, path, 2 * half)
-    r = np.sqrt(-2.0 * np.log1p(-u[..., :half]))
-    theta = 2.0 * math.pi * u[..., half:]
-    z = np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+    r, theta = u[..., :half], u[..., half:]
+    np.negative(r, out=r)
+    np.log1p(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta *= 2.0 * math.pi
+    z = np.empty_like(u)
+    np.cos(theta, out=z[..., :half])
+    np.sin(theta, out=z[..., half:])
+    z[..., :half] *= r
+    z[..., half:] *= r
     return z[..., :n]
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lieflow import rng
+from lieflow import liealg, rng
 from lieflow.gaussian import NumericError
 from lieflow.liealg import (
     GeneratorBasis,
@@ -236,7 +236,9 @@ def test_combine_matches_sum():
     assert np.allclose(combine(basis, lam), manual, atol=1e-15)
 
 
-def assert_stack_equals_per_item_loop(basis, lam, z):
+def assert_stack_equals_per_item_loop(basis, lam, z, items=slice(None)):
+    """Every stacked output equals lone calls, item for item; of a long
+    stack, only the rows ``items`` are compared."""
     stacked = {
         "matrix_exp": matrix_exp(combine(basis, lam)),
         "combine": combine(basis, lam),
@@ -244,6 +246,7 @@ def assert_stack_equals_per_item_loop(basis, lam, z):
         "apply_first_order": apply_first_order(basis, lam, z),
         "apply_exact": apply_exact(basis, lam, z),
     }
+    lam, z = lam[items], z[items]
     looped = {
         "matrix_exp": [matrix_exp(combine(basis, l)) for l in lam],
         "combine": [combine(basis, l) for l in lam],
@@ -252,8 +255,9 @@ def assert_stack_equals_per_item_loop(basis, lam, z):
         "apply_exact": [apply_exact(basis, l, v) for l, v in zip(lam, z)],
     }
     for name, out in stacked.items():
-        items = np.array(looped[name]).reshape(out.shape)
-        assert np.array_equal(out, items), name
+        out = out[items]
+        expected = np.array(looped[name]).reshape(out.shape)
+        assert np.array_equal(out, expected), name
 
 
 @settings(max_examples=60, deadline=None)
@@ -281,3 +285,52 @@ def test_stacked_action_ignores_the_memory_order(n, d, j, seed, column_major):
     assert_stack_equals_per_item_loop(
         basis, np.asarray(rng.normal_matrix(seed, (1,), (n, j)), order=order),
         np.asarray(rng.normal_matrix(seed, (2,), (n, d)), order=order))
+
+
+def _block_size(d):
+    """Matrices per ``apply_exact`` block at latent dimension d."""
+    return max(1, liealg._EXP_BLOCK_BYTES // (8 * d * d))
+
+
+def _two_blocks_and_a_tail(d, seed):
+    """A basis and ``2 B + 5`` items (B the block size at d): every third
+    item needs squarings, the rest do not, and item 7 of each full block
+    has a series that stops a few terms before its neighbours', so the
+    series' masked add runs in every block."""
+    block = _block_size(d)
+    n = 2 * block + 5
+    basis = GeneratorBasis(rng.normal_matrix(seed, (0,), (2, d, d)))
+    lam = rng.normal_matrix(seed, (1,), (n, 2))
+    norms = np.linalg.norm(combine(basis, lam), axis=(1, 2))
+    scales = np.where(np.arange(n) % 3 == 0, 3.0, 0.45) / norms
+    scales[7::block] = 0.05 / norms[7::block]
+    return basis, scales[:, None] * lam, rng.normal_matrix(seed, (2,), (n, d))
+
+
+@pytest.mark.parametrize("d", [6, 2])
+def test_stacked_action_across_exponential_blocks(d):
+    # apply_exact exponentiates in blocks; items on either side of a
+    # block boundary and in the ragged tail keep the bits of a lone call.
+    # At d = 2 (8192 matrices a block) every item would take ~10 s of
+    # lone calls, so there the 32 items on each side of every boundary
+    # are compared: they hold the early-stopping item of each block and
+    # items with and without squarings
+    basis, lam, z = _two_blocks_and_a_tail(d, 40 + d)
+    block = _block_size(d)
+    items = slice(None) if d == 6 else np.r_[0:32, block - 32:block + 32,
+                                            2 * block - 32:len(lam)]
+    assert_stack_equals_per_item_loop(basis, lam, z, items)
+
+
+@pytest.mark.parametrize("d", [6, 2])
+def test_apply_exact_hands_matrix_exp_at_most_one_block(d, monkeypatch):
+    basis, lam, z = _two_blocks_and_a_tail(d, 50 + d)
+    sizes = []
+
+    def spy(m):
+        sizes.append(len(m))
+        return matrix_exp(m)
+
+    monkeypatch.setattr(liealg, "matrix_exp", spy)
+    apply_exact(basis, lam, z)
+    assert sizes == [_block_size(d), _block_size(d), 5]

@@ -9,6 +9,7 @@ import dataclasses
 import importlib
 import importlib.util
 import json
+import os
 import re
 import subprocess
 import sys
@@ -149,6 +150,19 @@ def test_stacked_posteriors_take_no_matrix_product_over_the_stack(module,
              or (isinstance(node, ast.Attribute) and node.attr in products
                  and isinstance(node.value, ast.Name) and node.value.id == "np")]
     assert not found, f"{module}.{function} multiplies matrices at lines {found}"
+
+
+def test_cli_import_leaves_the_thread_pool_unloaded():
+    # concurrent.futures pulls in logging and queue (~6 ms of every CLI
+    # process); only a fit with threads > 1 imports it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(LIBRARY.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, lieflow.cli; "
+         "print('concurrent.futures' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_library_imports_only_numpy_and_the_standard_library():
