@@ -31,6 +31,8 @@ EXIT_OK, EXIT_USAGE, EXIT_IO, EXIT_NUMERIC = 0, 2, 3, 4
 _ESTIMATOR_CODES = {"dynamics": 0.0, "ppca": 1.0, "npca": 2.0}
 _ESTEP_FLAGS = {"quadrature": "quadrature", "fixed-point": "fixed_point",
                 "mc": "monte_carlo"}
+# roll's Gauss-Newton coefficient fit: step limit and residual-norm tolerance
+_ROLL_ITERS, _ROLL_TOL = 60, 1e-12
 
 
 class UsageError(ValueError):
@@ -232,8 +234,18 @@ def _read_checkpoint(path) -> tuple[_Checkpoint, str]:
 def cmd_eval(opts) -> int:
     ck, estimator = _read_checkpoint(opts["checkpoint"])
     arrays = read_tensors(opts["data"])
-    rows = []
     dynamics = _checkpoint_dynamics(ck)
+    # scored first: data the checkpoint cannot score ends it before a warning
+    if estimator == "dynamics":
+        data = _load_latent_dataset(arrays)
+        ll = dyn_mod.marginal_log_likelihood(dynamics, data) / data.count
+        rows = [("predictive_log_density", float(ll))]
+    else:
+        data = _load_image_dataset(arrays)
+        encode, decode = _image_maps(ck, estimator)
+        recon = decode(encode(data.x_i))
+        mse = float(np.mean((recon - data.x_i) ** 2))
+        rows = [("reconstruction_mse", mse)]
     if "true_G" not in arrays:
         print("warning: no ground-truth sidecar; recovery metrics omitted",
               file=sys.stderr)
@@ -243,17 +255,7 @@ def cmd_eval(opts) -> int:
     else:
         angle = synth.subspace_angle(dynamics.basis,
                                      GeneratorBasis(arrays["true_G"]))
-        rows.append(("subspace_angle_rad", float(angle)))
-    if estimator == "dynamics":
-        data = _load_latent_dataset(arrays)
-        ll = dyn_mod.marginal_log_likelihood(dynamics, data) / data.count
-        rows.append(("predictive_log_density", float(ll)))
-    else:
-        data = _load_image_dataset(arrays)
-        encode, decode = _image_maps(ck, estimator)
-        recon = decode(encode(data.x_i))
-        mse = float(np.mean((recon - data.x_i) ** 2))
-        rows.append(("reconstruction_mse", mse))
+        rows.insert(0, ("subspace_angle_rad", float(angle)))
     if "final_objective" in ck:
         rows.append(("final_objective", _scalar(ck, "final_objective")))
     _write_csv(opts["out"], "metric,value", rows)
@@ -267,8 +269,7 @@ def cmd_eval(opts) -> int:
 
 
 def _infer_roll_coefficients(dynamics: DynamicsModel, z0: np.ndarray,
-                             z1: np.ndarray, iters: int = 60,
-                             tol: float = 1e-12) -> np.ndarray:
+                             z1: np.ndarray) -> np.ndarray:
     """Coefficients of the seed transformation under the exact exponential
     map, refined by damped Gauss-Newton from the first-order posterior
     mean (which understates large transformations)."""
@@ -277,11 +278,11 @@ def _infer_roll_coefficients(dynamics: DynamicsModel, z0: np.ndarray,
     h, eye = 1e-6, np.eye(lam.size)
     # backtracking: the first halved step that lowers the residual is taken
     scales = 0.5 ** np.arange(20)
-    for _ in range(iters):
+    for _ in range(_ROLL_ITERS):
         current = liealg.apply_exact(dynamics.basis, lam, z0)
         residual = z1 - current
         best = np.linalg.norm(residual)
-        if best < tol:
+        if best < _ROLL_TOL:
             break
         jac = (liealg.apply_exact(dynamics.basis, lam + h * eye, z0)
                - current).T / h

@@ -98,7 +98,7 @@ class DynamicsModel:
     @cached_property
     def _white_generators(self) -> np.ndarray:
         # L_Omega^{-1} G_j (J, d, d), one substitution for the flattened
-        # block [G_j]: _pair_precision whitens A = [G_j z] from these
+        # block [G_j]: _white_gram whitens A = [G_j z] from these
         # instead of solving with L_Omega once per pair
         d, j = self.latent_dim, self.coeff_count
         white = triangular_solve(self.trans_chol, liealg.block_flatten(self.basis))
@@ -220,22 +220,14 @@ def _gram_precision(model: DynamicsModel, gram: np.ndarray
             gram[:j, j].copy(), gram[j, j])
 
 
-def _pair_precision(model: DynamicsModel, z_i: np.ndarray, delta: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The per-pair J x J posterior precision, information and squared
-    whitened residual for pairs ``z_i`` and ``delta`` given pair-first,
-    ``(N, d)``: :func:`_gram_precision` of :func:`_white_gram`."""
-    return _gram_precision(model, _white_gram(model, z_i.T, delta.T))
-
-
-def _e_step_block(model: DynamicsModel, z_i: np.ndarray,
-                  delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _e_step_block(model: DynamicsModel, z_cols: np.ndarray,
+                  delta_cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient posteriors of a block of pairs ``z_i`` and ``delta``
-    ``(N, d)``: stacked means ``P^{-1} b`` ``(J, N)`` and covariances
-    ``P^{-1}`` ``(J, J, N)``, the pair axis last.  The one closed form of
-    q(lambda): the ppca fixed-point sweep and npca's plug-in coefficients
-    call it too."""
-    prec, info, _ = _pair_precision(model, z_i, delta)
+    given pair-last, ``(d, N)``: stacked means ``P^{-1} b`` ``(J, N)`` and
+    covariances ``P^{-1}`` ``(J, J, N)``, the pair axis last.  The one
+    closed form of q(lambda): the ppca fixed-point sweep and npca's
+    plug-in coefficients call it too."""
+    prec, info, _ = _gram_precision(model, _white_gram(model, z_cols, delta_cols))
     return stacked_posterior(prec, info)
 
 
@@ -289,21 +281,22 @@ def _change_gram_basis(gram: np.ndarray, coeff_map: np.ndarray) -> np.ndarray:
     return out
 
 
-def e_step_all(model: DynamicsModel, dataset: PairDataset, threads: int = 1,
-               *, gram: np.ndarray | None = None
-               ) -> tuple[np.ndarray, np.ndarray]:
+def _check_latent_dim(model: DynamicsModel, dataset: PairDataset) -> None:
+    if dataset.latent_dim != model.latent_dim:
+        raise ValueError("dataset and model latent dimensions disagree")
+
+
+def e_step_all(model: DynamicsModel, dataset: PairDataset, *,
+               gram: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient posteriors for every pair: means ``(J, N)`` and
     covariances ``(J, J, N)``, the pair axis last.
 
     ``gram`` is the model's whitened pair Gram when the caller has it
-    already; otherwise it is formed here (:func:`_pair_gram`, with
-    ``threads``).  Every step is per pair, so the output does not depend
-    on ``threads``.
+    already; otherwise it is formed here (:func:`_pair_gram`).
     """
-    if dataset.latent_dim != model.latent_dim:
-        raise ValueError("dataset and model latent dimensions disagree")
+    _check_latent_dim(model, dataset)
     if gram is None:
-        gram = _pair_gram(model, dataset, threads)
+        gram = _pair_gram(model, dataset)
     prec, info, _ = _gram_precision(model, gram)
     return stacked_posterior(prec, info)
 
@@ -403,6 +396,7 @@ def marginal_log_likelihood(model: DynamicsModel, dataset: PairDataset, *,
     ratio makes large; and with ``d < J``, ``P`` is a rank-d term plus
     ``Lambda^{-1}``, and its log-determinant loses them too.
     """
+    _check_latent_dim(model, dataset)
     d, z = dataset.latent_dim, dataset._z_cols
     if d <= model.coeff_count:
         # A Lambda A^T = C C^T with the columns C_k = sum_m (L_Lambda)_mk G_m z
@@ -462,7 +456,7 @@ def update_step(model: DynamicsModel, stats: TransitionStats,
     fitted = DynamicsModel(basis, omega, lam_cov)
     if not (orthogonalize and np.any(basis.generators)):
         return fitted, fitted, np.eye(basis.count)
-    new_basis, coeff_map = liealg._orthogonalize_with_map(basis)
+    new_basis, coeff_map = liealg.orthogonalize(basis)
     lam_after = (_project_lambda(basis, new_basis, fitted.coeff_prior_cov)
                  if estimate_lambda else np.eye(new_basis.count))
     return fitted, DynamicsModel(new_basis, fitted.trans_cov, lam_after), coeff_map

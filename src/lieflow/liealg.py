@@ -21,6 +21,9 @@ from .gaussian import NumericError
 
 DEFAULT_EXP_TOL = 1e-12
 _MAX_SERIES_TERMS = 40
+# each squaring doubles the series' rounding error: past 27 a rotation
+# drifts off the unit circle by over 1e-6 (README, on `roll`)
+_MAX_SQUARINGS = 27
 # bytes of one (B, d, d) stack in apply_exact's blocks, so that a block's
 # few such stacks stay in a 2 MiB L2 cache: on a 2-CPU x86-64 host, d = 6
 # generation at N = 10 000 was fastest at 256 KiB of the sizes from
@@ -93,7 +96,9 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
     (terms are added until the next term falls below
     ``DEFAULT_EXP_TOL / 4``; 13 terms), then squared ``s`` times, with
     ``s`` and the term count chosen per matrix.  Raises
-    :class:`NumericError` when a norm or the result overflows.
+    :class:`NumericError` when a norm or the result overflows, or when a
+    matrix needs more than ``_MAX_SQUARINGS`` squarings (a Frobenius norm
+    above ``2^26``), which would leave too few correct digits.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -107,6 +112,11 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
     if not np.all(norms <= 2.0 ** 1022):  # else the scaling overflows
         raise NumericError("matrix_exp input norm overflows")
     squarings = np.ceil(np.log2(np.maximum(norms, 0.5) / 0.5)).astype(int)
+    most = squarings.max(initial=0)
+    if most > _MAX_SQUARINGS:
+        raise NumericError(
+            f"matrix_exp input norm {norms.max():.3e} needs {most} squarings, "
+            f"more than the {_MAX_SQUARINGS} that keep the result accurate")
     if squarings.any():  # no scaled copy when no matrix needs one
         a = a / (2.0 ** squarings)[:, None, None]
     # the series reuses two term buffers; a matrix whose terms have
@@ -127,7 +137,7 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
         if not live_count:
             break
     with np.errstate(over="ignore", invalid="ignore"):
-        for done in range(squarings.max(initial=0)):
+        for done in range(most):
             more = squarings > done
             acc[more] = acc[more] @ acc[more]
     if not np.all(np.isfinite(acc)):
@@ -208,24 +218,17 @@ def _fix_signs(rows: np.ndarray) -> np.ndarray:
     return rows * _lead_signs(rows)[:, None]
 
 
-def orthogonalize(basis: GeneratorBasis,
-                  variance_threshold: float = 0.99) -> GeneratorBasis:
-    """Minimal Frobenius-orthonormal basis spanning the dominant variance.
+def orthogonalize(basis: GeneratorBasis, variance_threshold: float = 0.99
+                  ) -> tuple[GeneratorBasis, np.ndarray]:
+    """Minimal Frobenius-orthonormal basis spanning the dominant variance,
+    and its coefficient map: the ``(k, J)`` matrix ``T`` with
+    ``G'_k = sum_j T_kj G_j`` in exact arithmetic.
 
     Each generator is vectorized to a d^2 vector; an (uncentered) PCA of
     the J vectors retains the smallest number of principal components
     whose variance share reaches ``variance_threshold``.  Components are
     ordered by decreasing singular value with a fixed sign convention.
     The output span is contained in the input span.
-    """
-    return _orthogonalize_with_map(basis, variance_threshold)[0]
-
-
-def _orthogonalize_with_map(basis: GeneratorBasis,
-                            variance_threshold: float = 0.99
-                            ) -> tuple[GeneratorBasis, np.ndarray]:
-    """:func:`orthogonalize` and its coefficient map: the ``(k, J)``
-    matrix ``T`` with ``G'_k = sum_j T_kj G_j`` in exact arithmetic.
 
     With the SVD ``flat = U S V^T`` of the vectorized generators, the
     k-th principal component is ``V_k = U_k^T flat / s_k``, so row k of

@@ -271,7 +271,7 @@ def plugin_coefficients(model: NpcaModel, z_i: np.ndarray,
     """Coefficients ``(N, J)`` for stacks of sampled latents ``(N, d)``:
     the means of the coefficient posterior of the dynamics E-step
     (:func:`lieflow.dynamics._e_step_block`)."""
-    return _e_step_block(model.dynamics, z_i, z_n - z_i)[0].T
+    return _e_step_block(model.dynamics, z_i.T, (z_n - z_i).T)[0].T
 
 
 def encoded_moments(model: NpcaModel, dataset: ImagePairDataset
@@ -279,7 +279,7 @@ def encoded_moments(model: NpcaModel, dataset: ImagePairDataset
     """Expectation bundle from the encoder Gaussians with the coefficient
     posterior taken at the encoded means (mean-field assembly)."""
     (mean_i, mean_n), var = encode(model, dataset.frames)
-    q, k = _e_step_block(model.dynamics, mean_i, mean_n - mean_i)
+    q, k = _e_step_block(model.dynamics, mean_i.T, (mean_n - mean_i).T)
     cov_i, cov_n = var[..., None] * np.eye(model.latent_dim)
     return _moments_from_blocks(mean_i, cov_i, mean_n, cov_n, q.T,
                                 k.transpose(2, 0, 1))

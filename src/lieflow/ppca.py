@@ -373,7 +373,7 @@ def _fixed_point_blocks(model: PpcaModel, x: np.ndarray) -> tuple[np.ndarray, ..
     for _ in range(FIXED_POINT_ITERS):
         old = state[:, live]
         m_zi, m_zn = old[:d], old[d:2 * d]
-        q, k = _e_step_block(model.dynamics, m_zi.T, (m_zn - m_zi).T)
+        q, k = _e_step_block(model.dynamics, m_zi, m_zn - m_zi)
         # B = I + sum_j q_j G_j, drift B m_zi, then q(z_next)'s mean
         b = _ordered_sum(gens[m, :, :, None] * q[m] for m in range(j))
         for a in range(d):

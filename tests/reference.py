@@ -1,14 +1,14 @@
 """Reference implementations the tests compare the library against.
 
 The estimators compute every Gaussian posterior they need in batched
-form (``dynamics._pair_precision``, ``ppca.posterior_z_given_x``) and
+form (``dynamics._e_step_block``, ``ppca.posterior_z_given_x``) and
 run none of the code here.  This module keeps the slower, independent
 versions that check them:
 
 - a second linear-Gaussian algebra: :class:`Gaussian` and
   :class:`LinearGaussianMap` objects with their marginal, posterior,
   joint and partitioned conditional, and log densities;
-- the stacked coefficient precisions of ``dynamics._pair_precision``
+- the stacked coefficient precisions of ``dynamics._gram_precision``
   by substitution and a matrix product (:func:`pair_precision`);
 - the ppca fixed-point sweep in its pair-first form, with stacked
   matrix products (:func:`pair_first_fixed_point_blocks`);
@@ -251,7 +251,7 @@ def e_step_lambda(model: DynamicsModel, z_i: np.ndarray,
 def pair_precision(model: DynamicsModel, z_i: np.ndarray, delta: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The stacked ``(P, b, delta^T Omega^{-1} delta)`` of
-    :func:`lieflow.dynamics._pair_precision` by its earlier route: the
+    :func:`lieflow.dynamics._gram_precision` by its earlier route: the
     columns of ``[A, delta]`` whitened by one substitution with
     ``L_Omega`` and their Gram matrices formed by a stacked ``@``."""
     j = model.coeff_count
@@ -344,8 +344,8 @@ def solve_fixed_point_blocks(model: PpcaModel, x_i: np.ndarray,
 def _e_step_block(model: DynamicsModel, z_i: np.ndarray,
                   delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`lieflow.dynamics._e_step_block` with the pair axis first:
-    means ``(N, J)`` and covariances ``(N, J, J)``."""
-    mean, cov = dynamics._e_step_block(model, z_i, delta)
+    pairs ``(N, d)``, means ``(N, J)`` and covariances ``(N, J, J)``."""
+    mean, cov = dynamics._e_step_block(model, z_i.T, delta.T)
     return mean.T, cov.transpose(2, 0, 1)
 
 

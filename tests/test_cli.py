@@ -383,6 +383,42 @@ class TestRoll:
         assert err.startswith("numeric error") and err.count("\n") == 1
         assert not out.exists()
 
+    def roll_to(self, tmp_path, t_max):
+        """Exit code of a two-step roll of the quarter turn to ``t_max``
+        and, when it succeeded, its trajectory."""
+        data, _ = self.make_quarter_turn_pair(tmp_path)
+        ck = self.make_rotation_checkpoint(tmp_path)
+        out = tmp_path / "traj.lf"
+        out.unlink(missing_ok=True)
+        code = run(["roll", "--checkpoint", str(ck), "--data", str(data),
+                    "--t-max", str(t_max), "--steps", "2",
+                    "--out", str(out)])
+        return code, read_tensors(out)["z_traj"] if code == 0 else None
+
+    def test_every_accepted_t_max_stays_on_the_unit_circle(self, tmp_path):
+        # 20 values of --t-max per decade: matrix_exp refuses the
+        # squarings that would let the rotated vector's norm drift
+        accepted = []
+        for t_max in np.logspace(6, 10, 81):
+            code, traj = self.roll_to(tmp_path, t_max)
+            assert code in (0, 4)
+            if code == 0:
+                accepted.append(t_max)
+                assert abs(np.linalg.norm(traj[-1]) - 1.0) <= 1e-6, t_max
+        assert accepted[0] == 1e6 and len(accepted) < 81
+
+    @pytest.mark.parametrize("t_max", ["1e10", "1e16", "1e30"])
+    def test_t_max_beyond_the_squaring_cap_is_numeric_error(self, tmp_path,
+                                                             capsys, t_max):
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _ = self.roll_to(tmp_path, t_max)
+        err = capsys.readouterr().err
+        assert code == 4 and not caught
+        assert err.startswith("numeric error") and err.count("\n") == 1
+        assert "squarings" in err
+
 
 def test_wrong_magic_gives_io_exit(tmp_path):
     bad = tmp_path / "bad.lf"
@@ -519,6 +555,17 @@ def _roll(tmp_path, *options):
             "--data", str(_image_data(tmp_path)), *options]
 
 
+def _latent_eval(tmp_path, d):
+    """``eval`` of a d = 2 dynamics checkpoint on d-dimensional latent
+    pairs without a ground-truth sidecar."""
+    ck, data = tmp_path / "ck.lf", tmp_path / "pairs.lf"
+    write_tensors(ck, {"G": np.array([[[0.0, -1.0], [1.0, 0.0]]]),
+                       "Omega": np.eye(2), "Lambda": np.eye(1),
+                       "estimator": np.float64(0)})
+    write_tensors(data, {"z_i": np.ones((3, d)), "z_next": np.zeros((3, d))})
+    return ["eval", "--checkpoint", str(ck), "--data", str(data)]
+
+
 # case -> (arguments but --out, exit code, *substrings of the message)
 BAD_INPUTS = {
     "no_pairs": (lambda tmp: ["generate", "--n", "0"], 2, "--n"),
@@ -643,6 +690,10 @@ BAD_INPUTS = {
     "unknown_estimator_code": (
         lambda tmp: _score(tmp, _npca_checkpoint(tmp, estimator=np.float64(7))),
         2, "estimator code"),
+    "latent_dim_below_checkpoint": (
+        lambda tmp: _latent_eval(tmp, 1), 2, "latent dimensions disagree"),
+    "latent_dim_above_checkpoint": (
+        lambda tmp: _latent_eval(tmp, 3), 2, "latent dimensions disagree"),
     "zero_roll_steps": (lambda tmp: _roll(tmp, "--steps", "0"), 2, "--steps"),
     "nan_roll_t_max": (lambda tmp: _roll(tmp, "--t-max", "nan"), 2, "--t-max"),
     "quadrature_grid_over_budget": (

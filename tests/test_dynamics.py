@@ -14,7 +14,7 @@ from lieflow.dynamics import (
     _change_gram_basis,
     _e_step_block,
     _gram_precision,
-    _pair_precision,
+    _pair_gram,
     _white_gram,
     e_step_all,
     expected_log_density,
@@ -125,7 +125,8 @@ class TestEStepLambda:
         model = random_model(seed, d, j)
         z_i = rng.normal_matrix(seed, (3,), (n, d))
         z_n = z_i + step * rng.normal_matrix(seed, (4,), (n, d))
-        mean, cov = e_step_all(model, PairDataset(z_i, z_n), threads=threads)
+        data = PairDataset(z_i, z_n)
+        mean, cov = e_step_all(model, data, gram=_pair_gram(model, data, threads))
         assert mean.shape == (j, n) and cov.shape == (j, j, n)
         for k in range(n):
             single = e_step_lambda(model, z_i[k], z_n[k])
@@ -142,16 +143,16 @@ class TestEStepLambda:
         model = random_model(seed, d, j)
         z_i = rng.normal_matrix(seed, (3,), (n, d))
         data = PairDataset(z_i, z_i + 0.3 * rng.normal_matrix(seed, (4,), (n, d)))
-        serial = e_step_all(model, data, threads=1)
-        threaded = e_step_all(model, data, threads=threads)
+        serial = e_step_all(model, data)
+        threaded = e_step_all(model, data, gram=_pair_gram(model, data, threads))
         assert np.array_equal(serial[0], threaded[0])
         assert np.array_equal(serial[1], threaded[1])
 
     def test_threaded_matches_serial(self):
         model = random_model(4, 2, 1)
         data, _ = generate_latent_pairs(SequenceSpec(pair_count=37, seed=6))
-        serial = e_step_all(model, data, threads=1)
-        threaded = e_step_all(model, data, threads=4)
+        serial = e_step_all(model, data)
+        threaded = e_step_all(model, data, gram=_pair_gram(model, data, 4))
         assert np.array_equal(serial[0], threaded[0])
         assert np.array_equal(serial[1], threaded[1])
 
@@ -451,7 +452,7 @@ def test_pair_precision_matches_the_substitution_oracle(seed, d, j, n, step,
     model = DynamicsModel(base.basis, omega, base.coeff_prior_cov)
     z_i = rng.normal_matrix(seed, (3,), (n, d))
     delta = step * rng.normal_matrix(seed, (4,), (n, d))
-    prec, info, white_sq = _pair_precision(model, z_i, delta)
+    prec, info, white_sq = _gram_precision(model, _white_gram(model, z_i.T, delta.T))
     assert prec.shape == (j, j, n) and info.shape == (j, n)
     prec, info = prec.transpose(2, 0, 1), info.T
     want_prec, want_info, want_sq = pair_precision(model, z_i, delta)
@@ -470,19 +471,22 @@ def test_pair_precision_matches_the_substitution_oracle(seed, d, j, n, step,
 @pytest.mark.parametrize("column_major", [False, True])
 @pytest.mark.parametrize("d, j", [(1, 3), (3, 2), (6, 2)])
 def test_e_step_block_equals_its_one_pair_calls(d, j, column_major):
-    # a column-major stack of pairs gives each pair the bits of its lone
-    # call, and every output stack is row-major like a lone call's, with
-    # the pair axis last
+    # pair-last columns in either memory order give each pair the bits of
+    # its lone call, and every output stack is row-major like a lone
+    # call's, with the pair axis last
     order = "F" if column_major else "C"
     for seed in range(8):
         model = random_model(seed, d, j)
-        z_i = np.asarray(rng.normal_matrix(seed, (3,), (5, d)), order=order)
-        delta = np.asarray(0.3 * rng.normal_matrix(seed, (4,), (5, d)),
-                           order=order)
-        block = (*_pair_precision(model, z_i, delta),
-                 *_e_step_block(model, z_i, delta))
-        singles = [(*_pair_precision(model, z_i[k:k + 1], delta[k:k + 1]),
-                    *_e_step_block(model, z_i[k:k + 1], delta[k:k + 1]))
+        z_cols = np.asarray(rng.normal_matrix(seed, (3,), (d, 5)), order=order)
+        delta_cols = np.asarray(0.3 * rng.normal_matrix(seed, (4,), (d, 5)),
+                                order=order)
+
+        def outputs(z, delta):
+            return (*_gram_precision(model, _white_gram(model, z, delta)),
+                    *_e_step_block(model, z, delta))
+
+        block = outputs(z_cols, delta_cols)
+        singles = [outputs(z_cols[:, k:k + 1], delta_cols[:, k:k + 1])
                    for k in range(5)]
         cov = block[-1]  # exactly symmetric
         assert np.array_equal(cov, cov.swapaxes(0, 1))
@@ -543,7 +547,8 @@ def test_carried_gram_equals_the_gram_at_the_orthogonalized_model(
     carried = _change_gram_basis(_white_gram(fitted, z_i.T, delta.T), coeff_map)
     assert np.array_equal(carried, carried.swapaxes(0, 1))
     prec, info, white_sq = _gram_precision(nxt, carried)
-    want_prec, want_info, want_sq = _pair_precision(nxt, z_i, delta)
+    want_prec, want_info, want_sq = _gram_precision(
+        nxt, _white_gram(nxt, z_i.T, delta.T))
     gram_diag = np.diagonal(want_prec - nxt.coeff_prior_prec[:, :, None])
     prec_scale = (np.sqrt(gram_diag[..., :, None] * gram_diag[..., None, :])
                   + np.abs(nxt.coeff_prior_prec)).transpose(1, 2, 0)
