@@ -439,9 +439,9 @@ def update_step(model: DynamicsModel, stats: TransitionStats,
 
     Generators and transition noise from the summed statistics, Omega
     jitter, the coefficient-prior MLE plus jitter if ``estimate_lambda``,
-    then, if ``orthogonalize``, the basis orthogonalization at the
-    default variance share of :func:`lieflow.liealg.orthogonalize` with
-    the prior carried through the change of basis.  Returns the fitted
+    then, if ``orthogonalize`` (ppca and npca always pass true), the
+    fixed-share orthogonalization of :func:`lieflow.liealg.orthogonalize`
+    with the prior carried through the change of basis.  Returns the fitted
     model, at which the estimators record their objective, the
     orthogonalized model the next iteration starts from, and the
     coefficient map ``T`` ``(k, J)`` from the fitted generators to the

@@ -29,6 +29,8 @@ _MAX_SQUARINGS = 27
 # generation at N = 10 000 was fastest at 256 KiB of the sizes from
 # 32 KiB (+48%) to 4 MiB (+44%)
 _EXP_BLOCK_BYTES = 256 * 1024
+# share of the generators' variance that orthogonalize keeps
+_VARIANCE_SHARE = 0.99
 
 
 @dataclass(frozen=True)
@@ -218,28 +220,25 @@ def _fix_signs(rows: np.ndarray) -> np.ndarray:
     return rows * _lead_signs(rows)[:, None]
 
 
-def orthogonalize(basis: GeneratorBasis, variance_threshold: float = 0.99
-                  ) -> tuple[GeneratorBasis, np.ndarray]:
+def orthogonalize(basis: GeneratorBasis) -> tuple[GeneratorBasis, np.ndarray]:
     """Minimal Frobenius-orthonormal basis spanning the dominant variance,
     and its coefficient map: the ``(k, J)`` matrix ``T`` with
     ``G'_k = sum_j T_kj G_j`` in exact arithmetic.
 
     Each generator is vectorized to a d^2 vector; an (uncentered) PCA of
     the J vectors retains the smallest number of principal components
-    whose variance share reaches ``variance_threshold``.  Components are
+    whose variance share reaches ``_VARIANCE_SHARE``.  Components are
     ordered by decreasing singular value with a fixed sign convention.
     The output span is contained in the input span.
 
     With the SVD ``flat = U S V^T`` of the vectorized generators, the
     k-th principal component is ``V_k = U_k^T flat / s_k``, so row k of
     ``T`` is ``sign_k U_k^T / s_k`` from the same SVD; in the
-    already-orthonormal branch ``T`` is the signed identity.  Below a
-    threshold of 1, a kept component carries at least
-    ``(1 - variance_threshold) / J`` of the variance, so ``1 / s_k``
-    stays bounded: ``T`` needs no pseudo-inverse.
+    already-orthonormal branch ``T`` is the signed identity.  A kept
+    component carries at least ``(1 - _VARIANCE_SHARE) / J`` of the
+    variance, so ``1 / s_k`` stays bounded: ``T`` needs no
+    pseudo-inverse.
     """
-    if not 0.0 < variance_threshold <= 1.0:
-        raise ValueError("variance_threshold must lie in (0, 1]")
     d, j = basis.latent_dim, basis.count
     flat = basis.generators.reshape(j, d * d)
     if not np.any(flat):
@@ -247,8 +246,8 @@ def orthogonalize(basis: GeneratorBasis, variance_threshold: float = 0.99
     u, svals, vt = np.linalg.svd(flat, full_matrices=False)
     energy = np.cumsum(svals ** 2)
     total = energy[-1]
-    kept = int(np.searchsorted(energy, variance_threshold * total * (1.0 - 1e-12)) + 1)
-    kept = min(kept, j)
+    # kept <= j: the share of the total lies below energy[-1] = total
+    kept = int(np.searchsorted(energy, _VARIANCE_SHARE * total * (1.0 - 1e-12)) + 1)
     if kept == j and np.allclose(flat @ flat.T, np.eye(j), atol=1e-12):
         # already orthonormal and nothing to drop: the PCA basis is
         # underdetermined (all singular values equal), keep the input

@@ -185,12 +185,6 @@ class LatentMoments:
         and by the entropies of :func:`mean_field_elbo`."""
         return np.linalg.eigvalsh(self.cov_z), np.linalg.eigvalsh(self.cov_lam)
 
-    @cached_property
-    def live_coefficients(self) -> np.ndarray:
-        """Pairs whose coefficient block is not degenerate (all moments
-        zero, as under frozen coefficients)."""
-        return np.any(self.elamlam, axis=(1, 2)) | np.any(self.elam, axis=1)
-
 
 @dataclass
 class PpcaConfig:
@@ -199,7 +193,8 @@ class PpcaConfig:
     nodes on each axis of its grid, and the Monte Carlo E-step draws
     ``mc_samples`` samples per pair from the random streams of ``seed``.
     ``freeze_coefficients`` pins the coefficients at zero and keeps the
-    initial dynamics; it needs the fixed-point E-step."""
+    initial dynamics; it needs the fixed-point E-step.  Otherwise every
+    iteration orthogonalizes the generator basis."""
 
     latent_dim: int = 2
     j_init: int = 1
@@ -209,7 +204,6 @@ class PpcaConfig:
     seed: int = 0
     estimate_lambda: bool = False
     freeze_coefficients: bool = False
-    orthogonalize: bool = True
     init_omega_scale: float = 1.0
     grid_points: int = 64
     mc_samples: int = 100_000
@@ -484,18 +478,21 @@ def _quadrature_e_step(model: PpcaModel, x: np.ndarray, config: PpcaConfig
 
 
 def _monte_carlo_e_step(model: PpcaModel, x: np.ndarray, config: PpcaConfig,
-                        streams) -> LatentMoments:
+                        streams) -> tuple[LatentMoments, float]:
     """Self-normalized sampling from ``q(z_i | x_i) p(lambda)``, weighted
     by the next frame's likelihood with ``z_next`` integrated out in
     closed form per draw (:func:`_next_frame`); pair ``k`` draws from the
-    random streams of ``config.seed`` keyed by ``streams[k]``."""
+    random streams of ``config.seed`` keyed by ``streams[k]``.  Returns
+    the moments and the sum over the pairs of ``log mean(w)``, the
+    importance-sampling estimate of ``log p(x_next | x_i)`` from the
+    same weights."""
     d, j = model.latent_dim, model.dynamics.coeff_count
     s, seed = config.mc_samples, config.seed
 
     prior_means, prior_cov = posterior_z_given_x(model, x[0])
     zi_chol = spd_cholesky(prior_cov)
     lam_chol = model.dynamics.coeff_prior_chol
-    parts = []
+    parts, log_evidence = [], 0.0
     for prior_mean, xc_n, stream in zip(prior_means, x[1] - model.data_mean,
                                         streams):
         zi = prior_mean + rng.normal_matrix(
@@ -504,13 +501,14 @@ def _monte_carlo_e_step(model: PpcaModel, x: np.ndarray, config: PpcaConfig,
             @ lam_chol.T
         log_w, m_zn = _next_frame(model, zi, lam, xc_n)
         probs = np.exp(log_w - log_w.max())
+        log_evidence += log_w.max() + np.log(probs.sum() / s)
         probs /= probs.sum()
         ess = float(1.0 / np.sum(probs ** 2))
         if ess < 0.01 * s:
             raise NumericError(f"monte-carlo E-step degenerate "
                                f"(effective sample size {ess:.1f} of {s})")
         parts.append(_weighted_moments(probs, zi, lam, m_zn, model.next_frame_cov))
-    return _stack_moments(parts)
+    return _stack_moments(parts), float(log_evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -586,8 +584,9 @@ def expected_complete_data_ll(model: PpcaModel, xc: np.ndarray,
     the centred frame stack ``xc`` ``(2, N, D)`` under the expectation
     bundle, summed over the pairs.  The transition and coefficient-prior
     terms are :func:`lieflow.dynamics.expected_log_density` of the summed
-    statistics, with the prior counted for the pairs whose coefficients
-    are live."""
+    statistics, with the prior counted for all ``N`` pairs, or for none
+    in a frozen bundle (all coefficient moments zero; every other backend
+    gives each pair a positive-definite coefficient block)."""
     n, sig2 = moments.count, model.noise_var
     recon = -0.5 * (2 * n * model.data_dim * np.log(2.0 * np.pi * sig2)
                     + _residual_power(xc, moments, model.loading) / sig2)
@@ -596,7 +595,7 @@ def expected_complete_data_ll(model: PpcaModel, xc: np.ndarray,
     return float(recon + prior_zi
                  + expected_log_density(
                      model.dynamics, moments.transition,
-                     int(np.count_nonzero(moments.live_coefficients))))
+                     n if np.any(moments.elamlam) else 0))
 
 
 def mean_field_elbo(model: PpcaModel, dataset: ImagePairDataset,
@@ -604,13 +603,13 @@ def mean_field_elbo(model: PpcaModel, dataset: ImagePairDataset,
     """Evidence lower bound of the factorized posterior: expected
     complete-data log-likelihood plus the Gaussian block entropies.
 
-    A degenerate coefficient block (all moments zero, as under frozen
-    coefficients) contributes neither a prior term nor an entropy.
+    A frozen bundle (all coefficient moments zero) contributes neither
+    the coefficient priors nor their entropies.
     """
     eig_z, eig_lam = moments._eigs
     frame_i, frame_n = _entropy(eig_z)
-    entropies = (frame_i + frame_n + np.where(moments.live_coefficients,
-                                              _entropy(eig_lam), 0.0))
+    lam = _entropy(eig_lam) if np.any(moments.elamlam) else 0.0
+    entropies = frame_i + frame_n + lam
     return (expected_complete_data_ll(model, dataset.frames - model.data_mean,
                                       moments)
             + float(entropies.sum()))
@@ -642,14 +641,14 @@ def init_loading(dataset: ImagePairDataset, latent_dim: int,
 def _e_step_dataset(model: PpcaModel, dataset: ImagePairDataset,
                     config: PpcaConfig) -> tuple[LatentMoments, float | None]:
     """All-pair moments of the backend ``config.estep`` plus, for the
-    quadrature backend, the exact conditional evidence
-    ``sum_i log p(x_next | x_i)``."""
+    quadrature and Monte Carlo backends, their estimate of the conditional
+    evidence ``sum_i log p(x_next | x_i)``."""
     x = dataset.frames
     if config.estep == "quadrature":
         return _quadrature_e_step(model, x, config)
     if config.estep == "monte_carlo":
         return _monte_carlo_e_step(model, x, config,
-                                   [(i,) for i in range(dataset.count)]), None
+                                   [(i,) for i in range(dataset.count)])
     blocks = (_frozen_coefficient_blocks if config.freeze_coefficients
               else _fixed_point_blocks)
     parts = map_blocks(lambda a, b: blocks(model, x[:, a:b]),
@@ -664,9 +663,12 @@ def fit(dataset: ImagePairDataset, config: PpcaConfig
     sigma^2 and the shared dynamics update
     (:func:`lieflow.dynamics.update_step`).
 
-    The traced objective is the model evidence of both frames: exact
-    (via the quadrature normalizers) for the quadrature E-step, the
-    mean-field lower bound otherwise, recorded after each M-step before
+    The traced objective is the model evidence of both frames, the first
+    frame's in closed form: for the quadrature and Monte Carlo E-steps
+    the next frame's evidence is their estimate (the quadrature
+    normalizers, or the log mean importance weights), recorded at the
+    parameters the E-step used; for the fixed-point E-step the objective
+    is the mean-field lower bound, recorded after each M-step before
     orthogonalization.
     """
     if config.estep not in E_STEP_METHODS:
@@ -683,19 +685,17 @@ def fit(dataset: ImagePairDataset, config: PpcaConfig
     model = PpcaModel(w, mu, sigma2, dyn)
     trace: list[float] = []
     for _ in range(config.max_iters):
-        moments, exact_evidence = _e_step_dataset(model, dataset, config)
-        if exact_evidence is not None:
-            # exact conditional evidence at the parameters the E-step used
+        moments, evidence = _e_step_dataset(model, dataset, config)
+        if evidence is not None:
             trace.append(_first_frame_evidence(model, dataset.x_i - mu)
-                         + exact_evidence)
+                         + evidence)
         w = m_step_W(dataset, moments, mu)
         sigma2 = m_step_sigma(dataset, moments, w, mu)
         dyn = next_dyn = model.dynamics
         if not config.freeze_coefficients:
             dyn, next_dyn, _ = update_step(dyn, moments.transition,
-                                           config.estimate_lambda,
-                                           config.orthogonalize)
-        if exact_evidence is None:
+                                           config.estimate_lambda, True)
+        if evidence is None:
             trace.append(mean_field_elbo(PpcaModel(w, mu, sigma2, dyn),
                                          dataset, moments))
         model = PpcaModel(w, mu, sigma2, next_dyn)

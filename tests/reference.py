@@ -421,7 +421,7 @@ def e_step_joint(model: PpcaModel, x_i: np.ndarray, x_next: np.ndarray,
     if method == "quadrature":
         return _quadrature_e_step(model, x, config)[0]
     if method == "monte_carlo":
-        return _monte_carlo_e_step(model, x, config, [()])
+        return _monte_carlo_e_step(model, x, config, [()])[0]
     return _moments_from_blocks(*_fixed_point_blocks(model, x))
 
 

@@ -367,9 +367,9 @@ class TestRoll:
 
     @pytest.mark.parametrize("t_max", ["1e30", "1e308", "1.79e308"])
     def test_overflowing_t_max_is_numeric_error(self, tmp_path, capsys, t_max):
-        # 1e30 overflows the ~100 squarings of matrix_exp's result (the
-        # rotation's determinant error compounds), 1e308 the norm inside
-        # matrix_exp, 1.79e308 the product t * generator before it
+        # each value reaches another check of matrix_exp: 1e30 needs 102
+        # squarings, more than the 27 it allows; 1e308 overflows the
+        # Frobenius norm; 1.79e308 makes the product t * G non-finite
         data, _ = self.make_quarter_turn_pair(tmp_path)
         ck = self.make_rotation_checkpoint(tmp_path)
         out = tmp_path / "traj.lf"

@@ -530,6 +530,69 @@ def test_mean_field_elbo_reuses_the_bundle_eigenvalues(monkeypatch):
     assert mean_field_elbo(model, data, moments) == want
 
 
+@settings(max_examples=40, deadline=None)
+@given(**_OBJECTIVE_SIZES, frozen=st.booleans())
+def test_mean_field_elbo_is_the_sum_over_its_one_pair_bundles(
+        seed, n, big_d, d, j, frozen):
+    # the coefficient priors and entropies are counted for all pairs of a
+    # live bundle and for none of a frozen one (q = k = 0)
+    model, x_i, x_n = random_objective_instance(seed, n, big_d, d, j)
+    d, j = model.latent_dim, model.dynamics.coeff_count
+    q, k = ((np.zeros((n, j)), np.zeros((n, j, j))) if frozen else
+            (rng.normal_matrix(seed, (11,), (n, j)), random_spd(seed, (12,), n, j)))
+    blocks = (rng.normal_matrix(seed, (7,), (n, d)), random_spd(seed, (8,), n, d),
+              rng.normal_matrix(seed, (9,), (n, d)), random_spd(seed, (10,), n, d),
+              q, k)
+    whole = mean_field_elbo(model, ImagePairDataset(x_i, x_n, 1, model.data_dim),
+                            _moments_from_blocks(*blocks))
+    parts = sum(mean_field_elbo(
+        model, ImagePairDataset(x_i[p:p + 1], x_n[p:p + 1], 1, model.data_dim),
+        _moments_from_blocks(*(b[p:p + 1] for b in blocks))) for p in range(n))
+    assert abs(whole - parts) <= 1e-12 * abs(whole)
+
+
+def _quadrature_fitted_instance():
+    """Six tiny pairs and the model of a 3-iteration quadrature fit to them."""
+    x_i, x_n = (np.stack([tiny_joint_instance(520 + k)[frame] for k in range(6)])
+                for frame in (1, 2))
+    data = ImagePairDataset(x_i, x_n, 1, 3)
+    model, _ = fit(data, PpcaConfig(latent_dim=1, j_init=1, estep="quadrature",
+                                    estimate_lambda=True, grid_points=48,
+                                    max_iters=3, seed=1))
+    return model, data
+
+
+def test_monte_carlo_evidence_matches_quadrature(monkeypatch):
+    # log mean(w) per pair estimates log p(x_next | x_i); its delta-method
+    # standard error is sd(w) / (mean(w) sqrt(s))
+    model, data = _quadrature_fitted_instance()
+    _, quad = _quadrature_e_step(model, data.frames, PpcaConfig(grid_points=48))
+    log_w, next_frame = [], ppca._next_frame
+
+    def spy(*args):
+        out = next_frame(*args)
+        log_w.append(out[0])
+        return out
+
+    monkeypatch.setattr(ppca, "_next_frame", spy)
+    samples = 100_000
+    _, mc = _monte_carlo_e_step(model, data.frames,
+                                PpcaConfig(mc_samples=samples, seed=1),
+                                [(i,) for i in range(data.count)])
+    weights = [np.exp(lw - lw.max()) for lw in log_w]
+    se = np.sqrt(sum(w.var() / (samples * w.mean() ** 2) for w in weights))
+    assert len(weights) == data.count
+    assert abs(mc - quad) <= 4.0 * se
+
+
+def test_fixed_point_elbo_lies_below_the_quadrature_evidence():
+    model, data = _quadrature_fitted_instance()
+    _, quad = _quadrature_e_step(model, data.frames, PpcaConfig(grid_points=48))
+    evidence = ppca._first_frame_evidence(model, data.x_i - model.data_mean) + quad
+    moments = _moments_from_blocks(*_fixed_point_blocks(model, data.frames))
+    assert mean_field_elbo(model, data, moments) < evidence
+
+
 _SWEEP_SIZES = dict(seed=st.integers(0, 2 ** 31 - 1), n=st.integers(1, 12),
                     extra_dims=st.integers(0, 3), d=st.integers(1, 3),
                     j=st.integers(1, 3), scale=st.sampled_from([1e-3, 0.3, 3.0]))
@@ -653,18 +716,19 @@ def test_fixed_point_sweep_takes_q_lambda_from_the_dynamics_e_step(monkeypatch):
 
 class TestFit:
     def test_identity_transition_dataset(self):
-        # x_next identical to x_i: the raw generator update collapses and
-        # the loading still recovers the principal subspace
+        # x_next identical to x_i: the raw generator update collapses (the
+        # fitted basis is its orthogonalization, of unit norm) and the
+        # loading still recovers the principal subspace
         spec = SequenceSpec(group_kind="rotation2d", lambda_scale=0.05,
                             noise_std=0.005, pair_count=120, seed=24,
                             height=3, width=3)
         base, truth = generate_image_pairs(spec, embedding="linear")
         data = ImagePairDataset(base.x_i, base.x_i, 3, 3)
         model, trace = fit(data, PpcaConfig(latent_dim=2, j_init=1,
-                                            max_iters=60, seed=0,
-                                            orthogonalize=False))
-        from lieflow.liealg import block_flatten
-        assert np.linalg.norm(block_flatten(model.dynamics.basis)) < 1e-3
+                                            max_iters=60, seed=0))
+        moments = _moments_from_blocks(*_fixed_point_blocks(model, data.frames))
+        basis, _ = m_step_dynamics(moments.transition)
+        assert np.linalg.norm(basis.generators) < 1e-3
         w_angle = subspace_angle_loading(model.loading, truth.loading)
         assert w_angle < 1e-2
 

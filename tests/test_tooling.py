@@ -184,6 +184,33 @@ def test_every_config_field_is_read_by_the_library():
     assert not unread, f"config fields the library never reads: {unread}"
 
 
+def test_every_config_field_is_set_outside_the_unit_tests():
+    # a field that only unit tests set is an option with one value in use:
+    # it becomes a constant.  Set means a keyword of a call to the field's
+    # config class, or of a dict(...) call, in the CLI, the benchmark or
+    # the acceptance criteria
+    from lieflow.dynamics import EmConfig
+    from lieflow.npca import NpcaConfig
+    from lieflow.ppca import PpcaConfig
+
+    classes = (EmConfig, PpcaConfig, NpcaConfig)
+    paths = [LIBRARY / "cli.py", *sorted((ROOT / "perfbench").glob("*.py")),
+             ROOT / "tests" / "test_acceptance.py"]
+    set_by = {name: set() for name in ["dict"] + [cls.__name__ for cls in classes]}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in set_by:
+                set_by[name].update(kw.arg for kw in node.keywords if kw.arg)
+    unset = [f"{cls.__name__}.{field.name}" for cls in classes
+             for field in dataclasses.fields(cls)
+             if field.name not in set_by[cls.__name__] | set_by["dict"]]
+    assert not unset, f"config fields only the unit tests set: {unset}"
+
+
 @pytest.mark.parametrize("module, function", [
     ("dynamics", "_e_step_block"), ("dynamics", "_gram_precision"),
     ("dynamics", "_white_gram"),
