@@ -299,6 +299,10 @@ def _infer_roll_coefficients(dynamics: DynamicsModel, z0: np.ndarray,
 
 
 def cmd_roll(opts) -> int:
+    """Interpolate or extrapolate one pair: the seed latent moved by
+    ``exp(t sum_j lambda_j G_j)`` for ``--steps`` values of ``t`` in
+    ``[0, --t-max]``, through :func:`liealg.apply_exact` with the
+    coefficients ``t * lambda`` (decoded to frames for image models)."""
     ck, estimator = _read_checkpoint(opts["checkpoint"])
     arrays = read_tensors(opts["data"])
     dynamics = _checkpoint_dynamics(ck)
@@ -318,10 +322,9 @@ def cmd_roll(opts) -> int:
     t_max = opts["t_max"] if opts["t_max"] is not None else \
         (1.0 if opts["mode"] == "interpolate" else 2.0)
     ts = np.linspace(0.0, t_max, opts["steps"])
-    gen = liealg.combine(dynamics.basis, lam_hat)
-    with np.errstate(over="ignore"):  # matrix_exp rejects an overflowed t * gen
-        scaled = ts[:, None, None] * gen
-    traj = liealg.matrix_exp(scaled) @ z0
+    with np.errstate(over="ignore"):  # apply_exact rejects an overflowed t * lam
+        coeffs = ts[:, None] * lam_hat
+    traj = liealg.apply_exact(dynamics.basis, coeffs, z0)
     out_arrays = {"t": ts, "z_traj": traj, "lambda_hat": lam_hat}
     if not latent:
         out_arrays["x_traj"] = decode(traj)

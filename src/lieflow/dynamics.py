@@ -113,6 +113,21 @@ class DynamicsModel:
         return self.basis.count
 
 
+def aligned_pairs(first, second, names: str) -> tuple[np.ndarray, np.ndarray]:
+    """The two frame arrays of N pairs as finite float ``(N, D)`` arrays
+    with ``N >= 1`` and ``D >= 1`` (a 1-D array is one pair); ``names``
+    names them in the errors."""
+    a = np.atleast_2d(np.asarray(first, dtype=float))
+    b = np.atleast_2d(np.asarray(second, dtype=float))
+    if a.shape != b.shape or a.ndim != 2 or 0 in a.shape:
+        raise ValueError(f"{names} must be matching (N, D) arrays with N >= 1 "
+                         f"and D >= 1, not of shapes {np.shape(first)} and "
+                         f"{np.shape(second)}")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise NumericError(f"{names} must be finite")
+    return a, b
+
+
 @dataclass(frozen=True)
 class PairDataset:
     """N aligned pairs of consecutive latent representations."""
@@ -121,12 +136,7 @@ class PairDataset:
     z_next: np.ndarray
 
     def __post_init__(self):
-        zi = np.atleast_2d(np.asarray(self.z_i, dtype=float))
-        zn = np.atleast_2d(np.asarray(self.z_next, dtype=float))
-        if zi.shape != zn.shape or zi.ndim != 2 or zi.shape[0] < 1:
-            raise ValueError("z_i and z_next must be matching (N, d) arrays with N >= 1")
-        if not (np.all(np.isfinite(zi)) and np.all(np.isfinite(zn))):
-            raise NumericError("latent pairs must be finite")
+        zi, zn = aligned_pairs(self.z_i, self.z_next, "z_i and z_next")
         object.__setattr__(self, "z_i", zi)
         object.__setattr__(self, "z_next", zn)
 

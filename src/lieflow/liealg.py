@@ -9,7 +9,10 @@ minimal Frobenius-orthonormal one after each EM iteration (with the
 linear map from the old generators to the new).  The action
 functions take any leading batch axes ``...`` (broadcast between
 coefficients and vectors) in either memory order and give each item the
-bits of a lone call.
+bits of a lone call.  :func:`apply_exact` is the library's one exact
+group action (generation, raster frames and ``roll`` trajectories) and
+the only caller of :func:`matrix_exp`, so the block size, the overflow
+checks and the per-item bits of the exponential live here alone.
 """
 from __future__ import annotations
 
@@ -47,6 +50,8 @@ class GeneratorBasis:
             raise ValueError("generators must be a (J, d, d) array of square matrices")
         if gens.shape[0] < 1:
             raise ValueError("at least one generator is required")
+        if gens.shape[1] < 1:
+            raise ValueError("generators must act on a dimension of at least 1")
         if not np.all(np.isfinite(gens)):
             raise NumericError("generators contain non-finite entries")
         gens = gens.copy()

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .dynamics import PairDataset
+from .dynamics import PairDataset, aligned_pairs
 from .gaussian import NumericError
-from .liealg import GeneratorBasis, apply_exact, apply_first_order, combine, matrix_exp
+from .liealg import GeneratorBasis, apply_exact, apply_first_order
 
 KINDS = ("rotation2d", "cyclic_shift", "contrast", "latent_random")
 
@@ -77,15 +77,10 @@ class ImagePairDataset:
     frames: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        xi = np.atleast_2d(np.asarray(self.x_i, dtype=float))
-        xn = np.atleast_2d(np.asarray(self.x_next, dtype=float))
-        if xi.shape != xn.shape or xi.shape[0] < 1:
-            raise ValueError("x_i and x_next must be matching (N, D) arrays with N >= 1")
+        xi, xn = aligned_pairs(self.x_i, self.x_next, "x_i and x_next")
         if self.height * self.width != xi.shape[1]:
             raise ValueError(f"height {self.height} x width {self.width} does "
                              f"not match the frame size {xi.shape[1]}")
-        if not (np.all(np.isfinite(xi)) and np.all(np.isfinite(xn))):
-            raise NumericError("image pairs must be finite")
         frames = np.stack([xi, xn])
         object.__setattr__(self, "frames", frames)
         object.__setattr__(self, "x_i", frames[0])
@@ -116,7 +111,10 @@ def _cyclic_shift_generator(n: int) -> np.ndarray:
     cyclically by t samples.  Exact for every signal when n is odd; for
     even n the Nyquist mode is left stationary (a one-step cyclic
     permutation has determinant -1 for even n and therefore cannot be a
-    matrix exponential)."""
+    matrix exponential).  Below 3 samples the Nyquist mode is the only
+    moving one, so n must be at least 3."""
+    if n < 3:
+        raise ValueError(f"cyclic_shift needs a size of at least 3, got {n}")
     k = np.fft.fftfreq(n, d=1.0 / n)  # 0, 1, ..., -1 in DFT order
     if n % 2 == 0:
         k = k.copy()
@@ -128,9 +126,8 @@ def _cyclic_shift_generator(n: int) -> np.ndarray:
 
 
 def _unit_frobenius(gens: np.ndarray) -> np.ndarray:
+    # every kind builds nonzero generators (cyclic_shift needs n >= 3)
     norms = np.sqrt(np.einsum("jab,jab->j", gens, gens))
-    if np.any(norms == 0):
-        raise NumericError("generator construction produced a zero matrix")
     return gens / norms[:, None, None]
 
 
@@ -196,7 +193,10 @@ def generate_image_pairs(spec: SequenceSpec, embedding: str = "linear"
 
     ``linear`` draws a seeded orthonormal D x d loading and maps
     ``x = W z``; ``raster`` renders cyclic_shift as an actually
-    translated signal in pixel space (latent dimension = pixel count).
+    translated signal in pixel space (latent dimension = pixel count,
+    at least 3): each first frame is a low-pass pattern shifted by a
+    uniform offset of ``[0, D)`` samples and each next frame moves it by
+    ``lambda``, both through :func:`liealg.apply_exact`.
     """
     if embedding not in ("linear", "raster"):
         raise ValueError("embedding must be 'linear' or 'raster'")
@@ -216,16 +216,12 @@ def generate_image_pairs(spec: SequenceSpec, embedding: str = "linear"
         if spec.group_kind != "cyclic_shift":
             raise ValueError("raster embedding renders cyclic_shift sequences")
         big_d = spec.image_dim
-        raster_spec = SequenceSpec(
-            group_kind="cyclic_shift", latent_dim=big_d, height=spec.height,
-            width=spec.width, lambda_scale=spec.lambda_scale, noise_std=0.0,
-            pair_count=n, seed=spec.seed, first_order=False)
-        basis = true_generator(raster_spec)
+        shift = _cyclic_shift_generator(big_d)
+        basis = GeneratorBasis(_unit_frobenius(shift[None]))
         pattern = _lowpass_pattern(spec)
         offsets = big_d * rng.uniforms(spec.seed, (_TAG_Z,), n)
         lambdas = spec.lambda_scale * rng.normal_matrix(spec.seed, (_TAG_LAM,), (n, 1))
-        shift_scale = np.linalg.norm(_cyclic_shift_generator(big_d))
-        x_i = matrix_exp(combine(basis, offsets[:, None] * shift_scale)) @ pattern
+        x_i = apply_exact(basis, offsets[:, None] * np.linalg.norm(shift), pattern)
         x_next = apply_exact(basis, lambdas, x_i)
         truth = SynthTruth(basis, lambdas, x_i, x_next, None)
     if spec.noise_std > 0:

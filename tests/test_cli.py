@@ -9,12 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import lieflow
 from lieflow import synth
-from lieflow.cli import _OPTIONS, main
+from lieflow.cli import _ESTIMATOR_CODES, _OPTIONS, main
 from lieflow.tensorfile import read_tensors, write_tensors
 from reference import Gaussian, LinearGaussianMap, posterior
 
@@ -367,9 +367,9 @@ class TestRoll:
 
     @pytest.mark.parametrize("t_max", ["1e30", "1e308", "1.79e308"])
     def test_overflowing_t_max_is_numeric_error(self, tmp_path, capsys, t_max):
-        # each value reaches another check of matrix_exp: 1e30 needs 102
-        # squarings, more than the 27 it allows; 1e308 overflows the
-        # Frobenius norm; 1.79e308 makes the product t * G non-finite
+        # 1e30 makes matrix_exp need 102 squarings, more than the 27 it
+        # allows; 1e308 and 1.79e308 overflow the coefficients t * lambda,
+        # which apply_exact rejects as non-finite
         data, _ = self.make_quarter_turn_pair(tmp_path)
         ck = self.make_rotation_checkpoint(tmp_path)
         out = tmp_path / "traj.lf"
@@ -510,6 +510,13 @@ def _non_finite_data(tmp_path, names):
     return out
 
 
+def _pairs_of_shape(tmp_path, names, shape):
+    """A file holding the two frame arrays ``names``, ones of ``shape``."""
+    out = tmp_path / "pairs.lf"
+    write_tensors(out, {name: np.ones(shape) for name in names})
+    return out
+
+
 def _npca_checkpoint(tmp_path, drop=(), **extra):
     """A one-epoch npca checkpoint with arrays removed or added."""
     return _checkpoint(tmp_path, ["--estimator", "npca", "--hidden", "3"],
@@ -610,6 +617,30 @@ BAD_INPUTS = {
     "non_finite_image_pairs": (
         lambda tmp: ["fit", "--estimator", "ppca",
                      "--data", str(_non_finite_data(tmp, ("x_i", "x_next")))], 4),
+    "latent_pairs_of_zero_dim": (
+        lambda tmp: ["fit", "--estimator", "dynamics", "--data", str(
+            _pairs_of_shape(tmp, ("z_i", "z_next"), (5, 0)))], 2, "D >= 1"),
+    "frames_not_n_by_d": (
+        lambda tmp: ["fit", "--estimator", "ppca", "--data", str(
+            _pairs_of_shape(tmp, ("x_i", "x_next"), (50, 4, 4)))],
+        2, "(N, D)", "(50, 4, 4)"),
+    "npca_frames_of_zero_width": (
+        lambda tmp: ["fit", "--estimator", "npca", "--data", str(
+            _pairs_of_shape(tmp, ("x_i", "x_next"), (5, 0)))], 2, "D >= 1"),
+    "checkpoint_of_zero_dim": (
+        lambda tmp: _score(tmp, _checkpoint(
+            tmp, ["--estimator", "ppca"], G=np.zeros((1, 0, 0)),
+            Omega=np.zeros((0, 0)))), 2, "dimension of at least 1"),
+    "cyclic_shift_of_one_sample": (
+        lambda tmp: ["generate", "--kind", "cyclic_shift", "--d", "1"],
+        2, "at least 3, got 1"),
+    "cyclic_shift_of_two_samples": (
+        lambda tmp: ["generate", "--kind", "cyclic_shift", "--d", "2"],
+        2, "at least 3, got 2"),
+    "raster_of_two_pixels": (
+        lambda tmp: ["generate", "--mode", "image", "--embedding", "raster",
+                     "--kind", "cyclic_shift", "--height", "1", "--width", "2"],
+        2, "at least 3, got 2"),
     "negative_fit_seed": (
         lambda tmp: ["fit", "--estimator", "ppca", "--seed", "-1",
                      "--data", str(_image_data(tmp))], 2, "--seed"),
@@ -811,3 +842,76 @@ def test_config_value_of_wrong_type_or_range_is_usage_error(
     assert err.getvalue().startswith("usage error")
     assert "--" + opt.name.replace("_", "-") in err.getvalue()
     assert os.listdir(work) == ["run.json"]
+
+
+_LABELS = {2: "usage error", 3: "i/o error", 4: "numeric error"}
+_SHAPE = st.lists(st.integers(0, 3), max_size=3).map(tuple)
+
+
+def _array_of(shape, seed):
+    """Seeded normals for frames; the identity on square trailing axes
+    (a valid covariance) and ones elsewhere for checkpoint arrays, so
+    that a drawn shape, not its values, decides the outcome."""
+    if seed is not None:
+        return np.random.default_rng(seed).standard_normal(shape)
+    if len(shape) >= 2 and shape[-1] == shape[-2]:
+        return np.broadcast_to(np.eye(shape[-1]), shape).copy()
+    return np.ones(shape)
+
+
+@st.composite
+def _file_shapes(draw, estimator):
+    """Each array's shape: the one that fits the others (three times in
+    four), or any shape."""
+    n, d, j = (draw(st.integers(1, 3)) for _ in range(3))
+    big_d = d if estimator == "dynamics" else d + draw(st.integers(0, 2))
+    fitting = {"first": (n, big_d), "next": (n, big_d), "G": (j, d, d),
+               "Omega": (d, d), "Lambda": (j, j), "W": (big_d, d),
+               "mu": (big_d,), "sigma2": ()}
+    return {name: draw(_SHAPE if draw(st.integers(0, 3)) == 0 else st.just(shape))
+            for name, shape in fitting.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.sampled_from(["dynamics", "ppca"]).flatmap(
+    lambda estimator: st.tuples(st.just(estimator), _file_shapes(estimator))))
+def test_files_with_any_array_shapes_end_with_a_documented_code(
+        tmp_path_factory, case):
+    # well-formed files whose arrays have any shape of 0-3 axes of sizes
+    # 0-3: fit, eval and roll raise nothing and warn nothing, a failure
+    # is one stderr line under its label, and a zero-size axis in an
+    # array the command reads is a usage error
+    estimator, shapes = case
+    work = tmp_path_factory.mktemp("shapes")
+    frames = ("z_i", "z_next") if estimator == "dynamics" else ("x_i", "x_next")
+    data, ck = work / "data.lf", work / "ck.lf"
+    write_tensors(data, {frames[0]: _array_of(shapes["first"], 0),
+                         frames[1]: _array_of(shapes["next"], 1)})
+    stored = ("G", "Omega", "Lambda") + (("W", "mu", "sigma2")
+                                         if estimator == "ppca" else ())
+    write_tensors(ck, {name: _array_of(shapes[name], None) for name in stored}
+                  | {"estimator": np.float64(_ESTIMATOR_CODES[estimator])})
+    fitters = ["dynamics"] if estimator == "dynamics" else ["ppca", "npca"]
+    runs = [(["fit", "--estimator", name, "--max-iters", "1",
+              "--trace-out", str(work / "trace.csv")], ("first", "next"))
+            for name in fitters]
+    runs += [(["eval", "--checkpoint", str(ck)], ("first", "next") + stored),
+             (["roll", "--checkpoint", str(ck), "--steps", "2"],
+              ("first", "next") + stored)]
+    for args, read in runs:
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = main(args + ["--data", str(data),
+                                "--out", str(work / "out.lf")])
+        assert not caught, (args, [str(w.message) for w in caught])
+        assert code in (0, 2, 3, 4), args
+        event(f"{args[0]} exits {code}")
+        if code:
+            message = err.getvalue()
+            assert message.startswith(_LABELS[code]), (args, message)
+            assert message.count("\n") == 1, (args, message)
+        if any(0 in shapes[name] for name in read):
+            assert code == 2, (args, err.getvalue())

@@ -641,3 +641,9 @@ def test_tiny_fit_matches_pinned_digest(threads):
         h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
     assert h.hexdigest() == \
         "552e8955725a6f2ad2fa4184fc7f9cc7a673a7635797d54725546db00514cab3"
+
+
+def test_pair_dataset_reads_a_vector_as_one_pair():
+    # frames must be (N, D) arrays, but a single vector stays one pair
+    data = PairDataset(np.ones(3), np.zeros(3))
+    assert (data.count, data.latent_dim) == (1, 3)

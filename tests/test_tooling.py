@@ -15,6 +15,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -281,3 +282,58 @@ def test_every_module_name_in_the_readme_resolves():
         if target is None:
             stale.append(match[0])
     assert checked >= 10 and not stale, f"README names that do not resolve: {stale}"
+
+
+def _calls_to(name, tree):
+    """Line numbers of the calls to ``name``, bare or as an attribute."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None),
+                         getattr(node.func, "attr", None))]
+
+
+def test_only_liealg_calls_matrix_exp():
+    # liealg.apply_exact is the one exact group action: it exponentiates
+    # in cache-sized blocks and checks the coefficients first, which a
+    # module exponentiating its own stack would bypass
+    callers = [f"{path.name}:{line}" for path in sorted(LIBRARY.glob("*.py"))
+               if path.name != "liealg.py"
+               for line in _calls_to("matrix_exp", ast.parse(path.read_text()))]
+    assert not callers, f"matrix_exp called outside liealg: {callers}"
+
+
+def test_raster_frames_and_roll_exponentiate_one_block_at_a_time(tmp_path,
+                                                                   monkeypatch):
+    from lieflow import cli, liealg, rng, synth
+    from lieflow.tensorfile import write_tensors
+
+    exponentiated = []    # (d, matrices) of each call
+    original = liealg.matrix_exp
+
+    def spy(m):
+        exponentiated.append((m.shape[-1], m.size // m.shape[-1] ** 2))
+        return original(m)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "lieflow" and hasattr(module, "matrix_exp"):
+            monkeypatch.setattr(module, "matrix_exp", spy)
+    spec = synth.SequenceSpec(group_kind="cyclic_shift", height=4, width=4,
+                              pair_count=2000, seed=5)
+    data, truth = synth.generate_image_pairs(spec, embedding="raster")
+    ck, pair = tmp_path / "rot.lf", tmp_path / "pair.lf"
+    write_tensors(ck, {"G": np.array([[[0.0, -1.0], [1.0, 0.0]]]),
+                       "Omega": 1e-9 * np.eye(2), "Lambda": np.eye(1),
+                       "estimator": np.float64(0)})
+    write_tensors(pair, {"z_i": np.array([[1.0, 0.0]]),
+                         "z_next": np.array([[0.0, 1.0]])})
+    assert cli.main(["roll", "--checkpoint", str(ck), "--data", str(pair),
+                     "--steps", "20000", "--out", str(tmp_path / "t.lf")]) == 0
+
+    assert {d for d, _ in exponentiated} == {16, 2}
+    too_many = [(d, count) for d, count in exponentiated
+                if count > liealg._EXP_BLOCK_BYTES // (8 * d * d)]
+    assert not too_many, f"(d, matrices) beyond one block: {too_many[:3]}"
+    # the frames are the bits of exponentiating the whole stack at once
+    offsets = 16 * rng.uniforms(spec.seed, (synth._TAG_Z,), spec.pair_count)
+    shift = np.linalg.norm(synth._cyclic_shift_generator(16))
+    stacked = original(liealg.combine(truth.basis, offsets[:, None] * shift))
+    assert np.array_equal(data.x_i, stacked @ synth._lowpass_pattern(spec))
