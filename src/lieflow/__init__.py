@@ -12,16 +12,31 @@ E-step (:mod:`lieflow.oracles`) and file/CLI plumbing
 (:mod:`lieflow.tensorfile`, :mod:`lieflow.cli`).  The reference
 implementations the tests check these against live in
 ``tests/reference.py``, outside the package.
+
+``import lieflow`` loads none of these modules.  A public name or a
+submodule attribute (``lieflow.PpcaConfig``, ``lieflow.ppca``) imports
+its module on first access (PEP 562), as :data:`_SOURCES` lists it, so a
+CLI process loads only the estimator its subcommand runs.
 """
 
-from .dynamics import DynamicsModel, EmConfig, PairDataset
-from .gaussian import NumericError
-from .liealg import GeneratorBasis
-from .ppca import LatentMoments, PpcaConfig, PpcaModel
-from .npca import Mlp, NpcaConfig, NpcaModel
-from .synth import ImagePairDataset, SequenceSpec, SynthTruth
+import sys
 
 __version__ = "0.1.0"
+
+# every submodule, with the public names it defines
+_SOURCES = {
+    "cli": (),
+    "dynamics": ("DynamicsModel", "EmConfig", "PairDataset"),
+    "gaussian": ("NumericError",),
+    "liealg": ("GeneratorBasis",),
+    "npca": ("Mlp", "NpcaConfig", "NpcaModel"),
+    "oracles": (),
+    "ppca": ("LatentMoments", "PpcaConfig", "PpcaModel"),
+    "rng": (),
+    "synth": ("ImagePairDataset", "SequenceSpec", "SynthTruth"),
+    "tensorfile": (),
+}
+_HOMES = {name: module for module, names in _SOURCES.items() for name in names}
 
 __all__ = [
     "DynamicsModel",
@@ -40,3 +55,20 @@ __all__ = [
     "SynthTruth",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    home = name if name in _SOURCES else _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__, unlike importlib.import_module, is timed by
+    # ``python -X importtime``
+    __import__(f"{__name__}.{home}")
+    module = sys.modules[f"{__name__}.{home}"]
+    value = module if name == home else getattr(module, name)
+    globals()[name] = value   # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_SOURCES) | set(_HOMES))

@@ -19,12 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics as dyn_mod
-from . import liealg, npca, ppca, synth
+from . import liealg, synth
 from .dynamics import DynamicsModel, EmConfig, PairDataset
 from .gaussian import NumericError
 from .liealg import GeneratorBasis
 from .synth import ImagePairDataset, SequenceSpec
 from .tensorfile import TensorFormatError, read_tensors, write_tensors
+# ppca and npca are imported in the branches that run them: each process
+# then compiles and loads only the estimator of its own subcommand
 
 EXIT_OK, EXIT_USAGE, EXIT_IO, EXIT_NUMERIC = 0, 2, 3, 4
 
@@ -107,7 +109,9 @@ def _dynamics_arrays(model: DynamicsModel) -> dict[str, np.ndarray]:
             "Lambda": model.coeff_prior_cov}
 
 
-def _npca_arrays(model: npca.NpcaModel) -> dict[str, np.ndarray]:
+def _npca_arrays(model) -> dict[str, np.ndarray]:
+    from . import npca
+
     arrays = {"enc_trunk_count": np.float64(len(model.encoder.weights) - 1),
               "dec_count": np.float64(len(model.decoder.weights))}
     arrays.update(npca.named_parameters(model))
@@ -130,6 +134,8 @@ def cmd_fit(opts) -> int:
         model, trace = dyn_mod.fit(data, config)
         checkpoint = _dynamics_arrays(model)
     elif estimator == "ppca":
+        from . import ppca
+
         data = _load_image_dataset(arrays)
         config = ppca.PpcaConfig(latent_dim=opts["d"] or 2,
                                  estep=_ESTEP_FLAGS[opts["estep"]], **em)
@@ -138,6 +144,8 @@ def cmd_fit(opts) -> int:
         checkpoint.update({"W": model.loading, "mu": model.data_mean,
                            "sigma2": np.float64(model.noise_var)})
     else:
+        from . import npca
+
         data = _load_image_dataset(arrays)
         config = npca.NpcaConfig(
             latent_dim=opts["d"] or 2,
@@ -165,7 +173,7 @@ def cmd_fit(opts) -> int:
     trace_path = opts["trace_out"] or os.path.join(
         os.path.dirname(os.path.abspath(opts["out"])), "trace.csv")
     _write_csv(trace_path, "iter,objective",
-               [(k, float(v)) for k, v in enumerate(trace)])
+               ((k, float(v)) for k, v in enumerate(trace)))
     print(f"converged={str(converged).lower()} iters={len(trace)} "
           f"objective={_fmt(trace[-1])}")
     return EXIT_OK
@@ -194,7 +202,9 @@ def _scalar(arrays, name: str, least=None, most=np.inf) -> float | int:
     return value if least is None else int(value)
 
 
-def _checkpoint_npca(ck) -> npca.NpcaModel:
+def _checkpoint_npca(ck):
+    from . import npca
+
     # each layer holds arrays of the file, which bounds the counts
     trunk = _scalar(ck, "enc_trunk_count", 0, len(ck))
     dec = _scalar(ck, "dec_count", 1, len(ck) - trunk)
@@ -206,10 +216,14 @@ def _image_maps(ck, estimator: str):
     """The frame -> latent-mean map (ppca posterior or npca encoder means)
     and the latent -> frame map of an image checkpoint, over stacks."""
     if estimator == "ppca":
+        from . import ppca
+
         m = ppca.PpcaModel(ck["W"], ck["mu"], _scalar(ck, "sigma2"),
                            _checkpoint_dynamics(ck))
         return (lambda x: ppca.posterior_z_given_x(m, x)[0],
                 lambda z: z @ m.loading.T + m.data_mean)
+    from . import npca
+
     m = _checkpoint_npca(ck)
     return lambda x: npca.encode(m, x)[0], lambda z: npca.decode(m, z)
 
@@ -330,9 +344,11 @@ def cmd_roll(opts) -> int:
         out_arrays["x_traj"] = decode(traj)
     write_tensors(opts["out"], out_arrays)
     csv_path = opts["csv_out"] or opts["out"] + ".csv"
-    _write_csv(csv_path, "step,t,z_norm",
-               [(i, float(t), float(np.linalg.norm(z)))
-                for i, (t, z) in enumerate(zip(ts, traj))])
+    # one dot per step: the bits of np.linalg.norm of each row, which
+    # np.linalg.norm(traj, axis=1) and einsum do not keep
+    norms = np.sqrt((traj[:, None, :] @ traj[:, :, None])[:, 0, 0])
+    rows = ((i, float(t), float(r)) for i, (t, r) in enumerate(zip(ts, norms)))
+    _write_csv(csv_path, "step,t,z_norm", rows)
     print(f"steps={opts['steps']} t_max={_fmt(t_max)} out={opts['out']}")
     return EXIT_OK
 

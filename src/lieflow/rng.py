@@ -29,7 +29,13 @@ when there are many short streams (one per pair and epoch in
 ``npca.fit``); per word it is about 7x slower than the compiled bit
 generator (1.7 ms against 0.25 ms for 32k words of one stream on a
 2-CPU x86-64 host), so long single streams (dataset noise, Monte Carlo
-samples) stay on ``np.random.Philox``.
+samples) stay on ``np.random.Philox``.  A short single stream is drawn
+as a one-row stack instead: numpy loads ``numpy.random`` (with
+``secrets``, ``hmac`` and OpenSSL) on first use only, and that import
+costs more than enciphering a few words in numpy.  The initial
+generators of every fit (:func:`lieflow.dynamics.init_model`, ``J d^2``
+numbers) come so, and a ``dynamics`` or ``ppca`` fit loads no
+``numpy.random``.
 """
 from __future__ import annotations
 
@@ -141,8 +147,10 @@ def normals(seed: int, path: tuple[int, ...] | np.ndarray, n: int) -> np.ndarray
     return z[..., :n]
 
 
-def normal_matrix(seed: int, path: tuple[int, ...], shape: tuple[int, ...],
-                  scale: float = 1.0) -> np.ndarray:
+def normal_matrix(seed: int, path: tuple[int, ...] | np.ndarray,
+                  shape: tuple[int, ...], scale: float = 1.0) -> np.ndarray:
+    """``scale`` times the first ``prod(shape)`` normals of one stream, as
+    an array of ``shape``; ``path`` is a lone path or a one-row stack."""
     size = int(np.prod(shape))
     return scale * normals(seed, path, size).reshape(shape)
 

@@ -247,6 +247,119 @@ def test_cli_import_leaves_the_thread_pool_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def _fresh_python(code: str, *args: str) -> str:
+    """Standard output of ``code`` run by a new interpreter on this tree."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(LIBRARY.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return proc.stdout
+
+
+# Runs the CLI on its arguments as ``python -m lieflow.cli`` does, or,
+# given none, imports the package and its CLI; then prints every loaded
+# module on the last line.
+_STARTUP_PROBE = """\
+import runpy, sys
+try:
+    if sys.argv[1:]:
+        runpy.run_module("lieflow.cli", run_name="__main__", alter_sys=True)
+    else:
+        import lieflow, lieflow.cli, lieflow.oracles
+finally:
+    print(" ".join(sys.modules))
+"""
+_ESTIMATORS = ("lieflow.ppca", "lieflow.npca")
+# each CLI process: its arguments ({w} is the directory of the files of
+# cli_files) and the modules it must not load, with their submodules.
+# An estimator module is compiled and loaded only by the subcommands that
+# run it (scipy and concurrent.futures at import have tests of their own:
+# test_cli.py::test_import_leaves_scipy_unloaded and
+# test_cli_import_leaves_the_thread_pool_unloaded above); numpy.random
+# (secrets, hmac, OpenSSL) only where a long single stream is drawn, which
+# a dynamics fit or a fixed-point ppca fit never does.
+STARTUP = {
+    "import": ([], _ESTIMATORS),
+    "generate-image": (["generate", "--mode", "image", "--n", "20",
+                        "--out", "{w}/generated.lf"], _ESTIMATORS),
+    "fit-dynamics": (["fit", "--estimator", "dynamics", "--data", "{w}/lat.lf",
+                      "--max-iters", "2", "--out", "{w}/dynamics.lf"],
+                     ("lieflow.npca", "numpy.random")),
+    "fit-ppca": (["fit", "--estimator", "ppca", "--data", "{w}/img.lf",
+                  "--max-iters", "2", "--out", "{w}/fitted.lf"],
+                 ("lieflow.npca", "numpy.random")),
+    "eval-ppca": (["eval", "--checkpoint", "{w}/ppca.lf", "--data", "{w}/img.lf",
+                   "--out", "{w}/metrics.csv"], ("lieflow.npca",)),
+    "roll-ppca": (["roll", "--checkpoint", "{w}/ppca.lf", "--data", "{w}/img.lf",
+                   "--out", "{w}/traj.lf"], ("lieflow.npca",)),
+}
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """A directory with latent pairs, an image dataset and a ppca
+    checkpoint of that dataset."""
+    from lieflow.cli import main
+
+    w = tmp_path_factory.mktemp("startup")
+    for args in (["generate", "--n", "20", "--out", w / "lat.lf"],
+                 ["generate", "--mode", "image", "--n", "20", "--out", w / "img.lf"],
+                 ["fit", "--estimator", "ppca", "--data", w / "img.lf",
+                  "--max-iters", "2", "--out", w / "ppca.lf"]):
+        assert main([str(a) for a in args]) == 0
+    return w
+
+
+@pytest.mark.parametrize("process", sorted(STARTUP))
+def test_cli_process_loads_only_what_it_runs(process, cli_files):
+    # every CLI process pays at start-up for each module it imports
+    args, forbidden = STARTUP[process]
+    loaded = _fresh_python(_STARTUP_PROBE,
+                           *(a.format(w=cli_files) for a in args))
+    found = sorted(m for m in loaded.splitlines()[-1].split()
+                   if m.startswith(tuple(f + "." for f in forbidden))
+                   or m in forbidden)
+    assert not found, f"{process} loads {found}"
+
+
+def test_every_public_name_is_the_object_of_its_module():
+    import lieflow
+
+    assert set(lieflow._HOMES) == set(lieflow.__all__) - {"__version__"}
+    for name, home in lieflow._HOMES.items():
+        module = importlib.import_module(f"lieflow.{home}")
+        assert getattr(lieflow, name) is getattr(module, name)
+        assert getattr(module, name).__module__ == module.__name__
+
+
+def test_star_import_binds_every_public_name():
+    out = _fresh_python("import lieflow\nfrom lieflow import *\n"
+                        "print(all(globals()[n] is getattr(lieflow, n) "
+                        "for n in lieflow.__all__))")
+    assert out.strip() == "True"
+
+
+def test_every_submodule_resolves_after_a_bare_import():
+    import lieflow
+
+    modules = sorted(path.stem for path in LIBRARY.glob("*.py")
+                     if path.name != "__init__.py")
+    assert sorted(lieflow._SOURCES) == modules
+    out = _fresh_python("import sys, lieflow\n"
+                        "print([m for m in sys.argv[1:] if getattr(lieflow, m) "
+                        "is not sys.modules['lieflow.' + m]])", *modules)
+    assert out.strip() == "[]"
+
+
+def test_an_unknown_attribute_raises_attribute_error():
+    import lieflow
+
+    with pytest.raises(AttributeError, match="has no attribute 'Gaussian'"):
+        lieflow.Gaussian   # a reference, in tests/reference.py
+    assert not hasattr(lieflow, "nope")
+
+
 def test_library_imports_only_numpy_and_the_standard_library():
     # the library needs numpy only; function-level imports count too
     allowed = {"numpy", *sys.stdlib_module_names}
