@@ -11,7 +11,9 @@ and refreshes the noise covariance.  The E-step and the marginal
 likelihood read one J x J posterior precision per pair, taken from the
 whitened pair Gram of ``[A, delta]`` (:func:`_white_gram`) and
 factorized for all pairs at once: the Gram costs O(N d^2 J) with no
-per-pair d x d factorization and no per-pair BLAS call.  :func:`fit`
+per-pair d x d factorization and no per-pair BLAS call, and it is
+formed one latent coordinate at a time, in O(N (J+1)^2) memory with no
+``(J+1, d, N)`` block of whitened columns.  :func:`fit`
 forms that Gram once per iteration, at the fitted model; the marginal
 likelihood reads it, and the next E-step reads it carried through the
 orthogonalization's change of basis (:func:`_change_gram_basis`).
@@ -32,6 +34,7 @@ latents and share the M-step, the rest of the update
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -199,23 +202,48 @@ class EmConfig:
 
 
 def _white_gram(model: DynamicsModel, z_cols: np.ndarray,
-                delta_cols: np.ndarray) -> np.ndarray:
+                delta_cols: np.ndarray, *, out: np.ndarray | None = None
+                ) -> np.ndarray:
     """The whitened pair Gram ``H`` ``(J+1, J+1, N)`` for pairs ``z_i``
     and ``delta`` given pair-last, ``(d, N)``: the inner products of the
-    whitened columns of ``[A, delta]``.
+    whitened columns of ``[A, delta]``, written into ``out`` if given
+    (which may be a view into a larger Gram) and C-ordered otherwise.
 
     With the model's whitened generators ``L_Omega^{-1} G_j``, those
     columns are ``L_Omega^{-1} G_j z_i`` and ``L_Omega^{-1} delta`` (one
-    substitution).  Both products are elementwise sums over the latent
+    substitution).  The Gram is formed one latent coordinate ``a`` at a
+    time: the ``(J+1, N)`` row of whitened columns at ``a``, its
+    generator part summed over ``b`` in order, then its products added
+    into the upper triangle.  The lower triangle is mirrored once at the
+    end, so ``H`` is exactly symmetric.  Both sums run over the latent
     axis in a fixed order, with no matrix product over the pair stack, so
-    every pair's values depend on that pair alone, bit for bit.
+    every pair's values depend on that pair alone, bit for bit.  The
+    working set is ``d + (J+1)^2 + 2(J+1)`` rows of N: no
+    ``(J+1, d, N)`` block of columns is formed.
     """
     j, d, n = model.coeff_count, model.latent_dim, z_cols.shape[1]
-    white_gens = model._white_generators
-    cols = np.empty((j + 1, d, n))  # whitened [A, delta], pairs last
-    cols[j] = triangular_solve(model.trans_chol, delta_cols)
-    cols[:j] = _ordered_sum(white_gens[:, :, b, None] * z_cols[b] for b in range(d))
-    return _ordered_sum(cols[:, None, a] * cols[None, :, a] for a in range(d))
+    white_gens = model._white_generators[..., None]
+    white_delta = triangular_solve(model.trans_chol, delta_cols)
+    gram = np.empty((j + 1, j + 1, n)) if out is None else out
+    row = np.empty((j + 1, n))  # whitened [A, delta] at coordinate a
+    work = np.empty((j + 1, n))
+    # row r's products with rows r.., their scratch and their Gram entries
+    upper = [(row[r], row[r:], work[r:], gram[r, r:]) for r in range(j + 1)]
+    for a in range(d):
+        np.multiply(white_gens[:, a, 0], z_cols[0], out=row[:j])
+        for b in range(1, d):
+            np.multiply(white_gens[:, a, b], z_cols[b], out=work[:j])
+            row[:j] += work[:j]
+        row[j] = white_delta[a]
+        for left, right, prod, entries in upper:
+            if a:
+                np.multiply(left, right, out=prod)
+                entries += prod
+            else:
+                np.multiply(left, right, out=entries)
+    for r in range(j):
+        gram[r + 1:, r] = gram[r, r + 1:]
+    return gram
 
 
 def _gram_precision(model: DynamicsModel, gram: np.ndarray
@@ -242,29 +270,32 @@ def _e_step_block(model: DynamicsModel, z_cols: np.ndarray,
 
 
 def map_blocks(fn, count: int, threads: int) -> list:
-    """``fn(start, stop)`` over contiguous blocks of ``count`` pairs, one
-    block per thread (a single block unless every thread gets at least
-    two pairs), results in block order."""
+    """``fn(start, stop)`` over ``threads`` contiguous blocks of ``count``
+    pairs (a single block unless every block gets at least two pairs),
+    results in block order.  The blocks run on at most ``os.cpu_count()``
+    OS threads, however many blocks there are, so the split, and with it
+    the bits, follows ``threads`` alone."""
     if threads <= 1 or count < 2 * threads:
         return [fn(0, count)]
     # imported here: it pulls in logging and queue, which every CLI
     # process would otherwise load though only threads > 1 uses them
     from concurrent.futures import ThreadPoolExecutor
     bounds = np.linspace(0, count, threads + 1, dtype=int)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
         return list(pool.map(fn, bounds[:-1], bounds[1:]))
 
 
 def _pair_gram(model: DynamicsModel, dataset: PairDataset,
                threads: int = 1) -> np.ndarray:
     """The whitened pair Gram ``(J+1, J+1, N)`` of every pair
-    (:func:`_white_gram`), formed in contiguous blocks of pairs, one per
-    thread, and joined in block order: its bits do not depend on
-    ``threads``."""
-    blocks = map_blocks(lambda a, b: _white_gram(
-        model, dataset._z_cols[:, a:b], dataset._delta_cols[:, a:b]),
-        dataset.count, threads)
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-1)
+    (:func:`_white_gram`), formed in ``threads`` contiguous blocks of
+    pairs (:func:`map_blocks`), each written into its columns of one
+    output: its bits do not depend on ``threads``."""
+    gram = np.empty((model.coeff_count + 1,) * 2 + (dataset.count,))
+    map_blocks(lambda a, b: _white_gram(
+        model, dataset._z_cols[:, a:b], dataset._delta_cols[:, a:b],
+        out=gram[..., a:b]), dataset.count, threads)
+    return gram
 
 
 def _change_gram_basis(gram: np.ndarray, coeff_map: np.ndarray) -> np.ndarray:

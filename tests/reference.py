@@ -10,6 +10,8 @@ versions that check them:
   joint and partitioned conditional, and log densities;
 - the stacked coefficient precisions of ``dynamics._gram_precision``
   by substitution and a matrix product (:func:`pair_precision`);
+- the whitened pair Gram of ``dynamics._white_gram`` in its earlier
+  block form, every whitened column at once (:func:`block_white_gram`);
 - the ppca fixed-point sweep in its pair-first form, with stacked
   matrix products (:func:`pair_first_fixed_point_blocks`);
 - the one-pair forms of the E-steps: the coefficient posterior of one
@@ -34,6 +36,7 @@ from lieflow import dynamics, gaussian, liealg, rng
 from lieflow.dynamics import DynamicsModel
 from lieflow.gaussian import (
     NumericError,
+    _ordered_sum,
     cholesky_inverse,
     cholesky_log_density,
     spd_cholesky,
@@ -263,6 +266,21 @@ def pair_precision(model: DynamicsModel, z_i: np.ndarray, delta: np.ndarray
     white = white.reshape(d, n, j + 1).transpose(1, 0, 2)
     gram = white.swapaxes(1, 2) @ white
     return model.coeff_prior_prec + gram[:, :j, :j], gram[:, :j, j], gram[:, j, j]
+
+
+def block_white_gram(model: DynamicsModel, z_cols: np.ndarray,
+                     delta_cols: np.ndarray) -> np.ndarray:
+    """:func:`lieflow.dynamics._white_gram` in its earlier block form: the
+    whole ``(J+1, d, N)`` block of whitened columns of ``[A, delta]``,
+    then the Gram as one fixed-order sum over the latent axis of their
+    full ``(J+1, J+1, N)`` outer products.  The library's
+    coordinate-at-a-time kernel must return these bits."""
+    j, d, n = model.coeff_count, model.latent_dim, z_cols.shape[1]
+    white_gens = model._white_generators
+    cols = np.empty((j + 1, d, n))  # whitened [A, delta], pairs last
+    cols[j] = triangular_solve(model.trans_chol, delta_cols)
+    cols[:j] = _ordered_sum(white_gens[:, :, b, None] * z_cols[b] for b in range(d))
+    return _ordered_sum(cols[:, None, a] * cols[None, :, a] for a in range(d))
 
 
 def posterior_znext(model: PpcaModel, x_next: np.ndarray, z_i: np.ndarray,

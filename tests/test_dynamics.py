@@ -1,4 +1,6 @@
+import concurrent.futures
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +41,7 @@ from lieflow.synth import SequenceSpec, generate_latent_pairs, subspace_angle
 from reference import (
     Gaussian,
     LinearGaussianMap,
+    block_white_gram,
     e_step_lambda,
     log_density,
     log_density_batch,
@@ -493,6 +496,84 @@ def test_e_step_block_equals_its_one_pair_calls(d, j, column_major):
         for got, *parts in zip(block, *singles):
             assert got.flags.c_contiguous
             assert np.array_equal(got, np.concatenate(parts, axis=-1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 8),
+       j=st.integers(1, 4), n=st.integers(1, 40),
+       step=st.sampled_from([1e-3, 0.3, 3.0]), column_major=st.booleans())
+def test_white_gram_equals_the_block_form(seed, d, j, n, step, column_major):
+    # one latent coordinate at a time, the upper triangle mirrored: the
+    # same products summed in the same order as the full block of
+    # whitened columns, so the same bits, in the output or in a view
+    order = "F" if column_major else "C"
+    model = random_model(seed, d, j)
+    z_cols = np.asarray(rng.normal_matrix(seed, (3,), (d, n)), order=order)
+    delta_cols = np.asarray(step * rng.normal_matrix(seed, (4,), (d, n)),
+                            order=order)
+    gram = _white_gram(model, z_cols, delta_cols)
+    assert gram.shape == (j + 1, j + 1, n) and gram.flags.c_contiguous
+    assert np.array_equal(gram, gram.swapaxes(0, 1))
+    assert np.array_equal(gram, block_white_gram(model, z_cols, delta_cols))
+    wide = np.full((j + 1, j + 1, n + 3), np.nan)
+    _white_gram(model, z_cols, delta_cols, out=wide[..., 1:n + 1])
+    assert np.array_equal(wide[..., 1:n + 1], gram)
+    assert np.isnan(wide[..., [0, n + 1, n + 2]]).all()
+
+
+@pytest.mark.parametrize("d, j", [(6, 2), (8, 3)])
+def test_white_gram_memory_does_not_grow_with_the_column_block(d, j):
+    # the kernel holds the whitened delta (d rows of N pairs), the Gram
+    # ((J+1)^2 rows), one row of whitened columns and one scratch (J+1
+    # rows each): no (J+1, d, N) block (the block form peaked at 54 and
+    # 104 rows at these sizes)
+    n = 20_000
+    model = random_model(0, d, j)
+    z_cols = rng.normal_matrix(0, (3,), (d, n))
+    delta_cols = 0.3 * rng.normal_matrix(0, (4,), (d, n))
+    model._white_generators  # cached before measuring
+    tracemalloc.start()
+    try:
+        _white_gram(model, z_cols, delta_cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (d + (j + 1) ** 2 + 3 * (j + 1)) * 8 * n
+
+
+@pytest.mark.parametrize("cpus, threads, workers", [
+    (2, 5000, 2), (None, 4, 1), (8, 3, 3), (1, 20, 1)])
+def test_map_blocks_starts_at_most_one_thread_per_cpu(monkeypatch, cpus,
+                                                     threads, workers):
+    # a stand-in pool records its size and runs the blocks in order on
+    # this thread, so no thread is started however many are asked for;
+    # the split into ``threads`` blocks, and with it the bits, stays
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(dynamics.os, "cpu_count", lambda: cpus)
+    count = 2 * threads + 1
+    blocks = dynamics.map_blocks(lambda a, b: (a, b), count, threads)
+    assert started == [workers] and len(blocks) == threads
+    assert blocks[0][0] == 0 and blocks[-1][1] == count
+    assert all(prev[1] == nxt[0] for prev, nxt in zip(blocks, blocks[1:]))
+    model = random_model(5, 3, 2)
+    z_i = rng.normal_matrix(5, (3,), (count, 3))
+    data = PairDataset(z_i, z_i + 0.3 * rng.normal_matrix(5, (4,), (count, 3)))
+    assert np.array_equal(_pair_gram(model, data, threads), _pair_gram(model, data))
 
 
 def _stats_fitting(basis: GeneratorBasis, omega: np.ndarray,
