@@ -26,7 +26,8 @@ log-determinants come with the :class:`lieflow.dynamics.DynamicsModel`.
 Both frames share the observation model, so frames (the dataset's
 ``frames``, and the ``x`` of each E-step backend), their posteriors and
 their moments travel as one stack ``(2, N, ...)``, ``x_i`` first.
-All M-steps are closed form in the expectation bundle.
+All M-steps are closed form in the expectation bundle and the frames,
+centred once per fit; sigma^2 and the bound share one residual power.
 """
 from __future__ import annotations
 
@@ -336,7 +337,10 @@ def _fixed_point_blocks(model: PpcaModel, x: np.ndarray) -> tuple[np.ndarray, ..
     :func:`_moments_from_blocks`: ``(m_zi, cov_zi, m_zn, cov_zn, q, k)``.
 
     The sweep keeps the pair axis last: its state is one array with a
-    column per pair.  Each sweep takes every live pair's q(lambda) from
+    column per live pair.  A pair retires when its largest change falls
+    below ``FIXED_POINT_TOL`` (a NaN stays live): its final column is
+    written out once and the working set is compacted, so a sweep in
+    which no pair retires moves no data.  Each sweep takes q(lambda) from
     the dynamics E-step at the current means
     (:func:`lieflow.dynamics._e_step_block`, the coefficient posterior all
     three estimators share), forms ``B = I + sum_j q_j G_j``, the drift,
@@ -358,23 +362,23 @@ def _fixed_point_blocks(model: PpcaModel, x: np.ndarray) -> tuple[np.ndarray, ..
     info_u, wt_xn = info_u.T, wt_xn.T
     omega_prec, gamma = model.dynamics.trans_prec, model.next_frame_cov
 
-    # one column per pair: rows m_zi, m_zn, q, cov_zi, k
+    # one column per live pair: rows m_zi, m_zn, q, cov_zi, k
     state = np.vstack([u_i.T, u_n.T, np.zeros((j, n)),
                        np.broadcast_to(model.latent_cov.reshape(-1, 1), (d * d, n)),
                        np.broadcast_to(model.dynamics.coeff_prior_cov.reshape(-1, 1),
                                        (j * j, n))])
+    out = np.empty_like(state)
     live = np.arange(n)
     for _ in range(FIXED_POINT_ITERS):
-        old = state[:, live]
-        m_zi, m_zn = old[:d], old[d:2 * d]
+        m_zi, m_zn = state[:d], state[d:2 * d]
         q, k = _e_step_block(model.dynamics, m_zi, m_zn - m_zi)
         # B = I + sum_j q_j G_j, drift B m_zi, then q(z_next)'s mean
         b = _ordered_sum(gens[m, :, :, None] * q[m] for m in range(j))
         for a in range(d):
             b[a, a] += 1.0
         drift = _ordered_sum(b[:, c] * m_zi[c] for c in range(d))
-        info_zn = wt_xn[:, live] + _ordered_sum(omega_prec[a, :, None] * drift[a]
-                                                for a in range(d))
+        info_zn = wt_xn + _ordered_sum(omega_prec[a, :, None] * drift[a]
+                                       for a in range(d))
         new_zn = _ordered_sum(gamma[c, :, None] * info_zn[c] for c in range(d))
         # q(z_i): precision S^-1 + B^T Omega^-1 B, information
         # W^T (x_i - mu) / sigma^2 + B^T Omega^-1 m_zn
@@ -383,22 +387,27 @@ def _fixed_point_blocks(model: PpcaModel, x: np.ndarray) -> tuple[np.ndarray, ..
         prec = _ordered_sum(bt_oi[:, r, None] * b[r] for r in range(d))
         prec += model.latent_prec[:, :, None]
         new_zi, cov_zi = stacked_posterior(
-            prec, info_u[:, live] + _ordered_sum(bt_oi[:, c] * new_zn[c]
-                                                 for c in range(d)))
+            prec, info_u + _ordered_sum(bt_oi[:, c] * new_zn[c] for c in range(d)))
         new = np.vstack([new_zi, new_zn, q, cov_zi.reshape(d * d, -1),
                          k.reshape(j * j, -1)])
-        residual = np.abs(new - old).max(axis=0)
-        state[:, live] = new
+        state -= new
+        residual = np.abs(state, out=state).max(axis=0)
         # a NaN stays live; its next factorization raises NumericError
-        live = live[~(residual < FIXED_POINT_TOL)]
+        done, state = residual < FIXED_POINT_TOL, new
+        if done.any():
+            gone, kept = np.flatnonzero(done), np.flatnonzero(~done)
+            out[:, live[gone]] = new.take(gone, axis=1)
+            live, state, wt_xn, info_u = (a.take(kept, axis=-1)
+                                          for a in (live, new, wt_xn, info_u))
         if live.size == 0:
-            m_zi, m_zn, q, cov_zi, k = np.split(state, np.cumsum([d, d, j, d * d]))
+            m_zi, m_zn, q, cov_zi, k = np.split(out, np.cumsum([d, d, j, d * d]))
             return (m_zi.T, cov_zi.reshape(d, d, n).transpose(2, 0, 1), m_zn.T,
                     np.broadcast_to(gamma, (n, d, d)), q.T,
                     k.reshape(j, j, n).transpose(2, 0, 1))
     raise NumericError(
         f"fixed-point E-step did not converge within {FIXED_POINT_ITERS} "
-        f"iterations (residual {residual.max():.3e})")
+        f"iterations ({live.size} of {n} pairs still live, largest residual "
+        f"{residual.max():.3e})")
 
 
 def _next_frame(model: PpcaModel, zi: np.ndarray, lam: np.ndarray,
@@ -520,12 +529,12 @@ def m_step_mu(dataset: ImagePairDataset) -> np.ndarray:
     return 0.5 * (dataset.x_i.mean(axis=0) + dataset.x_next.mean(axis=0))
 
 
-def m_step_W(dataset: ImagePairDataset, moments: LatentMoments,
-             mu: np.ndarray) -> np.ndarray:
-    """Loading update from both frames' cross moments, via a linear solve."""
-    if moments.count != dataset.count:
+def m_step_W(xc: np.ndarray, moments: LatentMoments) -> np.ndarray:
+    """Loading update from both frames' cross moments with the centred
+    frame stack ``xc`` ``(2, N, D)``, via a linear solve."""
+    if moments.count != xc.shape[1]:
         raise ValueError("need exactly one moment bundle per pair")
-    num = ((dataset.frames - mu).swapaxes(1, 2) @ moments.ez).sum(axis=0)
+    num = (xc.swapaxes(1, 2) @ moments.ez).sum(axis=0)
     gram = moments.ezz.sum(axis=0).sum(axis=0)
     try:
         return np.linalg.solve(symmetrize(gram), num.T).T
@@ -546,13 +555,11 @@ def _residual_power(xc: np.ndarray, moments: LatentMoments,
                  + float(np.einsum("ab,nab->", w.T @ w, moments.ezz.sum(axis=0))))
 
 
-def m_step_sigma(dataset: ImagePairDataset, moments: LatentMoments,
-                 w: np.ndarray, mu: np.ndarray) -> float:
-    """Isotropic noise update: expected residual power over both frames of
-    every pair, averaged over the ``2N D`` scalar observations and clamped
-    at ``1e-12``."""
-    total = _residual_power(dataset.frames - mu, moments, w)
-    return max(total / (2.0 * dataset.count * dataset.image_dim), SIGMA_FLOOR)
+def m_step_sigma(power: float, observations: int) -> float:
+    """Isotropic noise update: the expected residual power of both frames
+    of every pair (:func:`_residual_power`), averaged over the ``2N D``
+    scalar ``observations`` and clamped at ``1e-12``."""
+    return max(power / observations, SIGMA_FLOOR)
 
 
 # The dynamics M-step is the shared ``m_step_dynamics`` of
@@ -578,18 +585,20 @@ def _entropy(eigs: np.ndarray) -> np.ndarray:
                   + np.log(np.maximum(eigs, 1e-300)).sum(axis=-1))
 
 
-def expected_complete_data_ll(model: PpcaModel, xc: np.ndarray,
-                              moments: LatentMoments) -> float:
+def expected_complete_data_ll(model: PpcaModel, moments: LatentMoments,
+                              power: float) -> float:
     """Expected complete-data log-likelihood (two-frame factorization) of
-    the centred frame stack ``xc`` ``(2, N, D)`` under the expectation
-    bundle, summed over the pairs.  The transition and coefficient-prior
-    terms are :func:`lieflow.dynamics.expected_log_density` of the summed
+    a centred frame stack ``(2, N, D)`` under the expectation bundle,
+    summed over the pairs, given the stack's expected residual ``power``
+    under the model's loading (:func:`_residual_power`).  The transition
+    and coefficient-prior terms are
+    :func:`lieflow.dynamics.expected_log_density` of the summed
     statistics, with the prior counted for all ``N`` pairs, or for none
     in a frozen bundle (all coefficient moments zero; every other backend
     gives each pair a positive-definite coefficient block)."""
     n, sig2 = moments.count, model.noise_var
     recon = -0.5 * (2 * n * model.data_dim * np.log(2.0 * np.pi * sig2)
-                    + _residual_power(xc, moments, model.loading) / sig2)
+                    + power / sig2)
     prior_zi = -0.5 * (n * model.latent_dim * LOG_2PI
                        + np.trace(moments.ezz[0], axis1=1, axis2=2).sum())
     return float(recon + prior_zi
@@ -598,10 +607,11 @@ def expected_complete_data_ll(model: PpcaModel, xc: np.ndarray,
                      n if np.any(moments.elamlam) else 0))
 
 
-def mean_field_elbo(model: PpcaModel, dataset: ImagePairDataset,
-                    moments: LatentMoments) -> float:
+def mean_field_elbo(model: PpcaModel, moments: LatentMoments,
+                    power: float) -> float:
     """Evidence lower bound of the factorized posterior: expected
-    complete-data log-likelihood plus the Gaussian block entropies.
+    complete-data log-likelihood (:func:`expected_complete_data_ll` of the
+    residual power ``power``) plus the Gaussian block entropies.
 
     A frozen bundle (all coefficient moments zero) contributes neither
     the coefficient priors nor their entropies.
@@ -610,9 +620,7 @@ def mean_field_elbo(model: PpcaModel, dataset: ImagePairDataset,
     frame_i, frame_n = _entropy(eig_z)
     lam = _entropy(eig_lam) if np.any(moments.elamlam) else 0.0
     entropies = frame_i + frame_n + lam
-    return (expected_complete_data_ll(model, dataset.frames - model.data_mean,
-                                      moments)
-            + float(entropies.sum()))
+    return expected_complete_data_ll(model, moments, power) + float(entropies.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -683,21 +691,23 @@ def fit(dataset: ImagePairDataset, config: PpcaConfig
     dyn = DynamicsModel(dyn.basis, config.init_omega_scale * np.eye(d),
                         dyn.coeff_prior_cov)
     model = PpcaModel(w, mu, sigma2, dyn)
+    xc = dataset.frames - mu   # mu is fixed for the whole fit
     trace: list[float] = []
     for _ in range(config.max_iters):
         moments, evidence = _e_step_dataset(model, dataset, config)
         if evidence is not None:
-            trace.append(_first_frame_evidence(model, dataset.x_i - mu)
-                         + evidence)
-        w = m_step_W(dataset, moments, mu)
-        sigma2 = m_step_sigma(dataset, moments, w, mu)
+            trace.append(_first_frame_evidence(model, xc[0]) + evidence)
+        w = m_step_W(xc, moments)
+        # one residual power for sigma^2 and the mean-field bound
+        power = _residual_power(xc, moments, w)
+        sigma2 = m_step_sigma(power, xc.size)
         dyn = next_dyn = model.dynamics
         if not config.freeze_coefficients:
             dyn, next_dyn, _ = update_step(dyn, moments.transition,
                                            config.estimate_lambda, True)
         if evidence is None:
             trace.append(mean_field_elbo(PpcaModel(w, mu, sigma2, dyn),
-                                         dataset, moments))
+                                         moments, power))
         model = PpcaModel(w, mu, sigma2, next_dyn)
         if converged(trace, config.tol):
             break

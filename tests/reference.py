@@ -13,7 +13,9 @@ versions that check them:
 - the whitened pair Gram of ``dynamics._white_gram`` in its earlier
   block form, every whitened column at once (:func:`block_white_gram`);
 - the ppca fixed-point sweep in its pair-first form, with stacked
-  matrix products (:func:`pair_first_fixed_point_blocks`);
+  matrix products (:func:`pair_first_fixed_point_blocks`), and in its
+  gather form, which re-gathers the live pairs every sweep
+  (:func:`gather_fixed_point_blocks`);
 - the one-pair forms of the E-steps: the coefficient posterior of one
   latent pair (:func:`e_step_lambda`), the next-frame conditional of
   probabilistic PCA (:func:`posterior_znext`) and the joint expectation
@@ -421,6 +423,68 @@ def pair_first_fixed_point_blocks(model: PpcaModel, x: np.ndarray
                 state, np.cumsum([d, d, j, d * d]), axis=1)
             return (m_zi, cov_zi.reshape(n, d, d), m_zn,
                     np.broadcast_to(gamma, (n, d, d)), q, k.reshape(n, j, j))
+    raise NumericError(
+        f"fixed-point E-step did not converge within {FIXED_POINT_ITERS} "
+        f"iterations (residual {residual.max():.3e})")
+
+
+def gather_fixed_point_blocks(model: PpcaModel, x: np.ndarray
+                              ) -> tuple[np.ndarray, ...]:
+    """The sweep of :func:`lieflow.ppca._fixed_point_blocks` in its
+    earlier gather form: every sweep gathers the live pairs' columns of the
+    state and of the two information rows into new arrays and scatters
+    the new columns back into the full state.  The same algebra on the
+    same columns, so each pair gets the same bits as in the retiring
+    sweep.
+    """
+    d, j = model.latent_dim, model.dynamics.coeff_count
+    n = x.shape[1]
+    gens = model.dynamics.basis.generators
+
+    # both frames' latent posteriors: information W^T (x - mu) / sigma^2
+    # and means (their shared precision and covariance are the model's)
+    (info_u, wt_xn), (u_i, u_n) = _frame_posteriors(model, x)
+    info_u, wt_xn = info_u.T, wt_xn.T
+    omega_prec, gamma = model.dynamics.trans_prec, model.next_frame_cov
+
+    # one column per pair: rows m_zi, m_zn, q, cov_zi, k
+    state = np.vstack([u_i.T, u_n.T, np.zeros((j, n)),
+                       np.broadcast_to(model.latent_cov.reshape(-1, 1), (d * d, n)),
+                       np.broadcast_to(model.dynamics.coeff_prior_cov.reshape(-1, 1),
+                                       (j * j, n))])
+    live = np.arange(n)
+    for _ in range(FIXED_POINT_ITERS):
+        old = state[:, live]
+        m_zi, m_zn = old[:d], old[d:2 * d]
+        q, k = dynamics._e_step_block(model.dynamics, m_zi, m_zn - m_zi)
+        # B = I + sum_j q_j G_j, drift B m_zi, then q(z_next)'s mean
+        b = _ordered_sum(gens[m, :, :, None] * q[m] for m in range(j))
+        for a in range(d):
+            b[a, a] += 1.0
+        drift = _ordered_sum(b[:, c] * m_zi[c] for c in range(d))
+        info_zn = wt_xn[:, live] + _ordered_sum(omega_prec[a, :, None] * drift[a]
+                                                for a in range(d))
+        new_zn = _ordered_sum(gamma[c, :, None] * info_zn[c] for c in range(d))
+        # q(z_i): precision S^-1 + B^T Omega^-1 B, information
+        # W^T (x_i - mu) / sigma^2 + B^T Omega^-1 m_zn
+        bt_oi = _ordered_sum(b[r, :, None] * omega_prec[r, :, None]
+                             for r in range(d))
+        prec = _ordered_sum(bt_oi[:, r, None] * b[r] for r in range(d))
+        prec += model.latent_prec[:, :, None]
+        new_zi, cov_zi = gaussian.stacked_posterior(
+            prec, info_u[:, live] + _ordered_sum(bt_oi[:, c] * new_zn[c]
+                                                 for c in range(d)))
+        new = np.vstack([new_zi, new_zn, q, cov_zi.reshape(d * d, -1),
+                         k.reshape(j * j, -1)])
+        residual = np.abs(new - old).max(axis=0)
+        state[:, live] = new
+        # a NaN stays live; its next factorization raises NumericError
+        live = live[~(residual < FIXED_POINT_TOL)]
+        if live.size == 0:
+            m_zi, m_zn, q, cov_zi, k = np.split(state, np.cumsum([d, d, j, d * d]))
+            return (m_zi.T, cov_zi.reshape(d, d, n).transpose(2, 0, 1), m_zn.T,
+                    np.broadcast_to(gamma, (n, d, d)), q.T,
+                    k.reshape(j, j, n).transpose(2, 0, 1))
     raise NumericError(
         f"fixed-point E-step did not converge within {FIXED_POINT_ITERS} "
         f"iterations (residual {residual.max():.3e})")

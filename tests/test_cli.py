@@ -13,7 +13,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import lieflow
-from lieflow import synth
+from lieflow import ppca, synth
 from lieflow.cli import _ESTIMATOR_CODES, _OPTIONS, main
 from lieflow.tensorfile import read_tensors, write_tensors
 from reference import Gaussian, LinearGaussianMap, posterior
@@ -222,6 +222,22 @@ class TestImageEstimators:
         oracle = float(np.mean((recon - data["x_i"]) ** 2))
         assert float(values["reconstruction_mse"]) == pytest.approx(
             oracle, rel=1e-12)
+
+    def test_non_converged_fixed_point_is_numeric_error(self, tmp_path,
+                                                        image_dataset, capsys,
+                                                        monkeypatch):
+        # the message names the pairs still live and their largest residual
+        monkeypatch.setattr(ppca, "FIXED_POINT_ITERS", 2)
+        ck = tmp_path / "ppca.lf"
+        capsys.readouterr()
+        code = run(["fit", "--estimator", "ppca", "--data", str(image_dataset),
+                    "--d", "2", "--max-iters", "3", "--out", str(ck)])
+        err = capsys.readouterr().err
+        assert code == 4 and err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("numeric error: fixed-point E-step did not "
+                              "converge within 2 iterations (60 of 60 pairs "
+                              "still live, largest residual ")
+        assert not ck.exists()
 
     def test_npca_fit_roundtrip(self, tmp_path, image_dataset):
         ck = tmp_path / "npca.lf"

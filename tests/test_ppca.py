@@ -1,4 +1,5 @@
 import hashlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -28,6 +29,7 @@ from lieflow.ppca import (
     _moments_from_blocks,
     _monte_carlo_e_step,
     _quadrature_e_step,
+    _residual_power,
     expected_complete_data_ll,
     fit,
     init_loading,
@@ -49,6 +51,7 @@ from reference import (
     Gaussian,
     LinearGaussianMap,
     e_step_joint,
+    gather_fixed_point_blocks,
     log_density,
     log_density_batch,
     pair_first_fixed_point_blocks,
@@ -382,7 +385,7 @@ class TestMSteps:
         frames = rng.normal_matrix(17, (0,), (6, 2))
         data = ImagePairDataset(frames, frames, 1, 2)
         moments = self.delta_moments(frames, frames)
-        w = m_step_W(data, moments, np.zeros(2))
+        w = m_step_W(data.frames - np.zeros(2), moments)
         assert np.allclose(w, np.eye(2), atol=1e-10)
 
     def test_w_zero_cross_moments(self):
@@ -391,7 +394,7 @@ class TestMSteps:
         eye = np.broadcast_to(np.eye(2), (2, 5, 2, 2))
         moments = replace(self.delta_moments(np.zeros((5, 2)), np.zeros((5, 2))),
                           ezz=eye)
-        w = m_step_W(data, moments, np.zeros(3))
+        w = m_step_W(data.frames - np.zeros(3), moments)
         assert np.allclose(w, 0.0, atol=1e-12)
 
     def test_w_recovers_principal_subspace_with_exact_latents(self):
@@ -400,7 +403,7 @@ class TestMSteps:
                             height=3, width=3)
         data, truth = generate_image_pairs(spec, embedding="linear")
         moments = self.delta_moments(truth.z_i, truth.z_next)
-        w = m_step_W(data, moments, np.zeros(9))
+        w = m_step_W(data.frames - np.zeros(9), moments)
         gap = np.linalg.svd(w - truth.loading, compute_uv=False).max()
         assert gap < 1e-10
 
@@ -409,7 +412,7 @@ class TestMSteps:
         data = ImagePairDataset(frames, frames, 1, 3)
         w = np.eye(3)
         moments = self.delta_moments(frames, frames)
-        assert m_step_sigma(data, moments, w, np.zeros(3)) == pytest.approx(1e-12)
+        assert sigma_update(data, moments, w, np.zeros(3)) == pytest.approx(1e-12)
 
     def test_sigma_zero_loading_gives_frame_variance(self):
         x_i = rng.normal_matrix(21, (0,), (40, 3))
@@ -419,7 +422,7 @@ class TestMSteps:
         eye = np.broadcast_to(np.eye(2), (2, 40, 2, 2))
         moments = replace(self.delta_moments(np.zeros((40, 2)), np.zeros((40, 2))),
                           ezz=eye)
-        got = m_step_sigma(data, moments, np.zeros((3, 2)), mu)
+        got = sigma_update(data, moments, np.zeros((3, 2)), mu)
         stacked = np.vstack([x_i, x_n]) - mu
         assert got == pytest.approx(np.mean(stacked ** 2), rel=1e-12)
 
@@ -446,6 +449,18 @@ class TestMSteps:
         assert np.all(moments.transition.dz_zlam == 0.0)
         basis, _ = m_step_dynamics(moments.transition)
         assert np.allclose(basis.generators, 0.0, atol=1e-12)
+
+
+def sigma_update(data, moments, w, mu):
+    """:func:`m_step_sigma` of ``data``'s frames centred at ``mu``."""
+    xc = data.frames - mu
+    return m_step_sigma(_residual_power(xc, moments, w), xc.size)
+
+
+def elbo_of(model, data, moments):
+    """:func:`mean_field_elbo` of ``data``'s frames under ``model``."""
+    xc = data.frames - model.data_mean
+    return mean_field_elbo(model, moments, _residual_power(xc, moments, model.loading))
 
 
 def random_spd(seed, path, n, k):
@@ -492,7 +507,8 @@ def test_point_mass_objective_is_the_complete_data_log_density(seed, n, big_d,
                                      dyn.trans_cov), zn)
               + log_density(Gaussian(np.zeros(j), dyn.coeff_prior_cov), lm)
               for xi, xn, zi, zn, lm in zip(x_i, x_n, z_i, z_n, lam))
-    got = expected_complete_data_ll(model, np.stack([x_i, x_n]) - mu, moments)
+    got = expected_complete_data_ll(
+        model, moments, _residual_power(np.stack([x_i, x_n]) - mu, moments, w))
     assert abs(got - ref) <= 1e-10 * abs(ref)
 
 
@@ -506,8 +522,8 @@ def test_sigma_update_maximizes_the_elbo(seed, n, big_d, d, j):
         rng.normal_matrix(seed, (9,), (n, d)), random_spd(seed, (10,), n, d),
         rng.normal_matrix(seed, (11,), (n, j)), random_spd(seed, (12,), n, j))
     data = ImagePairDataset(x_i, x_n, 1, model.data_dim)
-    best = m_step_sigma(data, moments, model.loading, model.data_mean)
-    elbo = [mean_field_elbo(replace(model, noise_var=best * f), data, moments)
+    best = sigma_update(data, moments, model.loading, model.data_mean)
+    elbo = [elbo_of(replace(model, noise_var=best * f), data, moments)
             for f in (1.0, 1.0 - 1e-3, 1.0 + 1e-3)]
     assert elbo[0] >= max(elbo[1:])
 
@@ -520,14 +536,14 @@ def test_mean_field_elbo_reuses_the_bundle_eigenvalues(monkeypatch):
               rng.normal_matrix(3, (9,), (4, 2)), random_spd(3, (10,), 4, 2),
               rng.normal_matrix(3, (11,), (4, 2)), random_spd(3, (12,), 4, 2))
     data = ImagePairDataset(x_i, x_n, 1, model.data_dim)
-    want = mean_field_elbo(model, data, _moments_from_blocks(*blocks))
+    want = elbo_of(model, data, _moments_from_blocks(*blocks))
     moments = _moments_from_blocks(*blocks)
 
     def no_eigvalsh(*args, **kwargs):
         raise AssertionError("eigen-decomposed again")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
-    assert mean_field_elbo(model, data, moments) == want
+    assert elbo_of(model, data, moments) == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -543,9 +559,9 @@ def test_mean_field_elbo_is_the_sum_over_its_one_pair_bundles(
     blocks = (rng.normal_matrix(seed, (7,), (n, d)), random_spd(seed, (8,), n, d),
               rng.normal_matrix(seed, (9,), (n, d)), random_spd(seed, (10,), n, d),
               q, k)
-    whole = mean_field_elbo(model, ImagePairDataset(x_i, x_n, 1, model.data_dim),
-                            _moments_from_blocks(*blocks))
-    parts = sum(mean_field_elbo(
+    whole = elbo_of(model, ImagePairDataset(x_i, x_n, 1, model.data_dim),
+                    _moments_from_blocks(*blocks))
+    parts = sum(elbo_of(
         model, ImagePairDataset(x_i[p:p + 1], x_n[p:p + 1], 1, model.data_dim),
         _moments_from_blocks(*(b[p:p + 1] for b in blocks))) for p in range(n))
     assert abs(whole - parts) <= 1e-12 * abs(whole)
@@ -590,7 +606,7 @@ def test_fixed_point_elbo_lies_below_the_quadrature_evidence():
     _, quad = _quadrature_e_step(model, data.frames, PpcaConfig(grid_points=48))
     evidence = ppca._first_frame_evidence(model, data.x_i - model.data_mean) + quad
     moments = _moments_from_blocks(*_fixed_point_blocks(model, data.frames))
-    assert mean_field_elbo(model, data, moments) < evidence
+    assert elbo_of(model, data, moments) < evidence
 
 
 _SWEEP_SIZES = dict(seed=st.integers(0, 2 ** 31 - 1), n=st.integers(1, 12),
@@ -712,6 +728,89 @@ def test_fixed_point_sweep_takes_q_lambda_from_the_dynamics_e_step(monkeypatch):
     for mean, cov in zip(q, k):
         assert any(np.array_equal(mean, m) and np.array_equal(cov, c)
                    for m, c in rows)
+
+
+def sweep_widths(model, x):
+    """The pair count of every ``_e_step_block`` call, one call per sweep,
+    of a fixed-point E-step of ``x``."""
+    widths = []
+
+    def spy(dynamics_model, z_i, delta):
+        widths.append(z_i.shape[-1])
+        return _e_step_block(dynamics_model, z_i, delta)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ppca, "_e_step_block", spy)
+        _fixed_point_blocks(model, x)
+    return widths
+
+
+def assert_retiring_sweep_equals_the_gather_form(model, x):
+    """The retiring sweep gives every pair the bits of the sweep that
+    re-gathers the live set every sweep, or fails alike, at the same
+    largest residual."""
+    try:
+        want = gather_fixed_point_blocks(model, x)
+    except NumericError as exc:
+        residual = str(exc).rsplit("residual ", 1)[1].rstrip(")")
+        with pytest.raises(NumericError, match=re.escape(f"residual {residual})")):
+            _fixed_point_blocks(model, x)
+        return
+    got = _fixed_point_blocks(model, x)
+    assert len(got) == len(want) == 6
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and np.array_equal(g, w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**dict(_SWEEP_SIZES, n=st.integers(1, 40)))
+def test_retiring_sweep_keeps_the_bits_of_the_gather_form(seed, n, extra_dims,
+                                                          d, j, scale):
+    model, x_i, x_n = scaled_sweep_instance(seed, n, extra_dims, d, j, scale)
+    assert_retiring_sweep_equals_the_gather_form(model, np.stack([x_i, x_n]))
+
+
+def test_retiring_sweep_keeps_the_bits_where_pairs_retire_at_four_sweeps():
+    # 12 pairs, d = 3, J = 2: every pair lives through 9 sweeps, then 4,
+    # 5, 2 and 1 pairs retire at sweeps 9, 10, 11 and 12
+    model, x_i, x_n = scaled_sweep_instance(0, 12, 2, 3, 2, 0.3)
+    x = np.stack([x_i, x_n])
+    assert sweep_widths(model, x) == [12] * 9 + [8, 3, 1]
+    assert_retiring_sweep_equals_the_gather_form(model, x)
+
+
+@pytest.mark.parametrize("sweeps", [2, 10])
+def test_non_converged_sweep_reports_the_live_pairs(monkeypatch, sweeps):
+    # 12 pairs are live after 2 sweeps and 3 after 10 (see the test above)
+    model, x_i, x_n = scaled_sweep_instance(0, 12, 2, 3, 2, 0.3)
+    x = np.stack([x_i, x_n])
+    widths = sweep_widths(model, x)
+    monkeypatch.setattr(ppca, "FIXED_POINT_ITERS", sweeps)
+    with pytest.raises(NumericError) as caught:
+        _fixed_point_blocks(model, x)
+    message = str(caught.value)
+    assert message.startswith(f"fixed-point E-step did not converge within "
+                              f"{sweeps} iterations ({widths[sweeps]} of 12 "
+                              f"pairs still live, largest residual ")
+    assert float(message.rsplit(" ", 1)[1].rstrip(")")) >= ppca.FIXED_POINT_TOL
+
+
+def test_fit_forms_one_residual_power_per_iteration(monkeypatch):
+    # sigma^2 and the mean-field bound of an iteration share one power
+    spec = SequenceSpec(group_kind="rotation2d", lambda_scale=0.05,
+                        noise_std=0.05, pair_count=10, seed=4,
+                        height=2, width=2)
+    data, _ = generate_image_pairs(spec, embedding="linear")
+    calls, power = [], ppca._residual_power
+
+    def counted(*args):
+        calls.append(args)
+        return power(*args)
+
+    monkeypatch.setattr(ppca, "_residual_power", counted)
+    _, trace = fit(data, PpcaConfig(latent_dim=2, j_init=1, max_iters=3,
+                                    tol=0.0, seed=0))
+    assert len(trace) == len(calls) == 3
 
 
 class TestFit:
@@ -930,6 +1029,29 @@ def test_tiny_fit_matches_pinned_digest(threads):
         h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
     assert h.hexdigest() == \
         "8d0dda0a88f241922c2ddb3c6a7c2769185663d74d96f39cea7d68cdea653df5"
+
+
+# SHA-256 of a 300-pair fixed-point fit, recorded while every sweep still
+# re-gathered the live pairs; pairs retire at two or three distinct sweeps
+# of each of its E-steps.  Three threads split the pairs into blocks of
+# 100.
+@pytest.mark.parametrize("threads", [1, 3])
+def test_retiring_fit_matches_pinned_digest(threads):
+    spec = SequenceSpec(group_kind="rotation2d", lambda_scale=0.05,
+                        noise_std=0.05, pair_count=300, seed=31,
+                        height=3, width=3)
+    data, _ = generate_image_pairs(spec, embedding="linear")
+    model, trace = fit(data, PpcaConfig(
+        latent_dim=2, j_init=1, max_iters=4, tol=0.0, seed=0,
+        estimate_lambda=True, threads=threads))
+    dyn = model.dynamics
+    h = hashlib.sha256()
+    for a in [model.loading, model.data_mean, np.array([model.noise_var]),
+              dyn.basis.generators, dyn.trans_cov, dyn.coeff_prior_cov,
+              np.array(trace)]:
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    assert len(trace) == 4 and h.hexdigest() == \
+        "ec1e992c48f16e00748fcda6a6a6ef10bb63ba68abc6cd638f9512a6ebba7d76"
 
 
 def test_init_loading_is_deterministic_and_scaled():
