@@ -4,7 +4,8 @@ Lie-algebra generators of their transition dynamics.
 Three estimators of increasing generality: EM over given latent pairs
 (:mod:`lieflow.dynamics`), joint EM with a probabilistic-PCA observation
 model (:mod:`lieflow.ppca`) and variational EM with nonlinear
-encoder/decoder networks (:mod:`lieflow.npca`).  Supporting layers:
+encoder/decoder networks (:mod:`lieflow.npca`), all three fitted to one
+pair type, :class:`lieflow.dynamics.PairDataset`.  Supporting layers:
 SPD factorizations and solvers (:mod:`lieflow.gaussian`), generator-basis
 arithmetic (:mod:`lieflow.liealg`), synthetic ground-truth data
 (:mod:`lieflow.synth`), the grid quadrature of the ppca quadrature
@@ -33,7 +34,7 @@ _SOURCES = {
     "oracles": (),
     "ppca": ("LatentMoments", "PpcaConfig", "PpcaModel"),
     "rng": (),
-    "synth": ("ImagePairDataset", "SequenceSpec", "SynthTruth"),
+    "synth": ("SequenceSpec", "SynthTruth"),
     "tensorfile": (),
 }
 _HOMES = {name: module for module, names in _SOURCES.items() for name in names}
@@ -42,7 +43,6 @@ __all__ = [
     "DynamicsModel",
     "EmConfig",
     "GeneratorBasis",
-    "ImagePairDataset",
     "LatentMoments",
     "Mlp",
     "NpcaConfig",

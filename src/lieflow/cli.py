@@ -23,7 +23,7 @@ from . import liealg, synth
 from .dynamics import DynamicsModel, EmConfig, PairDataset
 from .gaussian import NumericError
 from .liealg import GeneratorBasis
-from .synth import ImagePairDataset, SequenceSpec
+from .synth import SequenceSpec
 from .tensorfile import TensorFormatError, read_tensors, write_tensors
 # ppca and npca are imported in the branches that run them: each process
 # then compiles and loads only the estimator of its own subcommand
@@ -67,20 +67,18 @@ def cmd_generate(opts) -> int:
         seed=opts["seed"], first_order=opts["first_order"])
     if opts["mode"] == "latent":
         data, truth = synth.generate_latent_pairs(spec)
-        arrays = {"z_i": data.z_i, "z_next": data.z_next}
-        dims = data.latent_dim
+        arrays = {"z_i": data.x_i, "z_next": data.x_next}
     else:
         data, truth = synth.generate_image_pairs(spec, opts["embedding"])
         arrays = {"x_i": data.x_i, "x_next": data.x_next,
-                  "height": np.float64(data.height),
-                  "width": np.float64(data.width)}
+                  "height": np.float64(spec.height),
+                  "width": np.float64(spec.width)}
         if truth.loading is not None:
             arrays["true_W"] = truth.loading
         arrays.update(true_z_i=truth.z_i, true_z_next=truth.z_next)
-        dims = data.image_dim
     arrays.update(true_G=truth.basis.generators, true_lambdas=truth.lambdas)
     write_tensors(opts["out"], arrays)
-    print(f"n={spec.pair_count}", f"dim={dims}", f"seed={spec.seed}",
+    print(f"n={spec.pair_count}", f"dim={data.dim}", f"seed={spec.seed}",
           f"kind={spec.group_kind}", f"out={opts['out']}", sep="\n")
     return EXIT_OK
 
@@ -89,19 +87,23 @@ def cmd_generate(opts) -> int:
 # fit
 
 
-def _load_latent_dataset(arrays) -> PairDataset:
-    if "z_i" not in arrays or "z_next" not in arrays:
-        raise UsageError("dataset does not contain latent pairs (z_i, z_next)")
-    return PairDataset(arrays["z_i"], arrays["z_next"])
-
-
-def _load_image_dataset(arrays) -> ImagePairDataset:
-    if "x_i" not in arrays or "x_next" not in arrays:
-        raise UsageError("dataset does not contain image pairs (x_i, x_next)")
-    width = np.atleast_2d(arrays["x_i"]).shape[1]   # by default one pixel row
-    height, width = (_scalar(arrays, name, 1) if name in arrays else default
-                     for name, default in (("height", 1), ("width", width)))
-    return ImagePairDataset(arrays["x_i"], arrays["x_next"], height, width)
+def _load_dataset(arrays, latent: bool) -> PairDataset:
+    """The latent pairs ``z_i``, ``z_next`` or the image pairs ``x_i``,
+    ``x_next`` of a file; an image file's optional ``height`` and
+    ``width`` (by default one pixel row) must tile its frames."""
+    kind, first, second = (("latent", "z_i", "z_next") if latent
+                           else ("image", "x_i", "x_next"))
+    if first not in arrays or second not in arrays:
+        raise UsageError(f"dataset does not contain {kind} pairs "
+                         f"({first}, {second})")
+    data = PairDataset(arrays[first], arrays[second])
+    if not latent:
+        height, width = (_scalar(arrays, name, 1) if name in arrays else default
+                         for name, default in (("height", 1), ("width", data.dim)))
+        if height * width != data.dim:
+            raise UsageError(f"height {height} x width {width} does not match "
+                             f"the frame size {data.dim}")
+    return data
 
 
 def _dynamics_arrays(model: DynamicsModel) -> dict[str, np.ndarray]:
@@ -126,17 +128,17 @@ def cmd_fit(opts) -> int:
               seed=opts["seed"], estimate_lambda=opts["estimate_lambda"],
               threads=opts["threads"] or os.cpu_count() or 1)
     if estimator == "dynamics":
-        data = _load_latent_dataset(arrays)
-        if opts["d"] and opts["d"] != data.latent_dim:
+        data = _load_dataset(arrays, latent=True)
+        if opts["d"] and opts["d"] != data.dim:
             raise UsageError(
-                f"config latent dim {opts['d']} != dataset dim {data.latent_dim}")
+                f"config latent dim {opts['d']} != dataset dim {data.dim}")
         config = EmConfig(**em)
         model, trace = dyn_mod.fit(data, config)
         checkpoint = _dynamics_arrays(model)
     elif estimator == "ppca":
         from . import ppca
 
-        data = _load_image_dataset(arrays)
+        data = _load_dataset(arrays, latent=False)
         config = ppca.PpcaConfig(latent_dim=opts["d"] or 2,
                                  estep=_ESTEP_FLAGS[opts["estep"]], **em)
         model, trace = ppca.fit(data, config)
@@ -146,7 +148,7 @@ def cmd_fit(opts) -> int:
     else:
         from . import npca
 
-        data = _load_image_dataset(arrays)
+        data = _load_dataset(arrays, latent=False)
         config = npca.NpcaConfig(
             latent_dim=opts["d"] or 2,
             hidden_sizes=tuple(opts["hidden"]), j_init=opts["j"],
@@ -251,11 +253,11 @@ def cmd_eval(opts) -> int:
     dynamics = _checkpoint_dynamics(ck)
     # scored first: data the checkpoint cannot score ends it before a warning
     if estimator == "dynamics":
-        data = _load_latent_dataset(arrays)
+        data = _load_dataset(arrays, latent=True)
         ll = dyn_mod.marginal_log_likelihood(dynamics, data) / data.count
         rows = [("predictive_log_density", float(ll))]
     else:
-        data = _load_image_dataset(arrays)
+        data = _load_dataset(arrays, latent=False)
         encode, decode = _image_maps(ck, estimator)
         recon = decode(encode(data.x_i))
         mse = float(np.mean((recon - data.x_i) ** 2))
@@ -323,14 +325,14 @@ def cmd_roll(opts) -> int:
     k = opts["pair_index"]
 
     latent = estimator == "dynamics"
-    data = (_load_latent_dataset if latent else _load_image_dataset)(arrays)
+    data = _load_dataset(arrays, latent)
     if not 0 <= k < data.count:
         raise UsageError(f"pair index {k} out of range")
-    if latent:
-        z0, z1 = data.z_i[k], data.z_next[k]
-    else:
+    pair = data.frames[:, k]
+    if not latent:
         encode, decode = _image_maps(ck, estimator)
-        z0, z1 = encode(data.frames[:, k])
+        pair = encode(pair)
+    z0, z1 = pair
 
     lam_hat = _infer_roll_coefficients(dynamics, z0, z1)
     t_max = opts["t_max"] if opts["t_max"] is not None else \

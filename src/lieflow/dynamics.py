@@ -1,6 +1,9 @@
 """EM for transition dynamics over given latent representations.
 
-Each data pair ``(z_i, z_next)`` is modelled as
+:class:`PairDataset` is the data type of all three estimators: N pairs
+of consecutive frames, latent vectors here and flat images in
+:mod:`lieflow.ppca` and :mod:`lieflow.npca`, stored once as a stack
+``(2, N, D)``.  Each data pair ``(z_i, z_next)`` is modelled as
 ``z_next = z_i + sum_j lambda_j G^j z_i + noise`` with Gaussian
 coefficients ``lambda ~ N(0, Lambda)`` and transition noise
 ``N(0, Omega)``.  The E-step is the exact Gaussian posterior of the
@@ -116,52 +119,52 @@ class DynamicsModel:
         return self.basis.count
 
 
-def aligned_pairs(first, second, names: str) -> tuple[np.ndarray, np.ndarray]:
-    """The two frame arrays of N pairs as finite float ``(N, D)`` arrays
-    with ``N >= 1`` and ``D >= 1`` (a 1-D array is one pair); ``names``
-    names them in the errors."""
-    a = np.atleast_2d(np.asarray(first, dtype=float))
-    b = np.atleast_2d(np.asarray(second, dtype=float))
-    if a.shape != b.shape or a.ndim != 2 or 0 in a.shape:
-        raise ValueError(f"{names} must be matching (N, D) arrays with N >= 1 "
-                         f"and D >= 1, not of shapes {np.shape(first)} and "
-                         f"{np.shape(second)}")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise NumericError(f"{names} must be finite")
-    return a, b
-
-
 @dataclass(frozen=True)
 class PairDataset:
-    """N aligned pairs of consecutive latent representations."""
+    """N aligned pairs of consecutive frames, each frame a latent vector
+    or a flat image of D values, stored as one stack ``frames``
+    ``(2, N, D)`` of which ``x_i`` and ``x_next`` are the views
+    ``frames[0]`` and ``frames[1]``.  Both frames must be finite
+    matching ``(N, D)`` arrays with ``N >= 1`` and ``D >= 1``; a 1-D
+    array is one pair."""
 
-    z_i: np.ndarray
-    z_next: np.ndarray
+    x_i: np.ndarray
+    x_next: np.ndarray
+    frames: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        zi, zn = aligned_pairs(self.z_i, self.z_next, "z_i and z_next")
-        object.__setattr__(self, "z_i", zi)
-        object.__setattr__(self, "z_next", zn)
+        a = np.atleast_2d(np.asarray(self.x_i, dtype=float))
+        b = np.atleast_2d(np.asarray(self.x_next, dtype=float))
+        if a.shape != b.shape or a.ndim != 2 or 0 in a.shape:
+            raise ValueError(f"x_i and x_next must be matching (N, D) arrays "
+                             f"with N >= 1 and D >= 1, not of shapes "
+                             f"{np.shape(self.x_i)} and {np.shape(self.x_next)}")
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+            raise NumericError("x_i and x_next must be finite")
+        frames = np.stack([a, b])
+        object.__setattr__(self, "frames", frames)
+        object.__setattr__(self, "x_i", frames[0])
+        object.__setattr__(self, "x_next", frames[1])
 
     @property
     def count(self) -> int:
-        return self.z_i.shape[0]
+        return self.frames.shape[1]
 
     @property
-    def latent_dim(self) -> int:
-        return self.z_i.shape[1]
+    def dim(self) -> int:
+        return self.frames.shape[2]
 
     # the data terms of the E-step and of transition_stats, formed once:
-    # delta, z_i^T and delta^T with the pair axis last (C-ordered, so each
-    # latent coordinate is one contiguous row), sum_i delta_i delta_i^T
-    # and each pair's z_i z_i^T as one column
+    # delta, x_i^T and delta^T with the pair axis last (C-ordered, so each
+    # coordinate is one contiguous row), sum_i delta_i delta_i^T and each
+    # pair's x_i x_i^T as one column
     @cached_property
     def delta(self) -> np.ndarray:
-        return self.z_next - self.z_i
+        return self.x_next - self.x_i
 
     @cached_property
     def _z_cols(self) -> np.ndarray:
-        return np.ascontiguousarray(self.z_i.T)
+        return np.ascontiguousarray(self.x_i.T)
 
     @cached_property
     def _delta_cols(self) -> np.ndarray:
@@ -323,7 +326,7 @@ def _change_gram_basis(gram: np.ndarray, coeff_map: np.ndarray) -> np.ndarray:
 
 
 def _check_latent_dim(model: DynamicsModel, dataset: PairDataset) -> None:
-    if dataset.latent_dim != model.latent_dim:
+    if dataset.dim != model.latent_dim:
         raise ValueError("dataset and model latent dimensions disagree")
 
 
@@ -348,7 +351,7 @@ def transition_stats(dataset: PairDataset, mean: np.ndarray,
     means ``(J, N)`` and covariances ``(J, J, N)``, the pair axis last, each
     Kronecker sum formed as one matrix product over the pair axis without
     per-pair Kronecker blocks."""
-    n, d, j = dataset.count, dataset.latent_dim, mean.shape[0]
+    n, d, j = dataset.count, dataset.dim, mean.shape[0]
     if mean.shape[-1] != n:
         raise ValueError("need exactly one posterior per pair")
     second = cov + mean[:, None] * mean[None, :]  # E[lambda lambda^T]
@@ -438,7 +441,7 @@ def marginal_log_likelihood(model: DynamicsModel, dataset: PairDataset, *,
     ``Lambda^{-1}``, and its log-determinant loses them too.
     """
     _check_latent_dim(model, dataset)
-    d, z = dataset.latent_dim, dataset._z_cols
+    d, z = dataset.dim, dataset._z_cols
     if d <= model.coeff_count:
         # A Lambda A^T = C C^T with the columns C_k = sum_m (L_Lambda)_mk G_m z
         # of A L_Lambda, so each covariance comes out exactly symmetric
@@ -459,7 +462,7 @@ def marginal_log_likelihood(model: DynamicsModel, dataset: PairDataset, *,
         log_det = (dataset.count * (model.trans_logdet + model.coeff_prior_logdet)
                    + 2.0 * np.sum(np.log(np.diagonal(prec_chol)).ravel()))
         quad = np.sum(white_sq) - np.sum((white_info * white_info).T.ravel())
-    return float(-0.5 * (dataset.count * dataset.latent_dim * LOG_2PI
+    return float(-0.5 * (dataset.count * dataset.dim * LOG_2PI
                          + log_det + quad))
 
 
@@ -539,7 +542,7 @@ def fit(dataset: PairDataset, config: EmConfig) -> tuple[DynamicsModel, list[flo
     :func:`converged` fires or after ``config.max_iters`` iterations;
     non-convergence is reported through the trace, not an error.
     """
-    model = init_model(dataset.latent_dim, config.j_init, config.seed)
+    model = init_model(dataset.dim, config.j_init, config.seed)
     gram = _pair_gram(model, dataset, config.threads)
     trace: list[float] = []
     for _ in range(config.max_iters):

@@ -30,7 +30,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import liealg, rng
-from .dynamics import DynamicsModel, _e_step_block, init_model, update_step
+from .dynamics import (
+    DynamicsModel,
+    PairDataset,
+    _e_step_block,
+    init_model,
+    update_step,
+)
 from .gaussian import LOG_2PI, NumericError, triangular_solve
 from .liealg import GeneratorBasis
 from .ppca import (
@@ -42,7 +48,6 @@ from .ppca import (
     m_step_mu,
     posterior_z_given_x,
 )
-from .synth import ImagePairDataset
 
 _TAG_WEIGHTS, _TAG_NOISE, _TAG_SHUFFLE = 0xE0, 0xE1, 0xE2
 
@@ -274,7 +279,7 @@ def plugin_coefficients(model: NpcaModel, z_i: np.ndarray,
     return _e_step_block(model.dynamics, z_i.T, (z_n - z_i).T)[0].T
 
 
-def encoded_moments(model: NpcaModel, dataset: ImagePairDataset
+def encoded_moments(model: NpcaModel, dataset: PairDataset
                     ) -> LatentMoments:
     """Expectation bundle from the encoder Gaussians with the coefficient
     posterior taken at the encoded means (mean-field assembly)."""
@@ -334,7 +339,7 @@ def init_networks(data_dim: int, config: NpcaConfig) -> tuple[Mlp, Mlp]:
     return Mlp(enc_w, enc_b), Mlp(dec_w, dec_b)
 
 
-def linear_warm_start(dataset: ImagePairDataset, latent_dim: int,
+def linear_warm_start(dataset: PairDataset, latent_dim: int,
                       obs_noise_var: float) -> tuple[Mlp, Mlp]:
     """Hidden-layer-free networks initialized from the principal-subspace
     solution of the pooled frames: the encoder emits the linear-Gaussian
@@ -347,10 +352,10 @@ def linear_warm_start(dataset: ImagePairDataset, latent_dim: int,
     static = DynamicsModel(GeneratorBasis(np.zeros((1, d, d))), np.eye(d), np.eye(1))
     proj_t, post_cov = posterior_z_given_x(
         PpcaModel(w, np.zeros_like(mu), obs_noise_var, static),
-        np.eye(dataset.image_dim))
+        np.eye(dataset.dim))
     proj = proj_t.T
     encoder = Mlp(
-        [np.vstack((proj, np.zeros((d, dataset.image_dim))))],
+        [np.vstack((proj, np.zeros((d, dataset.dim))))],
         [np.concatenate((-proj @ mu,
                          np.log(np.maximum(np.diag(post_cov), 1e-12))))])
     decoder = Mlp([w], [mu])
@@ -365,7 +370,7 @@ def _apply_gradients(model: NpcaModel, grads: list[np.ndarray], lr: float,
         p += lr * (scale * g)
 
 
-def fit(dataset: ImagePairDataset, config: NpcaConfig,
+def fit(dataset: PairDataset, config: NpcaConfig,
         init: tuple[Mlp, Mlp] | None = None
         ) -> tuple[NpcaModel, list[float]]:
     """Alternate minibatch gradient ascent on the networks with the
@@ -386,7 +391,7 @@ def fit(dataset: ImagePairDataset, config: NpcaConfig,
         Mlp([np.array(w, dtype=float, order="C") for w in net.weights],
             [np.array(b, dtype=float, order="C") for b in net.biases])
         for net in (init if init is not None
-                    else init_networks(dataset.image_dim, config)))
+                    else init_networks(dataset.dim, config)))
     dyn = init_model(d, config.j_init, config.seed)
     model = NpcaModel(encoder, decoder, config.obs_noise_var, dyn)
     trace: list[float] = []

@@ -23,9 +23,10 @@ model: ``S``, its precision, the covariance ``Gamma`` of ``z_next`` and
 the factor of the covariance ``R`` of ``x_next`` are lazily cached
 :class:`PpcaModel` properties, and ``Omega^-1``, ``Lambda^-1`` and their
 log-determinants come with the :class:`lieflow.dynamics.DynamicsModel`.
-Both frames share the observation model, so frames (the dataset's
-``frames``, and the ``x`` of each E-step backend), their posteriors and
-their moments travel as one stack ``(2, N, ...)``, ``x_i`` first.
+Both frames share the observation model, so frames (the ``frames`` of
+the :class:`lieflow.dynamics.PairDataset`, and the ``x`` of each E-step
+backend), their posteriors and their moments travel as one stack
+``(2, N, ...)``, ``x_i`` first.
 All M-steps are closed form in the expectation bundle and the frames,
 centred once per fit; sigma^2 and the bound share one residual power.
 """
@@ -39,6 +40,7 @@ import numpy as np
 from . import liealg, rng
 from .dynamics import (
     DynamicsModel,
+    PairDataset,
     TransitionStats,
     _e_step_block,
     converged,
@@ -59,7 +61,6 @@ from .gaussian import (
     stacked_posterior,
     symmetrize,
 )
-from .synth import ImagePairDataset
 
 SIGMA_FLOOR = 1e-12
 E_STEP_METHODS = ("quadrature", "fixed_point", "monte_carlo")
@@ -524,7 +525,7 @@ def _monte_carlo_e_step(model: PpcaModel, x: np.ndarray, config: PpcaConfig,
 # M-steps
 
 
-def m_step_mu(dataset: ImagePairDataset) -> np.ndarray:
+def m_step_mu(dataset: PairDataset) -> np.ndarray:
     """Average of all 2N frames."""
     return 0.5 * (dataset.x_i.mean(axis=0) + dataset.x_next.mean(axis=0))
 
@@ -627,26 +628,26 @@ def mean_field_elbo(model: PpcaModel, moments: LatentMoments,
 # Fit
 
 
-def init_loading(dataset: ImagePairDataset, latent_dim: int,
+def init_loading(dataset: PairDataset, latent_dim: int,
                  mu: np.ndarray) -> tuple[np.ndarray, float]:
     """Deterministic start: dominant right singular vectors of the pooled
     centered frames, scaled by the singular values; noise variance from
     the mean residual variance."""
-    if not 1 <= latent_dim <= dataset.image_dim:
+    if not 1 <= latent_dim <= dataset.dim:
         raise ValueError(f"latent dimension {latent_dim} must lie in "
-                         f"[1, {dataset.image_dim}] (the data dimension)")
-    stacked = dataset.frames.reshape(-1, dataset.image_dim) - mu
+                         f"[1, {dataset.dim}] (the data dimension)")
+    stacked = dataset.frames.reshape(-1, dataset.dim) - mu
     n2 = stacked.shape[0]
     _, svals, vt = np.linalg.svd(stacked, full_matrices=False)
     v = liealg._fix_signs(vt[:latent_dim]).T
     w = v * (svals[:latent_dim] / np.sqrt(n2))
     tail = svals[latent_dim:] ** 2
-    dof = max(dataset.image_dim - latent_dim, 1)
+    dof = max(dataset.dim - latent_dim, 1)
     sigma2 = float(tail.sum() / (n2 * dof)) if tail.size else SIGMA_FLOOR
     return w, max(sigma2, SIGMA_FLOOR)
 
 
-def _e_step_dataset(model: PpcaModel, dataset: ImagePairDataset,
+def _e_step_dataset(model: PpcaModel, dataset: PairDataset,
                     config: PpcaConfig) -> tuple[LatentMoments, float | None]:
     """All-pair moments of the backend ``config.estep`` plus, for the
     quadrature and Monte Carlo backends, their estimate of the conditional
@@ -665,7 +666,7 @@ def _e_step_dataset(model: PpcaModel, dataset: ImagePairDataset,
                                   for arrays in zip(*parts))), None
 
 
-def fit(dataset: ImagePairDataset, config: PpcaConfig
+def fit(dataset: PairDataset, config: PpcaConfig
         ) -> tuple[PpcaModel, list[float]]:
     """Joint EM: the expectation bundle, then closed-form updates of W and
     sigma^2 and the shared dynamics update

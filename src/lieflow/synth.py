@@ -1,6 +1,7 @@
 """Ground-truth data factory.
 
-Latent-pair and image-pair datasets generated from known generators,
+Latent-pair and image-pair datasets (both a
+:class:`lieflow.dynamics.PairDataset`) generated from known generators,
 plus the span-angle recovery metric.  All randomness flows through the
 counter-based streams in :mod:`lieflow.rng`, so a ``(spec, seed)`` pair
 always produces bit-identical data, independent of evaluation order.
@@ -10,12 +11,12 @@ means the same across kinds.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng
-from .dynamics import PairDataset, aligned_pairs
+from .dynamics import PairDataset
 from .gaussian import NumericError
 from .liealg import GeneratorBasis, apply_exact, apply_first_order
 
@@ -62,37 +63,6 @@ class SequenceSpec:
     @property
     def image_dim(self) -> int:
         return self.height * self.width
-
-
-@dataclass(frozen=True)
-class ImagePairDataset:
-    """N aligned image pairs as flat (N, D) arrays plus raster metadata,
-    stored as one stack ``frames`` ``(2, N, D)`` of which ``x_i`` and
-    ``x_next`` are the views ``frames[0]`` and ``frames[1]``."""
-
-    x_i: np.ndarray
-    x_next: np.ndarray
-    height: int
-    width: int
-    frames: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        xi, xn = aligned_pairs(self.x_i, self.x_next, "x_i and x_next")
-        if self.height * self.width != xi.shape[1]:
-            raise ValueError(f"height {self.height} x width {self.width} does "
-                             f"not match the frame size {xi.shape[1]}")
-        frames = np.stack([xi, xn])
-        object.__setattr__(self, "frames", frames)
-        object.__setattr__(self, "x_i", frames[0])
-        object.__setattr__(self, "x_next", frames[1])
-
-    @property
-    def count(self) -> int:
-        return self.x_i.shape[0]
-
-    @property
-    def image_dim(self) -> int:
-        return self.x_i.shape[1]
 
 
 @dataclass(frozen=True)
@@ -169,8 +139,8 @@ def generate_latent_pairs(spec: SequenceSpec) -> tuple[PairDataset, SynthTruth]:
     if spec.noise_std > 0:
         z_next = z_next + spec.noise_std * rng.normal_matrix(
             spec.seed, (_TAG_NOISE,), (n, d))
-    truth = SynthTruth(basis, lambdas, z_i, z_next)
-    return PairDataset(z_i, z_next), truth
+    data = PairDataset(z_i, z_next)
+    return data, SynthTruth(basis, lambdas, data.x_i, data.x_next)
 
 
 def _lowpass_pattern(spec: SequenceSpec) -> np.ndarray:
@@ -188,7 +158,7 @@ def _lowpass_pattern(spec: SequenceSpec) -> np.ndarray:
 
 
 def generate_image_pairs(spec: SequenceSpec, embedding: str = "linear"
-                         ) -> tuple[ImagePairDataset, SynthTruth]:
+                         ) -> tuple[PairDataset, SynthTruth]:
     """Image pairs: latent pairs pushed through an embedding plus noise.
 
     ``linear`` draws a seeded orthonormal D x d loading and maps
@@ -208,8 +178,8 @@ def generate_image_pairs(spec: SequenceSpec, embedding: str = "linear"
         if big_d < d:
             raise ValueError("image dimension must be at least the latent dimension")
         loading = rng.orthonormal_columns(spec.seed, (_TAG_W,), big_d, d)
-        x_i = latent.z_i @ loading.T
-        x_next = latent.z_next @ loading.T
+        x_i = latent.x_i @ loading.T
+        x_next = latent.x_next @ loading.T
         truth = SynthTruth(truth.basis, truth.lambdas, truth.z_i,
                            truth.z_next, loading)
     else:
@@ -229,8 +199,7 @@ def generate_image_pairs(spec: SequenceSpec, embedding: str = "linear"
             spec.seed, (_TAG_PIXNOISE, 0), x_i.shape)
         x_next = x_next + spec.noise_std * rng.normal_matrix(
             spec.seed, (_TAG_PIXNOISE, 1), x_next.shape)
-    dataset = ImagePairDataset(x_i, x_next, spec.height, spec.width)
-    return dataset, truth
+    return PairDataset(x_i, x_next), truth
 
 
 def subspace_angle(est: GeneratorBasis, truth: GeneratorBasis) -> float:

@@ -310,9 +310,7 @@ def test_criterion_6_joint_estep_cross_validation():
 def test_criterion_7_exact_em_monotonicity():
     x_is = np.stack([tiny_joint_instance(520 + k)[1] for k in range(6)])
     x_ns = np.stack([tiny_joint_instance(520 + k)[2] for k in range(6)])
-    from lieflow.synth import ImagePairDataset
-
-    data = ImagePairDataset(x_is, x_ns, 1, 3)
+    data = PairDataset(x_is, x_ns)
     # with the coefficient prior carried through the basis change, the
     # orthogonalization step is an exact reparameterization and exact EM
     # keeps the evidence non-decreasing
@@ -413,13 +411,12 @@ def _npca_bound_instance(seed, trained=False):
     x_n = x_i + 0.1 * rng.normals(seed, (8,), big_d)
     if trained:
         from lieflow.npca import fit as fit_npca
-        from lieflow.synth import ImagePairDataset
 
         spec_x = np.stack([x_i + 0.05 * rng.normals(seed, (9, k), big_d)
                            for k in range(16)])
         spec_y = np.stack([x_n + 0.05 * rng.normals(seed, (10, k), big_d)
                            for k in range(16)])
-        data = ImagePairDataset(spec_x, spec_y, 1, big_d)
+        data = PairDataset(spec_x, spec_y)
         trained_model, _ = fit_npca(data, cfg)
         model = NpcaModel(trained_model.encoder, trained_model.decoder,
                           cfg.obs_noise_var, dyn)

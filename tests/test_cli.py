@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -64,6 +65,23 @@ class TestGenerate:
     def test_unwritable_path_is_io_error(self, tmp_path):
         assert run(["generate", "--out",
                     str(tmp_path / "no" / "such" / "dir.lf")]) == 3
+
+    @pytest.mark.parametrize("flags, digest", [
+        (["--mode", "latent", "--kind", "latent_random", "--d", "4",
+          "--j", "2", "--seed", "3", "--noise-std", "0.01"],
+         "8c93f32aceb61321a78d5b3a6c41214333d173aeb8dea9245145a1eb5ad5059c"),
+        (["--mode", "image", "--height", "3", "--width", "3", "--seed", "4",
+          "--noise-std", "0.02"],
+         "6e74c49da8bce33e841120f027c8264967d7e437e58de44e19d0ab90dd4d83d8"),
+        (["--mode", "image", "--embedding", "raster", "--kind",
+          "cyclic_shift", "--width", "7", "--seed", "5", "--noise-std", "0.01"],
+         "fdd326210d1f275e883a064cbf969013432d198e4cc289f88979a217dbd8a719"),
+    ], ids=["latent", "image-linear", "image-raster"])
+    def test_file_bytes_are_pinned(self, tmp_path, flags, digest):
+        # the pairs, the ground truth and the raster size, byte for byte
+        out = tmp_path / "pinned.lf"
+        assert run(["generate", *flags, "--n", "30", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestFit:
@@ -518,18 +536,19 @@ def _image_data(tmp_path, **extra):
     return out
 
 
-def _non_finite_data(tmp_path, names):
+def _non_finite_data(tmp_path, names, **extra):
     out = tmp_path / "nan.lf"
     bad = np.ones((3, 4))
     bad[1, 2] = np.nan
-    write_tensors(out, {names[0]: np.ones((3, 4)), names[1]: bad})
+    write_tensors(out, {names[0]: np.ones((3, 4)), names[1]: bad} | extra)
     return out
 
 
-def _pairs_of_shape(tmp_path, names, shape):
-    """A file holding the two frame arrays ``names``, ones of ``shape``."""
+def _pairs_of_shape(tmp_path, names, shape, **extra):
+    """A file holding the two frame arrays ``names``, ones of ``shape``,
+    and the arrays ``extra``."""
     out = tmp_path / "pairs.lf"
-    write_tensors(out, {name: np.ones(shape) for name in names})
+    write_tensors(out, {name: np.ones(shape) for name in names} | extra)
     return out
 
 
@@ -726,6 +745,16 @@ BAD_INPUTS = {
         lambda tmp: ["fit", "--estimator", "ppca", "--data", str(
             _image_data(tmp, height=np.float64(np.nan)))],
         4, "'height'", "finite"),
+    # the frames are checked before their height and width
+    "non_finite_image_pairs_of_wrong_height": (
+        lambda tmp: ["fit", "--estimator", "ppca", "--data", str(
+            _non_finite_data(tmp, ("x_i", "x_next"), height=np.float64(3)))],
+        4, "finite"),
+    "frames_not_n_by_d_with_height": (
+        lambda tmp: ["fit", "--estimator", "ppca", "--data", str(
+            _pairs_of_shape(tmp, ("x_i", "x_next"), (50, 4, 4),
+                            height=np.float64(4)))],
+        2, "(N, D)", "(50, 4, 4)"),
     "ppca_checkpoint_with_nan_mean": (
         lambda tmp: _score(tmp, _checkpoint(
             tmp, ["--estimator", "ppca"], mu=np.array([0.0, np.nan, 0.0, 0.0]))),

@@ -115,7 +115,7 @@ class TestEStepLambda:
             group_kind="latent_random", latent_dim=3, generator_count=2,
             pair_count=17, seed=5, noise_std=0.01))
         mean, cov = e_step_all(model, data)
-        for k, (zi, zn) in enumerate(zip(data.z_i, data.z_next)):
+        for k, (zi, zn) in enumerate(zip(data.x_i, data.x_next)):
             single = e_step_lambda(model, zi, zn)
             assert np.allclose(single.mean, mean[:, k], atol=1e-12)
             assert np.allclose(single.cov, cov[..., k], atol=1e-12)
@@ -208,14 +208,14 @@ class TestMStepOmega:
         data, _ = generate_latent_pairs(SequenceSpec(
             group_kind="latent_random", latent_dim=2, generator_count=2,
             lambda_scale=1e-9, noise_std=0.0, pair_count=11, seed=10))
-        data = PairDataset(data.z_i, data.z_i)  # force delta = 0
+        data = PairDataset(data.x_i, data.x_i)  # force delta = 0
         basis = GeneratorBasis(rng.normal_matrix(10, (3,), (2, 2, 2)))
         omega = m_step_Omega(transition_stats(
             data, np.zeros((2, 11)),
             np.broadcast_to(np.eye(2)[:, :, None], (2, 2, 11))),
             basis)
         expected = np.zeros((2, 2))
-        for z in data.z_i:
+        for z in data.x_i:
             a = assemble_A(basis, z)
             expected += a @ a.T / data.count
         assert np.allclose(omega, expected, atol=1e-12)
@@ -273,8 +273,8 @@ class TestExpectedCompleteDataLL:
         mean, cov = e_step_all(model, data)
         single = expected_log_density(model, transition_stats(data, mean, cov),
                                       data.count)
-        doubled_data = PairDataset(np.vstack([data.z_i, data.z_i]),
-                                   np.vstack([data.z_next, data.z_next]))
+        doubled_data = PairDataset(np.vstack([data.x_i, data.x_i]),
+                                   np.vstack([data.x_next, data.x_next]))
         doubled = expected_log_density(
             model, transition_stats(doubled_data, np.hstack([mean, mean]),
                                     np.concatenate([cov, cov], axis=-1)),
@@ -348,7 +348,7 @@ class TestFit:
                             seed=17)
         data, _ = generate_latent_pairs(spec)
         c = 3.0
-        scaled = PairDataset(c * data.z_i, c * data.z_next)
+        scaled = PairDataset(c * data.x_i, c * data.x_next)
         model = scalar_model(g=0.7, omega=0.02, lam=0.05 ** 2)
         model_c = scalar_model(g=0.7, omega=c ** 2 * 0.02, lam=0.05 ** 2)
         stats = transition_stats(data, *e_step_all(model, data))
@@ -372,7 +372,7 @@ def test_marginal_ll_matches_direct_formula():
     model = random_model(19, 2, 1)
     data, _ = generate_latent_pairs(SequenceSpec(pair_count=7, seed=19))
     total = 0.0
-    for zi, zn in zip(data.z_i, data.z_next):
+    for zi, zn in zip(data.x_i, data.x_next):
         a = assemble_A(model.basis, zi)
         cov = model.trans_cov + a @ model.coeff_prior_cov @ a.T
         total += log_density(Gaussian(np.zeros(2), cov), zn - zi)
@@ -403,7 +403,7 @@ def test_marginal_ll_equals_dense_per_pair_oracle(seed, d, j, n, step,
         omega = mpmath.matrix(model.trans_cov.tolist())
         lam = mpmath.matrix(model.coeff_prior_cov.tolist())
         total = mpmath.mpf(0)
-        for zi, zn in zip(data.z_i, data.z_next):
+        for zi, zn in zip(data.x_i, data.x_next):
             a = mpmath.matrix(assemble_A(model.basis, zi).tolist())
             cov = omega + a * lam * a.T
             dz = mpmath.matrix((zn - zi).tolist())
@@ -425,7 +425,7 @@ def test_transition_stats_equal_per_pair_kronecker_sums(seed, d, j, n, step):
     stats = transition_stats(data, mean.T, cov.transpose(1, 2, 0))
     # each field against the signed and the absolute sum of its per-pair terms
     terms = {"dz_dz": [], "dz_zlam": [], "zz_lamlam": [], "lamlam": []}
-    for z, dz, m, c in zip(data.z_i, data.delta, mean, cov):
+    for z, dz, m, c in zip(data.x_i, data.delta, mean, cov):
         second = c + np.outer(m, m)
         terms["dz_dz"].append(np.outer(dz, dz))
         terms["dz_zlam"].append(np.outer(dz, np.kron(z, m)))
@@ -724,7 +724,45 @@ def test_tiny_fit_matches_pinned_digest(threads):
         "552e8955725a6f2ad2fa4184fc7f9cc7a673a7635797d54725546db00514cab3"
 
 
-def test_pair_dataset_reads_a_vector_as_one_pair():
-    # frames must be (N, D) arrays, but a single vector stays one pair
-    data = PairDataset(np.ones(3), np.zeros(3))
-    assert (data.count, data.latent_dim) == (1, 3)
+@st.composite
+def _frame_pairs(draw):
+    """Two frame arrays of one drawn shape: (N, D), or 1-D for one pair."""
+    shape = draw(st.tuples(st.integers(1, 6), st.integers(1, 5))
+                 | st.tuples(st.integers(1, 5)))
+    size = int(np.prod(shape))
+    values = st.lists(st.floats(-1e6, 1e6), min_size=size, max_size=size)
+    return tuple(np.reshape(draw(values), shape) for _ in range(2))
+
+
+@given(pair=_frame_pairs(), bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+@example(pair=(np.arange(6.0).reshape(3, 2), 10.0 - np.arange(6.0).reshape(3, 2)),
+         bad=np.nan)
+@example(pair=(np.ones(3), np.zeros(3)), bad=np.inf)  # a vector is one pair
+@settings(max_examples=100, deadline=None)
+def test_pair_dataset_is_one_stack_viewed_by_both_frames(pair, bad):
+    first, second = pair
+    data = PairDataset(first, second)
+    a, b = np.atleast_2d(first), np.atleast_2d(second)
+    n, d = a.shape
+    assert (data.count, data.dim) == (n, d)
+    assert data.frames.shape == (2, n, d) and data.frames.flags.c_contiguous
+    for k, view in enumerate((data.x_i, data.x_next)):
+        assert view.__array_interface__ == data.frames[k].__array_interface__
+    # each view and cache against its formula, bit for bit
+    delta = b - a
+    for got, want in ((data.x_i, a), (data.x_next, b), (data.delta, delta),
+                      (data._z_cols, a.T), (data._delta_cols, delta.T),
+                      (data._delta_gram, delta.T @ delta),
+                      (data._zz_cols,
+                       np.stack([np.outer(z, z).ravel() for z in a], axis=-1))):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert data._z_cols.flags.c_contiguous and data._delta_cols.flags.c_contiguous
+    for x, y in ((first, np.append(second, second, axis=-1)),
+                 (np.ones((50, 4, 4)),) * 2, (np.ones((5, 0)),) * 2):
+        with pytest.raises(ValueError, match=r"\(N, D\)"):
+            PairDataset(x, y)
+    spoiled = np.array(first, dtype=float)
+    spoiled.flat[-1] = bad
+    for x, y in ((spoiled, second), (first, spoiled)):
+        with pytest.raises(NumericError, match="finite"):
+            PairDataset(x, y)

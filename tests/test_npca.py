@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from lieflow import dynamics, gaussian, npca, ppca, rng
 from lieflow.cli import _checkpoint_npca, _dynamics_arrays, _npca_arrays
-from lieflow.dynamics import DynamicsModel, init_model, m_step_dynamics
+from lieflow.dynamics import DynamicsModel, PairDataset, init_model, m_step_dynamics
 from lieflow.gaussian import NumericError
 from lieflow.liealg import GeneratorBasis
 from lieflow.npca import (
@@ -29,7 +29,7 @@ from lieflow.npca import (
     plugin_coefficients,
     reparam_sample,
 )
-from lieflow.synth import ImagePairDataset, SequenceSpec, generate_image_pairs, subspace_angle
+from lieflow.synth import SequenceSpec, generate_image_pairs, subspace_angle
 from lieflow.tensorfile import read_tensors, write_tensors
 from reference import flat_parameters, grid_cube, unflatten
 
@@ -327,7 +327,7 @@ class TestObjectiveStructure:
 
 class TestDynamicsUpdates:
     def test_deterministic_encoder_reduces_to_fixed_representation(self):
-        from lieflow.dynamics import PairDataset, e_step_all, transition_stats
+        from lieflow.dynamics import e_step_all, transition_stats
 
         spec = SequenceSpec(group_kind="rotation2d", lambda_scale=0.05,
                             noise_std=0.0, pair_count=40, seed=10)
@@ -339,12 +339,10 @@ class TestDynamicsUpdates:
         dec = Mlp([np.eye(2)], [np.zeros(2)])
         dyn = init_model(2, 1, 10)
         model = NpcaModel(enc, dec, 0.01, dyn)
-        data = ImagePairDataset(latent.z_i, latent.z_next, 1, 2)
         basis, omega = m_step_dynamics(
-            encoded_moments(model, data).transition)
-        pairs = PairDataset(latent.z_i, latent.z_next)
+            encoded_moments(model, latent).transition)
         ref_basis, ref_omega = m_step_dynamics(
-            transition_stats(pairs, *e_step_all(dyn, pairs)))
+            transition_stats(latent, *e_step_all(dyn, latent)))
         assert np.allclose(basis.generators, ref_basis.generators, atol=1e-8)
         assert np.allclose(omega, ref_omega, atol=1e-8)
 
@@ -355,7 +353,7 @@ class TestDynamicsUpdates:
         model = NpcaModel(model.encoder, model.decoder, model.obs_noise_var,
                           dyn)
         x = rng.normal_matrix(11, (0,), (12, 3))
-        data = ImagePairDataset(x, x + 0.01, 1, 3)
+        data = PairDataset(x, x + 0.01)
         basis, _ = m_step_dynamics(
             encoded_moments(model, data).transition)
         assert np.allclose(basis.generators, 0.0, atol=1e-12)

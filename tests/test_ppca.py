@@ -41,7 +41,6 @@ from lieflow.ppca import (
     posterior_z_given_x,
 )
 from lieflow.synth import (
-    ImagePairDataset,
     SequenceSpec,
     generate_image_pairs,
     generate_latent_pairs,
@@ -354,18 +353,18 @@ class TestCanonicalForm:
 class TestMSteps:
     def test_mu_single_pair(self):
         a = np.array([[1.0, 2.0]])
-        data = ImagePairDataset(a, a, 1, 2)
+        data = PairDataset(a, a)
         assert np.allclose(m_step_mu(data), a[0])
 
     def test_mu_symmetric_pair(self):
         a = np.array([[1.0, -3.0]])
-        data = ImagePairDataset(a, -a, 1, 2)
+        data = PairDataset(a, -a)
         assert np.allclose(m_step_mu(data), 0.0)
 
     def test_mu_matches_brute_force(self):
         x_i = rng.normal_matrix(16, (0,), (7, 3))
         x_n = rng.normal_matrix(16, (1,), (7, 3))
-        data = ImagePairDataset(x_i, x_n, 1, 3)
+        data = PairDataset(x_i, x_n)
         brute = (x_i.sum(axis=0) + x_n.sum(axis=0)) / 14.0
         assert np.allclose(m_step_mu(data), brute, atol=1e-12)
 
@@ -383,14 +382,14 @@ class TestMSteps:
 
     def test_w_identity_limit(self):
         frames = rng.normal_matrix(17, (0,), (6, 2))
-        data = ImagePairDataset(frames, frames, 1, 2)
+        data = PairDataset(frames, frames)
         moments = self.delta_moments(frames, frames)
         w = m_step_W(data.frames - np.zeros(2), moments)
         assert np.allclose(w, np.eye(2), atol=1e-10)
 
     def test_w_zero_cross_moments(self):
         frames = rng.normal_matrix(18, (0,), (5, 3))
-        data = ImagePairDataset(frames, frames, 1, 3)
+        data = PairDataset(frames, frames)
         eye = np.broadcast_to(np.eye(2), (2, 5, 2, 2))
         moments = replace(self.delta_moments(np.zeros((5, 2)), np.zeros((5, 2))),
                           ezz=eye)
@@ -409,7 +408,7 @@ class TestMSteps:
 
     def test_sigma_perfect_reconstruction_clamps(self):
         frames = rng.normal_matrix(20, (0,), (4, 3))
-        data = ImagePairDataset(frames, frames, 1, 3)
+        data = PairDataset(frames, frames)
         w = np.eye(3)
         moments = self.delta_moments(frames, frames)
         assert sigma_update(data, moments, w, np.zeros(3)) == pytest.approx(1e-12)
@@ -417,7 +416,7 @@ class TestMSteps:
     def test_sigma_zero_loading_gives_frame_variance(self):
         x_i = rng.normal_matrix(21, (0,), (40, 3))
         x_n = rng.normal_matrix(21, (1,), (40, 3))
-        data = ImagePairDataset(x_i, x_n, 1, 3)
+        data = PairDataset(x_i, x_n)
         mu = m_step_mu(data)
         eye = np.broadcast_to(np.eye(2), (2, 40, 2, 2))
         moments = replace(self.delta_moments(np.zeros((40, 2)), np.zeros((40, 2))),
@@ -434,7 +433,7 @@ class TestMSteps:
         from lieflow.dynamics import init_model
         model = init_model(2, 2, 22)
         mean, cov = e_step_all(model, data)
-        moments = self.delta_moments(data.z_i, data.z_next, mean.T,
+        moments = self.delta_moments(data.x_i, data.x_next, mean.T,
                                      lam_cov=cov.transpose(2, 0, 1))
         basis, omega = m_step_dynamics(moments.transition)
         ref_basis, ref_omega = m_step_dynamics(transition_stats(data, mean, cov))
@@ -521,7 +520,7 @@ def test_sigma_update_maximizes_the_elbo(seed, n, big_d, d, j):
         rng.normal_matrix(seed, (7,), (n, d)), random_spd(seed, (8,), n, d),
         rng.normal_matrix(seed, (9,), (n, d)), random_spd(seed, (10,), n, d),
         rng.normal_matrix(seed, (11,), (n, j)), random_spd(seed, (12,), n, j))
-    data = ImagePairDataset(x_i, x_n, 1, model.data_dim)
+    data = PairDataset(x_i, x_n)
     best = sigma_update(data, moments, model.loading, model.data_mean)
     elbo = [elbo_of(replace(model, noise_var=best * f), data, moments)
             for f in (1.0, 1.0 - 1e-3, 1.0 + 1e-3)]
@@ -535,7 +534,7 @@ def test_mean_field_elbo_reuses_the_bundle_eigenvalues(monkeypatch):
     blocks = (rng.normal_matrix(3, (7,), (4, 2)), random_spd(3, (8,), 4, 2),
               rng.normal_matrix(3, (9,), (4, 2)), random_spd(3, (10,), 4, 2),
               rng.normal_matrix(3, (11,), (4, 2)), random_spd(3, (12,), 4, 2))
-    data = ImagePairDataset(x_i, x_n, 1, model.data_dim)
+    data = PairDataset(x_i, x_n)
     want = elbo_of(model, data, _moments_from_blocks(*blocks))
     moments = _moments_from_blocks(*blocks)
 
@@ -559,10 +558,10 @@ def test_mean_field_elbo_is_the_sum_over_its_one_pair_bundles(
     blocks = (rng.normal_matrix(seed, (7,), (n, d)), random_spd(seed, (8,), n, d),
               rng.normal_matrix(seed, (9,), (n, d)), random_spd(seed, (10,), n, d),
               q, k)
-    whole = elbo_of(model, ImagePairDataset(x_i, x_n, 1, model.data_dim),
+    whole = elbo_of(model, PairDataset(x_i, x_n),
                     _moments_from_blocks(*blocks))
     parts = sum(elbo_of(
-        model, ImagePairDataset(x_i[p:p + 1], x_n[p:p + 1], 1, model.data_dim),
+        model, PairDataset(x_i[p:p + 1], x_n[p:p + 1]),
         _moments_from_blocks(*(b[p:p + 1] for b in blocks))) for p in range(n))
     assert abs(whole - parts) <= 1e-12 * abs(whole)
 
@@ -571,7 +570,7 @@ def _quadrature_fitted_instance():
     """Six tiny pairs and the model of a 3-iteration quadrature fit to them."""
     x_i, x_n = (np.stack([tiny_joint_instance(520 + k)[frame] for k in range(6)])
                 for frame in (1, 2))
-    data = ImagePairDataset(x_i, x_n, 1, 3)
+    data = PairDataset(x_i, x_n)
     model, _ = fit(data, PpcaConfig(latent_dim=1, j_init=1, estep="quadrature",
                                     estimate_lambda=True, grid_points=48,
                                     max_iters=3, seed=1))
@@ -822,7 +821,7 @@ class TestFit:
                             noise_std=0.005, pair_count=120, seed=24,
                             height=3, width=3)
         base, truth = generate_image_pairs(spec, embedding="linear")
-        data = ImagePairDataset(base.x_i, base.x_i, 3, 3)
+        data = PairDataset(base.x_i, base.x_i)
         model, trace = fit(data, PpcaConfig(latent_dim=2, j_init=1,
                                             max_iters=60, seed=0))
         moments = _moments_from_blocks(*_fixed_point_blocks(model, data.frames))
@@ -867,7 +866,7 @@ class TestFit:
         model0, x_i, x_n = tiny_joint_instance(26)
         x_is = np.stack([tiny_joint_instance(26 + k)[1] for k in range(6)])
         x_ns = np.stack([tiny_joint_instance(26 + k)[2] for k in range(6)])
-        data = ImagePairDataset(x_is, x_ns, 1, 3)
+        data = PairDataset(x_is, x_ns)
         _, trace = fit(data, PpcaConfig(
             latent_dim=1, j_init=1, estep="quadrature", max_iters=25,
             tol=0.0, seed=1, grid_points=48))
@@ -1001,7 +1000,7 @@ def test_frozen_coefficients_need_the_fixed_point_estep(estep):
     # only the fixed-point E-step can pin the coefficients at zero
     x_i, x_n = (np.stack([tiny_joint_instance(40 + k)[frame]
                           for k in range(3)]) for frame in (1, 2))
-    data = ImagePairDataset(x_i, x_n, 1, 3)
+    data = PairDataset(x_i, x_n)
     with pytest.raises(ValueError, match="freeze_coefficients"):
         fit(data, PpcaConfig(latent_dim=1, estep=estep,
                              freeze_coefficients=True, max_iters=1))

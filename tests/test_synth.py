@@ -4,7 +4,6 @@ import pytest
 from lieflow.gaussian import NumericError
 from lieflow.liealg import GeneratorBasis, apply_exact, combine, matrix_exp
 from lieflow.synth import (
-    ImagePairDataset,
     SequenceSpec,
     generate_image_pairs,
     generate_latent_pairs,
@@ -61,7 +60,7 @@ class TestGenerateLatentPairs:
         spec = SequenceSpec(lambda_scale=1e-12, noise_std=0.0, pair_count=20,
                             seed=1)
         data, _ = generate_latent_pairs(spec)
-        assert np.allclose(data.z_i, data.z_next, atol=1e-10)
+        assert np.allclose(data.x_i, data.x_next, atol=1e-10)
 
     def test_first_order_close_to_exact(self):
         scale = 1e-3
@@ -69,18 +68,18 @@ class TestGenerateLatentPairs:
             lambda_scale=scale, pair_count=50, seed=2))
         approx, _ = generate_latent_pairs(SequenceSpec(
             lambda_scale=scale, pair_count=50, seed=2, first_order=True))
-        assert np.array_equal(exact.z_i, approx.z_i)
+        assert np.array_equal(exact.x_i, approx.x_i)
         for k in range(50):
-            gap = np.linalg.norm(exact.z_next[k] - approx.z_next[k])
+            gap = np.linalg.norm(exact.x_next[k] - approx.x_next[k])
             lam = np.linalg.norm(t_exact.lambdas[k])
-            assert gap < 10.0 * lam ** 2 * np.linalg.norm(exact.z_i[k]) + 1e-15
+            assert gap < 10.0 * lam ** 2 * np.linalg.norm(exact.x_i[k]) + 1e-15
 
     def test_reproducible(self):
         spec = SequenceSpec(pair_count=40, seed=3, noise_std=0.01)
         a, _ = generate_latent_pairs(spec)
         b, _ = generate_latent_pairs(spec)
-        assert np.array_equal(a.z_i, b.z_i)
-        assert np.array_equal(a.z_next, b.z_next)
+        assert np.array_equal(a.x_i, b.x_i)
+        assert np.array_equal(a.x_next, b.x_next)
 
     def test_model_residual_bound(self):
         scale = 1e-2
@@ -89,11 +88,11 @@ class TestGenerateLatentPairs:
         data, truth = generate_latent_pairs(spec)
         from lieflow.liealg import assemble_A
         for k in range(60):
-            a = assemble_A(truth.basis, data.z_i[k])
-            resid = np.linalg.norm(data.z_next[k] - data.z_i[k]
+            a = assemble_A(truth.basis, data.x_i[k])
+            resid = np.linalg.norm(data.x_next[k] - data.x_i[k]
                                    - a @ truth.lambdas[k])
             bound = 10.0 * np.linalg.norm(truth.lambdas[k]) ** 2 \
-                * np.linalg.norm(data.z_i[k])
+                * np.linalg.norm(data.x_i[k])
             assert resid <= bound + 1e-15
 
 
@@ -133,16 +132,6 @@ class TestGenerateImagePairs:
         b, _ = generate_image_pairs(spec)
         assert np.array_equal(a.x_i, b.x_i)
         assert np.array_equal(a.x_next, b.x_next)
-
-    def test_frames_are_one_stack_viewed_by_both_frames(self):
-        x_i = np.arange(6.0).reshape(3, 2)
-        x_next = 10.0 - x_i
-        data = ImagePairDataset(x_i, x_next, 1, 2)
-        assert data.frames.shape == (2, 3, 2)
-        assert np.shares_memory(data.x_i, data.frames)
-        assert np.shares_memory(data.x_next, data.frames)
-        assert np.array_equal(data.x_i, x_i)
-        assert np.array_equal(data.x_next, x_next)
 
 
 class TestSubspaceAngle:

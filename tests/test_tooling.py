@@ -13,6 +13,7 @@ import os
 import re
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -149,13 +150,13 @@ def test_every_public_library_name_has_a_caller_outside_the_tests():
     assert not unused, f"library names only the tests call: {unused}"
 
 
-def test_only_the_image_dataset_stacks_the_two_frames():
-    # ImagePairDataset stores both frames as one (2, N, D) stack and the
-    # estimators read it, so no other library code stacks x_i and x_next
+def test_only_the_pair_dataset_stacks_the_two_frames():
+    # dynamics.PairDataset stores both frames as one (2, N, D) stack and
+    # the estimators read it, so no other library code stacks x_i and x_next
     stackers = {"stack", "vstack", "concatenate"}
     found = []
     for path in sorted(LIBRARY.glob("*.py")):
-        if path.name == "synth.py":
+        if path.name == "dynamics.py":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call) \
@@ -165,7 +166,40 @@ def test_only_the_image_dataset_stacks_the_two_frames():
                     and node.func.value.id == "np" \
                     and {"x_i", "x_next"} & _loaded_names(node):
                 found.append(f"{path.name}:{node.lineno}")
-    assert not found, f"frame stacks built outside ImagePairDataset: {found}"
+    assert not found, f"frame stacks built outside PairDataset: {found}"
+
+
+def test_every_estimator_takes_the_one_pair_dataset():
+    # latent and image pairs are one type: no second dataset class or
+    # frame check remains, and each function that reads a dataset is
+    # annotated with dynamics.PairDataset itself
+    import lieflow
+    from lieflow import dynamics, npca, ppca
+
+    modules = [importlib.import_module(f"lieflow.{path.stem}")
+               for path in sorted(LIBRARY.glob("*.py"))]
+    leftovers = [f"{module.__name__}.{name}" for module in [lieflow, *modules]
+                 for name in ("ImagePairDataset", "aligned_pairs")
+                 if hasattr(module, name)]
+    assert not leftovers, f"second dataset type or check: {leftovers}"
+    readers = (dynamics.fit, ppca.fit, npca.fit, ppca.init_loading,
+               npca.linear_warm_start, npca.encoded_moments)
+    other = [f"{fn.__module__}.{fn.__name__}" for fn in readers
+             if typing.get_type_hints(fn)["dataset"] is not dynamics.PairDataset]
+    assert not other, f"dataset parameters not annotated PairDataset: {other}"
+
+
+@pytest.mark.parametrize("module", ["ppca", "npca"])
+def test_image_estimators_do_not_import_synth(module):
+    # the estimators read data, they do not make it
+    tree = ast.parse((LIBRARY / f"{module}.py").read_text())
+    imports = [node.lineno for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.module == "synth"
+                    or any(alias.name == "synth" for alias in node.names))
+               or isinstance(node, ast.Import)
+               and any(alias.name == "lieflow.synth" for alias in node.names)]
+    assert not imports, f"{module}.py imports synth at lines {imports}"
 
 
 def test_every_config_field_is_read_by_the_library():
