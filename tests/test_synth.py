@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lieflow.dynamics import PairDataset
 from lieflow.gaussian import NumericError
 from lieflow.liealg import GeneratorBasis, apply_exact, combine, matrix_exp
 from lieflow.synth import (
@@ -132,6 +133,23 @@ class TestGenerateImagePairs:
         b, _ = generate_image_pairs(spec)
         assert np.array_equal(a.x_i, b.x_i)
         assert np.array_equal(a.x_next, b.x_next)
+
+    def test_frames_are_one_stack_viewed_by_both_frames(self):
+        x_i = np.arange(6.0).reshape(3, 2)
+        x_next = 10.0 - x_i
+        data = PairDataset(x_i, x_next)
+        assert data.frames.shape == (2, 3, 2)
+        assert np.shares_memory(data.x_i, data.frames)
+        assert np.shares_memory(data.x_next, data.frames)
+        assert np.array_equal(data.x_i, x_i)
+        assert np.array_equal(data.x_next, x_next)
+        # the image generator returns the same one-stack dataset
+        spec = SequenceSpec(group_kind="rotation2d", pair_count=4, seed=8,
+                            height=3, width=3)
+        generated, _ = generate_image_pairs(spec)
+        assert generated.frames.shape == (2, 4, 9)
+        assert np.shares_memory(generated.x_i, generated.frames)
+        assert np.shares_memory(generated.x_next, generated.frames)
 
 
 class TestSubspaceAngle:
