@@ -265,9 +265,10 @@ def cmd_eval(opts) -> int:
     if "true_G" not in arrays:
         print("warning: no ground-truth sidecar; recovery metrics omitted",
               file=sys.stderr)
-    elif not np.any(dynamics.basis.generators):
-        print("warning: checkpoint basis is zero; span angle undefined",
-              file=sys.stderr)
+    elif (not np.any(dynamics.basis.generators)
+          or np.shape(arrays["true_G"])[-1:] != (dynamics.latent_dim,)):
+        print("warning: checkpoint basis is zero or of another latent "
+              "dimension than the truth; span angle undefined", file=sys.stderr)
     else:
         angle = synth.subspace_angle(dynamics.basis,
                                      GeneratorBasis(arrays["true_G"]))

@@ -24,11 +24,11 @@ the factor of the covariance ``R`` of ``x_next`` are lazily cached
 :class:`PpcaModel` properties, and ``Omega^-1``, ``Lambda^-1`` and their
 log-determinants come with the :class:`lieflow.dynamics.DynamicsModel`.
 Both frames share the observation model, so frames (the ``frames`` of
-the :class:`lieflow.dynamics.PairDataset`, and the ``x`` of each E-step
-backend), their posteriors and their moments travel as one stack
-``(2, N, ...)``, ``x_i`` first.
-All M-steps are closed form in the expectation bundle and the frames,
-centred once per fit; sigma^2 and the bound share one residual power.
+the :class:`lieflow.dynamics.PairDataset`), their posteriors and their
+moments travel as one stack ``(2, N, ...)``, ``x_i`` first, centred once
+per fit: every E-step backend and M-step reads the centred stack ``xc``.
+All M-steps are closed form in the expectation bundle and the frames;
+sigma^2 and the bound share one residual power.
 """
 from __future__ import annotations
 
@@ -58,6 +58,7 @@ from .gaussian import (
     cholesky_log_density,
     spd_cholesky,
     spd_solve,
+    stacked_cholesky,
     stacked_posterior,
     symmetrize,
 )
@@ -162,12 +163,17 @@ class LatentMoments:
     transition: TransitionStats
 
     def __post_init__(self):
-        eig_z, eig_lam = self._eigs
-        for eigs, ezz, label in (*zip(eig_z, self.ezz, ("z_i", "z_next")),
-                                 (eig_lam, self.elamlam, "lambda")):
-            floor = -1e-8 * np.maximum(1.0, np.abs(ezz).max(axis=(1, 2)))
-            if np.any(eigs[:, 0] < floor):
-                raise NumericError(f"{label} moment block is not positive semidefinite")
+        # PSD check: C + tau I, tau = 1e-8 max(1, max |second moment|) per
+        # block, has stacked Cholesky factors (zero blocks pass, NaN fails)
+        for cov, second, label in (*zip(self.cov_z, self.ezz, ("z_i", "z_next")),
+                                   (self.cov_lam, self.elamlam, "lambda")):
+            tau = 1e-8 * np.maximum(1.0, np.abs(second).max(axis=(1, 2)))
+            shifted = cov + tau[:, None, None] * np.eye(cov.shape[-1])
+            try:
+                stacked_cholesky(np.moveaxis(shifted, (1, 2), (0, 1)))
+            except NumericError:
+                raise NumericError(
+                    f"{label} moment block is not positive semidefinite") from None
 
     @property
     def count(self) -> int:
@@ -181,11 +187,17 @@ class LatentMoments:
     def cov_lam(self) -> np.ndarray:
         return _outer_cov(self.elam, self.elamlam)
 
-    @cached_property
-    def _eigs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues of ``cov_z`` and ``cov_lam``, read by the PSD check
-        and by the entropies of :func:`mean_field_elbo`."""
-        return np.linalg.eigvalsh(self.cov_z), np.linalg.eigvalsh(self.cov_lam)
+    # log det cov_z (2, N) and cov_lam (N,) for mean_field_elbo, cached
+    _log_det_z = cached_property(lambda self: _log_det(self.cov_z))
+    _log_det_lam = cached_property(lambda self: _log_det(self.cov_lam))
+
+
+def _log_det(cov: np.ndarray) -> np.ndarray:
+    """Log-determinants ``2 sum_a log L_aa`` of covariances ``(..., k, k)``
+    from their stacked Cholesky factors ``L``; a singular block raises
+    :class:`NumericError`."""
+    chol = stacked_cholesky(np.moveaxis(cov, (-2, -1), (0, 1)))
+    return 2.0 * _ordered_sum(np.log(chol[a, a]) for a in range(chol.shape[0]))
 
 
 @dataclass
@@ -212,16 +224,13 @@ class PpcaConfig:
     threads: int = 1
 
 
-def _frame_posteriors(model: PpcaModel, x: np.ndarray
+def _frame_posteriors(model: PpcaModel, xc: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray]:
     """The frame-dependent part of the latent posteriors ``N(S b, S)`` of
-    every frame in ``x`` (any leading axes): each frame's information
-    ``b = W^T (x - mu) / sigma^2`` and mean ``S b``, each one product per
-    frame, so a frame's bits do not depend on the frames it comes with."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1:] != (model.data_dim,):
-        raise ValueError("observation dimension does not match the model")
-    info = ((x - model.data_mean)[..., None, :] @ model.loading) / model.noise_var
+    every centred frame in ``xc`` (any leading axes): each frame's
+    information ``b = W^T (x - mu) / sigma^2`` and mean ``S b``, one product
+    per frame, so a frame's bits do not depend on the frames it comes with."""
+    info = (xc[..., None, :] @ model.loading) / model.noise_var
     return info[..., 0, :], (info @ model.latent_cov)[..., 0, :]
 
 
@@ -231,7 +240,9 @@ def posterior_z_given_x(model: PpcaModel, x: np.ndarray
     in ``x`` (any leading axes): the means, which keep the frames' leading
     axes, and the one covariance ``S`` (``model.latent_cov``) all frames
     share.  A frame's mean is the same bits in any stack of frames."""
-    _, means = _frame_posteriors(model, x)
+    if np.shape(x)[-1:] != (model.data_dim,):
+        raise ValueError("observation dimension does not match the model")
+    _, means = _frame_posteriors(model, x - model.data_mean)
     return means, model.latent_cov
 
 
@@ -306,9 +317,10 @@ def _stack_moments(parts: list[dict[str, np.ndarray]]) -> LatentMoments:
         len(parts), **sums, lamlam=stacked["elamlam"].sum(axis=0)))
 
 
-def _frozen_coefficient_blocks(model: PpcaModel, x: np.ndarray
+def _frozen_coefficient_blocks(model: PpcaModel, xc: np.ndarray
                                ) -> tuple[np.ndarray, ...]:
-    """Mean-field fixed point with the coefficients pinned at zero.
+    """Mean-field fixed point of the centred frame stack ``xc`` with the
+    coefficients pinned at zero.
 
     The (z_i, z_next) problem is then jointly Gaussian, so the
     coordinate-update fixed point is available in closed form: the means
@@ -317,8 +329,8 @@ def _frozen_coefficient_blocks(model: PpcaModel, x: np.ndarray
     point, but arbitrarily slowly as the transition noise shrinks.)
     """
     w = model.loading
-    d, j, n = model.latent_dim, model.dynamics.coeff_count, x.shape[1]
-    (info_i, info_n), _ = _frame_posteriors(model, x)
+    d, j, n = model.latent_dim, model.dynamics.coeff_count, xc.shape[1]
+    (info_i, info_n), _ = _frame_posteriors(model, xc)
     omega_prec = model.dynamics.trans_prec
     prec = np.zeros((2 * d, 2 * d))
     prec[:d, :d] = model.latent_prec + omega_prec
@@ -331,9 +343,10 @@ def _frozen_coefficient_blocks(model: PpcaModel, x: np.ndarray
             np.zeros((n, j)), np.zeros((n, j, j)))
 
 
-def _fixed_point_blocks(model: PpcaModel, x: np.ndarray) -> tuple[np.ndarray, ...]:
+def _fixed_point_blocks(model: PpcaModel, xc: np.ndarray) -> tuple[np.ndarray, ...]:
     """Cycle the three closed-form conditionals at the current block means
-    until self-consistent, starting from the frames' latent posteriors.
+    until self-consistent, starting from the latent posteriors of the
+    centred frame stack ``xc``.
     Returns each pair's block moments in the order of
     :func:`_moments_from_blocks`: ``(m_zi, cov_zi, m_zn, cov_zn, q, k)``.
 
@@ -354,12 +367,12 @@ def _fixed_point_blocks(model: PpcaModel, x: np.ndarray) -> tuple[np.ndarray, ..
     therefore, on the thread count).
     """
     d, j = model.latent_dim, model.dynamics.coeff_count
-    n = x.shape[1]
+    n = xc.shape[1]
     gens = model.dynamics.basis.generators
 
     # both frames' latent posteriors: information W^T (x - mu) / sigma^2
     # and means (their shared precision and covariance are the model's)
-    (info_u, wt_xn), (u_i, u_n) = _frame_posteriors(model, x)
+    (info_u, wt_xn), (u_i, u_n) = _frame_posteriors(model, xc)
     info_u, wt_xn = info_u.T, wt_xn.T
     omega_prec, gamma = model.dynamics.trans_prec, model.next_frame_cov
 
@@ -426,13 +439,14 @@ def _next_frame(model: PpcaModel, zi: np.ndarray, lam: np.ndarray,
             @ model.next_frame_cov)
 
 
-def _quadrature_e_step(model: PpcaModel, x: np.ndarray, config: PpcaConfig
+def _quadrature_e_step(model: PpcaModel, xc: np.ndarray, config: PpcaConfig
                        ) -> tuple[LatentMoments, float]:
-    """Grid-exact moments of every pair, plus the sum over the pairs of
-    ``log p(x_next | x_i)`` (the normalizers of the integrands).  Each
-    pair's grid spans ``(z_i, lambda)``, ``d + J`` axes: the integrand is
-    the ``z_i`` prior times the coefficient prior times the next frame's
-    likelihood with ``z_next`` integrated out (:func:`_next_frame`)."""
+    """Grid-exact moments of every pair of the centred frame stack ``xc``,
+    plus the sum over the pairs of ``log p(x_next | x_i)`` (the normalizers
+    of the integrands).  Each pair's grid spans ``(z_i, lambda)``, ``d + J``
+    axes: the integrand is the ``z_i`` prior times the coefficient prior
+    times the next frame's likelihood with ``z_next`` integrated out
+    (:func:`_next_frame`)."""
     from .oracles import BoxTooSmallError, GridSpec, grid_posterior
 
     d, j = model.latent_dim, model.dynamics.coeff_count
@@ -442,9 +456,9 @@ def _quadrature_e_step(model: PpcaModel, x: np.ndarray, config: PpcaConfig
     # marginal stds of the Gaussian over (z_i, lambda) with the transition
     # linearized at that solution (the factor stds alone understate
     # marginal spread when the transition couples the blocks tightly)
-    mf_zi, _, _, _, mf_q, _ = _fixed_point_blocks(model, x)
-    prior_means, prior_cov = posterior_z_given_x(model, x[0])
-    zi_chol = spd_cholesky(prior_cov)
+    mf_zi, _, _, _, mf_q, _ = _fixed_point_blocks(model, xc)
+    _, prior_means = _frame_posteriors(model, xc[0])
+    zi_chol = spd_cholesky(model.latent_cov)
     lam_chol = model.dynamics.coeff_prior_chol
     prior = np.zeros((d + j, d + j))
     prior[:d, :d] = model.latent_prec
@@ -454,8 +468,7 @@ def _quadrature_e_step(model: PpcaModel, x: np.ndarray, config: PpcaConfig
     drift_prec = omega_prec - omega_prec @ gamma @ omega_prec
 
     parts, log_norm = [], 0.0
-    for prior_mean, xc_n, m_zi, q in zip(
-            prior_means, x[1] - model.data_mean, mf_zi, mf_q):
+    for prior_mean, xc_n, m_zi, q in zip(prior_means, xc[1], mf_zi, mf_q):
         jac = np.hstack([np.eye(d) + liealg.combine(basis, q),
                          liealg.assemble_A(basis, m_zi)])
         stds = GRID_INFLATION * np.sqrt(np.diag(cholesky_inverse(
@@ -487,24 +500,23 @@ def _quadrature_e_step(model: PpcaModel, x: np.ndarray, config: PpcaConfig
     return _stack_moments(parts), log_norm
 
 
-def _monte_carlo_e_step(model: PpcaModel, x: np.ndarray, config: PpcaConfig,
+def _monte_carlo_e_step(model: PpcaModel, xc: np.ndarray, config: PpcaConfig,
                         streams) -> tuple[LatentMoments, float]:
-    """Self-normalized sampling from ``q(z_i | x_i) p(lambda)``, weighted
-    by the next frame's likelihood with ``z_next`` integrated out in
-    closed form per draw (:func:`_next_frame`); pair ``k`` draws from the
-    random streams of ``config.seed`` keyed by ``streams[k]``.  Returns
-    the moments and the sum over the pairs of ``log mean(w)``, the
-    importance-sampling estimate of ``log p(x_next | x_i)`` from the
-    same weights."""
+    """Self-normalized sampling, for each pair of the centred frame stack
+    ``xc``, from ``q(z_i | x_i) p(lambda)``, weighted by the next frame's
+    likelihood with ``z_next`` integrated out in closed form per draw
+    (:func:`_next_frame`); pair ``k`` draws from the random streams of
+    ``config.seed`` keyed by ``streams[k]``.  Returns the moments and the
+    sum over the pairs of ``log mean(w)``, the importance-sampling estimate
+    of ``log p(x_next | x_i)`` from the same weights."""
     d, j = model.latent_dim, model.dynamics.coeff_count
     s, seed = config.mc_samples, config.seed
 
-    prior_means, prior_cov = posterior_z_given_x(model, x[0])
-    zi_chol = spd_cholesky(prior_cov)
+    _, prior_means = _frame_posteriors(model, xc[0])
+    zi_chol = spd_cholesky(model.latent_cov)
     lam_chol = model.dynamics.coeff_prior_chol
     parts, log_evidence = [], 0.0
-    for prior_mean, xc_n, stream in zip(prior_means, x[1] - model.data_mean,
-                                        streams):
+    for prior_mean, xc_n, stream in zip(prior_means, xc[1], streams):
         zi = prior_mean + rng.normal_matrix(
             seed, (_TAG_MC_Z, *stream), (s, d)) @ zi_chol.T
         lam = rng.normal_matrix(seed, (_TAG_MC_LAM, *stream), (s, j)) \
@@ -580,10 +592,9 @@ def _first_frame_evidence(model: PpcaModel, xc_i: np.ndarray) -> float:
     return float(np.sum(cholesky_log_density(spd_cholesky(cov), xc_i)))
 
 
-def _entropy(eigs: np.ndarray) -> np.ndarray:
-    """Gaussian entropies of a stack of covariances from their eigenvalues."""
-    return 0.5 * (eigs.shape[-1] * (1.0 + LOG_2PI)
-                  + np.log(np.maximum(eigs, 1e-300)).sum(axis=-1))
+def _entropy(log_det: np.ndarray, dim: int) -> np.ndarray:
+    """Gaussian entropies of ``dim``-dimensional covariances' log-determinants."""
+    return 0.5 * (dim * (1.0 + LOG_2PI) + log_det)
 
 
 def expected_complete_data_ll(model: PpcaModel, moments: LatentMoments,
@@ -612,14 +623,13 @@ def mean_field_elbo(model: PpcaModel, moments: LatentMoments,
                     power: float) -> float:
     """Evidence lower bound of the factorized posterior: expected
     complete-data log-likelihood (:func:`expected_complete_data_ll` of the
-    residual power ``power``) plus the Gaussian block entropies.
-
-    A frozen bundle (all coefficient moments zero) contributes neither
-    the coefficient priors nor their entropies.
+    residual power ``power``) plus the block entropies (a singular block
+    raises :class:`NumericError`).  A frozen bundle (all coefficient moments
+    zero) contributes neither the coefficient priors nor their entropies.
     """
-    eig_z, eig_lam = moments._eigs
-    frame_i, frame_n = _entropy(eig_z)
-    lam = _entropy(eig_lam) if np.any(moments.elamlam) else 0.0
+    frame_i, frame_n = _entropy(moments._log_det_z, moments.ez.shape[-1])
+    lam = (_entropy(moments._log_det_lam, moments.elam.shape[-1])
+           if np.any(moments.elamlam) else 0.0)
     entropies = frame_i + frame_n + lam
     return expected_complete_data_ll(model, moments, power) + float(entropies.sum())
 
@@ -647,21 +657,19 @@ def init_loading(dataset: PairDataset, latent_dim: int,
     return w, max(sigma2, SIGMA_FLOOR)
 
 
-def _e_step_dataset(model: PpcaModel, dataset: PairDataset,
+def _e_step_dataset(model: PpcaModel, xc: np.ndarray,
                     config: PpcaConfig) -> tuple[LatentMoments, float | None]:
-    """All-pair moments of the backend ``config.estep`` plus, for the
-    quadrature and Monte Carlo backends, their estimate of the conditional
-    evidence ``sum_i log p(x_next | x_i)``."""
-    x = dataset.frames
+    """All-pair moments of the centred frame stack ``xc`` under the backend
+    ``config.estep`` plus, for the quadrature and Monte Carlo backends,
+    their estimate of the conditional evidence ``sum_i log p(x_next | x_i)``."""
+    n = xc.shape[1]
     if config.estep == "quadrature":
-        return _quadrature_e_step(model, x, config)
+        return _quadrature_e_step(model, xc, config)
     if config.estep == "monte_carlo":
-        return _monte_carlo_e_step(model, x, config,
-                                   [(i,) for i in range(dataset.count)])
+        return _monte_carlo_e_step(model, xc, config, [(i,) for i in range(n)])
     blocks = (_frozen_coefficient_blocks if config.freeze_coefficients
               else _fixed_point_blocks)
-    parts = map_blocks(lambda a, b: blocks(model, x[:, a:b]),
-                       dataset.count, config.threads)
+    parts = map_blocks(lambda a, b: blocks(model, xc[:, a:b]), n, config.threads)
     return _moments_from_blocks(*(np.concatenate(arrays)
                                   for arrays in zip(*parts))), None
 
@@ -695,7 +703,7 @@ def fit(dataset: PairDataset, config: PpcaConfig
     xc = dataset.frames - mu   # mu is fixed for the whole fit
     trace: list[float] = []
     for _ in range(config.max_iters):
-        moments, evidence = _e_step_dataset(model, dataset, config)
+        moments, evidence = _e_step_dataset(model, xc, config)
         if evidence is not None:
             trace.append(_first_frame_evidence(model, xc[0]) + evidence)
         w = m_step_W(xc, moments)

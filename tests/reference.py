@@ -16,6 +16,8 @@ versions that check them:
   matrix products (:func:`pair_first_fixed_point_blocks`), and in its
   gather form, which re-gathers the live pairs every sweep
   (:func:`gather_fixed_point_blocks`);
+- the moment bundle's PSD check and the bound's entropies in their
+  eigenvalue form (:func:`eigen_psd_check`, :func:`eigen_entropy`);
 - the one-pair forms of the E-steps: the coefficient posterior of one
   latent pair (:func:`e_step_lambda`), the next-frame conditional of
   probabilistic PCA (:func:`posterior_znext`) and the joint expectation
@@ -37,6 +39,7 @@ import numpy as np
 from lieflow import dynamics, gaussian, liealg, rng
 from lieflow.dynamics import DynamicsModel
 from lieflow.gaussian import (
+    LOG_2PI,
     NumericError,
     _ordered_sum,
     cholesky_inverse,
@@ -377,7 +380,7 @@ def stacked_posterior(prec: np.ndarray, info: np.ndarray
     return mean.T, cov.transpose(2, 0, 1)
 
 
-def pair_first_fixed_point_blocks(model: PpcaModel, x: np.ndarray
+def pair_first_fixed_point_blocks(model: PpcaModel, xc: np.ndarray
                                   ) -> tuple[np.ndarray, ...]:
     """The sweep of :func:`lieflow.ppca._fixed_point_blocks` in its
     earlier pair-first form: one row per pair, ``B`` from
@@ -387,12 +390,12 @@ def pair_first_fixed_point_blocks(model: PpcaModel, x: np.ndarray
     first, so each pair gets the bits the pair-first sweep gave it.
     """
     d, j = model.latent_dim, model.dynamics.coeff_count
-    n = x.shape[1]
+    n = xc.shape[1]
     basis = model.dynamics.basis
 
     # both frames' latent posteriors: information W^T (x - mu) / sigma^2
     # and means (their shared precision and covariance are the model's)
-    (info_u, wt_xn), (u_i, u_n) = _frame_posteriors(model, x)
+    (info_u, wt_xn), (u_i, u_n) = _frame_posteriors(model, xc)
     omega_prec, gamma = model.dynamics.trans_prec, model.next_frame_cov
 
     # one row per pair: m_zi, m_zn, q, cov_zi, k
@@ -428,7 +431,7 @@ def pair_first_fixed_point_blocks(model: PpcaModel, x: np.ndarray
         f"iterations (residual {residual.max():.3e})")
 
 
-def gather_fixed_point_blocks(model: PpcaModel, x: np.ndarray
+def gather_fixed_point_blocks(model: PpcaModel, xc: np.ndarray
                               ) -> tuple[np.ndarray, ...]:
     """The sweep of :func:`lieflow.ppca._fixed_point_blocks` in its
     earlier gather form: every sweep gathers the live pairs' columns of the
@@ -438,12 +441,12 @@ def gather_fixed_point_blocks(model: PpcaModel, x: np.ndarray
     sweep.
     """
     d, j = model.latent_dim, model.dynamics.coeff_count
-    n = x.shape[1]
+    n = xc.shape[1]
     gens = model.dynamics.basis.generators
 
     # both frames' latent posteriors: information W^T (x - mu) / sigma^2
     # and means (their shared precision and covariance are the model's)
-    (info_u, wt_xn), (u_i, u_n) = _frame_posteriors(model, x)
+    (info_u, wt_xn), (u_i, u_n) = _frame_posteriors(model, xc)
     info_u, wt_xn = info_u.T, wt_xn.T
     omega_prec, gamma = model.dynamics.trans_prec, model.next_frame_cov
 
@@ -499,12 +502,32 @@ def e_step_joint(model: PpcaModel, x_i: np.ndarray, x_next: np.ndarray,
     if method not in E_STEP_METHODS:
         raise ValueError(f"unknown E-step method {method!r}")
     config = PpcaConfig(estep=method, **settings)
-    x = np.asarray([x_i, x_next], dtype=float)[:, None]
+    xc = np.asarray([x_i, x_next], dtype=float)[:, None] - model.data_mean
     if method == "quadrature":
-        return _quadrature_e_step(model, x, config)[0]
+        return _quadrature_e_step(model, xc, config)[0]
     if method == "monte_carlo":
-        return _monte_carlo_e_step(model, x, config, [()])[0]
-    return _moments_from_blocks(*_fixed_point_blocks(model, x))
+        return _monte_carlo_e_step(model, xc, config, [()])[0]
+    return _moments_from_blocks(*_fixed_point_blocks(model, xc))
+
+
+def eigen_psd_check(cov_z: np.ndarray, ezz: np.ndarray, cov_lam: np.ndarray,
+                    elamlam: np.ndarray) -> None:
+    """The PSD check of :class:`lieflow.ppca.LatentMoments` in its earlier
+    eigenvalue form: each block's smallest eigenvalue must be at least
+    ``-1e-8 max(1, max |second moment|)``.  A block with a NaN passes."""
+    eig_z, eig_lam = np.linalg.eigvalsh(cov_z), np.linalg.eigvalsh(cov_lam)
+    for eigs, ezz, label in (*zip(eig_z, ezz, ("z_i", "z_next")),
+                             (eig_lam, elamlam, "lambda")):
+        floor = -1e-8 * np.maximum(1.0, np.abs(ezz).max(axis=(1, 2)))
+        if np.any(eigs[:, 0] < floor):
+            raise NumericError(f"{label} moment block is not positive semidefinite")
+
+
+def eigen_entropy(eigs: np.ndarray) -> np.ndarray:
+    """Gaussian entropies of a stack of covariances from their eigenvalues
+    (the earlier form of ``lieflow.ppca._entropy``)."""
+    return 0.5 * (eigs.shape[-1] * (1.0 + LOG_2PI)
+                  + np.log(np.maximum(eigs, 1e-300)).sum(axis=-1))
 
 
 # ---------------------------------------------------------------------------

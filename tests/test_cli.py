@@ -348,6 +348,27 @@ class TestEval:
         assert "sidecar" in capsys.readouterr().err
         assert "subspace_angle_rad" not in out.read_text()
 
+    def test_raster_fit_below_the_pixel_count_omits_the_angle(self, tmp_path,
+                                                               capsys):
+        # a raster dataset's true generators act on its 7 pixels and the
+        # checkpoint's on 2 latents: the span angle is undefined, the
+        # reconstruction error is not
+        data, ck, out = (tmp_path / name for name in ("r.lf", "ck.lf", "m.csv"))
+        assert run(["generate", "--kind", "cyclic_shift", "--mode", "image",
+                    "--embedding", "raster", "--width", "7", "--n", "60",
+                    "--seed", "3", "--out", str(data)]) == 0
+        assert run(["fit", "--estimator", "ppca", "--d", "2", "--data",
+                    str(data), "--max-iters", "5", "--out", str(ck),
+                    "--trace-out", str(tmp_path / "t.csv")]) == 0
+        capsys.readouterr()
+        assert run(["eval", "--checkpoint", str(ck), "--data", str(data),
+                    "--out", str(out)]) == 0
+        assert "latent dimension" in capsys.readouterr().err
+        values = dict(line.split(",") for line in
+                      out.read_text().strip().split("\n")[1:])
+        assert "subspace_angle_rad" not in values
+        assert float(values["reconstruction_mse"]) < 1e-12
+
 
 class TestRoll:
     def make_quarter_turn_pair(self, tmp_path):

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_ppca_em, tiny_joint_instance
@@ -17,7 +17,7 @@ from lieflow.dynamics import (
     e_step_all,
     transition_stats,
 )
-from lieflow.gaussian import NumericError
+from lieflow.gaussian import NumericError, symmetrize
 from lieflow.liealg import GeneratorBasis, assemble_A
 from lieflow.oracles import GridSpec
 from lieflow.ppca import (
@@ -50,6 +50,8 @@ from reference import (
     Gaussian,
     LinearGaussianMap,
     e_step_joint,
+    eigen_entropy,
+    eigen_psd_check,
     gather_fixed_point_blocks,
     log_density,
     log_density_batch,
@@ -59,6 +61,12 @@ from reference import (
     quadrature_moments,
     solve_fixed_point_blocks,
 )
+
+
+def centred(model, x_i, x_n):
+    """The frame stack ``(2, N, D)`` of ``x_i`` and ``x_n`` centred at the
+    model's mean, the input of the E-step backends."""
+    return np.stack([x_i, x_n]) - model.data_mean
 
 
 def simple_model(w, sigma2=1.0, omega=None, lam=None, mu=None, gens=None):
@@ -232,7 +240,7 @@ class TestEStepJoint:
         assert abs(moments.elamlam[0, 0, 0]) < 1e-12
         # z-blocks reduce to the coefficient-free chained posteriors
         frozen = _moments_from_blocks(*_frozen_coefficient_blocks(
-            collapsed, np.stack([x_i, x_n])[:, None]))
+            collapsed, centred(collapsed, x_i, x_n)[:, None]))
         assert np.allclose(moments.ez, frozen.ez, atol=1e-6)
 
     @pytest.mark.parametrize("seed", [11, 12])
@@ -273,8 +281,9 @@ def test_quadrature_evidence_is_exact_for_a_zero_generator_basis(seed):
     model = PpcaModel(model.loading, model.data_mean, model.noise_var,
                       DynamicsModel(GeneratorBasis(np.zeros((1, 1, 1))),
                                     dyn.trans_cov, dyn.coeff_prior_cov))
-    _, log_norm = _quadrature_e_step(model, np.stack([x_i, x_n])[:, None], PpcaConfig(
-        estep="quadrature", grid_points=72))
+    _, log_norm = _quadrature_e_step(
+        model, centred(model, x_i, x_n)[:, None],
+        PpcaConfig(estep="quadrature", grid_points=72))
     m, s = posterior_z_given_x(model, x_i)
     w = model.loading
     cov = w @ (s + dyn.trans_cov) @ w.T + model.noise_var * np.eye(3)
@@ -527,22 +536,136 @@ def test_sigma_update_maximizes_the_elbo(seed, n, big_d, d, j):
     assert elbo[0] >= max(elbo[1:])
 
 
-def test_mean_field_elbo_reuses_the_bundle_eigenvalues(monkeypatch):
-    # a bundle eigen-decomposes its covariance stacks once, for its PSD
-    # check, and the entropies of the bound read those eigenvalues
+def test_moment_bundle_and_bound_call_no_eigendecomposition(monkeypatch):
+    # the PSD check and the entropies of the bound read stacked Cholesky
+    # factors: with eigvalsh patched out before the bundle is built, both
+    # still run, and the bound keeps the eigen-entropies' value
     model, x_i, x_n = random_objective_instance(3, 4, 3, 2, 2)
     blocks = (rng.normal_matrix(3, (7,), (4, 2)), random_spd(3, (8,), 4, 2),
               rng.normal_matrix(3, (9,), (4, 2)), random_spd(3, (10,), 4, 2),
               rng.normal_matrix(3, (11,), (4, 2)), random_spd(3, (12,), 4, 2))
     data = PairDataset(x_i, x_n)
-    want = elbo_of(model, data, _moments_from_blocks(*blocks))
-    moments = _moments_from_blocks(*blocks)
+    reference = _moments_from_blocks(*blocks)
+    power = _residual_power(data.frames - model.data_mean, reference,
+                            model.loading)
+    want = expected_complete_data_ll(model, reference, power) + sum(
+        eigen_entropy(np.linalg.eigvalsh(cov)).sum()
+        for cov in (*reference.cov_z, reference.cov_lam))
 
     def no_eigvalsh(*args, **kwargs):
-        raise AssertionError("eigen-decomposed again")
+        raise AssertionError("eigen-decomposed")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
-    assert elbo_of(model, data, moments) == want
+    moments = _moments_from_blocks(*blocks)
+    assert elbo_of(model, data, moments) == pytest.approx(want, rel=1e-14)
+
+
+def _boundary_bundle(seed, n, d, j):
+    """A moment bundle's arrays whose covariance blocks are random
+    symmetric matrices, most comfortably positive definite and about one
+    in five with its smallest eigenvalue near ``-tau``, the check's
+    threshold: at ``-tau + m tau`` with m in ``_MARGINS``.  The means are
+    random, so the second moments differ from the covariances."""
+    def blocks(path, count, k):
+        q = np.linalg.qr(rng.normal_matrix(seed, path + (0,), (count, k, k)))[0]
+        eigs = rng.uniforms(seed, path + (1,), count * k).reshape(count, k)
+        mean = rng.normal_matrix(seed, path + (2,), (count, k))
+        outer = np.einsum("na,nb->nab", mean, mean)
+        near = rng.uniforms(seed, path + (3,), count) < 0.2
+        pick = (rng.uniforms(seed, path + (4,), count) * len(_MARGINS)).astype(int)
+        def second():
+            return symmetrize(np.einsum("nab,nb,ncb->nac", q, eigs, q)) + outer
+
+        # tau of the block with a zero in place of the near eigenvalue,
+        # which then moves the second moments by ~tau, tau by ~1e-8 tau
+        eigs[near, 0] = 0.0
+        tau = 1e-8 * np.maximum(1.0, np.abs(second()).max(axis=(1, 2)))
+        eigs[near, 0] = (tau * (np.take(_MARGINS, pick) - 1.0))[near]
+        return mean, second()
+
+    ez, ezz = zip(*(blocks((frame,), n, d) for frame in (0, 1)))
+    elam, elamlam = blocks((2,), n, j)
+    return np.stack(ez), np.stack(ezz), elam, elamlam
+
+
+_MARGINS = (-2.0, -0.5, -0.02, 0.02, 0.5, 2.0)
+
+
+def _transition_of(n, d, j):
+    return TransitionStats(n, np.eye(d), np.zeros((d, d * j)), np.eye(d * j),
+                           np.eye(j))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1), n=st.integers(1, 8),
+       d=st.integers(1, 4), j=st.integers(1, 3))
+def test_psd_check_agrees_with_the_eigenvalue_oracle(seed, n, d, j):
+    # the Cholesky of C + tau I and the smallest eigenvalue against -tau
+    # decide alike wherever the eigenvalue is not within 1% of tau of the
+    # threshold (rounding of either is ~1e-16 max |C|, far below 1e-10)
+    ez, ezz, elam, elamlam = _boundary_bundle(seed, n, d, j)
+    cov_z = symmetrize(ezz - np.einsum("fna,fnb->fnab", ez, ez))
+    cov_lam = symmetrize(elamlam - np.einsum("na,nb->nab", elam, elam))
+    for cov, second in ((cov_z, ezz), (cov_lam[None], elamlam[None])):
+        tau = 1e-8 * np.maximum(1.0, np.abs(second).max(axis=(-2, -1)))
+        margin = np.linalg.eigvalsh(cov)[..., 0] + tau
+        assume(np.all(np.abs(margin) >= 0.01 * tau))
+    try:
+        eigen_psd_check(cov_z, ezz, cov_lam, elamlam)
+        want = None
+    except NumericError as exc:
+        want = str(exc)
+    event("rejected" if want else "accepted")
+    try:
+        LatentMoments(ez, ezz, elam, elamlam, _transition_of(n, d, j))
+        got = None
+    except NumericError as exc:
+        got = str(exc)
+    assert got == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1), n=st.integers(1, 8),
+       d=st.integers(1, 4), j=st.integers(1, 3),
+       block=st.sampled_from(["z_i", "z_next", "lambda"]))
+def test_zero_blocks_pass_and_nan_blocks_fail(seed, n, d, j, block):
+    # point masses (zero covariances) and frozen coefficients pass; a NaN
+    # anywhere in a block fails it (the eigenvalue check let NaN through)
+    arrays = dict(ez=np.zeros((2, n, d)), ezz=np.zeros((2, n, d, d)),
+                  elam=np.zeros((n, j)), elamlam=np.zeros((n, j, j)))
+    LatentMoments(**arrays, transition=_transition_of(n, d, j))
+    target = arrays["elamlam"] if block == "lambda" else \
+        arrays["ezz"][("z_i", "z_next").index(block)]
+    pair, a, b = (rng.uniforms(seed, (0,), 3) * target.shape).astype(int)
+    target[pair, a, b] = np.nan
+    with pytest.raises(NumericError, match=f"^{block} moment block"):
+        LatentMoments(**arrays, transition=_transition_of(n, d, j))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1), n=st.integers(1, 8),
+       d=st.integers(1, 4), j=st.integers(1, 3),
+       spread=st.sampled_from([1.0, 1e3, 1e6]))
+def test_cholesky_entropies_match_the_eigen_entropies(seed, n, d, j, spread):
+    # both log-determinants are backward stable, each exact for the block
+    # moved by ~k eps |C|, so they differ by at most ~k^2 eps cond(C);
+    # checked as |dH| <= 8 k^2 eps cond(C) per block, eigenvalues spread
+    # log-uniformly over [1/spread, 1]
+    def blocks(path, k):
+        q = np.linalg.qr(rng.normal_matrix(seed, path + (0,), (n, k, k)))[0]
+        eigs = spread ** -rng.uniforms(seed, path + (1,), n * k).reshape(n, k)
+        return symmetrize(np.einsum("nab,nb,ncb->nac", q, eigs, q))
+
+    cov_i, cov_n, k = blocks((0,), d), blocks((1,), d), blocks((2,), j)
+    means = rng.normal_matrix(seed, (3,), (3, n, max(d, j)))
+    moments = _moments_from_blocks(means[0, :, :d], cov_i, means[1, :, :d],
+                                   cov_n, means[2, :, :j], k)
+    eps = np.finfo(float).eps
+    for got, cov, dim in ((ppca._entropy(moments._log_det_z, d), moments.cov_z, d),
+                          (ppca._entropy(moments._log_det_lam, j), moments.cov_lam, j)):
+        eigs = np.linalg.eigvalsh(cov)
+        bound = 8 * dim ** 2 * eps * eigs[..., -1] / eigs[..., 0]
+        assert np.all(np.abs(got - eigen_entropy(eigs)) <= bound)
 
 
 @settings(max_examples=40, deadline=None)
@@ -581,7 +704,8 @@ def test_monte_carlo_evidence_matches_quadrature(monkeypatch):
     # log mean(w) per pair estimates log p(x_next | x_i); its delta-method
     # standard error is sd(w) / (mean(w) sqrt(s))
     model, data = _quadrature_fitted_instance()
-    _, quad = _quadrature_e_step(model, data.frames, PpcaConfig(grid_points=48))
+    _, quad = _quadrature_e_step(model, data.frames - model.data_mean,
+                                 PpcaConfig(grid_points=48))
     log_w, next_frame = [], ppca._next_frame
 
     def spy(*args):
@@ -591,7 +715,7 @@ def test_monte_carlo_evidence_matches_quadrature(monkeypatch):
 
     monkeypatch.setattr(ppca, "_next_frame", spy)
     samples = 100_000
-    _, mc = _monte_carlo_e_step(model, data.frames,
+    _, mc = _monte_carlo_e_step(model, data.frames - model.data_mean,
                                 PpcaConfig(mc_samples=samples, seed=1),
                                 [(i,) for i in range(data.count)])
     weights = [np.exp(lw - lw.max()) for lw in log_w]
@@ -602,9 +726,11 @@ def test_monte_carlo_evidence_matches_quadrature(monkeypatch):
 
 def test_fixed_point_elbo_lies_below_the_quadrature_evidence():
     model, data = _quadrature_fitted_instance()
-    _, quad = _quadrature_e_step(model, data.frames, PpcaConfig(grid_points=48))
+    _, quad = _quadrature_e_step(model, data.frames - model.data_mean,
+                                 PpcaConfig(grid_points=48))
     evidence = ppca._first_frame_evidence(model, data.x_i - model.data_mean) + quad
-    moments = _moments_from_blocks(*_fixed_point_blocks(model, data.frames))
+    moments = _moments_from_blocks(*_fixed_point_blocks(
+        model, data.frames - model.data_mean))
     assert elbo_of(model, data, moments) < evidence
 
 
@@ -634,9 +760,9 @@ def test_fixed_point_sweep_matches_the_direct_solve_oracle(seed, n, extra_dims,
         # strong coupling can keep the sweep from converging; both forms
         # must then fail alike
         with pytest.raises(NumericError):
-            _fixed_point_blocks(model, np.stack([x_i, x_n]))
+            _fixed_point_blocks(model, centred(model, x_i, x_n))
         return
-    got = _fixed_point_blocks(model, np.stack([x_i, x_n]))
+    got = _fixed_point_blocks(model, centred(model, x_i, x_n))
     assert len(got) == len(want) == 6
     for g, w in zip(got, want):
         assert g.shape == w.shape
@@ -652,7 +778,7 @@ def test_fixed_point_sweep_matches_its_pair_first_form(seed, n, extra_dims, d,
     # the pair-last sweep sums over d in another order than the stacked
     # products of the pair-first one, so the six blocks agree to rounding
     model, x_i, x_n = scaled_sweep_instance(seed, n, extra_dims, d, j, scale)
-    x = np.stack([x_i, x_n])
+    x = centred(model, x_i, x_n)
     try:
         want = pair_first_fixed_point_blocks(model, x)
     except NumericError:
@@ -668,7 +794,7 @@ def test_fixed_point_sweep_matches_its_pair_first_form(seed, n, extra_dims, d,
 
 def _blocks_or_none(model, x_i, x_n):
     try:
-        return _fixed_point_blocks(model, np.stack([x_i, x_n]))
+        return _fixed_point_blocks(model, centred(model, x_i, x_n))
     except NumericError:
         return None
 
@@ -720,7 +846,7 @@ def test_fixed_point_sweep_takes_q_lambda_from_the_dynamics_e_step(monkeypatch):
 
     monkeypatch.setattr(ppca, "_e_step_block", spy)
     model, x_i, x_n = scaled_sweep_instance(5, 6, 1, 2, 2, 0.3)
-    *_, q, k = _fixed_point_blocks(model, np.stack([x_i, x_n]))
+    *_, q, k = _fixed_point_blocks(model, centred(model, x_i, x_n))
     assert len(calls) > 1 and calls[0][0].shape[-1] == len(q)
     rows = [(mean, cov) for means, covs in calls
             for mean, cov in zip(means.T, covs.transpose(2, 0, 1))]
@@ -766,14 +892,14 @@ def assert_retiring_sweep_equals_the_gather_form(model, x):
 def test_retiring_sweep_keeps_the_bits_of_the_gather_form(seed, n, extra_dims,
                                                           d, j, scale):
     model, x_i, x_n = scaled_sweep_instance(seed, n, extra_dims, d, j, scale)
-    assert_retiring_sweep_equals_the_gather_form(model, np.stack([x_i, x_n]))
+    assert_retiring_sweep_equals_the_gather_form(model, centred(model, x_i, x_n))
 
 
 def test_retiring_sweep_keeps_the_bits_where_pairs_retire_at_four_sweeps():
     # 12 pairs, d = 3, J = 2: every pair lives through 9 sweeps, then 4,
     # 5, 2 and 1 pairs retire at sweeps 9, 10, 11 and 12
     model, x_i, x_n = scaled_sweep_instance(0, 12, 2, 3, 2, 0.3)
-    x = np.stack([x_i, x_n])
+    x = centred(model, x_i, x_n)
     assert sweep_widths(model, x) == [12] * 9 + [8, 3, 1]
     assert_retiring_sweep_equals_the_gather_form(model, x)
 
@@ -782,7 +908,7 @@ def test_retiring_sweep_keeps_the_bits_where_pairs_retire_at_four_sweeps():
 def test_non_converged_sweep_reports_the_live_pairs(monkeypatch, sweeps):
     # 12 pairs are live after 2 sweeps and 3 after 10 (see the test above)
     model, x_i, x_n = scaled_sweep_instance(0, 12, 2, 3, 2, 0.3)
-    x = np.stack([x_i, x_n])
+    x = centred(model, x_i, x_n)
     widths = sweep_widths(model, x)
     monkeypatch.setattr(ppca, "FIXED_POINT_ITERS", sweeps)
     with pytest.raises(NumericError) as caught:
@@ -824,7 +950,8 @@ class TestFit:
         data = PairDataset(base.x_i, base.x_i)
         model, trace = fit(data, PpcaConfig(latent_dim=2, j_init=1,
                                             max_iters=60, seed=0))
-        moments = _moments_from_blocks(*_fixed_point_blocks(model, data.frames))
+        moments = _moments_from_blocks(*_fixed_point_blocks(
+        model, data.frames - model.data_mean))
         basis, _ = m_step_dynamics(moments.transition)
         assert np.linalg.norm(basis.generators) < 1e-3
         w_angle = subspace_angle_loading(model.loading, truth.loading)
@@ -962,7 +1089,7 @@ def test_monte_carlo_e_step_factors_r_once_not_per_pair(monkeypatch):
         return factor(m)
 
     monkeypatch.setattr(ppca, "spd_cholesky", counted_factor)
-    _monte_carlo_e_step(model, np.stack([[x_i] * 3, [x_n] * 3]),
+    _monte_carlo_e_step(model, centred(model, [x_i] * 3, [x_n] * 3),
                         PpcaConfig(mc_samples=2000, seed=3),
                         [(k,) for k in range(3)])
     assert shapes.count((model.data_dim, model.data_dim)) == 1
@@ -1007,10 +1134,10 @@ def test_frozen_coefficients_need_the_fixed_point_estep(estep):
 
 
 # SHA-256 of a tiny fixed-point fit's parameters, dynamics and trace,
-# recorded when the sweep put the pair axis last and the Kronecker pair
-# sums became one product over the pairs; any drift of the sweep's bits
-# changes it.  Three
-# threads split the 13 pairs into blocks of 4, 4 and 5.
+# recorded when the bound's entropies became Cholesky log-determinants
+# (the parameters kept their bits; trace values moved by up to 2 ulps);
+# any drift of the sweep's bits changes it.  Three threads split the 13
+# pairs into blocks of 4, 4 and 5.
 @pytest.mark.parametrize("threads", [1, 3])
 def test_tiny_fit_matches_pinned_digest(threads):
     spec = SequenceSpec(group_kind="rotation2d", lambda_scale=0.05,
@@ -1027,7 +1154,7 @@ def test_tiny_fit_matches_pinned_digest(threads):
               np.array(trace)]:
         h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
     assert h.hexdigest() == \
-        "8d0dda0a88f241922c2ddb3c6a7c2769185663d74d96f39cea7d68cdea653df5"
+        "109b071cb6bd1ee93b7491100c81bd2956559969eda118e19996fbcbf4db6c5d"
 
 
 # SHA-256 of a 300-pair fixed-point fit, recorded while every sweep still

@@ -448,6 +448,25 @@ def test_only_liealg_calls_matrix_exp():
     assert not callers, f"matrix_exp called outside liealg: {callers}"
 
 
+def test_only_single_matrix_checks_eigendecompose():
+    # spd_cholesky and m_step_G each check one fixed-size matrix; stacks of
+    # per-pair blocks are factored by gaussian.stacked_cholesky instead, so
+    # a per-pair eigendecomposition (one LAPACK call per pair) cannot return
+    allowed = {("gaussian.py", "spd_cholesky"), ("dynamics.py", "m_step_G")}
+    found = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        spans = [(node.lineno, node.end_lineno) for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)
+                 and (path.name, node.name) in allowed]
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and (getattr(node.func, "attr", None)
+                       or getattr(node.func, "id", "")).startswith("eig")
+                  and not any(lo <= node.lineno <= hi for lo, hi in spans)]
+    assert not found, f"eigendecompositions outside the allowed checks: {found}"
+
+
 def test_raster_frames_and_roll_exponentiate_one_block_at_a_time(tmp_path,
                                                                    monkeypatch):
     from lieflow import cli, liealg, rng, synth
