@@ -163,17 +163,13 @@ class LatentMoments:
     transition: TransitionStats
 
     def __post_init__(self):
-        # PSD check: C + tau I, tau = 1e-8 max(1, max |second moment|) per
-        # block, has stacked Cholesky factors (zero blocks pass, NaN fails)
-        for cov, second, label in (*zip(self.cov_z, self.ezz, ("z_i", "z_next")),
-                                   (self.cov_lam, self.elamlam, "lambda")):
-            tau = 1e-8 * np.maximum(1.0, np.abs(second).max(axis=(1, 2)))
-            shifted = cov + tau[:, None, None] * np.eye(cov.shape[-1])
-            try:
-                stacked_cholesky(np.moveaxis(shifted, (1, 2), (0, 1)))
-            except NumericError:
-                raise NumericError(
-                    f"{label} moment block is not positive semidefinite") from None
+        # both frames are one stack, checked frame by frame only to name a failure
+        for cov, second, labels in ((self.cov_z, self.ezz, ("z_i", "z_next")),
+                                    (self.cov_lam[None], self.elamlam[None], ("lambda",))):
+            if not _near_psd(cov, second):
+                label = next(label for label, *block in zip(labels, cov, second)
+                             if not _near_psd(*block))
+                raise NumericError(f"{label} moment block is not positive semidefinite")
 
     @property
     def count(self) -> int:
@@ -187,17 +183,31 @@ class LatentMoments:
     def cov_lam(self) -> np.ndarray:
         return _outer_cov(self.elam, self.elamlam)
 
-    # log det cov_z (2, N) and cov_lam (N,) for mean_field_elbo, cached
-    _log_det_z = cached_property(lambda self: _log_det(self.cov_z))
-    _log_det_lam = cached_property(lambda self: _log_det(self.cov_lam))
+    # entropies of cov_z (2, N) and cov_lam (N,) for mean_field_elbo, cached
+    _entropy_z = cached_property(lambda self: _entropy(self.cov_z))
+    _entropy_lam = cached_property(lambda self: _entropy(self.cov_lam))
 
 
-def _log_det(cov: np.ndarray) -> np.ndarray:
-    """Log-determinants ``2 sum_a log L_aa`` of covariances ``(..., k, k)``
-    from their stacked Cholesky factors ``L``; a singular block raises
-    :class:`NumericError`."""
+def _near_psd(cov: np.ndarray, second: np.ndarray) -> bool:
+    """Whether every ``C + tau I`` of a covariance stack ``(..., k, k)``, with
+    ``tau = 1e-8 max(1, max |second moment|)`` per block, has stacked
+    Cholesky factors and is finite: zero blocks pass, a NaN or inf fails."""
+    tau = 1e-8 * np.maximum(1.0, np.abs(second).max(axis=(-2, -1)))
+    shifted = cov + tau[..., None, None] * np.eye(cov.shape[-1])
+    try:
+        stacked_cholesky(np.moveaxis(shifted, (-2, -1), (0, 1)))
+    except NumericError:
+        return False
+    return bool(np.isfinite(shifted).all())
+
+
+def _entropy(cov: np.ndarray) -> np.ndarray:
+    """Gaussian entropies of covariances ``(..., k, k)``, with log-determinants
+    ``2 sum_a log L_aa`` from their stacked Cholesky factors ``L`` (a
+    singular block raises :class:`NumericError`)."""
     chol = stacked_cholesky(np.moveaxis(cov, (-2, -1), (0, 1)))
-    return 2.0 * _ordered_sum(np.log(chol[a, a]) for a in range(chol.shape[0]))
+    log_det = 2.0 * _ordered_sum(np.log(chol[a, a]) for a in range(chol.shape[0]))
+    return 0.5 * (chol.shape[0] * (1.0 + LOG_2PI) + log_det)
 
 
 @dataclass
@@ -319,8 +329,7 @@ def _stack_moments(parts: list[dict[str, np.ndarray]]) -> LatentMoments:
 
 def _frozen_coefficient_blocks(model: PpcaModel, xc: np.ndarray
                                ) -> tuple[np.ndarray, ...]:
-    """Mean-field fixed point of the centred frame stack ``xc`` with the
-    coefficients pinned at zero.
+    """Mean-field fixed point of the centred stack ``xc``, coefficients at zero.
 
     The (z_i, z_next) problem is then jointly Gaussian, so the
     coordinate-update fixed point is available in closed form: the means
@@ -345,8 +354,7 @@ def _frozen_coefficient_blocks(model: PpcaModel, xc: np.ndarray
 
 def _fixed_point_blocks(model: PpcaModel, xc: np.ndarray) -> tuple[np.ndarray, ...]:
     """Cycle the three closed-form conditionals at the current block means
-    until self-consistent, starting from the latent posteriors of the
-    centred frame stack ``xc``.
+    until self-consistent, starting from the latent posteriors of ``xc``.
     Returns each pair's block moments in the order of
     :func:`_moments_from_blocks`: ``(m_zi, cov_zi, m_zn, cov_zn, q, k)``.
 
@@ -441,12 +449,11 @@ def _next_frame(model: PpcaModel, zi: np.ndarray, lam: np.ndarray,
 
 def _quadrature_e_step(model: PpcaModel, xc: np.ndarray, config: PpcaConfig
                        ) -> tuple[LatentMoments, float]:
-    """Grid-exact moments of every pair of the centred frame stack ``xc``,
-    plus the sum over the pairs of ``log p(x_next | x_i)`` (the normalizers
-    of the integrands).  Each pair's grid spans ``(z_i, lambda)``, ``d + J``
-    axes: the integrand is the ``z_i`` prior times the coefficient prior
-    times the next frame's likelihood with ``z_next`` integrated out
-    (:func:`_next_frame`)."""
+    """Grid-exact moments of every pair of the centred stack ``xc``, plus the
+    sum over the pairs of ``log p(x_next | x_i)`` (the normalizers of the
+    integrands).  Each pair's grid spans ``(z_i, lambda)``, ``d + J`` axes:
+    the integrand is the ``z_i`` prior times the coefficient prior times the
+    next frame's likelihood with ``z_next`` integrated out (:func:`_next_frame`)."""
     from .oracles import BoxTooSmallError, GridSpec, grid_posterior
 
     d, j = model.latent_dim, model.dynamics.coeff_count
@@ -502,13 +509,13 @@ def _quadrature_e_step(model: PpcaModel, xc: np.ndarray, config: PpcaConfig
 
 def _monte_carlo_e_step(model: PpcaModel, xc: np.ndarray, config: PpcaConfig,
                         streams) -> tuple[LatentMoments, float]:
-    """Self-normalized sampling, for each pair of the centred frame stack
-    ``xc``, from ``q(z_i | x_i) p(lambda)``, weighted by the next frame's
-    likelihood with ``z_next`` integrated out in closed form per draw
-    (:func:`_next_frame`); pair ``k`` draws from the random streams of
-    ``config.seed`` keyed by ``streams[k]``.  Returns the moments and the
-    sum over the pairs of ``log mean(w)``, the importance-sampling estimate
-    of ``log p(x_next | x_i)`` from the same weights."""
+    """Self-normalized sampling, for each pair of the centred stack ``xc``,
+    from ``q(z_i | x_i) p(lambda)``, weighted by the next frame's likelihood
+    with ``z_next`` integrated out in closed form per draw (:func:`_next_frame`);
+    pair ``k`` draws from the random streams of ``config.seed`` keyed by
+    ``streams[k]``.  Returns the moments and the sum over the pairs of
+    ``log mean(w)``, the importance-sampling estimate of
+    ``log p(x_next | x_i)`` from the same weights."""
     d, j = model.latent_dim, model.dynamics.coeff_count
     s, seed = config.mc_samples, config.seed
 
@@ -592,11 +599,6 @@ def _first_frame_evidence(model: PpcaModel, xc_i: np.ndarray) -> float:
     return float(np.sum(cholesky_log_density(spd_cholesky(cov), xc_i)))
 
 
-def _entropy(log_det: np.ndarray, dim: int) -> np.ndarray:
-    """Gaussian entropies of ``dim``-dimensional covariances' log-determinants."""
-    return 0.5 * (dim * (1.0 + LOG_2PI) + log_det)
-
-
 def expected_complete_data_ll(model: PpcaModel, moments: LatentMoments,
                               power: float) -> float:
     """Expected complete-data log-likelihood (two-frame factorization) of
@@ -627,9 +629,8 @@ def mean_field_elbo(model: PpcaModel, moments: LatentMoments,
     raises :class:`NumericError`).  A frozen bundle (all coefficient moments
     zero) contributes neither the coefficient priors nor their entropies.
     """
-    frame_i, frame_n = _entropy(moments._log_det_z, moments.ez.shape[-1])
-    lam = (_entropy(moments._log_det_lam, moments.elam.shape[-1])
-           if np.any(moments.elamlam) else 0.0)
+    frame_i, frame_n = moments._entropy_z
+    lam = moments._entropy_lam if np.any(moments.elamlam) else 0.0
     entropies = frame_i + frame_n + lam
     return expected_complete_data_ll(model, moments, power) + float(entropies.sum())
 

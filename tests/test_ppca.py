@@ -560,6 +560,9 @@ def test_moment_bundle_and_bound_call_no_eigendecomposition(monkeypatch):
     assert elbo_of(model, data, moments) == pytest.approx(want, rel=1e-14)
 
 
+_MARGINS = (-2.0, -0.5, -0.02, 0.02, 0.5, 2.0)
+
+
 def _boundary_bundle(seed, n, d, j):
     """A moment bundle's arrays whose covariance blocks are random
     symmetric matrices, most comfortably positive definite and about one
@@ -573,6 +576,7 @@ def _boundary_bundle(seed, n, d, j):
         outer = np.einsum("na,nb->nab", mean, mean)
         near = rng.uniforms(seed, path + (3,), count) < 0.2
         pick = (rng.uniforms(seed, path + (4,), count) * len(_MARGINS)).astype(int)
+
         def second():
             return symmetrize(np.einsum("nab,nb,ncb->nac", q, eigs, q)) + outer
 
@@ -586,9 +590,6 @@ def _boundary_bundle(seed, n, d, j):
     ez, ezz = zip(*(blocks((frame,), n, d) for frame in (0, 1)))
     elam, elamlam = blocks((2,), n, j)
     return np.stack(ez), np.stack(ezz), elam, elamlam
-
-
-_MARGINS = (-2.0, -0.5, -0.02, 0.02, 0.5, 2.0)
 
 
 def _transition_of(n, d, j):
@@ -627,18 +628,22 @@ def test_psd_check_agrees_with_the_eigenvalue_oracle(seed, n, d, j):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 31 - 1), n=st.integers(1, 8),
        d=st.integers(1, 4), j=st.integers(1, 3),
-       block=st.sampled_from(["z_i", "z_next", "lambda"]))
-def test_zero_blocks_pass_and_nan_blocks_fail(seed, n, d, j, block):
+       block=st.sampled_from(["z_i", "z_next", "lambda"]),
+       value=st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_zero_blocks_pass_and_non_finite_blocks_fail(seed, n, d, j, block,
+                                                     value):
     # point masses (zero covariances) and frozen coefficients pass; a NaN
-    # anywhere in a block fails it (the eigenvalue check let NaN through)
+    # or inf anywhere in a block fails it (the eigenvalue check let NaN
+    # through)
     arrays = dict(ez=np.zeros((2, n, d)), ezz=np.zeros((2, n, d, d)),
                   elam=np.zeros((n, j)), elamlam=np.zeros((n, j, j)))
     LatentMoments(**arrays, transition=_transition_of(n, d, j))
     target = arrays["elamlam"] if block == "lambda" else \
         arrays["ezz"][("z_i", "z_next").index(block)]
     pair, a, b = (rng.uniforms(seed, (0,), 3) * target.shape).astype(int)
-    target[pair, a, b] = np.nan
-    with pytest.raises(NumericError, match=f"^{block} moment block"):
+    target[pair, a, b] = value
+    with pytest.raises(NumericError, match=f"^{block} moment block"), \
+            np.errstate(invalid="ignore"):
         LatentMoments(**arrays, transition=_transition_of(n, d, j))
 
 
@@ -661,11 +666,23 @@ def test_cholesky_entropies_match_the_eigen_entropies(seed, n, d, j, spread):
     moments = _moments_from_blocks(means[0, :, :d], cov_i, means[1, :, :d],
                                    cov_n, means[2, :, :j], k)
     eps = np.finfo(float).eps
-    for got, cov, dim in ((ppca._entropy(moments._log_det_z, d), moments.cov_z, d),
-                          (ppca._entropy(moments._log_det_lam, j), moments.cov_lam, j)):
+    for got, cov, dim in ((moments._entropy_z, moments.cov_z, d),
+                          (moments._entropy_lam, moments.cov_lam, j)):
         eigs = np.linalg.eigvalsh(cov)
         bound = 8 * dim ** 2 * eps * eigs[..., -1] / eigs[..., 0]
         assert np.all(np.abs(got - eigen_entropy(eigs)) <= bound)
+
+
+def test_bound_of_a_point_mass_bundle_is_numeric_error():
+    # a point mass has no entropy: the bound raises where the eigenvalue
+    # form returned a clamped log(1e-300) per eigenvalue
+    model, x_i, x_n = random_objective_instance(5, 3, 3, 2, 1)
+    moments = _moments_from_blocks(
+        rng.normal_matrix(5, (7,), (3, 2)), np.zeros((3, 2, 2)),
+        rng.normal_matrix(5, (8,), (3, 2)), np.zeros((3, 2, 2)),
+        rng.normal_matrix(5, (9,), (3, 1)), random_spd(5, (10,), 3, 1))
+    with pytest.raises(NumericError):
+        elbo_of(model, PairDataset(x_i, x_n), moments)
 
 
 @settings(max_examples=40, deadline=None)
@@ -951,7 +968,7 @@ class TestFit:
         model, trace = fit(data, PpcaConfig(latent_dim=2, j_init=1,
                                             max_iters=60, seed=0))
         moments = _moments_from_blocks(*_fixed_point_blocks(
-        model, data.frames - model.data_mean))
+            model, data.frames - model.data_mean))
         basis, _ = m_step_dynamics(moments.transition)
         assert np.linalg.norm(basis.generators) < 1e-3
         w_angle = subspace_angle_loading(model.loading, truth.loading)
