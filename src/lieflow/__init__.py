@@ -39,22 +39,7 @@ _SOURCES = {
 }
 _HOMES = {name: module for module, names in _SOURCES.items() for name in names}
 
-__all__ = [
-    "DynamicsModel",
-    "EmConfig",
-    "GeneratorBasis",
-    "LatentMoments",
-    "Mlp",
-    "NpcaConfig",
-    "NpcaModel",
-    "NumericError",
-    "PairDataset",
-    "PpcaConfig",
-    "PpcaModel",
-    "SequenceSpec",
-    "SynthTruth",
-    "__version__",
-]
+__all__ = [*sorted(_HOMES), "__version__"]
 
 
 def __getattr__(name: str):

@@ -219,12 +219,6 @@ def _lead_signs(rows: np.ndarray) -> np.ndarray:
     return signs
 
 
-def _fix_signs(rows: np.ndarray) -> np.ndarray:
-    """The rows under the sign convention of :func:`_lead_signs` (each
-    first entry above 1e-12 of its row peak made positive)."""
-    return rows * _lead_signs(rows)[:, None]
-
-
 def orthogonalize(basis: GeneratorBasis) -> tuple[GeneratorBasis, np.ndarray]:
     """Minimal Frobenius-orthonormal basis spanning the dominant variance,
     and its coefficient map: the ``(k, J)`` matrix ``T`` with

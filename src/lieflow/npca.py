@@ -345,7 +345,7 @@ def linear_warm_start(dataset: PairDataset, latent_dim: int,
     solution of the pooled frames: the encoder emits the linear-Gaussian
     latent posterior and the decoder its reconstruction map."""
     mu = m_step_mu(dataset)
-    w, _ = init_loading(dataset, latent_dim, mu)
+    w, _ = init_loading(dataset.frames - mu, latent_dim)
     # the posterior mean is linear in the frame: its weights are the means
     # of the unit frames under a zero-mean model (the dynamics do not enter)
     d = latent_dim

@@ -58,13 +58,10 @@ class GridSpec:
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "points", pts)
 
-    def axes(self) -> list[np.ndarray]:
-        return [np.linspace(l, h, p) for l, h, p in zip(self.lo, self.hi, self.points)]
-
     def nodes_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Flattened nodes ``(m, dims)``, trapezoid weights ``(m,)`` and a
         boolean mask marking nodes on the box boundary."""
-        axes = self.axes()
+        axes = [np.linspace(l, h, p) for l, h, p in zip(self.lo, self.hi, self.points)]
         mesh = np.meshgrid(*axes, indexing="ij")
         nodes = np.stack([g.ravel() for g in mesh], axis=-1)
         weights = np.ones(1)

@@ -28,7 +28,8 @@ the :class:`lieflow.dynamics.PairDataset`), their posteriors and their
 moments travel as one stack ``(2, N, ...)``, ``x_i`` first, centred once
 per fit: every E-step backend and M-step reads the centred stack ``xc``.
 All M-steps are closed form in the expectation bundle and the frames;
-sigma^2 and the bound share one residual power.
+sigma^2 and the bound share one residual power, from the frame power
+formed once per fit.
 """
 from __future__ import annotations
 
@@ -182,10 +183,6 @@ class LatentMoments:
     @cached_property
     def cov_lam(self) -> np.ndarray:
         return _outer_cov(self.elam, self.elamlam)
-
-    # entropies of cov_z (2, N) and cov_lam (N,) for mean_field_elbo, cached
-    _entropy_z = cached_property(lambda self: _entropy(self.cov_z))
-    _entropy_lam = cached_property(lambda self: _entropy(self.cov_lam))
 
 
 def _near_psd(cov: np.ndarray, second: np.ndarray) -> bool:
@@ -564,14 +561,14 @@ def m_step_W(xc: np.ndarray, moments: LatentMoments) -> np.ndarray:
             f"(condition number {np.linalg.cond(gram):.3e})") from exc
 
 
-def _residual_power(xc: np.ndarray, moments: LatentMoments,
+def _residual_power(xc: np.ndarray, xc_power: float, moments: LatentMoments,
                     w: np.ndarray) -> float:
     """Expected reconstruction power ``sum E||x - mu - W z||^2`` over the
-    centred frame stack ``xc`` ``(2, N, D)``; one stack temporary at a time."""
-    power = _frame_sum(xc * xc)
+    centred frame stack ``xc`` ``(2, N, D)`` of power ``xc_power``
+    (``_frame_sum(xc * xc)``, fixed for a fit)."""
     proj = moments.ez @ w.T
     proj *= xc
-    return float(power - 2.0 * _frame_sum(proj)
+    return float(xc_power - 2.0 * _frame_sum(proj)
                  + float(np.einsum("ab,nab->", w.T @ w, moments.ezz.sum(axis=0))))
 
 
@@ -629,8 +626,8 @@ def mean_field_elbo(model: PpcaModel, moments: LatentMoments,
     raises :class:`NumericError`).  A frozen bundle (all coefficient moments
     zero) contributes neither the coefficient priors nor their entropies.
     """
-    frame_i, frame_n = moments._entropy_z
-    lam = moments._entropy_lam if np.any(moments.elamlam) else 0.0
+    frame_i, frame_n = _entropy(moments.cov_z)
+    lam = _entropy(moments.cov_lam) if np.any(moments.elamlam) else 0.0
     entropies = frame_i + frame_n + lam
     return expected_complete_data_ll(model, moments, power) + float(entropies.sum())
 
@@ -639,21 +636,21 @@ def mean_field_elbo(model: PpcaModel, moments: LatentMoments,
 # Fit
 
 
-def init_loading(dataset: PairDataset, latent_dim: int,
-                 mu: np.ndarray) -> tuple[np.ndarray, float]:
-    """Deterministic start: dominant right singular vectors of the pooled
-    centered frames, scaled by the singular values; noise variance from
-    the mean residual variance."""
-    if not 1 <= latent_dim <= dataset.dim:
+def init_loading(xc: np.ndarray, latent_dim: int) -> tuple[np.ndarray, float]:
+    """Deterministic start from the centred frame stack ``xc`` ``(2, N, D)``:
+    dominant right singular vectors of the pooled frames, scaled by the
+    singular values; noise variance from the mean residual variance."""
+    dim = xc.shape[-1]
+    if not 1 <= latent_dim <= dim:
         raise ValueError(f"latent dimension {latent_dim} must lie in "
-                         f"[1, {dataset.dim}] (the data dimension)")
-    stacked = dataset.frames.reshape(-1, dataset.dim) - mu
+                         f"[1, {dim}] (the data dimension)")
+    stacked = xc.reshape(-1, dim)
     n2 = stacked.shape[0]
     _, svals, vt = np.linalg.svd(stacked, full_matrices=False)
-    v = liealg._fix_signs(vt[:latent_dim]).T
+    v = (vt[:latent_dim] * liealg._lead_signs(vt[:latent_dim])[:, None]).T
     w = v * (svals[:latent_dim] / np.sqrt(n2))
     tail = svals[latent_dim:] ** 2
-    dof = max(dataset.dim - latent_dim, 1)
+    dof = max(dim - latent_dim, 1)
     sigma2 = float(tail.sum() / (n2 * dof)) if tail.size else SIGMA_FLOOR
     return w, max(sigma2, SIGMA_FLOOR)
 
@@ -696,12 +693,13 @@ def fit(dataset: PairDataset, config: PpcaConfig
                          f"not {config.estep!r}")
     d = config.latent_dim
     mu = m_step_mu(dataset)
-    w, sigma2 = init_loading(dataset, d, mu)
+    xc = dataset.frames - mu   # mu is fixed for the whole fit
+    xc_power = _frame_sum(xc * xc)
+    w, sigma2 = init_loading(xc, d)
     dyn = init_model(d, config.j_init, config.seed)
     dyn = DynamicsModel(dyn.basis, config.init_omega_scale * np.eye(d),
                         dyn.coeff_prior_cov)
     model = PpcaModel(w, mu, sigma2, dyn)
-    xc = dataset.frames - mu   # mu is fixed for the whole fit
     trace: list[float] = []
     for _ in range(config.max_iters):
         moments, evidence = _e_step_dataset(model, xc, config)
@@ -709,7 +707,7 @@ def fit(dataset: PairDataset, config: PpcaConfig
             trace.append(_first_frame_evidence(model, xc[0]) + evidence)
         w = m_step_W(xc, moments)
         # one residual power for sigma^2 and the mean-field bound
-        power = _residual_power(xc, moments, w)
+        power = _residual_power(xc, xc_power, moments, w)
         sigma2 = m_step_sigma(power, xc.size)
         dyn = next_dyn = model.dynamics
         if not config.freeze_coefficients:

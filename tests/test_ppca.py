@@ -24,7 +24,9 @@ from lieflow.ppca import (
     LatentMoments,
     PpcaConfig,
     PpcaModel,
+    _entropy,
     _fixed_point_blocks,
+    _frame_sum,
     _frozen_coefficient_blocks,
     _moments_from_blocks,
     _monte_carlo_e_step,
@@ -462,13 +464,15 @@ class TestMSteps:
 def sigma_update(data, moments, w, mu):
     """:func:`m_step_sigma` of ``data``'s frames centred at ``mu``."""
     xc = data.frames - mu
-    return m_step_sigma(_residual_power(xc, moments, w), xc.size)
+    return m_step_sigma(_residual_power(xc, _frame_sum(xc * xc), moments, w),
+                        xc.size)
 
 
 def elbo_of(model, data, moments):
     """:func:`mean_field_elbo` of ``data``'s frames under ``model``."""
     xc = data.frames - model.data_mean
-    return mean_field_elbo(model, moments, _residual_power(xc, moments, model.loading))
+    return mean_field_elbo(model, moments, _residual_power(
+        xc, _frame_sum(xc * xc), moments, model.loading))
 
 
 def random_spd(seed, path, n, k):
@@ -515,8 +519,9 @@ def test_point_mass_objective_is_the_complete_data_log_density(seed, n, big_d,
                                      dyn.trans_cov), zn)
               + log_density(Gaussian(np.zeros(j), dyn.coeff_prior_cov), lm)
               for xi, xn, zi, zn, lm in zip(x_i, x_n, z_i, z_n, lam))
+    xc = np.stack([x_i, x_n]) - mu
     got = expected_complete_data_ll(
-        model, moments, _residual_power(np.stack([x_i, x_n]) - mu, moments, w))
+        model, moments, _residual_power(xc, _frame_sum(xc * xc), moments, w))
     assert abs(got - ref) <= 1e-10 * abs(ref)
 
 
@@ -546,8 +551,8 @@ def test_moment_bundle_and_bound_call_no_eigendecomposition(monkeypatch):
               rng.normal_matrix(3, (11,), (4, 2)), random_spd(3, (12,), 4, 2))
     data = PairDataset(x_i, x_n)
     reference = _moments_from_blocks(*blocks)
-    power = _residual_power(data.frames - model.data_mean, reference,
-                            model.loading)
+    xc = data.frames - model.data_mean
+    power = _residual_power(xc, _frame_sum(xc * xc), reference, model.loading)
     want = expected_complete_data_ll(model, reference, power) + sum(
         eigen_entropy(np.linalg.eigvalsh(cov)).sum()
         for cov in (*reference.cov_z, reference.cov_lam))
@@ -666,8 +671,8 @@ def test_cholesky_entropies_match_the_eigen_entropies(seed, n, d, j, spread):
     moments = _moments_from_blocks(means[0, :, :d], cov_i, means[1, :, :d],
                                    cov_n, means[2, :, :j], k)
     eps = np.finfo(float).eps
-    for got, cov, dim in ((moments._entropy_z, moments.cov_z, d),
-                          (moments._entropy_lam, moments.cov_lam, j)):
+    for cov, dim in ((moments.cov_z, d), (moments.cov_lam, j)):
+        got = _entropy(cov)
         eigs = np.linalg.eigvalsh(cov)
         bound = 8 * dim ** 2 * eps * eigs[..., -1] / eigs[..., 0]
         assert np.all(np.abs(got - eigen_entropy(eigs)) <= bound)
@@ -955,6 +960,40 @@ def test_fit_forms_one_residual_power_per_iteration(monkeypatch):
     assert len(trace) == len(calls) == 3
 
 
+def test_fit_centres_and_squares_the_frames_once(monkeypatch):
+    # the start and every E-step read one centred stack, whose power is
+    # formed once: one frame sum for it, then one per residual power
+    spec = SequenceSpec(group_kind="rotation2d", lambda_scale=0.05,
+                        noise_std=0.05, pair_count=10, seed=4,
+                        height=2, width=2)
+    data, _ = generate_image_pairs(spec, embedding="linear")
+    stacks, sums = [], []
+    init, e_step, frame_sum = ppca.init_loading, ppca._e_step_dataset, ppca._frame_sum
+
+    def recorded_init(xc, *args):
+        stacks.append(xc)
+        return init(xc, *args)
+
+    def recorded_e_step(model, xc, config):
+        stacks.append(xc)
+        return e_step(model, xc, config)
+
+    def counted_sum(a):
+        sums.append(a.shape)
+        return frame_sum(a)
+
+    monkeypatch.setattr(ppca, "init_loading", recorded_init)
+    monkeypatch.setattr(ppca, "_e_step_dataset", recorded_e_step)
+    monkeypatch.setattr(ppca, "_frame_sum", counted_sum)
+    iters = 3
+    _, trace = fit(data, PpcaConfig(latent_dim=2, j_init=1, max_iters=iters,
+                                    tol=0.0, seed=0))
+    assert len(trace) == iters and len(stacks) == iters + 1
+    assert all(xc is stacks[0] for xc in stacks)
+    assert np.array_equal(stacks[0], data.frames - m_step_mu(data))
+    assert len(sums) == iters + 1
+
+
 class TestFit:
     def test_identity_transition_dataset(self):
         # x_next identical to x_i: the raw generator update collapses (the
@@ -1046,7 +1085,7 @@ class TestFit:
             latent_dim=2, freeze_coefficients=True,
             init_omega_scale=1e8, max_iters=iters, tol=0.0, seed=0))
         mu = m_step_mu(data)
-        w0, s0 = init_loading(data, 2, mu)
+        w0, s0 = init_loading(data.frames - mu, 2)
         frames = np.vstack([data.x_i, data.x_next]) - mu
         w_ref, s_ref = reference_ppca_em(frames, w0, s0, iters)
         assert np.abs(model.loading - w_ref).max() < 1e-6
@@ -1203,7 +1242,7 @@ def test_init_loading_is_deterministic_and_scaled():
                         height=3, width=3)
     data, _ = generate_image_pairs(spec, embedding="linear")
     mu = m_step_mu(data)
-    w1, s1 = init_loading(data, 2, mu)
-    w2, s2 = init_loading(data, 2, mu)
+    w1, s1 = init_loading(data.frames - mu, 2)
+    w2, s2 = init_loading(data.frames - mu, 2)
     assert np.array_equal(w1, w2) and s1 == s2
     assert s1 > 0
